@@ -78,16 +78,21 @@ impl ExtremaSet {
         if self.entries.iter().any(|x| x.node == e.node) {
             return;
         }
-        self.entries.push(e);
+        // Reports are distinct per node, so keys are distinct and the
+        // ordered insert lands exactly where a stable sort would.
         let descending = self.descending;
-        self.entries.sort_by_key(|x| {
+        let key = |x: &Extremum| {
             if descending {
                 (-(x.value as i64), x.node.0 as i64)
             } else {
                 (x.value as i64, x.node.0 as i64)
             }
-        });
-        self.entries.truncate(TOP_K_EXTREMA);
+        };
+        let at = self.entries.partition_point(|x| key(x) < key(&e));
+        if at < TOP_K_EXTREMA {
+            self.entries.truncate(TOP_K_EXTREMA - 1);
+            self.entries.insert(at, e);
+        }
     }
 
     /// ODI merge.

@@ -27,12 +27,14 @@ use td_sketches::counter::CounterFactory;
 pub trait Protocol: Sync {
     /// Partial result used in tributaries. (`'static` so messages can be
     /// type-erased into a [`crate::query::QuerySet`] bundle — protocol
-    /// *instances* may still borrow their epoch's readings — and `Send`
-    /// so sessions caching bundles can cross worker threads; messages
-    /// are plain data.)
-    type TreeMsg: Clone + Send + 'static;
+    /// *instances* may still borrow their epoch's readings — `Send` so
+    /// sessions caching bundles can cross worker threads, and `Sync`
+    /// because a broadcast is parked once and every receiver, on
+    /// whichever worker, fuses it by shared reference; messages are
+    /// plain data.)
+    type TreeMsg: Clone + Send + Sync + 'static;
     /// Duplicate-insensitive partial result used in the delta.
-    type MpMsg: Clone + Send + 'static;
+    type MpMsg: Clone + Send + Sync + 'static;
     /// The query answer produced at the base station.
     type Output: 'static;
 

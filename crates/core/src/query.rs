@@ -36,15 +36,16 @@ use td_netsim::node::NodeId;
 /// Object-safe clone-plus-downcast, the capability every erased protocol
 /// message needs. (`Send` so sessions holding cached bundles can cross
 /// worker threads — the service layer moves whole tenants between
-/// them; protocol messages are plain data.)
-trait AnyClone: Any + Send {
+/// them — and `Sync` so the level-parallel workers can fuse one parked
+/// broadcast by shared reference; protocol messages are plain data.)
+trait AnyClone: Any + Send + Sync {
     fn clone_box(&self) -> Box<dyn AnyClone>;
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-impl<T: Any + Clone + Send> AnyClone for T {
+impl<T: Any + Clone + Send + Sync> AnyClone for T {
     fn clone_box(&self) -> Box<dyn AnyClone> {
         Box::new(self.clone())
     }
@@ -79,7 +80,7 @@ impl std::fmt::Debug for ErasedMsg {
 
 impl ErasedMsg {
     /// Erase a concrete message.
-    pub fn new<T: Any + Clone + Send>(msg: T) -> Self {
+    pub fn new<T: Any + Clone + Send + Sync>(msg: T) -> Self {
         ErasedMsg(Box::new(msg))
     }
 

@@ -6,8 +6,8 @@
 //! level-ordered sender list (outermost ring first), per-sender tree
 //! parents and heights, per-link broadcast delivery lists flattened into
 //! one table, and the switchability/subtree metadata the §4.2 adaptation
-//! signals need. Compilation also allocates the epoch arenas: per-node
-//! inbox slabs for tree and multi-path envelopes and the flat
+//! signals need. Compilation also allocates the epoch arenas: per-slot
+//! inbox slabs for tree envelopes and for heard broadcasts and the flat
 //! `(node, query)` bundle-slot slab local messages are staged in. A
 //! cached plan makes steady-state epochs **schedule-recomputation-free**
 //! (no per-epoch height/subtree/level sorts) and **growth-free** (inboxes
@@ -45,11 +45,32 @@
 //!
 //! ## Arenas
 //!
-//! Compilation also allocates the epoch arenas; at steady state an epoch
-//! performs no per-envelope allocation at all: contributor bitsets,
-//! count sketches, and bundle `Vec`s all cycle through the plan's
-//! free-lists (`Pools`), drawn at build time and returned when the
-//! envelope is consumed.
+//! Compilation also allocates the epoch arenas. Envelope *parts* —
+//! contributor bitsets, count sketches, bundle `Vec`s — cycle through
+//! the plan's free-lists (`Pools`): drawn when an envelope is built,
+//! returned when it is consumed, so at steady state none is allocated.
+//! What an epoch still allocates is the protocol payloads themselves
+//! (one `Box` per local, finalized or converted message, plus whatever
+//! the payload owns) and the extremum reports: about 2 allocations per
+//! node-epoch on a tree and about 3 with a delta, as the repo benchmark
+//! counts them.
+//!
+//! **Parked delivery.** An M vertex puts *one* message on the air. Its
+//! finished envelope is parked once, in the `ParkedLevel` of its ring
+//! level; each M neighbour that hears it gets the sender's slot pushed
+//! on its multi-path inbox (in step order, after the same loss draw as
+//! ever) and later fuses the envelope *by reference*; when the next
+//! level — the only possible receivers — has run, the level's parked
+//! envelopes go back to the free-lists. Nothing is copied per receiver
+//! except a message adopted by a vertex that has none of its own to
+//! fuse into (the base station). Both executors deliver this way.
+//!
+//! **Pool discipline.** `Pools` is the only place parts rest. The
+//! level-parallel executor tops it up to a level's need before the
+//! level runs, lends each worker chunk its share and takes back all a
+//! chunk holds at the level's barrier, so the fill settles at the
+//! deployment's lossless demand (what is in flight plus one level) and
+//! stays there however envelopes cross shard boundaries.
 //!
 //! [`EpochPlan::run_set`] executes a query epoch over the compiled
 //! schedule: tributary (`T`) vertices merge their children's tree
@@ -206,11 +227,30 @@ fn bundle_mp_wire(set: &QuerySet<'_>, bundle: &Bundle) -> (usize, usize) {
         .fold((0, 0), |(b, w), wire| (b + wire.bytes, w + wire.words))
 }
 
+/// What one multi-path send costs on the air, `(bytes, words)`: the
+/// bundled payloads plus — when charged — the adaptation overhead (the
+/// RLE-coded count sketch and the extremum reports), once per link and
+/// shared by every query in the bundle.
+fn mp_send_size(set: &QuerySet<'_>, env: &MpEnvelope<Bundle>, charge: bool) -> (usize, usize) {
+    let (payload_bytes, payload_words) =
+        bundle_mp_wire(set, env.msg.as_ref().expect("bundle present"));
+    let overhead_bytes = if charge {
+        sketch_rle::encoded_size_bytes(&env.count_sketch) + 8 * crate::envelope::TOP_K_EXTREMA
+    } else {
+        0
+    };
+    (
+        payload_bytes + overhead_bytes,
+        payload_words + overhead_bytes.div_ceil(4),
+    )
+}
+
 /// The envelope-part free-lists shared by every build/consume step: a
 /// consumed envelope returns its contributor bitset, its count sketch
 /// (multi-path only), and its bundle `Vec` here, and every envelope the
 /// plan constructs draws from here first — so steady-state epochs
-/// allocate no per-envelope parts at all.
+/// allocate none of these parts (the payloads inside a bundle are the
+/// protocols' and are still boxed per message).
 struct Pools {
     /// Recycled contributor bitsets (invariant: cleared, capacity `n`).
     idsets: Vec<IdSet>,
@@ -238,15 +278,54 @@ impl Pools {
 
     /// A cleared count sketch: recycled, or fresh during warm-up.
     fn sketch(&mut self) -> FmSketch {
-        self.sketches
-            .pop()
-            .unwrap_or_else(|| FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS))
+        self.sketches.pop().unwrap_or_else(fresh_sketch)
     }
 
     /// An empty bundle `Vec`: recycled, or fresh during warm-up.
     fn bundle(&mut self) -> Bundle {
         self.bundles.pop().unwrap_or_default()
     }
+
+    /// Top the free-lists up to a parallel level's whole need — one
+    /// contributor set and one bundle per sender, one count sketch per M
+    /// sender — before its chunks are lent their shares, so that no
+    /// chunk depends on what another recycles meanwhile. Allocates only
+    /// while the pool is below the deployment's lossless demand (what is
+    /// in flight plus the level being run): loss only lowers that.
+    fn ensure(&mut self, n: usize, senders: usize, m_senders: usize) {
+        fn top_up<T>(parts: &mut Vec<T>, need: usize, fresh: impl FnMut() -> T) {
+            if parts.len() < need {
+                parts.resize_with(need, fresh);
+            }
+        }
+        top_up(&mut self.idsets, senders, || IdSet::new(n));
+        top_up(&mut self.sketches, m_senders, fresh_sketch);
+        top_up(&mut self.bundles, senders, Bundle::new);
+    }
+
+    /// Move a parallel chunk's share of an [`ensure`](Self::ensure)d
+    /// level into `to`, the free-list its worker draws from.
+    fn lend(&mut self, to: &mut Pools, senders: usize, m_senders: usize) {
+        fn move_tail<T>(from: &mut Vec<T>, to: &mut Vec<T>, count: usize) {
+            to.extend(from.drain(from.len() - count..));
+        }
+        move_tail(&mut self.idsets, &mut to.idsets, senders);
+        move_tail(&mut self.sketches, &mut to.sketches, m_senders);
+        move_tail(&mut self.bundles, &mut to.bundles, senders);
+    }
+
+    /// Take back everything `from` holds — what the chunk recycled as
+    /// well as what it was lent and did not need — leaving it empty.
+    fn reclaim(&mut self, from: &mut Pools) {
+        self.idsets.append(&mut from.idsets);
+        self.sketches.append(&mut from.sketches);
+        self.bundles.append(&mut from.bundles);
+    }
+}
+
+/// An empty count sketch of the width every pooled one has.
+fn fresh_sketch() -> FmSketch {
+    FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS)
 }
 
 /// Return a consumed envelope's contributor set to the arena free-list
@@ -285,28 +364,44 @@ fn recycle_mp_env(pools: &mut Pools, mut env: MpEnvelope<Bundle>) {
     recycle_sketch(pools, env.count_sketch);
 }
 
-/// Clone a multi-path envelope for one broadcast receiver with its
-/// contributor bitset, count sketch, and bundle `Vec` all drawn from the
-/// free-lists instead of fresh allocations — the per-link copies would
-/// otherwise grow the heap by one of each per delivered broadcast every
-/// epoch. (The bundle's *elements* are protocol messages and still clone
-/// individually.)
-fn clone_mp_pooled(env: &MpEnvelope<Bundle>, n: usize, pools: &mut Pools) -> MpEnvelope<Bundle> {
-    let mut contributors = pools.idset(n);
-    contributors.copy_from(&env.contributors);
-    let mut count_sketch = pools.sketch();
-    count_sketch.copy_from(&env.count_sketch);
-    let msg = env.msg.as_ref().map(|b| {
-        let mut bundle = pools.bundle();
-        bundle.extend(b.iter().cloned());
-        bundle
-    });
-    MpEnvelope {
-        msg,
-        contributors,
-        count_sketch,
-        max_noncontrib: env.max_noncontrib.clone(),
-        min_noncontrib: env.min_noncontrib.clone(),
+/// One ring level's **parked** broadcasts. An M sender puts one message
+/// on the air, so its finished envelope is stored here once, every
+/// receiver that hears it gets only the sender's slot in its inbox and
+/// fuses the envelope *by reference*, and the whole level goes back to
+/// the free-lists once the next level — its only possible receivers —
+/// has run. No envelope is ever copied per receiver.
+#[derive(Default)]
+struct ParkedLevel {
+    /// Slot of the level's first step: `envs[slot - first]`.
+    first: usize,
+    /// Per step of the level: its envelope if it was an M sender.
+    envs: Vec<Option<MpEnvelope<Bundle>>>,
+}
+
+impl ParkedLevel {
+    /// Start holding the level whose steps are `first..first + len`.
+    fn open(&mut self, first: usize, len: usize) {
+        debug_assert!(self.envs.is_empty(), "previous level not recycled");
+        self.first = first;
+        self.envs.resize_with(len, || None);
+    }
+
+    fn park(&mut self, slot: usize, env: MpEnvelope<Bundle>) {
+        self.envs[slot - self.first] = Some(env);
+    }
+
+    /// The envelope the M sender at `slot` broadcast.
+    fn get(&self, slot: u32) -> &MpEnvelope<Bundle> {
+        self.envs[slot as usize - self.first]
+            .as_ref()
+            .expect("a heard broadcast stays parked until its receivers' level has run")
+    }
+
+    /// Return every parked envelope's parts to the free-lists.
+    fn recycle_into(&mut self, pools: &mut Pools) {
+        for env in self.envs.drain(..).flatten() {
+            recycle_mp_env(pools, env);
+        }
     }
 }
 
@@ -352,8 +447,10 @@ fn build_tree_envelope_set(
 
 /// Convert + fuse everything an M vertex holds into one envelope,
 /// reporting its subtree non-contribution when switchable. Drains both
-/// inboxes in delivery order, leaving their capacity in the arena; the
-/// drained envelopes' contributor bitsets go back to the free-list.
+/// inboxes in delivery order, leaving their capacity in the arena: the
+/// tree envelopes' parts go back to the free-list, the broadcasts named
+/// by `mp_heard` are fused by reference out of `parked` (the level
+/// above) and stay there.
 #[allow(clippy::too_many_arguments)]
 fn build_mp_envelope_set(
     set: &QuerySet<'_>,
@@ -364,7 +461,8 @@ fn build_mp_envelope_set(
     switchable_m: bool,
     local: Bundle,
     tree_msgs: &mut Vec<TreeEnvelope<Bundle>>,
-    mp_msgs: &mut Vec<MpEnvelope<Bundle>>,
+    mp_heard: &mut Vec<u32>,
+    parked: &ParkedLevel,
     pools: &mut Pools,
 ) -> MpEnvelope<Bundle> {
     let mut env = MpEnvelope::local_pooled(contributors, count_sketch, u, Some(local));
@@ -392,20 +490,20 @@ fn build_mp_envelope_set(
         recycle_bundle(pools, bundle);
         recycle_idset(pools, te.contributors);
     }
-    for mut me in mp_msgs.drain(..) {
-        env.fuse_counts(&me);
-        let mut bundle = me.msg.take().expect("bundle envelopes carry a bundle");
+    for sender in mp_heard.drain(..) {
+        let heard = parked.get(sender);
+        env.fuse_counts(heard);
+        let bundle = heard.msg.as_ref().expect("bundle envelopes carry a bundle");
         let own = env.msg.as_mut().expect("constructed with a bundle");
-        for (i, from) in bundle.drain(..).enumerate() {
+        for (i, from) in bundle.iter().enumerate() {
             let Some(from) = from else { continue };
             match &mut own[i] {
-                Some(acc) => set.query(i).fuse(acc, &from),
-                slot @ None => *slot = Some(from),
+                Some(acc) => set.query(i).fuse(acc, from),
+                // Nothing of its own to fuse into (the base station, a
+                // node without data): the one place a message is copied.
+                slot @ None => *slot = Some(from.clone()),
             }
         }
-        recycle_bundle(pools, bundle);
-        recycle_idset(pools, me.contributors);
-        recycle_sketch(pools, me.count_sketch);
     }
     env
 }
@@ -684,8 +782,16 @@ struct Arenas {
     slots: usize,
     /// Per-slot tree-envelope inboxes, drained every epoch.
     tree_inbox: Vec<Vec<TreeEnvelope<Bundle>>>,
-    /// Per-slot multi-path-envelope inboxes, drained every epoch.
-    mp_inbox: Vec<Vec<MpEnvelope<Bundle>>>,
+    /// Per-slot multi-path inboxes, drained every epoch: the slots of
+    /// the M senders whose broadcast this slot heard, in delivery order.
+    /// The envelopes themselves stay parked.
+    mp_inbox: Vec<Vec<u32>>,
+    /// The parked broadcasts of the level above the one being run: what
+    /// the running level's `mp_inbox` entries point into.
+    parked_prev: ParkedLevel,
+    /// The parked broadcasts of the level being run; it becomes
+    /// `parked_prev` when the level is done.
+    parked_cur: ParkedLevel,
     /// Flat local-message slab indexed by `(slot, query)`: entry
     /// `slot * set.len() + query` stages the node's local tree or
     /// multi-path message until its send step assembles the bundle.
@@ -695,11 +801,13 @@ struct Arenas {
     /// from here and every consumed envelope returns here, so
     /// steady-state epochs allocate no per-envelope parts.
     pools: Pools,
-    /// One private free-list per spawned parallel worker (index `w`
-    /// serves worker `w`), kept across epochs so worker shards also
-    /// reach allocation-free steady state. Parts ping-pong between
-    /// these and `pools` as envelopes cross shard boundaries; the
-    /// deterministic chunk assignment keeps every fill level bounded.
+    /// One free-list per spawned parallel worker (index `w` serves
+    /// worker `w`), **empty between levels**: a chunk is lent its need
+    /// from `pools` when its jobs are prepared ([`Pools::lend`]) and
+    /// everything it holds comes back at the level's barrier
+    /// ([`Pools::reclaim`]), so `pools` is the only place parts rest
+    /// and no worker can hoard them. Kept across epochs only for the
+    /// `Vec` capacities.
     worker_pools: Vec<Pools>,
 }
 
@@ -714,6 +822,8 @@ impl Arenas {
             } else {
                 Vec::new()
             },
+            parked_prev: ParkedLevel::default(),
+            parked_cur: ParkedLevel::default(),
             locals: Vec::new(),
             pools: Pools::new(),
             worker_pools: Vec::new(),
@@ -730,6 +840,14 @@ impl Arenas {
     /// tree-envelope build step.
     fn tree_ctx(&mut self, slot: usize) -> (&mut Vec<TreeEnvelope<Bundle>>, &mut Pools) {
         (&mut self.tree_inbox[slot], &mut self.pools)
+    }
+
+    /// Close a TD level: the level above it has now been heard by
+    /// everyone who could hear it, so its parked broadcasts go back to
+    /// the free-lists and the level just run takes its place.
+    fn level_done(&mut self) {
+        self.parked_prev.recycle_into(&mut self.pools);
+        std::mem::swap(&mut self.parked_prev, &mut self.parked_cur);
     }
 
     /// Reset the local-message slab for an epoch carrying `q` queries.
@@ -757,24 +875,6 @@ impl Arenas {
     /// bundle drawn from the free-list (capacity retained across epochs).
     fn take_local_bundle(&mut self, slot: usize, q: usize) -> Bundle {
         take_local(&mut self.locals, slot, q, &mut self.pools)
-    }
-
-    /// Both inbox arenas of one slot plus the free-lists, split-borrowed
-    /// for the M-vertex build step.
-    #[allow(clippy::type_complexity)]
-    fn inboxes_of(
-        &mut self,
-        slot: usize,
-    ) -> (
-        &mut Vec<TreeEnvelope<Bundle>>,
-        &mut Vec<MpEnvelope<Bundle>>,
-        &mut Pools,
-    ) {
-        (
-            &mut self.tree_inbox[slot],
-            &mut self.mp_inbox[slot],
-            &mut self.pools,
-        )
     }
 }
 
@@ -1227,6 +1327,9 @@ fn run_td<M: LossModel, R: rand::Rng + ?Sized>(
     // parallel executor's shard groups).
     for &(lv_start, lv_end) in &sched.levels {
         let sw = phase::stopwatch();
+        arenas
+            .parked_cur
+            .open(lv_start as usize, (lv_end - lv_start) as usize);
         for slot in lv_start as usize..lv_end as usize {
             let step = &sched.steps[slot];
             match step.mode {
@@ -1270,7 +1373,6 @@ fn run_td<M: LossModel, R: rand::Rng + ?Sized>(
                     let local = arenas.take_local_bundle(slot, q);
                     let contributors = arenas.idset();
                     let count_sketch = arenas.pools.sketch();
-                    let (tree_in, mp_in, pools) = arenas.inboxes_of(slot);
                     let env = build_mp_envelope_set(
                         set,
                         step.node,
@@ -1279,36 +1381,27 @@ fn run_td<M: LossModel, R: rand::Rng + ?Sized>(
                         step.subtree_size,
                         step.switchable_m,
                         local,
-                        tree_in,
-                        mp_in,
-                        pools,
+                        &mut arenas.tree_inbox[slot],
+                        &mut arenas.mp_inbox[slot],
+                        &arenas.parked_prev,
+                        &mut arenas.pools,
                     );
-                    let (payload_bytes, payload_words) =
-                        bundle_mp_wire(set, env.msg.as_ref().expect("bundle present"));
-                    // Adaptation overhead: the RLE-encoded count sketch
-                    // plus the extremum reports — charged once per link,
-                    // shared by every query in the bundle.
-                    let overhead_bytes = if config.charge_adaptation_overhead {
-                        sketch_rle::encoded_size_bytes(&env.count_sketch)
-                            + 8 * crate::envelope::TOP_K_EXTREMA
-                    } else {
-                        0
-                    };
-                    let bytes = payload_bytes + overhead_bytes;
-                    let words = payload_words + overhead_bytes.div_ceil(4);
+                    let (bytes, words) = mp_send_size(set, &env, config.charge_adaptation_overhead);
                     stats.record_send(step.node, bytes, words, 1);
+                    // One message on the air: every M neighbour that
+                    // hears it is handed the sender's slot, not a copy.
                     for &(r, is_m) in
                         &sched.receivers[step.recv_start as usize..step.recv_end as usize]
                     {
                         if model.delivered(step.node, r, net, epoch, rng) && is_m {
-                            let copy = clone_mp_pooled(&env, arenas.n, &mut arenas.pools);
-                            arenas.mp_inbox[sched.slot_or_base(r)].push(copy);
+                            arenas.mp_inbox[sched.slot_or_base(r)].push(slot as u32);
                         }
                     }
-                    recycle_mp_env(&mut arenas.pools, env);
+                    arenas.parked_cur.park(slot, env);
                 }
             }
         }
+        arenas.level_done();
         phase::record(Phase::LevelExecute, sw);
     }
 
@@ -1342,7 +1435,7 @@ fn stage_td(sched: &TdSchedule, arenas: &mut Arenas, set: &QuerySet<'_>, q: usiz
 fn finish_td(sched: &TdSchedule, arenas: &mut Arenas, set: &QuerySet<'_>) -> SetEpochOutput {
     let q = set.len();
     let base_slot = sched.base_slot();
-    match sched.base_mode {
+    let out = match sched.base_mode {
         Mode::T => {
             let mut contributors = arenas.idset();
             let (children, pools) = arenas.tree_ctx(base_slot);
@@ -1365,7 +1458,6 @@ fn finish_td(sched: &TdSchedule, arenas: &mut Arenas, set: &QuerySet<'_>) -> Set
             let local = arenas.take_local_bundle(base_slot, q);
             let contributors = arenas.idset();
             let count_sketch = arenas.pools.sketch();
-            let (tree_in, mp_in, pools) = arenas.inboxes_of(base_slot);
             let mut env = build_mp_envelope_set(
                 set,
                 BASE_STATION,
@@ -1374,9 +1466,10 @@ fn finish_td(sched: &TdSchedule, arenas: &mut Arenas, set: &QuerySet<'_>) -> Set
                 sched.base_subtree,
                 sched.base_switchable_m,
                 local,
-                tree_in,
-                mp_in,
-                pools,
+                &mut arenas.tree_inbox[base_slot],
+                &mut arenas.mp_inbox[base_slot],
+                &arenas.parked_prev,
+                &mut arenas.pools,
             );
             let bundle = env.msg.take().expect("bundle present");
             let outputs = (0..set.len())
@@ -1405,7 +1498,10 @@ fn finish_td(sched: &TdSchedule, arenas: &mut Arenas, set: &QuerySet<'_>) -> Set
                 min_noncontrib,
             }
         }
-    }
+    };
+    // The innermost ring's broadcasts had only the base station to reach.
+    arenas.parked_prev.recycle_into(&mut arenas.pools);
+    out
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2038,6 +2134,209 @@ mod tests {
                 bundles[1], bundles[3],
                 "bundle pool still growing at delta {delta_levels}: {bundles:?}"
             );
+        }
+    }
+
+    /// The same steady state on the level-parallel executor, where a
+    /// chunk's parts are lent to its worker and reclaimed at the barrier:
+    /// on a TAG tree and on a TD labeling, whichever way envelopes cross
+    /// the shard boundary, no side hoards parts. Loss only ever takes
+    /// envelopes out of flight early, so once two lossless epochs have
+    /// raised the free-lists to the lossless demand, 200 lossy epochs
+    /// must leave every one of them exactly there — on any seed.
+    #[test]
+    fn pools_stay_flat_on_the_parallel_path() {
+        let (net, td) = topo(142, 180, 2);
+        let values: Vec<u64> = vec![3; net.len()];
+        let config = RunnerConfig {
+            workers: 2,
+            parallel_min_nodes: 0,
+            ..RunnerConfig::default()
+        };
+        for (tag, seed) in [(true, 143), (true, 144), (false, 143), (false, 144)] {
+            let mut plan = if tag {
+                EpochPlan::compile_tag(td.tree())
+            } else {
+                EpochPlan::compile_td(&td)
+            };
+            let fill = |plan: &EpochPlan| {
+                (
+                    plan.recycled_bitsets(),
+                    plan.recycled_sketches(),
+                    plan.recycled_bundles(),
+                )
+            };
+            let mut stats = CommStats::new(net.len());
+            let mut rng = rng_from_seed(seed);
+            let mut epoch = 0u64;
+            let mut run = |plan: &mut EpochPlan, lossy: bool| {
+                let proto = ScalarProtocol::new(Sum::default(), &values);
+                let mut set = QuerySet::new();
+                set.register(&proto);
+                if lossy {
+                    let model = Global::new(0.1);
+                    plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
+                } else {
+                    plan.run_set(&set, &net, &NoLoss, config, epoch, &mut stats, &mut rng);
+                }
+                epoch += 1;
+            };
+            run(&mut plan, false);
+            run(&mut plan, false);
+            let warm = fill(&plan);
+            assert!(warm.0 > 0 && warm.2 > 0, "nothing recycled: {warm:?}");
+            assert_eq!(
+                warm.1 > 0,
+                !tag,
+                "sketches exist exactly where a delta does"
+            );
+            // One envelope per sender, so one part of each kind per
+            // node (plus the base station's) is all an epoch can need.
+            let bound = net.len() + 1;
+            assert!(
+                warm.0 <= bound && warm.1 <= bound && warm.2 <= bound,
+                "pools above the per-epoch envelope population: {warm:?}"
+            );
+            let mut lossy = Vec::new();
+            for _ in 0..200 {
+                run(&mut plan, true);
+                lossy.push(fill(&plan));
+            }
+            assert_eq!(
+                lossy[49], warm,
+                "pools moved by epoch 50 (tag {tag}, seed {seed})"
+            );
+            assert_eq!(
+                lossy[199], warm,
+                "pools moved by epoch 200 (tag {tag}, seed {seed})"
+            );
+        }
+    }
+
+    /// A protocol whose multi-path message counts its own clones.
+    struct CloneCounting {
+        clones: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    struct Tracked {
+        count: u64,
+        clones: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            self.clones
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Tracked {
+                count: self.count,
+                clones: std::sync::Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    impl CloneCounting {
+        fn tracked(&self, count: u64) -> Tracked {
+            Tracked {
+                count,
+                clones: std::sync::Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    impl Protocol for CloneCounting {
+        type TreeMsg = u64;
+        type MpMsg = Tracked;
+        type Output = u64;
+
+        fn local_tree(&self, node: NodeId) -> Option<u64> {
+            (!node.is_base()).then_some(1)
+        }
+
+        fn merge_tree(&self, into: &mut u64, from: &u64) {
+            *into += from;
+        }
+
+        fn local_mp(&self, node: NodeId) -> Option<Tracked> {
+            (!node.is_base()).then(|| self.tracked(1))
+        }
+
+        fn fuse(&self, into: &mut Tracked, from: &Tracked) {
+            into.count = into.count.max(from.count);
+        }
+
+        fn convert(&self, _root: NodeId, msg: &u64) -> Tracked {
+            self.tracked(*msg)
+        }
+
+        fn tree_wire(&self, _msg: &u64) -> td_netsim::message::WireSize {
+            td_netsim::message::WireSize::from_words(1)
+        }
+
+        fn mp_wire(&self, _msg: &Tracked) -> td_netsim::message::WireSize {
+            td_netsim::message::WireSize::from_words(1)
+        }
+
+        fn evaluate(&self, _tree_parts: &[u64], mp: Option<&Tracked>, _base_height: u32) -> u64 {
+            mp.map_or(0, |m| m.count)
+        }
+    }
+
+    /// A broadcast is parked once and fused by reference: on an all-M
+    /// labeling the only message clones of an epoch are the base
+    /// station's adoptions (it has no local message to fuse into), one
+    /// per query — on either executor, however many neighbours hear
+    /// each broadcast.
+    #[test]
+    fn broadcasts_are_never_copied_per_receiver() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for radio_range in [3.0, 6.0] {
+            let mut rng = rng_from_seed(144);
+            let net = Network::random_connected(
+                150,
+                20.0,
+                20.0,
+                Position::new(10.0, 10.0),
+                radio_range,
+                &mut rng,
+            );
+            let rings = Rings::build(&net);
+            let tree = build_bushy_tree(&net, &rings, BushyOptions::default(), &mut rng);
+            let td = TdTopology::all_multipath(rings, tree);
+            let links: usize = (0..net.len() as u32)
+                .map(|u| td.rings().receivers(NodeId(u)).len())
+                .sum();
+            assert!(links > 2 * net.len(), "fan-out too small to tell: {links}");
+            for workers in [1, 2] {
+                let config = RunnerConfig {
+                    workers,
+                    parallel_min_nodes: 0,
+                    ..RunnerConfig::default()
+                };
+                let clones = std::sync::Arc::new(AtomicUsize::new(0));
+                let a = CloneCounting {
+                    clones: clones.clone(),
+                };
+                let b = CloneCounting {
+                    clones: clones.clone(),
+                };
+                let mut set = QuerySet::new();
+                set.register(&a);
+                set.register(&b);
+                let mut plan = EpochPlan::compile_td(&td);
+                let mut stats = CommStats::new(net.len());
+                let mut rng = rng_from_seed(145);
+                for epoch in 0..5u64 {
+                    let before = clones.load(Ordering::Relaxed);
+                    let out =
+                        plan.run_set(&set, &net, &NoLoss, config, epoch, &mut stats, &mut rng);
+                    assert_eq!(out.contributing, net.num_sensors());
+                    let cloned = clones.load(Ordering::Relaxed) - before;
+                    assert!(
+                        cloned <= set.len(),
+                        "{cloned} clones in epoch {epoch} at {workers} workers, range {radio_range}"
+                    );
+                }
+            }
         }
     }
 

@@ -18,13 +18,22 @@
 //!    and inbox pushes replay exactly the sequential sequence, so f64
 //!    accumulation order and envelope delivery order never change.
 //!
-//! Envelope parts cycle through one private `Pools` free-list per
-//! worker (ping-ponged through the per-level channel messages so job
-//! prep can draw bundle `Vec`s from the pool the processing worker will
-//! recycle into); the deterministic chunk assignment keeps every pool's
-//! fill level bounded across epochs.
+//! Multi-path delivery is the sequential executor's: an M sender's
+//! envelope is parked once (by the merge, in step order) and receivers
+//! get its slot. The level above the one being run travels to the
+//! workers as an `Arc<ParkedLevel>` they read by shared reference and
+//! drop before reporting, so after the barrier the main thread holds
+//! the only handle again and recycles the level.
+//!
+//! Envelope parts rest in the shared `Pools` only. A worker chunk's
+//! free-list rides the per-level channel messages: it is lent the
+//! chunk's need when the jobs are prepared (so job prep draws bundle
+//! `Vec`s from the pool the processing worker will recycle into) and
+//! drained back at the barrier, so parts cannot pile up on one side of
+//! a shard boundary however the tree sends envelopes across it.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
 use super::*;
 use td_netsim::loss::RetransmitOutcome;
@@ -115,14 +124,17 @@ struct TdJob {
     outcome: Option<RetransmitOutcome>,
     local: Bundle,
     tree_in: Vec<TreeEnvelope<Bundle>>,
-    mp_in: Vec<MpEnvelope<Bundle>>,
+    mp_in: Vec<u32>,
 }
 
-/// What a TD sender put on the air (destinations are arena slots).
+/// What a TD sender put on the air.
 enum TdSent {
     None,
+    /// A delivered unicast and its destination slot.
     Tree(u32, TreeEnvelope<Bundle>),
-    Mp(Vec<(u32, MpEnvelope<Bundle>)>),
+    /// A broadcast: the envelope, once. Who heard it is in the
+    /// precomputed draws, read by the merge.
+    Mp(MpEnvelope<Bundle>),
 }
 
 /// One TD sender's effects, merged back on the main thread in step
@@ -135,7 +147,12 @@ struct TdOut {
     rounds: u64,
     sent: TdSent,
     tree_in: Vec<TreeEnvelope<Bundle>>,
-    mp_in: Vec<MpEnvelope<Bundle>>,
+    mp_in: Vec<u32>,
+}
+
+/// How many of `steps` are M senders (each draws a count sketch).
+fn m_senders(steps: &[TdStep]) -> usize {
+    steps.iter().filter(|s| s.mode == Mode::M).count()
 }
 
 /// Assemble one chunk's jobs from the arena slabs (disjoint field
@@ -149,7 +166,7 @@ fn prep_td_jobs(
     q: usize,
     locals: &mut [Option<ErasedMsg>],
     tree_inbox: &mut [Vec<TreeEnvelope<Bundle>>],
-    mp_inbox: &mut [Vec<MpEnvelope<Bundle>>],
+    mp_inbox: &mut [Vec<u32>],
     pool: &mut Pools,
 ) -> Vec<TdJob> {
     range
@@ -175,10 +192,10 @@ fn prep_td_jobs(
 
 /// Execute one TD sender against precomputed outcomes — the exact
 /// per-step body of the sequential executor, with pushes deferred into
-/// the returned [`TdOut`].
+/// the returned [`TdOut`]. `parked` is the level above the sender's.
 fn process_td_job(
     sched: &TdSchedule,
-    delivered: &[bool],
+    parked: &ParkedLevel,
     set: &QuerySet<'_>,
     n: usize,
     charge: bool,
@@ -232,33 +249,17 @@ fn process_td_job(
                 job.local,
                 &mut job.tree_in,
                 &mut job.mp_in,
+                parked,
                 pool,
             );
-            let (payload_bytes, payload_words) =
-                bundle_mp_wire(set, env.msg.as_ref().expect("bundle present"));
-            let overhead_bytes = if charge {
-                sketch_rle::encoded_size_bytes(&env.count_sketch)
-                    + 8 * crate::envelope::TOP_K_EXTREMA
-            } else {
-                0
-            };
-            let bytes = payload_bytes + overhead_bytes;
-            let words = payload_words + overhead_bytes.div_ceil(4);
-            let mut copies = Vec::new();
-            let range = step.recv_start as usize..step.recv_end as usize;
-            for (&(r, is_m), &d) in sched.receivers[range.clone()].iter().zip(&delivered[range]) {
-                if d && is_m {
-                    copies.push((sched.slot_or_base(r) as u32, clone_mp_pooled(&env, n, pool)));
-                }
-            }
-            recycle_mp_env(pool, env);
+            let (bytes, words) = mp_send_size(set, &env, charge);
             TdOut {
                 node: step.node,
                 slot: job.slot,
                 bytes,
                 words,
                 rounds: 1,
-                sent: TdSent::Mp(copies),
+                sent: TdSent::Mp(env),
                 tree_in: job.tree_in,
                 mp_in: job.mp_in,
             }
@@ -266,34 +267,38 @@ fn process_td_job(
     }
 }
 
-/// Apply one TD sender's effects: record stats, deliver envelopes to
-/// later-level inboxes, restore the drained inbox `Vec`s (capacity
-/// preserved). Called in step order — this is what pins the parallel
-/// path bit-identical.
+/// Apply one TD sender's effects: record stats, deliver a tree envelope
+/// to its parent's inbox or park a broadcast in `airing` and hand its
+/// slot to every M receiver that heard it, restore the drained inbox
+/// `Vec`s (capacity preserved). Called in step order — this is what
+/// pins the parallel path bit-identical.
 fn merge_td_out(
+    sched: &TdSchedule,
+    delivered: &[bool],
     tree_inbox: &mut [Vec<TreeEnvelope<Bundle>>],
-    mp_inbox: &mut [Vec<MpEnvelope<Bundle>>],
+    mp_inbox: &mut [Vec<u32>],
+    airing: &mut ParkedLevel,
     stats: &mut CommStats,
     out: TdOut,
 ) {
     stats.record_send(out.node, out.bytes, out.words, out.rounds);
     match out.sent {
-        TdSent::None => {
-            tree_inbox[out.slot as usize] = out.tree_in;
-        }
-        TdSent::Tree(dest, env) => {
-            tree_inbox[dest as usize].push(env);
-            tree_inbox[out.slot as usize] = out.tree_in;
-        }
-        TdSent::Mp(copies) => {
-            for (dest, copy) in copies {
-                mp_inbox[dest as usize].push(copy);
+        TdSent::None => {}
+        TdSent::Tree(dest, env) => tree_inbox[dest as usize].push(env),
+        TdSent::Mp(env) => {
+            let step = &sched.steps[out.slot as usize];
+            let range = step.recv_start as usize..step.recv_end as usize;
+            for (&(r, is_m), &d) in sched.receivers[range.clone()].iter().zip(&delivered[range]) {
+                if d && is_m {
+                    mp_inbox[sched.slot_or_base(r)].push(out.slot);
+                }
             }
-            tree_inbox[out.slot as usize] = out.tree_in;
+            airing.park(out.slot as usize, env);
             // Only M steps drained their multi-path inbox.
             mp_inbox[out.slot as usize] = out.mp_in;
         }
     }
+    tree_inbox[out.slot as usize] = out.tree_in;
 }
 
 // ---------------------------------------------------------------------
@@ -460,58 +465,74 @@ pub(super) fn run_td_parallel<M: LossModel, R: rand::Rng + ?Sized>(
         let Arenas {
             tree_inbox,
             mp_inbox,
+            parked_prev,
+            parked_cur,
             locals,
             pools,
             worker_pools,
             ..
         } = arenas;
+        // Shared with the workers for the scope; back in the arena
+        // (buffers kept) when it ends.
+        let mut prev = Arc::new(std::mem::take(parked_prev));
+        let mut cur = Arc::new(std::mem::take(parked_cur));
         std::thread::scope(|scope| {
             let delivered = comm.delivered.as_slice();
-            let mut to_worker: Vec<Sender<(Vec<TdJob>, Pools)>> = Vec::with_capacity(spawned);
+            type ToWorker = (Vec<TdJob>, Arc<ParkedLevel>, Pools);
+            let mut to_worker: Vec<Sender<ToWorker>> = Vec::with_capacity(spawned);
             let mut from_worker: Vec<Receiver<(Vec<TdOut>, Pools)>> = Vec::with_capacity(spawned);
             for _ in 0..spawned {
-                let (job_tx, job_rx) = channel::<(Vec<TdJob>, Pools)>();
+                let (job_tx, job_rx) = channel::<ToWorker>();
                 let (out_tx, out_rx) = channel::<(Vec<TdOut>, Pools)>();
                 to_worker.push(job_tx);
                 from_worker.push(out_rx);
                 scope.spawn(move || {
-                    while let Ok((jobs, mut pool)) = job_rx.recv() {
+                    while let Ok((jobs, parked, mut pool)) = job_rx.recv() {
                         let outs: Vec<TdOut> = jobs
                             .into_iter()
                             .map(|job| {
-                                process_td_job(sched, delivered, set, n, charge, job, &mut pool)
+                                process_td_job(sched, &parked, set, n, charge, job, &mut pool)
                             })
                             .collect();
+                        // Hand the level back before reporting: once the
+                        // main thread has every chunk's report it must
+                        // hold the only handle.
+                        drop(parked);
                         if out_tx.send((outs, pool)).is_err() {
                             break;
                         }
                     }
                 });
             }
-            // Worker pools ride the channel round-trips; parked here
-            // between levels.
-            let mut parked: Vec<Option<Pools>> = worker_pools.drain(..).map(Some).collect();
+            // Worker pools ride the channel round-trips; they rest here,
+            // empty, between levels.
+            let mut resting: Vec<Option<Pools>> = worker_pools.drain(..).map(Some).collect();
 
             for &(lv_start, lv_end) in &sched.levels {
                 // One per-level-execute sample covers the whole level:
                 // chunk prep, inline chunk 0, and the merge barrier.
                 let sw = phase::stopwatch();
+                let airing = Arc::get_mut(&mut cur).expect("no worker holds the level being run");
+                airing.open(lv_start as usize, (lv_end - lv_start) as usize);
                 let bounds = chunk_bounds(lv_start as usize, (lv_end - lv_start) as usize, workers);
                 let nchunks = bounds.len() - 1;
+                let level = &sched.steps[lv_start as usize..lv_end as usize];
+                pools.ensure(n, level.len(), m_senders(level));
                 // Ship chunks 1.. first so workers overlap with chunk 0.
                 for c in 1..nchunks {
-                    let mut pool = parked[c - 1].take().expect("pool parked between levels");
-                    let jobs = prep_td_jobs(
-                        sched,
-                        &comm,
-                        bounds[c]..bounds[c + 1],
-                        q,
-                        locals,
-                        tree_inbox,
-                        mp_inbox,
+                    let mut pool = resting[c - 1].take().expect("pool rests between levels");
+                    let range = bounds[c]..bounds[c + 1];
+                    pools.lend(
                         &mut pool,
+                        range.len(),
+                        m_senders(&sched.steps[range.clone()]),
                     );
-                    to_worker[c - 1].send((jobs, pool)).expect("worker alive");
+                    let jobs = prep_td_jobs(
+                        sched, &comm, range, q, locals, tree_inbox, mp_inbox, &mut pool,
+                    );
+                    to_worker[c - 1]
+                        .send((jobs, Arc::clone(&prev), pool))
+                        .expect("worker alive");
                 }
                 // Chunk 0 inline on the shared pools (lowest step
                 // indices, so merging it first preserves step order).
@@ -526,22 +547,33 @@ pub(super) fn run_td_parallel<M: LossModel, R: rand::Rng + ?Sized>(
                     pools,
                 );
                 for job in jobs {
-                    let out = process_td_job(sched, delivered, set, n, charge, job, pools);
-                    merge_td_out(tree_inbox, mp_inbox, stats, out);
+                    let out = process_td_job(sched, &prev, set, n, charge, job, pools);
+                    merge_td_out(sched, delivered, tree_inbox, mp_inbox, airing, stats, out);
                 }
                 // Barrier: merge worker chunks in chunk (= step) order.
                 for c in 1..nchunks {
-                    let (outs, pool) = from_worker[c - 1].recv().expect("worker alive");
-                    parked[c - 1] = Some(pool);
+                    let (outs, mut pool) = from_worker[c - 1].recv().expect("worker alive");
+                    pools.reclaim(&mut pool);
+                    resting[c - 1] = Some(pool);
                     for out in outs {
-                        merge_td_out(tree_inbox, mp_inbox, stats, out);
+                        merge_td_out(sched, delivered, tree_inbox, mp_inbox, airing, stats, out);
                     }
                 }
+                // Everyone who could hear the level above has run.
+                Arc::get_mut(&mut prev)
+                    .expect("workers drop their handle before reporting")
+                    .recycle_into(pools);
+                std::mem::swap(&mut prev, &mut cur);
                 phase::record(Phase::LevelExecute, sw);
             }
             drop(to_worker);
-            worker_pools.extend(parked.into_iter().map(|p| p.expect("pool parked")));
+            worker_pools.extend(resting.into_iter().map(|p| p.expect("pool at rest")));
         });
+        let unshare = |level: &mut Arc<ParkedLevel>| {
+            std::mem::take(Arc::get_mut(level).expect("the workers have exited"))
+        };
+        *parked_prev = unshare(&mut prev);
+        *parked_cur = unshare(&mut cur);
     }
     let sw = phase::stopwatch();
     let out = finish_td(sched, arenas, set);
@@ -603,23 +635,18 @@ pub(super) fn run_tag_parallel<M: LossModel, R: rand::Rng + ?Sized>(
                     }
                 });
             }
-            let mut parked: Vec<Option<Pools>> = worker_pools.drain(..).map(Some).collect();
+            let mut resting: Vec<Option<Pools>> = worker_pools.drain(..).map(Some).collect();
 
             for &(lv_start, lv_end) in &sched.levels {
                 let sw = phase::stopwatch();
                 let bounds = chunk_bounds(lv_start as usize, (lv_end - lv_start) as usize, workers);
                 let nchunks = bounds.len() - 1;
+                pools.ensure(n, (lv_end - lv_start) as usize, 0);
                 for c in 1..nchunks {
-                    let mut pool = parked[c - 1].take().expect("pool parked between levels");
-                    let jobs = prep_tag_jobs(
-                        sched,
-                        comm,
-                        bounds[c]..bounds[c + 1],
-                        q,
-                        locals,
-                        tree_inbox,
-                        &mut pool,
-                    );
+                    let mut pool = resting[c - 1].take().expect("pool rests between levels");
+                    let range = bounds[c]..bounds[c + 1];
+                    pools.lend(&mut pool, range.len(), 0);
+                    let jobs = prep_tag_jobs(sched, comm, range, q, locals, tree_inbox, &mut pool);
                     to_worker[c - 1].send((jobs, pool)).expect("worker alive");
                 }
                 let jobs = prep_tag_jobs(
@@ -636,8 +663,9 @@ pub(super) fn run_tag_parallel<M: LossModel, R: rand::Rng + ?Sized>(
                     merge_tag_out(tree_inbox, stats, &mut base_children, out);
                 }
                 for c in 1..nchunks {
-                    let (outs, pool) = from_worker[c - 1].recv().expect("worker alive");
-                    parked[c - 1] = Some(pool);
+                    let (outs, mut pool) = from_worker[c - 1].recv().expect("worker alive");
+                    pools.reclaim(&mut pool);
+                    resting[c - 1] = Some(pool);
                     for out in outs {
                         merge_tag_out(tree_inbox, stats, &mut base_children, out);
                     }
@@ -645,7 +673,7 @@ pub(super) fn run_tag_parallel<M: LossModel, R: rand::Rng + ?Sized>(
                 phase::record(Phase::LevelExecute, sw);
             }
             drop(to_worker);
-            worker_pools.extend(parked.into_iter().map(|p| p.expect("pool parked")));
+            worker_pools.extend(resting.into_iter().map(|p| p.expect("pool at rest")));
         });
     }
     let sw = phase::stopwatch();

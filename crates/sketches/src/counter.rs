@@ -23,9 +23,10 @@ use crate::kmv::Kmv;
 
 /// A duplicate-insensitive counter: supports adding a population of
 /// occurrences identified by a salt, ODI merging, and estimation.
-/// (`Send` so synopsis sets built from counters can ride the type-erased
-/// session bundles across worker threads; counters are plain data.)
-pub trait DiCounter: Clone + Send + 'static {
+/// (`Send + Sync` so synopsis sets built from counters can ride the
+/// type-erased session bundles across worker threads and be fused by
+/// reference from them; counters are plain data.)
+pub trait DiCounter: Clone + Send + Sync + 'static {
     /// Add `count` occurrences belonging to the population `salt`.
     /// Re-adding the same `(salt, count)` population (possibly via a merged
     /// copy) must not change the estimate.

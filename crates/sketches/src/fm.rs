@@ -100,23 +100,9 @@ impl FmSketch {
     }
 
     /// Reset to the empty sketch, keeping the bitmap allocation — the
-    /// recycle half of pooled reuse (see [`copy_from`](Self::copy_from)).
+    /// recycle half of pooled reuse.
     pub fn clear(&mut self) {
         self.bitmaps.fill(0);
-    }
-
-    /// Become a copy of `other` without reallocating — the pooled
-    /// counterpart of `clone` for arena free-lists.
-    ///
-    /// # Panics
-    /// Panics if the sketches have different bitmap counts.
-    pub fn copy_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.bitmaps.len(),
-            other.bitmaps.len(),
-            "cannot copy between FM sketches of different widths"
-        );
-        self.bitmaps.copy_from_slice(&other.bitmaps);
     }
 
     /// Insert one distinct element. Re-inserting the same element is a

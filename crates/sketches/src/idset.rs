@@ -68,17 +68,6 @@ impl IdSet {
         self.words.fill(0);
     }
 
-    /// Overwrite this set with `other`'s contents in place — an
-    /// allocation-free `clone` for recycled sets (the broadcast-copy
-    /// path of the runner's free-list).
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn copy_from(&mut self, other: &Self) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        self.words.copy_from_slice(&other.words);
-    }
-
     /// Union with another set (idempotent ⊕).
     ///
     /// # Panics
@@ -178,18 +167,6 @@ mod tests {
         let s = IdSet::singleton(50, 7);
         assert_eq!(s.len(), 1);
         assert!(s.contains(7));
-    }
-
-    #[test]
-    fn copy_from_is_clone_in_place() {
-        let mut src = IdSet::new(100);
-        src.insert(3);
-        src.insert(77);
-        let mut dst = IdSet::singleton(100, 50);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
-        // Stale bits are fully overwritten.
-        assert!(!dst.contains(50));
     }
 
     #[test]

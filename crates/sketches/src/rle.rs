@@ -7,7 +7,7 @@
 //! message. This module implements a lossless encoding exploiting exactly
 //! that structure:
 //!
-//! * a 5-bit header carries the *median* `z` (lowest-unset position) of all
+//! * a 6-bit header carries the *median* `z` (lowest-unset position) of all
 //!   bitmaps;
 //! * each bitmap stores its `z` as a zig-zag Elias-gamma delta from the
 //!   median, an Elias-gamma count of set bits above `z`, and each such bit
@@ -17,7 +17,7 @@
 //! Typical encoded sizes are 25–40 bytes for the paper's configuration
 //! (asserted in tests), and the encoding round-trips exactly.
 
-use crate::fm::FmSketch;
+use crate::fm::{FmSketch, BITMAP_BITS};
 
 /// A growable bit buffer written MSB-first within each byte.
 #[derive(Clone, Debug, Default)]
@@ -36,22 +36,6 @@ impl BitWriter {
             self.bytes[byte_idx] |= 0x80 >> (self.used_bits % 8);
         }
         self.used_bits += 1;
-    }
-
-    fn write_bits(&mut self, value: u32, width: u32) {
-        for i in (0..width).rev() {
-            self.write_bit((value >> i) & 1 == 1);
-        }
-    }
-
-    /// Elias-gamma code for `value >= 1`: (N-1) zeros, then the N-bit value.
-    fn write_gamma(&mut self, value: u32) {
-        debug_assert!(value >= 1);
-        let n = 32 - value.leading_zeros();
-        for _ in 0..n - 1 {
-            self.write_bit(false);
-        }
-        self.write_bits(value, n);
     }
 
     fn finish(self) -> Vec<u8> {
@@ -114,28 +98,88 @@ fn unzigzag(v: u32) -> i32 {
     ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
 
-/// Encode a sketch into its compact wire form.
-pub fn encode(sketch: &FmSketch) -> Vec<u8> {
-    let bitmaps = sketch.bitmaps();
-    let mut zs: Vec<u32> = bitmaps.iter().map(|&b| FmSketch::lowest_unset(b)).collect();
-    let mut sorted = zs.clone();
-    sorted.sort_unstable();
-    let median = sorted[sorted.len() / 2].min(31);
-    let mut w = BitWriter::default();
-    w.write_bits(median, 6); // z can be 32 when a bitmap saturates
-    for (i, &bm) in bitmaps.iter().enumerate() {
-        let z = zs[i].min(32);
-        zs[i] = z;
-        w.write_gamma(zigzag(z as i32 - median as i32) + 1);
-        // Set bits strictly above z.
-        let above: Vec<u32> = (z + 1..32).filter(|&j| bm & (1 << j) != 0).collect();
-        w.write_gamma(above.len() as u32 + 1);
-        let mut prev = z;
-        for j in above {
-            w.write_gamma(j - prev); // gap >= 1
-            prev = j;
+/// Where [`emit`] sends the code's fields: [`BitWriter`] materialises
+/// the bytes, [`BitCounter`] only adds up their widths.
+trait BitSink {
+    fn bits(&mut self, value: u32, width: u32);
+    /// Elias-gamma code for `value >= 1`: (N-1) zeros, then the N-bit
+    /// value.
+    fn gamma(&mut self, value: u32);
+}
+
+impl BitSink for BitWriter {
+    fn bits(&mut self, value: u32, width: u32) {
+        for i in (0..width).rev() {
+            self.write_bit((value >> i) & 1 == 1);
         }
     }
+
+    fn gamma(&mut self, value: u32) {
+        debug_assert!(value >= 1);
+        let n = 32 - value.leading_zeros();
+        for _ in 0..n - 1 {
+            self.write_bit(false);
+        }
+        self.bits(value, n);
+    }
+}
+
+/// The length of the code in bits, without the code.
+struct BitCounter(usize);
+
+impl BitSink for BitCounter {
+    fn bits(&mut self, _value: u32, width: u32) {
+        self.0 += width as usize;
+    }
+
+    fn gamma(&mut self, value: u32) {
+        debug_assert!(value >= 1);
+        self.0 += 2 * (32 - value.leading_zeros()) as usize - 1;
+    }
+}
+
+/// Walk a sketch's wire form field by field into `sink`. Allocation-free:
+/// the median `z` comes from a histogram over the 33 possible positions
+/// and the bits above `z` are peeled off the bitmap one gap at a time.
+fn emit(sketch: &FmSketch, sink: &mut impl BitSink) {
+    let bitmaps = sketch.bitmaps();
+    let mut histogram = [0usize; BITMAP_BITS as usize + 1];
+    for &bm in bitmaps {
+        histogram[FmSketch::lowest_unset(bm) as usize] += 1;
+    }
+    // The upper median: the z of rank `len / 2` in sorted order.
+    let mut rank = bitmaps.len() / 2;
+    let mut median = 0u32;
+    for (z, &count) in histogram.iter().enumerate() {
+        if rank < count {
+            median = z as u32;
+            break;
+        }
+        rank -= count;
+    }
+    let median = median.min(BITMAP_BITS - 1);
+    sink.bits(median, 6); // z can be 32 when a bitmap saturates
+    for &bm in bitmaps {
+        let z = FmSketch::lowest_unset(bm);
+        sink.gamma(zigzag(z as i32 - median as i32) + 1);
+        // Set bits strictly above z, shifted down so that position
+        // z + 1 is bit 0 (none exist from z = 31 up).
+        let mut above = bm.checked_shr(z + 1).unwrap_or(0);
+        sink.gamma(above.count_ones() + 1);
+        while above != 0 {
+            // Distance from the previous set bit (or from z); at most
+            // 31, since `above` is at most 31 bits wide.
+            let gap = above.trailing_zeros() + 1;
+            sink.gamma(gap);
+            above >>= gap;
+        }
+    }
+}
+
+/// Encode a sketch into its compact wire form.
+pub fn encode(sketch: &FmSketch) -> Vec<u8> {
+    let mut w = BitWriter::default();
+    emit(sketch, &mut w);
     w.finish()
 }
 
@@ -167,8 +211,12 @@ pub fn decode(bytes: &[u8], num_bitmaps: usize) -> Option<FmSketch> {
 }
 
 /// Encoded size in bytes — what the simulator charges to the radio.
+/// Exactly `encode(sketch).len()`, computed without building the bytes:
+/// the runner prices every multi-path send with it.
 pub fn encoded_size_bytes(sketch: &FmSketch) -> usize {
-    encode(sketch).len()
+    let mut bits = BitCounter(0);
+    emit(sketch, &mut bits);
+    bits.0.div_ceil(8)
 }
 
 #[cfg(test)]
@@ -267,7 +315,50 @@ mod tests {
         }
     }
 
+    #[test]
+    fn size_matches_encode_on_edge_bitmaps() {
+        let cases: Vec<Vec<u32>> = vec![
+            vec![u32::MAX; 40],             // every z = 32
+            vec![u32::MAX, 0, u32::MAX, 0], // median clamps at 31
+            vec![u32::MAX >> 1; 3],         // z = 31, nothing above
+            vec![1 << 31; 16],              // one sparse high bit, z = 0
+            vec![0x8000_0001, 0xA000_0000, 0x4000_0007, 0],
+            vec![0],
+        ];
+        for bitmaps in cases {
+            let s = FmSketch::from_bitmaps(bitmaps);
+            assert_eq!(
+                encoded_size_bytes(&s),
+                encode(&s).len(),
+                "{:x?}",
+                s.bitmaps()
+            );
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_size_matches_encode_random_bitmaps(bm in proptest::collection::vec(any::<u32>(), 1..64)) {
+            let s = FmSketch::from_bitmaps(bm);
+            prop_assert_eq!(encoded_size_bytes(&s), encode(&s).len());
+        }
+
+        #[test]
+        fn prop_size_matches_encode_after_inserts(
+            k in 1usize..64,
+            distinct in 0u64..800,
+            values in proptest::collection::vec(0u64..100_000, 0..8),
+        ) {
+            let mut s = FmSketch::new(k);
+            for i in 0..distinct {
+                s.insert_distinct(i.wrapping_mul(0x9E3779B97F4A7C15) ^ distinct);
+            }
+            for (salt, v) in values.into_iter().enumerate() {
+                s.insert_value(salt as u64, v);
+            }
+            prop_assert_eq!(encoded_size_bytes(&s), encode(&s).len());
+        }
+
         #[test]
         fn prop_roundtrip_random_bitmaps(bm in proptest::collection::vec(any::<u32>(), 1..64)) {
             let s = FmSketch::from_bitmaps(bm);
