@@ -11,7 +11,8 @@ use td_topology::rings::Rings;
 use td_topology::tree::{build_tag_tree, ParentSelection};
 use td_workloads::synthetic::Synthetic;
 use tributary_delta::protocol::ScalarProtocol;
-use tributary_delta::runner::{run_td_epoch, RunnerConfig};
+use tributary_delta::query::QuerySet;
+use tributary_delta::runner::{run_td_epoch_set, RunnerConfig};
 use tributary_delta::session::{Scheme, Session};
 
 fn bench_topology(c: &mut Criterion) {
@@ -56,8 +57,10 @@ fn bench_epoch(c: &mut Criterion) {
             let proto = ScalarProtocol::new(td_aggregates::sum::Sum::default(), &values);
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(7);
-            run_td_epoch(
-                &proto,
+            let mut set = QuerySet::new();
+            set.register(&proto);
+            run_td_epoch_set(
+                &set,
                 black_box(&topo),
                 &net,
                 &model,

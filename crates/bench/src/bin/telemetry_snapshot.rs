@@ -1,6 +1,6 @@
 //! Telemetry smoke + exporter: drives a scenario that touches every
 //! epoch-lifecycle phase — plan **compile**, churn-driven **patch**,
-//! **randomness** pre-draw (parallel path), per-level **execute**,
+//! per-level **randomness** pre-draw, per-level **execute**,
 //! **merge**, stream **window fold**, and service **outbox drain** —
 //! then exports the merged metric snapshot as
 //! `results/telemetry_snapshot.json`, a Prometheus-text dump
@@ -30,10 +30,10 @@ const SENSORS: usize = 300;
 const WARMUP: u64 = 2;
 const EPOCHS: u64 = 30;
 
-/// Stream scenario: a TD session big enough for the level-parallel
-/// executor (workers = 2, floor lowered to 64 nodes) so the randomness
-/// pre-draw runs, with churn injected every few epochs so the plan
-/// patch path runs, all behind a windowed stream query so panes fold.
+/// Stream scenario: a TD session whose levels are cut into two chunks
+/// (workers = 2, floor lowered to 64 nodes) so the fan-out runs, with
+/// churn injected every few epochs so the plan patch path runs, all
+/// behind a windowed stream query so panes fold.
 fn run_stream_scenario() {
     let net = Synthetic::small(SENSORS).build(3);
     let mut rng = rng_from_seed(0x7E1E);

@@ -111,8 +111,5 @@ pub use protocol::{
     FreqProtocol, Protocol, QuantileOutput, QuantileProtocol, QuantileSynopsisSet, ScalarProtocol,
 };
 pub use query::{Answers, DynProtocol, ErasedMsg, QueryHandle, QuerySet};
-pub use runner::{
-    run_tag_epoch, run_tag_epoch_set, run_td_epoch, run_td_epoch_set, EpochOutput, EpochPlan,
-    RunnerConfig, SetEpochOutput,
-};
+pub use runner::{run_tag_epoch_set, run_td_epoch_set, EpochPlan, RunnerConfig, SetEpochOutput};
 pub use session::{QueryRecord, Scheme, Session, SessionBuilder, SessionConfig};

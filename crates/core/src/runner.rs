@@ -2,16 +2,21 @@
 //! and **execute** phases.
 //!
 //! [`EpochPlan`] compiles a topology — a labeled [`TdTopology`] or a
-//! plain TAG [`Tree`] — into a reusable execution schedule: the
-//! level-ordered sender list (outermost ring first), per-sender tree
-//! parents and heights, per-link broadcast delivery lists flattened into
-//! one table, and the switchability/subtree metadata the §4.2 adaptation
-//! signals need. Compilation also allocates the epoch arenas: per-slot
-//! inbox slabs for tree envelopes and for heard broadcasts and the flat
-//! `(node, query)` bundle-slot slab local messages are staged in. A
-//! cached plan makes steady-state epochs **schedule-recomputation-free**
-//! (no per-epoch height/subtree/level sorts) and **growth-free** (inboxes
-//! and slabs keep their capacity across epochs).
+//! plain TAG [`Tree`] — into **one step table**: the level-ordered
+//! sender list (outermost level first), per-sender mode, tree parent
+//! and height, per-link broadcast delivery lists flattened into one
+//! table, and the switchability/subtree metadata the §4.2 adaptation
+//! signals need. The paper's §4.1 graph has two extremes and both are
+//! this table: synopsis diffusion (SD) is an all-`M` labeling, and the
+//! pure-TAG baseline is an all-`T` table over an arbitrary
+//! (unrestricted) tree, its levels the tree's depth runs and its
+//! receiver table empty. Compilation also allocates the epoch arenas:
+//! per-slot inbox slabs for tree envelopes and for heard broadcasts and
+//! the flat `(node, query)` bundle-slot slab local messages are staged
+//! in. A cached plan makes steady-state epochs
+//! **schedule-recomputation-free** (no per-epoch height/subtree/level
+//! sorts) and **growth-free** (inboxes and slabs keep their capacity
+//! across epochs).
 //!
 //! ## Plan lifecycle: compile once, patch on adaptation
 //!
@@ -41,45 +46,72 @@
 //! of the network (default 25%), or when the topology's bounded delta
 //! log no longer reaches back to the plan's version — e.g. after the
 //! topology object itself was rebuilt around a wholesale
-//! `maintain_tree` round.
+//! `maintain_tree` round. A TAG plan has no labeling and no version:
+//! it is never patched.
+//!
+//! ## One step body, one level loop
+//!
+//! [`EpochPlan::run_set`] executes a query epoch over the table. What a
+//! step does is written once, in two halves. **Process** builds the
+//! step's envelope from its own inboxes and prices it: a tributary
+//! (`T`) vertex merges its children's tree messages and finalizes at
+//! its height; a delta (`M`) vertex converts arriving tree messages
+//! (§5) and fuses the synopses it heard from the level above.
+//! **Merge** puts the envelope on the air against the step's pre-drawn
+//! loss outcome: a `T` envelope is unicast to the tree parent (with the
+//! configured retransmissions), an `M` envelope is broadcast and every
+//! `M`-labeled ring neighbor one level down that hears it will fold it
+//! in. The base station evaluates whatever reaches its slot.
+//!
+//! Every sender of a level only writes to inboxes of strictly later
+//! levels, so the loop runs level by level: it draws the level's loss
+//! outcomes on the calling thread in step order, cuts the level into
+//! `k` id-order **chunks**, processes chunk 0 in place and chunks
+//! `1..k` on the scoped workers of the fan-out (`parallel.rs`), and
+//! merges every step's effects in step order. Draw order and merge
+//! order are therefore the same for every `k`, which is what makes any
+//! worker count bit-identical — answers, accounting and the caller's
+//! RNG stream. **Sequential execution is `k = 1`**: no fan-out is
+//! built, so no thread, channel or job exists and the loop's "ship" and
+//! "collect" ranges are empty; it is chosen whenever
+//! [`RunnerConfig::workers`] resolves to 1 or the network is smaller
+//! than [`RunnerConfig::parallel_min_nodes`].
+//!
+//! **The TAG base step.** A TAG tree's base station merges and
+//! finalizes like any other tree vertex before it evaluates, so it
+//! stays a step: the last one, a `T` step with no parent. It draws
+//! nothing and records no send; its envelope goes straight to the base
+//! slot, where the same base-station tail as a `T`-mode TD base
+//! evaluates it.
 //!
 //! ## Arenas
 //!
-//! Compilation also allocates the epoch arenas. Envelope *parts* —
-//! contributor bitsets, count sketches, bundle `Vec`s — cycle through
-//! the plan's free-lists (`Pools`): drawn when an envelope is built,
-//! returned when it is consumed, so at steady state none is allocated.
-//! What an epoch still allocates is the protocol payloads themselves
-//! (one `Box` per local, finalized or converted message, plus whatever
-//! the payload owns) and the extremum reports: about 2 allocations per
-//! node-epoch on a tree and about 3 with a delta, as the repo benchmark
-//! counts them.
+//! Envelope *parts* — contributor bitsets, count sketches, bundle
+//! `Vec`s — cycle through the plan's free-lists (`Pools`): drawn when
+//! an envelope is built, returned when it is consumed, so at steady
+//! state none is allocated. What an epoch still allocates is the
+//! protocol payloads themselves (one `Box` per local, finalized or
+//! converted message, plus whatever the payload owns) and the extremum
+//! reports: about 2 allocations per node-epoch on a tree and about 3
+//! with a delta, as the repo benchmark counts them.
 //!
 //! **Parked delivery.** An M vertex puts *one* message on the air. Its
-//! finished envelope is parked once, in the `ParkedLevel` of its ring
+//! finished envelope is parked once, in the `ParkedLevel` of its
 //! level; each M neighbour that hears it gets the sender's slot pushed
-//! on its multi-path inbox (in step order, after the same loss draw as
-//! ever) and later fuses the envelope *by reference*; when the next
-//! level — the only possible receivers — has run, the level's parked
-//! envelopes go back to the free-lists. Nothing is copied per receiver
-//! except a message adopted by a vertex that has none of its own to
-//! fuse into (the base station). Both executors deliver this way.
+//! on its multi-path inbox (in step order) and later fuses the envelope
+//! *by reference*; when the next level — the only possible receivers —
+//! has run, the level's parked envelopes go back to the free-lists.
+//! Nothing is copied per receiver except a message adopted by a vertex
+//! that has none of its own to fuse into (the base station). An all-`T`
+//! plan pays for none of this: it has no multi-path inbox slab and its
+//! levels never park.
 //!
-//! **Pool discipline.** `Pools` is the only place parts rest. The
-//! level-parallel executor tops it up to a level's need before the
+//! **Pool discipline.** `Pools` is the only place parts rest. With more
+//! than one chunk the loop tops it up to the level's need before the
 //! level runs, lends each worker chunk its share and takes back all a
 //! chunk holds at the level's barrier, so the fill settles at the
 //! deployment's lossless demand (what is in flight plus one level) and
-//! stays there however envelopes cross shard boundaries.
-//!
-//! [`EpochPlan::run_set`] executes a query epoch over the compiled
-//! schedule: tributary (`T`) vertices merge their children's tree
-//! messages, finalize at their height, and unicast to their tree parent
-//! (with the configured retransmissions); delta (`M`) vertices convert
-//! arriving tree messages (§5), fuse synopses from the level above, and
-//! broadcast — every `M`-labeled ring neighbor one level down that hears
-//! the broadcast folds it in. The base station evaluates whatever
-//! reaches it.
+//! stays there however envelopes cross chunk boundaries.
 //!
 //! The runner is **multi-query**: every link carries one *bundle*
 //! holding a message slot per query registered in the epoch's
@@ -89,21 +121,17 @@
 //! Message payload accounting sums the per-query wire sizes; the
 //! envelope overhead is charged once per link, not once per query.
 //!
-//! Synopsis diffusion (SD) is exactly this runner on an all-multipath
-//! labeling; the pure-TAG baseline is the tree side alone on an
-//! arbitrary (unrestricted) TAG tree. The one-shot entry points
-//! [`run_td_epoch_set`] / [`run_tag_epoch_set`] compile a fresh plan and
-//! execute it once, so a standalone call and a plan-reusing session run
-//! the identical code path and produce bit-identical results; the
-//! single-query entry points [`run_td_epoch`] / [`run_tag_epoch`] are
-//! thin typed wrappers over a one-entry bundle.
+//! The one-shot entry points [`run_td_epoch_set`] / [`run_tag_epoch_set`]
+//! compile a fresh plan and execute it once, so a standalone call and a
+//! plan-reusing session run the identical code path and produce
+//! bit-identical results.
 
 use std::any::Any;
+use std::sync::{Arc, OnceLock};
 
 use crate::envelope::{MpEnvelope, TreeEnvelope, TREE_OVERHEAD_WORDS};
-use crate::protocol::Protocol;
-use crate::query::{DynProtocol, ErasedMsg, QuerySet};
-use td_netsim::loss::{unicast, LossModel, Retransmit};
+use crate::query::{ErasedMsg, QuerySet};
+use td_netsim::loss::{unicast, LossModel, Retransmit, RetransmitOutcome};
 use td_netsim::network::Network;
 use td_netsim::node::{NodeId, BASE_STATION};
 use td_netsim::stats::CommStats;
@@ -125,17 +153,17 @@ pub struct RunnerConfig {
     /// (the in-band count sketch and the extremum reports). The
     /// non-adaptive baselines (TAG, SD) don't carry them.
     pub charge_adaptation_overhead: bool,
-    /// Intra-epoch worker count for the level-parallel executor:
-    /// `0` = use every available core, `1` = the exact sequential path,
-    /// `k > 1` = `k` workers (the main thread plus `k - 1` scoped
-    /// threads). Any value produces bit-identical results — shards are
-    /// deterministic id-order chunks and per-shard stats/inbox writes
-    /// are merged back in step order.
+    /// How many chunks the level loop cuts a level into: `0` = one per
+    /// available core, `1` = one chunk, no threads (sequential
+    /// execution), `k > 1` = `k` chunks (the calling thread plus
+    /// `k - 1` scoped workers). Any value produces bit-identical
+    /// results — chunks are deterministic id-order runs of a level and
+    /// every step's effects are merged back in step order.
     pub workers: usize,
-    /// Node-count floor below which the runner stays sequential even
+    /// Node-count floor below which the level loop runs one chunk even
     /// when `workers > 1`: at small scales the per-level fan-out costs
-    /// more than it saves. Safe to tune freely — the parallel path is
-    /// bit-identical, so the threshold never changes results.
+    /// more than it saves. Safe to tune freely — the chunk count never
+    /// changes results.
     pub parallel_min_nodes: usize,
 }
 
@@ -152,33 +180,19 @@ impl Default for RunnerConfig {
 
 impl RunnerConfig {
     /// Resolve the `workers` knob: `0` maps to the machine's available
-    /// parallelism, anything else is taken literally.
+    /// parallelism (queried once per process), anything else is taken
+    /// literally.
     pub fn effective_workers(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
         match self.workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => *CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
             w => w,
         }
     }
-}
-
-/// What one epoch produced at the base station for a single query.
-#[derive(Clone, Debug)]
-pub struct EpochOutput<O> {
-    /// The evaluated answer.
-    pub output: O,
-    /// Exact number of sensors whose data is accounted for
-    /// (instrumentation ground truth).
-    pub contributing: usize,
-    /// The in-band estimate of the same quantity (what a real base
-    /// station would see: exact tree counts, sketched delta counts).
-    pub contributing_est: f64,
-    /// Largest per-subtree non-contributions reported by switchable M
-    /// vertices this epoch (drives TD expansion).
-    pub max_noncontrib: crate::envelope::ExtremaSet,
-    /// Smallest such reports (drives TD shrinking).
-    pub min_noncontrib: crate::envelope::ExtremaSet,
 }
 
 /// What one epoch produced at the base station for a whole query set.
@@ -188,11 +202,14 @@ pub struct EpochOutput<O> {
 pub struct SetEpochOutput {
     /// Per-query answers, in registration order.
     pub outputs: Vec<Box<dyn Any>>,
-    /// Exact number of contributing sensors (shared across queries).
+    /// Exact number of contributing sensors (shared across queries;
+    /// instrumentation ground truth).
     pub contributing: usize,
-    /// In-band estimate of the contributing count.
+    /// In-band estimate of the contributing count (what a real base
+    /// station would see: exact tree counts, sketched delta counts).
     pub contributing_est: f64,
-    /// Largest per-subtree non-contribution reports (TD expand signal).
+    /// Largest per-subtree non-contribution reports by switchable M
+    /// vertices this epoch (TD expand signal).
     pub max_noncontrib: crate::envelope::ExtremaSet,
     /// Smallest such reports (TD shrink signal).
     pub min_noncontrib: crate::envelope::ExtremaSet,
@@ -251,6 +268,7 @@ fn mp_send_size(set: &QuerySet<'_>, env: &MpEnvelope<Bundle>, charge: bool) -> (
 /// plan constructs draws from here first — so steady-state epochs
 /// allocate none of these parts (the payloads inside a bundle are the
 /// protocols' and are still boxed per message).
+#[derive(Default)]
 struct Pools {
     /// Recycled contributor bitsets (invariant: cleared, capacity `n`).
     idsets: Vec<IdSet>,
@@ -262,14 +280,6 @@ struct Pools {
 }
 
 impl Pools {
-    fn new() -> Pools {
-        Pools {
-            idsets: Vec::new(),
-            sketches: Vec::new(),
-            bundles: Vec::new(),
-        }
-    }
-
     /// A cleared contributor set: recycled, or freshly allocated only
     /// while the pool is still warming up.
     fn idset(&mut self, n: usize) -> IdSet {
@@ -286,7 +296,7 @@ impl Pools {
         self.bundles.pop().unwrap_or_default()
     }
 
-    /// Top the free-lists up to a parallel level's whole need — one
+    /// Top the free-lists up to a fanned-out level's whole need — one
     /// contributor set and one bundle per sender, one count sketch per M
     /// sender — before its chunks are lent their shares, so that no
     /// chunk depends on what another recycles meanwhile. Allocates only
@@ -303,7 +313,7 @@ impl Pools {
         top_up(&mut self.bundles, senders, Bundle::new);
     }
 
-    /// Move a parallel chunk's share of an [`ensure`](Self::ensure)d
+    /// Move a worker chunk's share of an [`ensure`](Self::ensure)d
     /// level into `to`, the free-list its worker draws from.
     fn lend(&mut self, to: &mut Pools, senders: usize, m_senders: usize) {
         fn move_tail<T>(from: &mut Vec<T>, to: &mut Vec<T>, count: usize) {
@@ -364,8 +374,16 @@ fn recycle_mp_env(pools: &mut Pools, mut env: MpEnvelope<Bundle>) {
     recycle_sketch(pools, env.count_sketch);
 }
 
-/// One ring level's **parked** broadcasts. An M sender puts one message
-/// on the air, so its finished envelope is stored here once, every
+/// Move one slot's staged local messages out of the slab into a bundle
+/// drawn from the free-list (capacity retained across epochs).
+fn take_local(staged: &mut [Option<ErasedMsg>], pools: &mut Pools) -> Bundle {
+    let mut bundle = pools.bundle();
+    bundle.extend(staged.iter_mut().map(Option::take));
+    bundle
+}
+
+/// One level's **parked** broadcasts. An M sender puts one message on
+/// the air, so its finished envelope is stored here once, every
 /// receiver that hears it gets only the sender's slot in its inbox and
 /// fuses the envelope *by reference*, and the whole level goes back to
 /// the free-lists once the next level — its only possible receivers —
@@ -374,7 +392,11 @@ fn recycle_mp_env(pools: &mut Pools, mut env: MpEnvelope<Bundle>) {
 struct ParkedLevel {
     /// Slot of the level's first step: `envs[slot - first]`.
     first: usize,
-    /// Per step of the level: its envelope if it was an M sender.
+    /// How many steps the level has.
+    len: usize,
+    /// Per step of the level: its envelope if it was an M sender. Empty
+    /// until the level's first M sender parks, so an all-`T` level
+    /// costs nothing.
     envs: Vec<Option<MpEnvelope<Bundle>>>,
 }
 
@@ -383,10 +405,13 @@ impl ParkedLevel {
     fn open(&mut self, first: usize, len: usize) {
         debug_assert!(self.envs.is_empty(), "previous level not recycled");
         self.first = first;
-        self.envs.resize_with(len, || None);
+        self.len = len;
     }
 
     fn park(&mut self, slot: usize, env: MpEnvelope<Bundle>) {
+        if self.envs.is_empty() {
+            self.envs.resize_with(self.len, || None);
+        }
         self.envs[slot - self.first] = Some(env);
     }
 
@@ -539,69 +564,72 @@ fn evaluate_tree_base(
 // Compiled epoch plans
 // ---------------------------------------------------------------------
 
-/// One scheduled sender of a compiled Tributary-Delta epoch.
+/// One scheduled sender of a compiled epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TdStep {
+struct Step {
     node: NodeId,
     mode: Mode,
     /// §6.1 height (the `finalize_tree` argument for T steps).
     height: u32,
-    /// Tree parent (T steps; the node itself for M steps).
-    parent: NodeId,
+    /// Tree parent of a T step; `None` for M steps (they broadcast) and
+    /// for the TAG base step (it sends nothing).
+    parent: Option<NodeId>,
     /// Static subtree size (the M-step non-contribution baseline).
-    subtree_size: u64,
+    subtree_size: u32,
     /// Whether the vertex is a switchable M vertex under this labeling.
     switchable_m: bool,
-    /// Range into the flat receiver table. Compiled for every step —
-    /// ring links are label-independent, so the table layout survives
-    /// relabeling and a patch only flips per-entry `is M` flags — but
-    /// only M steps read their range (T steps unicast to `parent`).
+    /// Range into the flat receiver table. Compiled for every step of a
+    /// TD plan — ring links are label-independent, so the table layout
+    /// survives relabeling and a patch only flips per-entry `is M`
+    /// flags — but only M steps read their range (T steps unicast to
+    /// `parent`). Empty on a TAG plan.
     recv_start: u32,
     recv_end: u32,
 }
 
-/// One scheduled sender of a compiled TAG epoch (bottom-up order).
-#[derive(Clone, Copy, Debug)]
-struct TagStep {
-    node: NodeId,
-    height: u32,
-    /// `None` marks the base station.
-    parent: Option<NodeId>,
+impl Step {
+    fn recv_range(&self) -> std::ops::Range<usize> {
+        self.recv_start as usize..self.recv_end as usize
+    }
 }
 
-enum Schedule {
-    Td(TdSchedule),
-    Tag(TagSchedule),
+/// How many of `steps` are M senders (each draws a count sketch).
+fn m_senders(steps: &[Step]) -> usize {
+    steps.iter().filter(|s| s.mode == Mode::M).count()
 }
 
-/// The compiled Tributary-Delta schedule.
+/// The compiled schedule: one step table for every scheme.
 ///
-/// The step order (outermost ring first, id order within a level), the
+/// The step order (outermost level first, id order within a level), the
 /// receiver-table layout, and the `step_of` index depend only on the
 /// rings and the tree — never on the labeling — so a label switch
 /// invalidates nothing structural: [`EpochPlan::patch`] rewrites the
 /// per-vertex mode/parent/switchability fields and the touched `is M`
 /// receiver flags in place and the result is field-for-field identical
 /// to compiling fresh at the new version.
-struct TdSchedule {
-    /// Topology version this plan currently matches (advanced by
-    /// [`EpochPlan::patch`] without recompiling).
-    version: u64,
-    /// Senders, outermost ring first, id order within a level.
-    steps: Vec<TdStep>,
+struct Schedule {
+    /// Topology version a TD plan currently matches (advanced by
+    /// [`EpochPlan::patch`] without recompiling); `None` for a TAG
+    /// plan, whose tree carries no labeling to track.
+    version: Option<u64>,
+    /// Senders, outermost level first, id order within a level. On a
+    /// TAG plan the base station is the last step.
+    steps: Vec<Step>,
     /// Flat broadcast delivery table: `(receiver, receiver is M)`,
     /// indexed by each step's `recv_start..recv_end`.
     receivers: Vec<(NodeId, bool)>,
     /// `step_of[node.index()]` = index into `steps`, or `NO_STEP` for
-    /// the base station and disconnected nodes. The patch path's way
-    /// from a relabeled vertex to its schedule entry.
+    /// the TD base station and disconnected nodes. The way from a
+    /// unicast parent, a broadcast receiver or a relabeled vertex to
+    /// its schedule entry.
     step_of: Vec<u32>,
-    /// Non-empty step ranges per ring level, outermost first:
-    /// `steps[start..end]` is one level's senders. Every step in a
-    /// range only writes to inboxes of strictly later ranges (§4.1 tree
-    /// parents and broadcast receivers sit exactly one level down), so
-    /// a range is a safe parallel shard group. Depends only on the
-    /// rings, so patching never touches it.
+    /// Non-empty step ranges per level, outermost first:
+    /// `steps[start..end]` is one level's senders — a ring level of a
+    /// TD plan, an equal-depth run of a TAG tree. Every step in a range
+    /// only writes to inboxes of strictly later ranges (tree parents
+    /// and broadcast receivers sit exactly one level down), so a range
+    /// can be cut into chunks that run side by side. Depends only on
+    /// the rings (or the tree's depths), so patching never touches it.
     levels: Vec<(u32, u32)>,
     base_mode: Mode,
     base_height: u32,
@@ -612,19 +640,33 @@ struct TdSchedule {
 /// `step_of` marker for nodes without a schedule entry.
 const NO_STEP: u32 = u32::MAX;
 
-impl TdSchedule {
-    /// The arena slot of the base station: one past the last step slot.
+impl Schedule {
+    /// The arena slot of the base station's inboxes: one past the last
+    /// step slot.
     fn base_slot(&self) -> usize {
         self.steps.len()
     }
 
     /// The arena slot of `u`: its step index, or the base slot for the
-    /// base station (the only slot-bearing node without a step — every
-    /// unicast parent and broadcast receiver is ring-connected).
+    /// TD base station (the only slot-bearing node without a step —
+    /// every unicast parent and broadcast receiver is connected).
     fn slot_or_base(&self, u: NodeId) -> usize {
         match self.step_of[u.index()] {
             NO_STEP => self.base_slot(),
             s => s as usize,
+        }
+    }
+
+    /// The unicast parent `u`'s step carries under `mode`: its current
+    /// tree parent for a T vertex, none for an M vertex.
+    fn unicast_parent(topo: &TdTopology, u: NodeId, mode: Mode) -> Option<NodeId> {
+        match mode {
+            Mode::T => Some(
+                topo.tree()
+                    .parent(u)
+                    .expect("connected non-base T vertex has a parent"),
+            ),
+            Mode::M => None,
         }
     }
 
@@ -643,19 +685,12 @@ impl TdSchedule {
         } else {
             let step = &mut self.steps[self.step_of[u.index()] as usize];
             step.mode = mode;
-            step.parent = match mode {
-                Mode::T => topo
-                    .tree()
-                    .parent(u)
-                    .expect("connected non-base T vertex has a parent"),
-                Mode::M => u,
-            };
+            step.parent = Self::unicast_parent(topo, u, mode);
             step.switchable_m = topo.is_switchable_m(u);
         }
         let is_m = mode == Mode::M;
         for &s in rings.sources(u) {
-            let sender = &self.steps[self.step_of[s.index()] as usize];
-            let range = sender.recv_start as usize..sender.recv_end as usize;
+            let range = self.steps[self.step_of[s.index()] as usize].recv_range();
             for entry in &mut self.receivers[range] {
                 if entry.0 == u {
                     entry.1 = is_m;
@@ -674,18 +709,10 @@ impl TdSchedule {
 
     /// Bring `u`'s unicast parent in line with the topology's current
     /// tree (the reparent counterpart of
-    /// [`apply_relabel`](Self::apply_relabel); M steps keep the
-    /// self-parent convention [`compile_td`](EpochPlan::compile_td)
-    /// uses).
+    /// [`apply_relabel`](Self::apply_relabel)).
     fn apply_reparent(&mut self, topo: &TdTopology, u: NodeId) {
         let step = &mut self.steps[self.step_of[u.index()] as usize];
-        step.parent = match step.mode {
-            Mode::T => topo
-                .tree()
-                .parent(u)
-                .expect("connected non-base T vertex has a parent"),
-            Mode::M => u,
-        };
+        step.parent = Self::unicast_parent(topo, u, step.mode);
     }
 
     /// Re-derive heights and subtree sizes **incrementally** after a
@@ -736,7 +763,7 @@ impl TdSchedule {
             for &c in tree.children(v) {
                 let cs = &self.steps[self.step_of[c.index()] as usize];
                 height = height.max(cs.height + 1);
-                subtree += cs.subtree_size;
+                subtree += cs.subtree_size as u64;
             }
             if v == BASE_STATION {
                 self.base_height = height;
@@ -744,54 +771,146 @@ impl TdSchedule {
             } else {
                 let step = &mut self.steps[self.step_of[v.index()] as usize];
                 step.height = height;
-                step.subtree_size = subtree;
+                step.subtree_size = subtree as u32;
             }
         }
     }
 }
 
-/// The compiled pure-TAG schedule.
-struct TagSchedule {
-    /// Senders in bottom-up (leaves-first) order, base station last.
-    steps: Vec<TagStep>,
-    /// `slot_of[node.index()]` = the node's step index (its arena
-    /// slot), or `NO_STEP` for nodes outside the tree (never addressed).
-    slot_of: Vec<u32>,
-    /// Step ranges of consecutive equal-depth runs of the bottom-up
-    /// order, deepest first: a TAG parent is always exactly one tree
-    /// depth up, so each run only writes to later runs — the TAG
-    /// parallel shard groups.
-    levels: Vec<(u32, u32)>,
-    base_height: u32,
+/// One level's loss outcomes, drawn on the calling thread in step order
+/// before any of the level's steps runs — the caller's RNG therefore
+/// ends an epoch in the same state however many chunks a level is cut
+/// into. Reused from level to level and epoch to epoch.
+#[derive(Default)]
+struct Draws {
+    /// Slot of the level's first step: `outcomes[slot - first]`.
+    first: usize,
+    /// Per step of the level: the unicast outcome of a sending T step
+    /// (`None` for M steps and the TAG base step).
+    outcomes: Vec<Option<RetransmitOutcome>>,
+    /// Receiver-table index of the level's first entry:
+    /// `delivered[entry - recv_first]`.
+    recv_first: usize,
+    /// Per broadcast-table entry of the level: whether the broadcast
+    /// reached it (entries of T steps stay `false`, unread).
+    delivered: Vec<bool>,
+}
+
+impl Draws {
+    /// Draw every outcome of the level `steps[level]`. An M step draws
+    /// for every receiver, M or not — which receivers count is the
+    /// labeling's business, not the channel's.
+    #[allow(clippy::too_many_arguments)]
+    fn draw<M: LossModel, R: rand::Rng + ?Sized>(
+        &mut self,
+        sched: &Schedule,
+        level: std::ops::Range<usize>,
+        net: &Network,
+        model: &M,
+        retransmit: Retransmit,
+        epoch: u64,
+        rng: &mut R,
+    ) {
+        let steps = &sched.steps[level.clone()];
+        self.first = level.start;
+        self.recv_first = steps[0].recv_start as usize;
+        let recv_len = steps[steps.len() - 1].recv_end as usize - self.recv_first;
+        self.outcomes.clear();
+        self.delivered.clear();
+        self.delivered.resize(recv_len, false);
+        for step in steps {
+            self.outcomes.push(match step.mode {
+                Mode::T => step
+                    .parent
+                    .map(|p| unicast(model, retransmit, step.node, p, net, epoch, rng)),
+                Mode::M => {
+                    let range = step.recv_range();
+                    let heard = &mut self.delivered
+                        [range.start - self.recv_first..range.end - self.recv_first];
+                    for (d, &(r, _)) in heard.iter_mut().zip(&sched.receivers[range]) {
+                        *d = model.delivered(step.node, r, net, epoch, rng);
+                    }
+                    None
+                }
+            });
+        }
+    }
+}
+
+/// A run of consecutive **schedule slots** of the arena slabs — tree
+/// inboxes, multi-path inboxes, staged local messages — borrowed as one
+/// piece. The level loop only ever cuts slots off the front: a level
+/// off the slots that have not run yet, a chunk off the level. What is
+/// left behind the level being run is exactly what that level may
+/// write to.
+struct Slabs<'a> {
+    /// Slot of the first entry: `tree[slot - first]`.
+    first: usize,
+    /// Queries per slot: `locals[(slot - first) * q..][..q]`.
+    q: usize,
+    tree: &'a mut [Vec<TreeEnvelope<Bundle>>],
+    /// Empty on a plan compiled without multi-path state (TAG).
+    mp: &'a mut [Vec<u32>],
+    locals: &'a mut [Option<ErasedMsg>],
+}
+
+impl<'a> Slabs<'a> {
+    fn len(&self) -> usize {
+        self.tree.len()
+    }
+
+    /// Cut the first `len` slots off, leaving the rest in `self`.
+    fn take_front(&mut self, len: usize) -> Slabs<'a> {
+        let (tree, tree_rest) = std::mem::take(&mut self.tree).split_at_mut(len);
+        let mp = std::mem::take(&mut self.mp);
+        let (mp, mp_rest) = mp.split_at_mut(len.min(mp.len()));
+        let (locals, locals_rest) = std::mem::take(&mut self.locals).split_at_mut(len * self.q);
+        let front = Slabs {
+            first: self.first,
+            q: self.q,
+            tree,
+            mp,
+            locals,
+        };
+        *self = Slabs {
+            first: self.first + len,
+            q: self.q,
+            tree: tree_rest,
+            mp: mp_rest,
+            locals: locals_rest,
+        };
+        front
+    }
 }
 
 /// The reusable execution arenas: cleared, never shrunk, so steady-state
 /// epochs run without inbox or slab growth.
 ///
 /// Inboxes and the local-message slab are indexed by **schedule slot**
-/// (a step's position in the level-ordered step list; the TD base
-/// station gets the one extra slot past the last step), not by node id.
-/// Slots are level-contiguous by construction, so an epoch's walk over
-/// the schedule touches the slabs strictly left to right — the
+/// (a step's position in the level-ordered step list; the base station
+/// gets the one extra slot past the last step), not by node id. Slots
+/// are level-contiguous by construction, so an epoch's walk over the
+/// schedule touches the slabs strictly left to right — the
 /// cache-locality fix that makes plan reuse beat rebuild — and a
-/// parallel shard's slots form one contiguous block.
+/// chunk's slots form one contiguous block ([`Slabs`]).
 struct Arenas {
     /// Node count (the envelope contributor-set capacity).
     n: usize,
-    /// Slot count (schedule steps, plus the TD base-station slot).
-    slots: usize,
     /// Per-slot tree-envelope inboxes, drained every epoch.
     tree_inbox: Vec<Vec<TreeEnvelope<Bundle>>>,
     /// Per-slot multi-path inboxes, drained every epoch: the slots of
     /// the M senders whose broadcast this slot heard, in delivery order.
-    /// The envelopes themselves stay parked.
+    /// The envelopes themselves stay parked. Empty on a TAG plan.
     mp_inbox: Vec<Vec<u32>>,
     /// The parked broadcasts of the level above the one being run: what
-    /// the running level's `mp_inbox` entries point into.
-    parked_prev: ParkedLevel,
+    /// the running level's `mp_inbox` entries point into. Behind an
+    /// `Arc` (allocated once, here) only so that a fan-out can hand its
+    /// workers a handle for the length of a level; with one chunk
+    /// nothing ever clones it.
+    parked_prev: Arc<ParkedLevel>,
     /// The parked broadcasts of the level being run; it becomes
     /// `parked_prev` when the level is done.
-    parked_cur: ParkedLevel,
+    parked_cur: Arc<ParkedLevel>,
     /// Flat local-message slab indexed by `(slot, query)`: entry
     /// `slot * set.len() + query` stages the node's local tree or
     /// multi-path message until its send step assembles the bundle.
@@ -801,91 +920,25 @@ struct Arenas {
     /// from here and every consumed envelope returns here, so
     /// steady-state epochs allocate no per-envelope parts.
     pools: Pools,
-    /// One free-list per spawned parallel worker (index `w` serves
-    /// worker `w`), **empty between levels**: a chunk is lent its need
-    /// from `pools` when its jobs are prepared ([`Pools::lend`]) and
-    /// everything it holds comes back at the level's barrier
-    /// ([`Pools::reclaim`]), so `pools` is the only place parts rest
-    /// and no worker can hoard them. Kept across epochs only for the
-    /// `Vec` capacities.
-    worker_pools: Vec<Pools>,
+    /// The running level's pre-drawn loss outcomes.
+    draws: Draws,
 }
 
 impl Arenas {
     fn new(n: usize, slots: usize, multipath: bool) -> Arenas {
         Arenas {
             n,
-            slots,
             tree_inbox: (0..slots).map(|_| Vec::new()).collect(),
-            mp_inbox: if multipath {
-                (0..slots).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
-            parked_prev: ParkedLevel::default(),
-            parked_cur: ParkedLevel::default(),
+            mp_inbox: (0..if multipath { slots } else { 0 })
+                .map(|_| Vec::new())
+                .collect(),
+            parked_prev: Arc::default(),
+            parked_cur: Arc::default(),
             locals: Vec::new(),
-            pools: Pools::new(),
-            worker_pools: Vec::new(),
+            pools: Pools::default(),
+            draws: Draws::default(),
         }
     }
-
-    /// A cleared contributor set: recycled from the free-list, or a
-    /// fresh allocation only while the pool is still warming up.
-    fn idset(&mut self) -> IdSet {
-        self.pools.idset(self.n)
-    }
-
-    /// One slot's tree inbox plus the free-lists, split-borrowed for the
-    /// tree-envelope build step.
-    fn tree_ctx(&mut self, slot: usize) -> (&mut Vec<TreeEnvelope<Bundle>>, &mut Pools) {
-        (&mut self.tree_inbox[slot], &mut self.pools)
-    }
-
-    /// Close a TD level: the level above it has now been heard by
-    /// everyone who could hear it, so its parked broadcasts go back to
-    /// the free-lists and the level just run takes its place.
-    fn level_done(&mut self) {
-        self.parked_prev.recycle_into(&mut self.pools);
-        std::mem::swap(&mut self.parked_prev, &mut self.parked_cur);
-    }
-
-    /// Reset the local-message slab for an epoch carrying `q` queries.
-    fn reset_locals(&mut self, q: usize) {
-        self.locals.clear();
-        self.locals.resize_with(self.slots * q, || None);
-    }
-
-    /// Stage node `u`'s local message per query in its slot of the slab.
-    fn stage<'e>(
-        &mut self,
-        set: &QuerySet<'e>,
-        slot: usize,
-        u: NodeId,
-        q: usize,
-        local: impl Fn(&(dyn DynProtocol + 'e), NodeId) -> Option<ErasedMsg>,
-    ) {
-        let base = slot * q;
-        for (i, query) in set.queries().enumerate() {
-            self.locals[base + i] = local(query, u);
-        }
-    }
-
-    /// Move a slot's staged local messages out of the slab into a
-    /// bundle drawn from the free-list (capacity retained across epochs).
-    fn take_local_bundle(&mut self, slot: usize, q: usize) -> Bundle {
-        take_local(&mut self.locals, slot, q, &mut self.pools)
-    }
-}
-
-/// [`Arenas::take_local_bundle`] as a free function over the split
-/// fields, so the parallel prep path can draw the bundle `Vec` from a
-/// *worker's* free-list while holding disjoint borrows of the slabs.
-fn take_local(locals: &mut [Option<ErasedMsg>], slot: usize, q: usize, pool: &mut Pools) -> Bundle {
-    let mut bundle = pool.bundle();
-    let base = slot * q;
-    bundle.extend(locals[base..base + q].iter_mut().map(|slot| slot.take()));
-    bundle
 }
 
 /// A compiled, reusable epoch schedule plus its execution arenas.
@@ -925,26 +978,16 @@ impl EpochPlan {
                 for &r in rings.receivers(u) {
                     receivers.push((r, topo.mode(r) == Mode::M));
                 }
-                let recv_end = receivers.len() as u32;
-                let (parent, switchable_m) = match mode {
-                    Mode::T => (
-                        topo.tree()
-                            .parent(u)
-                            .expect("connected non-base T vertex has a parent"),
-                        false,
-                    ),
-                    Mode::M => (u, topo.is_switchable_m(u)),
-                };
                 step_of[u.index()] = steps.len() as u32;
-                steps.push(TdStep {
+                steps.push(Step {
                     node: u,
                     mode,
                     height: heights[u.index()],
-                    parent,
-                    subtree_size: subtree_sizes[u.index()] as u64,
-                    switchable_m,
+                    parent: Schedule::unicast_parent(topo, u, mode),
+                    subtree_size: subtree_sizes[u.index()],
+                    switchable_m: mode == Mode::M && topo.is_switchable_m(u),
                     recv_start,
-                    recv_end,
+                    recv_end: receivers.len() as u32,
                 });
             }
             if steps.len() as u32 > level_start {
@@ -954,8 +997,8 @@ impl EpochPlan {
         // One slot per step plus the base station's.
         let slots = steps.len() + 1;
         EpochPlan {
-            sched: Schedule::Td(TdSchedule {
-                version: topo.version(),
+            sched: Schedule {
+                version: Some(topo.version()),
                 steps,
                 receivers,
                 step_of,
@@ -964,101 +1007,88 @@ impl EpochPlan {
                 base_height: heights[BASE_STATION.index()],
                 base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
                 base_switchable_m: topo.is_switchable_m(BASE_STATION),
-            }),
+            },
             arenas: Arenas::new(n, slots, true),
         }
     }
 
     /// Compile the bottom-up schedule of a pure-TAG spanning tree
-    /// (parents may be at any lower level — no ring restriction).
+    /// (parents may be at any lower level — no ring restriction) into
+    /// the same step table: every step `T`, the levels the tree's
+    /// equal-depth runs (a parent is exactly one depth up, so each run
+    /// only writes to later runs), no receiver table, and the base
+    /// station as the last step — it merges and finalizes like any tree
+    /// vertex, sends nothing, and hands its envelope to the base slot.
     pub fn compile_tag(tree: &Tree) -> EpochPlan {
         let heights = tree.heights();
+        let subtree_sizes = tree.subtree_sizes();
         let n = tree.len();
-        let steps: Vec<TagStep> = tree
-            .bottom_up_order()
-            .into_iter()
-            .map(|u| TagStep {
+        let order = tree.bottom_up_order();
+        let mut steps: Vec<Step> = Vec::with_capacity(order.len());
+        let mut step_of = vec![NO_STEP; n];
+        let mut levels: Vec<(u32, u32)> = Vec::new();
+        for u in order {
+            let at = steps.len() as u32;
+            match levels.last_mut() {
+                Some((start, end)) if tree.depth(steps[*start as usize].node) == tree.depth(u) => {
+                    *end = at + 1
+                }
+                _ => levels.push((at, at + 1)),
+            }
+            step_of[u.index()] = at;
+            steps.push(Step {
                 node: u,
+                mode: Mode::T,
                 height: heights[u.index()],
                 parent: tree.parent(u),
-            })
-            .collect();
-        let mut slot_of = vec![NO_STEP; n];
-        for (i, step) in steps.iter().enumerate() {
-            slot_of[step.node.index()] = i as u32;
+                subtree_size: subtree_sizes[u.index()],
+                switchable_m: false,
+                recv_start: 0,
+                recv_end: 0,
+            });
         }
-        // Consecutive equal-depth runs of the bottom-up order: a parent
-        // is exactly one depth up, so each run is a safe shard group.
-        let mut levels = Vec::new();
-        let mut start = 0usize;
-        while start < steps.len() {
-            let depth = tree.depth(steps[start].node);
-            let mut end = start + 1;
-            while end < steps.len() && tree.depth(steps[end].node) == depth {
-                end += 1;
-            }
-            levels.push((start as u32, end as u32));
-            start = end;
-        }
-        let slots = steps.len();
+        let slots = steps.len() + 1;
         EpochPlan {
-            sched: Schedule::Tag(TagSchedule {
+            sched: Schedule {
+                version: None,
                 steps,
-                slot_of,
+                receivers: Vec::new(),
+                step_of,
                 levels,
+                base_mode: Mode::T,
                 base_height: heights[BASE_STATION.index()],
-            }),
+                base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
+                base_switchable_m: false,
+            },
             arenas: Arenas::new(n, slots, false),
         }
     }
 
-    /// Size of the arena's contributor-bitset free-lists, the shared
-    /// pool plus every parallel worker's private pool (introspection
-    /// for tests and benches: after a warm-up epoch the pools hold every
-    /// recycled set, and steady-state epochs neither grow nor drain them
+    /// Size of the arena's contributor-bitset free-list (introspection
+    /// for tests and benches: after a warm-up epoch the pool holds every
+    /// recycled set, and steady-state epochs neither grow nor drain it
     /// below the per-epoch working need).
     pub fn recycled_bitsets(&self) -> usize {
         self.arenas.pools.idsets.len()
-            + self
-                .arenas
-                .worker_pools
-                .iter()
-                .map(|p| p.idsets.len())
-                .sum::<usize>()
     }
 
-    /// Size of the arena's count-sketch free-lists (same steady-state
+    /// Size of the arena's count-sketch free-list (same steady-state
     /// introspection as [`recycled_bitsets`](Self::recycled_bitsets)).
     pub fn recycled_sketches(&self) -> usize {
         self.arenas.pools.sketches.len()
-            + self
-                .arenas
-                .worker_pools
-                .iter()
-                .map(|p| p.sketches.len())
-                .sum::<usize>()
     }
 
-    /// Size of the arena's bundle-`Vec` free-lists (same steady-state
+    /// Size of the arena's bundle-`Vec` free-list (same steady-state
     /// introspection as [`recycled_bitsets`](Self::recycled_bitsets)).
     pub fn recycled_bundles(&self) -> usize {
         self.arenas.pools.bundles.len()
-            + self
-                .arenas
-                .worker_pools
-                .iter()
-                .map(|p| p.bundles.len())
-                .sum::<usize>()
     }
 
     /// The topology version a TD plan currently matches (`None` for
     /// TAG plans, whose tree never changes). Advanced by
     /// [`patch`](Self::patch) without recompiling.
     pub fn compiled_version(&self) -> Option<u64> {
-        match &self.sched {
-            Schedule::Td(td) => Some(td.version),
-            Schedule::Tag(_) => None,
-        }
+        self.sched.version
     }
 
     /// Update the compiled TD schedule **in place** to match `topo`'s
@@ -1090,13 +1120,12 @@ impl EpochPlan {
     /// matching the actual patch work). This is the single home of the
     /// patch-eligibility rule; callers only pick the budget.
     pub fn patch(&mut self, topo: &TdTopology, max_relabels: usize) -> Option<usize> {
-        let Schedule::Td(sched) = &mut self.sched else {
-            return None;
-        };
-        if sched.version == topo.version() {
+        let sched = &mut self.sched;
+        let version = sched.version?;
+        if version == topo.version() {
             return Some(0);
         }
-        let deltas = topo.deltas_since(sched.version)?;
+        let deltas = topo.deltas_since(version)?;
         // Collect the touched vertices once; the final state is read
         // straight from `topo`, so replay order is irrelevant and a
         // vertex switched back and forth costs a single pass — and is
@@ -1135,7 +1164,7 @@ impl EpochPlan {
                 .collect();
             sched.refresh_structure(topo, &seeds);
         }
-        sched.version = topo.version();
+        sched.version = Some(topo.version());
         Some(distinct)
     }
 
@@ -1161,60 +1190,37 @@ impl EpochPlan {
             Mode::T => 0u64,
             Mode::M => 1,
         };
-        match &self.sched {
-            Schedule::Td(td) => {
-                put(1);
-                put(td.version);
-                put(td.steps.len() as u64);
-                for s in &td.steps {
-                    put(s.node.0 as u64);
-                    put(mode_tag(s.mode));
-                    put(s.height as u64);
-                    put(s.parent.0 as u64);
-                    put(s.subtree_size);
-                    put(s.switchable_m as u64);
-                    put(s.recv_start as u64);
-                    put(s.recv_end as u64);
-                }
-                put(td.receivers.len() as u64);
-                for &(r, is_m) in &td.receivers {
-                    put(r.0 as u64);
-                    put(is_m as u64);
-                }
-                for &i in &td.step_of {
-                    put(i as u64);
-                }
-                put(td.levels.len() as u64);
-                for &(s, e) in &td.levels {
-                    put(s as u64);
-                    put(e as u64);
-                }
-                put(mode_tag(td.base_mode));
-                put(td.base_height as u64);
-                put(td.base_subtree);
-                put(td.base_switchable_m as u64);
-            }
-            Schedule::Tag(tag) => {
-                put(2);
-                put(tag.steps.len() as u64);
-                for s in &tag.steps {
-                    put(s.node.0 as u64);
-                    put(s.height as u64);
-                    put(s.parent.map_or(u64::MAX, |p| p.0 as u64));
-                }
-                for &i in &tag.slot_of {
-                    put(i as u64);
-                }
-                put(tag.levels.len() as u64);
-                for &(s, e) in &tag.levels {
-                    put(s as u64);
-                    put(e as u64);
-                }
-                put(tag.base_height as u64);
-            }
+        let sched = &self.sched;
+        put(sched.version.unwrap_or(u64::MAX));
+        put(sched.steps.len() as u64);
+        for s in &sched.steps {
+            put(s.node.0 as u64);
+            put(mode_tag(s.mode));
+            put(s.height as u64);
+            put(s.parent.map_or(u64::MAX, |p| p.0 as u64));
+            put(s.subtree_size as u64);
+            put(s.switchable_m as u64);
+            put(s.recv_start as u64);
+            put(s.recv_end as u64);
         }
+        put(sched.receivers.len() as u64);
+        for &(r, is_m) in &sched.receivers {
+            put(r.0 as u64);
+            put(is_m as u64);
+        }
+        for &i in &sched.step_of {
+            put(i as u64);
+        }
+        put(sched.levels.len() as u64);
+        for &(s, e) in &sched.levels {
+            put(s as u64);
+            put(e as u64);
+        }
+        put(mode_tag(sched.base_mode));
+        put(sched.base_height as u64);
+        put(sched.base_subtree);
+        put(sched.base_switchable_m as u64);
         put(self.arenas.n as u64);
-        put(self.arenas.slots as u64);
         put(self.arenas.tree_inbox.len() as u64);
         put(self.arenas.mp_inbox.len() as u64);
         h
@@ -1237,373 +1243,378 @@ impl EpochPlan {
         stats: &mut CommStats,
         rng: &mut R,
     ) -> SetEpochOutput {
-        // The parallel path is bit-identical to sequential (shards are
-        // deterministic id-order chunks, merged in step order, with all
-        // RNG draws precomputed in schedule order), so this dispatch is
-        // purely a performance decision.
+        let exec = Exec {
+            sched: &self.sched,
+            set,
+            n: self.arenas.n,
+            charge: config.charge_adaptation_overhead,
+        };
+        let arenas = &mut self.arenas;
+        exec.stage(arenas);
+        // Any chunk count is bit-identical (draws and merges happen in
+        // step order regardless), so this is purely a performance
+        // decision.
         let workers = config.effective_workers();
-        let go_parallel = workers > 1 && self.arenas.n >= config.parallel_min_nodes;
-        match &self.sched {
-            Schedule::Td(sched) => {
-                if go_parallel {
-                    parallel::run_td_parallel(
-                        sched,
-                        &mut self.arenas,
-                        set,
-                        net,
-                        model,
-                        config,
-                        epoch,
-                        stats,
-                        rng,
-                        workers,
-                    )
-                } else {
-                    run_td(
-                        sched,
-                        &mut self.arenas,
-                        set,
-                        net,
-                        model,
-                        config,
-                        epoch,
-                        stats,
-                        rng,
-                    )
-                }
-            }
-            Schedule::Tag(sched) => {
-                if go_parallel {
-                    parallel::run_tag_parallel(
-                        sched,
-                        &mut self.arenas,
-                        set,
-                        net,
-                        model,
-                        config,
-                        epoch,
-                        stats,
-                        rng,
-                        workers,
-                    )
-                } else {
-                    run_tag(
-                        sched,
-                        &mut self.arenas,
-                        set,
-                        net,
-                        model,
-                        config,
-                        epoch,
-                        stats,
-                        rng,
-                    )
-                }
-            }
+        let retransmit = config.tree_retransmit;
+        if workers <= 1 || arenas.n < config.parallel_min_nodes {
+            exec.run_levels(arenas, net, model, retransmit, epoch, stats, rng, None);
+        } else {
+            std::thread::scope(|scope| {
+                let fan = parallel::FanOut::spawn(scope, exec, workers - 1);
+                exec.run_levels(arenas, net, model, retransmit, epoch, stats, rng, Some(fan));
+            });
         }
+        let sw = phase::stopwatch();
+        let out = exec.finish(arenas);
+        phase::record(Phase::Merge, sw);
+        out
     }
 }
 
 mod parallel;
 
-#[allow(clippy::too_many_arguments)]
-fn run_td<M: LossModel, R: rand::Rng + ?Sized>(
-    sched: &TdSchedule,
-    arenas: &mut Arenas,
-    set: &QuerySet<'_>,
-    net: &Network,
-    model: &M,
-    config: RunnerConfig,
-    epoch: u64,
-    stats: &mut CommStats,
-    rng: &mut R,
-) -> SetEpochOutput {
-    let q = set.len();
-    stage_td(sched, arenas, set, q);
-
-    // Iterate the same slots in the same order as the flat step loop,
-    // but grouped by ring level so each level's wall time lands in the
-    // per-level-execute phase histogram (the sequential mirror of the
-    // parallel executor's shard groups).
-    for &(lv_start, lv_end) in &sched.levels {
-        let sw = phase::stopwatch();
-        arenas
-            .parked_cur
-            .open(lv_start as usize, (lv_end - lv_start) as usize);
-        for slot in lv_start as usize..lv_end as usize {
-            let step = &sched.steps[slot];
-            match step.mode {
-                Mode::T => {
-                    let local = arenas.take_local_bundle(slot, q);
-                    let contributors = arenas.idset();
-                    let (children, pools) = arenas.tree_ctx(slot);
-                    let env = build_tree_envelope_set(
-                        set,
-                        step.node,
-                        step.height,
-                        contributors,
-                        local,
-                        children,
-                        pools,
-                    );
-                    let payload = bundle_tree_words(set, env.msg.as_ref().expect("bundle present"));
-                    let overhead = if config.charge_adaptation_overhead {
-                        TREE_OVERHEAD_WORDS
-                    } else {
-                        0
-                    };
-                    let words = payload + overhead;
-                    let outcome = unicast(
-                        model,
-                        config.tree_retransmit,
-                        step.node,
-                        step.parent,
-                        net,
-                        epoch,
-                        rng,
-                    );
-                    stats.record_send(step.node, words * 4, words, outcome.attempts_used as u64);
-                    if outcome.delivered {
-                        arenas.tree_inbox[sched.slot_or_base(step.parent)].push(env);
-                    } else {
-                        recycle_tree_env(&mut arenas.pools, env);
-                    }
-                }
-                Mode::M => {
-                    let local = arenas.take_local_bundle(slot, q);
-                    let contributors = arenas.idset();
-                    let count_sketch = arenas.pools.sketch();
-                    let env = build_mp_envelope_set(
-                        set,
-                        step.node,
-                        contributors,
-                        count_sketch,
-                        step.subtree_size,
-                        step.switchable_m,
-                        local,
-                        &mut arenas.tree_inbox[slot],
-                        &mut arenas.mp_inbox[slot],
-                        &arenas.parked_prev,
-                        &mut arenas.pools,
-                    );
-                    let (bytes, words) = mp_send_size(set, &env, config.charge_adaptation_overhead);
-                    stats.record_send(step.node, bytes, words, 1);
-                    // One message on the air: every M neighbour that
-                    // hears it is handed the sender's slot, not a copy.
-                    for &(r, is_m) in
-                        &sched.receivers[step.recv_start as usize..step.recv_end as usize]
-                    {
-                        if model.delivered(step.node, r, net, epoch, rng) && is_m {
-                            arenas.mp_inbox[sched.slot_or_base(r)].push(slot as u32);
-                        }
-                    }
-                    arenas.parked_cur.park(slot, env);
-                }
-            }
-        }
-        arenas.level_done();
-        phase::record(Phase::LevelExecute, sw);
-    }
-
-    let sw = phase::stopwatch();
-    let out = finish_td(sched, arenas, set);
-    phase::record(Phase::Merge, sw);
-    out
+/// What a step put on the air: the product of [`Exec::process`], applied
+/// by [`Exec::merge`].
+enum Sent {
+    /// A finalized tree envelope and its size in words.
+    Tree(TreeEnvelope<Bundle>, usize),
+    /// A broadcast envelope and its size as `(bytes, words)`.
+    Mp(MpEnvelope<Bundle>, usize, usize),
 }
 
-/// Stage every node's local messages for a TD epoch (slot order; no RNG
-/// draws, shared by the sequential and parallel executors).
-fn stage_td(sched: &TdSchedule, arenas: &mut Arenas, set: &QuerySet<'_>, q: usize) {
-    arenas.reset_locals(q);
-    for (slot, step) in sched.steps.iter().enumerate() {
+/// What every step of an epoch shares, on whichever thread it runs.
+#[derive(Clone, Copy)]
+struct Exec<'a, 'e> {
+    sched: &'a Schedule,
+    set: &'a QuerySet<'e>,
+    /// Node count (the contributor-set capacity).
+    n: usize,
+    /// Whether sends are charged the §4.2 adaptation overhead.
+    charge: bool,
+}
+
+impl Exec<'_, '_> {
+    /// Stage every node's local messages (slot order; no RNG draws).
+    fn stage(&self, arenas: &mut Arenas) {
+        let q = self.set.len();
+        let slots = arenas.tree_inbox.len();
+        arenas.locals.clear();
+        arenas.locals.resize_with(slots * q, || None);
+        let mut stage = |slot: usize, u: NodeId, mode: Mode| {
+            let staged = &mut arenas.locals[slot * q..(slot + 1) * q];
+            for (local, query) in staged.iter_mut().zip(self.set.queries()) {
+                *local = match mode {
+                    Mode::T => query.local_tree(u),
+                    Mode::M => query.local_mp(u),
+                };
+            }
+        };
+        for (slot, step) in self.sched.steps.iter().enumerate() {
+            stage(slot, step.node, step.mode);
+        }
+        // A tree-mode base station evaluates its children's bundles
+        // directly and contributes no local data, so only an M base
+        // stages one.
+        if self.sched.base_mode == Mode::M {
+            stage(self.sched.base_slot(), BASE_STATION, Mode::M);
+        }
+    }
+
+    /// The first half of a step: build the envelope of the sender at
+    /// `slot` out of its own arena state (`own` holds its slot) and
+    /// price it. `above` is the parked level above the sender's. Touches
+    /// nothing another step of the level can see, so the steps of a
+    /// level may be processed in any order, on any thread.
+    fn process(
+        &self,
+        own: &mut Slabs<'_>,
+        slot: usize,
+        above: &ParkedLevel,
+        pools: &mut Pools,
+    ) -> Sent {
+        let step = &self.sched.steps[slot];
+        let i = slot - own.first;
+        let local = take_local(&mut own.locals[i * own.q..(i + 1) * own.q], pools);
+        let contributors = pools.idset(self.n);
         match step.mode {
-            Mode::T => arenas.stage(set, slot, step.node, q, |query, u| query.local_tree(u)),
-            Mode::M => arenas.stage(set, slot, step.node, q, |query, u| query.local_mp(u)),
+            Mode::T => {
+                let env = build_tree_envelope_set(
+                    self.set,
+                    step.node,
+                    step.height,
+                    contributors,
+                    local,
+                    &mut own.tree[i],
+                    pools,
+                );
+                let payload =
+                    bundle_tree_words(self.set, env.msg.as_ref().expect("bundle present"));
+                let overhead = if self.charge { TREE_OVERHEAD_WORDS } else { 0 };
+                Sent::Tree(env, payload + overhead)
+            }
+            Mode::M => {
+                let count_sketch = pools.sketch();
+                let env = build_mp_envelope_set(
+                    self.set,
+                    step.node,
+                    contributors,
+                    count_sketch,
+                    step.subtree_size as u64,
+                    step.switchable_m,
+                    local,
+                    &mut own.tree[i],
+                    &mut own.mp[i],
+                    above,
+                    pools,
+                );
+                let (bytes, words) = mp_send_size(self.set, &env, self.charge);
+                Sent::Mp(env, bytes, words)
+            }
         }
     }
-    // A tree-mode base station evaluates its children's bundles directly
-    // and contributes no local data, so only an M base stages one.
-    if sched.base_mode == Mode::M {
-        arenas.stage(set, sched.base_slot(), BASE_STATION, q, |query, u| {
-            query.local_mp(u)
-        });
-    }
-}
 
-/// The base-station tail of a TD epoch: evaluate whatever reached the
-/// base slot (shared by the sequential and parallel executors).
-fn finish_td(sched: &TdSchedule, arenas: &mut Arenas, set: &QuerySet<'_>) -> SetEpochOutput {
-    let q = set.len();
-    let base_slot = sched.base_slot();
-    let out = match sched.base_mode {
-        Mode::T => {
-            let mut contributors = arenas.idset();
-            let (children, pools) = arenas.tree_ctx(base_slot);
-            let mut exact_count = 0u64;
-            for env in children.iter() {
-                exact_count += env.count;
-                contributors.union(&env.contributors);
+    /// The second half of a step: put what the sender at `slot` built on
+    /// the air against its pre-drawn outcome — record the send, deliver
+    /// a tree envelope to its parent's inbox (or recycle a lost one),
+    /// park a broadcast in `airing` and hand its slot to every M
+    /// receiver that heard it. `below` is every slot after the running
+    /// level. Called in step order — this is what pins any chunk count
+    /// bit-identical: `CommStats` records and inbox pushes replay one
+    /// sequence, so f64 accumulation order and envelope delivery order
+    /// never change.
+    #[allow(clippy::too_many_arguments)]
+    fn merge(
+        &self,
+        slot: usize,
+        sent: Sent,
+        draws: &Draws,
+        below: &mut Slabs<'_>,
+        airing: &mut ParkedLevel,
+        stats: &mut CommStats,
+        pools: &mut Pools,
+    ) {
+        let sched = self.sched;
+        let step = &sched.steps[slot];
+        match sent {
+            Sent::Tree(env, words) => {
+                let dest = match step.parent {
+                    // The TAG base step: nothing goes on the air.
+                    None => sched.base_slot(),
+                    Some(parent) => {
+                        let outcome = draws.outcomes[slot - draws.first]
+                            .expect("a sending T step drew its unicast");
+                        stats.record_send(
+                            step.node,
+                            words * 4,
+                            words,
+                            outcome.attempts_used as u64,
+                        );
+                        if !outcome.delivered {
+                            recycle_tree_env(pools, env);
+                            return;
+                        }
+                        sched.slot_or_base(parent)
+                    }
+                };
+                below.tree[dest - below.first].push(env);
             }
-            let contributing = contributors.len();
-            recycle_idset(pools, contributors);
-            SetEpochOutput {
-                outputs: evaluate_tree_base(set, children, sched.base_height, pools),
-                contributing,
-                contributing_est: exact_count as f64,
-                max_noncontrib: crate::envelope::ExtremaSet::largest(),
-                min_noncontrib: crate::envelope::ExtremaSet::smallest(),
-            }
-        }
-        Mode::M => {
-            let local = arenas.take_local_bundle(base_slot, q);
-            let contributors = arenas.idset();
-            let count_sketch = arenas.pools.sketch();
-            let mut env = build_mp_envelope_set(
-                set,
-                BASE_STATION,
-                contributors,
-                count_sketch,
-                sched.base_subtree,
-                sched.base_switchable_m,
-                local,
-                &mut arenas.tree_inbox[base_slot],
-                &mut arenas.mp_inbox[base_slot],
-                &arenas.parked_prev,
-                &mut arenas.pools,
-            );
-            let bundle = env.msg.take().expect("bundle present");
-            let outputs = (0..set.len())
-                .map(|i| {
-                    set.query(i)
-                        .evaluate(Vec::new(), bundle[i].as_ref(), sched.base_height)
-                })
-                .collect();
-            recycle_bundle(&mut arenas.pools, bundle);
-            let MpEnvelope {
-                contributors,
-                count_sketch,
-                max_noncontrib,
-                min_noncontrib,
-                ..
-            } = env;
-            let contributing = contributors.len();
-            let contributing_est = count_sketch.estimate();
-            recycle_idset(&mut arenas.pools, contributors);
-            recycle_sketch(&mut arenas.pools, count_sketch);
-            SetEpochOutput {
-                outputs,
-                contributing,
-                contributing_est,
-                max_noncontrib,
-                min_noncontrib,
-            }
-        }
-    };
-    // The innermost ring's broadcasts had only the base station to reach.
-    arenas.parked_prev.recycle_into(&mut arenas.pools);
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_tag<M: LossModel, R: rand::Rng + ?Sized>(
-    sched: &TagSchedule,
-    arenas: &mut Arenas,
-    set: &QuerySet<'_>,
-    net: &Network,
-    model: &M,
-    config: RunnerConfig,
-    epoch: u64,
-    stats: &mut CommStats,
-    rng: &mut R,
-) -> SetEpochOutput {
-    let q = set.len();
-    stage_tag(sched, arenas, set, q);
-
-    let mut base_children: Vec<TreeEnvelope<Bundle>> = Vec::new();
-    // Same slots, same order as the flat loop — grouped by tree depth
-    // so each depth run's wall time is a per-level-execute sample.
-    for &(lv_start, lv_end) in &sched.levels {
-        let sw = phase::stopwatch();
-        for slot in lv_start as usize..lv_end as usize {
-            let step = &sched.steps[slot];
-            let local = arenas.take_local_bundle(slot, q);
-            let contributors = arenas.idset();
-            let (children, pools) = arenas.tree_ctx(slot);
-            let env = build_tree_envelope_set(
-                set,
-                step.node,
-                step.height,
-                contributors,
-                local,
-                children,
-                pools,
-            );
-            match step.parent {
-                None => base_children.push(env),
-                Some(p) => {
-                    let payload = bundle_tree_words(set, env.msg.as_ref().expect("bundle present"));
-                    let overhead = if config.charge_adaptation_overhead {
-                        TREE_OVERHEAD_WORDS
-                    } else {
-                        0
-                    };
-                    let words = payload + overhead;
-                    let outcome =
-                        unicast(model, config.tree_retransmit, step.node, p, net, epoch, rng);
-                    stats.record_send(step.node, words * 4, words, outcome.attempts_used as u64);
-                    if outcome.delivered {
-                        arenas.tree_inbox[sched.slot_of[p.index()] as usize].push(env);
-                    } else {
-                        recycle_tree_env(&mut arenas.pools, env);
+            Sent::Mp(env, bytes, words) => {
+                stats.record_send(step.node, bytes, words, 1);
+                // One message on the air: every M neighbour that hears
+                // it is handed the sender's slot, not a copy.
+                let range = step.recv_range();
+                let heard =
+                    &draws.delivered[range.start - draws.recv_first..range.end - draws.recv_first];
+                for (&(r, is_m), &d) in sched.receivers[range].iter().zip(heard) {
+                    if d && is_m {
+                        below.mp[sched.slot_or_base(r) - below.first].push(slot as u32);
                     }
                 }
+                airing.park(slot, env);
             }
         }
-        phase::record(Phase::LevelExecute, sw);
     }
 
-    let sw = phase::stopwatch();
-    let out = finish_tag(sched, arenas, set, base_children);
-    phase::record(Phase::Merge, sw);
-    out
-}
+    /// The one level loop. Per level: draw its loss outcomes in step
+    /// order, cut it into `k = min(workers, level length)` id-order
+    /// chunks (the first `len % k` one step longer — chunking never
+    /// affects results, only load balance), ship chunks `1..k` to the
+    /// fan-out, process and merge chunk 0 in place, then merge the
+    /// worker chunks in chunk order, which is step order. Without a
+    /// fan-out `k` is 1 and the ship and collect ranges are empty:
+    /// sequential execution is this loop.
+    #[allow(clippy::too_many_arguments)]
+    fn run_levels<'s, M: LossModel, R: rand::Rng + ?Sized>(
+        &self,
+        arenas: &'s mut Arenas,
+        net: &Network,
+        model: &M,
+        retransmit: Retransmit,
+        epoch: u64,
+        stats: &mut CommStats,
+        rng: &mut R,
+        mut fan: Option<parallel::FanOut<'s>>,
+    ) {
+        let Arenas {
+            tree_inbox,
+            mp_inbox,
+            parked_prev,
+            parked_cur,
+            locals,
+            pools,
+            draws,
+            ..
+        } = arenas;
+        let workers = fan.as_ref().map_or(1, |fan| fan.workers());
+        let mut below = Slabs {
+            first: 0,
+            q: self.set.len(),
+            tree: tree_inbox,
+            mp: mp_inbox,
+            locals,
+        };
+        for &(lv_start, lv_end) in &self.sched.levels {
+            let level = lv_start as usize..lv_end as usize;
+            let sw = phase::stopwatch();
+            draws.draw(
+                self.sched,
+                level.clone(),
+                net,
+                model,
+                retransmit,
+                epoch,
+                rng,
+            );
+            phase::record(Phase::Randomness, sw);
 
-/// Stage every node's local messages for a TAG epoch (slot order; no
-/// RNG draws, shared by the sequential and parallel executors).
-fn stage_tag(sched: &TagSchedule, arenas: &mut Arenas, set: &QuerySet<'_>, q: usize) {
-    arenas.reset_locals(q);
-    for (slot, step) in sched.steps.iter().enumerate() {
-        arenas.stage(set, slot, step.node, q, |query, u| query.local_tree(u));
+            // One per-level-execute sample covers the whole level:
+            // shipping, chunk 0 in place, and the merge barrier.
+            let sw = phase::stopwatch();
+            let len = level.len();
+            let k = workers.min(len);
+            let chunk_len = |c: usize| len / k + usize::from(c < len % k);
+            let mut own = below.take_front(len);
+            let mut chunk0 = own.take_front(chunk_len(0));
+            if k > 1 {
+                pools.ensure(self.n, len, m_senders(&self.sched.steps[level.clone()]));
+            }
+            // Ship chunks 1.. first so workers overlap with chunk 0.
+            for c in 1..k {
+                let chunk = own.take_front(chunk_len(c));
+                let m = m_senders(&self.sched.steps[chunk.first..chunk.first + chunk.len()]);
+                fan.as_mut()
+                    .expect("more than one chunk only with a fan-out")
+                    .ship(c, chunk, m, parked_prev, pools);
+            }
+            let airing = Arc::get_mut(parked_cur).expect("no worker holds the level being run");
+            airing.open(level.start, len);
+            let mut slot = level.start;
+            for _ in 0..chunk0.len() {
+                let sent = self.process(&mut chunk0, slot, parked_prev, pools);
+                self.merge(slot, sent, draws, &mut below, airing, stats, pools);
+                slot += 1;
+            }
+            // Barrier: merge worker chunks in chunk (= step) order.
+            for c in 1..k {
+                let fan = fan.as_mut().expect("shipped through it");
+                for sent in fan.collect(c, pools) {
+                    self.merge(slot, sent, draws, &mut below, airing, stats, pools);
+                    slot += 1;
+                }
+            }
+            // Everyone who could hear the level above has run: its
+            // parked broadcasts go back to the free-lists and the level
+            // just run takes its place.
+            Arc::get_mut(parked_prev)
+                .expect("workers drop their handle before reporting")
+                .recycle_into(pools);
+            std::mem::swap(parked_prev, parked_cur);
+            phase::record(Phase::LevelExecute, sw);
+        }
     }
-}
 
-/// The base-station tail of a TAG epoch (shared by the sequential and
-/// parallel executors).
-fn finish_tag(
-    sched: &TagSchedule,
-    arenas: &mut Arenas,
-    set: &QuerySet<'_>,
-    mut base_children: Vec<TreeEnvelope<Bundle>>,
-) -> SetEpochOutput {
-    let mut contributors = arenas.idset();
-    let mut exact = 0u64;
-    for env in &base_children {
-        exact += env.count;
-        contributors.union(&env.contributors);
-    }
-    let contributing = contributors.len();
-    recycle_idset(&mut arenas.pools, contributors);
-    SetEpochOutput {
-        outputs: evaluate_tree_base(
-            set,
-            &mut base_children,
-            sched.base_height,
-            &mut arenas.pools,
-        ),
-        contributing,
-        contributing_est: exact as f64,
-        max_noncontrib: crate::envelope::ExtremaSet::largest(),
-        min_noncontrib: crate::envelope::ExtremaSet::smallest(),
+    /// The base-station tail of an epoch: evaluate whatever reached the
+    /// base slot.
+    fn finish(&self, arenas: &mut Arenas) -> SetEpochOutput {
+        let (sched, set) = (self.sched, self.set);
+        let base_slot = sched.base_slot();
+        let q = set.len();
+        let Arenas {
+            tree_inbox,
+            mp_inbox,
+            parked_prev,
+            locals,
+            pools,
+            ..
+        } = arenas;
+        let children = &mut tree_inbox[base_slot];
+        let mut contributors = pools.idset(self.n);
+        let parked = Arc::get_mut(parked_prev).expect("the workers have exited");
+        let out = match sched.base_mode {
+            Mode::T => {
+                let mut exact_count = 0u64;
+                for env in children.iter() {
+                    exact_count += env.count;
+                    contributors.union(&env.contributors);
+                }
+                let contributing = contributors.len();
+                recycle_idset(pools, contributors);
+                SetEpochOutput {
+                    outputs: evaluate_tree_base(set, children, sched.base_height, pools),
+                    contributing,
+                    contributing_est: exact_count as f64,
+                    max_noncontrib: crate::envelope::ExtremaSet::largest(),
+                    min_noncontrib: crate::envelope::ExtremaSet::smallest(),
+                }
+            }
+            Mode::M => {
+                let local = take_local(&mut locals[base_slot * q..(base_slot + 1) * q], pools);
+                let count_sketch = pools.sketch();
+                let mut env = build_mp_envelope_set(
+                    set,
+                    BASE_STATION,
+                    contributors,
+                    count_sketch,
+                    sched.base_subtree,
+                    sched.base_switchable_m,
+                    local,
+                    children,
+                    &mut mp_inbox[base_slot],
+                    parked,
+                    pools,
+                );
+                let bundle = env.msg.take().expect("bundle present");
+                let outputs = (0..q)
+                    .map(|i| {
+                        set.query(i)
+                            .evaluate(Vec::new(), bundle[i].as_ref(), sched.base_height)
+                    })
+                    .collect();
+                recycle_bundle(pools, bundle);
+                let MpEnvelope {
+                    contributors,
+                    count_sketch,
+                    max_noncontrib,
+                    min_noncontrib,
+                    ..
+                } = env;
+                let contributing = contributors.len();
+                let contributing_est = count_sketch.estimate();
+                recycle_idset(pools, contributors);
+                recycle_sketch(pools, count_sketch);
+                SetEpochOutput {
+                    outputs,
+                    contributing,
+                    contributing_est,
+                    max_noncontrib,
+                    min_noncontrib,
+                }
+            }
+        };
+        // The innermost level's broadcasts had only the base station to
+        // reach.
+        parked.recycle_into(pools);
+        out
     }
 }
 
@@ -1643,68 +1654,10 @@ pub fn run_tag_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
     EpochPlan::compile_tag(tree).run_set(set, net, model, config, epoch, stats, rng)
 }
 
-fn unwrap_single<O: 'static>(mut out: SetEpochOutput) -> EpochOutput<O> {
-    debug_assert_eq!(out.outputs.len(), 1);
-    let output = *out
-        .outputs
-        .pop()
-        .expect("single-query set has one output")
-        .downcast::<O>()
-        .expect("single-query output type");
-    EpochOutput {
-        output,
-        contributing: out.contributing,
-        contributing_est: out.contributing_est,
-        max_noncontrib: out.max_noncontrib,
-        min_noncontrib: out.min_noncontrib,
-    }
-}
-
-/// Run one Tributary-Delta epoch for a single typed query — a wrapper
-/// over [`run_td_epoch_set`] with a one-entry bundle, so a dedicated run
-/// is bit-identical to the same query inside a larger set.
-#[allow(clippy::too_many_arguments)]
-pub fn run_td_epoch<P: Protocol, M: LossModel, R: rand::Rng + ?Sized>(
-    proto: &P,
-    topo: &TdTopology,
-    net: &Network,
-    model: &M,
-    config: RunnerConfig,
-    epoch: u64,
-    stats: &mut CommStats,
-    rng: &mut R,
-) -> EpochOutput<P::Output> {
-    let mut set = QuerySet::new();
-    set.register(proto);
-    unwrap_single(run_td_epoch_set(
-        &set, topo, net, model, config, epoch, stats, rng,
-    ))
-}
-
-/// Run one pure-TAG epoch for a single typed query (wrapper over
-/// [`run_tag_epoch_set`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_tag_epoch<P: Protocol, M: LossModel, R: rand::Rng + ?Sized>(
-    proto: &P,
-    tree: &Tree,
-    net: &Network,
-    model: &M,
-    config: RunnerConfig,
-    epoch: u64,
-    stats: &mut CommStats,
-    rng: &mut R,
-) -> EpochOutput<P::Output> {
-    let mut set = QuerySet::new();
-    set.register(proto);
-    unwrap_single(run_tag_epoch_set(
-        &set, tree, net, model, config, epoch, stats, rng,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ScalarProtocol;
+    use crate::protocol::{Protocol, ScalarProtocol};
     use td_aggregates::average::Average;
     use td_aggregates::count::Count;
     use td_aggregates::sum::Sum;
@@ -1729,6 +1682,39 @@ mod tests {
         (net.clone(), TdTopology::new(rings, tree, delta_levels))
     }
 
+    /// What one typed query's epoch produced: its answer, downcast out
+    /// of a one-entry set, beside the set's instrumentation.
+    struct Single<O> {
+        output: O,
+        contributing: usize,
+        contributing_est: f64,
+        max_noncontrib: crate::envelope::ExtremaSet,
+    }
+
+    /// Run `proto` alone through one of the set entry points — a
+    /// one-entry bundle, so a dedicated run is bit-identical to the same
+    /// query inside a larger set.
+    fn single<P: Protocol>(
+        proto: &P,
+        run: impl FnOnce(&QuerySet<'_>) -> SetEpochOutput,
+    ) -> Single<P::Output> {
+        let mut set = QuerySet::new();
+        set.register(proto);
+        let mut out = run(&set);
+        assert_eq!(out.outputs.len(), 1);
+        Single {
+            output: *out
+                .outputs
+                .pop()
+                .expect("single-query set has one output")
+                .downcast::<P::Output>()
+                .expect("single-query output type"),
+            contributing: out.contributing,
+            contributing_est: out.contributing_est,
+            max_noncontrib: out.max_noncontrib,
+        }
+    }
+
     #[test]
     fn all_tree_lossless_sum_is_exact() {
         let (net, td) = topo(121, 150, 0);
@@ -1743,16 +1729,18 @@ mod tests {
         let proto = ScalarProtocol::new(Sum::default(), &values);
         let mut stats = CommStats::new(net.len());
         let mut rng = rng_from_seed(122);
-        let out = run_td_epoch(
-            &proto,
-            &td,
-            &net,
-            &NoLoss,
-            RunnerConfig::default(),
-            0,
-            &mut stats,
-            &mut rng,
-        );
+        let out = single(&proto, |set| {
+            run_td_epoch_set(
+                set,
+                &td,
+                &net,
+                &NoLoss,
+                RunnerConfig::default(),
+                0,
+                &mut stats,
+                &mut rng,
+            )
+        });
         assert_eq!(out.output, expect);
         assert_eq!(out.contributing, net.num_sensors());
         assert_eq!(out.contributing_est, net.num_sensors() as f64);
@@ -1767,16 +1755,18 @@ mod tests {
         let proto = ScalarProtocol::new(Sum::default(), &values);
         let mut stats = CommStats::new(net.len());
         let mut rng = rng_from_seed(124);
-        let out = run_td_epoch(
-            &proto,
-            &td,
-            &net,
-            &NoLoss,
-            RunnerConfig::default(),
-            0,
-            &mut stats,
-            &mut rng,
-        );
+        let out = single(&proto, |set| {
+            run_td_epoch_set(
+                set,
+                &td,
+                &net,
+                &NoLoss,
+                RunnerConfig::default(),
+                0,
+                &mut stats,
+                &mut rng,
+            )
+        });
         let rel = (out.output - expect).abs() / expect;
         assert!(rel < 0.4, "sum {} expect {expect}", out.output);
         assert_eq!(out.contributing, net.num_sensors());
@@ -1790,16 +1780,18 @@ mod tests {
             let proto = ScalarProtocol::new(Count::default(), &values);
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(126);
-            let out = run_td_epoch(
-                &proto,
-                &td,
-                &net,
-                &NoLoss,
-                RunnerConfig::default(),
-                0,
-                &mut stats,
-                &mut rng,
-            );
+            let out = single(&proto, |set| {
+                run_td_epoch_set(
+                    set,
+                    &td,
+                    &net,
+                    &NoLoss,
+                    RunnerConfig::default(),
+                    0,
+                    &mut stats,
+                    &mut rng,
+                )
+            });
             assert_eq!(
                 out.contributing,
                 net.num_sensors(),
@@ -1822,27 +1814,31 @@ mod tests {
         let mut stats = CommStats::new(net.len());
         for e in 0..epochs {
             let proto = ScalarProtocol::new(Count::default(), &values);
-            let out = run_td_epoch(
-                &proto,
-                &td,
-                &net,
-                &model,
-                RunnerConfig::default(),
-                e,
-                &mut stats,
-                &mut rng,
-            );
+            let out = single(&proto, |set| {
+                run_td_epoch_set(
+                    set,
+                    &td,
+                    &net,
+                    &model,
+                    RunnerConfig::default(),
+                    e,
+                    &mut stats,
+                    &mut rng,
+                )
+            });
             td_contrib += out.contributing;
-            let out = run_tag_epoch(
-                &proto,
-                td.tree(),
-                &net,
-                &model,
-                RunnerConfig::default(),
-                e,
-                &mut stats,
-                &mut rng,
-            );
+            let out = single(&proto, |set| {
+                run_tag_epoch_set(
+                    set,
+                    td.tree(),
+                    &net,
+                    &model,
+                    RunnerConfig::default(),
+                    e,
+                    &mut stats,
+                    &mut rng,
+                )
+            });
             tag_contrib += out.contributing;
         }
         assert!(
@@ -1858,16 +1854,18 @@ mod tests {
         let proto = ScalarProtocol::new(Count::default(), &values);
         let mut stats = CommStats::new(net.len());
         let mut rng = rng_from_seed(130);
-        let out = run_td_epoch(
-            &proto,
-            &td,
-            &net,
-            &Global::new(0.5),
-            RunnerConfig::default(),
-            0,
-            &mut stats,
-            &mut rng,
-        );
+        let out = single(&proto, |set| {
+            run_td_epoch_set(
+                set,
+                &td,
+                &net,
+                &Global::new(0.5),
+                RunnerConfig::default(),
+                0,
+                &mut stats,
+                &mut rng,
+            )
+        });
         // Under 50% loss some subtree must be missing nodes, and the
         // extrema must have bubbled up (the base station fuses them).
         if let Some(max) = out.max_noncontrib.best() {
@@ -1889,31 +1887,35 @@ mod tests {
             let proto = ScalarProtocol::new(Count::default(), &values);
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(1000 + e);
-            plain += run_tag_epoch(
-                &proto,
-                tree,
-                &net,
-                &model,
-                RunnerConfig::default(),
-                e,
-                &mut stats,
-                &mut rng,
-            )
+            plain += single(&proto, |set| {
+                run_tag_epoch_set(
+                    set,
+                    tree,
+                    &net,
+                    &model,
+                    RunnerConfig::default(),
+                    e,
+                    &mut stats,
+                    &mut rng,
+                )
+            })
             .contributing;
             let mut rng = rng_from_seed(1000 + e);
-            retried += run_tag_epoch(
-                &proto,
-                tree,
-                &net,
-                &model,
-                RunnerConfig {
-                    tree_retransmit: Retransmit { retries: 2 },
-                    ..RunnerConfig::default()
-                },
-                e,
-                &mut stats,
-                &mut rng,
-            )
+            retried += single(&proto, |set| {
+                run_tag_epoch_set(
+                    set,
+                    tree,
+                    &net,
+                    &model,
+                    RunnerConfig {
+                        tree_retransmit: Retransmit { retries: 2 },
+                        ..RunnerConfig::default()
+                    },
+                    e,
+                    &mut stats,
+                    &mut rng,
+                )
+            })
             .contributing;
         }
         assert!(retried > plain, "retransmit {retried} <= plain {plain}");
@@ -1927,16 +1929,18 @@ mod tests {
             let proto = ScalarProtocol::new(Sum::default(), &values);
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(seed);
-            let out = run_td_epoch(
-                &proto,
-                &td,
-                &net,
-                &Global::new(0.2),
-                RunnerConfig::default(),
-                0,
-                &mut stats,
-                &mut rng,
-            );
+            let out = single(&proto, |set| {
+                run_td_epoch_set(
+                    set,
+                    &td,
+                    &net,
+                    &Global::new(0.2),
+                    RunnerConfig::default(),
+                    0,
+                    &mut stats,
+                    &mut rng,
+                )
+            });
             (out.output, out.contributing, stats.total_bytes())
         };
         assert_eq!(run(42), run(42));
@@ -1994,12 +1998,13 @@ mod tests {
         assert_eq!(reused_stats, rebuilt_stats);
     }
 
-    /// The level-parallel executor is bit-identical to sequential on
-    /// any worker count — answers, instrumentation, byte accounting,
-    /// and the caller's RNG stream — for both TD (mixed T/M labeling,
-    /// lossy) and TAG plans. (`parallel_min_nodes: 0` forces the
-    /// parallel path at test scale; the broader scheme × worker matrix
-    /// lives in `tests/e2e_parallel.rs`.)
+    /// The level loop is bit-identical on any chunk count — answers,
+    /// instrumentation, byte accounting, and the caller's RNG stream —
+    /// for both TD (mixed T/M labeling, lossy) and TAG plans, including
+    /// 64 workers, more than any level here has steps (chunk count =
+    /// level length). (`parallel_min_nodes: 0` lets the fan-out engage
+    /// at test scale; the broader scheme × worker matrix lives in
+    /// `tests/e2e_parallel.rs`.)
     #[test]
     fn parallel_is_bit_identical_to_sequential() {
         use rand::Rng;
@@ -2017,6 +2022,10 @@ mod tests {
             } else {
                 EpochPlan::compile_td(&td)
             };
+            assert!(
+                workers < 64 || plan.sched.levels.iter().all(|&(s, e)| e - s < 64),
+                "some level is long enough to use every worker"
+            );
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(77);
             let mut history = Vec::new();
@@ -2037,13 +2046,62 @@ mod tests {
         };
         for tag in [false, true] {
             let sequential = run(1, tag);
-            for workers in [2, 3, 8] {
+            for workers in [2, 3, 8, 64] {
                 assert_eq!(
                     sequential,
                     run(workers, tag),
                     "diverged at {workers} workers"
                 );
             }
+        }
+    }
+
+    /// The law the single step table rests on: TAG is the all-`T`
+    /// table. On a §4.1-restricted tree (depth = ring level, so step
+    /// order and draw order coincide) a TAG plan and a TD plan labelled
+    /// all-`T` over the same tree are the same epoch — answers,
+    /// contributing counts, byte accounting and the caller's RNG
+    /// stream, bit for bit, on one chunk and on two. The TAG base
+    /// station's extra merge-and-finalize step changes nothing a scalar
+    /// aggregate can see.
+    #[test]
+    fn tag_plan_is_the_all_t_td_plan() {
+        use rand::Rng;
+        let (net, td) = topo(151, 200, 2);
+        let all_t = TdTopology::all_tree(td.rings().clone(), td.tree().clone());
+        let values: Vec<u64> = (0..net.len() as u64).map(|i| 1 + i % 60).collect();
+        let model = Global::new(0.1);
+        let run = |mut plan: EpochPlan, workers: usize| {
+            let config = RunnerConfig {
+                workers,
+                parallel_min_nodes: 0,
+                ..RunnerConfig::default()
+            };
+            let mut stats = CommStats::new(net.len());
+            let mut rng = rng_from_seed(78);
+            let mut history = Vec::new();
+            for epoch in 0..6u64 {
+                let sum = ScalarProtocol::new(Sum::default(), &values);
+                let average = ScalarProtocol::new(Average::default(), &values);
+                let mut set = QuerySet::new();
+                set.register(&sum);
+                set.register(&average);
+                let out = plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
+                let answer = |i: usize| out.outputs[i].downcast_ref::<f64>().unwrap().to_bits();
+                history.push((
+                    answer(0),
+                    answer(1),
+                    out.contributing,
+                    out.contributing_est.to_bits(),
+                ));
+            }
+            (history, stats, rng.gen::<u64>())
+        };
+        for workers in [1, 2] {
+            let tag = run(EpochPlan::compile_tag(all_t.tree()), workers);
+            let td = run(EpochPlan::compile_td(&all_t), workers);
+            assert!(tag.0.iter().any(|e| e.2 < net.num_sensors()), "no loss");
+            assert_eq!(tag, td, "TAG and all-T TD diverged at {workers} workers");
         }
     }
 
@@ -2529,44 +2587,50 @@ mod tests {
             let out = match agg {
                 Agg::Count => {
                     let proto = ScalarProtocol::new(Count::default(), &values);
-                    run_td_epoch(
-                        &proto,
-                        &td,
-                        &net,
-                        &model,
-                        RunnerConfig::default(),
-                        0,
-                        &mut stats,
-                        &mut rng,
-                    )
+                    single(&proto, |set| {
+                        run_td_epoch_set(
+                            set,
+                            &td,
+                            &net,
+                            &model,
+                            RunnerConfig::default(),
+                            0,
+                            &mut stats,
+                            &mut rng,
+                        )
+                    })
                     .output
                 }
                 Agg::Sum => {
                     let proto = ScalarProtocol::new(Sum::default(), &values);
-                    run_td_epoch(
-                        &proto,
-                        &td,
-                        &net,
-                        &model,
-                        RunnerConfig::default(),
-                        0,
-                        &mut stats,
-                        &mut rng,
-                    )
+                    single(&proto, |set| {
+                        run_td_epoch_set(
+                            set,
+                            &td,
+                            &net,
+                            &model,
+                            RunnerConfig::default(),
+                            0,
+                            &mut stats,
+                            &mut rng,
+                        )
+                    })
                     .output
                 }
                 Agg::Average => {
                     let proto = ScalarProtocol::new(Average::default(), &values);
-                    run_td_epoch(
-                        &proto,
-                        &td,
-                        &net,
-                        &model,
-                        RunnerConfig::default(),
-                        0,
-                        &mut stats,
-                        &mut rng,
-                    )
+                    single(&proto, |set| {
+                        run_td_epoch_set(
+                            set,
+                            &td,
+                            &net,
+                            &model,
+                            RunnerConfig::default(),
+                            0,
+                            &mut stats,
+                            &mut rng,
+                        )
+                    })
                     .output
                 }
             };

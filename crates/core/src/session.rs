@@ -254,25 +254,29 @@ impl SessionBuilder {
         self
     }
 
-    /// Intra-epoch worker count for the level-parallel executor.
+    /// How many chunks the epoch runner's level loop cuts each schedule
+    /// level into.
     ///
-    /// Each schedule level's senders are split into deterministic
-    /// id-order chunks across this many workers (the calling thread
-    /// plus `workers - 1` scoped threads), with a barrier per level;
-    /// per-shard stats and inbox writes merge back in step order, so
-    /// **every worker count produces bit-identical results** — this
-    /// knob trades wall-clock only. `0` (the default) uses every
-    /// available core; `1` is the exact sequential path. Networks
-    /// smaller than [`parallel_min_nodes`](Self::parallel_min_nodes)
-    /// stay sequential regardless.
+    /// A level's senders are split into deterministic id-order chunks,
+    /// one per worker (the calling thread plus `workers - 1` scoped
+    /// threads), with a barrier per level; loss outcomes are drawn on
+    /// the calling thread and every step's stats and inbox writes merge
+    /// back in step order, so **every value produces bit-identical
+    /// results** — this knob trades wall-clock only. `0` (the default)
+    /// is one chunk per available core; `1` = one chunk, no threads:
+    /// sequential execution is the same loop with nothing to fan out.
+    /// Networks smaller than
+    /// [`parallel_min_nodes`](Self::parallel_min_nodes) run one chunk
+    /// regardless.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.runner.workers = workers;
         self
     }
 
-    /// Node-count floor below which epochs run sequentially even with
-    /// `workers > 1` (default 512 — below that the per-level fan-out
-    /// costs more than it saves, and the result is identical anyway).
+    /// Node-count floor below which every level runs as one chunk, no
+    /// threads, even with `workers > 1` (default 512 — below that the
+    /// per-level fan-out costs more than it saves, and the result is
+    /// identical anyway).
     pub fn parallel_min_nodes(mut self, min_nodes: usize) -> Self {
         self.config.runner.parallel_min_nodes = min_nodes;
         self

@@ -1,8 +1,9 @@
 //! Epoch-lifecycle phase profiling.
 //!
 //! The epoch runner's time goes to seven places: plan **compile**,
-//! incremental **patch**, **precompute-randomness** (the sequential
-//! RNG draw pass that makes parallel execution bit-identical),
+//! incremental **patch**, **precompute-randomness** (each level's loss
+//! draws, taken on the calling thread in step order before the level
+//! runs, which is what makes any chunk count bit-identical),
 //! **per-level execute**, **merge** (base-station fold), the stream
 //! layer's **window fold**, and the service layer's **outbox drain**.
 //! Each hook wraps its phase in a [`stopwatch`]/[`record`] pair; the
@@ -21,9 +22,9 @@ pub enum Phase {
     Compile,
     /// Incremental plan patch after topology churn.
     Patch,
-    /// Sequential pre-draw of per-node randomness for parallel runs.
+    /// Pre-draw of one level's loss outcomes, on every run.
     Randomness,
-    /// Executing one ring level's sends (sequential or sharded).
+    /// Executing one level's sends (one chunk or many).
     LevelExecute,
     /// Base-station fold and final evaluation.
     Merge,

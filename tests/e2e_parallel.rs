@@ -1,9 +1,11 @@
 //! End-to-end pins for intra-epoch level-parallel execution:
 //!
 //! (a) **bit-identity** — for every scheme (TAG, SD, TD, TD-Coarse),
-//!     running the same session at 1, 2, and 8 intra-epoch workers
-//!     (with the small-network floor disabled so the parallel executor
-//!     actually engages) produces bit-identical per-epoch answers,
+//!     running the same session at 1, 2, 8 and 64 intra-epoch workers
+//!     (with the small-network floor disabled so the fan-out actually
+//!     engages; 64 is more senders than the levels of networks this
+//!     small have, so a level is cut into as many chunks as it has
+//!     steps) produces bit-identical per-epoch answers,
 //!     instrumentation, adaptation trajectory, communication
 //!     accounting, and — because comm randomness is drawn on the
 //!     calling thread in sequential order — an identical RNG stream
@@ -153,8 +155,8 @@ fn wait_drained(handle: &TenantHandle, target: u64) -> Vec<Fingerprint> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// (a) every scheme × workers {1, 2, 8}: answers, stats, and the
-    /// RNG stream are bit-identical, adaptation relabels included.
+    /// (a) every scheme × workers {1, 2, 8, 64}: answers, stats, and
+    /// the RNG stream are bit-identical, adaptation relabels included.
     #[test]
     fn every_scheme_is_bit_identical_across_worker_counts(
         seed in 0u64..1_000,
@@ -166,7 +168,7 @@ proptest! {
         let loss = loss_pct as f64 / 100.0;
         for scheme in Scheme::all() {
             let baseline = history(scheme, &net, &values, loss, 1, 90 + seed);
-            for workers in [2usize, 8] {
+            for workers in [2usize, 8, 64] {
                 let parallel = history(scheme, &net, &values, loss, workers, 90 + seed);
                 prop_assert_eq!(
                     &baseline, &parallel,

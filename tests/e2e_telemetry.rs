@@ -192,6 +192,44 @@ fn fixed_seed_digest_matches_across_builds() {
     );
 }
 
+/// The randomness phase is a signal on every path, not only with a
+/// fan-out: a session pinned to one chunk (`workers(1)`) still records
+/// one pre-draw sample per level per epoch. (Other tests of this file
+/// record into the same process-global histogram, so the count is
+/// compared before and after rather than against an exact figure.)
+#[test]
+fn randomness_phase_populates_on_one_chunk() {
+    use td_suite::telemetry::phase::Phase;
+    let samples = || {
+        td_suite::telemetry::global()
+            .snapshot()
+            .histogram(Phase::Randomness.metric_name())
+            .map_or(0, |h| h.count())
+    };
+    let net = build_net(77_701, 60);
+    let values: Vec<u64> = vec![1; net.len()];
+    let epochs = 5u64;
+    for scheme in [Scheme::Tag, Scheme::Td] {
+        let mut rng = rng_from_seed(4243);
+        let mut session = SessionBuilder::new(scheme).workers(1).build(&net, &mut rng);
+        let before = samples();
+        for epoch in 0..epochs {
+            let proto = ScalarProtocol::new(Sum::default(), &values);
+            session.run_epoch(&proto, &Global::new(0.1), epoch, &mut rng);
+        }
+        let recorded = samples() - before;
+        if td_suite::telemetry::compiled() {
+            assert!(
+                recorded >= epochs,
+                "{}: {recorded} randomness samples in {epochs} epochs at workers(1)",
+                scheme.name()
+            );
+        } else {
+            assert_eq!(recorded, 0, "telemetry is compiled out");
+        }
+    }
+}
+
 /// Stamped from the digest printed by a default-features run; see
 /// [`fixed_seed_digest_matches_across_builds`]. Last re-stamped with
 /// the incremental window accumulators: window *answers* stayed
