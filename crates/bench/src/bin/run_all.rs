@@ -14,17 +14,6 @@ fn main() {
         "Running the full evaluation at sensors={}, epochs={}, runs={} (TD_SCALE to change)",
         scale.sensors, scale.epochs, scale.runs
     );
-    if let Some(w) = scale.workers {
-        println!(
-            "TD_WORKERS={w}: every session runs its epochs with {} \
-             (results are bit-identical on any worker count)",
-            match w {
-                0 => "all available cores".to_string(),
-                1 => "the sequential executor".to_string(),
-                n => format!("{n} intra-epoch workers"),
-            }
-        );
-    }
 
     let t = tab02::table();
     t.print();

@@ -14,7 +14,7 @@
 //! `"telemetry_compiled": false`, with no phase histograms — proving
 //! the export path itself needs no feature gates.
 
-use td_bench::json::write_results_text;
+use td_bench::report::write_results_text;
 use td_netsim::churn::ChurnSchedule;
 use td_netsim::loss::Global;
 use td_netsim::rng::rng_from_seed;

@@ -44,7 +44,7 @@ pub fn signal_ablation(scale: Scale, seed: u64) -> Table {
             builder = builder.in_band_signal();
         }
         let mut rng = substream(seed, 0xAB1);
-        let mut driver = Driver::new(scale.configure(builder).build(&net, &mut rng), scale.warmup);
+        let mut driver = Driver::new(builder.build(&net, &mut rng), scale.warmup);
         let result = driver.run_scalar(
             &td_aggregates::count::Count::default(),
             &Synthetic::count_workload(&net),
@@ -119,9 +119,7 @@ pub fn damping_ablation(scale: Scale, seed: u64) -> Table {
             cfg.adapter.damping_after = u32::MAX; // never engages
         }
         let mut rng = substream(seed, 0xAB4);
-        let session = scale
-            .configure(SessionBuilder::from_config(cfg))
-            .build(&net, &mut rng);
+        let session = SessionBuilder::from_config(cfg).build(&net, &mut rng);
         let mut driver = Driver::new(session, scale.warmup);
         let result = driver.run_scalar(
             &td_aggregates::count::Count::default(),
@@ -160,7 +158,6 @@ mod tests {
                 warmup: 0,
                 sensors: 150,
                 items_per_node: 100,
-                workers: None,
             },
             13,
         );

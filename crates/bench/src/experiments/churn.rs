@@ -99,9 +99,7 @@ fn one_cell(scheme: Scheme, burst_len: f64, churn_rate: f64, scale: Scale, seed:
     };
 
     let mut topo_rng = td_netsim::rng::substream(seed, 0xA0 + scheme.index());
-    let session = scale
-        .configure(SessionBuilder::new(scheme))
-        .build(&net, &mut topo_rng);
+    let session = SessionBuilder::new(scheme).build(&net, &mut topo_rng);
     let mut stream = StreamSession::new(Driver::new(session, scale.warmup));
     let handle = stream.register(
         StreamQuery::scalar(td_aggregates::sum::Sum::default())
@@ -202,7 +200,6 @@ mod tests {
             warmup: 10,
             sensors: 120,
             items_per_node: 0,
-            workers: None,
         };
         let rows = run_grid(&[1.0, 8.0], &[0.0, 0.01], scale, 0xC4A2);
         assert_eq!(rows.len(), Scheme::all().len() * 4);

@@ -48,9 +48,7 @@ fn converge(
 ) -> Vec<(f64, f64)> {
     let model = td_netsim::loss::Regional::new(region, p1, p2);
     let mut rng = substream(seed, 0xF04);
-    let session = scale
-        .configure(SessionBuilder::new(scheme))
-        .build(net, &mut rng);
+    let session = SessionBuilder::new(scheme).build(net, &mut rng);
     let mut driver = Driver::new(session, scale.warmup);
     driver.run_scalar(
         &td_aggregates::count::Count::default(),
@@ -199,7 +197,6 @@ mod tests {
             warmup: 120,
             sensors: 250,
             items_per_node: 0,
-            workers: None,
         };
         let snaps = run(scale, 31);
         let td_03 = snaps

@@ -46,9 +46,7 @@ pub fn run(scale: Scale, seed: u64) -> TimelineResult {
         // Scheme substreams are derived from the experiment seed (not the
         // pool stream) so the series match a sequential regeneration.
         let mut rng = substream(seed, 0xF06 + 0x100 * scheme.index());
-        let session = scale
-            .configure(SessionBuilder::new(scheme))
-            .build(&net, &mut rng);
+        let session = SessionBuilder::new(scheme).build(&net, &mut rng);
         // The timeline is the experiment: every epoch is plotted, so the
         // driver runs with zero warmup.
         let mut driver = Driver::new(session, 0);

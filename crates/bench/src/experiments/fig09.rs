@@ -153,8 +153,8 @@ fn td_rates_with<M: td_netsim::loss::LossModel>(
     let (mut fn_sum, mut fp_sum) = (0.0, 0.0);
     for run in 0..scale.runs {
         let mut rng = substream(seed, 0x7D0 + run);
-        let session = scale
-            .configure(SessionBuilder::new(Scheme::Td).tree_retransmit(retries))
+        let session = SessionBuilder::new(Scheme::Td)
+            .tree_retransmit(retries)
             .build(net, &mut rng);
         // Split ε between the tree and multi-path parts (§6.3).
         let d = session
@@ -279,7 +279,6 @@ mod tests {
             warmup: 10,
             sensors: 0,
             items_per_node: 150,
-            workers: None,
         };
         let fx = fixture(scale, 3);
         assert!(!fx.truth.is_empty(), "workload has no frequent items");
@@ -297,7 +296,6 @@ mod tests {
             warmup: 10,
             sensors: 0,
             items_per_node: 120,
-            workers: None,
         };
         let fx = fixture(scale, 5);
         let (fn_tag, _) = tag_rates(&fx, 0.7, 0, 2, 5);

@@ -98,9 +98,7 @@ fn cell(scheme: Scheme, p: f64, scale: Scale, seed: u64) -> (f64, f64) {
     let (mut fn_sum, mut fp_sum, mut scored) = (0.0, 0.0, 0u64);
     for run in 0..scale.runs {
         let mut rng = substream(seed, 0x9D0 + run * 8 + scheme.index());
-        let session = scale
-            .configure(SessionBuilder::new(scheme))
-            .build(&net, &mut rng);
+        let session = SessionBuilder::new(scheme).build(&net, &mut rng);
         // Warm-up 0: report epochs index the bag table directly.
         let mut stream = StreamSession::new(Driver::new(session, 0));
         let query = StreamQuery::new(FreqStreamQuery::new(
@@ -172,7 +170,6 @@ mod tests {
             warmup: 0,
             sensors: 80,
             items_per_node: 0,
-            workers: None,
         };
         let (fn_tag, fp_tag) = cell(Scheme::Tag, 0.0, scale, 7);
         assert_eq!(fn_tag, 0.0, "lossless windowed TAG missed frequent items");

@@ -107,9 +107,7 @@ where
     let (mut bytes, mut eps_sum, mut err_sum, mut pop_sum) = (0.0, 0.0, 0.0, 0.0);
     for run in 0..scale.runs {
         let mut rng = substream(seed, 0x0D1 + run);
-        let session = scale
-            .configure(SessionBuilder::new(scheme))
-            .build(net, &mut rng);
+        let session = SessionBuilder::new(scheme).build(net, &mut rng);
         let mut driver = Driver::new(session, 0);
         let out = driver
             .run_protocol(
@@ -339,7 +337,6 @@ mod tests {
             warmup: 0,
             sensors: 150,
             items_per_node: 0,
-            workers: None,
         }
     }
 

@@ -37,9 +37,7 @@ pub fn run(scale: Scale, seed: u64) -> LabSumResult {
         .collect();
     let measured = TrialPool::new().map(seed, &cells, |_, &(scheme, run), _pool_rng| {
         let mut rng = substream(seed, 0x1ab5 + run * 131 + scheme.index() * 104_729);
-        let session = scale
-            .configure(SessionBuilder::new(scheme))
-            .build(net, &mut rng);
+        let session = SessionBuilder::new(scheme).build(net, &mut rng);
         let mut driver = Driver::new(session, scale.warmup);
         let result = driver.run_scalar(
             &td_aggregates::sum::Sum::default(),
@@ -102,7 +100,6 @@ mod tests {
             warmup: 60,
             sensors: 0,
             items_per_node: 0,
-            workers: None,
         };
         let res = run(scale, 21);
         // TAG much worse than SD; TD no worse than SD (small slack for a
@@ -148,7 +145,6 @@ mod calibration {
             warmup: 160,
             sensors: 0,
             items_per_node: 0,
-            workers: None,
         };
         let lab = LabData::new(21);
         let base_positions = td_workloads::labdata::mote_positions();
@@ -194,9 +190,7 @@ mod calibration {
                     let mut total = 0.0;
                     for run in 0..scale.runs {
                         let mut rng = substream(99, 0xCA1 + run * 7 + scheme.index() * 104_729);
-                        let session = scale
-                            .configure(SessionBuilder::new(scheme))
-                            .build(net, &mut rng);
+                        let session = SessionBuilder::new(scheme).build(net, &mut rng);
                         let mut driver = Driver::new(session, scale.warmup);
                         let mut pct_acc = 0.0;
                         let mut est = Vec::new();

@@ -60,9 +60,7 @@ fn rms_one<M: LossModel>(
     for run in 0..scale.runs {
         let net = Synthetic::sized(scale.sensors).build(seed ^ (run + 1));
         let mut topo_rng = substream(seed, 0xA0 + run);
-        let session = scale
-            .configure(SessionBuilder::new(scheme))
-            .build(&net, &mut topo_rng);
+        let session = SessionBuilder::new(scheme).build(&net, &mut topo_rng);
         let mut driver = Driver::new(session, scale.warmup);
         let mut rng = substream(seed, 0xB0 + run);
         let result = match agg {
@@ -189,7 +187,6 @@ mod tests {
             warmup: 60,
             sensors: 150,
             items_per_node: 0,
-            workers: None,
         };
         let points = sweep(
             SweepAggregate::Sum,

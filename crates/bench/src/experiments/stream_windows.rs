@@ -54,9 +54,7 @@ fn one_scheme(scheme: Scheme, windows: &[(u32, u32)], scale: Scale, seed: u64) -
     let model = Global::new(0.2);
 
     let mut topo_rng = substream(seed, 0xA0 + scheme.index());
-    let session = scale
-        .configure(SessionBuilder::new(scheme))
-        .build(&net, &mut topo_rng);
+    let session = SessionBuilder::new(scheme).build(&net, &mut topo_rng);
     let mut stream = StreamSession::new(Driver::new(session, scale.warmup));
     // Every window config rides ONE query's pane series — the sweep
     // exercises the sharing it measures: one simulation per scheme,
@@ -169,7 +167,6 @@ mod tests {
             warmup: 10,
             sensors: 120,
             items_per_node: 0,
-            workers: None,
         };
         let rows = run_windows(&[(1, 1), (8, 1)], scale, 4242);
         assert_eq!(rows.len(), Scheme::all().len() * 2);

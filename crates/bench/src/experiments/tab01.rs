@@ -49,9 +49,7 @@ fn count_metrics(scheme: Scheme, p: f64, scale: Scale, seed: u64) -> (f64, f64, 
     let net = Synthetic::sized(scale.sensors).build(seed);
     let model = Global::new(p);
     let mut rng = substream(seed, 0x7AB1);
-    let session = scale
-        .configure(SessionBuilder::new(scheme))
-        .build(&net, &mut rng);
+    let session = SessionBuilder::new(scheme).build(&net, &mut rng);
     let mut driver = Driver::new(session, scale.warmup);
     let result = driver.run_scalar(
         &td_aggregates::count::Count::default(),
@@ -196,7 +194,6 @@ mod tests {
             warmup: 60,
             sensors: 150,
             items_per_node: 100,
-            workers: None,
         };
         let rows = run(scale, 17);
         let get = |n: &str| rows.iter().find(|r| r.scheme == n).unwrap().clone();

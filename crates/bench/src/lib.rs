@@ -1,10 +1,11 @@
 //! # td-bench — regenerators for every table and figure in §7
 //!
 //! Each experiment lives in [`experiments`] as a plain function taking a
-//! [`Scale`], so the same code runs at paper scale (the `src/bin`
-//! binaries) and at smoke scale (the Criterion-adjacent `benches/`
-//! targets executed by `cargo bench`). Results are printed as aligned
-//! tables and written as CSV under `results/`.
+//! [`Scale`], so the same code runs at paper scale and at smoke scale
+//! (`TD_SCALE=smoke`). The `src/bin` binaries print each result as an
+//! aligned table and write it as CSV under `results/`; `run_all` runs
+//! them all. Performance is measured by the standalone harness under
+//! `benchmark/`, not here.
 //!
 //! | Regenerator | Paper artifact |
 //! |---|---|
@@ -18,16 +19,17 @@
 //! | `tab01_comparison` | Table 1 (quantitative backing) |
 //! | `tab02_domination` | Table 2 (example 2-dominating tree) |
 //! | `labdata_sum` | §7.3's LabData RMS numbers |
-//! | `ablation_signal` | exact vs in-band adaptation signal (extension) |
+//! | `ablations` | exact vs in-band signal, tree construction, damping (extension) |
+//! | `fig09d_freq_windowed` | windowed false negatives beside Figure 9 (extension) |
+//! | `fig_quantiles` | quantile rank error vs bytes (extension) |
+//! | `stream_windows` | windowed-Sum RMS vs window length and hop (extension) |
+//! | `bench_churn` | burst loss × node churn sweep (extension) |
+//! | `telemetry_snapshot` | telemetry smoke and exporter (not a paper artifact) |
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod gate;
-pub mod json;
 pub mod report;
-
-use tributary_delta::session::SessionBuilder;
 
 /// How big to run an experiment.
 #[derive(Clone, Copy, Debug)]
@@ -43,12 +45,6 @@ pub struct Scale {
     pub sensors: usize,
     /// Items per node in frequent-items workloads.
     pub items_per_node: usize,
-    /// Intra-epoch worker-count override for every session the
-    /// experiments build (`None` = leave the session default: all
-    /// cores, sequential below the small-network floor). Filled from
-    /// `TD_WORKERS` by [`Scale::from_env_or`]; bit-identical results on
-    /// any value.
-    pub workers: Option<usize>,
 }
 
 impl Scale {
@@ -61,11 +57,10 @@ impl Scale {
             warmup: 100,
             sensors: 600,
             items_per_node: 500,
-            workers: None,
         }
     }
 
-    /// A fast configuration for `cargo bench` smoke regeneration.
+    /// A fast configuration for smoke regeneration in CI.
     pub fn smoke() -> Self {
         Scale {
             runs: 1,
@@ -73,7 +68,6 @@ impl Scale {
             warmup: 40,
             sensors: 150,
             items_per_node: 120,
-            workers: None,
         }
     }
 
@@ -85,26 +79,13 @@ impl Scale {
     /// numbers as if they were full-scale), so it is reported on stderr
     /// before falling back.
     pub fn from_env_or(default: Scale) -> Scale {
-        let mut scale = Scale::from_setting(std::env::var("TD_SCALE").ok().as_deref(), default);
-        scale.workers = workers_from_env().or(scale.workers);
-        scale
+        Scale::from_setting(std::env::var("TD_SCALE").ok().as_deref(), default)
     }
 
     /// [`Scale::from_env_or`] with the setting passed in (`None` = the
     /// variable is unset) — the pure core, separated so it can be tested
     /// without mutating process environment (a data race under the
     /// parallel test harness).
-    /// Apply this scale's worker override (if any) to a session under
-    /// construction. Experiments route every [`SessionBuilder`] through
-    /// this so the one `TD_WORKERS` knob reaches all of them; with no
-    /// override the builder passes through untouched.
-    pub fn configure(&self, builder: SessionBuilder) -> SessionBuilder {
-        match self.workers {
-            Some(w) => builder.workers(w),
-            None => builder,
-        }
-    }
-
     fn from_setting(setting: Option<&str>, default: Scale) -> Scale {
         match setting {
             Some("smoke") => Scale::smoke(),
@@ -118,34 +99,6 @@ impl Scale {
                 default
             }
             None => default,
-        }
-    }
-}
-
-/// Intra-epoch worker count selected by the `TD_WORKERS` environment
-/// variable, for benches and `run_all`: `Some(n)` to pass to
-/// `SessionBuilder::workers` (`0` = all cores, `1` = sequential),
-/// `None` when unset — callers then leave the session default alone.
-/// Results are bit-identical on any value, so this only shapes
-/// wall-clock and the machine's load.
-pub fn workers_from_env() -> Option<usize> {
-    workers_from_setting(std::env::var("TD_WORKERS").ok().as_deref())
-}
-
-/// [`workers_from_env`] with the setting passed in (`None` = unset) —
-/// the pure core, separated for the same env-race-free testability as
-/// [`Scale::from_setting`]. An unparsable value warns on stderr and
-/// falls back to unset, mirroring `TD_SCALE`.
-fn workers_from_setting(setting: Option<&str>) -> Option<usize> {
-    let raw = setting?;
-    match raw.parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!(
-                "warning: unrecognized TD_WORKERS={raw:?} (expected a worker count; \
-                 0 = all cores, 1 = sequential); leaving the default worker count"
-            );
-            None
         }
     }
 }
@@ -180,15 +133,5 @@ mod tests {
             Scale::paper().sensors
         );
         assert_eq!(Scale::from_setting(None, default).sensors, default.sensors);
-    }
-
-    #[test]
-    fn workers_setting_parses_and_survives_typos() {
-        assert_eq!(workers_from_setting(Some("8")), Some(8));
-        assert_eq!(workers_from_setting(Some("0")), Some(0));
-        // Garbage warns on stderr and leaves the default in place.
-        assert_eq!(workers_from_setting(Some("all")), None);
-        assert_eq!(workers_from_setting(Some("-2")), None);
-        assert_eq!(workers_from_setting(None), None);
     }
 }

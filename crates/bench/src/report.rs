@@ -1,4 +1,5 @@
-//! Table printing and CSV output for the experiment regenerators.
+//! Table printing, CSV output, and the `results/` file writer for the
+//! experiment regenerators.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -97,6 +98,28 @@ impl Table {
                 eprintln!("warning: could not write {}: {e}", path.display());
                 None
             }
+        }
+    }
+}
+
+/// Write `text` to `results/<name>`, creating the directory if needed,
+/// and report the outcome on stdout/stderr. Errors are non-fatal (the
+/// numbers were already printed); returns the path on success.
+pub fn write_results_text(name: &str, text: &str) -> Option<PathBuf> {
+    let path = results_dir().join(name);
+    let write = || -> std::io::Result<()> {
+        std::fs::create_dir_all(path.parent().expect("has parent"))?;
+        let mut f = std::fs::File::create(&path)?;
+        f.write_all(text.as_bytes())
+    };
+    match write() {
+        Ok(()) => {
+            println!("wrote {}", path.display());
+            Some(path)
+        }
+        Err(e) => {
+            eprintln!("warning: could not write {}: {e}", path.display());
+            None
         }
     }
 }

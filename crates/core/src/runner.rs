@@ -42,12 +42,10 @@
 //! vertices' unicast parents and re-derives heights/subtree sizes along
 //! the switch endpoints' ancestor chains (O(|delta| · depth)). The
 //! session falls back to a full [`EpochPlan::compile_td`] only when the
-//! changed-vertex set exceeds the configured `patch_relabel_fraction`
-//! of the network (default 25%), or when the topology's bounded delta
-//! log no longer reaches back to the plan's version — e.g. after the
-//! topology object itself was rebuilt around a wholesale
-//! `maintain_tree` round. A TAG plan has no labeling and no version:
-//! it is never patched.
+//! topology's bounded delta log no longer reaches back to the plan's
+//! version — e.g. after the topology object itself was rebuilt around
+//! a wholesale `maintain_tree` round. A TAG plan has no labeling and no
+//! version: it is never patched.
 //!
 //! ## One step body, one level loop
 //!

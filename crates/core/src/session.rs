@@ -21,11 +21,10 @@
 //! does **not** recompile: the cached plan is patched in place from the
 //! topology's recorded deltas ([`EpochPlan::patch`]) — O(|delta|) work
 //! against O(network) for a compile, with every arena reused — falling
-//! back to a full recompile only past the
-//! [`SessionConfig::patch_relabel_fraction`] threshold (default 25% of
-//! the network) or when the delta log no longer covers the gap. All
-//! three paths (reuse, patch, recompile) are bit-identical by
-//! construction; [`Session::plan_stats`] counts how often each ran.
+//! back to a full recompile only when the topology's bounded delta log
+//! no longer covers the gap. All three paths (reuse, patch, recompile)
+//! are bit-identical by construction; [`Session::plan_stats`] counts
+//! how often each ran.
 //!
 //! The four schemes of §7:
 //!
@@ -114,13 +113,6 @@ pub struct SessionConfig {
     /// Whether the TAG tree may pick same-level parents (§6.1.3 notes the
     /// standard algorithm allows it; hurts the domination factor).
     pub tag_allow_same_level: bool,
-    /// Patch-vs-recompile threshold for the cached epoch plan: when
-    /// adaptation relabels at most this fraction of the network since
-    /// the plan's version, the plan is patched in place
-    /// ([`EpochPlan::patch`]); past it — or when the topology's delta
-    /// log no longer covers the gap — the plan is recompiled. 0 forces
-    /// recompilation always (the patch-ablation escape hatch).
-    pub patch_relabel_fraction: f64,
 }
 
 impl SessionConfig {
@@ -145,7 +137,6 @@ impl SessionConfig {
             initial_delta_levels: 1,
             use_exact_contrib_signal: true,
             tag_allow_same_level: false,
-            patch_relabel_fraction: 0.25,
         }
     }
 }
@@ -159,8 +150,8 @@ impl SessionConfig {
 /// strategies that *should* differ here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Full compilations (initial build, fallback past the patch
-    /// threshold, delta log exhausted, or [`Session::clear_cached_plan`]).
+    /// Full compilations (initial build, delta log exhausted, or
+    /// [`Session::clear_cached_plan`]).
     pub compiles: u64,
     /// In-place patches after adaptation relabeled the topology.
     pub patches: u64,
@@ -246,14 +237,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Max fraction of the network adaptation may relabel before the
-    /// cached plan is recompiled instead of patched (0 = always
-    /// recompile; paper-default 0.25).
-    pub fn patch_relabel_fraction(mut self, fraction: f64) -> Self {
-        self.config.patch_relabel_fraction = fraction;
-        self
-    }
-
     /// How many chunks the epoch runner's level loop cuts each schedule
     /// level into.
     ///
@@ -316,9 +299,8 @@ pub struct Session {
     /// epochs run schedule-recomputation-free and reuse the plan's
     /// inbox/bundle arenas; when adaptation relabels the topology the
     /// plan is **patched in place** from the topology's delta log
-    /// (arenas untouched), recompiling only when the relabel set
-    /// exceeds [`SessionConfig::patch_relabel_fraction`] or the log no
-    /// longer covers the gap.
+    /// (arenas untouched), recompiling only when the log no longer
+    /// covers the gap.
     plan: Option<EpochPlan>,
     /// Compile/patch counters for the cached plan.
     plan_stats: PlanCacheStats,
@@ -644,20 +626,19 @@ impl Session {
                 // Reuse the cached plan while the labeling holds still.
                 // After adaptation bumped the version, patch the plan in
                 // place from the topology's delta log (O(|delta|), all
-                // arenas reused); recompile only when the relabel set is
-                // too large or the log no longer covers the gap.
+                // arenas reused); recompile only when the log no longer
+                // covers the gap: the relabel budget is the whole
+                // network, which no delta can exceed.
                 let stale = self
                     .plan
                     .as_ref()
                     .is_none_or(|p| p.compiled_version() != Some(topo.version()));
                 if stale {
-                    let max_relabels =
-                        (topo.len() as f64 * self.config.patch_relabel_fraction).floor() as usize;
                     let sw = phase::stopwatch();
                     let patched = self
                         .plan
                         .as_mut()
-                        .and_then(|plan| plan.patch(topo, max_relabels));
+                        .and_then(|plan| plan.patch(topo, topo.len()));
                     match patched {
                         Some(relabels) => {
                             phase::record(Phase::Patch, sw);
@@ -1008,18 +989,44 @@ mod tests {
         assert!(session.stats().nodes_left() > 0);
     }
 
+    /// Bump the topology's version past its bounded delta log without
+    /// changing it: one switchable vertex toggled back and forth 40
+    /// times (80 deltas). The labeling ends where it started, but the
+    /// cached plan's version is no longer covered, so the next epoch
+    /// must take the one fallback left — a full compile.
+    fn exhaust_delta_log(session: &mut Session) {
+        let SessionKind::Td { topo, .. } = &mut session.kind else {
+            return;
+        };
+        if let Some(u) = topo.switchable_t_nodes().first().copied() {
+            for _ in 0..40 {
+                topo.switch_to_m(u).unwrap();
+                topo.switch_to_t(u).unwrap();
+            }
+        } else {
+            let u = topo.switchable_m_nodes()[0];
+            for _ in 0..40 {
+                topo.switch_to_t(u).unwrap();
+                topo.switch_to_m(u).unwrap();
+            }
+        }
+    }
+
     /// Plan caching across an adapting run is invisible: a session that
-    /// recompiles its plan every epoch produces bit-identical answers,
-    /// adaptation trajectory, and accounting to one reusing the cache
-    /// (which invalidates only on topology version bumps).
+    /// recompiles its plan every epoch, and one whose delta log is
+    /// exhausted mid-run (forcing the compile fallback), produce
+    /// bit-identical answers, adaptation trajectory, and accounting to
+    /// one reusing the cache (which invalidates only on topology
+    /// version bumps).
     #[test]
     fn cached_plan_matches_forced_rebuild_across_adaptation() {
         let net = net(165, 300);
         let values: Vec<u64> = (0..net.len() as u64).map(|i| 1 + i % 30).collect();
         let model = Global::new(0.3);
         let epochs = 60u64;
+        let exhaust_at = 30u64;
         for scheme in Scheme::all() {
-            let run = |rebuild_every_epoch: bool| {
+            let run = |rebuild_every_epoch: bool, exhaust_log: bool| {
                 let mut rng = rng_from_seed(166);
                 let mut session = Session::with_paper_defaults(scheme, &net, &mut rng);
                 let mut outs = Vec::new();
@@ -1027,14 +1034,18 @@ mod tests {
                     if rebuild_every_epoch {
                         session.clear_cached_plan();
                     }
+                    if exhaust_log && epoch == exhaust_at {
+                        exhaust_delta_log(&mut session);
+                    }
                     let proto = ScalarProtocol::new(Sum::default(), &values);
                     let rec = session.run_epoch(&proto, &model, epoch, &mut rng);
                     outs.push((rec.output, rec.contributing, rec.delta_size));
                 }
-                (outs, session.stats().clone())
+                (outs, session.stats().clone(), session.plan_stats())
             };
-            let (cached, cached_stats) = run(false);
-            let (rebuilt, rebuilt_stats) = run(true);
+            let (cached, cached_stats, cached_plan) = run(false, false);
+            let (rebuilt, rebuilt_stats, _) = run(true, false);
+            let (exhausted, exhausted_stats, exhausted_plan) = run(false, true);
             assert_eq!(cached, rebuilt, "{} diverged", scheme.name());
             assert_eq!(
                 cached_stats,
@@ -1042,6 +1053,16 @@ mod tests {
                 "{} stats diverged",
                 scheme.name()
             );
+            assert_eq!(cached, exhausted, "{} diverged", scheme.name());
+            assert_eq!(cached_stats, exhausted_stats);
+            if scheme != Scheme::Tag {
+                assert_eq!(
+                    exhausted_plan.compiles,
+                    cached_plan.compiles + 1,
+                    "{}: an exhausted delta log did not recompile: {exhausted_plan:?}",
+                    scheme.name()
+                );
+            }
         }
     }
 

@@ -290,7 +290,7 @@ impl StreamSession {
     /// Select how windows maintain their answers —
     /// [`FoldMode::Refold`] re-folds every emission from the pane
     /// buffer (the pre-incremental engine, kept as the bit-for-bit
-    /// reference and bench baseline). Both modes produce identical
+    /// reference). Both modes produce identical
     /// reports on every field; only the work profile differs.
     ///
     /// # Panics
@@ -434,6 +434,16 @@ impl StreamSession {
     /// [`Session::apply_churn`]: tributary_delta::session::Session::apply_churn
     pub fn inject_churn(&mut self, events: &ChurnEvents) {
         self.driver.session_mut().apply_churn(events);
+    }
+
+    /// Drop the underlying session's cached epoch plan
+    /// ([`Session::clear_cached_plan`]) so the next epoch recompiles it.
+    /// Reports are unaffected; this is the per-epoch-rebuild reference
+    /// the patched plan is pinned against.
+    ///
+    /// [`Session::clear_cached_plan`]: tributary_delta::session::Session::clear_cached_plan
+    pub fn clear_cached_plan(&mut self) {
+        self.driver.session_mut().clear_cached_plan();
     }
 
     /// Override the underlying session's intra-epoch worker count

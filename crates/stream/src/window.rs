@@ -543,8 +543,8 @@ pub enum FoldMode {
     Incremental,
     /// Re-fold every emission from the window's pane buffer — the old
     /// engine's O(len)-per-hop behavior, kept as the bit-for-bit
-    /// reference the equality proptests and the hop-throughput bench
-    /// compare against. Landmark windows always run their running
+    /// reference the equality proptests and the hop-cost pin compare
+    /// against. Landmark windows always run their running
     /// accumulator (a from-scratch landmark fold would be O(stream)
     /// and *is* the running fold).
     Refold,
@@ -603,7 +603,7 @@ pub struct WindowAnswer {
 }
 
 /// Work counters an absorb pass accumulates, so callers (the stream
-/// session, the hop bench) can account merges and certificate-failure
+/// session, the hop-cost pin) can account merges and certificate-failure
 /// refolds without the accumulator owning global stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccumCounters {
@@ -1655,62 +1655,101 @@ mod tests {
         }
     }
 
-    /// The steady-state allocation pin (the stream-layer sibling of the
-    /// runner's pool pins): after the window fills, thousands more hops
-    /// neither grow the pane buffer nor the two-stacks front stack —
-    /// O(1) work per hop and zero allocation.
+    /// The steady-state pin (the stream-layer sibling of the runner's
+    /// pool pins): after the window fills, 10 000 more hops neither grow
+    /// the pane buffer nor the two-stacks front stack, and each hop costs
+    /// a constant number of pane merges whatever the window length — the
+    /// same at W = 4096 as at W = 64 — while the `Refold` reference fed
+    /// the same panes pays at least W − 1 merges per emitted window. At
+    /// W = 4096 that gap is the whole O(W) → O(1) claim, so an
+    /// `Incremental` accumulator that silently refolds fails here.
+    /// (A two-stacks flip is not counted as a merge; it touches each
+    /// value once per lifetime.)
     #[test]
     fn steady_state_hops_never_allocate() {
-        for merge in [
-            EpochMerge::Add,
-            EpochMerge::Mean,
-            EpochMerge::Min,
-            EpochMerge::Max,
-        ] {
-            let mut acc = WindowAccum::new(
-                WindowSpec::sliding(64, 1),
-                merge,
+        const HOPS: u64 = 10_000;
+        /// Absorb panes `lo..hi`, returning how many windows emitted.
+        fn drive(acc: &mut WindowAccum, c: &mut AccumCounters, lo: u64, hi: u64) -> u64 {
+            let mut emitted = 0;
+            for seq in lo..hi {
+                let pane = PaneInput {
+                    epoch: seq,
+                    value: PaneValue::Scalar((seq % 97) as f64),
+                    coverage: 1.0,
+                    relabeled: false,
+                    nodes_joined: 0,
+                    nodes_left: 0,
+                    bytes: 64,
+                };
+                emitted += u64::from(acc.absorb(seq, &pane, c).is_some());
+            }
+            emitted
+        }
+        for len in [64u32, 4096] {
+            let warm = 2 * len as u64;
+            // The reference: the same panes through `Refold` cost a whole
+            // window per emission (the fold count is the same for every
+            // merge law, so one law suffices).
+            let mut reference = WindowAccum::new(
+                WindowSpec::sliding(len, 1),
+                EpochMerge::Add,
                 PaneKind::Scalar,
-                FoldMode::Incremental,
+                FoldMode::Refold,
             );
-            let mut c = AccumCounters::default();
-            let drive = |acc: &mut WindowAccum, c: &mut AccumCounters, lo: u64, hi: u64| {
-                for seq in lo..hi {
-                    let pane = PaneInput {
-                        epoch: seq,
-                        value: PaneValue::Scalar((seq % 97) as f64),
-                        coverage: 1.0,
-                        relabeled: false,
-                        nodes_joined: 0,
-                        nodes_left: 0,
-                        bytes: 64,
-                    };
-                    let _ = acc.absorb(seq, &pane, c);
-                }
-            };
-            drive(&mut acc, &mut c, 0, 200);
-            let buf_cap = acc.buffer_capacity();
-            let front_cap = match &acc.value {
-                ValueAccum::Stacks(st) => st.front.capacity(),
-                _ => 0,
-            };
-            drive(&mut acc, &mut c, 200, 10_200);
-            assert_eq!(acc.buffered_panes(), 64);
-            assert_eq!(
-                acc.buffer_capacity(),
-                buf_cap,
-                "{merge:?}: pane buffer grew"
+            let mut rc = AccumCounters::default();
+            drive(&mut reference, &mut rc, 0, len as u64);
+            let merges_before = rc.pane_merges;
+            let emitted = drive(&mut reference, &mut rc, len as u64, len as u64 + 256);
+            assert!(
+                rc.pane_merges - merges_before >= emitted * (len as u64 - 1),
+                "W={len}: the refold reference stopped refolding"
             );
-            let front_cap_after = match &acc.value {
-                ValueAccum::Stacks(st) => st.front.capacity(),
-                _ => 0,
-            };
-            assert_eq!(front_cap_after, front_cap, "{merge:?}: front stack grew");
-            if matches!(merge, EpochMerge::Add | EpochMerge::Mean) {
-                assert_eq!(
-                    c.value_refolds, 0,
-                    "{merge:?}: integer panes must never leave the O(1) path"
+            for merge in [
+                EpochMerge::Add,
+                EpochMerge::Mean,
+                EpochMerge::Min,
+                EpochMerge::Max,
+            ] {
+                let mut acc = WindowAccum::new(
+                    WindowSpec::sliding(len, 1),
+                    merge,
+                    PaneKind::Scalar,
+                    FoldMode::Incremental,
                 );
+                let mut c = AccumCounters::default();
+                drive(&mut acc, &mut c, 0, warm);
+                let buf_cap = acc.buffer_capacity();
+                let front_cap = match &acc.value {
+                    ValueAccum::Stacks(st) => st.front.capacity(),
+                    _ => 0,
+                };
+                let merges_before = c.pane_merges;
+                assert_eq!(drive(&mut acc, &mut c, warm, warm + HOPS), HOPS);
+                assert_eq!(acc.buffered_panes(), len as usize);
+                assert_eq!(
+                    acc.buffer_capacity(),
+                    buf_cap,
+                    "{merge:?} W={len}: pane buffer grew"
+                );
+                let front_cap_after = match &acc.value {
+                    ValueAccum::Stacks(st) => st.front.capacity(),
+                    _ => 0,
+                };
+                assert_eq!(
+                    front_cap_after, front_cap,
+                    "{merge:?} W={len}: front stack grew"
+                );
+                let per_hop = (c.pane_merges - merges_before) as f64 / HOPS as f64;
+                assert!(
+                    per_hop <= 2.0,
+                    "{merge:?} W={len}: {per_hop} pane merges per hop — not O(1)"
+                );
+                if matches!(merge, EpochMerge::Add | EpochMerge::Mean) {
+                    assert_eq!(
+                        c.value_refolds, 0,
+                        "{merge:?} W={len}: integer panes must never leave the O(1) path"
+                    );
+                }
             }
         }
     }

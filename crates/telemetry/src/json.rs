@@ -1,16 +1,12 @@
 //! A tiny dependency-free JSON encoder.
 //!
-//! Shared by the telemetry snapshot export and (via `td_bench::json`)
-//! every bench binary, replacing the hand-rolled `format!` JSON that
-//! used to be duplicated across `bench_engine` / `bench_service` /
-//! the perf-gate fixtures. Encode-only: the decode side for the flat
-//! results files lives in `td_bench::gate`, and the pairing is pinned
-//! by a round-trip test there.
+//! Used by the telemetry snapshot export and the structured-event
+//! JSONL export. Encode-only.
 //!
 //! Insertion order is preserved ([`JsonObject`] is a `Vec` of pairs),
-//! so results files keep their hand-authored key order and diffs stay
+//! so exported files keep their hand-authored key order and diffs stay
 //! readable. Floats carry an optional fixed number of decimals, which
-//! is how the bench files control precision per key.
+//! is how callers control precision per key.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]

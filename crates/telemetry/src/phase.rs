@@ -8,12 +8,12 @@
 //! layer's **window fold**, and the service layer's **outbox drain**.
 //! Each hook wraps its phase in a [`stopwatch`]/[`record`] pair; the
 //! samples land in per-phase histograms (`phase.*_ns`) in the
-//! process-global registry, from which benches read p50/p99
-//! breakdowns and exporters write `results/telemetry_snapshot.json`.
+//! process-global registry, from which the benchmark reads per-phase
+//! shares and exporters write `results/telemetry_snapshot.json`.
 //!
 //! With the `telemetry` feature off, [`Stopwatch`] is a zero-sized
 //! type and both functions are empty inline stubs — the hooks cost
-//! nothing, which the perf gate's disabled-telemetry key verifies.
+//! nothing.
 
 /// The profiled phases of an epoch's lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

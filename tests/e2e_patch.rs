@@ -126,10 +126,9 @@ proptest! {
     }
 
     /// Session-level equivalence under every scheme: a session whose
-    /// plan cache patches (the default), one that always recompiles on
-    /// relabel (`patch_relabel_fraction(0.0)`), and one that recompiles
-    /// every single epoch (`clear_cached_plan`) produce identical
-    /// per-epoch answers, adaptation trajectories, and stats.
+    /// plan cache patches and one that recompiles every single epoch
+    /// (`clear_cached_plan`) produce identical per-epoch answers,
+    /// adaptation trajectories, and stats.
     #[test]
     fn patching_sessions_match_recompiling_sessions_all_schemes(
         seed in 0u64..1_000,
@@ -143,11 +142,10 @@ proptest! {
         let model = Global::new(loss_pct as f64 / 100.0);
         let epochs = 35u64;
         for scheme in Scheme::all() {
-            let run = |patch_fraction: f64, clear_every_epoch: bool| {
+            let run = |clear_every_epoch: bool| {
                 let mut rng = rng_from_seed(40 + seed);
                 let mut session = SessionBuilder::new(scheme)
                     .adapt_every(5)
-                    .patch_relabel_fraction(patch_fraction)
                     .build(&net, &mut rng);
                 let mut outs = Vec::new();
                 for epoch in 0..epochs {
@@ -160,21 +158,19 @@ proptest! {
                 }
                 (outs, session.stats().clone(), session.plan_stats())
             };
-            let (patched, patched_stats, patched_plan) = run(1.0, false);
-            let (recompiled, recompiled_stats, recompiled_plan) = run(0.0, false);
-            let (rebuilt, rebuilt_stats, _) = run(1.0, true);
-            prop_assert_eq!(&patched, &recompiled, "patch vs recompile diverged ({})", scheme.name());
+            let (patched, patched_stats, patched_plan) = run(false);
+            let (rebuilt, rebuilt_stats, rebuilt_plan) = run(true);
             prop_assert_eq!(&patched, &rebuilt, "patch vs rebuild diverged ({})", scheme.name());
-            prop_assert_eq!(&patched_stats, &recompiled_stats);
             prop_assert_eq!(&patched_stats, &rebuilt_stats);
 
             // The counters prove which path ran: an adapting patched
-            // session compiled exactly once; the fraction-0 session
-            // recompiled once per relabel instead of patching. A move
-            // on the final epoch bumps the version with no epoch left
-            // to consume it, so only earlier moves count.
+            // session compiled exactly once and patched once per move;
+            // the rebuilt session compiled every epoch and never
+            // patched. A move on the final epoch bumps the version with
+            // no epoch left to consume it, so only earlier moves count.
             prop_assert_eq!(patched_plan.compiles, 1);
-            prop_assert_eq!(recompiled_plan.patches, 0);
+            prop_assert_eq!(rebuilt_plan.compiles, epochs);
+            prop_assert_eq!(rebuilt_plan.patches, 0);
             let moves = patched[..patched.len() - 1]
                 .iter()
                 .filter(|(_, _, _, action)| matches!(
@@ -185,11 +181,9 @@ proptest! {
                 .count() as u64;
             if matches!(scheme, Scheme::TdCoarse | Scheme::Td) {
                 prop_assert_eq!(patched_plan.patches, moves);
-                prop_assert_eq!(recompiled_plan.compiles, 1 + moves);
             } else {
                 // TAG and SD never relabel: nothing to patch anywhere.
                 prop_assert_eq!(patched_plan.patches, 0);
-                prop_assert_eq!(recompiled_plan.compiles, 1);
             }
         }
     }
@@ -204,9 +198,7 @@ fn adaptation_patches_instead_of_recompiling() {
     let net = Network::random_connected(300, 20.0, 20.0, Position::new(10.0, 10.0), 2.8, &mut rng);
     let values: Vec<u64> = vec![1; net.len()];
     let model = Global::new(0.3);
-    let mut session = SessionBuilder::new(Scheme::TdCoarse)
-        .patch_relabel_fraction(1.0)
-        .build(&net, &mut rng);
+    let mut session = SessionBuilder::new(Scheme::TdCoarse).build(&net, &mut rng);
     let mut moves = 0u64;
     let epochs = 120u64;
     for epoch in 0..epochs {
@@ -234,8 +226,9 @@ fn adaptation_patches_instead_of_recompiling() {
     );
 }
 
-/// The default patch threshold (25% of the network) really gates: a
-/// whole-network relabel falls back to recompilation.
+/// `EpochPlan::patch`'s relabel budget really gates: a relabel set past
+/// it is refused (the caller recompiles), and the same set within
+/// budget patches to a fresh compile's structure.
 #[test]
 fn oversized_deltas_fall_back_to_recompile() {
     let (_, mut td) = build_topo(6300, 200, 1);

@@ -259,7 +259,8 @@ proptest! {
     }
 }
 
-/// (b) a full outbox parks the tenant — time, not data loss.
+/// (b) a full outbox parks the tenant — time, not data loss; an outbox
+/// that holds the tenant's full report budget never parks at all.
 #[test]
 fn full_outbox_parks_and_never_drops() {
     let bp = Blueprint {
@@ -282,30 +283,40 @@ fn full_outbox_parks_and_never_drops() {
         serial.extend(session.step(&workload, &model, &mut rng));
     }
 
-    let runtime = ServiceRuntime::new(2);
-    let handle = runtime.submit(
-        Tenant::builder(bp.session(&net), workload, model)
-            .seed(bp.seed)
-            .run_until(epochs)
-            .outbox_capacity(1)
-            .build(),
-    );
-    // Don't drain until the tenant is visibly parked on its 1-slot
-    // outbox (each epoch emits 2+ reports, so pressure is immediate).
-    wait_for("tenant parks", || {
-        handle.status().phase == TenantPhase::Parked
-    });
-    let mut reports = Vec::new();
-    drain_paused(&handle, epochs, &mut reports);
-    let stats = runtime.shutdown();
-    assert!(stats.parks > 0, "capacity-1 outbox never parked: {stats}");
-    assert!(stats.park_nanos > 0);
-    assert_eq!(stats.reports_dropped, 0, "parked tenant dropped reports");
-    assert_eq!(
-        reports.iter().map(fingerprint).collect::<Vec<_>>(),
-        serial.iter().map(fingerprint).collect::<Vec<_>>(),
-        "backpressured stream diverged from serial"
-    );
+    for capacity in [1, serial.len()] {
+        let runtime = ServiceRuntime::new(2);
+        let handle = runtime.submit(
+            Tenant::builder(bp.session(&net), workload.clone(), model)
+                .seed(bp.seed)
+                .run_until(epochs)
+                .outbox_capacity(capacity)
+                .build(),
+        );
+        if capacity == 1 {
+            // Don't drain until the tenant is visibly parked on its
+            // 1-slot outbox (each epoch emits 2+ reports, so pressure is
+            // immediate).
+            wait_for("tenant parks", || {
+                handle.status().phase == TenantPhase::Parked
+            });
+        }
+        let mut reports = Vec::new();
+        drain_paused(&handle, epochs, &mut reports);
+        let stats = runtime.shutdown();
+        if capacity == 1 {
+            assert!(stats.parks > 0, "capacity-1 outbox never parked: {stats}");
+            assert!(stats.park_nanos > 0);
+        } else {
+            assert_eq!(stats.parks, 0, "full-budget outbox parked: {stats}");
+        }
+        assert_eq!(stats.reports_dropped, 0, "parked tenant dropped reports");
+        assert_eq!(stats.epochs_driven, epochs);
+        assert_eq!(
+            reports.iter().map(fingerprint).collect::<Vec<_>>(),
+            serial.iter().map(fingerprint).collect::<Vec<_>>(),
+            "backpressured stream diverged from serial (capacity {capacity})"
+        );
+    }
 }
 
 /// (c) removing a live tenant yields exactly a prefix of its serial

@@ -11,7 +11,7 @@
 //!     between its panes;
 //! (d) the stream engine inherits incremental plan patching unchanged:
 //!     a windowed run over a session whose plan cache patches on
-//!     relabel is bit-identical to one that recompiles on relabel;
+//!     relabel is bit-identical to one that recompiles every epoch;
 //! (e) `step`/`step_under_churn` are the exact single-epoch units of
 //!     `run`/`run_under_churn`: a hand-rolled step loop is bit-identical
 //!     to the batch run, reports and stats included — the contract the
@@ -281,27 +281,30 @@ fn window_answers_stable_across_adaptation_relabel() {
 }
 
 /// (d) cheap adaptation is inherited, not re-implemented: the same
-/// windowed TD-Coarse run over a patch-on-relabel session (the default)
-/// and over a recompile-on-relabel session
-/// (`patch_relabel_fraction(0.0)`) produces bit-identical window
-/// reports and per-pane accounting — and the default run really did
-/// patch (one compile for the whole run).
+/// windowed TD-Coarse run over a patch-on-relabel session and over one
+/// whose plan is rebuilt every epoch (`clear_cached_plan`) produces
+/// bit-identical window reports and per-pane accounting — and the
+/// patching run really did patch (one compile for the whole run).
 #[test]
 fn stream_windows_identical_under_patched_and_recompiled_plans() {
     let net = net(701, 300);
     let workload = DriftingStream::new(Synthetic::sum_workload(&net, 701), 702);
     let (warmup, epochs, loss, seed) = (0u64, 60u64, 0.25, 703u64);
-    let run = |patch_fraction: f64| {
+    let run = |clear_every_epoch: bool| {
         let mut rng = rng_from_seed(seed);
-        let session = SessionBuilder::new(Scheme::TdCoarse)
-            .patch_relabel_fraction(patch_fraction)
-            .build(&net, &mut rng);
+        let session = SessionBuilder::new(Scheme::TdCoarse).build(&net, &mut rng);
         let mut stream = StreamSession::new(Driver::new(session, warmup));
         let query = StreamQuery::scalar(Sum::default())
             .window(WindowSpec::sliding(10, 1), EpochMerge::Add)
             .window(WindowSpec::tumbling(6), EpochMerge::Add);
         let _ = stream.register(query);
-        let reports = stream.run(&workload, &Global::new(loss), epochs, &mut rng);
+        let mut reports = Vec::new();
+        for _ in 0..warmup + epochs {
+            if clear_every_epoch {
+                stream.clear_cached_plan();
+            }
+            reports.extend(stream.step(&workload, &Global::new(loss), &mut rng));
+        }
         let plan_stats = stream.session().plan_stats();
         let summary: Vec<_> = reports
             .iter()
@@ -317,10 +320,10 @@ fn stream_windows_identical_under_patched_and_recompiled_plans() {
             .collect();
         (summary, plan_stats)
     };
-    let (patched, patched_plan) = run(1.0);
-    let (recompiled, recompiled_plan) = run(0.0);
+    let (patched, patched_plan) = run(false);
+    let (rebuilt, rebuilt_plan) = run(true);
     assert_eq!(
-        patched, recompiled,
+        patched, rebuilt,
         "stream reports diverged across plan-cache strategies"
     );
     assert!(
@@ -335,11 +338,11 @@ fn stream_windows_identical_under_patched_and_recompiled_plans() {
         patched_plan.patches > 0,
         "nothing patched: {patched_plan:?}"
     );
-    assert_eq!(recompiled_plan.patches, 0);
+    assert_eq!(rebuilt_plan.patches, 0);
     assert_eq!(
-        recompiled_plan.compiles,
-        1 + patched_plan.patches,
-        "one recompile per relabel epoch: {recompiled_plan:?}"
+        rebuilt_plan.compiles,
+        warmup + epochs,
+        "one compile per epoch: {rebuilt_plan:?}"
     );
 }
 
