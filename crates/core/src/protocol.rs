@@ -2,6 +2,7 @@
 //! Tributary-Delta (§5), plus adapters for scalar aggregates and for the
 //! frequent-items algorithms of §6.
 
+use std::sync::Arc;
 use td_aggregates::traits::Aggregate;
 use td_frequent::convert::convert_summary;
 use td_frequent::items::{Item, ItemBag};
@@ -12,6 +13,7 @@ use td_netsim::node::NodeId;
 use td_quantiles::gradient::PrecisionGradient;
 use td_quantiles::summary::QuantileSummary;
 use td_sketches::counter::CounterFactory;
+use td_sketches::keyed::union_into;
 
 /// An aggregation protocol runnable by the Tributary-Delta runner.
 ///
@@ -294,20 +296,13 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
     fn merge_tree(&self, into: &mut Self::TreeMsg, from: &Self::TreeMsg) {
         // Raw pointwise accumulation; the per-level decrement happens in
         // finalize_tree so that Algorithm 1's single Step-3 decrement per
-        // node is preserved. The merged eps tracks spent budget exactly:
-        // spent = Σ ε_j·n_j encoded as a weighted average.
-        let spent = into.eps * into.n as f64 + from.eps * from.n as f64;
-        let mut counts: std::collections::BTreeMap<Item, u64> = into.iter().collect();
-        for (u, c) in from.iter() {
-            *counts.entry(u).or_insert(0) += c;
-        }
-        let n = into.n + from.n;
-        let eps = if n == 0 { 0.0 } else { spent / n as f64 };
-        *into = FreqSummary::from_parts(n, eps, counts);
+        // node is preserved.
+        into.accumulate(from);
     }
 
-    fn finalize_tree(&self, _node: NodeId, height: u32, msg: Self::TreeMsg) -> Self::TreeMsg {
-        FreqSummary::combine(&[msg], &FreqSummary::empty(), self.gradient.eps_at(height))
+    fn finalize_tree(&self, _node: NodeId, height: u32, mut msg: Self::TreeMsg) -> Self::TreeMsg {
+        msg.finalize(self.gradient.eps_at(height));
+        msg
     }
 
     fn local_mp(&self, node: NodeId) -> Option<Self::MpMsg> {
@@ -321,8 +316,7 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
     }
 
     fn fuse(&self, into: &mut Self::MpMsg, from: &Self::MpMsg) {
-        into.absorb(from.clone());
-        into.compact(&self.mp_cfg);
+        into.fuse(&self.mp_cfg, from);
     }
 
     fn convert(&self, root: NodeId, msg: &Self::TreeMsg) -> Self::MpMsg {
@@ -348,6 +342,10 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
         base_height: u32,
     ) -> FreqOutput {
         let (estimates, eps) = match mp {
+            // Fused sets are compact already: evaluate in place.
+            Some(set) if tree_parts.is_empty() && set.is_compact() => {
+                (set.evaluate(), self.total_eps())
+            }
             Some(set) => {
                 let mut set = set.clone();
                 for p in tree_parts {
@@ -394,37 +392,39 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
 /// part that another path already delivered is a no-op, which restores
 /// order-and-duplicate insensitivity. The same trick `SynopsisSet` uses
 /// for the frequent-items delta.
+///
+/// Stored flat: `(origin, part)` sorted by origin, each part behind an
+/// `Arc`. A part never changes once made, so a union shares the parts it
+/// adds instead of copying them, and keeps its own for origins it holds.
 #[derive(Clone, Debug)]
 pub struct QuantileSynopsisSet<S> {
-    parts: std::collections::BTreeMap<u32, S>,
+    parts: Vec<(u32, Arc<S>)>,
 }
 
 impl<S: QuantileSummary> QuantileSynopsisSet<S> {
     /// A set holding one part from `origin`.
     fn singleton(origin: u32, part: S) -> Self {
-        let mut parts = std::collections::BTreeMap::new();
-        parts.insert(origin, part);
-        QuantileSynopsisSet { parts }
+        QuantileSynopsisSet {
+            parts: vec![(origin, Arc::new(part))],
+        }
     }
 
     /// Keyed union; the first writer wins (both copies of a key were
     /// generated by the same node, so they are identical).
     fn union(&mut self, other: &Self) {
-        for (k, v) in &other.parts {
-            self.parts.entry(*k).or_insert_with(|| v.clone());
-        }
+        union_into(&mut self.parts, &other.parts, |_, _| {}, Arc::clone);
     }
 
     /// Wire words: one origin-id word plus each part's payload.
     fn wire_words(&self) -> usize {
-        self.parts.values().map(|p| 1 + p.wire_words()).sum()
+        self.parts.iter().map(|(_, p)| 1 + p.wire_words()).sum()
     }
 
-    /// Combine every part in deterministic (key) order.
+    /// Combine every part in deterministic (origin) order, in place.
     fn merged(&self, template: &S) -> S {
         let mut acc = template.exact_from(&[]);
-        for p in self.parts.values() {
-            acc = acc.combine(p);
+        for (_, p) in &self.parts {
+            acc.combine_into(p);
         }
         acc
     }
@@ -543,7 +543,7 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
     }
 
     fn merge_tree(&self, into: &mut Self::TreeMsg, from: &Self::TreeMsg) {
-        *into = into.combine(from);
+        into.combine_into(from);
     }
 
     fn finalize_tree(&self, _node: NodeId, height: u32, mut msg: Self::TreeMsg) -> Self::TreeMsg {
@@ -588,7 +588,7 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
                 // Pure tree: final combine + the base's budget.
                 let mut acc = self.template.exact_from(&[]);
                 for p in tree_parts {
-                    acc = acc.combine(p);
+                    acc.combine_into(p);
                 }
                 acc.reduce(self.budget(base_height, acc.population()));
                 QuantileOutput { summary: acc }
@@ -597,7 +597,7 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
                 let mut acc = set.merged(&self.template);
                 for p in tree_parts {
                     // Normally empty: the runner converts on arrival.
-                    acc = acc.combine(p);
+                    acc.combine_into(p);
                 }
                 QuantileOutput { summary: acc }
             }
@@ -717,6 +717,122 @@ mod tests {
             "median {median} rank err {err} vs E {}",
             out.uncertainty()
         );
+    }
+
+    /// A deterministic part per origin: every copy of an origin's part
+    /// is identical, as in the engine (one node generates it).
+    fn part<S: QuantileSummary>(template: &S, origin: u32) -> S {
+        let values: Vec<u64> = (0..1 + origin % 5)
+            .map(|i| (origin as u64 * 37 + i as u64 * 101) % 500)
+            .collect();
+        template.exact_from(&values)
+    }
+
+    /// A set built the way the delta builds one: singletons unioned in
+    /// the given order.
+    fn origin_set<S: QuantileSummary>(template: &S, origins: &[u32]) -> QuantileSynopsisSet<S> {
+        let mut set = QuantileSynopsisSet { parts: Vec::new() };
+        for &o in origins {
+            set.union(&QuantileSynopsisSet::singleton(o, part(template, o)));
+        }
+        set
+    }
+
+    /// The pre-flat union, kept as the oracle: a `BTreeMap` of deep
+    /// copies, first writer wins.
+    fn reference_set<S: QuantileSummary>(
+        template: &S,
+        origins: &[u32],
+    ) -> std::collections::BTreeMap<u32, S> {
+        let mut map = std::collections::BTreeMap::new();
+        for &o in origins {
+            map.entry(o).or_insert_with(|| part(template, o));
+        }
+        map
+    }
+
+    fn flat<S: Clone>(set: &QuantileSynopsisSet<S>) -> Vec<(u32, S)> {
+        set.parts.iter().map(|(o, p)| (*o, (**p).clone())).collect()
+    }
+
+    /// The flat set against the map oracle, for one summary family: the
+    /// union, the merged base answer (the pre-flat fold by `combine`),
+    /// and the three laws of aim 3(a) — duplicate delivery
+    /// (`union(x, x) == x`), commutativity at evaluation, and
+    /// associativity on the representation.
+    fn check_quantile_set<S: QuantileSummary>(template: &S, a: &[u32], b: &[u32], c: &[u32]) {
+        let (sa, sb, sc) = (
+            origin_set(template, a),
+            origin_set(template, b),
+            origin_set(template, c),
+        );
+        let mut ab = sa.clone();
+        ab.union(&sb);
+        let mut oracle = reference_set(template, a);
+        for (o, p) in reference_set(template, b) {
+            oracle.entry(o).or_insert(p);
+        }
+        assert_eq!(flat(&ab), oracle.clone().into_iter().collect::<Vec<_>>());
+        let mut fold = template.exact_from(&[]);
+        for p in oracle.values() {
+            fold = fold.combine(p);
+        }
+        assert_eq!(ab.merged(template), fold, "merged ≠ the pre-flat fold");
+        // Duplicate delivery.
+        let mut aa = sa.clone();
+        aa.union(&sa);
+        assert_eq!(flat(&aa), flat(&sa));
+        // Commutativity at evaluation.
+        let mut ba = sb.clone();
+        ba.union(&sa);
+        assert_eq!(ba.merged(template), ab.merged(template));
+        // Associativity on the representation.
+        let mut ab_c = ab.clone();
+        ab_c.union(&sc);
+        let mut bc = sb.clone();
+        bc.union(&sc);
+        let mut a_bc = sa.clone();
+        a_bc.union(&bc);
+        assert_eq!(flat(&ab_c), flat(&a_bc));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_quantile_set_is_the_map_union_and_lawful(
+            a in proptest::collection::vec(0u32..40, 0..20),
+            b in proptest::collection::vec(0u32..40, 0..20),
+            c in proptest::collection::vec(0u32..40, 0..20),
+        ) {
+            check_quantile_set(&td_quantiles::QDigest::empty(9), &a, &b, &c);
+            check_quantile_set(&td_quantiles::GkSummary::empty(), &a, &b, &c);
+        }
+    }
+
+    /// A union never deep-copies a part: origins the receiver holds keep
+    /// its own part (the first writer wins, nothing is touched), and new
+    /// origins share the sender's part.
+    #[test]
+    fn quantile_union_shares_parts_and_copies_none() {
+        let t = td_quantiles::QDigest::empty(9);
+        let mut into = origin_set(&t, &[1, 2, 3]);
+        let before: Vec<Arc<_>> = into.parts.iter().map(|(_, p)| Arc::clone(p)).collect();
+        let held = origin_set(&t, &[3, 2]);
+        into.union(&held);
+        assert_eq!(into.len(), 3);
+        for ((_, p), old) in into.parts.iter().zip(&before) {
+            assert!(Arc::ptr_eq(p, old), "a held origin's part was replaced");
+        }
+        for (_, p) in &held.parts {
+            assert_eq!(Arc::strong_count(p), 1, "a held origin's part was taken");
+        }
+        let new = origin_set(&t, &[4, 0]);
+        into.union(&new);
+        assert_eq!(
+            into.parts.iter().map(|(o, _)| *o).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert!(Arc::ptr_eq(&into.parts[0].1, &new.parts[0].1));
+        assert!(Arc::ptr_eq(&into.parts[4].1, &new.parts[1].1));
     }
 
     fn freq_fixture(bags: &[ItemBag]) -> FreqProtocol<'_, ExactFactory, MinTotalLoad> {

@@ -31,6 +31,7 @@ use td_netsim::node::{NodeId, BASE_STATION};
 use td_netsim::stats::CommStats;
 use td_sketches::counter::{CounterFactory, DiCounter};
 use td_sketches::hash::keyed_pair;
+use td_sketches::keyed::union_into;
 
 /// Hash key for item-occurrence populations.
 const ITEM_POP_KEY: u64 = 0xF4E9;
@@ -73,14 +74,16 @@ impl<F> MultipathConfig<F> {
 }
 
 /// A class-`i` synopsis: a duplicate-insensitive count ñ of the items it
-/// represents plus per-item duplicate-insensitive counters.
+/// represents plus per-item duplicate-insensitive counters, stored flat —
+/// `(item, counter)` pairs sorted by item — so two synopses fuse in one
+/// two-pointer walk.
 #[derive(Clone, Debug)]
 pub struct ClassSynopsis<C> {
     /// The synopsis class `i` (ñ ≈ 2^i).
     pub class: u32,
     /// Duplicate-insensitive count of total represented occurrences ñ.
     pub total: C,
-    items: BTreeMap<Item, C>,
+    items: Vec<(Item, C)>,
 }
 
 impl<C: DiCounter> ClassSynopsis<C> {
@@ -89,9 +92,9 @@ impl<C: DiCounter> ClassSynopsis<C> {
         self.items.len()
     }
 
-    /// Iterate `(item, estimated count)`.
+    /// Iterate `(item, estimated count)` in item order.
     pub fn estimates(&self) -> impl Iterator<Item = (Item, f64)> + '_ {
-        self.items.iter().map(|(&u, c)| (u, c.estimate()))
+        self.items.iter().map(|(u, c)| (*u, c.estimate()))
     }
 
     /// Wire size in 32-bit words: per class 2 header words (class, item
@@ -100,17 +103,38 @@ impl<C: DiCounter> ClassSynopsis<C> {
         2 + self.total.wire_words()
             + self
                 .items
-                .values()
-                .map(|c| 2 + c.wire_words())
+                .iter()
+                .map(|(_, c)| 2 + c.wire_words())
                 .sum::<usize>()
+    }
+
+    /// Steps 1 and 2 of Algorithm 2 against a borrowed synopsis: ñ ⊕ ñ'
+    /// and per-item ⊕, copying only the counters of items `self` lacks.
+    fn absorb(&mut self, other: &Self) {
+        self.total.merge(&other.total);
+        union_into(&mut self.items, &other.items, C::merge, C::clone);
+    }
+
+    /// Step 3: promote while ñ exceeds the class budget, dropping items
+    /// below the rising threshold each time (in place).
+    fn promote<F: CounterFactory<Counter = C>>(&mut self, cfg: &MultipathConfig<F>) {
+        let n_est = self.total.estimate();
+        while n_est > 2f64.powi(self.class as i32 + 1) && (self.class as f64) < cfg.log_n() {
+            self.class += 1;
+            let log_n = cfg.log_n();
+            let eps = cfg.eps;
+            let eta = cfg.eta;
+            self.items
+                .retain(|(_, c)| eps * n_est / log_n < eta * c.estimate());
+        }
     }
 }
 
 /// Synopsis generation (SG): build a class-`⌊log n0⌋` synopsis from
 /// `(item, count)` pairs totalling `n0` occurrences, salted by
 /// `source_salt` (the node id, or the tributary root for conversions).
-/// Items with frequency ≤ `i·n0·ε / log N` are pruned. Returns `None` for
-/// an empty collection.
+/// Items with frequency ≤ `i·n0·ε / log N` are pruned; a repeated item
+/// keeps its last count. Returns `None` for an empty collection.
 pub fn generate<F: CounterFactory>(
     cfg: &MultipathConfig<F>,
     source_salt: u64,
@@ -122,12 +146,16 @@ pub fn generate<F: CounterFactory>(
     }
     let class = (n0 as f64).log2().floor() as u32;
     let threshold = class as f64 * n0 as f64 * cfg.eps / cfg.log_n();
-    let mut items = BTreeMap::new();
+    let mut items: Vec<(Item, F::Counter)> = Vec::with_capacity(pairs.size_hint().0);
     for (u, c) in pairs {
         if (c as f64) > threshold {
             let mut counter = cfg.factory.new_counter();
             counter.add_occurrences(keyed_pair(ITEM_POP_KEY, u, source_salt), c);
-            items.insert(u, counter);
+            // Bags and summaries iterate in item order, so this is a push.
+            match items.binary_search_by_key(&u, |e| e.0) {
+                Ok(i) => items[i].1 = counter,
+                Err(i) => items.insert(i, (u, counter)),
+            }
         }
     }
     let mut total = cfg.factory.new_counter();
@@ -156,42 +184,45 @@ pub fn fuse<F: CounterFactory>(
     b: ClassSynopsis<F::Counter>,
 ) -> ClassSynopsis<F::Counter> {
     assert_eq!(a.class, b.class, "only same-class synopses fuse");
-    // Step 1: ñ := ñ1 ⊕ ñ2.
-    a.total.merge(&b.total);
-    // Step 2: per-item ⊕.
-    for (u, c) in b.items {
-        match a.items.entry(u) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&c),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(c);
-            }
-        }
-    }
-    // Step 3: promote while ñ exceeds the class budget, dropping items
-    // below the rising threshold each time.
-    let n_est = a.total.estimate();
-    while n_est > 2f64.powi(a.class as i32 + 1) && (a.class as f64) < cfg.log_n() {
-        a.class += 1;
-        let log_n = cfg.log_n();
-        let eps = cfg.eps;
-        let eta = cfg.eta;
-        a.items
-            .retain(|_, c| eps * n_est / log_n < eta * c.estimate());
-    }
+    a.absorb(&b);
+    a.promote(cfg);
     a
 }
 
 /// The collection of synopses a node holds/transmits: at most one per
-/// class after [`SynopsisSet::compact`].
+/// class after [`SynopsisSet::compact`] or [`SynopsisSet::fuse`].
 #[derive(Clone, Debug)]
 pub struct SynopsisSet<C> {
-    slots: BTreeMap<u32, Vec<ClassSynopsis<C>>>,
+    /// Ascending by class; within a class, in arrival order (compaction
+    /// fuses the newest two first).
+    syns: Vec<ClassSynopsis<C>>,
 }
 
 impl<C: DiCounter> Default for SynopsisSet<C> {
     fn default() -> Self {
-        SynopsisSet {
-            slots: BTreeMap::new(),
+        SynopsisSet { syns: Vec::new() }
+    }
+}
+
+/// A synopsis while [`SynopsisSet::fuse`] settles: owned by the receiving
+/// set, or still lent by the set being fused in.
+enum Held<'a, C> {
+    Own(ClassSynopsis<C>),
+    Lent(&'a ClassSynopsis<C>),
+}
+
+impl<C: DiCounter> Held<'_, C> {
+    fn get(&self) -> &ClassSynopsis<C> {
+        match self {
+            Held::Own(s) => s,
+            Held::Lent(s) => s,
+        }
+    }
+
+    fn into_owned(self) -> ClassSynopsis<C> {
+        match self {
+            Held::Own(s) => s,
+            Held::Lent(s) => s.clone(),
         }
     }
 }
@@ -204,72 +235,114 @@ impl<C: DiCounter> SynopsisSet<C> {
 
     /// Whether the set holds no synopses.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.syns.is_empty()
     }
 
     /// Total synopses held (before compaction there may be several per
     /// class).
     pub fn num_synopses(&self) -> usize {
-        self.slots.values().map(Vec::len).sum()
+        self.syns.len()
     }
 
-    /// Add one synopsis.
+    /// Whether the set holds at most one synopsis per class.
+    pub fn is_compact(&self) -> bool {
+        self.syns.windows(2).all(|w| w[0].class != w[1].class)
+    }
+
+    /// Add one synopsis (the newest of its class).
     pub fn insert(&mut self, s: ClassSynopsis<C>) {
-        self.slots.entry(s.class).or_default().push(s);
+        let at = self.syns.partition_point(|x| x.class <= s.class);
+        self.syns.insert(at, s);
     }
 
     /// Absorb all synopses of another set.
     pub fn absorb(&mut self, other: SynopsisSet<C>) {
-        for (_, list) in other.slots {
-            for s in list {
-                self.insert(s);
-            }
+        for s in other.syns {
+            self.insert(s);
         }
     }
 
     /// Fuse down to at most one synopsis per class, beginning with the
-    /// smallest class (§6.2 "Synopsis Fusion").
+    /// smallest class (§6.2 "Synopsis Fusion"): compaction is a fusion
+    /// with nothing.
     pub fn compact<F: CounterFactory<Counter = C>>(&mut self, cfg: &MultipathConfig<F>) {
-        // Repeatedly fuse the smallest class holding two or more synopses.
-        while let Some((&class, _)) = self.slots.iter().find(|(_, v)| v.len() >= 2) {
-            let list = self.slots.get_mut(&class).expect("class exists");
-            let a = list.pop().expect("len >= 2");
-            let b = list.pop().expect("len >= 2");
-            if list.is_empty() {
-                self.slots.remove(&class);
+        self.fuse(cfg, &SynopsisSet::new());
+    }
+
+    /// ODI fusion of a borrowed set: the representation
+    /// `self.absorb(from.clone()); self.compact(cfg)` produces, without
+    /// the copy. It replays compaction's exact pairing order — the
+    /// smallest class holding two or more synopses first, its newest two
+    /// fused, `from`'s synopses newer than `self`'s — over borrowed
+    /// synopses, and copies only a synopsis of a class nothing of `self`
+    /// fuses with (plus, inside a fusion, the counters of items the
+    /// receiving synopsis lacks). Where compaction would fuse a borrowed
+    /// synopsis into an owned one it fuses the other way round, which
+    /// relies on ⊕ commuting on the counters' representation (it does
+    /// for the exact, FM and KMV counters).
+    pub fn fuse<F: CounterFactory<Counter = C>>(
+        &mut self,
+        cfg: &MultipathConfig<F>,
+        from: &SynopsisSet<C>,
+    ) {
+        // The list `absorb` would build: per class, own then lent.
+        let mut held = Vec::with_capacity(self.syns.len() + from.syns.len());
+        let mut lent = from.syns.iter().peekable();
+        for s in self.syns.drain(..) {
+            while let Some(f) = lent.next_if(|f| f.class < s.class) {
+                held.push(Held::Lent(f));
             }
-            let fused = fuse(cfg, a, b);
-            self.insert(fused);
+            held.push(Held::Own(s));
         }
+        held.extend(lent.map(Held::Lent));
+        // The smallest class holding two or more synopses is the first
+        // adjacent pair of equal classes.
+        while let Some(first) = held
+            .windows(2)
+            .position(|w| w[0].get().class == w[1].get().class)
+        {
+            let class = held[first].get().class;
+            let end = first + held[first..].partition_point(|h| h.get().class == class);
+            let newest = held.remove(end - 1);
+            let older = held.remove(end - 2);
+            let mut fused = match (newest, older) {
+                (Held::Own(mut a), b) => {
+                    a.absorb(b.get());
+                    a
+                }
+                (Held::Lent(a), Held::Own(mut b)) => {
+                    b.absorb(a);
+                    b
+                }
+                (Held::Lent(a), Held::Lent(b)) => {
+                    let mut a = a.clone();
+                    a.absorb(b);
+                    a
+                }
+            };
+            fused.promote(cfg);
+            let at = held.partition_point(|h| h.get().class <= fused.class);
+            held.insert(at, Held::Own(fused));
+        }
+        self.syns.extend(held.into_iter().map(Held::into_owned));
     }
 
     /// Wire size in words across all synopses.
     pub fn wire_words(&self) -> usize {
-        self.slots
-            .values()
-            .flatten()
-            .map(ClassSynopsis::wire_words)
-            .sum()
+        self.syns.iter().map(ClassSynopsis::wire_words).sum()
     }
 
     /// Synopsis evaluation (SE): ⊕-combine each item's counters across
     /// all classes and estimate; also estimate the total N̂.
     pub fn evaluate(&self) -> FreqEstimates {
-        let mut per_item: BTreeMap<Item, C> = BTreeMap::new();
+        let mut per_item: Vec<(Item, C)> = Vec::new();
         let mut total: Option<C> = None;
-        for s in self.slots.values().flatten() {
+        for s in &self.syns {
             match &mut total {
                 Some(t) => t.merge(&s.total),
                 None => total = Some(s.total.clone()),
             }
-            for (u, c) in &s.items {
-                match per_item.entry(*u) {
-                    std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(c),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(c.clone());
-                    }
-                }
-            }
+            union_into(&mut per_item, &s.items, C::merge, C::clone);
         }
         FreqEstimates {
             n_est: total.map_or(0.0, |t| t.estimate()),
@@ -365,7 +438,7 @@ mod tests {
     use td_netsim::loss::{Global, NoLoss};
     use td_netsim::node::Position;
     use td_netsim::rng::rng_from_seed;
-    use td_sketches::counter::{ExactFactory, FmFactory};
+    use td_sketches::counter::{CounterFactory, DiCounter, ExactFactory, FmFactory};
     use td_topology::rings::Rings;
 
     fn cfg_exact(eps: f64, n_upper: u64) -> MultipathConfig<ExactFactory> {
@@ -438,12 +511,12 @@ mod tests {
             set.insert(generate_from_bag(&cfg, NodeId(node), &bag).unwrap());
         }
         set.compact(&cfg);
-        let mut seen = std::collections::BTreeSet::new();
-        for (class, list) in &set.slots {
-            assert!(list.len() <= 1, "class {class} has {}", list.len());
-            seen.insert(*class);
-        }
-        assert!(!seen.is_empty());
+        assert!(
+            set.is_compact(),
+            "classes {:?}",
+            set.syns.iter().map(|s| s.class).collect::<Vec<_>>()
+        );
+        assert!(!set.is_empty());
     }
 
     fn rings_setup(seed: u64, nodes: usize) -> (Network, Rings) {
@@ -564,5 +637,469 @@ mod tests {
             avg_messages > 1.0,
             "expected multi-message synopses, got {avg_messages}"
         );
+    }
+
+    /// The implementation before flat storage — `BTreeMap` items, a
+    /// `BTreeMap` of per-class lists, `fuse` by value and `absorb` +
+    /// `compact` — kept as the oracle the flat, by-reference paths must
+    /// match on the representation.
+    mod reference {
+        use super::super::{ClassSynopsis, MultipathConfig, SynopsisSet};
+        use crate::items::Item;
+        use std::collections::BTreeMap;
+        use td_sketches::counter::{CounterFactory, DiCounter};
+
+        /// A set as `(class, ñ, items)` in class then arrival order.
+        pub type Flat<C> = Vec<(u32, C, Vec<(Item, C)>)>;
+
+        #[derive(Clone, Debug)]
+        pub struct RefSynopsis<C> {
+            pub class: u32,
+            pub total: C,
+            pub items: BTreeMap<Item, C>,
+        }
+
+        pub fn from_flat<C: DiCounter>(s: &ClassSynopsis<C>) -> RefSynopsis<C> {
+            RefSynopsis {
+                class: s.class,
+                total: s.total.clone(),
+                items: s.items.iter().cloned().collect(),
+            }
+        }
+
+        pub fn fuse<F: CounterFactory>(
+            cfg: &MultipathConfig<F>,
+            mut a: RefSynopsis<F::Counter>,
+            b: RefSynopsis<F::Counter>,
+        ) -> RefSynopsis<F::Counter> {
+            assert_eq!(a.class, b.class, "only same-class synopses fuse");
+            a.total.merge(&b.total);
+            for (u, c) in b.items {
+                match a.items.entry(u) {
+                    std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&c),
+                    std::collections::btree_map::Entry::Vacant(e) => {
+                        e.insert(c);
+                    }
+                }
+            }
+            let n_est = a.total.estimate();
+            while n_est > 2f64.powi(a.class as i32 + 1) && (a.class as f64) < cfg.log_n() {
+                a.class += 1;
+                let log_n = cfg.log_n();
+                let eps = cfg.eps;
+                let eta = cfg.eta;
+                a.items
+                    .retain(|_, c| eps * n_est / log_n < eta * c.estimate());
+            }
+            a
+        }
+
+        #[derive(Clone, Debug, Default)]
+        pub struct RefSet<C> {
+            slots: BTreeMap<u32, Vec<RefSynopsis<C>>>,
+        }
+
+        impl<C: DiCounter> RefSet<C> {
+            pub fn from_flat(set: &SynopsisSet<C>) -> Self {
+                let mut r = RefSet {
+                    slots: BTreeMap::new(),
+                };
+                for s in &set.syns {
+                    r.insert(from_flat(s));
+                }
+                r
+            }
+
+            pub fn insert(&mut self, s: RefSynopsis<C>) {
+                self.slots.entry(s.class).or_default().push(s);
+            }
+
+            pub fn absorb(&mut self, other: RefSet<C>) {
+                for (_, list) in other.slots {
+                    for s in list {
+                        self.insert(s);
+                    }
+                }
+            }
+
+            pub fn compact<F: CounterFactory<Counter = C>>(&mut self, cfg: &MultipathConfig<F>) {
+                while let Some((&class, _)) = self.slots.iter().find(|(_, v)| v.len() >= 2) {
+                    let list = self.slots.get_mut(&class).expect("class exists");
+                    let a = list.pop().expect("len >= 2");
+                    let b = list.pop().expect("len >= 2");
+                    if list.is_empty() {
+                        self.slots.remove(&class);
+                    }
+                    let fused = fuse(cfg, a, b);
+                    self.insert(fused);
+                }
+            }
+
+            pub fn flatten(&self) -> Flat<C> {
+                self.slots
+                    .values()
+                    .flatten()
+                    .map(|s| {
+                        let items = s.items.iter().map(|(&u, c)| (u, c.clone())).collect();
+                        (s.class, s.total.clone(), items)
+                    })
+                    .collect()
+            }
+        }
+
+        /// The flat set in [`RefSet::flatten`]'s shape.
+        pub fn flatten<C: DiCounter>(set: &SynopsisSet<C>) -> Flat<C> {
+            set.syns
+                .iter()
+                .map(|s| (s.class, s.total.clone(), s.items.clone()))
+                .collect()
+        }
+    }
+
+    /// A pool of synopses to build sets from: random bags over a small
+    /// item universe (so item sets overlap), sizes spread over a few
+    /// classes (so classes collide and fusions promote), and a few
+    /// nodes generating twice (so the same population arrives again).
+    fn synopsis_pool<F: CounterFactory>(
+        cfg: &MultipathConfig<F>,
+        seed: u64,
+    ) -> Vec<ClassSynopsis<F::Counter>> {
+        use rand::Rng;
+        let mut rng = rng_from_seed(seed);
+        (0..24)
+            .filter_map(|_| {
+                let node = NodeId(rng.gen_range(1u32..14));
+                let n0 = rng.gen_range(4u64..200);
+                let mut bag = ItemBag::new();
+                let mut left = n0;
+                while left > 0 {
+                    let c = rng.gen_range(1..left.min(40) + 1);
+                    bag.add(rng.gen_range(1u64..12), c);
+                    left -= c;
+                }
+                generate_from_bag(cfg, node, &bag)
+            })
+            .collect()
+    }
+
+    /// A set of `len` synopses drawn from `pool`, compacted or not.
+    fn draw_set<C: DiCounter, F: CounterFactory<Counter = C>>(
+        cfg: &MultipathConfig<F>,
+        pool: &[ClassSynopsis<C>],
+        picks: &[u64],
+        compact: bool,
+    ) -> SynopsisSet<C> {
+        let mut set = SynopsisSet::new();
+        for &p in picks {
+            set.insert(pool[p as usize % pool.len()].clone());
+        }
+        if compact {
+            set.compact(cfg);
+        }
+        set
+    }
+
+    fn check_fuse_matches_reference<F>(cfg: &MultipathConfig<F>, seed: u64, picks: &[u64])
+    where
+        F: CounterFactory,
+        F::Counter: PartialEq + std::fmt::Debug,
+    {
+        let pool = synopsis_pool(cfg, seed);
+        if pool.is_empty() {
+            return;
+        }
+        let (a, b) = picks.split_at(picks.len() / 2);
+        for (compact_into, compact_from) in
+            [(true, true), (false, true), (true, false), (false, false)]
+        {
+            let into = draw_set(cfg, &pool, a, compact_into);
+            let from = draw_set(cfg, &pool, b, compact_from);
+            let mut flat = into.clone();
+            flat.fuse(cfg, &from);
+            let mut oracle = reference::RefSet::from_flat(&into);
+            oracle.absorb(reference::RefSet::from_flat(&from));
+            oracle.compact(cfg);
+            assert_eq!(
+                reference::flatten(&flat),
+                oracle.flatten(),
+                "fuse diverged (compact into {compact_into}, from {compact_from})"
+            );
+            // Compaction alone, and the by-value absorb run_rings uses.
+            let mut by_value = into.clone();
+            by_value.absorb(from.clone());
+            by_value.compact(cfg);
+            assert_eq!(reference::flatten(&by_value), oracle.flatten());
+            // The pairwise fuse on one class.
+            let (x, y) = (
+                &pool[a[0] as usize % pool.len()],
+                &pool[b[0] as usize % pool.len()],
+            );
+            if x.class == y.class {
+                let f = fuse(cfg, x.clone(), y.clone());
+                let r = reference::fuse(cfg, reference::from_flat(x), reference::from_flat(y));
+                assert_eq!(
+                    (f.class, &f.total, f.items.clone()),
+                    (r.class, &r.total, r.items.into_iter().collect::<Vec<_>>())
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The flat, by-reference fusion is the pre-flat `absorb` +
+        /// `compact` on the representation — class, ñ counter and every
+        /// `(item, counter)` — for compact and non-compact inputs of
+        /// both counter families, with promotions (tight ε, small N) and
+        /// re-delivered populations.
+        #[test]
+        fn prop_fuse_is_absorb_then_compact(
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 2..14),
+            eps_milli in 20u64..300,
+            eta_tenths in 11u64..30,
+            n_bits in 9u32..16,
+        ) {
+            let eps = eps_milli as f64 / 1000.0;
+            let eta = eta_tenths as f64 / 10.0;
+            let exact = MultipathConfig::new(eps, eta, 1 << n_bits, ExactFactory);
+            check_fuse_matches_reference(&exact, seed, &picks);
+            let fm = MultipathConfig::new(eps, eta, 1 << n_bits, FmFactory { bitmaps: 16 });
+            check_fuse_matches_reference(&fm, seed, &picks);
+        }
+
+        /// ROADMAP aim 3(a), the half of the laws that holds: N̂ is
+        /// duplicate-insensitive (`fuse(x, x)` estimates x's N̂) and
+        /// order-insensitive (`fuse(a, b)` and `fuse(b, a)` agree), bit
+        /// for bit — ñ counters only ever ⊕, promotion never drops them.
+        #[test]
+        fn prop_fused_n_est_is_duplicate_and_order_insensitive(
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 2..12),
+        ) {
+            let cfg = MultipathConfig::new(0.1, 1.5, 1 << 12, FmFactory { bitmaps: 16 });
+            let pool = synopsis_pool(&cfg, seed);
+            if !pool.is_empty() {
+                let (pa, pb) = picks.split_at(picks.len() / 2);
+                let a = draw_set(&cfg, &pool, pa, true);
+                let b = draw_set(&cfg, &pool, pb, true);
+                let n_est = |x: &SynopsisSet<_>, y: &SynopsisSet<_>| {
+                    let mut xy = x.clone();
+                    xy.fuse(&cfg, y);
+                    xy.evaluate().n_est.to_bits()
+                };
+                proptest::prop_assert_eq!(n_est(&a, &a), a.evaluate().n_est.to_bits());
+                proptest::prop_assert_eq!(n_est(&a, &b), n_est(&b, &a));
+            }
+        }
+
+        /// Aim 3(a), duplicate delivery: a set fused with itself
+        /// evaluates as the set. **Fails** — see
+        /// `finding_duplicate_delivery_can_drop_an_item`.
+        #[test]
+        #[ignore = "finding: Algorithm 2 fusion is not idempotent (finding_duplicate_delivery_can_drop_an_item)"]
+        fn prop_fuse_with_itself_evaluates_as_itself(
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..10),
+        ) {
+            let cfg = MultipathConfig::new(0.1, 1.5, 1 << 12, FmFactory { bitmaps: 16 });
+            let pool = synopsis_pool(&cfg, seed);
+            if !pool.is_empty() {
+                let x = draw_set(&cfg, &pool, &picks, true);
+                let mut xx = x.clone();
+                xx.fuse(&cfg, &x);
+                proptest::prop_assert_eq!(x.evaluate().counts, xx.evaluate().counts);
+            }
+        }
+
+        /// Aim 3(a), two-set commutativity at evaluation: `fuse(a, b)`
+        /// and `fuse(b, a)` answer alike. **Fails** — see
+        /// `finding_fusion_order_moves_the_answer`.
+        #[test]
+        #[ignore = "finding: Algorithm 2 fusion order moves the answer (finding_fusion_order_moves_the_answer)"]
+        fn prop_fuse_commutes_at_evaluation(
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 2..12),
+        ) {
+            let cfg = MultipathConfig::new(0.1, 1.5, 1 << 12, FmFactory { bitmaps: 16 });
+            let pool = synopsis_pool(&cfg, seed);
+            if !pool.is_empty() {
+                let (pa, pb) = picks.split_at(picks.len() / 2);
+                let a = draw_set(&cfg, &pool, pa, true);
+                let b = draw_set(&cfg, &pool, pb, true);
+                let mut ab = a.clone();
+                ab.fuse(&cfg, &b);
+                let mut ba = b.clone();
+                ba.fuse(&cfg, &a);
+                proptest::prop_assert_eq!(ab.evaluate().counts, ba.evaluate().counts);
+            }
+        }
+    }
+
+    /// Finding (ROADMAP aim 3(a)): Algorithm 2's class fusion is not
+    /// idempotent. SG files a synopsis under the class of its *true*
+    /// size, but promotion tests the ⊕ *estimate* ñ, so an FM synopsis
+    /// nobody has fused yet can sit in class `c` with ñ > 2^{c+1}. Here
+    /// node 4's class-4 synopsis (28 occurrences, ñ ≈ 36.3 > 32) does.
+    /// Fusing the set with its own copy fuses that synopsis with itself
+    /// (a no-op on the counters), then promotes it; the carry meets the
+    /// copies of every class above, each fusion promotes again, and at
+    /// class 8 the rising threshold `ε·ñ/log N ≈ 2.2` drops item 4
+    /// (ñ(4) ≈ 1.47 < 2.2 / η). The pre-flat code does the same (the
+    /// reference oracle agrees with `fuse` on every input), so this is
+    /// the algorithm, not the storage.
+    #[test]
+    fn finding_duplicate_delivery_can_drop_an_item() {
+        let cfg = MultipathConfig::new(0.1, 1.5, 1 << 12, FmFactory { bitmaps: 16 });
+        let bags: [(u32, &[(Item, u64)]); 4] = [
+            (2, &[(1, 33), (2, 23), (3, 2), (7, 6), (8, 52), (10, 26)]),
+            (4, &[(4, 1), (7, 2), (9, 24)]),
+            (1, &[(5, 15), (6, 1), (7, 4), (10, 31), (11, 8)]),
+            (8, &[(1, 29), (5, 41), (7, 9)]),
+        ];
+        let mut x = SynopsisSet::new();
+        for (node, counts) in bags {
+            let bag = ItemBag::from_counts(counts.iter().copied());
+            x.insert(generate_from_bag(&cfg, NodeId(node), &bag).unwrap());
+        }
+        x.compact(&cfg);
+        let unfused = &x.syns[0];
+        assert_eq!(unfused.class, 4);
+        assert!(unfused.total.estimate() > 32.0, "ñ within its class budget");
+        let mut xx = x.clone();
+        xx.fuse(&cfg, &x);
+        let (once, twice) = (x.evaluate(), xx.evaluate());
+        assert_eq!(once.n_est.to_bits(), twice.n_est.to_bits());
+        assert!(once.counts.contains_key(&4));
+        assert!(
+            !twice.counts.contains_key(&4),
+            "duplicate delivery kept item 4"
+        );
+        let mut rest = once.counts.clone();
+        rest.remove(&4);
+        assert_eq!(rest, twice.counts, "only item 4 moves");
+    }
+
+    /// Finding (ROADMAP aim 3(a)): the order two sets fuse in moves the
+    /// answer. `a` and `b` each hold one class-4 and one class-5
+    /// synopsis; the class-4 pair fuses and promotes into class 5, where
+    /// it meets *two* synopses, and the newest of them fuses first —
+    /// `b`'s in `fuse(a, b)`, `a`'s in `fuse(b, a)`. The two orders
+    /// promote with different intermediate ñ and so apply different
+    /// rising thresholds: one keeps item 3, the other drops it. N̂
+    /// agrees.
+    #[test]
+    fn finding_fusion_order_moves_the_answer() {
+        let cfg = MultipathConfig::new(0.3, 1.1, 1 << 12, FmFactory { bitmaps: 16 });
+        let syn = |node: u32, counts: &[(Item, u64)]| {
+            generate_from_bag(
+                &cfg,
+                NodeId(node),
+                &ItemBag::from_counts(counts.iter().copied()),
+            )
+            .unwrap()
+        };
+        let mut a = SynopsisSet::new();
+        a.insert(syn(77, &[(1, 20), (2, 2)]));
+        a.insert(syn(103, &[(1, 40), (2, 3)]));
+        let mut b = SynopsisSet::new();
+        b.insert(syn(90, &[(1, 22), (3, 3)]));
+        b.insert(syn(116, &[(1, 44), (3, 3)]));
+        let classes = |s: &SynopsisSet<_>| s.syns.iter().map(|s| s.class).collect::<Vec<_>>();
+        assert_eq!((classes(&a), classes(&b)), (vec![4, 5], vec![4, 5]));
+        let mut ab = a.clone();
+        ab.fuse(&cfg, &b);
+        let mut ba = b.clone();
+        ba.fuse(&cfg, &a);
+        let (x, y) = (ab.evaluate(), ba.evaluate());
+        assert_eq!(x.n_est.to_bits(), y.n_est.to_bits());
+        assert!(x.counts.contains_key(&3));
+        assert!(!y.counts.contains_key(&3), "fusion order no longer matters");
+        assert_eq!(x.counts[&1].to_bits(), y.counts[&1].to_bits());
+    }
+
+    std::thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An exact counter that counts its clones.
+    #[derive(Debug, Default, PartialEq)]
+    struct CountingCounter(td_sketches::counter::ExactCounter);
+
+    impl Clone for CountingCounter {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            CountingCounter(self.0.clone())
+        }
+    }
+
+    impl DiCounter for CountingCounter {
+        fn add_occurrences(&mut self, salt: u64, count: u64) {
+            self.0.add_occurrences(salt, count);
+        }
+        fn merge(&mut self, other: &Self) {
+            self.0.merge(&other.0);
+        }
+        fn estimate(&self) -> f64 {
+            self.0.estimate()
+        }
+        fn wire_words(&self) -> usize {
+            self.0.wire_words()
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    struct CountingFactory;
+
+    impl CounterFactory for CountingFactory {
+        type Counter = CountingCounter;
+        fn new_counter(&self) -> CountingCounter {
+            CountingCounter::default()
+        }
+    }
+
+    /// The by-reference fusion copies only what the receiver lacks: a
+    /// class it has no synopsis of (ñ plus every item counter), and
+    /// inside a fusion the counters of items it does not carry.
+    #[test]
+    fn fuse_clones_only_what_the_receiver_lacks() {
+        let cfg = MultipathConfig::new(0.01, 1.5, 1 << 16, CountingFactory);
+        let syn = |node: u32, counts: &[(Item, u64)]| {
+            generate_from_bag(
+                &cfg,
+                NodeId(node),
+                &ItemBag::from_counts(counts.iter().copied()),
+            )
+            .unwrap()
+        };
+        // Class 4 on both sides with the same items (fuses, stays class
+        // 4: ñ = 32 is not above 2^5), class 6 only in the receiver,
+        // class 5 only in the sender.
+        let mut into = SynopsisSet::new();
+        into.insert(syn(1, &[(1, 10), (2, 6)]));
+        into.insert(syn(2, &[(1, 60), (3, 40)]));
+        let mut from = SynopsisSet::new();
+        from.insert(syn(3, &[(1, 10), (2, 6)]));
+        from.insert(syn(4, &[(1, 30), (2, 10), (5, 2)]));
+        assert_eq!(
+            from.syns.iter().map(|s| s.class).collect::<Vec<_>>(),
+            vec![4, 5]
+        );
+        let before = CLONES.with(|c| c.get());
+        into.fuse(&cfg, &from);
+        let clones = CLONES.with(|c| c.get()) - before;
+        // The class-5 synopsis: ñ + three item counters.
+        assert_eq!(clones, 4);
+        assert_eq!(
+            into.syns.iter().map(|s| s.class).collect::<Vec<_>>(),
+            vec![4, 5, 6]
+        );
+        // One more item in the sender's class 4: one more counter copied.
+        let mut into2 = SynopsisSet::new();
+        into2.insert(syn(1, &[(1, 10), (2, 6)]));
+        let mut from2 = SynopsisSet::new();
+        from2.insert(syn(3, &[(1, 10), (2, 3), (7, 3)]));
+        let before = CLONES.with(|c| c.get());
+        into2.fuse(&cfg, &from2);
+        assert_eq!(CLONES.with(|c| c.get()) - before, 1);
     }
 }

@@ -15,7 +15,7 @@
 //! `1/(ε(k)−ε(k−1))` estimates survive on its outgoing link.
 
 use crate::items::{Item, ItemBag};
-use std::collections::BTreeMap;
+use td_sketches::keyed::union_into;
 
 /// An ε-deficient frequent-items summary.
 ///
@@ -39,7 +39,8 @@ pub struct FreqSummary {
     /// The summary's deficiency bound ε (each count may undershoot by up
     /// to `ε·N`).
     pub eps: f64,
-    counts: BTreeMap<Item, u64>,
+    /// `(item, c̃)` sorted by item.
+    counts: Vec<(Item, u64)>,
 }
 
 impl FreqSummary {
@@ -58,14 +59,6 @@ impl FreqSummary {
         }
     }
 
-    /// Assemble a summary from raw parts. The caller is responsible for
-    /// the deficiency invariant — used by the Tributary-Delta protocol,
-    /// which accumulates children raw (tracking spent budget in `eps`)
-    /// and applies the Step-3 decrement once per node.
-    pub fn from_parts(n: u64, eps: f64, counts: BTreeMap<Item, u64>) -> Self {
-        FreqSummary { n, eps, counts }
-    }
-
     /// **Algorithm 1**: generate an ε(k)-summary from children summaries
     /// plus the node's own exact summary.
     ///
@@ -81,22 +74,61 @@ impl FreqSummary {
         // Step 1: total population.
         let n: u64 = children.iter().map(|s| s.n).sum::<u64>() + own.n;
         // Step 2: pointwise sums.
-        let mut counts: BTreeMap<Item, u64> = BTreeMap::new();
+        let mut counts: Vec<(Item, u64)> = Vec::new();
         for s in children.iter().chain(std::iter::once(own)) {
-            for (&u, &c) in &s.counts {
-                *counts.entry(u).or_insert(0) += c;
-            }
+            union_into(&mut counts, &s.counts, |c, d| *c += d, |&d| d);
         }
         // Step 3: uniform decrement by the budget gain.
         let spent: f64 =
             children.iter().map(|s| s.eps * s.n as f64).sum::<f64>() + own.eps * own.n as f64;
+        let mut summary = FreqSummary {
+            n,
+            eps: 0.0,
+            counts,
+        };
+        summary.decrement(eps_k, spent);
+        summary
+    }
+
+    /// Steps 1 and 2 of Algorithm 1 in place, without Step 3: add
+    /// `other`'s population and estimates to this summary's. The budget
+    /// both have spent, `Σ ε_j·n_j`, is kept as the weighted mean ε, so
+    /// a later [`finalize`](Self::finalize) charges only the gain. This
+    /// is how the Tributary-Delta protocol accumulates a node's children
+    /// before its one Step-3 decrement.
+    pub fn accumulate(&mut self, other: &FreqSummary) {
+        let spent = self.eps * self.n as f64 + other.eps * other.n as f64;
+        union_into(&mut self.counts, &other.counts, |c, d| *c += d, |&d| d);
+        self.n += other.n;
+        self.eps = if self.n == 0 {
+            0.0
+        } else {
+            spent / self.n as f64
+        };
+    }
+
+    /// Step 3 of Algorithm 1 in place: raise the summary to `eps_k`,
+    /// decrementing every estimate by the budget gain `ε(k)·n − ε·n`
+    /// and dropping non-positive entries — bit for bit
+    /// `combine(&[self], &empty(), eps_k)`.
+    ///
+    /// # Panics
+    /// Panics if `eps_k` is below the summary's ε (a non-monotone
+    /// precision gradient).
+    pub fn finalize(&mut self, eps_k: f64) {
+        self.decrement(eps_k, self.eps * self.n as f64);
+    }
+
+    /// Step 3 with the inputs' spent budget `spent = Σ ε_j·n_j`.
+    fn decrement(&mut self, eps_k: f64, spent: f64) {
+        let n = self.n;
         let decrement = eps_k * n as f64 - spent;
         assert!(
             decrement >= -1e-9,
             "non-monotone precision gradient: eps_k {eps_k} cannot cover inputs ({spent} over n={n})"
         );
         let dec = decrement.max(0.0);
-        counts.retain(|_, c| {
+        self.counts.retain_mut(|(_, c)| {
             let v = *c as f64 - dec;
             if v > 0.0 {
                 *c = v.ceil() as u64;
@@ -105,16 +137,14 @@ impl FreqSummary {
                 false
             }
         });
-        FreqSummary {
-            n,
-            eps: eps_k,
-            counts,
-        }
+        self.eps = eps_k;
     }
 
     /// The ε-deficient count of an item (0 if dropped).
     pub fn count(&self, u: Item) -> u64 {
-        self.counts.get(&u).copied().unwrap_or(0)
+        self.counts
+            .binary_search_by_key(&u, |e| e.0)
+            .map_or(0, |i| self.counts[i].1)
     }
 
     /// Number of stored items.
@@ -129,7 +159,7 @@ impl FreqSummary {
 
     /// Iterate `(item, c̃)` in item order.
     pub fn iter(&self) -> impl Iterator<Item = (Item, u64)> + '_ {
-        self.counts.iter().map(|(&u, &c)| (u, c))
+        self.counts.iter().copied()
     }
 
     /// Report items with `c̃(u) > (s − ε)·N` — all truly frequent items
@@ -139,8 +169,8 @@ impl FreqSummary {
         let threshold = (s - self.eps) * self.n as f64;
         self.counts
             .iter()
-            .filter(|(_, &c)| c as f64 > threshold)
-            .map(|(&u, _)| u)
+            .filter(|&&(_, c)| c as f64 > threshold)
+            .map(|&(u, _)| u)
             .collect()
     }
 
@@ -312,6 +342,47 @@ mod tests {
             for b in &bags { truth.merge(b); }
             prop_assert!(root.check_invariant(&truth).is_ok(),
                          "{:?}", root.check_invariant(&truth));
+        }
+
+        /// The in-place tributary path is the one it replaced: a chain
+        /// of `accumulate`s is the pointwise `BTreeMap` sum with the
+        /// spent budget carried as a weighted mean ε (the pre-flat
+        /// protocol merge), and `finalize` is `combine` of the one
+        /// accumulated summary — all to the bit.
+        #[test]
+        fn prop_accumulate_then_finalize_is_combine(
+            bags in proptest::collection::vec(
+                proptest::collection::btree_map(0u64..30, 1u64..60, 0..12), 1..6),
+            child_eps in proptest::collection::vec(0.0f64..0.05, 6..7),
+            extra in 0.0f64..0.05,
+        ) {
+            let children: Vec<FreqSummary> = bags
+                .into_iter()
+                .zip(&child_eps)
+                .map(|(b, &e)| {
+                    FreqSummary::combine(&[FreqSummary::local(&ItemBag::from_counts(b))], &FreqSummary::empty(), e)
+                })
+                .collect();
+            let mut acc = children[0].clone();
+            let (mut n, mut eps) = (acc.n, acc.eps);
+            let mut counts: std::collections::BTreeMap<Item, u64> = acc.iter().collect();
+            for c in &children[1..] {
+                acc.accumulate(c);
+                let spent = eps * n as f64 + c.eps * c.n as f64;
+                for (u, k) in c.iter() {
+                    *counts.entry(u).or_insert(0) += k;
+                }
+                n += c.n;
+                eps = if n == 0 { 0.0 } else { spent / n as f64 };
+            }
+            prop_assert_eq!(acc.n, n);
+            prop_assert_eq!(acc.eps.to_bits(), eps.to_bits());
+            prop_assert_eq!(acc.iter().collect::<Vec<_>>(), counts.into_iter().collect::<Vec<_>>());
+            let eps_k = child_eps.iter().cloned().fold(0.0, f64::max) + extra;
+            let expect = FreqSummary::combine(std::slice::from_ref(&acc), &FreqSummary::empty(), eps_k);
+            acc.finalize(eps_k);
+            prop_assert_eq!(acc.eps.to_bits(), expect.eps.to_bits());
+            prop_assert_eq!(acc, expect);
         }
 
         /// Step 3's counter bound: items surviving a combine with budget

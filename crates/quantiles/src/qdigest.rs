@@ -157,25 +157,30 @@ impl QDigest {
     /// gradient's per-level error *differences* pay for compression on
     /// either summary family.
     pub fn combine(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.bits, other.bits,
-            "cannot combine q-digests over different domains"
-        );
+        // Copy the larger map, add the smaller one into it.
         let (big, small) = if self.nodes.len() >= other.nodes.len() {
             (self, other)
         } else {
             (other, self)
         };
-        let mut nodes = big.nodes.clone();
-        for (&k, &c) in &small.nodes {
-            *nodes.entry(k).or_insert(0) += c;
+        let mut out = big.clone();
+        out.combine_into(small);
+        out
+    }
+
+    /// [`combine`](Self::combine) in place: add `other`'s counts node by
+    /// node into this digest. The same representation `combine` builds,
+    /// without copying either map.
+    pub fn combine_into(&mut self, other: &Self) {
+        assert_eq!(
+            self.bits, other.bits,
+            "cannot combine q-digests over different domains"
+        );
+        for (&k, &c) in &other.nodes {
+            *self.nodes.entry(k).or_insert(0) += c;
         }
-        QDigest {
-            bits: self.bits,
-            nodes,
-            n: self.n + other.n,
-            uncertainty: self.uncertainty + other.uncertainty,
-        }
+        self.n += other.n;
+        self.uncertainty += other.uncertainty;
     }
 
     /// Subtract a digest that was previously combined in: the exact

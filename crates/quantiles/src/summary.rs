@@ -322,6 +322,13 @@ pub trait QuantileSummary: Clone + PartialEq + Send + Sync + std::fmt::Debug + '
     /// Union of the two populations; absolute uncertainties add.
     fn combine(&self, other: &Self) -> Self;
 
+    /// `*self = self.combine(other)`, the representation `combine`
+    /// would build; families that can add `other` in place (q-digest)
+    /// do so instead of building a third summary.
+    fn combine_into(&mut self, other: &Self) {
+        *self = self.combine(other);
+    }
+
     /// Compress to rank-error budget `e_target` (no-op if the summary
     /// is already within budget).
     fn reduce(&mut self, e_target: u64);
@@ -404,6 +411,10 @@ impl QuantileSummary for crate::qdigest::QDigest {
 
     fn combine(&self, other: &Self) -> Self {
         crate::qdigest::QDigest::combine(self, other)
+    }
+
+    fn combine_into(&mut self, other: &Self) {
+        crate::qdigest::QDigest::combine_into(self, other)
     }
 
     fn reduce(&mut self, e_target: u64) {

@@ -37,15 +37,30 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// A config running `cases` cases per property.
+    /// A config running `cases` cases per property (an explicit count
+    /// wins over `PROPTEST_CASES`, as in real proptest).
     pub fn with_cases(cases: u32) -> Self {
         ProptestConfig { cases }
     }
 }
 
+/// Cases per property when a test does not set its own count.
+const DEFAULT_CASES: u32 = 64;
+
 impl Default for ProptestConfig {
+    /// 64 cases, or the `PROPTEST_CASES` environment variable
+    /// when it holds a number — real proptest's override, so
+    /// `PROPTEST_CASES=512 cargo test` runs every default-configured
+    /// property deeper. An unparseable value warns and is ignored.
     fn default() -> Self {
-        ProptestConfig { cases: 64 }
+        let cases = match std::env::var("PROPTEST_CASES") {
+            Ok(v) => v.trim().parse().unwrap_or_else(|_| {
+                eprintln!("proptest: ignoring PROPTEST_CASES={v:?} (not a number)");
+                DEFAULT_CASES
+            }),
+            Err(_) => DEFAULT_CASES,
+        };
+        ProptestConfig { cases }
     }
 }
 
@@ -292,6 +307,19 @@ mod tests {
                 prop_assert!(*k < 50 && (1..10).contains(v));
             }
         }
+    }
+
+    #[test]
+    fn proptest_cases_sets_the_default_count() {
+        // One test owns the variable, so no other test can observe it
+        // mid-change.
+        std::env::set_var("PROPTEST_CASES", "512");
+        assert_eq!(crate::ProptestConfig::default().cases, 512);
+        assert_eq!(crate::ProptestConfig::with_cases(4).cases, 4);
+        std::env::set_var("PROPTEST_CASES", "many");
+        assert_eq!(crate::ProptestConfig::default().cases, crate::DEFAULT_CASES);
+        std::env::remove_var("PROPTEST_CASES");
+        assert_eq!(crate::ProptestConfig::default().cases, crate::DEFAULT_CASES);
     }
 
     #[test]

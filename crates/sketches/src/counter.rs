@@ -18,7 +18,7 @@
 //! items algorithms: the hash of `(item, node)` or `(item, tree-root)`),
 //! so re-delivery along multiple paths dedups exactly.
 
-use crate::fm::FmSketch;
+use crate::fm;
 use crate::kmv::Kmv;
 
 /// A duplicate-insensitive counter: supports adding a population of
@@ -109,41 +109,95 @@ impl CounterFactory for ExactFactory {
 // FM counter
 // ---------------------------------------------------------------------
 
-/// Best-effort FM counter (\[7\], as used in the paper's experiments).
+/// Best-effort FM counter (\[7\], as used in the paper's experiments):
+/// an FM sketch whose bitmaps live inside the counter when there are at
+/// most 16 of them (the frequent-items default).
+/// A synopsis carries one counter per item, so inline bitmaps make a
+/// synopsis one contiguous allocation: cloning or fusing it costs O(1)
+/// allocations rather than one per item. Wider counters keep their
+/// bitmaps on the heap; the two layouts estimate, merge and size
+/// identically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FmCounter {
-    sketch: FmSketch,
+    bitmaps: Bitmaps,
 }
 
-impl FmCounter {
-    /// Create an FM counter with `bitmaps` bitmaps.
-    pub fn new(bitmaps: usize) -> Self {
-        FmCounter {
-            sketch: FmSketch::new(bitmaps),
+/// Counters up to this many bitmaps store them inline.
+const INLINE_BITMAPS: usize = 16;
+
+#[derive(Clone, Debug)]
+enum Bitmaps {
+    /// `len ≤ INLINE_BITMAPS` bitmaps in the prefix; the rest stay zero.
+    Inline {
+        len: u8,
+        words: [u32; INLINE_BITMAPS],
+    },
+    Heap(Box<[u32]>),
+}
+
+impl Bitmaps {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Bitmaps::Inline { len, words } => &words[..*len as usize],
+            Bitmaps::Heap(words) => words,
         }
     }
 
-    /// Access the underlying sketch.
-    pub fn sketch(&self) -> &FmSketch {
-        &self.sketch
+    fn as_mut_slice(&mut self) -> &mut [u32] {
+        match self {
+            Bitmaps::Inline { len, words } => &mut words[..*len as usize],
+            Bitmaps::Heap(words) => words,
+        }
+    }
+}
+
+impl PartialEq for Bitmaps {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Bitmaps {}
+
+impl FmCounter {
+    /// Create an FM counter with `bitmaps` bitmaps.
+    ///
+    /// # Panics
+    /// Panics if `bitmaps == 0`.
+    pub fn new(bitmaps: usize) -> Self {
+        assert!(bitmaps > 0, "an FM sketch needs at least one bitmap");
+        let bitmaps = if bitmaps <= INLINE_BITMAPS {
+            Bitmaps::Inline {
+                len: bitmaps as u8,
+                words: [0; INLINE_BITMAPS],
+            }
+        } else {
+            Bitmaps::Heap(vec![0; bitmaps].into_boxed_slice())
+        };
+        FmCounter { bitmaps }
+    }
+
+    /// The raw bitmaps (the layout of an [`FmSketch`](crate::fm::FmSketch)'s).
+    pub fn bitmaps(&self) -> &[u32] {
+        self.bitmaps.as_slice()
     }
 }
 
 impl DiCounter for FmCounter {
     fn add_occurrences(&mut self, salt: u64, count: u64) {
-        self.sketch.insert_value(salt, count);
+        fm::insert_value_into(self.bitmaps.as_mut_slice(), salt, count);
     }
 
     fn merge(&mut self, other: &Self) {
-        self.sketch.merge(&other.sketch);
+        fm::merge_into(self.bitmaps.as_mut_slice(), other.bitmaps());
     }
 
     fn estimate(&self) -> f64 {
-        self.sketch.estimate()
+        fm::estimate_bitmaps(self.bitmaps())
     }
 
     fn wire_words(&self) -> usize {
-        crate::rle::encoded_size_bytes(&self.sketch).div_ceil(4)
+        crate::rle::bitmaps_size_bytes(self.bitmaps()).div_ceil(4)
     }
 }
 
@@ -287,6 +341,31 @@ mod tests {
         assert_eq!(exact.wire_words(), 400);
         assert!(fm.wire_words() <= 16 + 4);
         assert!(kmv.wire_words() <= 32);
+    }
+
+    /// Inline or on the heap, an FM counter is the FM sketch it stands
+    /// for: same bits, same estimate, same wire size, same merge.
+    #[test]
+    fn fm_counter_is_an_fm_sketch_in_either_layout() {
+        use crate::fm::FmSketch;
+        for k in [1, 7, INLINE_BITMAPS, INLINE_BITMAPS + 1, 40] {
+            let (mut c, mut s) = (FmCounter::new(k), FmSketch::new(k));
+            let (mut c2, mut s2) = (FmCounter::new(k), FmSketch::new(k));
+            for salt in 0..30u64 {
+                c.add_occurrences(salt, salt * 7 % 50);
+                s.insert_value(salt, salt * 7 % 50);
+                c2.add_occurrences(salt + 100, 3);
+                s2.insert_value(salt + 100, 3);
+            }
+            c.merge(&c2);
+            s.merge(&s2);
+            assert_eq!(c.bitmaps(), s.bitmaps(), "k {k}");
+            assert_eq!(c.estimate().to_bits(), s.estimate().to_bits());
+            assert_eq!(
+                c.wire_words(),
+                crate::rle::encoded_size_bytes(&s).div_ceil(4)
+            );
+        }
     }
 
     #[test]

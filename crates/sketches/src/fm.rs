@@ -22,6 +22,7 @@
 //! duplicate-insensitive.
 
 use crate::hash::{keyed, keyed_pair, SplitMix};
+use std::sync::OnceLock;
 
 /// Number of bitmaps in the paper's configuration (§7.1).
 pub const DEFAULT_BITMAPS: usize = 40;
@@ -108,11 +109,7 @@ impl FmSketch {
     /// Insert one distinct element. Re-inserting the same element is a
     /// no-op in effect (same bits), which is the ODI property.
     pub fn insert_distinct(&mut self, element: u64) {
-        for (k, bm) in self.bitmaps.iter_mut().enumerate() {
-            let h = keyed(k as u64, element);
-            let rho = h.trailing_zeros().min(BITMAP_BITS - 1);
-            *bm |= 1 << rho;
-        }
+        insert_distinct_into(&mut self.bitmaps, element);
     }
 
     /// Add a non-negative integer value `v` under an insertion salt.
@@ -122,60 +119,7 @@ impl FmSketch {
     /// partial results can safely travel multiple paths. Different salts
     /// (e.g. different tree roots) contribute independently.
     pub fn insert_value(&mut self, salt: u64, v: u64) {
-        if v == 0 {
-            return;
-        }
-        if v <= EXACT_INSERT_LIMIT {
-            for i in 0..v {
-                self.insert_distinct(keyed_pair(0x5EED_F00D, salt, i));
-            }
-            return;
-        }
-        // Independent-bit approximation (Considine et al. [5]): bit j is
-        // set with probability 1 - (1 - 2^{-(j+1)})^v, sampled from a
-        // deterministic stream per (salt, bitmap). The probability table
-        // depends only on (j, v), so it is computed once and shared by
-        // all bitmaps; bits far below lg v are certainly set and bits far
-        // above certainly unset, so only the uncertain band is sampled.
-        let vf = v as f64;
-        let mut p_unset = [0.0f64; BITMAP_BITS as usize];
-        let mut lo = BITMAP_BITS; // first uncertain bit
-        let mut hi = 0; // one past the last uncertain bit
-        for (j, p) in p_unset.iter_mut().enumerate() {
-            *p = (1.0 - 2f64.powi(-(j as i32 + 1))).powf(vf);
-            if *p >= 1e-12 && *p <= 1.0 - 1e-12 {
-                lo = lo.min(j as u32);
-                hi = hi.max(j as u32 + 1);
-            }
-        }
-        // Prefix of certainly-set bits (everything below the band whose
-        // p_unset vanished).
-        let certain: u32 = if lo == BITMAP_BITS {
-            // No uncertain band: v is so large every representable bit is
-            // effectively set below the vanishing point.
-            let set_below = p_unset.iter().take_while(|&&p| p < 1e-12).count() as u32;
-            if set_below >= 32 {
-                u32::MAX
-            } else {
-                (1u32 << set_below) - 1
-            }
-        } else if lo >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << lo) - 1
-        };
-        for (k, bm) in self.bitmaps.iter_mut().enumerate() {
-            *bm |= certain;
-            if lo >= hi {
-                continue;
-            }
-            let mut stream = SplitMix::new(keyed_pair(0xC0DE_CAFE, salt, k as u64));
-            for j in lo..hi {
-                if stream.next_f64() >= p_unset[j as usize] {
-                    *bm |= 1 << j;
-                }
-            }
-        }
+        insert_value_into(&mut self.bitmaps, salt, v);
     }
 
     /// ⊕: bitwise OR of bitmaps. Commutative, associative, idempotent.
@@ -183,14 +127,7 @@ impl FmSketch {
     /// # Panics
     /// Panics if the sketches have different bitmap counts.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.bitmaps.len(),
-            other.bitmaps.len(),
-            "cannot merge FM sketches of different widths"
-        );
-        for (a, b) in self.bitmaps.iter_mut().zip(&other.bitmaps) {
-            *a |= b;
-        }
+        merge_into(&mut self.bitmaps, &other.bitmaps);
     }
 
     /// Position of the lowest unset bit of a bitmap (FM's `z` statistic).
@@ -203,13 +140,134 @@ impl FmSketch {
     ///
     /// `2^{mean(z)} / φ`, with an empty sketch estimating 0.
     pub fn estimate(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let sum_z: u32 = self.bitmaps.iter().map(|&b| Self::lowest_unset(b)).sum();
-        let mean_z = sum_z as f64 / self.bitmaps.len() as f64;
-        2f64.powf(mean_z) / PHI
+        estimate_bitmaps(&self.bitmaps)
     }
+}
+
+/// [`FmSketch::insert_distinct`] over raw bitmaps (shared with the
+/// inline-stored [`FmCounter`](crate::counter::FmCounter)).
+pub(crate) fn insert_distinct_into(bitmaps: &mut [u32], element: u64) {
+    for (k, bm) in bitmaps.iter_mut().enumerate() {
+        let h = keyed(k as u64, element);
+        let rho = h.trailing_zeros().min(BITMAP_BITS - 1);
+        *bm |= 1 << rho;
+    }
+}
+
+/// [`FmSketch::merge`] over raw bitmaps.
+pub(crate) fn merge_into(bitmaps: &mut [u32], other: &[u32]) {
+    assert_eq!(
+        bitmaps.len(),
+        other.len(),
+        "cannot merge FM sketches of different widths"
+    );
+    for (a, b) in bitmaps.iter_mut().zip(other) {
+        *a |= b;
+    }
+}
+
+/// [`FmSketch::insert_value`] over raw bitmaps.
+pub(crate) fn insert_value_into(bitmaps: &mut [u32], salt: u64, v: u64) {
+    if v == 0 {
+        return;
+    }
+    if v <= EXACT_INSERT_LIMIT {
+        for i in 0..v {
+            insert_distinct_into(bitmaps, keyed_pair(0x5EED_F00D, salt, i));
+        }
+        return;
+    }
+    // Independent-bit approximation (Considine et al. [5]): bit j is
+    // set with probability 1 - (1 - 2^{-(j+1)})^v, sampled from a
+    // deterministic stream per (salt, bitmap). The probability table
+    // depends only on (j, v), so it is computed once and shared by
+    // all bitmaps; bits far below lg v are certainly set and bits far
+    // above certainly unset, so only the uncertain band is sampled.
+    let vf = v as f64;
+    let mut p_unset = [0.0f64; BITMAP_BITS as usize];
+    let mut lo = BITMAP_BITS; // first uncertain bit
+    let mut hi = 0; // one past the last uncertain bit
+    for (j, p) in p_unset.iter_mut().enumerate() {
+        *p = (1.0 - 2f64.powi(-(j as i32 + 1))).powf(vf);
+        if *p >= 1e-12 && *p <= 1.0 - 1e-12 {
+            lo = lo.min(j as u32);
+            hi = hi.max(j as u32 + 1);
+        }
+    }
+    // Prefix of certainly-set bits (everything below the band whose
+    // p_unset vanished).
+    let certain: u32 = if lo == BITMAP_BITS {
+        // No uncertain band: v is so large every representable bit is
+        // effectively set below the vanishing point.
+        let set_below = p_unset.iter().take_while(|&&p| p < 1e-12).count() as u32;
+        if set_below >= 32 {
+            u32::MAX
+        } else {
+            (1u32 << set_below) - 1
+        }
+    } else if lo >= 32 {
+        u32::MAX
+    } else {
+        (1u32 << lo) - 1
+    };
+    for (k, bm) in bitmaps.iter_mut().enumerate() {
+        *bm |= certain;
+        if lo >= hi {
+            continue;
+        }
+        let mut stream = SplitMix::new(keyed_pair(0xC0DE_CAFE, salt, k as u64));
+        for j in lo..hi {
+            if stream.next_f64() >= p_unset[j as usize] {
+                *bm |= 1 << j;
+            }
+        }
+    }
+}
+
+/// [`FmSketch::estimate`] over raw bitmaps: `2^{Σz / K} / φ`, read from
+/// [`estimate_table`] for the common widths.
+pub(crate) fn estimate_bitmaps(bitmaps: &[u32]) -> f64 {
+    let mut any = 0u32;
+    let mut sum_z = 0u32;
+    for &b in bitmaps {
+        any |= b;
+        sum_z += FmSketch::lowest_unset(b);
+    }
+    if any == 0 {
+        return 0.0;
+    }
+    match estimate_table(bitmaps.len()) {
+        Some(table) => table[sum_z as usize],
+        None => estimate_direct(sum_z, bitmaps.len()),
+    }
+}
+
+/// The estimate expression itself, for `Σz` over `k` bitmaps.
+fn estimate_direct(sum_z: u32, k: usize) -> f64 {
+    let mean_z = sum_z as f64 / k as f64;
+    2f64.powf(mean_z) / PHI
+}
+
+/// Widest sketch whose estimates are tabulated; wider ones evaluate
+/// [`estimate_direct`] per call.
+const MAX_TABLE_BITMAPS: usize = 64;
+
+/// The estimate of a `k`-bitmap sketch for every `Σz` in `0..=32·k`,
+/// each entry [`estimate_direct`] evaluated once — so a lookup is bit for
+/// bit the expression it replaces. Built on first use of each width (at
+/// most 16 KB, for `k = 64`), never for a width nobody estimates.
+fn estimate_table(k: usize) -> Option<&'static [f64]> {
+    static TABLES: [OnceLock<Box<[f64]>>; MAX_TABLE_BITMAPS + 1] =
+        [const { OnceLock::new() }; MAX_TABLE_BITMAPS + 1];
+    if k == 0 || k > MAX_TABLE_BITMAPS {
+        return None;
+    }
+    let table = TABLES[k].get_or_init(|| {
+        (0..=BITMAP_BITS * k as u32)
+            .map(|sum_z| estimate_direct(sum_z, k))
+            .collect()
+    });
+    Some(table)
 }
 
 #[cfg(test)]
@@ -222,6 +280,23 @@ mod tests {
         let s = FmSketch::default_config();
         assert!(s.is_empty());
         assert_eq!(s.estimate(), 0.0);
+    }
+
+    /// Every entry of every table is the expression it stands for, to
+    /// the bit: each width 1..=64 and each `Σz` a sketch of that width
+    /// can reach.
+    #[test]
+    fn estimate_table_is_the_expression_bit_for_bit() {
+        for k in 1..=MAX_TABLE_BITMAPS {
+            let table = estimate_table(k).expect("tabulated width");
+            assert_eq!(table.len(), 32 * k + 1, "width {k}");
+            for (sum_z, &entry) in table.iter().enumerate() {
+                let direct = 2f64.powf(sum_z as f64 / k as f64) / PHI;
+                assert_eq!(entry.to_bits(), direct.to_bits(), "k {k} Σz {sum_z}");
+            }
+        }
+        assert!(estimate_table(0).is_none());
+        assert!(estimate_table(MAX_TABLE_BITMAPS + 1).is_none());
     }
 
     #[test]
@@ -411,6 +486,25 @@ mod tests {
             let ea = a.estimate();
             a.merge(&b);
             prop_assert!(a.estimate() >= ea - 1e-9);
+        }
+
+        /// Tabulated or not, `estimate` is the mean-`z` expression of the
+        /// sketch's own bitmaps, bit for bit (widths past the table
+        /// included).
+        #[test]
+        fn prop_estimate_is_the_mean_z_expression(
+            xs in proptest::collection::vec(any::<u64>(), 0..200),
+            k in 1usize..80,
+        ) {
+            let mut s = FmSketch::new(k);
+            for &x in &xs { s.insert_distinct(x); }
+            let sum_z: u32 = s.bitmaps().iter().map(|&b| FmSketch::lowest_unset(b)).sum();
+            let expected = if s.is_empty() {
+                0.0
+            } else {
+                2f64.powf(sum_z as f64 / k as f64) / PHI
+            };
+            prop_assert_eq!(s.estimate().to_bits(), expected.to_bits());
         }
 
         #[test]

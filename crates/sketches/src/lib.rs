@@ -21,6 +21,8 @@
 //! * [`counter`] — the [`counter::DiCounter`] abstraction over
 //!   duplicate-insensitive counters (exact / FM / KMV) that the
 //!   frequent-items Algorithm 2 is generic over.
+//! * [`keyed`] — the keyed union over flat sorted `(key, value)` runs
+//!   that fuses the delta's set-valued synopses by reference.
 //! * [`idset`] — a dense bitset over node ids, used as instrumentation
 //!   ground truth for "% of nodes contributing".
 //! * [`hash`] — the deterministic 64-bit hash family everything above
@@ -35,6 +37,7 @@ pub mod counter;
 pub mod fm;
 pub mod hash;
 pub mod idset;
+pub mod keyed;
 pub mod kmv;
 pub mod rle;
 pub mod sample;

@@ -141,8 +141,7 @@ impl BitSink for BitCounter {
 /// Walk a sketch's wire form field by field into `sink`. Allocation-free:
 /// the median `z` comes from a histogram over the 33 possible positions
 /// and the bits above `z` are peeled off the bitmap one gap at a time.
-fn emit(sketch: &FmSketch, sink: &mut impl BitSink) {
-    let bitmaps = sketch.bitmaps();
+fn emit(bitmaps: &[u32], sink: &mut impl BitSink) {
     let mut histogram = [0usize; BITMAP_BITS as usize + 1];
     for &bm in bitmaps {
         histogram[FmSketch::lowest_unset(bm) as usize] += 1;
@@ -179,7 +178,7 @@ fn emit(sketch: &FmSketch, sink: &mut impl BitSink) {
 /// Encode a sketch into its compact wire form.
 pub fn encode(sketch: &FmSketch) -> Vec<u8> {
     let mut w = BitWriter::default();
-    emit(sketch, &mut w);
+    emit(sketch.bitmaps(), &mut w);
     w.finish()
 }
 
@@ -214,8 +213,14 @@ pub fn decode(bytes: &[u8], num_bitmaps: usize) -> Option<FmSketch> {
 /// Exactly `encode(sketch).len()`, computed without building the bytes:
 /// the runner prices every multi-path send with it.
 pub fn encoded_size_bytes(sketch: &FmSketch) -> usize {
+    bitmaps_size_bytes(sketch.bitmaps())
+}
+
+/// [`encoded_size_bytes`] of raw bitmaps (the inline-stored
+/// [`FmCounter`](crate::counter::FmCounter) has no `FmSketch` to lend).
+pub(crate) fn bitmaps_size_bytes(bitmaps: &[u32]) -> usize {
     let mut bits = BitCounter(0);
-    emit(sketch, &mut bits);
+    emit(bitmaps, &mut bits);
     bits.0.div_ceil(8)
 }
 

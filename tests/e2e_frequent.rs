@@ -2,16 +2,19 @@
 //! (§6.3): tree tributaries running Algorithm 1, delta running
 //! Algorithm 2, conversion at the boundary, ε split across the halves.
 
-use td_suite::core::protocol::FreqProtocol;
-use td_suite::core::session::{Scheme, Session, SessionConfig};
+use td_suite::core::protocol::{FreqProtocol, QuantileProtocol};
+use td_suite::core::query::QuerySet;
+use td_suite::core::session::{Scheme, Session, SessionBuilder, SessionConfig};
 use td_suite::frequent::items::{count_items, true_frequent, ItemBag};
 use td_suite::frequent::multipath::MultipathConfig;
-use td_suite::netsim::loss::{Global, NoLoss};
+use td_suite::netsim::churn::ChurnSchedule;
+use td_suite::netsim::loss::{GilbertElliott, Global, NoLoss};
 use td_suite::netsim::network::Network;
 use td_suite::netsim::node::Position;
 use td_suite::netsim::rng::rng_from_seed;
 use td_suite::quantiles::gradient::MinTotalLoad;
 use td_suite::sketches::counter::{ExactFactory, FmFactory};
+use td_suite::workloads::synthetic::Synthetic;
 
 fn fixture(seed: u64) -> (Network, Vec<ItemBag>) {
     let mut rng = rng_from_seed(seed);
@@ -113,3 +116,98 @@ fn pure_tree_freq_protocol_via_session() {
         assert!(rec.output.reported.contains(&item));
     }
 }
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// The set-valued answers pinned to a constant, not to another engine
+/// path: a 600-node adaptive TD deployment under burst loss and churn
+/// carrying a frequent-items query (FM counters) and a q-digest quantile
+/// query in one bundle. Every epoch folds the frequent-items estimates
+/// and reported items, the q-digest's nodes, `n` and `E`, and the
+/// epoch's simulated bytes into one FNV digest. The constant was stamped
+/// before the delta's set-valued messages moved to flat sorted storage,
+/// so a change in how they are fused, stored or sized has to leave every
+/// answer and every byte where it was.
+#[test]
+fn set_valued_answers_match_the_pinned_digest() {
+    let net = Synthetic::small(600).build(0x5E7_D16);
+    let readings: Vec<u64> = (0..net.len() as u64).map(|i| (i * 37) % 1000).collect();
+    let bag_slots: Vec<Vec<ItemBag>> = (0..4u64)
+        .map(|slot| {
+            (0..net.len())
+                .map(|i| {
+                    if i == 0 {
+                        ItemBag::new()
+                    } else {
+                        ItemBag::from_counts([
+                            (1u64, 30),
+                            (2u64, 18),
+                            (10 + slot, 12),
+                            (100 + i as u64 % 11, 4),
+                        ])
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let n_slot: u64 = bag_slots[0].iter().map(ItemBag::total).sum();
+    let mp_cfg = MultipathConfig::new(0.01, 2.0, n_slot * 8, FmFactory { bitmaps: 16 });
+    let burst = GilbertElliott::bursty(0.15, 4.0, 0.8, 0xB0B);
+    let churn = ChurnSchedule::new(net.len(), 0.01, 8.0, 0xC4C);
+    let mut rng = rng_from_seed(0xD16E57);
+    let mut session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut bytes_before = 0;
+    for epoch in 0..60u64 {
+        session.apply_churn(&churn.events_at(epoch));
+        let bags = &bag_slots[(epoch % 4) as usize];
+        let mut set = QuerySet::new();
+        let freq = set.register(FreqProtocol::new(
+            mp_cfg.clone(),
+            MinTotalLoad::new(0.01, 2.25),
+            0.05,
+            bags,
+        ));
+        let quantile = set.register(QuantileProtocol::qdigest(
+            10,
+            MinTotalLoad::new(0.02, 2.25),
+            &readings,
+        ));
+        let rec = session.run_set(&set, &churn.overlay(&burst), epoch, &mut rng);
+        let f = rec.answers.get(freq);
+        fnv(&mut h, f.n_est.to_bits());
+        for (&item, est) in &f.estimates.counts {
+            fnv(&mut h, item);
+            fnv(&mut h, est.to_bits());
+        }
+        for &item in &f.reported {
+            fnv(&mut h, item);
+        }
+        let q = &rec.answers.get(quantile).summary;
+        for ((depth, prefix), count) in q.nodes() {
+            fnv(&mut h, u64::from(depth));
+            fnv(&mut h, prefix);
+            fnv(&mut h, count);
+        }
+        fnv(&mut h, q.population());
+        fnv(&mut h, q.uncertainty());
+        let bytes = session.stats().total_bytes();
+        fnv(&mut h, bytes - bytes_before);
+        bytes_before = bytes;
+    }
+    assert!(session.stats().nodes_left() > 0, "churn never fired");
+    assert!(session.plan_stats().patches > 0, "the delta never adapted");
+    assert_eq!(
+        h, PINNED_SET_VALUED_DIGEST,
+        "set-valued answer digest moved (got {h:#018x})"
+    );
+}
+
+/// Stamped from a default-features run; asserted identically under
+/// `--no-default-features`.
+const PINNED_SET_VALUED_DIGEST: u64 = 0xff90_c8ba_0e8f_4348;
