@@ -14,7 +14,6 @@ use crate::tree::GradientKind;
 use td_netsim::loss::{unicast, LossModel, Retransmit};
 use td_netsim::network::Network;
 use td_netsim::stats::CommStats;
-use td_quantiles::gradient::{Hybrid, MinMaxLoad, MinTotalLoad, PrecisionGradient, Uniform};
 use td_quantiles::summary::GkSummary;
 use td_topology::domination::DominationProfile;
 use td_topology::tree::Tree;
@@ -75,16 +74,6 @@ impl QuantileRunResult {
     }
 }
 
-fn make_gradient(kind: GradientKind, eps: f64, d: f64, height: u32) -> Box<dyn PrecisionGradient> {
-    let d = d.max(1.1);
-    match kind {
-        GradientKind::MinTotalLoad => Box::new(MinTotalLoad::new(eps, d)),
-        GradientKind::MinMaxLoad => Box::new(MinMaxLoad::new(eps, height.max(1))),
-        GradientKind::Hybrid => Box::new(Hybrid::new(eps, d, height.max(1))),
-        GradientKind::Uniform => Box::new(Uniform::new(eps)),
-    }
-}
-
 /// Run GK summaries up `tree` under the configured gradient. Each node of
 /// height `k` combines its children with its local exact summary and
 /// reduces to absolute uncertainty `ε(k) · n_subtree` before transmitting.
@@ -101,7 +90,7 @@ pub fn run_tree_gk<M: LossModel, R: rand::Rng + ?Sized>(
     let heights = tree.heights();
     let d = DominationProfile::from_tree(tree).domination_factor(config.granularity);
     let tree_height = heights[td_netsim::node::BASE_STATION.index()].max(1);
-    let gradient = make_gradient(config.gradient, config.eps, d, tree_height);
+    let gradient = config.gradient.gradient(config.eps, d, tree_height);
 
     let mut inbox: Vec<Vec<GkSummary>> = vec![Vec::new(); tree.len()];
     let mut stats = CommStats::new(tree.len());

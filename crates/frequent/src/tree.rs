@@ -35,6 +35,21 @@ pub enum GradientKind {
     Uniform,
 }
 
+impl GradientKind {
+    /// Build this gradient for a tree of `height` whose domination
+    /// factor is `d`. `d` is clamped to a hair above 1 when the tree is
+    /// barely dominating, since Lemma 3 requires `d > 1`.
+    pub fn gradient(self, eps: f64, d: f64, height: u32) -> Box<dyn PrecisionGradient> {
+        let d = d.max(1.1);
+        match self {
+            GradientKind::MinTotalLoad => Box::new(MinTotalLoad::new(eps, d)),
+            GradientKind::MinMaxLoad => Box::new(MinMaxLoad::new(eps, height.max(1))),
+            GradientKind::Hybrid => Box::new(Hybrid::new(eps, d, height.max(1))),
+            GradientKind::Uniform => Box::new(Uniform::new(eps)),
+        }
+    }
+}
+
 /// Configuration for a tree frequent-items run.
 #[derive(Clone, Copy, Debug)]
 pub struct TreeFrequentConfig {
@@ -85,18 +100,6 @@ pub struct TreeRunResult {
     pub domination_factor: f64,
 }
 
-/// Build the gradient for a tree. `d` is clamped to a hair above 1 when
-/// the tree is barely dominating, since Lemma 3 requires `d > 1`.
-fn make_gradient(kind: GradientKind, eps: f64, d: f64, height: u32) -> Box<dyn PrecisionGradient> {
-    let d = d.max(1.1);
-    match kind {
-        GradientKind::MinTotalLoad => Box::new(MinTotalLoad::new(eps, d)),
-        GradientKind::MinMaxLoad => Box::new(MinMaxLoad::new(eps, height.max(1))),
-        GradientKind::Hybrid => Box::new(Hybrid::new(eps, d, height.max(1))),
-        GradientKind::Uniform => Box::new(Uniform::new(eps)),
-    }
-}
-
 /// Run Algorithm 1 over `tree` with per-node item bags (`bags[i]` for node
 /// `i`; the base station's bag should be empty). Message loss is governed
 /// by `model` (use [`td_netsim::loss::NoLoss`] for the load measurements
@@ -115,7 +118,7 @@ pub fn run_tree<M: LossModel, R: rand::Rng + ?Sized>(
     let profile = DominationProfile::from_tree(tree);
     let d = profile.domination_factor(config.granularity);
     let tree_height = heights[BASE_STATION.index()].max(1);
-    let gradient = make_gradient(config.gradient, config.eps, d, tree_height);
+    let gradient = config.gradient.gradient(config.eps, d, tree_height);
 
     let mut inbox: Vec<Vec<FreqSummary>> = vec![Vec::new(); tree.len()];
     let mut stats = CommStats::new(tree.len());

@@ -12,12 +12,12 @@
 //! * [`StreamQuery`] — any existing [`Protocol`] (via
 //!   [`EpochProtocolFactory`], or [`ScalarQuery`] for any `Aggregate`)
 //!   plus the windows attached to its pane series. N windows over one
-//!   query share **one** pane ring.
+//!   query share **one** pane per epoch.
 //! * [`StreamSession`] — owns a [`Driver`](tributary_delta::Driver)
 //!   (and through it the `Session`), registers every query's protocol
 //!   on one [`QuerySet`](tributary_delta::QuerySet) per epoch (N
-//!   windowed queries, one topology traversal), maintains the pane
-//!   rings with O(1) eviction, and emits [`WindowReport`]s.
+//!   windowed queries, one topology traversal), folds each pane into
+//!   every window, and emits [`WindowReport`]s.
 //! * [`PanePartial`] / [`EpochMerge`] — the associative, commutative
 //!   cross-epoch merge: the scalar aggregates' tree-merge laws lifted
 //!   to per-epoch answers. [`PaneAlgebra`] generalizes the fold so
@@ -28,16 +28,16 @@
 //!   ([`QuantileStreamQuery`]), subtracting evicted panes exactly
 //!   where the digest's invertible combine allows it.
 //! * [`WindowAccum`] / [`FoldMode`] — per-window incremental
-//!   accumulators (subtract-on-evict, two-stacks) making a window hop
-//!   O(1) amortized regardless of window length, bit-for-bit equal to
-//!   the from-scratch re-fold.
+//!   accumulators (subtract-on-evict, two-stacks), written once over
+//!   [`PaneAlgebra`], making a window hop O(1) amortized regardless of
+//!   window length, bit-for-bit equal to the from-scratch re-fold.
 //!
 //! Windows interoperate with loss and adaptation instead of hiding
 //! them: every report carries the newest pane's [`CommStats`] and
-//! coverage (full per-pane history on request), the window's mean/min
-//! coverage, and the count of tributary/delta relabels that fired
-//! between its panes. Completed panes are plain merged values, so a
-//! mid-window relabel never invalidates history.
+//! coverage, the window's mean/min coverage, and the count of
+//! tributary/delta relabels that fired between its panes. Completed
+//! panes are plain merged values, so a mid-window relabel never
+//! invalidates history.
 //!
 //! [`Protocol`]: tributary_delta::Protocol
 //! [`CommStats`]: td_netsim::stats::CommStats

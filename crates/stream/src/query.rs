@@ -144,14 +144,6 @@ pub struct WindowCfg {
     pub spec: WindowSpec,
     /// The cross-epoch merge law.
     pub merge: EpochMerge,
-    /// Whether reports carry full per-pane instrumentation
-    /// ([`WindowReport::pane_stats`]) — opting in keeps the query's
-    /// pane ring alive and clones `O(len)` stats per report, so it is
-    /// off by default; lean reports still carry the newest pane's stats
-    /// plus the window-level aggregates.
-    ///
-    /// [`WindowReport::pane_stats`]: crate::session::WindowReport::pane_stats
-    pub detailed: bool,
 }
 
 /// A windowed stream query: one underlying protocol `P` plus the
@@ -172,36 +164,10 @@ impl<P: PaneProtocol> StreamQuery<P> {
     }
 
     /// Attach one window (builder-style; call repeatedly for several
-    /// windows over the same pane series). Reports are lean: window
-    /// aggregates plus the newest pane's stats, no per-pane history —
-    /// see [`window_detailed`](Self::window_detailed).
+    /// windows over the same pane series). Reports carry the window
+    /// aggregates plus the newest pane's stats.
     pub fn window(mut self, spec: WindowSpec, merge: EpochMerge) -> Self {
-        self.windows.push(WindowCfg {
-            spec,
-            merge,
-            detailed: false,
-        });
-        self
-    }
-
-    /// Attach one window whose reports carry full per-pane
-    /// instrumentation (the pre-incremental engine's report shape).
-    /// Costs a pane ring on the query and `O(len)` stat clones per
-    /// report.
-    ///
-    /// # Panics
-    /// Panics for [`WindowSpec::Landmark`] — a landmark window's pane
-    /// history is unbounded, so per-pane detail is never retained.
-    pub fn window_detailed(mut self, spec: WindowSpec, merge: EpochMerge) -> Self {
-        assert!(
-            !matches!(spec, WindowSpec::Landmark),
-            "landmark windows keep O(1) state and cannot report per-pane detail"
-        );
-        self.windows.push(WindowCfg {
-            spec,
-            merge,
-            detailed: true,
-        });
+        self.windows.push(WindowCfg { spec, merge });
         self
     }
 

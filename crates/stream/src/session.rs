@@ -1,4 +1,4 @@
-//! The cross-epoch stream engine: panes, rings, and window emission
+//! The cross-epoch stream engine: panes, window folds, and emission
 //! over one multi-query [`Session`].
 //!
 //! A [`StreamSession`] owns a [`Driver`] (which owns the `Session` and
@@ -16,7 +16,7 @@
 //!
 //! ## Loss, churn, and adaptation visibility
 //!
-//! Windows never hide degradation: a report carries every pane's
+//! Windows never hide degradation: a report carries the newest pane's
 //! coverage fraction and communication accounting, the window-level
 //! mean/min coverage, the number of tributary/delta relabels that
 //! fired *between* its panes, and — for
@@ -31,12 +31,10 @@
 //! Each window owns a [`WindowAccum`] — the O(1)-amortized state
 //! machine from [`crate::window`] — so absorbing a pane costs O(1)
 //! per window regardless of window length, and steady-state hops
-//! allocate nothing. Reports are lean by default (window aggregates
-//! plus the newest pane's [`PaneStats`]); per-pane history is opt-in
-//! via [`StreamQuery::window_detailed`], which is the only thing that
-//! keeps a pane ring alive on the query.
+//! allocate nothing. Reports carry the window aggregates plus the
+//! newest pane's [`PaneStats`]; a `tumbling(1)` window's reports are
+//! the per-pane history.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -75,9 +73,8 @@ pub struct PaneStats {
     /// pane's epoch.
     pub relabeled: bool,
     /// Communication accounting of that epoch's traversal — shared
-    /// (`Arc`) between the ring, overlapping windows, and every report
-    /// it appears in, so carrying it is a pointer bump, not a per-node
-    /// counter copy.
+    /// (`Arc`) between every report it appears in, so carrying it is a
+    /// pointer bump, not a per-node counter copy.
     pub comm: Arc<CommStats>,
 }
 
@@ -138,11 +135,6 @@ pub struct WindowReport {
     /// The newest pane's per-epoch instrumentation — always present,
     /// O(1) to carry (the `CommStats` is `Arc`-shared).
     pub last_pane: PaneStats,
-    /// Full per-pane instrumentation, oldest first — populated only for
-    /// windows attached via [`StreamQuery::window_detailed`]; empty
-    /// (no allocation) otherwise. Lean consumers read
-    /// [`last_pane`](Self::last_pane) and the window-level aggregates.
-    pub pane_stats: Vec<PaneStats>,
 }
 
 impl WindowReport {
@@ -203,20 +195,15 @@ impl StreamStats {
 struct WindowState {
     spec: WindowSpec,
     merge: EpochMerge,
-    detailed: bool,
     accum: WindowAccum,
 }
 
 /// Per-query pane bookkeeping (parallel to the session's boxed
 /// protocols — split so the epoch loop can borrow protocols shared
-/// while mutating rings). The ring holds per-pane *stats* only (values
-/// live in the window accumulators) and exists only when a detailed
-/// window needs report-time history.
+/// while mutating window state).
 struct QueryState {
     name: Arc<str>,
     kind: PaneKind,
-    ring: VecDeque<PaneStats>,
-    ring_need: usize,
     windows: Vec<WindowState>,
     next_seq: u64,
     /// Deregistered queries stay in place as tombstones so earlier
@@ -327,23 +314,12 @@ impl StreamSession {
         );
         let qi = self.protos.len();
         let kind = query.proto.pane_kind();
-        // Only detailed windows replay per-pane history at report time;
-        // everything else rides the accumulators, so lean-only queries
-        // keep no ring at all (satellite of the O(1)-hop work).
-        let ring_need = query
-            .windows
-            .iter()
-            .filter(|cfg| cfg.detailed)
-            .map(|cfg| cfg.spec.ring_need())
-            .max()
-            .unwrap_or(0);
         let windows: Vec<WindowState> = query
             .windows
             .iter()
             .map(|cfg| WindowState {
                 spec: cfg.spec,
                 merge: cfg.merge,
-                detailed: cfg.detailed,
                 accum: WindowAccum::new(cfg.spec, cfg.merge, kind, self.mode),
             })
             .collect();
@@ -356,8 +332,6 @@ impl StreamSession {
         self.queries.push(QueryState {
             name: PaneProtocol::name(&query.proto).into(),
             kind,
-            ring: VecDeque::with_capacity(if ring_need > 0 { ring_need + 1 } else { 0 }),
-            ring_need,
             windows,
             next_seq: 0,
             active: true,
@@ -623,14 +597,18 @@ impl StreamSession {
             stepped.record.action,
             AdaptAction::Expanded { .. } | AdaptAction::Shrunk { .. }
         );
-        let comm = Arc::new(comm);
-        let coverage = stepped.record.pct_contributing;
+        let pane = PaneStats {
+            epoch,
+            coverage: stepped.record.pct_contributing,
+            relabeled,
+            comm: Arc::new(comm),
+        };
         // Window-fold phase: every query's pane absorption and window
         // re-folds for this epoch, as one latency sample.
         let sw = td_telemetry::phase::stopwatch();
         for (qi, value) in values.into_iter().enumerate() {
             if let Some(value) = value {
-                self.absorb_pane(qi, epoch, value, coverage, relabeled, &comm, &mut reports);
+                self.absorb_pane(qi, value, &pane, &mut reports);
             }
         }
         td_telemetry::phase::record(td_telemetry::phase::Phase::WindowFold, sw);
@@ -640,54 +618,31 @@ impl StreamSession {
     /// Fold one measured epoch's answer into query `qi`'s pane series —
     /// one O(1)-amortized [`WindowAccum::absorb`] per window — and emit
     /// whatever windows close on it.
-    #[allow(clippy::too_many_arguments)]
     fn absorb_pane(
         &mut self,
         qi: usize,
-        epoch: u64,
         value: PaneValue,
-        coverage: f64,
-        relabeled: bool,
-        comm: &Arc<CommStats>,
+        pane: &PaneStats,
         reports: &mut Vec<WindowReport>,
     ) {
         let q = &mut self.queries[qi];
         let seq = q.next_seq;
         q.next_seq += 1;
         self.stats.panes_built += 1;
-        self.stats.pane_coverage_sum += coverage;
+        self.stats.pane_coverage_sum += pane.coverage;
         let input = PaneInput {
-            epoch,
+            epoch: pane.epoch,
             value,
-            coverage,
-            relabeled,
-            nodes_joined: comm.nodes_joined(),
-            nodes_left: comm.nodes_left(),
-            bytes: comm.total_bytes(),
+            coverage: pane.coverage,
+            relabeled: pane.relabeled,
+            nodes_joined: pane.comm.nodes_joined(),
+            nodes_left: pane.comm.nodes_left(),
+            bytes: pane.comm.total_bytes(),
         };
-        let last_pane = PaneStats {
-            epoch,
-            coverage,
-            relabeled,
-            comm: Arc::clone(comm),
-        };
-        if q.ring_need > 0 {
-            q.ring.push_back(last_pane.clone());
-            // O(1) eviction: drop exactly the pane that aged out.
-            while q.ring.len() > q.ring_need {
-                q.ring.pop_front();
-            }
-        }
         let mut counters = AccumCounters::default();
         for (wi, w) in q.windows.iter_mut().enumerate() {
             let Some(ans) = w.accum.absorb(seq, &input, &mut counters) else {
                 continue;
-            };
-            let pane_stats: Vec<PaneStats> = if w.detailed {
-                let take = ans.panes.min(q.ring.len());
-                q.ring.iter().skip(q.ring.len() - take).cloned().collect()
-            } else {
-                Vec::new()
             };
             reports.push(WindowReport {
                 handle: WindowHandle {
@@ -710,8 +665,7 @@ impl StreamSession {
                 bytes: ans.bytes,
                 freq: ans.freq,
                 quantile: ans.quantile,
-                last_pane: last_pane.clone(),
-                pane_stats,
+                last_pane: pane.clone(),
             });
             self.stats.reports_emitted += 1;
         }
@@ -754,21 +708,32 @@ mod tests {
         let values: Vec<u64> = vec![2; net.len()];
         let truth = 2.0 * net.num_sensors() as f64;
         let (mut ss, mut rng) = stream(Scheme::Tag, &net, 2, 302);
+        // A tumbling(1) sibling reports every pane on its own.
         let handles = ss.register(
             StreamQuery::scalar(Sum::default())
-                .window_detailed(WindowSpec::tumbling(3), EpochMerge::Add),
+                .window(WindowSpec::tumbling(3), EpochMerge::Add)
+                .window(WindowSpec::tumbling(1), EpochMerge::Add),
         );
         assert_eq!(
             handles,
-            vec![WindowHandle {
-                query: 0,
-                window: 0
-            }]
+            vec![
+                WindowHandle {
+                    query: 0,
+                    window: 0
+                },
+                WindowHandle {
+                    query: 0,
+                    window: 1
+                }
+            ]
         );
         let reports = ss.run(&FixedReadings(values), &NoLoss, 9, &mut rng);
+        let (windows, panes): (Vec<&WindowReport>, Vec<&WindowReport>) =
+            reports.iter().partition(|r| r.handle == handles[0]);
+        assert_eq!(panes.len(), 9);
         // 9 measured panes → windows close after panes 2, 5, 8.
-        assert_eq!(reports.len(), 3);
-        for (i, r) in reports.iter().enumerate() {
+        assert_eq!(windows.len(), 3);
+        for (i, r) in windows.iter().enumerate() {
             assert_eq!(r.panes, 3);
             assert_eq!(r.expected_panes, 3);
             // Lossless TAG: each pane is the exact sum, window = 3×.
@@ -780,15 +745,14 @@ mod tests {
             // epochs 2-4.
             assert_eq!(r.start_epoch, 2 + 3 * i as u64);
             assert_eq!(r.end_epoch, 4 + 3 * i as u64);
-            // Detailed window: full per-pane history in the report.
-            assert_eq!(r.pane_stats.len(), 3);
             assert_eq!(r.last_pane.epoch, r.end_epoch);
             assert!(r.comm_bytes() > 0);
             assert_eq!(
                 r.comm_bytes(),
-                r.pane_stats
+                panes
                     .iter()
-                    .map(|p| p.comm.total_bytes())
+                    .filter(|p| (r.start_epoch..=r.end_epoch).contains(&p.last_pane.epoch))
+                    .map(|p| p.last_pane.comm.total_bytes())
                     .sum::<u64>(),
                 "incremental byte total diverged from the per-pane stats"
             );
@@ -797,7 +761,7 @@ mod tests {
         assert_eq!(st.epochs_run, 11);
         assert_eq!(st.measured_epochs, 9);
         assert_eq!(st.panes_built, 9);
-        assert_eq!(st.reports_emitted, 3);
+        assert_eq!(st.reports_emitted, 12);
     }
 
     #[test]
@@ -838,14 +802,9 @@ mod tests {
             assert_eq!(r.panes, i + 1);
             assert_eq!(r.start_epoch, 1, "landmark anchors at first measured epoch");
             assert_eq!(r.answer, (i + 1) as f64 * truth);
-            // O(1) state: lean reports carry no per-pane history, just
-            // the newest pane's stats.
-            assert!(r.pane_stats.is_empty());
+            // O(1) state: reports carry the newest pane's stats only.
             assert_eq!(r.last_pane.epoch, r.end_epoch);
         }
-        // No ring retained for lean-only queries.
-        assert_eq!(ss.queries[0].ring.len(), 0);
-        assert_eq!(ss.queries[0].ring.capacity(), 0);
     }
 
     #[test]

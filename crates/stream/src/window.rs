@@ -4,27 +4,30 @@
 //! A *pane* is one measured epoch's contribution to a windowed query:
 //! the epoch answer plus its instrumentation. Windows never re-traverse
 //! history — they merge panes, and the merge must therefore be
-//! associative and commutative so panes can combine in ring order, hop
+//! associative and commutative so panes can combine in arrival order, hop
 //! order, or eviction order interchangeably. [`PanePartial`] is that
 //! merge: the product of the scalar aggregates' tree-merge laws
 //! (`Sum`/`Count` addition, `Min`/`Max` extrema, `Average`'s
 //! `(sum, count)` pair) lifted to the `f64` answers epochs produce, and
 //! [`EpochMerge`] selects which component a window evaluates. The
 //! [`PaneAlgebra`] trait generalizes the fold beyond four scalars:
-//! [`FreqPane`] carries *set-valued* per-item count estimates, so a
-//! frequent-items query can be windowed like any scalar.
+//! [`FreqPane`] carries *set-valued* per-item count estimates and
+//! [`QuantilePane`] a merged quantile summary, so frequent-items and
+//! quantile queries are windowed like any scalar.
 //!
 //! ## Incremental maintenance: a hop costs O(1), not O(W)
 //!
-//! [`WindowAccum`] replaces the per-emission re-fold with a per-window
-//! accumulator selected by merge law and window shape:
+//! [`WindowAccum`] replaces the per-emission re-fold with one value fold
+//! per window, written once over [`PaneAlgebra`] and selected by window
+//! shape and merge law:
 //!
 //! * tumbling / landmark / `sliding(len, hop == len)` → a **running**
 //!   left fold (reset at each emission for tumbling) — trivially the
 //!   same fold as a from-scratch pass;
-//! * sliding `hop < len`, `Add`/`Mean` → **subtract-on-evict** guarded
-//!   by an exactness certificate (below);
-//! * sliding `hop < len`, `Min`/`Max` → the **two-stacks** scheme
+//! * sliding `hop < len`, `Add`/`Mean` (every set-valued window) →
+//!   **subtract-on-evict** ([`PaneAlgebra::retract`]) guarded by an
+//!   exactness certificate (below);
+//! * sliding `hop < len`, scalar `Min`/`Max` → the **two-stacks** scheme
 //!   ([`TwoStacks`]): amortized O(1) push/evict/query without needing
 //!   an inverse.
 //!
@@ -40,14 +43,22 @@
 //! ≤ 2⁵² — then all sums and differences are exactly representable and
 //! the subtracted sum *equals* the refolded sum, bit for bit. When the
 //! certificate fails (fractional multi-path estimates, overflow-scale
-//! values) the eviction falls back to refolding from the window's own
-//! pane buffer — O(len) for that hop, still bit-exact, counted in
-//! [`AccumCounters::value_refolds`]. Pushes never need the certificate:
-//! appending to a left fold *is* the left fold of the extended
-//! sequence. `Min`/`Max` are selection operations (the answer is one of
-//! the pane values), so [`TwoStacks`] matches the refold exactly up to
-//! the IEEE `min(±0.0, ∓0.0)` tie, which pane values (sums of
-//! readings) do not produce.
+//! values, GK summaries, whose combine has no inverse) or the pane
+//! declines the retraction, the eviction falls back to refolding from
+//! the window's own pane buffer — O(len) for that hop, still bit-exact,
+//! counted in [`AccumCounters::value_refolds`]. Pushes never need the
+//! certificate: appending to a left fold *is* the left fold of the
+//! extended sequence. `Min`/`Max` are selection operations (the answer
+//! is one of the pane values), so [`TwoStacks`] matches the refold
+//! exactly up to the IEEE `min(±0.0, ∓0.0)` tie, which pane values (sums
+//! of readings) do not produce.
+
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
+
+use td_frequent::items::Item;
+use td_quantiles::summary::QuantileSummary;
 
 /// The shape of a window over the measured-epoch pane sequence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,13 +75,13 @@ pub enum WindowSpec {
     Sliding {
         /// Window length in panes (≥ 1).
         len: u32,
-        /// Panes between emissions (≥ 1).
+        /// Panes between emissions (≥ 1, ≤ `len`).
         hop: u32,
     },
     /// The landmark window: every answer covers all panes since the
     /// stream's first measured epoch, emitted every pane. Maintained as
     /// a running accumulator — O(1) state and merge work per epoch, no
-    /// pane ring at all.
+    /// pane buffer at all.
     Landmark,
 }
 
@@ -80,8 +91,7 @@ impl WindowSpec {
     /// # Panics
     /// Panics if `len` is zero.
     pub fn tumbling(len: u32) -> Self {
-        assert!(len >= 1, "a window needs at least one pane");
-        WindowSpec::Tumbling { len }
+        WindowSpec::Tumbling { len }.checked()
     }
 
     /// A sliding window of `len` panes emitted every `hop` panes.
@@ -91,10 +101,7 @@ impl WindowSpec {
     /// silently drop panes from every window — use tumbling plus a
     /// longer length instead).
     pub fn sliding(len: u32, hop: u32) -> Self {
-        assert!(len >= 1, "a window needs at least one pane");
-        assert!(hop >= 1, "a hop advances by at least one pane");
-        assert!(hop <= len, "hop {hop} > len {len} would drop panes");
-        WindowSpec::Sliding { len, hop }
+        WindowSpec::Sliding { len, hop }.checked()
     }
 
     /// The landmark window.
@@ -102,13 +109,18 @@ impl WindowSpec {
         WindowSpec::Landmark
     }
 
-    /// Panes the shared ring must retain for this window (0 for the
-    /// landmark window, which keeps a running accumulator instead).
-    pub(crate) fn ring_need(&self) -> usize {
-        match *self {
-            WindowSpec::Tumbling { len } | WindowSpec::Sliding { len, .. } => len as usize,
-            WindowSpec::Landmark => 0,
+    /// The spec itself, once its invariants hold. The variant fields are
+    /// public, so a literal skips the constructors; [`WindowAccum::new`]
+    /// checks again.
+    fn checked(self) -> Self {
+        if let WindowSpec::Tumbling { len } | WindowSpec::Sliding { len, .. } = self {
+            assert!(len >= 1, "a window needs at least one pane");
         }
+        if let WindowSpec::Sliding { len, hop } = self {
+            assert!(hop >= 1, "a hop advances by at least one pane");
+            assert!(hop <= len, "hop {hop} > len {len} would drop panes");
+        }
+        self
     }
 
     /// Whether a window closes after pane `seq` (0-based sequence number
@@ -121,16 +133,11 @@ impl WindowSpec {
         }
     }
 
-    /// How many panes the window closing after pane `seq` merges
-    /// (the schedule tests' oracle; the engine tracks spans in
-    /// [`WindowAccum`] now).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn span_at(&self, seq: u64) -> usize {
-        match *self {
-            WindowSpec::Tumbling { len } => len as usize,
-            WindowSpec::Sliding { len, .. } => (len as u64).min(seq + 1) as usize,
-            WindowSpec::Landmark => (seq + 1) as usize,
-        }
+    /// Whether consecutive windows share panes. `hop == len` never
+    /// overlaps: it is tumbling by another name, and runs the same
+    /// running accumulator.
+    pub(crate) fn overlaps(&self) -> bool {
+        matches!(*self, WindowSpec::Sliding { len, hop } if hop < len)
     }
 
     /// The full pane count of a complete window (`None` for landmark,
@@ -235,20 +242,69 @@ impl PanePartial {
     }
 }
 
-/// The cross-epoch fold interface: anything that can absorb the next
-/// pane of its kind in stream order (a left fold). [`PanePartial`]
-/// implements it for scalar panes, [`FreqPane`] for set-valued
-/// frequent-items panes; [`WindowAccum`]'s running and refold paths are
-/// written against this trait so both pane kinds share one fold.
-pub trait PaneAlgebra: Clone {
+/// The cross-epoch fold interface, one implementation per pane kind:
+/// [`PanePartial`] for scalar panes, [`FreqPane`] for set-valued
+/// frequent-items panes, [`QuantilePane`] for quantile summaries.
+/// [`WindowAccum`]'s running, subtract-on-evict and refold paths are
+/// written once against this trait.
+pub trait PaneAlgebra: Clone + std::fmt::Debug + Send + 'static {
+    /// This kind's view of a pane value — borrowed for the shared
+    /// set-valued panes, built for scalars — or `None` for a pane of
+    /// another kind.
+    fn from_pane(value: &PaneValue) -> Option<Cow<'_, Self>>;
+
     /// Absorb the next pane (left-fold order: `self` is the older
     /// partial, `next` the newer pane).
     fn absorb(&mut self, next: &Self);
+
+    /// Subtract a previously absorbed pane. Called only while the
+    /// window's exactness certificate holds. Either the result equals a
+    /// from-scratch fold of the remaining panes, bit for bit, and this
+    /// returns `true`; or `self` is left unchanged and this returns
+    /// `false`, and the caller refolds.
+    fn retract(&mut self, evicted: &Self) -> bool;
+
+    /// The pane's exactness-certificate weight and eligibility (see the
+    /// module docs): the magnitude it adds to the window's budget, and
+    /// whether its contribution is integer-valued and small enough for
+    /// exact subtraction.
+    fn exactness(&self) -> (f64, bool);
+
+    /// The window answer this partial evaluates to under `merge`.
+    fn answer(self, merge: EpochMerge) -> PaneValue;
 }
 
 impl PaneAlgebra for PanePartial {
+    fn from_pane(value: &PaneValue) -> Option<Cow<'_, Self>> {
+        match value {
+            PaneValue::Scalar(v) => Some(Cow::Owned(PanePartial::of(*v))),
+            _ => None,
+        }
+    }
+
     fn absorb(&mut self, next: &Self) {
         self.merge(next);
+    }
+
+    /// Exact on `sum` and `count`, the components `Add`/`Mean` evaluate
+    /// — the only scalar laws that subtract. `min`/`max` have no
+    /// inverse and are left as they were.
+    fn retract(&mut self, evicted: &Self) -> bool {
+        self.sum -= evicted.sum;
+        self.count -= evicted.count;
+        true
+    }
+
+    fn exactness(&self) -> (f64, bool) {
+        let v = self.sum;
+        (
+            v.abs(),
+            v.is_finite() && v.fract() == 0.0 && v.abs() <= EXACT_VALUE_MAX,
+        )
+    }
+
+    fn answer(self, merge: EpochMerge) -> PaneValue {
+        PaneValue::Scalar(self.evaluate(merge))
     }
 }
 
@@ -261,17 +317,14 @@ impl PaneAlgebra for PanePartial {
 /// canonical with a from-scratch fold.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FreqPane {
-    counts: std::collections::BTreeMap<td_frequent::items::Item, f64>,
+    counts: BTreeMap<Item, f64>,
     total: f64,
 }
 
 impl FreqPane {
     /// Build from per-item estimates and an estimated total count.
     /// Non-positive and non-finite counts are dropped (see type docs).
-    pub fn from_counts(
-        counts: impl IntoIterator<Item = (td_frequent::items::Item, f64)>,
-        total: f64,
-    ) -> Self {
+    pub fn from_counts(counts: impl IntoIterator<Item = (Item, f64)>, total: f64) -> Self {
         FreqPane {
             counts: counts.into_iter().filter(|&(_, c)| c > 0.0).collect(),
             total,
@@ -287,7 +340,7 @@ impl FreqPane {
     }
 
     /// The per-item count estimates (positive entries only).
-    pub fn counts(&self) -> &std::collections::BTreeMap<td_frequent::items::Item, f64> {
+    pub fn counts(&self) -> &BTreeMap<Item, f64> {
         &self.counts
     }
 
@@ -304,27 +357,10 @@ impl FreqPane {
         self.total += other.total;
     }
 
-    /// Item-wise subtraction of an evicted pane. Only called under the
-    /// exactness certificate, where every count is an exactly-summed
-    /// integer: a count reaching exactly zero means no remaining pane
-    /// contains the item, so the entry is removed — matching the map a
-    /// from-scratch fold of the remaining panes would build.
-    fn retract(&mut self, other: &FreqPane) {
-        for (&u, &c) in &other.counts {
-            if let Some(e) = self.counts.get_mut(&u) {
-                *e -= c;
-                if *e == 0.0 {
-                    self.counts.remove(&u);
-                }
-            }
-        }
-        self.total -= other.total;
-    }
-
     /// §7.4.3's reporting rule over the merged window: items whose
     /// estimated count exceeds `(support − eps)` of the window's
     /// estimated total N̂.
-    pub fn report(&self, support: f64, eps: f64) -> Vec<td_frequent::items::Item> {
+    pub fn report(&self, support: f64, eps: f64) -> Vec<Item> {
         let threshold = (support - eps) * self.total;
         self.counts
             .iter()
@@ -332,11 +368,42 @@ impl FreqPane {
             .map(|(&u, _)| u)
             .collect()
     }
+}
 
-    /// The pane's exactness-certificate weight and eligibility: weight
-    /// bounds every partial sum this pane can contribute to (its total
-    /// and its largest count), and the pane is `safe` when all of those
-    /// are positive integers small enough that window sums stay exact.
+impl PaneAlgebra for FreqPane {
+    fn from_pane(value: &PaneValue) -> Option<Cow<'_, Self>> {
+        match value {
+            PaneValue::Freq(f) => Some(Cow::Borrowed(f)),
+            _ => None,
+        }
+    }
+
+    fn absorb(&mut self, next: &Self) {
+        self.merge(next);
+    }
+
+    /// Item-wise subtraction. Under the exactness certificate every
+    /// count is an exactly-summed integer: a count reaching exactly zero
+    /// means no remaining pane contains the item, so the entry is
+    /// removed — matching the map a from-scratch fold of the remaining
+    /// panes would build.
+    fn retract(&mut self, evicted: &Self) -> bool {
+        for (&u, &c) in &evicted.counts {
+            if let Some(e) = self.counts.get_mut(&u) {
+                *e -= c;
+                if *e == 0.0 {
+                    self.counts.remove(&u);
+                }
+            }
+        }
+        self.total -= evicted.total;
+        true
+    }
+
+    /// The weight bounds every partial sum this pane can contribute to
+    /// (its total and its largest count); the pane is safe when all of
+    /// those are non-negative integers small enough that window sums
+    /// stay exact.
     fn exactness(&self) -> (f64, bool) {
         let mut weight = self.total.abs();
         let mut safe = self.total.is_finite() && self.total >= 0.0 && self.total.fract() == 0.0;
@@ -346,11 +413,9 @@ impl FreqPane {
         }
         (weight, safe && weight <= EXACT_VALUE_MAX)
     }
-}
 
-impl PaneAlgebra for FreqPane {
-    fn absorb(&mut self, next: &Self) {
-        self.merge(next);
+    fn answer(self, _merge: EpochMerge) -> PaneValue {
+        PaneValue::Freq(Arc::new(self))
     }
 }
 
@@ -360,13 +425,13 @@ impl PaneAlgebra for FreqPane {
 /// tree protocol uses, lifted across epochs.
 ///
 /// The two summary families split on eviction: q-digest combine is
-/// node-wise count addition and therefore *invertible*, so
-/// `try_retract` subtracts an evicted pane exactly
-/// (canonical with a from-scratch fold, bit for bit); GK combine is not
-/// invertible, so GK panes report themselves ineligible for the
-/// exactness certificate and every eviction falls back to an O(len)
-/// refold — "canonicalized merge/retract where the digest supports it,
-/// refold fallback otherwise".
+/// node-wise count addition and therefore *invertible*, so `retract`
+/// subtracts an evicted pane exactly (canonical with a from-scratch
+/// fold, bit for bit); GK combine is not invertible, so GK panes report
+/// themselves ineligible for the exactness certificate and every
+/// eviction falls back to an O(len) refold — "canonicalized
+/// merge/retract where the digest supports it, refold fallback
+/// otherwise".
 #[derive(Clone, Debug, PartialEq)]
 pub enum QuantilePane {
     /// A Greenwald–Khanna summary pane (evictions refold).
@@ -376,31 +441,16 @@ pub enum QuantilePane {
 }
 
 impl QuantilePane {
-    /// Merge another pane of the same family (union of populations).
+    /// Merge another pane of the same family (union of populations), in
+    /// place.
     ///
     /// # Panics
     /// Panics on a family mismatch — one query produces one family.
     pub fn merge(&mut self, other: &QuantilePane) {
         match (&mut *self, other) {
-            (QuantilePane::Gk(a), QuantilePane::Gk(b)) => *a = a.combine(b),
-            (QuantilePane::Digest(a), QuantilePane::Digest(b)) => *a = a.combine(b),
+            (QuantilePane::Gk(a), QuantilePane::Gk(b)) => a.combine_into(b),
+            (QuantilePane::Digest(a), QuantilePane::Digest(b)) => a.combine_into(b),
             (a, b) => panic!("quantile pane family mismatch: {a:?} fed {b:?}"),
-        }
-    }
-
-    /// Subtract a previously-merged pane exactly, if the family supports
-    /// it: q-digest retraction is node-wise and atomic (no change on
-    /// failure); GK always returns `false`.
-    fn try_retract(&mut self, evicted: &QuantilePane) -> bool {
-        match (self, evicted) {
-            (QuantilePane::Digest(a), QuantilePane::Digest(b)) => match a.retract(b) {
-                Some(r) => {
-                    *a = r;
-                    true
-                }
-                None => false,
-            },
-            _ => false,
         }
     }
 
@@ -436,25 +486,44 @@ impl QuantilePane {
         }
     }
 
-    /// Wire words of the merged summary (size accounting).
-    pub fn wire_words(&self) -> usize {
-        match self {
-            QuantilePane::Gk(s) => s.wire_words(),
-            QuantilePane::Digest(d) => d.wire_words(),
-        }
-    }
-
     /// The windowed median — the scalar face a [`WindowAnswer::value`]
     /// carries for quantile windows (0.0 for an empty pane, e.g. a
     /// window of fully-lossy epochs).
     pub fn median(&self) -> f64 {
         self.quantile(0.5).map_or(0.0, |v| v as f64)
     }
+}
 
-    /// Exactness-certificate weight and eligibility: population counts
-    /// are exact `u64`s, so a digest pane is always eligible (the
-    /// retraction itself re-checks node-wise containment atomically);
-    /// GK panes are never eligible.
+impl PaneAlgebra for QuantilePane {
+    fn from_pane(value: &PaneValue) -> Option<Cow<'_, Self>> {
+        match value {
+            PaneValue::Quantile(q) => Some(Cow::Borrowed(q)),
+            _ => None,
+        }
+    }
+
+    fn absorb(&mut self, next: &Self) {
+        self.merge(next);
+    }
+
+    /// q-digest retraction is node-wise and atomic (no change when the
+    /// evictee is not contained); GK always declines.
+    fn retract(&mut self, evicted: &Self) -> bool {
+        match (self, evicted) {
+            (QuantilePane::Digest(a), QuantilePane::Digest(b)) => match a.retract(b) {
+                Some(r) => {
+                    *a = r;
+                    true
+                }
+                None => false,
+            },
+            _ => false,
+        }
+    }
+
+    /// Population counts are exact `u64`s, so a digest pane is always
+    /// eligible (the retraction itself re-checks node-wise containment);
+    /// GK panes never are.
     fn exactness(&self) -> (f64, bool) {
         let weight = self.population() as f64;
         (
@@ -462,11 +531,9 @@ impl QuantilePane {
             matches!(self, QuantilePane::Digest(_)) && weight <= EXACT_VALUE_MAX,
         )
     }
-}
 
-impl PaneAlgebra for QuantilePane {
-    fn absorb(&mut self, next: &Self) {
-        self.merge(next);
+    fn answer(self, _merge: EpochMerge) -> PaneValue {
+        PaneValue::Quantile(Arc::new(self))
     }
 }
 
@@ -480,9 +547,9 @@ pub enum PaneValue {
     /// A scalar per-epoch answer.
     Scalar(f64),
     /// A set-valued frequent-items pane.
-    Freq(std::sync::Arc<FreqPane>),
+    Freq(Arc<FreqPane>),
     /// A quantile-summary pane.
-    Quantile(std::sync::Arc<QuantilePane>),
+    Quantile(Arc<QuantilePane>),
 }
 
 impl PaneValue {
@@ -493,21 +560,6 @@ impl PaneValue {
             PaneValue::Scalar(v) => *v,
             PaneValue::Freq(f) => f.total(),
             PaneValue::Quantile(q) => q.median(),
-        }
-    }
-
-    /// Exactness-certificate weight and eligibility (see the module
-    /// docs): the magnitude this pane adds to the window's budget, and
-    /// whether its contribution is integer-valued and small enough for
-    /// exact subtraction.
-    fn exactness(&self) -> (f64, bool) {
-        match self {
-            PaneValue::Scalar(v) => (
-                v.abs(),
-                v.is_finite() && v.fract() == 0.0 && v.abs() <= EXACT_VALUE_MAX,
-            ),
-            PaneValue::Freq(f) => f.exactness(),
-            PaneValue::Quantile(q) => q.exactness(),
         }
     }
 }
@@ -584,10 +636,10 @@ pub struct WindowAnswer {
     /// quantile windows: the windowed median).
     pub value: f64,
     /// The merged set-valued estimate, for freq windows.
-    pub freq: Option<std::sync::Arc<FreqPane>>,
+    pub freq: Option<Arc<FreqPane>>,
     /// The merged quantile summary, for quantile windows (p99s and
     /// arbitrary φ come from here; `value` carries the median).
-    pub quantile: Option<std::sync::Arc<QuantilePane>>,
+    pub quantile: Option<Arc<QuantilePane>>,
     /// Mean pane coverage.
     pub coverage: f64,
     /// Worst single pane's coverage.
@@ -620,7 +672,8 @@ pub struct AccumCounters {
 /// evict is O(1) amortized — when the front empties, the whole back
 /// segment is flipped into front suffix partials, touching each element
 /// once per lifetime. `min`/`max` need no inverse, so this is the
-/// non-invertible half of the incremental window machinery.
+/// non-invertible half of the incremental window machinery; one that
+/// never evicts is a running extremum.
 #[derive(Clone, Debug)]
 pub struct TwoStacks {
     take_max: bool,
@@ -647,9 +700,7 @@ impl TwoStacks {
     pub fn max() -> Self {
         TwoStacks {
             take_max: true,
-            front: Vec::new(),
-            back_partial: None,
-            back_len: 0,
+            ..TwoStacks::min()
         }
     }
 
@@ -661,14 +712,11 @@ impl TwoStacks {
         }
     }
 
-    /// Values currently held.
-    pub fn len(&self) -> usize {
-        self.front.len() + self.back_len
-    }
-
-    /// Whether the structure holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Drop every value, keeping the front stack's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.front.clear();
+        self.back_partial = None;
+        self.back_len = 0;
     }
 
     /// Append the newest value — O(1).
@@ -715,65 +763,200 @@ impl TwoStacks {
     }
 }
 
-/// Fold `rest` into `first` in left-fold order — the from-scratch
-/// reference fold both pane kinds share.
-fn refold<A: PaneAlgebra>(
-    mut first: A,
-    rest: impl Iterator<Item = A>,
+/// `P`'s view of a pane value — the one place a [`PaneValue`] becomes a
+/// [`PaneAlgebra`] element.
+///
+/// # Panics
+/// Panics on a pane of another kind than the window was built for.
+fn view<P: PaneAlgebra>(value: &PaneValue) -> Cow<'_, P> {
+    P::from_pane(value).unwrap_or_else(|| {
+        panic!(
+            "pane kind mismatch: {} window fed {value:?}",
+            std::any::type_name::<P>()
+        )
+    })
+}
+
+/// Fold `panes` in left-fold order — the from-scratch reference fold.
+fn refold<'a, P: PaneAlgebra>(
+    mut panes: impl Iterator<Item = &'a PaneSlot>,
     counters: &mut AccumCounters,
-) -> A {
-    for next in rest {
-        first.absorb(&next);
+) -> P {
+    let first = panes.next().expect("a fold needs at least one pane");
+    let mut acc = view::<P>(&first.value).into_owned();
+    for p in panes {
+        acc.absorb(&view(&p.value));
         counters.pane_merges += 1;
     }
-    first
+    acc
 }
 
-/// The value half of a [`WindowAccum`], selected by merge law, pane
-/// kind, window shape, and [`FoldMode`].
+/// Start `acc` from `value` or absorb `value` into it; `true` when that
+/// took a merge.
+fn fold_into<P: PaneAlgebra>(acc: &mut Option<P>, value: &PaneValue) -> bool {
+    let pane = view::<P>(value);
+    match acc {
+        None => {
+            *acc = Some(pane.into_owned());
+            false
+        }
+        Some(a) => {
+            a.absorb(&pane);
+            true
+        }
+    }
+}
+
+/// The value half of a [`WindowAccum`] over panes of algebra `P`,
+/// selected by window shape, merge law and [`FoldMode`].
 #[derive(Clone, Debug)]
-enum ValueAccum {
+enum ValueAccum<P> {
     /// Running left fold (tumbling/landmark/`hop == len`).
-    Running(Option<PanePartial>),
-    /// Running left fold over set-valued panes.
-    FreqRunning(Option<FreqPane>),
-    /// Subtract-on-evict with the exactness certificate (`Add`/`Mean`).
+    Running(Option<P>),
+    /// Subtract-on-evict (`Add`/`Mean`, every set-valued kind):
+    /// `budget` sums the in-window panes' certificate weights and
+    /// `unsafe_panes` counts the ineligible ones; an eviction retracts
+    /// while the certificate holds and refolds the buffer otherwise.
     Subtract {
-        sum: f64,
+        acc: Option<P>,
         budget: f64,
         unsafe_panes: u32,
     },
-    /// Two-stacks sliding extremum (`Min`/`Max`).
-    Stacks(TwoStacks),
-    /// Subtract-on-evict over set-valued panes.
-    FreqSubtract {
-        acc: FreqPane,
-        budget: f64,
-        unsafe_panes: u32,
-    },
-    /// Running left fold over quantile panes.
-    QuantileRunning(Option<QuantilePane>),
-    /// Subtract-on-evict over quantile panes: digest panes retract
-    /// exactly, GK panes fail the certificate and refold per eviction.
-    QuantileSubtract {
-        acc: Option<QuantilePane>,
-        budget: f64,
-        unsafe_panes: u32,
-    },
+    /// Two-stacks sliding extremum over the panes' scalar face (scalar
+    /// `Min`/`Max`).
+    TwoStacks(TwoStacks),
     /// Fold the pane buffer at every emission ([`FoldMode::Refold`]).
     Refold,
-    /// [`FoldMode::Refold`] over set-valued panes.
-    FreqRefold,
-    /// [`FoldMode::Refold`] over quantile panes.
-    QuantileRefold,
 }
 
-/// Minimum-coverage tracker: a running minimum where panes never leave
-/// the window (tumbling/landmark), two stacks where they do.
-#[derive(Clone, Debug)]
-enum MinTrack {
-    Running(f64),
-    Stacks(TwoStacks),
+impl<P: PaneAlgebra> ValueAccum<P> {
+    fn boxed(spec: WindowSpec, merge: EpochMerge, mode: FoldMode) -> Box<dyn ValueFold> {
+        Box::<Self>::new(match (spec, mode) {
+            // Landmark's running fold IS the from-scratch fold.
+            (WindowSpec::Landmark, _) => ValueAccum::Running(None),
+            (_, FoldMode::Refold) => ValueAccum::Refold,
+            _ if !spec.overlaps() => ValueAccum::Running(None),
+            _ => match merge {
+                EpochMerge::Add | EpochMerge::Mean => ValueAccum::Subtract {
+                    acc: None,
+                    budget: 0.0,
+                    unsafe_panes: 0,
+                },
+                EpochMerge::Min => ValueAccum::TwoStacks(TwoStacks::min()),
+                EpochMerge::Max => ValueAccum::TwoStacks(TwoStacks::max()),
+            },
+        })
+    }
+}
+
+/// A [`ValueAccum`] with its pane algebra erased, so one [`WindowAccum`]
+/// type serves every [`PaneKind`].
+trait ValueFold: std::fmt::Debug + Send {
+    /// Fold in the newest pane.
+    fn push(&mut self, value: &PaneValue, counters: &mut AccumCounters);
+    /// Drop the oldest pane of `buf` (still buffered, with at least one
+    /// successor) from the value.
+    fn evict(&mut self, buf: &VecDeque<PaneSlot>, counters: &mut AccumCounters);
+    /// The answer over the window's panes (`buf`, for the folds that
+    /// keep one).
+    fn answer(
+        &self,
+        buf: &VecDeque<PaneSlot>,
+        merge: EpochMerge,
+        counters: &mut AccumCounters,
+    ) -> PaneValue;
+    /// Forget every pane (tumbling-like windows, after each emission).
+    fn reset(&mut self);
+    /// The two-stacks, for the steady-state capacity pin.
+    #[cfg(test)]
+    fn stacks(&self) -> Option<&TwoStacks>;
+}
+
+impl<P: PaneAlgebra> ValueFold for ValueAccum<P> {
+    fn push(&mut self, value: &PaneValue, counters: &mut AccumCounters) {
+        match self {
+            ValueAccum::Running(acc) => counters.pane_merges += u64::from(fold_into(acc, value)),
+            ValueAccum::Subtract {
+                acc,
+                budget,
+                unsafe_panes,
+            } => {
+                // Appending to a left fold is the left fold of the
+                // extended sequence — exact-extension needs no
+                // certificate.
+                let (weight, safe) = view::<P>(value).exactness();
+                *budget += weight;
+                *unsafe_panes += u32::from(!safe);
+                fold_into(acc, value);
+                counters.pane_merges += 1;
+            }
+            ValueAccum::TwoStacks(st) => {
+                st.push(value.scalar());
+                counters.pane_merges += 1;
+            }
+            ValueAccum::Refold => {}
+        }
+    }
+
+    fn evict(&mut self, buf: &VecDeque<PaneSlot>, counters: &mut AccumCounters) {
+        match self {
+            ValueAccum::Subtract {
+                acc,
+                budget,
+                unsafe_panes,
+            } => {
+                let acc = acc.as_mut().expect("evict from an empty window");
+                let evicted = view::<P>(&buf[0].value);
+                if *unsafe_panes == 0 && *budget <= EXACT_BUDGET_MAX && acc.retract(&evicted) {
+                    // Certificate holds: the retracted partial IS the
+                    // refold of the remaining panes.
+                    *budget -= evicted.exactness().0;
+                } else {
+                    counters.value_refolds += 1;
+                    *acc = refold(buf.iter().skip(1), counters);
+                    (*budget, *unsafe_panes) = buf.iter().skip(1).fold((0.0, 0), |(b, u), p| {
+                        let (weight, safe) = view::<P>(&p.value).exactness();
+                        (b + weight, u + u32::from(!safe))
+                    });
+                }
+            }
+            ValueAccum::TwoStacks(st) => st.evict(buf.iter().rev().map(|p| p.value.scalar())),
+            ValueAccum::Refold => {}
+            ValueAccum::Running(_) => unreachable!("running accumulators never evict"),
+        }
+    }
+
+    fn answer(
+        &self,
+        buf: &VecDeque<PaneSlot>,
+        merge: EpochMerge,
+        counters: &mut AccumCounters,
+    ) -> PaneValue {
+        match self {
+            ValueAccum::Running(acc) | ValueAccum::Subtract { acc, .. } => acc
+                .clone()
+                .expect("window emitted with no panes")
+                .answer(merge),
+            ValueAccum::TwoStacks(st) => PaneValue::Scalar(st.query()),
+            ValueAccum::Refold => refold::<P>(buf.iter(), counters).answer(merge),
+        }
+    }
+
+    fn reset(&mut self) {
+        // Only tumbling-like windows reset; they run `Running` or
+        // `Refold`, whose buffer the window clears.
+        if let ValueAccum::Running(acc) = self {
+            *acc = None;
+        }
+    }
+
+    #[cfg(test)]
+    fn stacks(&self) -> Option<&TwoStacks> {
+        match self {
+            ValueAccum::TwoStacks(st) => Some(st),
+            _ => None,
+        }
+    }
 }
 
 /// One pane as retained in a sliding window's buffer.
@@ -781,10 +964,6 @@ enum MinTrack {
 struct PaneSlot {
     epoch: u64,
     value: PaneValue,
-    /// Exactness-certificate weight (magnitude bound).
-    weight: f64,
-    /// Exactness-certificate eligibility.
-    safe: bool,
     coverage: f64,
     relabeled: bool,
     joined: u64,
@@ -803,13 +982,13 @@ struct PaneSlot {
 /// running accumulators. Steady-state absorption allocates nothing:
 /// the buffer and the two-stacks vectors reach their window-length
 /// capacity once and are reused thereafter.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WindowAccum {
     spec: WindowSpec,
     merge: EpochMerge,
-    value: ValueAccum,
+    value: Box<dyn ValueFold>,
     /// In-window panes, oldest first (empty for running-only shapes).
-    buf: std::collections::VecDeque<PaneSlot>,
+    buf: VecDeque<PaneSlot>,
     keeps_buf: bool,
     /// Tumbling-like: clear all state after each emission.
     resets: bool,
@@ -822,7 +1001,9 @@ pub struct WindowAccum {
     /// refresh every `len` evictions bounds floating-point drift of the
     /// running mean at amortized O(1).
     evictions_since_refresh: u32,
-    min_cov: MinTrack,
+    /// Minimum pane coverage — where panes never leave the window, a
+    /// two-stacks that never evicts is a running minimum.
+    min_cov: TwoStacks,
     relabels: u32,
     /// Relabel flag of the newest pane — promoted into `relabels` only
     /// once a later pane arrives (a relabel after the newest pane is
@@ -837,71 +1018,31 @@ impl WindowAccum {
     /// Build the accumulator for one window.
     ///
     /// # Panics
-    /// Panics for set-valued panes with a merge other than
-    /// [`EpochMerge::Add`] — multiset union is the only law a count map
-    /// supports.
+    /// Panics on a window spec that breaks the [`WindowSpec::tumbling`]
+    /// / [`WindowSpec::sliding`] invariants, and for set-valued panes
+    /// with a merge other than [`EpochMerge::Add`] — multiset union is
+    /// the only law a count map supports.
     pub fn new(spec: WindowSpec, merge: EpochMerge, kind: PaneKind, mode: FoldMode) -> Self {
+        let spec = spec.checked();
         assert!(
             kind == PaneKind::Scalar || merge == EpochMerge::Add,
             "set-valued panes support EpochMerge::Add only, got {merge:?}"
         );
-        // `hop == len` never overlaps: it is tumbling by another name,
-        // and runs the same running accumulator.
-        let overlapping = matches!(spec, WindowSpec::Sliding { len, hop } if hop < len);
-        let resets = match spec {
-            WindowSpec::Tumbling { .. } => true,
-            WindowSpec::Sliding { .. } => !overlapping,
-            WindowSpec::Landmark => false,
-        };
-        let value = match (mode, spec, kind) {
-            // Landmark's running fold IS the from-scratch fold.
-            (_, WindowSpec::Landmark, PaneKind::Scalar) => ValueAccum::Running(None),
-            (_, WindowSpec::Landmark, PaneKind::Freq) => ValueAccum::FreqRunning(None),
-            (_, WindowSpec::Landmark, PaneKind::Quantile) => ValueAccum::QuantileRunning(None),
-            (FoldMode::Refold, _, PaneKind::Scalar) => ValueAccum::Refold,
-            (FoldMode::Refold, _, PaneKind::Freq) => ValueAccum::FreqRefold,
-            (FoldMode::Refold, _, PaneKind::Quantile) => ValueAccum::QuantileRefold,
-            _ if !overlapping => match kind {
-                PaneKind::Scalar => ValueAccum::Running(None),
-                PaneKind::Freq => ValueAccum::FreqRunning(None),
-                PaneKind::Quantile => ValueAccum::QuantileRunning(None),
-            },
-            (_, _, PaneKind::Freq) => ValueAccum::FreqSubtract {
-                acc: FreqPane::default(),
-                budget: 0.0,
-                unsafe_panes: 0,
-            },
-            (_, _, PaneKind::Quantile) => ValueAccum::QuantileSubtract {
-                acc: None,
-                budget: 0.0,
-                unsafe_panes: 0,
-            },
-            _ => match merge {
-                EpochMerge::Add | EpochMerge::Mean => ValueAccum::Subtract {
-                    sum: 0.0,
-                    budget: 0.0,
-                    unsafe_panes: 0,
-                },
-                EpochMerge::Min => ValueAccum::Stacks(TwoStacks::min()),
-                EpochMerge::Max => ValueAccum::Stacks(TwoStacks::max()),
-            },
+        let overlapping = spec.overlaps();
+        let resets = !overlapping && spec != WindowSpec::Landmark;
+        let value = match kind {
+            PaneKind::Scalar => ValueAccum::<PanePartial>::boxed(spec, merge, mode),
+            PaneKind::Freq => ValueAccum::<FreqPane>::boxed(spec, merge, mode),
+            PaneKind::Quantile => ValueAccum::<QuantilePane>::boxed(spec, merge, mode),
         };
         let keeps_buf =
             overlapping || (mode == FoldMode::Refold && !matches!(spec, WindowSpec::Landmark));
-        // The min-coverage path depends on the window *shape* only —
-        // never on the fold mode — so Incremental and Refold reports
-        // stay bit-identical on every field.
-        let min_cov = if overlapping {
-            MinTrack::Stacks(TwoStacks::min())
-        } else {
-            MinTrack::Running(f64::INFINITY)
-        };
         let cap = spec.full_span().unwrap_or(0) + 1;
         WindowAccum {
             spec,
             merge,
             value,
-            buf: std::collections::VecDeque::with_capacity(if keeps_buf { cap } else { 0 }),
+            buf: VecDeque::with_capacity(if keeps_buf { cap } else { 0 }),
             keeps_buf,
             resets,
             panes: 0,
@@ -909,30 +1050,16 @@ impl WindowAccum {
             end_epoch: 0,
             coverage_sum: 0.0,
             evictions_since_refresh: 0,
-            min_cov,
+            // The min-coverage path depends on the window *shape* only —
+            // never on the fold mode — so Incremental and Refold reports
+            // stay bit-identical on every field.
+            min_cov: TwoStacks::min(),
             relabels: 0,
             last_relabeled: false,
             joined: 0,
             left: 0,
             bytes: 0,
         }
-    }
-
-    /// The window shape.
-    pub fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
-    /// Panes currently held in the window buffer (0 for running-only
-    /// shapes — the allocation pin asserts this stays bounded).
-    pub fn buffered_panes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Current capacity of the pane buffer, exposed so tests can pin
-    /// that steady-state hops never grow it.
-    pub fn buffer_capacity(&self) -> usize {
-        self.buf.capacity()
     }
 
     /// Absorb pane `seq` (0-based sequence number in the measured-epoch
@@ -955,21 +1082,15 @@ impl WindowAccum {
         self.end_epoch = pane.epoch;
         self.panes += 1;
         self.coverage_sum += pane.coverage;
-        match &mut self.min_cov {
-            MinTrack::Running(m) => *m = m.min(pane.coverage),
-            MinTrack::Stacks(s) => s.push(pane.coverage),
-        }
+        self.min_cov.push(pane.coverage);
         self.joined += pane.nodes_joined;
         self.left += pane.nodes_left;
         self.bytes += pane.bytes;
-        let (weight, safe) = pane.value.exactness();
-        self.push_value(pane, weight, safe, counters);
+        self.value.push(&pane.value, counters);
         if self.keeps_buf {
             self.buf.push_back(PaneSlot {
                 epoch: pane.epoch,
                 value: pane.value.clone(),
-                weight,
-                safe,
                 coverage: pane.coverage,
                 relabeled: pane.relabeled,
                 joined: pane.nodes_joined,
@@ -994,83 +1115,6 @@ impl WindowAccum {
         Some(answer)
     }
 
-    fn push_value(&mut self, pane: &PaneInput, weight: f64, safe: bool, c: &mut AccumCounters) {
-        match (&mut self.value, &pane.value) {
-            (ValueAccum::Running(acc), PaneValue::Scalar(v)) => match acc {
-                None => *acc = Some(PanePartial::of(*v)),
-                Some(a) => {
-                    a.merge(&PanePartial::of(*v));
-                    c.pane_merges += 1;
-                }
-            },
-            (ValueAccum::FreqRunning(acc), PaneValue::Freq(f)) => match acc {
-                None => *acc = Some(f.as_ref().clone()),
-                Some(a) => {
-                    a.merge(f);
-                    c.pane_merges += 1;
-                }
-            },
-            (
-                ValueAccum::Subtract {
-                    sum,
-                    budget,
-                    unsafe_panes,
-                },
-                PaneValue::Scalar(v),
-            ) => {
-                // Appending to a left fold is the left fold of the
-                // extended sequence — exact-extension needs no
-                // certificate.
-                *sum += v;
-                *budget += weight;
-                *unsafe_panes += u32::from(!safe);
-                c.pane_merges += 1;
-            }
-            (ValueAccum::Stacks(st), PaneValue::Scalar(v)) => {
-                st.push(*v);
-                c.pane_merges += 1;
-            }
-            (
-                ValueAccum::FreqSubtract {
-                    acc,
-                    budget,
-                    unsafe_panes,
-                },
-                PaneValue::Freq(f),
-            ) => {
-                acc.merge(f);
-                *budget += weight;
-                *unsafe_panes += u32::from(!safe);
-                c.pane_merges += 1;
-            }
-            (ValueAccum::QuantileRunning(acc), PaneValue::Quantile(q)) => match acc {
-                None => *acc = Some(q.as_ref().clone()),
-                Some(a) => {
-                    a.merge(q);
-                    c.pane_merges += 1;
-                }
-            },
-            (
-                ValueAccum::QuantileSubtract {
-                    acc,
-                    budget,
-                    unsafe_panes,
-                },
-                PaneValue::Quantile(q),
-            ) => {
-                match acc {
-                    None => *acc = Some(q.as_ref().clone()),
-                    Some(a) => a.merge(q),
-                }
-                *budget += weight;
-                *unsafe_panes += u32::from(!safe);
-                c.pane_merges += 1;
-            }
-            (ValueAccum::Refold | ValueAccum::FreqRefold | ValueAccum::QuantileRefold, _) => {}
-            (accum, value) => panic!("pane kind mismatch: {accum:?} fed {value:?}"),
-        }
-    }
-
     /// Drop the oldest buffered pane from every aggregate. Runs only
     /// for windows that keep a buffer, with at least two panes present
     /// (`buf.len() > len ≥ 1`), so the evictee always has a successor.
@@ -1083,115 +1127,9 @@ impl WindowAccum {
         self.joined -= front.joined;
         self.left -= front.left;
         self.bytes -= front.bytes;
-        match &mut self.value {
-            ValueAccum::Subtract {
-                sum,
-                budget,
-                unsafe_panes,
-            } => {
-                if *unsafe_panes == 0 && *budget <= EXACT_BUDGET_MAX {
-                    // Certificate holds: both the running sum and the
-                    // refolded sum equal the exact integer sum of the
-                    // remaining panes, so subtraction IS the refold.
-                    let PaneValue::Scalar(v) = front.value else {
-                        unreachable!("scalar accumulator holds scalar panes")
-                    };
-                    *sum -= v;
-                    *budget -= front.weight;
-                } else {
-                    counters.value_refolds += 1;
-                    let (mut s, mut b, mut u) = (0.0, 0.0, 0u32);
-                    for p in self.buf.iter().skip(1) {
-                        let PaneValue::Scalar(v) = p.value else {
-                            unreachable!("scalar accumulator holds scalar panes")
-                        };
-                        s += v;
-                        b += p.weight;
-                        u += u32::from(!p.safe);
-                        counters.pane_merges += 1;
-                    }
-                    *sum = s;
-                    *budget = b;
-                    *unsafe_panes = u;
-                }
-            }
-            ValueAccum::Stacks(st) => {
-                st.evict(self.buf.iter().rev().map(|p| match p.value {
-                    PaneValue::Scalar(v) => v,
-                    _ => unreachable!("scalar accumulator holds scalar panes"),
-                }));
-            }
-            ValueAccum::FreqSubtract {
-                acc,
-                budget,
-                unsafe_panes,
-            } => {
-                let PaneValue::Freq(f) = &front.value else {
-                    unreachable!("freq accumulator holds freq panes")
-                };
-                if *unsafe_panes == 0 && *budget <= EXACT_BUDGET_MAX {
-                    acc.retract(f);
-                    *budget -= front.weight;
-                } else {
-                    counters.value_refolds += 1;
-                    let mut rest = self.buf.iter().skip(1).map(|p| match &p.value {
-                        PaneValue::Freq(f) => f.as_ref().clone(),
-                        _ => unreachable!("freq accumulator holds freq panes"),
-                    });
-                    let first = rest.next().expect("eviction leaves at least one pane");
-                    *acc = refold(first, rest, counters);
-                    let (mut b, mut u) = (0.0, 0u32);
-                    for p in self.buf.iter().skip(1) {
-                        b += p.weight;
-                        u += u32::from(!p.safe);
-                    }
-                    *budget = b;
-                    *unsafe_panes = u;
-                }
-            }
-            ValueAccum::QuantileSubtract {
-                acc,
-                budget,
-                unsafe_panes,
-            } => {
-                let PaneValue::Quantile(q) = &front.value else {
-                    unreachable!("quantile accumulator holds quantile panes")
-                };
-                // The retraction itself re-verifies node-wise containment
-                // and is atomic, so a digest pane that somehow fails just
-                // drops to the refold below.
-                let retracted = *unsafe_panes == 0
-                    && *budget <= EXACT_BUDGET_MAX
-                    && acc.as_mut().is_some_and(|a| a.try_retract(q));
-                if retracted {
-                    *budget -= front.weight;
-                } else {
-                    counters.value_refolds += 1;
-                    let mut rest = self.buf.iter().skip(1).map(|p| match &p.value {
-                        PaneValue::Quantile(q) => q.as_ref().clone(),
-                        _ => unreachable!("quantile accumulator holds quantile panes"),
-                    });
-                    let first = rest.next().expect("eviction leaves at least one pane");
-                    *acc = Some(refold(first, rest, counters));
-                    let (mut b, mut u) = (0.0, 0u32);
-                    for p in self.buf.iter().skip(1) {
-                        b += p.weight;
-                        u += u32::from(!p.safe);
-                    }
-                    *budget = b;
-                    *unsafe_panes = u;
-                }
-            }
-            ValueAccum::Refold | ValueAccum::FreqRefold | ValueAccum::QuantileRefold => {}
-            ValueAccum::Running(_)
-            | ValueAccum::FreqRunning(_)
-            | ValueAccum::QuantileRunning(_) => {
-                unreachable!("running accumulators never evict")
-            }
-        }
-        if let MinTrack::Stacks(s) = &mut self.min_cov {
-            s.evict(self.buf.iter().rev().map(|p| p.coverage));
-        }
+        self.value.evict(&self.buf, counters);
+        self.min_cov
+            .evict(self.buf.iter().rev().map(|p| p.coverage));
         let slot = self.buf.pop_front().expect("buffer emptied mid-evict");
         self.panes -= 1;
         self.coverage_sum -= slot.coverage;
@@ -1210,71 +1148,12 @@ impl WindowAccum {
     }
 
     fn emit(&mut self, counters: &mut AccumCounters) -> WindowAnswer {
-        let (value, freq, quantile) = match &self.value {
-            ValueAccum::Running(acc) => (
-                acc.as_ref()
-                    .expect("window emitted with no panes")
-                    .evaluate(self.merge),
-                None,
-                None,
-            ),
-            ValueAccum::FreqRunning(acc) => {
-                let f = acc.clone().expect("window emitted with no panes");
-                (f.total(), Some(std::sync::Arc::new(f)), None)
-            }
-            ValueAccum::QuantileRunning(acc) => {
-                let q = acc.clone().expect("window emitted with no panes");
-                (q.median(), None, Some(std::sync::Arc::new(q)))
-            }
-            ValueAccum::Subtract { sum, .. } => (
-                match self.merge {
-                    EpochMerge::Add => *sum,
-                    // The same expression `PanePartial::evaluate` uses,
-                    // over the same bit-exact sum.
-                    EpochMerge::Mean => *sum / self.panes as f64,
-                    _ => unreachable!("subtract accumulator built for Add/Mean only"),
-                },
-                None,
-                None,
-            ),
-            ValueAccum::Stacks(st) => (st.query(), None, None),
-            ValueAccum::FreqSubtract { acc, .. } => {
-                (acc.total(), Some(std::sync::Arc::new(acc.clone())), None)
-            }
-            ValueAccum::QuantileSubtract { acc, .. } => {
-                let q = acc.clone().expect("window emitted with no panes");
-                (q.median(), None, Some(std::sync::Arc::new(q)))
-            }
-            ValueAccum::Refold => {
-                let mut vals = self.buf.iter().map(|p| match p.value {
-                    PaneValue::Scalar(v) => PanePartial::of(v),
-                    _ => unreachable!("scalar accumulator holds scalar panes"),
-                });
-                let first = vals.next().expect("window emitted with no panes");
-                (
-                    refold(first, vals, counters).evaluate(self.merge),
-                    None,
-                    None,
-                )
-            }
-            ValueAccum::FreqRefold => {
-                let mut vals = self.buf.iter().map(|p| match &p.value {
-                    PaneValue::Freq(f) => f.as_ref().clone(),
-                    _ => unreachable!("freq accumulator holds freq panes"),
-                });
-                let first = vals.next().expect("window emitted with no panes");
-                let f = refold(first, vals, counters);
-                (f.total(), Some(std::sync::Arc::new(f)), None)
-            }
-            ValueAccum::QuantileRefold => {
-                let mut vals = self.buf.iter().map(|p| match &p.value {
-                    PaneValue::Quantile(q) => q.as_ref().clone(),
-                    _ => unreachable!("quantile accumulator holds quantile panes"),
-                });
-                let first = vals.next().expect("window emitted with no panes");
-                let q = refold(first, vals, counters);
-                (q.median(), None, Some(std::sync::Arc::new(q)))
-            }
+        let answer = self.value.answer(&self.buf, self.merge, counters);
+        let value = answer.scalar();
+        let (freq, quantile) = match answer {
+            PaneValue::Scalar(_) => (None, None),
+            PaneValue::Freq(f) => (Some(f), None),
+            PaneValue::Quantile(q) => (None, Some(q)),
         };
         WindowAnswer {
             start_epoch: self.start_epoch,
@@ -1284,10 +1163,7 @@ impl WindowAccum {
             freq,
             quantile,
             coverage: self.coverage_sum / self.panes as f64,
-            min_coverage: match &self.min_cov {
-                MinTrack::Running(m) => *m,
-                MinTrack::Stacks(s) => s.query(),
-            },
+            min_coverage: self.min_cov.query(),
             relabels: self.relabels,
             nodes_joined: self.joined,
             nodes_left: self.left,
@@ -1304,17 +1180,8 @@ impl WindowAccum {
         self.left = 0;
         self.bytes = 0;
         self.buf.clear();
-        match &mut self.min_cov {
-            MinTrack::Running(m) => *m = f64::INFINITY,
-            MinTrack::Stacks(_) => unreachable!("resetting windows track a running minimum"),
-        }
-        match &mut self.value {
-            ValueAccum::Running(acc) => *acc = None,
-            ValueAccum::FreqRunning(acc) => *acc = None,
-            ValueAccum::QuantileRunning(acc) => *acc = None,
-            ValueAccum::Refold | ValueAccum::FreqRefold | ValueAccum::QuantileRefold => {}
-            _ => unreachable!("resetting windows run running or refold accumulators"),
-        }
+        self.min_cov.clear();
+        self.value.reset();
         // `last_relabeled` survives the reset unpromoted: a relabel
         // after the previous window's final pane fell *between* windows
         // and is counted by neither.
@@ -1338,6 +1205,81 @@ mod tests {
         acc
     }
 
+    /// How many panes the window closing after pane `seq` merges — the
+    /// schedule oracle.
+    fn span_at(spec: WindowSpec, seq: u64) -> usize {
+        match spec {
+            WindowSpec::Tumbling { len } => len as usize,
+            WindowSpec::Sliding { len, .. } => (len as u64).min(seq + 1) as usize,
+            WindowSpec::Landmark => (seq + 1) as usize,
+        }
+    }
+
+    /// A pane whose instrumentation (coverage, relabel, churn, bytes)
+    /// is derived from `tag`.
+    fn pane_input(seq: usize, value: PaneValue, tag: u64) -> PaneInput {
+        let t = tag % 3;
+        PaneInput {
+            epoch: seq as u64,
+            value,
+            coverage: [1.0, 0.9, 0.75][t as usize],
+            relabeled: t == 2,
+            nodes_joined: u64::from(t == 1),
+            nodes_left: u64::from(t == 2),
+            bytes: 100 + tag,
+        }
+    }
+
+    /// A freq answer as bits: total, then `(item, count)` pairs.
+    fn freq_bits(f: &Option<Arc<FreqPane>>) -> Option<(u64, Vec<(u64, u64)>)> {
+        f.as_ref().map(|f| {
+            let counts = f.counts().iter().map(|(&u, &c)| (u, c.to_bits()));
+            (f.total().to_bits(), counts.collect())
+        })
+    }
+
+    /// Feed `panes` through an `Incremental` and a `Refold` accumulator
+    /// of the same window and pin every answer field bit for bit;
+    /// returns both work counters.
+    fn pin_incremental_to_refold(
+        spec: WindowSpec,
+        merge: EpochMerge,
+        kind: PaneKind,
+        panes: &[PaneInput],
+    ) -> Result<(AccumCounters, AccumCounters), String> {
+        let mut inc = WindowAccum::new(spec, merge, kind, FoldMode::Incremental);
+        let mut rf = WindowAccum::new(spec, merge, kind, FoldMode::Refold);
+        let (mut ci, mut cr) = (AccumCounters::default(), AccumCounters::default());
+        for (seq, pane) in panes.iter().enumerate() {
+            let a = inc.absorb(seq as u64, pane, &mut ci);
+            let b = rf.absorb(seq as u64, pane, &mut cr);
+            prop_assert_eq!(a.is_some(), b.is_some(), "schedule diverged at {}", seq);
+            if let (Some(a), Some(b)) = (a, b) {
+                prop_assert_eq!(
+                    a.value.to_bits(),
+                    b.value.to_bits(),
+                    "{merge:?} value diverged at seq {}",
+                    seq
+                );
+                prop_assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
+                prop_assert_eq!(a.min_coverage.to_bits(), b.min_coverage.to_bits());
+                prop_assert_eq!(
+                    (a.start_epoch, a.end_epoch, a.panes),
+                    (b.start_epoch, b.end_epoch, b.panes)
+                );
+                prop_assert_eq!(a.panes, span_at(spec, seq as u64));
+                prop_assert_eq!(
+                    (a.relabels, a.nodes_joined, a.nodes_left, a.bytes),
+                    (b.relabels, b.nodes_joined, b.nodes_left, b.bytes)
+                );
+                prop_assert_eq!(freq_bits(&a.freq), freq_bits(&b.freq));
+                prop_assert_eq!(a.quantile.as_deref(), b.quantile.as_deref());
+            }
+        }
+        prop_assert_eq!(cr.value_refolds, 0);
+        Ok((ci, cr))
+    }
+
     #[test]
     fn single_pane_evaluates_to_its_value_exactly() {
         for v in [0.0, -3.25, 1234.5678, 1e-12] {
@@ -1358,26 +1300,60 @@ mod tests {
         let t = WindowSpec::tumbling(3);
         let emits: Vec<bool> = (0..7).map(|s| t.emits_after(s)).collect();
         assert_eq!(emits, [false, false, true, false, false, true, false]);
-        assert_eq!(t.span_at(2), 3);
+        assert_eq!(span_at(t, 2), 3);
 
         let s = WindowSpec::sliding(4, 2);
         let emits: Vec<bool> = (0..6).map(|q| s.emits_after(q)).collect();
         assert_eq!(emits, [false, true, false, true, false, true]);
         // Partial prefix until 4 panes exist.
-        assert_eq!(s.span_at(1), 2);
-        assert_eq!(s.span_at(3), 4);
-        assert_eq!(s.span_at(5), 4);
+        assert_eq!(span_at(s, 1), 2);
+        assert_eq!(span_at(s, 3), 4);
+        assert_eq!(span_at(s, 5), 4);
 
         let l = WindowSpec::landmark();
         assert!(l.emits_after(0) && l.emits_after(9));
-        assert_eq!(l.span_at(9), 10);
-        assert_eq!(l.ring_need(), 0);
+        assert_eq!(span_at(l, 9), 10);
+        assert_eq!(l.full_span(), None);
     }
 
     #[test]
     #[should_panic(expected = "would drop panes")]
     fn sliding_hop_beyond_len_rejected() {
         let _ = WindowSpec::sliding(2, 3);
+    }
+
+    // A literal skips the constructors; the accumulator re-checks.
+    #[test]
+    #[should_panic(expected = "at least one pane")]
+    fn accum_rejects_zero_length_literal() {
+        let _ = WindowAccum::new(
+            WindowSpec::Tumbling { len: 0 },
+            EpochMerge::Add,
+            PaneKind::Scalar,
+            FoldMode::Incremental,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a hop advances")]
+    fn accum_rejects_zero_hop_literal() {
+        let _ = WindowAccum::new(
+            WindowSpec::Sliding { len: 2, hop: 0 },
+            EpochMerge::Add,
+            PaneKind::Scalar,
+            FoldMode::Incremental,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "would drop panes")]
+    fn accum_rejects_hop_beyond_len_literal() {
+        let _ = WindowAccum::new(
+            WindowSpec::Sliding { len: 2, hop: 3 },
+            EpochMerge::Add,
+            PaneKind::Scalar,
+            FoldMode::Incremental,
+        );
     }
 
     // On integer-valued panes the Add/Min/Max components coincide with
@@ -1443,7 +1419,7 @@ mod tests {
         ) {
             let mut st_min = TwoStacks::min();
             let mut st_max = TwoStacks::max();
-            let mut buf: std::collections::VecDeque<f64> = std::collections::VecDeque::new();
+            let mut buf: VecDeque<f64> = VecDeque::new();
             for &raw in &values {
                 let v = raw as f64;
                 buf.push_back(v);
@@ -1456,7 +1432,7 @@ mod tests {
                     st_max.evict(buf.iter().rev().copied());
                     buf.pop_front();
                 }
-                prop_assert_eq!(st_min.len(), buf.len());
+                prop_assert_eq!(st_min.front.len() + st_min.back_len, buf.len());
                 let naive_min = buf.iter().copied().fold(f64::INFINITY, f64::min);
                 let naive_max = buf.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 prop_assert_eq!(st_min.query().to_bits(), naive_min.to_bits());
@@ -1477,6 +1453,14 @@ mod tests {
             fractional in any::<bool>(),
         ) {
             let hop = 1 + hop_raw % len;
+            let panes: Vec<PaneInput> = raw
+                .iter()
+                .enumerate()
+                .map(|(seq, &v)| {
+                    let value = if fractional { v as f64 + 0.5 } else { v as f64 };
+                    pane_input(seq, PaneValue::Scalar(value), v.unsigned_abs())
+                })
+                .collect();
             for merge in [
                 EpochMerge::Add,
                 EpochMerge::Mean,
@@ -1484,40 +1468,7 @@ mod tests {
                 EpochMerge::Max,
             ] {
                 let spec = WindowSpec::sliding(len, hop);
-                let mut inc =
-                    WindowAccum::new(spec, merge, PaneKind::Scalar, FoldMode::Incremental);
-                let mut rf = WindowAccum::new(spec, merge, PaneKind::Scalar, FoldMode::Refold);
-                let (mut ci, mut cr) = (AccumCounters::default(), AccumCounters::default());
-                for (seq, &v) in raw.iter().enumerate() {
-                    let tag = (v.unsigned_abs() % 3) as u32;
-                    let value = if fractional { v as f64 + 0.5 } else { v as f64 };
-                    let pane = PaneInput {
-                        epoch: seq as u64,
-                        value: PaneValue::Scalar(value),
-                        coverage: [1.0, 0.9, 0.75][tag as usize],
-                        relabeled: tag == 2,
-                        nodes_joined: u64::from(tag == 1),
-                        nodes_left: u64::from(tag == 2),
-                        bytes: 100 + v.unsigned_abs(),
-                    };
-                    let a = inc.absorb(seq as u64, &pane, &mut ci);
-                    let b = rf.absorb(seq as u64, &pane, &mut cr);
-                    prop_assert_eq!(a.is_some(), b.is_some(), "schedule diverged at {}", seq);
-                    if let (Some(a), Some(b)) = (a, b) {
-                        prop_assert_eq!(a.value.to_bits(), b.value.to_bits(),
-                            "{merge:?} value diverged at seq {}", seq);
-                        prop_assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
-                        prop_assert_eq!(a.min_coverage.to_bits(), b.min_coverage.to_bits());
-                        prop_assert_eq!(
-                            (a.start_epoch, a.end_epoch, a.panes),
-                            (b.start_epoch, b.end_epoch, b.panes)
-                        );
-                        prop_assert_eq!(
-                            (a.relabels, a.nodes_joined, a.nodes_left, a.bytes),
-                            (b.relabels, b.nodes_joined, b.nodes_left, b.bytes)
-                        );
-                    }
-                }
+                let (ci, _) = pin_incremental_to_refold(spec, merge, PaneKind::Scalar, &panes)?;
                 if !fractional && matches!(merge, EpochMerge::Add | EpochMerge::Mean) {
                     // Small integer panes: the certificate always
                     // holds, so every eviction stays on the O(1) path.
@@ -1532,7 +1483,6 @@ mod tests {
                     // the answers above still pinned bit-for-bit.
                     prop_assert!(ci.value_refolds > 0);
                 }
-                prop_assert_eq!(cr.value_refolds, 0);
             }
         }
     }
@@ -1549,7 +1499,7 @@ mod tests {
         for p in &panes[1..] {
             acc.merge(p);
         }
-        acc.retract(&panes[0]);
+        assert!(acc.retract(&panes[0]));
         let mut expect = panes[1].clone();
         for p in &panes[2..] {
             expect.merge(p);
@@ -1588,7 +1538,7 @@ mod tests {
         for p in &panes[1..] {
             acc.merge(p);
         }
-        assert!(acc.try_retract(&panes[0]));
+        assert!(acc.retract(&panes[0]));
         let mut expect = panes[1].clone();
         for p in &panes[2..] {
             expect.merge(p);
@@ -1596,7 +1546,7 @@ mod tests {
         assert_eq!(acc, expect);
         let mut gk = QuantilePane::Gk(td_quantiles::GkSummary::exact(&[1, 2, 3]));
         let gk_other = gk.clone();
-        assert!(!gk.try_retract(&gk_other));
+        assert!(!gk.retract(&gk_other));
     }
 
     proptest! {
@@ -1613,36 +1563,20 @@ mod tests {
             digest in any::<bool>(),
         ) {
             let hop = 1 + hop_raw % len;
+            let panes: Vec<PaneInput> = raw
+                .iter()
+                .enumerate()
+                .map(|(seq, vals)| {
+                    let pane = if digest {
+                        QuantilePane::Digest(td_quantiles::QDigest::exact(vals, 10))
+                    } else {
+                        QuantilePane::Gk(td_quantiles::GkSummary::exact(vals))
+                    };
+                    pane_input(seq, PaneValue::Quantile(Arc::new(pane)), vals[0])
+                })
+                .collect();
             let spec = WindowSpec::sliding(len, hop);
-            let mut inc =
-                WindowAccum::new(spec, EpochMerge::Add, PaneKind::Quantile, FoldMode::Incremental);
-            let mut rf =
-                WindowAccum::new(spec, EpochMerge::Add, PaneKind::Quantile, FoldMode::Refold);
-            let (mut ci, mut cr) = (AccumCounters::default(), AccumCounters::default());
-            for (seq, vals) in raw.iter().enumerate() {
-                let pane = if digest {
-                    QuantilePane::Digest(td_quantiles::QDigest::exact(vals, 10))
-                } else {
-                    QuantilePane::Gk(td_quantiles::GkSummary::exact(vals))
-                };
-                let input = PaneInput {
-                    epoch: seq as u64,
-                    value: PaneValue::Quantile(std::sync::Arc::new(pane)),
-                    coverage: 1.0,
-                    relabeled: false,
-                    nodes_joined: 0,
-                    nodes_left: 0,
-                    bytes: 64,
-                };
-                let a = inc.absorb(seq as u64, &input, &mut ci);
-                let b = rf.absorb(seq as u64, &input, &mut cr);
-                prop_assert_eq!(a.is_some(), b.is_some(), "schedule diverged at {}", seq);
-                if let (Some(a), Some(b)) = (a, b) {
-                    prop_assert_eq!(a.value.to_bits(), b.value.to_bits(),
-                        "median diverged at seq {}", seq);
-                    prop_assert_eq!(a.quantile.as_deref(), b.quantile.as_deref());
-                }
-            }
+            let (ci, _) = pin_incremental_to_refold(spec, EpochMerge::Add, PaneKind::Quantile, &panes)?;
             if digest {
                 prop_assert_eq!(ci.value_refolds, 0);
             } else if hop < len && raw.len() as u32 > len {
@@ -1651,20 +1585,55 @@ mod tests {
                 // bit-for-bit.
                 prop_assert!(ci.value_refolds > 0);
             }
-            prop_assert_eq!(cr.value_refolds, 0);
+        }
+
+        /// Incremental frequent-items windows match from-scratch refold
+        /// bit-for-bit: integer counts (exact counters) stay on the O(1)
+        /// subtract path, fractional ones (FM estimates) refold on every
+        /// eviction.
+        #[test]
+        fn incremental_freq_matches_refold(
+            raw in proptest::collection::vec(
+                proptest::collection::btree_map(0u64..12, 1u64..50, 0..6), 6..40),
+            len in 2u32..8,
+            hop_raw in 1u32..8,
+            fractional in any::<bool>(),
+        ) {
+            let hop = 1 + hop_raw % len;
+            let bump = if fractional { 0.25 } else { 0.0 };
+            let panes: Vec<PaneInput> = raw
+                .iter()
+                .enumerate()
+                .map(|(seq, counts)| {
+                    let total: u64 = counts.values().sum();
+                    let pane = FreqPane::from_counts(
+                        counts.iter().map(|(&u, &c)| (u, c as f64 + bump)),
+                        total as f64 + bump,
+                    );
+                    pane_input(seq, PaneValue::Freq(Arc::new(pane)), total)
+                })
+                .collect();
+            let spec = WindowSpec::sliding(len, hop);
+            let (ci, _) = pin_incremental_to_refold(spec, EpochMerge::Add, PaneKind::Freq, &panes)?;
+            if !fractional {
+                prop_assert_eq!(ci.value_refolds, 0);
+            } else if hop < len && raw.len() as u32 > len {
+                prop_assert!(ci.value_refolds > 0);
+            }
         }
     }
 
     /// The steady-state pin (the stream-layer sibling of the runner's
-    /// pool pins): after the window fills, 10 000 more hops neither grow
-    /// the pane buffer nor the two-stacks front stack, and each hop costs
-    /// a constant number of pane merges whatever the window length — the
-    /// same at W = 4096 as at W = 64 — while the `Refold` reference fed
-    /// the same panes pays at least W − 1 merges per emitted window. At
-    /// W = 4096 that gap is the whole O(W) → O(1) claim, so an
-    /// `Incremental` accumulator that silently refolds fails here.
-    /// (A two-stacks flip is not counted as a merge; it touches each
-    /// value once per lifetime.)
+    /// pool pins): after the window fills, 10 000 more hops grow
+    /// neither the pane buffer nor either two-stacks front stack (value
+    /// and min-coverage), and each hop costs a constant number of pane
+    /// merges whatever the window length — the same at W = 4096 as at
+    /// W = 64 — while the `Refold` reference fed the same panes pays at
+    /// least W − 1 merges per emitted window. At W = 4096 that gap is
+    /// the whole O(W) → O(1) claim, so an `Incremental` accumulator that
+    /// silently refolds fails here. A landmark window over the same
+    /// panes keeps no buffer at all. (A two-stacks flip is not counted
+    /// as a merge; it touches each value once per lifetime.)
     #[test]
     fn steady_state_hops_never_allocate() {
         const HOPS: u64 = 10_000;
@@ -1675,7 +1644,7 @@ mod tests {
                 let pane = PaneInput {
                     epoch: seq,
                     value: PaneValue::Scalar((seq % 97) as f64),
-                    coverage: 1.0,
+                    coverage: [1.0, 0.9, 0.75][(seq % 3) as usize],
                     relabeled: false,
                     nodes_joined: 0,
                     nodes_left: 0,
@@ -1684,6 +1653,15 @@ mod tests {
                 emitted += u64::from(acc.absorb(seq, &pane, c).is_some());
             }
             emitted
+        }
+        /// Capacities of the pane buffer and both front stacks.
+        fn capacities(acc: &WindowAccum) -> (usize, usize, usize) {
+            let value_front = acc.value.stacks().map_or(0, |st| st.front.capacity());
+            (
+                acc.buf.capacity(),
+                value_front,
+                acc.min_cov.front.capacity(),
+            )
         }
         for len in [64u32, 4096] {
             let warm = 2 * len as u64;
@@ -1718,26 +1696,14 @@ mod tests {
                 );
                 let mut c = AccumCounters::default();
                 drive(&mut acc, &mut c, 0, warm);
-                let buf_cap = acc.buffer_capacity();
-                let front_cap = match &acc.value {
-                    ValueAccum::Stacks(st) => st.front.capacity(),
-                    _ => 0,
-                };
+                let caps = capacities(&acc);
                 let merges_before = c.pane_merges;
                 assert_eq!(drive(&mut acc, &mut c, warm, warm + HOPS), HOPS);
-                assert_eq!(acc.buffered_panes(), len as usize);
+                assert_eq!(acc.buf.len(), len as usize);
                 assert_eq!(
-                    acc.buffer_capacity(),
-                    buf_cap,
-                    "{merge:?} W={len}: pane buffer grew"
-                );
-                let front_cap_after = match &acc.value {
-                    ValueAccum::Stacks(st) => st.front.capacity(),
-                    _ => 0,
-                };
-                assert_eq!(
-                    front_cap_after, front_cap,
-                    "{merge:?} W={len}: front stack grew"
+                    capacities(&acc),
+                    caps,
+                    "{merge:?} W={len}: buffer or front stack grew (buffer, value, coverage)"
                 );
                 let per_hop = (c.pane_merges - merges_before) as f64 / HOPS as f64;
                 assert!(
@@ -1752,5 +1718,14 @@ mod tests {
                 }
             }
         }
+        let mut landmark = WindowAccum::new(
+            WindowSpec::landmark(),
+            EpochMerge::Mean,
+            PaneKind::Scalar,
+            FoldMode::Incremental,
+        );
+        let mut c = AccumCounters::default();
+        assert_eq!(drive(&mut landmark, &mut c, 0, HOPS), HOPS);
+        assert_eq!(capacities(&landmark), (0, 0, 0), "landmark kept pane state");
     }
 }

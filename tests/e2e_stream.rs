@@ -66,37 +66,6 @@ fn baseline_epochs<W: Workload>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn stream_run_with<W: Workload>(
-    scheme: Scheme,
-    net: &Network,
-    workload: &W,
-    loss: f64,
-    warmup: u64,
-    epochs: u64,
-    seed: u64,
-    windows: &[(WindowSpec, EpochMerge)],
-    detailed: bool,
-    mode: td_suite::stream::FoldMode,
-) -> (StreamSession, Vec<td_suite::stream::WindowReport>) {
-    let mut rng = rng_from_seed(seed);
-    let session = SessionBuilder::new(scheme).build(net, &mut rng);
-    let mut stream = StreamSession::new(Driver::new(session, warmup));
-    let mut query = StreamQuery::scalar(Sum::default());
-    for &(spec, merge) in windows {
-        // Landmark windows never carry per-pane detail.
-        query = if detailed && !matches!(spec, WindowSpec::Landmark) {
-            query.window_detailed(spec, merge)
-        } else {
-            query.window(spec, merge)
-        };
-    }
-    let _ = stream.register(query);
-    stream.set_fold_mode(mode);
-    let reports = stream.run(workload, &Global::new(loss), epochs, &mut rng);
-    (stream, reports)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn stream_run<W: Workload>(
     scheme: Scheme,
     net: &Network,
@@ -107,18 +76,16 @@ fn stream_run<W: Workload>(
     seed: u64,
     windows: &[(WindowSpec, EpochMerge)],
 ) -> (StreamSession, Vec<td_suite::stream::WindowReport>) {
-    stream_run_with(
-        scheme,
-        net,
-        workload,
-        loss,
-        warmup,
-        epochs,
-        seed,
-        windows,
-        false,
-        td_suite::stream::FoldMode::Incremental,
-    )
+    let mut rng = rng_from_seed(seed);
+    let session = SessionBuilder::new(scheme).build(net, &mut rng);
+    let mut stream = StreamSession::new(Driver::new(session, warmup));
+    let mut query = StreamQuery::scalar(Sum::default());
+    for &(spec, merge) in windows {
+        query = query.window(spec, merge);
+    }
+    let _ = stream.register(query);
+    let reports = stream.run(workload, &Global::new(loss), epochs, &mut rng);
+    (stream, reports)
 }
 
 proptest! {
@@ -245,7 +212,7 @@ fn window_answers_stable_across_adaptation_relabel() {
         epochs,
         seed,
     );
-    let (_, reports) = stream_run_with(
+    let (_, reports) = stream_run(
         Scheme::TdCoarse,
         &net,
         &workload,
@@ -254,8 +221,6 @@ fn window_answers_stable_across_adaptation_relabel() {
         epochs,
         seed,
         &[(WindowSpec::sliding(10, 1), EpochMerge::Add)],
-        true,
-        td_suite::stream::FoldMode::Incremental,
     );
     assert!(
         reports.iter().any(|r| r.relabels > 0),
@@ -275,8 +240,6 @@ fn window_answers_stable_across_adaptation_relabel() {
             r.end_epoch,
             r.relabels
         );
-        // Detailed window: full per-pane history rides the report.
-        assert_eq!(r.pane_stats.len(), r.panes);
     }
 }
 
@@ -350,7 +313,7 @@ fn stream_windows_identical_under_patched_and_recompiled_plans() {
 /// answer bit-exact.
 fn report_fingerprint(
     r: &td_suite::stream::WindowReport,
-) -> (usize, usize, u64, u64, u64, u64, u64, u64, u32, usize) {
+) -> (usize, usize, u64, u64, u64, u64, u64, u64, u32) {
     (
         r.handle.query,
         r.handle.window,
@@ -361,7 +324,6 @@ fn report_fingerprint(
         r.nodes_joined,
         r.nodes_left,
         r.relabels,
-        r.pane_stats.len(),
     )
 }
 
