@@ -1,11 +1,8 @@
 //! Instrumented message envelopes.
 //!
 //! The runner wraps every protocol message in an envelope carrying the
-//! adaptation signals of §4.2 plus exact ground truth for metrics:
+//! adaptation signals of §4.2:
 //!
-//! * **Exact contributor set** — a bitset of sensors whose data is in the
-//!   message. This is simulator instrumentation (free in a simulator,
-//!   impossible on motes); it provides the ground-truth "% contributing".
 //! * **Exact subtree count** (tree envelopes) — trees count exactly, and
 //!   this count is what the paper's augmented messages carry.
 //! * **Approximate count sketch** (multi-path envelopes) — the in-band
@@ -15,10 +12,14 @@
 //!   many nodes of its (static) subtree failed to contribute; max/min
 //!   with arg-nodes fuse ODI through the delta and steer the fine-grained
 //!   TD strategy.
+//!
+//! The exact "% contributing" ground truth is not carried here: the
+//! runner derives it once per epoch from the epoch's delivery draws (a
+//! sensor contributes iff its envelope's delivery path reaches the base
+//! station), which is free in a simulator and impossible on motes.
 
 use td_netsim::node::NodeId;
 use td_sketches::fm::FmSketch;
-use td_sketches::idset::IdSet;
 
 /// Bitmap count for the in-band approximate Count sketch (narrower than
 /// the headline 40-bitmap aggregate: the signal only gates adaptation).
@@ -45,22 +46,37 @@ pub const TOP_K_EXTREMA: usize = 4;
 
 /// A fixed-capacity, ODI top-k set of extremum reports. Each reporting
 /// vertex appears at most once (duplicate deliveries carry identical
-/// values), so merging is idempotent.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// values), so merging is idempotent. Held inline: building, fusing and
+/// reporting a set never allocates.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExtremaSet {
-    /// Sorted by the ordering key (see `descending`), at most
-    /// [`TOP_K_EXTREMA`] entries.
-    entries: Vec<Extremum>,
+    /// `entries[..len]`, sorted by the ordering key (see `descending`).
+    /// The set only ever grows, so the slots past `len` keep their
+    /// initial filler and derived equality compares held entries only.
+    entries: [Extremum; TOP_K_EXTREMA],
+    len: u8,
     /// `true` keeps the largest values (expansion), `false` the smallest
     /// (shrinking).
     descending: bool,
 }
 
+impl Default for ExtremaSet {
+    fn default() -> Self {
+        Self::smallest()
+    }
+}
+
 impl ExtremaSet {
+    const EMPTY: [Extremum; TOP_K_EXTREMA] = [Extremum {
+        value: 0,
+        node: NodeId(0),
+    }; TOP_K_EXTREMA];
+
     /// A top-k-largest set (expansion signal).
     pub fn largest() -> Self {
         ExtremaSet {
-            entries: Vec::new(),
+            entries: Self::EMPTY,
+            len: 0,
             descending: true,
         }
     }
@@ -68,14 +84,16 @@ impl ExtremaSet {
     /// A top-k-smallest set (shrink signal).
     pub fn smallest() -> Self {
         ExtremaSet {
-            entries: Vec::new(),
+            entries: Self::EMPTY,
+            len: 0,
             descending: false,
         }
     }
 
     /// Insert one report (idempotent per reporting node).
     pub fn insert(&mut self, e: Extremum) {
-        if self.entries.iter().any(|x| x.node == e.node) {
+        let held = self.entries();
+        if held.iter().any(|x| x.node == e.node) {
             return;
         }
         // Reports are distinct per node, so keys are distinct and the
@@ -88,34 +106,37 @@ impl ExtremaSet {
                 (x.value as i64, x.node.0 as i64)
             }
         };
-        let at = self.entries.partition_point(|x| key(x) < key(&e));
+        let at = held.partition_point(|x| key(x) < key(&e));
         if at < TOP_K_EXTREMA {
-            self.entries.truncate(TOP_K_EXTREMA - 1);
-            self.entries.insert(at, e);
+            // Shift the tail one right, dropping the last entry when full.
+            let len = (held.len() + 1).min(TOP_K_EXTREMA);
+            self.entries.copy_within(at..len - 1, at + 1);
+            self.entries[at] = e;
+            self.len = len as u8;
         }
     }
 
     /// ODI merge.
     pub fn merge(&mut self, other: &Self) {
         debug_assert_eq!(self.descending, other.descending);
-        for &e in &other.entries {
+        for &e in other.entries() {
             self.insert(e);
         }
     }
 
     /// The reports, best-first.
     pub fn entries(&self) -> &[Extremum] {
-        &self.entries
+        &self.entries[..self.len as usize]
     }
 
     /// The single best report, if any.
     pub fn best(&self) -> Option<Extremum> {
-        self.entries.first().copied()
+        self.entries().first().copied()
     }
 
     /// Whether no reports are held.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -129,42 +150,21 @@ pub struct TreeEnvelope<T> {
     pub root: NodeId,
     /// Exact count of contributing sensors in this subtree.
     pub count: u64,
-    /// Exact contributor set (instrumentation).
-    pub contributors: IdSet,
 }
 
 impl<T> TreeEnvelope<T> {
     /// A leaf-level envelope for `node` with its local message.
-    pub fn local(capacity: usize, node: NodeId, msg: Option<T>) -> Self {
-        Self::local_in(IdSet::new(capacity), node, msg)
-    }
-
-    /// [`TreeEnvelope::local`] over a recycled contributor set (must be
-    /// cleared, capacity already sized to the network) — the
-    /// allocation-free path driven by the runner arena's free-list.
-    pub fn local_in(mut contributors: IdSet, node: NodeId, msg: Option<T>) -> Self {
-        debug_assert!(
-            contributors.is_empty(),
-            "recycled contributor set not cleared"
-        );
-        let count = if node.is_base() {
-            0
-        } else {
-            contributors.insert(node.0);
-            1
-        };
+    pub fn local(node: NodeId, msg: Option<T>) -> Self {
         TreeEnvelope {
             msg,
             root: node,
-            count,
-            contributors,
+            count: u64::from(!node.is_base()),
         }
     }
 
     /// Merge a delivered child envelope (payloads merged by the caller).
     pub fn absorb_counts(&mut self, child: &TreeEnvelope<T>) {
         self.count += child.count;
-        self.contributors.union(&child.contributors);
     }
 }
 
@@ -173,8 +173,6 @@ impl<T> TreeEnvelope<T> {
 pub struct MpEnvelope<S> {
     /// The protocol payload.
     pub msg: Option<S>,
-    /// Exact contributor set (instrumentation).
-    pub contributors: IdSet,
     /// In-band duplicate-insensitive count of contributors.
     pub count_sketch: FmSketch,
     /// Largest per-subtree non-contributions seen (TD expand signal).
@@ -185,40 +183,21 @@ pub struct MpEnvelope<S> {
 
 impl<S> MpEnvelope<S> {
     /// A local envelope for a delta vertex.
-    pub fn local(capacity: usize, node: NodeId, msg: Option<S>) -> Self {
-        Self::local_in(IdSet::new(capacity), node, msg)
+    pub fn local(node: NodeId, msg: Option<S>) -> Self {
+        Self::local_pooled(FmSketch::new(COUNT_SKETCH_BITMAPS), node, msg)
     }
 
-    /// [`MpEnvelope::local`] over a recycled contributor set (must be
-    /// cleared, capacity already sized to the network) — the
-    /// allocation-free path driven by the runner arena's free-list.
-    pub fn local_in(contributors: IdSet, node: NodeId, msg: Option<S>) -> Self {
-        Self::local_pooled(contributors, FmSketch::new(COUNT_SKETCH_BITMAPS), node, msg)
-    }
-
-    /// [`MpEnvelope::local_in`] with the count sketch recycled too (must
-    /// be cleared, [`COUNT_SKETCH_BITMAPS`] wide) — the fully
-    /// allocation-free path: both per-envelope heap parts come from the
-    /// runner arena's free-lists.
-    pub fn local_pooled(
-        mut contributors: IdSet,
-        mut count_sketch: FmSketch,
-        node: NodeId,
-        msg: Option<S>,
-    ) -> Self {
-        debug_assert!(
-            contributors.is_empty(),
-            "recycled contributor set not cleared"
-        );
+    /// [`MpEnvelope::local`] over a recycled count sketch (must be
+    /// cleared, [`COUNT_SKETCH_BITMAPS`] wide) — the allocation-free path
+    /// driven by the runner arena's free-list.
+    pub fn local_pooled(mut count_sketch: FmSketch, node: NodeId, msg: Option<S>) -> Self {
         debug_assert!(count_sketch.is_empty(), "recycled count sketch not cleared");
         debug_assert_eq!(count_sketch.num_bitmaps(), COUNT_SKETCH_BITMAPS);
         if !node.is_base() {
-            contributors.insert(node.0);
             count_sketch.insert_distinct(td_sketches::hash::keyed(0xC0C0, node.0 as u64));
         }
         MpEnvelope {
             msg,
-            contributors,
             count_sketch,
             max_noncontrib: ExtremaSet::largest(),
             min_noncontrib: ExtremaSet::smallest(),
@@ -230,7 +209,6 @@ impl<S> MpEnvelope<S> {
     /// count sketch as a value salted by the subtree root — the same
     /// conversion-function trick as the aggregate itself.
     pub fn absorb_tree_counts<T>(&mut self, child: &TreeEnvelope<T>) {
-        self.contributors.union(&child.contributors);
         self.count_sketch.insert_value(
             td_sketches::hash::keyed(0xC0C1, child.root.0 as u64),
             child.count,
@@ -240,7 +218,6 @@ impl<S> MpEnvelope<S> {
     /// ODI-fuse another delta envelope's instrumentation (payload fusion
     /// is the caller's job).
     pub fn fuse_counts(&mut self, other: &MpEnvelope<S>) {
-        self.contributors.union(&other.contributors);
         self.count_sketch.merge(&other.count_sketch);
         self.max_noncontrib.merge(&other.max_noncontrib);
         self.min_noncontrib.merge(&other.min_noncontrib);
@@ -261,40 +238,41 @@ mod tests {
 
     #[test]
     fn tree_envelope_counts_itself() {
-        let e = TreeEnvelope::<u64>::local(10, NodeId(3), Some(7));
+        let e = TreeEnvelope::<u64>::local(NodeId(3), Some(7));
         assert_eq!(e.count, 1);
-        assert!(e.contributors.contains(3));
-        let b = TreeEnvelope::<u64>::local(10, NodeId(0), None);
+        let b = TreeEnvelope::<u64>::local(NodeId(0), None);
         assert_eq!(b.count, 0);
     }
 
     #[test]
     fn tree_absorb_accumulates() {
-        let mut a = TreeEnvelope::<u64>::local(10, NodeId(1), Some(1));
-        let b = TreeEnvelope::<u64>::local(10, NodeId(2), Some(1));
+        let mut a = TreeEnvelope::<u64>::local(NodeId(1), Some(1));
+        let b = TreeEnvelope::<u64>::local(NodeId(2), Some(1));
         a.absorb_counts(&b);
         assert_eq!(a.count, 2);
-        assert_eq!(a.contributors.len(), 2);
+        let c = TreeEnvelope::<u64>::local(NodeId(0), None);
+        a.absorb_counts(&c);
+        assert_eq!(a.count, 2, "the base station counts nobody");
     }
 
     #[test]
     fn mp_fuse_is_idempotent_on_counts() {
-        let mut a = MpEnvelope::<u64>::local(10, NodeId(1), Some(1));
+        let mut a = MpEnvelope::<u64>::local(NodeId(1), Some(1));
+        let est = a.count_sketch.estimate();
         let b = a.clone();
         a.fuse_counts(&b);
-        assert_eq!(a.contributors.len(), 1);
-        let est = a.count_sketch.estimate();
+        assert_eq!(a.count_sketch.estimate(), est);
         a.fuse_counts(&b);
         assert_eq!(a.count_sketch.estimate(), est);
     }
 
     #[test]
     fn extrema_fusion_takes_max_and_min() {
-        let mut a = MpEnvelope::<u64>::local(10, NodeId(1), None);
+        let mut a = MpEnvelope::<u64>::local(NodeId(1), None);
         a.report_noncontrib(NodeId(1), 5);
-        let mut b = MpEnvelope::<u64>::local(10, NodeId(2), None);
+        let mut b = MpEnvelope::<u64>::local(NodeId(2), None);
         b.report_noncontrib(NodeId(2), 9);
-        let mut c = MpEnvelope::<u64>::local(10, NodeId(3), None);
+        let mut c = MpEnvelope::<u64>::local(NodeId(3), None);
         c.report_noncontrib(NodeId(3), 2);
         a.fuse_counts(&b);
         a.fuse_counts(&c);
@@ -319,9 +297,9 @@ mod tests {
     #[test]
     fn extrema_fusion_deterministic_on_ties() {
         // Equal values break ties by node id, independent of fuse order.
-        let mut x = MpEnvelope::<u64>::local(10, NodeId(1), None);
+        let mut x = MpEnvelope::<u64>::local(NodeId(1), None);
         x.report_noncontrib(NodeId(1), 4);
-        let mut y = MpEnvelope::<u64>::local(10, NodeId(2), None);
+        let mut y = MpEnvelope::<u64>::local(NodeId(2), None);
         y.report_noncontrib(NodeId(2), 4);
         let mut xy = x.clone();
         xy.fuse_counts(&y);
@@ -329,39 +307,97 @@ mod tests {
         yx.fuse_counts(&x);
         assert_eq!(xy.max_noncontrib.entries(), yx.max_noncontrib.entries());
         assert_eq!(xy.min_noncontrib.entries(), yx.min_noncontrib.entries());
+        assert_eq!(xy.max_noncontrib, yx.max_noncontrib);
     }
 
     #[test]
     fn pooled_constructors_match_fresh_ones() {
-        let mut recycled = IdSet::singleton(20, 5);
+        let mut recycled = FmSketch::new(COUNT_SKETCH_BITMAPS);
+        recycled.insert_distinct(td_sketches::hash::keyed(0xC0C0, 9));
         recycled.clear();
-        let pooled = TreeEnvelope::<u64>::local_in(recycled, NodeId(3), Some(7));
-        let fresh = TreeEnvelope::<u64>::local(20, NodeId(3), Some(7));
-        assert_eq!(pooled.count, fresh.count);
-        assert_eq!(pooled.contributors, fresh.contributors);
-
-        let mut recycled = IdSet::singleton(20, 9);
-        recycled.clear();
-        let pooled = MpEnvelope::<u64>::local_in(recycled, NodeId(4), Some(1));
-        let fresh = MpEnvelope::<u64>::local(20, NodeId(4), Some(1));
-        assert_eq!(pooled.contributors, fresh.contributors);
+        let pooled = MpEnvelope::<u64>::local_pooled(recycled, NodeId(4), Some(1));
+        let fresh = MpEnvelope::<u64>::local(NodeId(4), Some(1));
         assert_eq!(
             pooled.count_sketch.estimate(),
             fresh.count_sketch.estimate()
         );
+        assert_eq!(pooled.max_noncontrib, fresh.max_noncontrib);
+        assert_eq!(pooled.min_noncontrib, fresh.min_noncontrib);
     }
 
     #[test]
     fn tree_counts_enter_count_sketch() {
-        let mut m = MpEnvelope::<u64>::local(200, NodeId(1), None);
-        let mut t = TreeEnvelope::<u64>::local(200, NodeId(2), Some(1));
+        let mut m = MpEnvelope::<u64>::local(NodeId(1), None);
+        let mut t = TreeEnvelope::<u64>::local(NodeId(2), Some(1));
         for i in 3..100u32 {
-            let c = TreeEnvelope::<u64>::local(200, NodeId(i), Some(1));
+            let c = TreeEnvelope::<u64>::local(NodeId(i), Some(1));
             t.absorb_counts(&c);
         }
+        assert_eq!(t.count, 98);
         m.absorb_tree_counts(&t);
         let est = m.count_sketch.estimate();
         assert!(est > 30.0 && est < 300.0, "count sketch estimate {est}");
-        assert_eq!(m.contributors.len(), 99);
+    }
+
+    /// The reference top-k: every distinct report, sorted by the key
+    /// (value in the set's direction, then node id), cut to
+    /// [`TOP_K_EXTREMA`].
+    fn reference_top_k(reports: &[Extremum], descending: bool) -> Vec<Extremum> {
+        let mut all = reports.to_vec();
+        all.sort_by(|a, b| {
+            let by_value = if descending {
+                b.value.cmp(&a.value)
+            } else {
+                a.value.cmp(&b.value)
+            };
+            by_value.then(a.node.0.cmp(&b.node.0))
+        });
+        all.dedup_by_key(|x| x.node);
+        all.truncate(TOP_K_EXTREMA);
+        all
+    }
+
+    proptest::proptest! {
+        /// Random `insert`/`merge` sequences, both orderings, match the
+        /// sort-dedup-truncate reference after every operation. Bit `i`
+        /// of `via_merge` routes report `i` through a second set that is
+        /// merged in whole each time (so merges re-deliver earlier
+        /// reports). A node's report has one value (duplicate deliveries
+        /// carry identical values); values collide often so the node-id
+        /// tie-break is exercised.
+        #[test]
+        fn prop_extrema_set_is_the_sorted_top_k(
+            nodes in proptest::collection::vec(0u32..12, 0..40),
+            via_merge in proptest::prelude::any::<u64>(),
+            salt in 0u64..1_000,
+        ) {
+            let report = |node: u32| Extremum {
+                value: td_sketches::hash::keyed(salt, node as u64) % 5,
+                node: NodeId(node),
+            };
+            for descending in [true, false] {
+                let fresh = || {
+                    if descending {
+                        ExtremaSet::largest()
+                    } else {
+                        ExtremaSet::smallest()
+                    }
+                };
+                let (mut set, mut other) = (fresh(), fresh());
+                for (i, &node) in nodes.iter().enumerate() {
+                    if via_merge >> i & 1 == 1 {
+                        other.insert(report(node));
+                        set.merge(&other);
+                    } else {
+                        set.insert(report(node));
+                    }
+                    let seen: Vec<Extremum> = nodes[..=i].iter().map(|&n| report(n)).collect();
+                    let expect = reference_top_k(&seen, descending);
+                    proptest::prop_assert_eq!(set.entries(), &expect[..]);
+                    proptest::prop_assert_eq!(set.best(), expect.first().copied());
+                    proptest::prop_assert_eq!(set.is_empty(), expect.is_empty());
+                }
+            }
+        }
     }
 }

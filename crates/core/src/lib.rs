@@ -72,8 +72,8 @@
 //!   `Protocol` blanket-erased behind [`query::ErasedMsg`]), the
 //!   [`query::QuerySet`] registry, and typed [`query::QueryHandle`]s.
 //! * [`envelope`] — instrumentation wrappers the runner adds around each
-//!   link's message bundle: exact contributor sets (ground truth), the
-//!   in-band approximate Count of §4.2, and the per-subtree
+//!   link's message bundle: exact tree subtree counts, the in-band
+//!   approximate Count of §4.2, and the per-subtree
 //!   non-contribution extrema that drive the fine-grained TD strategy.
 //!   Shared by every query in the bundle.
 //! * [`runner`] — one epoch of level-synchronized execution over a

@@ -82,16 +82,23 @@
 //! slot, where the same base-station tail as a `T`-mode TD base
 //! evaluates it.
 //!
+//! **Who contributed.** The exact contributor count — the ground truth
+//! behind "% contributing" and the §4.2 adaptation signal — is not
+//! carried in the envelopes. The loss outcomes are kept for the whole
+//! epoch, and once the base station has evaluated, one backwards walk
+//! over them marks every step whose send reaches the base: a sensor
+//! contributes iff its own step is marked, because an envelope carries
+//! its sender's data and everything the sender merged or fused.
+//!
 //! ## Arenas
 //!
-//! Envelope *parts* — contributor bitsets, count sketches, bundle
-//! `Vec`s — cycle through the plan's free-lists (`Pools`): drawn when
-//! an envelope is built, returned when it is consumed, so at steady
-//! state none is allocated. What an epoch still allocates is the
-//! protocol payloads themselves (one `Box` per local, finalized or
-//! converted message, plus whatever the payload owns) and the extremum
-//! reports: about 2 allocations per node-epoch on a tree and about 3
-//! with a delta, as the repo benchmark counts them.
+//! Envelope *parts* — count sketches and bundle `Vec`s — cycle through
+//! the plan's free-lists (`Pools`): drawn when an envelope is built,
+//! returned when it is consumed, so at steady state none is allocated.
+//! What an epoch still allocates is the protocol payloads themselves
+//! (one `Box` per local, finalized or converted message, plus whatever
+//! the payload owns): 2.004 allocations per node-epoch on the repo
+//! benchmark's 10 000-node tree and 2.21 on its 2 500-node delta mix.
 //!
 //! **Parked delivery.** An M vertex puts *one* message on the air. Its
 //! finished envelope is parked once, in the `ParkedLevel` of its
@@ -114,7 +121,7 @@
 //! The runner is **multi-query**: every link carries one *bundle*
 //! holding a message slot per query registered in the epoch's
 //! [`QuerySet`], so N concurrent aggregates cost one topology traversal
-//! — one unicast/broadcast per node, one contributor envelope, one
+//! — one unicast/broadcast per node, one envelope, one
 //! in-band count sketch, one set of adaptation extrema — instead of N.
 //! Message payload accounting sums the per-query wire sizes; the
 //! envelope overhead is charged once per link, not once per query.
@@ -134,7 +141,6 @@ use td_netsim::network::Network;
 use td_netsim::node::{NodeId, BASE_STATION};
 use td_netsim::stats::CommStats;
 use td_sketches::fm::FmSketch;
-use td_sketches::idset::IdSet;
 use td_sketches::rle as sketch_rle;
 use td_telemetry::phase::{self, Phase};
 use td_topology::td::{Mode, TdTopology};
@@ -261,15 +267,13 @@ fn mp_send_size(set: &QuerySet<'_>, env: &MpEnvelope<Bundle>, charge: bool) -> (
 }
 
 /// The envelope-part free-lists shared by every build/consume step: a
-/// consumed envelope returns its contributor bitset, its count sketch
-/// (multi-path only), and its bundle `Vec` here, and every envelope the
-/// plan constructs draws from here first — so steady-state epochs
-/// allocate none of these parts (the payloads inside a bundle are the
-/// protocols' and are still boxed per message).
+/// consumed envelope returns its count sketch (multi-path only) and its
+/// bundle `Vec` here, and every envelope the plan constructs draws from
+/// here first — so steady-state epochs allocate none of these parts
+/// (the payloads inside a bundle are the protocols' and are still boxed
+/// per message).
 #[derive(Default)]
 struct Pools {
-    /// Recycled contributor bitsets (invariant: cleared, capacity `n`).
-    idsets: Vec<IdSet>,
     /// Recycled count sketches (invariant: cleared,
     /// [`crate::envelope::COUNT_SKETCH_BITMAPS`] bitmaps).
     sketches: Vec<FmSketch>,
@@ -278,12 +282,6 @@ struct Pools {
 }
 
 impl Pools {
-    /// A cleared contributor set: recycled, or freshly allocated only
-    /// while the pool is still warming up.
-    fn idset(&mut self, n: usize) -> IdSet {
-        self.idsets.pop().unwrap_or_else(|| IdSet::new(n))
-    }
-
     /// A cleared count sketch: recycled, or fresh during warm-up.
     fn sketch(&mut self) -> FmSketch {
         self.sketches.pop().unwrap_or_else(fresh_sketch)
@@ -295,18 +293,17 @@ impl Pools {
     }
 
     /// Top the free-lists up to a fanned-out level's whole need — one
-    /// contributor set and one bundle per sender, one count sketch per M
-    /// sender — before its chunks are lent their shares, so that no
-    /// chunk depends on what another recycles meanwhile. Allocates only
-    /// while the pool is below the deployment's lossless demand (what is
-    /// in flight plus the level being run): loss only lowers that.
-    fn ensure(&mut self, n: usize, senders: usize, m_senders: usize) {
+    /// bundle per sender, one count sketch per M sender — before its
+    /// chunks are lent their shares, so that no chunk depends on what
+    /// another recycles meanwhile. Allocates only while the pool is below
+    /// the deployment's lossless demand (what is in flight plus the level
+    /// being run): loss only lowers that.
+    fn ensure(&mut self, senders: usize, m_senders: usize) {
         fn top_up<T>(parts: &mut Vec<T>, need: usize, fresh: impl FnMut() -> T) {
             if parts.len() < need {
                 parts.resize_with(need, fresh);
             }
         }
-        top_up(&mut self.idsets, senders, || IdSet::new(n));
         top_up(&mut self.sketches, m_senders, fresh_sketch);
         top_up(&mut self.bundles, senders, Bundle::new);
     }
@@ -317,7 +314,6 @@ impl Pools {
         fn move_tail<T>(from: &mut Vec<T>, to: &mut Vec<T>, count: usize) {
             to.extend(from.drain(from.len() - count..));
         }
-        move_tail(&mut self.idsets, &mut to.idsets, senders);
         move_tail(&mut self.sketches, &mut to.sketches, m_senders);
         move_tail(&mut self.bundles, &mut to.bundles, senders);
     }
@@ -325,7 +321,6 @@ impl Pools {
     /// Take back everything `from` holds — what the chunk recycled as
     /// well as what it was lent and did not need — leaving it empty.
     fn reclaim(&mut self, from: &mut Pools) {
-        self.idsets.append(&mut from.idsets);
         self.sketches.append(&mut from.sketches);
         self.bundles.append(&mut from.bundles);
     }
@@ -334,13 +329,6 @@ impl Pools {
 /// An empty count sketch of the width every pooled one has.
 fn fresh_sketch() -> FmSketch {
     FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS)
-}
-
-/// Return a consumed envelope's contributor set to the arena free-list
-/// (the pool invariant: every pooled set is cleared and `n`-capacity).
-fn recycle_idset(pools: &mut Pools, mut contributors: IdSet) {
-    contributors.clear();
-    pools.idsets.push(contributors);
 }
 
 /// Return a consumed multi-path envelope's count sketch to the free-list.
@@ -355,20 +343,18 @@ fn recycle_bundle(pools: &mut Pools, mut bundle: Bundle) {
     pools.bundles.push(bundle);
 }
 
-/// Recycle every pooled part of a consumed tree envelope.
-fn recycle_tree_env(pools: &mut Pools, mut env: TreeEnvelope<Bundle>) {
-    if let Some(bundle) = env.msg.take() {
+/// Recycle the pooled part of a consumed tree envelope: its bundle.
+fn recycle_tree_env(pools: &mut Pools, env: TreeEnvelope<Bundle>) {
+    if let Some(bundle) = env.msg {
         recycle_bundle(pools, bundle);
     }
-    recycle_idset(pools, env.contributors);
 }
 
 /// Recycle every pooled part of a consumed multi-path envelope.
-fn recycle_mp_env(pools: &mut Pools, mut env: MpEnvelope<Bundle>) {
-    if let Some(bundle) = env.msg.take() {
+fn recycle_mp_env(pools: &mut Pools, env: MpEnvelope<Bundle>) {
+    if let Some(bundle) = env.msg {
         recycle_bundle(pools, bundle);
     }
-    recycle_idset(pools, env.contributors);
     recycle_sketch(pools, env.count_sketch);
 }
 
@@ -430,17 +416,16 @@ impl ParkedLevel {
 
 /// Merge children + own local bundle into a tree envelope and finalize
 /// it. Drains `children` in delivery order, leaving its capacity in the
-/// arena; their contributor bitsets go back to the free-list.
+/// arena; their bundles go back to the free-list.
 fn build_tree_envelope_set(
     set: &QuerySet<'_>,
     u: NodeId,
     height: u32,
-    contributors: IdSet,
     local: Bundle,
     children: &mut Vec<TreeEnvelope<Bundle>>,
     pools: &mut Pools,
 ) -> TreeEnvelope<Bundle> {
-    let mut env = TreeEnvelope::local_in(contributors, u, Some(local));
+    let mut env = TreeEnvelope::local(u, Some(local));
     for mut child in children.drain(..) {
         env.absorb_counts(&child);
         let mut child_bundle = child
@@ -456,7 +441,6 @@ fn build_tree_envelope_set(
             }
         }
         recycle_bundle(pools, child_bundle);
-        recycle_idset(pools, child.contributors);
     }
     let own = env.msg.as_mut().expect("constructed with a bundle");
     for (i, slot) in own.iter_mut().enumerate() {
@@ -471,14 +455,13 @@ fn build_tree_envelope_set(
 /// Convert + fuse everything an M vertex holds into one envelope,
 /// reporting its subtree non-contribution when switchable. Drains both
 /// inboxes in delivery order, leaving their capacity in the arena: the
-/// tree envelopes' parts go back to the free-list, the broadcasts named
-/// by `mp_heard` are fused by reference out of `parked` (the level
+/// tree envelopes' bundles go back to the free-list, the broadcasts
+/// named by `mp_heard` are fused by reference out of `parked` (the level
 /// above) and stay there.
 #[allow(clippy::too_many_arguments)]
 fn build_mp_envelope_set(
     set: &QuerySet<'_>,
     u: NodeId,
-    contributors: IdSet,
     count_sketch: FmSketch,
     subtree_size: u64,
     switchable_m: bool,
@@ -488,7 +471,7 @@ fn build_mp_envelope_set(
     parked: &ParkedLevel,
     pools: &mut Pools,
 ) -> MpEnvelope<Bundle> {
-    let mut env = MpEnvelope::local_pooled(contributors, count_sketch, u, Some(local));
+    let mut env = MpEnvelope::local_pooled(count_sketch, u, Some(local));
     // §4.2: a switchable M vertex is the root of a unique (all-tree)
     // subtree; it reports how many of its subtree's nodes are missing.
     if switchable_m {
@@ -511,7 +494,6 @@ fn build_mp_envelope_set(
             }
         }
         recycle_bundle(pools, bundle);
-        recycle_idset(pools, te.contributors);
     }
     for sender in mp_heard.drain(..) {
         let heard = parked.get(sender);
@@ -533,8 +515,8 @@ fn build_mp_envelope_set(
 
 /// Evaluate every query over the tree bundles that reached a tree-mode
 /// base station. Drains the envelopes: each bundle slot is moved into
-/// its query's evaluation, never cloned; the envelopes' contributor
-/// bitsets go back to the free-list.
+/// its query's evaluation, never cloned; the emptied bundles go back to
+/// the free-list.
 fn evaluate_tree_base(
     set: &QuerySet<'_>,
     children: &mut Vec<TreeEnvelope<Bundle>>,
@@ -775,26 +757,35 @@ impl Schedule {
     }
 }
 
-/// One level's loss outcomes, drawn on the calling thread in step order
-/// before any of the level's steps runs — the caller's RNG therefore
-/// ends an epoch in the same state however many chunks a level is cut
-/// into. Reused from level to level and epoch to epoch.
+/// One epoch's loss outcomes. Drawn level by level on the calling
+/// thread, in step order, before any of the level's steps runs — the
+/// caller's RNG therefore ends an epoch in the same state however many
+/// chunks a level is cut into — and kept for the whole epoch, because
+/// once the last level has run the same outcomes say which sensors
+/// reached the base station ([`Draws::contributing`]). Reused from
+/// epoch to epoch.
 #[derive(Default)]
 struct Draws {
-    /// Slot of the level's first step: `outcomes[slot - first]`.
-    first: usize,
-    /// Per step of the level: the unicast outcome of a sending T step
-    /// (`None` for M steps and the TAG base step).
+    /// Per slot: the unicast outcome of a sending T step (`None` for M
+    /// steps and the TAG base step).
     outcomes: Vec<Option<RetransmitOutcome>>,
-    /// Receiver-table index of the level's first entry:
-    /// `delivered[entry - recv_first]`.
-    recv_first: usize,
-    /// Per broadcast-table entry of the level: whether the broadcast
-    /// reached it (entries of T steps stay `false`, unread).
+    /// Per broadcast-table entry: whether the broadcast reached it
+    /// (entries of T steps stay `false`, unread).
     delivered: Vec<bool>,
+    /// Per slot, base slot included: whether what the slot sends
+    /// reaches the base station (scratch of [`Draws::contributing`]).
+    reached: Vec<bool>,
 }
 
 impl Draws {
+    /// Forget the previous epoch's outcomes.
+    fn open(&mut self, sched: &Schedule) {
+        self.outcomes.clear();
+        self.outcomes.resize(sched.steps.len(), None);
+        self.delivered.clear();
+        self.delivered.resize(sched.receivers.len(), false);
+    }
+
     /// Draw every outcome of the level `steps[level]`. An M step draws
     /// for every receiver, M or not — which receivers count is the
     /// labeling's business, not the channel's.
@@ -809,29 +800,66 @@ impl Draws {
         epoch: u64,
         rng: &mut R,
     ) {
-        let steps = &sched.steps[level.clone()];
-        self.first = level.start;
-        self.recv_first = steps[0].recv_start as usize;
-        let recv_len = steps[steps.len() - 1].recv_end as usize - self.recv_first;
-        self.outcomes.clear();
-        self.delivered.clear();
-        self.delivered.resize(recv_len, false);
-        for step in steps {
-            self.outcomes.push(match step.mode {
-                Mode::T => step
-                    .parent
-                    .map(|p| unicast(model, retransmit, step.node, p, net, epoch, rng)),
+        for slot in level {
+            let step = &sched.steps[slot];
+            match step.mode {
+                Mode::T => {
+                    self.outcomes[slot] = step
+                        .parent
+                        .map(|p| unicast(model, retransmit, step.node, p, net, epoch, rng));
+                }
                 Mode::M => {
                     let range = step.recv_range();
-                    let heard = &mut self.delivered
-                        [range.start - self.recv_first..range.end - self.recv_first];
+                    let heard = &mut self.delivered[range.clone()];
                     for (d, &(r, _)) in heard.iter_mut().zip(&sched.receivers[range]) {
                         *d = model.delivered(step.node, r, net, epoch, rng);
                     }
-                    None
                 }
-            });
+            }
         }
+    }
+
+    /// The epoch's exact contributor count: how many sensors' data
+    /// reached the base station. A step's envelope carries its own
+    /// node's data and everything it merged or fused, so a sensor
+    /// contributes iff its step's send reaches the base — and that is a
+    /// reverse-reachability question over this epoch's outcomes, walked
+    /// from the base slot backwards (every destination sits at a later
+    /// slot than its sender):
+    ///
+    /// * a T step is reached iff its unicast was delivered and its
+    ///   parent's slot is reached; the TAG base step (no parent) hands
+    ///   its envelope straight to the base slot;
+    /// * an M step is reached iff some `M` receiver that heard it —
+    ///   the only receivers that fuse a broadcast — is reached.
+    fn contributing(&mut self, sched: &Schedule) -> usize {
+        let base = sched.base_slot();
+        self.reached.clear();
+        self.reached.resize(base + 1, false);
+        self.reached[base] = true;
+        let mut count = 0;
+        for slot in (0..base).rev() {
+            let step = &sched.steps[slot];
+            let reached = match step.mode {
+                Mode::T => match step.parent {
+                    None => true,
+                    Some(p) => {
+                        self.outcomes[slot].is_some_and(|o| o.delivered)
+                            && self.reached[sched.slot_or_base(p)]
+                    }
+                },
+                Mode::M => {
+                    let range = step.recv_range();
+                    sched.receivers[range.clone()]
+                        .iter()
+                        .zip(&self.delivered[range])
+                        .any(|(&(r, is_m), &d)| d && is_m && self.reached[sched.slot_or_base(r)])
+                }
+            };
+            self.reached[slot] = reached;
+            count += usize::from(reached && !step.node.is_base());
+        }
+        count
     }
 }
 
@@ -892,8 +920,6 @@ impl<'a> Slabs<'a> {
 /// cache-locality fix that makes plan reuse beat rebuild — and a
 /// chunk's slots form one contiguous block ([`Slabs`]).
 struct Arenas {
-    /// Node count (the envelope contributor-set capacity).
-    n: usize,
     /// Per-slot tree-envelope inboxes, drained every epoch.
     tree_inbox: Vec<Vec<TreeEnvelope<Bundle>>>,
     /// Per-slot multi-path inboxes, drained every epoch: the slots of
@@ -913,19 +939,18 @@ struct Arenas {
     /// `slot * set.len() + query` stages the node's local tree or
     /// multi-path message until its send step assembles the bundle.
     locals: Vec<Option<ErasedMsg>>,
-    /// The envelope-part free-lists (contributor bitsets, count
-    /// sketches, bundle `Vec`s). Every envelope the plan builds draws
-    /// from here and every consumed envelope returns here, so
-    /// steady-state epochs allocate no per-envelope parts.
+    /// The envelope-part free-lists (count sketches, bundle `Vec`s).
+    /// Every envelope the plan builds draws from here and every consumed
+    /// envelope returns here, so steady-state epochs allocate no
+    /// per-envelope parts.
     pools: Pools,
-    /// The running level's pre-drawn loss outcomes.
+    /// The epoch's loss outcomes, drawn level by level.
     draws: Draws,
 }
 
 impl Arenas {
-    fn new(n: usize, slots: usize, multipath: bool) -> Arenas {
+    fn new(slots: usize, multipath: bool) -> Arenas {
         Arenas {
-            n,
             tree_inbox: (0..slots).map(|_| Vec::new()).collect(),
             mp_inbox: (0..if multipath { slots } else { 0 })
                 .map(|_| Vec::new())
@@ -1006,7 +1031,7 @@ impl EpochPlan {
                 base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
                 base_switchable_m: topo.is_switchable_m(BASE_STATION),
             },
-            arenas: Arenas::new(n, slots, true),
+            arenas: Arenas::new(slots, true),
         }
     }
 
@@ -1058,26 +1083,20 @@ impl EpochPlan {
                 base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
                 base_switchable_m: false,
             },
-            arenas: Arenas::new(n, slots, false),
+            arenas: Arenas::new(slots, false),
         }
     }
 
-    /// Size of the arena's contributor-bitset free-list (introspection
-    /// for tests and benches: after a warm-up epoch the pool holds every
-    /// recycled set, and steady-state epochs neither grow nor drain it
-    /// below the per-epoch working need).
-    pub fn recycled_bitsets(&self) -> usize {
-        self.arenas.pools.idsets.len()
-    }
-
-    /// Size of the arena's count-sketch free-list (same steady-state
-    /// introspection as [`recycled_bitsets`](Self::recycled_bitsets)).
+    /// Size of the arena's count-sketch free-list (introspection for
+    /// tests and benches: after a warm-up epoch the pool holds every
+    /// recycled sketch, and steady-state epochs neither grow nor drain
+    /// it below the per-epoch working need).
     pub fn recycled_sketches(&self) -> usize {
         self.arenas.pools.sketches.len()
     }
 
     /// Size of the arena's bundle-`Vec` free-list (same steady-state
-    /// introspection as [`recycled_bitsets`](Self::recycled_bitsets)).
+    /// introspection as [`recycled_sketches`](Self::recycled_sketches)).
     pub fn recycled_bundles(&self) -> usize {
         self.arenas.pools.bundles.len()
     }
@@ -1218,7 +1237,7 @@ impl EpochPlan {
         put(sched.base_height as u64);
         put(sched.base_subtree);
         put(sched.base_switchable_m as u64);
-        put(self.arenas.n as u64);
+        put(sched.step_of.len() as u64);
         put(self.arenas.tree_inbox.len() as u64);
         put(self.arenas.mp_inbox.len() as u64);
         h
@@ -1244,7 +1263,6 @@ impl EpochPlan {
         let exec = Exec {
             sched: &self.sched,
             set,
-            n: self.arenas.n,
             charge: config.charge_adaptation_overhead,
         };
         let arenas = &mut self.arenas;
@@ -1254,7 +1272,7 @@ impl EpochPlan {
         // decision.
         let workers = config.effective_workers();
         let retransmit = config.tree_retransmit;
-        if workers <= 1 || arenas.n < config.parallel_min_nodes {
+        if workers <= 1 || self.sched.step_of.len() < config.parallel_min_nodes {
             exec.run_levels(arenas, net, model, retransmit, epoch, stats, rng, None);
         } else {
             std::thread::scope(|scope| {
@@ -1285,8 +1303,6 @@ enum Sent {
 struct Exec<'a, 'e> {
     sched: &'a Schedule,
     set: &'a QuerySet<'e>,
-    /// Node count (the contributor-set capacity).
-    n: usize,
     /// Whether sends are charged the §4.2 adaptation overhead.
     charge: bool,
 }
@@ -1333,14 +1349,12 @@ impl Exec<'_, '_> {
         let step = &self.sched.steps[slot];
         let i = slot - own.first;
         let local = take_local(&mut own.locals[i * own.q..(i + 1) * own.q], pools);
-        let contributors = pools.idset(self.n);
         match step.mode {
             Mode::T => {
                 let env = build_tree_envelope_set(
                     self.set,
                     step.node,
                     step.height,
-                    contributors,
                     local,
                     &mut own.tree[i],
                     pools,
@@ -1355,7 +1369,6 @@ impl Exec<'_, '_> {
                 let env = build_mp_envelope_set(
                     self.set,
                     step.node,
-                    contributors,
                     count_sketch,
                     step.subtree_size as u64,
                     step.switchable_m,
@@ -1399,8 +1412,8 @@ impl Exec<'_, '_> {
                     // The TAG base step: nothing goes on the air.
                     None => sched.base_slot(),
                     Some(parent) => {
-                        let outcome = draws.outcomes[slot - draws.first]
-                            .expect("a sending T step drew its unicast");
+                        let outcome =
+                            draws.outcomes[slot].expect("a sending T step drew its unicast");
                         stats.record_send(
                             step.node,
                             words * 4,
@@ -1421,8 +1434,7 @@ impl Exec<'_, '_> {
                 // One message on the air: every M neighbour that hears
                 // it is handed the sender's slot, not a copy.
                 let range = step.recv_range();
-                let heard =
-                    &draws.delivered[range.start - draws.recv_first..range.end - draws.recv_first];
+                let heard = &draws.delivered[range.clone()];
                 for (&(r, is_m), &d) in sched.receivers[range].iter().zip(heard) {
                     if d && is_m {
                         below.mp[sched.slot_or_base(r) - below.first].push(slot as u32);
@@ -1464,6 +1476,7 @@ impl Exec<'_, '_> {
             ..
         } = arenas;
         let workers = fan.as_ref().map_or(1, |fan| fan.workers());
+        draws.open(self.sched);
         let mut below = Slabs {
             first: 0,
             q: self.set.len(),
@@ -1494,7 +1507,7 @@ impl Exec<'_, '_> {
             let mut own = below.take_front(len);
             let mut chunk0 = own.take_front(chunk_len(0));
             if k > 1 {
-                pools.ensure(self.n, len, m_senders(&self.sched.steps[level.clone()]));
+                pools.ensure(len, m_senders(&self.sched.steps[level.clone()]));
             }
             // Ship chunks 1.. first so workers overlap with chunk 0.
             for c in 1..k {
@@ -1515,10 +1528,10 @@ impl Exec<'_, '_> {
             // Barrier: merge worker chunks in chunk (= step) order.
             for c in 1..k {
                 let fan = fan.as_mut().expect("shipped through it");
-                for sent in fan.collect(c, pools) {
+                fan.collect(c, pools, |sent, pools| {
                     self.merge(slot, sent, draws, &mut below, airing, stats, pools);
                     slot += 1;
-                }
+                });
             }
             // Everyone who could hear the level above has run: its
             // parked broadcasts go back to the free-lists and the level
@@ -1532,7 +1545,8 @@ impl Exec<'_, '_> {
     }
 
     /// The base-station tail of an epoch: evaluate whatever reached the
-    /// base slot.
+    /// base slot, and count who contributed to it from the epoch's
+    /// draws.
     fn finish(&self, arenas: &mut Arenas) -> SetEpochOutput {
         let (sched, set) = (self.sched, self.set);
         let base_slot = sched.base_slot();
@@ -1543,20 +1557,15 @@ impl Exec<'_, '_> {
             parked_prev,
             locals,
             pools,
+            draws,
             ..
         } = arenas;
+        let contributing = draws.contributing(sched);
         let children = &mut tree_inbox[base_slot];
-        let mut contributors = pools.idset(self.n);
         let parked = Arc::get_mut(parked_prev).expect("the workers have exited");
         let out = match sched.base_mode {
             Mode::T => {
-                let mut exact_count = 0u64;
-                for env in children.iter() {
-                    exact_count += env.count;
-                    contributors.union(&env.contributors);
-                }
-                let contributing = contributors.len();
-                recycle_idset(pools, contributors);
+                let exact_count: u64 = children.iter().map(|env| env.count).sum();
                 SetEpochOutput {
                     outputs: evaluate_tree_base(set, children, sched.base_height, pools),
                     contributing,
@@ -1571,7 +1580,6 @@ impl Exec<'_, '_> {
                 let mut env = build_mp_envelope_set(
                     set,
                     BASE_STATION,
-                    contributors,
                     count_sketch,
                     sched.base_subtree,
                     sched.base_switchable_m,
@@ -1590,15 +1598,12 @@ impl Exec<'_, '_> {
                     .collect();
                 recycle_bundle(pools, bundle);
                 let MpEnvelope {
-                    contributors,
                     count_sketch,
                     max_noncontrib,
                     min_noncontrib,
                     ..
                 } = env;
-                let contributing = contributors.len();
                 let contributing_est = count_sketch.estimate();
-                recycle_idset(pools, contributors);
                 recycle_sketch(pools, count_sketch);
                 SetEpochOutput {
                     outputs,
@@ -2103,51 +2108,9 @@ mod tests {
         }
     }
 
-    /// The contributor-bitset free-list reaches a steady state: after a
-    /// warm-up epoch the pool holds every recycled set, and further
-    /// epochs neither grow it (no new allocations) nor leak from it.
-    #[test]
-    fn idset_pool_reaches_steady_state() {
-        for delta_levels in [0u16, 2] {
-            let (net, td) = topo(136, 180, delta_levels);
-            let values: Vec<u64> = vec![3; net.len()];
-            let mut plan = EpochPlan::compile_td(&td);
-            let mut stats = CommStats::new(net.len());
-            let mut rng = rng_from_seed(137);
-            assert_eq!(plan.recycled_bitsets(), 0);
-            let mut after = Vec::new();
-            for epoch in 0..4u64 {
-                let proto = ScalarProtocol::new(Sum::default(), &values);
-                let mut set = QuerySet::new();
-                set.register(&proto);
-                plan.run_set(
-                    &set,
-                    &net,
-                    &NoLoss,
-                    RunnerConfig::default(),
-                    epoch,
-                    &mut stats,
-                    &mut rng,
-                );
-                after.push(plan.recycled_bitsets());
-            }
-            assert!(after[0] > 0, "nothing recycled at delta {delta_levels}");
-            // Every envelope (locals and broadcast copies alike) returns
-            // its bitset by the end of the epoch, so without loss the
-            // between-epoch pool size is the fixed per-epoch envelope
-            // population: epoch 2 onward allocates nothing. (Under loss
-            // the pool can still grow by the occasional unlucky epoch's
-            // extra in-flight demand — bounded by the lossless maximum.)
-            assert_eq!(
-                after[1], after[3],
-                "pool still growing at delta {delta_levels}: {after:?}"
-            );
-        }
-    }
-
-    /// The count-sketch and bundle-`Vec` free-lists reach the same
-    /// steady state as the bitset pool: after warm-up, further epochs
-    /// allocate no per-envelope sketches and no per-node bundle `Vec`s.
+    /// The count-sketch and bundle-`Vec` free-lists reach a steady
+    /// state: after warm-up, further epochs allocate no per-envelope
+    /// sketches and no per-node bundle `Vec`s.
     #[test]
     fn sketch_and_bundle_pools_reach_steady_state() {
         for delta_levels in [0u16, 2] {
@@ -2215,13 +2178,7 @@ mod tests {
             } else {
                 EpochPlan::compile_td(&td)
             };
-            let fill = |plan: &EpochPlan| {
-                (
-                    plan.recycled_bitsets(),
-                    plan.recycled_sketches(),
-                    plan.recycled_bundles(),
-                )
-            };
+            let fill = |plan: &EpochPlan| (plan.recycled_sketches(), plan.recycled_bundles());
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(seed);
             let mut epoch = 0u64;
@@ -2240,9 +2197,9 @@ mod tests {
             run(&mut plan, false);
             run(&mut plan, false);
             let warm = fill(&plan);
-            assert!(warm.0 > 0 && warm.2 > 0, "nothing recycled: {warm:?}");
+            assert!(warm.1 > 0, "nothing recycled: {warm:?}");
             assert_eq!(
-                warm.1 > 0,
+                warm.0 > 0,
                 !tag,
                 "sketches exist exactly where a delta does"
             );
@@ -2250,7 +2207,7 @@ mod tests {
             // node (plus the base station's) is all an epoch can need.
             let bound = net.len() + 1;
             assert!(
-                warm.0 <= bound && warm.1 <= bound && warm.2 <= bound,
+                warm.0 <= bound && warm.1 <= bound,
                 "pools above the per-epoch envelope population: {warm:?}"
             );
             let mut lossy = Vec::new();

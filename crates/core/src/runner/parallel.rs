@@ -23,7 +23,8 @@
 //! chunk is shipped and drained back at the barrier, so parts cannot
 //! pile up on one side of a chunk boundary however the tree sends
 //! envelopes across it. Between levels the free-lists rest here, empty,
-//! kept only for their `Vec` capacity.
+//! kept only for their `Vec` capacity, beside the buffer each worker
+//! reports its chunk's sends in.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -36,6 +37,8 @@ struct Job<'s> {
     own: Slabs<'s>,
     above: Arc<ParkedLevel>,
     pools: Pools,
+    /// Empty; filled with what the chunk's steps put on the air.
+    sent: Vec<Sent>,
 }
 
 /// The workers of one epoch. `'s` is how long the arena slabs are
@@ -43,8 +46,9 @@ struct Job<'s> {
 pub(super) struct FanOut<'s> {
     to_worker: Vec<Sender<Job<'s>>>,
     from_worker: Vec<Receiver<(Vec<Sent>, Pools)>>,
-    /// Worker `w`'s free-list while no chunk of its is in flight.
-    resting: Vec<Pools>,
+    /// Worker `w`'s free-list and (empty) report buffer while no chunk
+    /// of its is in flight.
+    resting: Vec<(Pools, Vec<Sent>)>,
 }
 
 impl<'s> FanOut<'s> {
@@ -68,17 +72,19 @@ impl<'s> FanOut<'s> {
             let (sent_tx, sent_rx) = channel();
             fan.to_worker.push(job_tx);
             fan.from_worker.push(sent_rx);
-            fan.resting.push(Pools::default());
+            fan.resting.push(Default::default());
             scope.spawn(move || {
                 while let Ok(Job {
                     mut own,
                     above,
                     mut pools,
+                    mut sent,
                 }) = job_rx.recv()
                 {
-                    let sent: Vec<Sent> = (own.first..own.first + own.len())
-                        .map(|slot| exec.process(&mut own, slot, &above, &mut pools))
-                        .collect();
+                    sent.extend(
+                        (own.first..own.first + own.len())
+                            .map(|slot| exec.process(&mut own, slot, &above, &mut pools)),
+                    );
                     // Hand the level back before reporting: once the
                     // calling thread has every chunk's report it must
                     // hold the only handle.
@@ -109,23 +115,31 @@ impl<'s> FanOut<'s> {
         above: &Arc<ParkedLevel>,
         pools: &mut Pools,
     ) {
-        let mut lent = std::mem::take(&mut self.resting[c - 1]);
+        let (mut lent, sent) = std::mem::take(&mut self.resting[c - 1]);
         pools.lend(&mut lent, own.len(), m_senders);
         let job = Job {
             own,
             above: Arc::clone(above),
             pools: lent,
+            sent,
         };
         self.to_worker[c - 1].send(job).expect("worker alive");
     }
 
-    /// Wait for chunk `c`'s worker and take back everything its
-    /// free-list holds. Returns what the chunk's steps put on the air,
+    /// Wait for chunk `c`'s worker, take back everything its free-list
+    /// holds, and hand what the chunk's steps put on the air to `merge`,
     /// in step order.
-    pub(super) fn collect(&mut self, c: usize, pools: &mut Pools) -> Vec<Sent> {
-        let (sent, mut lent) = self.from_worker[c - 1].recv().expect("worker alive");
+    pub(super) fn collect(
+        &mut self,
+        c: usize,
+        pools: &mut Pools,
+        mut merge: impl FnMut(Sent, &mut Pools),
+    ) {
+        let (mut sent, mut lent) = self.from_worker[c - 1].recv().expect("worker alive");
         pools.reclaim(&mut lent);
-        self.resting[c - 1] = lent;
-        sent
+        for s in sent.drain(..) {
+            merge(s, pools);
+        }
+        self.resting[c - 1] = (lent, sent);
     }
 }

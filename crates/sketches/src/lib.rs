@@ -23,8 +23,6 @@
 //!   frequent-items Algorithm 2 is generic over.
 //! * [`keyed`] — the keyed union over flat sorted `(key, value)` runs
 //!   that fuses the delta's set-valued synopses by reference.
-//! * [`idset`] — a dense bitset over node ids, used as instrumentation
-//!   ground truth for "% of nodes contributing".
 //! * [`hash`] — the deterministic 64-bit hash family everything above
 //!   draws from.
 //!
@@ -36,7 +34,6 @@
 pub mod counter;
 pub mod fm;
 pub mod hash;
-pub mod idset;
 pub mod keyed;
 pub mod kmv;
 pub mod rle;
@@ -44,6 +41,5 @@ pub mod sample;
 
 pub use counter::DiCounter;
 pub use fm::FmSketch;
-pub use idset::IdSet;
 pub use kmv::Kmv;
 pub use sample::MinHashSample;
