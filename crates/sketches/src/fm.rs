@@ -15,13 +15,31 @@
 //!
 //! **Sum insertion.** To add a *value* `v` (e.g. a sensor reading or a
 //! converted subtree sum), the sketch behaves as if `v` distinct
-//! sub-elements were inserted, as in \[5\]. For small `v` we insert them
-//! literally; for large `v` we use the standard independent-bit
+//! sub-elements were inserted, as in \[5\]. For `v ≤ 16` we insert them
+//! literally; above that we use the standard independent-bit
 //! approximation (`P[bit j unset] = (1 − 2^{−(j+1)})^v`), with the bits
 //! drawn deterministically from the insertion salt so the operation stays
-//! duplicate-insensitive.
+//! duplicate-insensitive: bitmap `k` reads its own SplitMix stream,
+//! seeded by `(salt, k)`, one draw per uncertain bit.
+//!
+//! What the probabilities contribute is a pure function of `v`: the
+//! prefix of certainly-set bits, the band of uncertain bits, and one
+//! threshold per uncertain bit. One private function, `row(v)`, computes
+//! it — the only place `powf` runs — and each thread keeps the rows it
+//! computed in a direct-mapped memo of 128 slots keyed by `v`, because
+//! readings and item counts recur from epoch to epoch. The thresholds are
+//! integers: bit `j` is set when the draw's `next_f64()` is at least
+//! `p_j = P[bit j unset]`, and since both sides of that comparison are
+//! exact in `f64`, it is the same test as `next_u64() >> 11 ≥
+//! ⌈p_j · 2^53⌉` (the argument is at `Row`), so the draw loop does no
+//! floating point. The memo cannot reach a result: a slot is read only
+//! for the `v` it was computed from and is overwritten whole, never
+//! patched, so a hit returns exactly what `row(v)` would compute. Which
+//! values happen to be cached — on which thread, after which evictions —
+//! changes how long an insertion takes, never the bits it sets.
 
-use crate::hash::{keyed, keyed_pair, SplitMix};
+use crate::hash::{key_mix, keyed_mixed, mix64, pair_value, SplitMix};
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Number of bitmaps in the paper's configuration (§7.1).
@@ -36,8 +54,11 @@ pub const PHI: f64 = 0.77351;
 /// Threshold below which value insertion inserts literal sub-elements
 /// (exact distribution) instead of the independent-bit approximation.
 /// Kept small: the literal path costs `v × K` hashes, the approximate
-/// path a constant ~`K × log v` draws, and the approximation's marginals
-/// are exact (only inter-bit correlation is ignored).
+/// path `K × (32 − lo)` draws, where `lo ≈ lg v − 5` is the lowest bit
+/// whose unset probability reaches 1e-12. The band runs up to bit 31 for
+/// every `v` from 17 to about 10^11, so readings of 20–130 cost 30–32
+/// draws per bitmap. The approximation's marginals are exact (only
+/// inter-bit correlation is ignored).
 const EXACT_INSERT_LIMIT: u64 = 16;
 
 /// A Flajolet–Martin sketch with `K` independent 32-bit bitmaps.
@@ -148,11 +169,37 @@ impl FmSketch {
 /// inline-stored [`FmCounter`](crate::counter::FmCounter)).
 pub(crate) fn insert_distinct_into(bitmaps: &mut [u32], element: u64) {
     for (k, bm) in bitmaps.iter_mut().enumerate() {
-        let h = keyed(k as u64, element);
-        let rho = h.trailing_zeros().min(BITMAP_BITS - 1);
+        // `keyed(k, element)`, its key half read from the table.
+        let key = match BITMAP_KEYS.get(k) {
+            Some(&key) => key,
+            None => key_mix(k as u64),
+        };
+        let rho = keyed_mixed(key, element)
+            .trailing_zeros()
+            .min(BITMAP_BITS - 1);
         *bm |= 1 << rho;
     }
 }
+
+/// `key_mix(k)` for the first 64 bitmaps: the key half of bitmap `k`'s
+/// hash `keyed(k, element)`, computed at compile time. Wider sketches mix
+/// the rest per call.
+const BITMAP_KEYS: [u64; 64] = {
+    let mut keys = [0; 64];
+    let mut k = 0;
+    while k < keys.len() {
+        keys[k] = key_mix(k as u64);
+        k += 1;
+    }
+    keys
+};
+
+/// Key halves of the hashes value insertion draws from:
+/// `keyed_pair(0x5EED_F00D, salt, i)` names sub-element `i` on the
+/// literal path, `keyed_pair(0xC0DE_CAFE, salt, k)` seeds bitmap `k`'s
+/// stream on the approximate one.
+const SUB_ELEMENT_KEY: u64 = key_mix(0x5EED_F00D);
+const STREAM_KEY: u64 = key_mix(0xC0DE_CAFE);
 
 /// [`FmSketch::merge`] over raw bitmaps.
 pub(crate) fn merge_into(bitmaps: &mut [u32], other: &[u32]) {
@@ -171,18 +218,94 @@ pub(crate) fn insert_value_into(bitmaps: &mut [u32], salt: u64, v: u64) {
     if v == 0 {
         return;
     }
+    // The salt half of every `keyed_pair(_, salt, _)` below.
+    let mixed_salt = mix64(salt);
     if v <= EXACT_INSERT_LIMIT {
         for i in 0..v {
-            insert_distinct_into(bitmaps, keyed_pair(0x5EED_F00D, salt, i));
+            let element = keyed_mixed(SUB_ELEMENT_KEY, pair_value(mixed_salt, i));
+            insert_distinct_into(bitmaps, element);
         }
         return;
     }
     // Independent-bit approximation (Considine et al. [5]): bit j is
     // set with probability 1 - (1 - 2^{-(j+1)})^v, sampled from a
-    // deterministic stream per (salt, bitmap). The probability table
-    // depends only on (j, v), so it is computed once and shared by
-    // all bitmaps; bits far below lg v are certainly set and bits far
-    // above certainly unset, so only the uncertain band is sampled.
+    // deterministic stream per (salt, bitmap) against the shared row.
+    let row = memo_row(v);
+    let (quads, tail) = bitmaps.as_chunks_mut::<4>();
+    let tail_k = 4 * quads.len();
+    for (q, quad) in quads.iter_mut().enumerate() {
+        draw_row(quad, 4 * q, mixed_salt, &row);
+    }
+    for (i, bm) in tail.iter_mut().enumerate() {
+        draw_row(std::array::from_mut(bm), tail_k + i, mixed_salt, &row);
+    }
+}
+
+/// OR `row` into bitmaps `first_k..first_k + N`: the certain bits, then
+/// each band bit drawn from that bitmap's own stream. The `N` streams
+/// advance in lockstep so their draws overlap in the pipeline; each
+/// stream still meets the band bits in order, so every bitmap gets the
+/// bits it would get alone.
+#[inline(always)]
+fn draw_row<const N: usize>(bitmaps: &mut [u32; N], first_k: usize, mixed_salt: u64, row: &Row) {
+    let mut streams: [SplitMix; N] = std::array::from_fn(|i| {
+        let k = (first_k + i) as u64;
+        SplitMix::new(keyed_mixed(STREAM_KEY, pair_value(mixed_salt, k)))
+    });
+    let mut drawn = [row.certain; N];
+    let band = &row.thresholds[row.lo as usize..row.hi as usize];
+    for (j, &threshold) in (row.lo..).zip(band) {
+        for (bits, stream) in drawn.iter_mut().zip(&mut streams) {
+            let set = stream.next_u64() >> 11 >= threshold;
+            *bits |= (set as u32) << j;
+        }
+    }
+    for (bm, bits) in bitmaps.iter_mut().zip(drawn) {
+        *bm |= bits;
+    }
+}
+
+/// What inserting a value `v > EXACT_INSERT_LIMIT` does to each bitmap
+/// before its draws, shared by every bitmap and every salt.
+///
+/// Bits far below `lg v` are set for certain and bits far above would
+/// stay unset, so only the band `lo..hi` whose unset probability `p_j`
+/// lies in `[1e-12, 1 − 1e-12]` is drawn. Bit `j` of the band is set
+/// when the bitmap's draw `u` has `next_f64() ≥ p_j`, which the kernel
+/// tests as `u >> 11 ≥ thresholds[j]` with `thresholds[j] = ⌈p_j · 2^53⌉`.
+/// The two tests agree on every draw: `next_f64()` is `m · 2^-53` for the
+/// integer `m = u >> 11 < 2^53`, which is exact in `f64` (53 significant
+/// bits, scaled by a power of two), and `p_j · 2^53` is exact too (`p_j`
+/// scaled by a power of two, nowhere near overflow or underflow). So
+/// `m · 2^-53 ≥ p_j` iff `m ≥ p_j · 2^53` iff `m ≥ ⌈p_j · 2^53⌉`, the
+/// last because `m` is an integer; and `⌈p_j · 2^53⌉ ≤ 2^53` converts
+/// to `u64` exactly.
+#[derive(Clone, Copy)]
+struct Row {
+    /// The value this row was computed for; 0 marks an empty memo slot
+    /// (inserting 0 does nothing and never consults the memo).
+    v: u64,
+    /// Bits set for certain.
+    certain: u32,
+    /// The drawn band, `lo..hi` (`lo == hi` when nothing is drawn).
+    lo: u32,
+    hi: u32,
+    /// `⌈p_j · 2^53⌉` for `j` in the band; 0 elsewhere (never read).
+    thresholds: [u64; BITMAP_BITS as usize],
+}
+
+impl Row {
+    const EMPTY: Row = Row {
+        v: 0,
+        certain: 0,
+        lo: 0,
+        hi: 0,
+        thresholds: [0; BITMAP_BITS as usize],
+    };
+}
+
+/// The row of `v`: the only place value insertion evaluates `powf`.
+fn row(v: u64) -> Row {
     let vf = v as f64;
     let mut p_unset = [0.0f64; BITMAP_BITS as usize];
     let mut lo = BITMAP_BITS; // first uncertain bit
@@ -194,34 +317,58 @@ pub(crate) fn insert_value_into(bitmaps: &mut [u32], salt: u64, v: u64) {
             hi = hi.max(j as u32 + 1);
         }
     }
-    // Prefix of certainly-set bits (everything below the band whose
-    // p_unset vanished).
-    let certain: u32 = if lo == BITMAP_BITS {
-        // No uncertain band: v is so large every representable bit is
-        // effectively set below the vanishing point.
-        let set_below = p_unset.iter().take_while(|&&p| p < 1e-12).count() as u32;
-        if set_below >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << set_below) - 1
-        }
-    } else if lo >= 32 {
-        u32::MAX
+    // Prefix of certainly-set bits: everything below the band or, with
+    // no band at all (v so large that no representable bit is
+    // uncertain), everything below the first bit whose p_unset is not
+    // vanishing.
+    let set_below = if lo == BITMAP_BITS {
+        p_unset.iter().take_while(|&&p| p < 1e-12).count() as u32
     } else {
-        (1u32 << lo) - 1
+        lo
     };
-    for (k, bm) in bitmaps.iter_mut().enumerate() {
-        *bm |= certain;
-        if lo >= hi {
-            continue;
-        }
-        let mut stream = SplitMix::new(keyed_pair(0xC0DE_CAFE, salt, k as u64));
-        for j in lo..hi {
-            if stream.next_f64() >= p_unset[j as usize] {
-                *bm |= 1 << j;
-            }
-        }
+    let mut thresholds = [0u64; BITMAP_BITS as usize];
+    for j in lo..hi {
+        let j = j as usize;
+        thresholds[j] = (p_unset[j] * (1u64 << 53) as f64).ceil() as u64;
     }
+    Row {
+        v,
+        certain: u32::MAX.checked_shr(BITMAP_BITS - set_below).unwrap_or(0),
+        lo: lo.min(hi),
+        hi,
+        thresholds,
+    }
+}
+
+/// Rows each thread keeps: 128 × 280 B = 35 KB, allocated on the
+/// thread's first approximate insertion.
+const MEMO_ROWS: usize = 128;
+
+/// The memo slot of `v`.
+fn memo_slot(v: u64) -> usize {
+    (v % MEMO_ROWS as u64) as usize
+}
+
+thread_local! {
+    /// This thread's rows, direct-mapped: slot `memo_slot(v)` holds the
+    /// row last computed for a value with that residue.
+    static MEMO: RefCell<Box<[Row]>> =
+        RefCell::new(vec![Row::EMPTY; MEMO_ROWS].into_boxed_slice());
+}
+
+/// `row(v)`, read from this thread's memo when its slot holds `v` and
+/// computed into the slot otherwise.
+fn memo_row(v: u64) -> Row {
+    MEMO.try_with(|memo| {
+        let mut memo = memo.borrow_mut();
+        let slot = &mut memo[memo_slot(v)];
+        if slot.v != v {
+            *slot = row(v);
+        }
+        *slot
+    })
+    // A thread already tearing down its locals computes the row afresh.
+    .unwrap_or_else(|_| row(v))
 }
 
 /// [`FmSketch::estimate`] over raw bitmaps: `2^{Σz / K} / φ`, read from
@@ -514,6 +661,191 @@ mod tests {
             let mut b = FmSketch::new(8);
             b.insert_value(salt, v);
             prop_assert_eq!(a, b);
+        }
+    }
+
+    /// The insertion kernel against its straightforward form: every bit
+    /// the fast kernel sets, on every layout, memo state and thread, is
+    /// the reference's.
+    mod kernel_oracle {
+        use super::super::*;
+        use crate::counter::{DiCounter, FmCounter};
+        use proptest::prelude::*;
+
+        /// The kernel written directly — per-bitmap key mixing, `powf`
+        /// per call, float comparisons — kept as the oracle.
+        mod reference {
+            use super::super::super::{BITMAP_BITS, EXACT_INSERT_LIMIT};
+            use crate::hash::{keyed, keyed_pair, SplitMix};
+
+            pub(super) fn insert_distinct_into(bitmaps: &mut [u32], element: u64) {
+                for (k, bm) in bitmaps.iter_mut().enumerate() {
+                    let h = keyed(k as u64, element);
+                    let rho = h.trailing_zeros().min(BITMAP_BITS - 1);
+                    *bm |= 1 << rho;
+                }
+            }
+
+            pub(super) fn insert_value_into(bitmaps: &mut [u32], salt: u64, v: u64) {
+                if v == 0 {
+                    return;
+                }
+                if v <= EXACT_INSERT_LIMIT {
+                    for i in 0..v {
+                        insert_distinct_into(bitmaps, keyed_pair(0x5EED_F00D, salt, i));
+                    }
+                    return;
+                }
+                let vf = v as f64;
+                let mut p_unset = [0.0f64; BITMAP_BITS as usize];
+                let mut lo = BITMAP_BITS;
+                let mut hi = 0;
+                for (j, p) in p_unset.iter_mut().enumerate() {
+                    *p = (1.0 - 2f64.powi(-(j as i32 + 1))).powf(vf);
+                    if *p >= 1e-12 && *p <= 1.0 - 1e-12 {
+                        lo = lo.min(j as u32);
+                        hi = hi.max(j as u32 + 1);
+                    }
+                }
+                let certain: u32 = if lo == BITMAP_BITS {
+                    let set_below = p_unset.iter().take_while(|&&p| p < 1e-12).count() as u32;
+                    if set_below >= 32 {
+                        u32::MAX
+                    } else {
+                        (1u32 << set_below) - 1
+                    }
+                } else if lo >= 32 {
+                    u32::MAX
+                } else {
+                    (1u32 << lo) - 1
+                };
+                for (k, bm) in bitmaps.iter_mut().enumerate() {
+                    *bm |= certain;
+                    if lo >= hi {
+                        continue;
+                    }
+                    let mut stream = SplitMix::new(keyed_pair(0xC0DE_CAFE, salt, k as u64));
+                    for j in lo..hi {
+                        if stream.next_f64() >= p_unset[j as usize] {
+                            *bm |= 1 << j;
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Values at the kernel's seams: the last literal insertion, the
+        /// first approximate one, a band ending below bit 31, and no
+        /// band at all.
+        const EDGE_VALUES: [u64; 5] = [16, 17, 1 << 32, 1 << 40, u64::MAX];
+
+        /// `(salt, v)` inserted into a fresh `k`-bitmap `FmSketch` and
+        /// `FmCounter` (inline up to 16 bitmaps, on the heap beyond) sets
+        /// the reference's bits.
+        fn value_matches_reference(k: usize, salt: u64, v: u64) -> Result<(), String> {
+            let mut expected = vec![0u32; k];
+            reference::insert_value_into(&mut expected, salt, v);
+            let mut sketch = FmSketch::new(k);
+            sketch.insert_value(salt, v);
+            let mut counter = FmCounter::new(k);
+            counter.add_occurrences(salt, v);
+            prop_assert_eq!(
+                sketch.bitmaps(),
+                &expected[..],
+                "sketch k {k} v {v} salt {salt:#x}"
+            );
+            prop_assert_eq!(
+                counter.bitmaps(),
+                &expected[..],
+                "counter k {k} v {v} salt {salt:#x}"
+            );
+            Ok(())
+        }
+
+        proptest! {
+            /// Widths 1..=70 cover the inline and heap counters, widths
+            /// that are not a multiple of 4, and bitmaps past the 64-entry
+            /// key table.
+            #[test]
+            fn prop_value_insertion_matches_the_reference(
+                salt in any::<u64>(),
+                v in 0u64..(1 << 20) + 1,
+                small in 0u64..200,
+                k in 1usize..71,
+            ) {
+                for v in [v, small].into_iter().chain(EDGE_VALUES) {
+                    value_matches_reference(k, salt, v)?;
+                }
+            }
+
+            #[test]
+            fn prop_distinct_insertion_matches_the_reference(
+                elements in proptest::collection::vec(any::<u64>(), 1..8),
+                k in 1usize..71,
+            ) {
+                let mut expected = vec![0u32; k];
+                let mut sketch = FmSketch::new(k);
+                for &e in &elements {
+                    reference::insert_distinct_into(&mut expected, e);
+                    sketch.insert_distinct(e);
+                }
+                prop_assert_eq!(sketch.bitmaps(), &expected[..]);
+            }
+        }
+
+        /// Every stored threshold gives the float comparison's answer on
+        /// both sides of the boundary, for every value up to 4 096 and
+        /// the edge values.
+        #[test]
+        fn integer_thresholds_are_the_float_comparison() {
+            let scale = 1.0 / (1u64 << 53) as f64;
+            for v in (EXACT_INSERT_LIMIT + 1..=4096).chain(EDGE_VALUES) {
+                let r = row(v);
+                for j in r.lo..r.hi {
+                    let p = (1.0 - 2f64.powi(-(j as i32 + 1))).powf(v as f64);
+                    let t = r.thresholds[j as usize];
+                    for m in [t - 1, t, t + 1] {
+                        if m < 1 << 53 {
+                            assert_eq!(m as f64 * scale >= p, m >= t, "v {v} bit {j} m {m}");
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Two values sharing a memo slot, interleaved so each insertion
+        /// evicts the other's row, run twice on this thread and once on a
+        /// fresh one (an empty memo): the same bits as the reference
+        /// every time.
+        #[test]
+        fn memo_state_cannot_reach_results() {
+            let v = 40;
+            let twin = v + MEMO_ROWS as u64;
+            assert_eq!(memo_slot(v), memo_slot(twin));
+            let run = move || -> Vec<Vec<u32>> {
+                (0..64u64)
+                    .map(|i| {
+                        let value = if i % 2 == 0 { v } else { twin };
+                        let mut s = FmSketch::new(1 + i as usize % 40);
+                        s.insert_value(i, value);
+                        s.bitmaps().to_vec()
+                    })
+                    .collect()
+            };
+            let expected: Vec<Vec<u32>> = (0..64u64)
+                .map(|i| {
+                    let value = if i % 2 == 0 { v } else { twin };
+                    let mut bitmaps = vec![0; 1 + i as usize % 40];
+                    reference::insert_value_into(&mut bitmaps, i, value);
+                    bitmaps
+                })
+                .collect();
+            assert_eq!(run(), expected);
+            // The last insertion evicted `v`'s row: the slot holds the twin.
+            MEMO.with(|memo| assert_eq!(memo.borrow()[memo_slot(v)].v, twin));
+            assert_eq!(run(), expected);
+            let fresh = std::thread::spawn(run).join().expect("insertion thread");
+            assert_eq!(fresh, expected);
         }
     }
 }

@@ -8,8 +8,9 @@
 //! not used because its output may change between Rust releases.
 
 /// SplitMix64 finalizer. Bijective on `u64`, passes BigCrush as a mixer.
+/// A `const fn`, so tables of mixed keys can be built at compile time.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -20,20 +21,34 @@ pub fn mix64(mut z: u64) -> u64 {
 /// functions of the same input — the "hash family" sketches draw from.
 #[inline]
 pub fn keyed(key: u64, value: u64) -> u64 {
-    // Feed the key through one mix so related keys (0, 1, 2, …) decorrelate,
-    // then mix the combination twice for avalanche on both inputs.
-    mix64(
-        mix64(key ^ 0xA076_1D64_78BD_642F).wrapping_add(value.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    )
+    keyed_mixed(key_mix(key), value)
 }
 
 /// Hash a pair of values (e.g. `(node, occurrence-index)`) under a key.
 #[inline]
 pub fn keyed_pair(key: u64, a: u64, b: u64) -> u64 {
-    keyed(
-        key,
-        mix64(a).wrapping_add(b.wrapping_mul(0xD6E8_FEB8_6659_FD93)),
-    )
+    keyed(key, pair_value(mix64(a), b))
+}
+
+/// The key half of [`keyed`]: one mix so related keys (0, 1, 2, …)
+/// decorrelate. Callers hashing many values under one key compute it
+/// once.
+#[inline]
+pub(crate) const fn key_mix(key: u64) -> u64 {
+    mix64(key ^ 0xA076_1D64_78BD_642F)
+}
+
+/// [`keyed`] given its key half `key_mix(key)`: the combination is mixed
+/// once more, for avalanche on both inputs.
+#[inline]
+pub(crate) fn keyed_mixed(key_mix: u64, value: u64) -> u64 {
+    mix64(key_mix.wrapping_add(value.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+/// The value [`keyed_pair`] hashes for `(a, b)`, given `mix64(a)`.
+#[inline]
+pub(crate) fn pair_value(mixed_a: u64, b: u64) -> u64 {
+    mixed_a.wrapping_add(b.wrapping_mul(0xD6E8_FEB8_6659_FD93))
 }
 
 /// A tiny deterministic generator for sequences of pseudo-random u64s

@@ -185,6 +185,9 @@ pub fn encode(sketch: &FmSketch) -> Vec<u8> {
 /// Decode a wire form produced by [`encode`] into a sketch with
 /// `num_bitmaps` bitmaps. Returns `None` on malformed input.
 pub fn decode(bytes: &[u8], num_bitmaps: usize) -> Option<FmSketch> {
+    if num_bitmaps == 0 {
+        return None; // no sketch has zero bitmaps
+    }
     let mut r = BitReader::new(bytes);
     let median = r.read_bits(6)?;
     let mut bitmaps = Vec::with_capacity(num_bitmaps);
@@ -311,6 +314,12 @@ mod tests {
                 // in that case the decode must NOT equal the original.
                 decode(&bytes[..bytes.len() / 2], 40).unwrap() != s
         );
+    }
+
+    #[test]
+    fn zero_bitmaps_returns_none() {
+        assert!(decode(&[0], 0).is_none());
+        assert!(decode(&[], 0).is_none());
     }
 
     #[test]
