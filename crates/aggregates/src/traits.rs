@@ -43,9 +43,8 @@ impl Wire {
 /// them; every aggregate here is plain data.)
 pub trait Aggregate: Clone + Send + Sync {
     /// Partial result used by tree (tributary) nodes. (`'static` +
-    /// `Send + Sync` so partials can ride in the type-erased
-    /// multi-query bundles of the session engine across worker threads,
-    /// which read a parked broadcast by shared reference.)
+    /// `Send` so partials can ride in the type-erased per-query
+    /// columns of the session engine across worker threads.)
     type TreePartial: Clone + std::fmt::Debug + Send + Sync + 'static;
     /// Duplicate-insensitive partial result used by delta nodes.
     type Synopsis: Clone + std::fmt::Debug + Send + Sync + 'static;

@@ -189,7 +189,7 @@ impl<S> MpEnvelope<S> {
 
     /// [`MpEnvelope::local`] over a recycled count sketch (must be
     /// cleared, [`COUNT_SKETCH_BITMAPS`] wide) — the allocation-free path
-    /// driven by the runner arena's free-list.
+    /// the runner's envelope column reopens its reused sketches through.
     pub fn local_pooled(mut count_sketch: FmSketch, node: NodeId, msg: Option<S>) -> Self {
         debug_assert!(count_sketch.is_empty(), "recycled count sketch not cleared");
         debug_assert_eq!(count_sketch.num_bitmaps(), COUNT_SKETCH_BITMAPS);

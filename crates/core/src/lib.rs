@@ -14,10 +14,10 @@
 //! number of heterogeneous queries on a [`query::QuerySet`] (Count next
 //! to Sum next to frequent-items), and one call to
 //! [`session::Session::run_set`] answers all of them with a **single
-//! topology traversal** — one unicast/broadcast per node carrying a
-//! per-link message bundle, one contributor envelope, one in-band count
-//! sketch, one adaptation decision. Registering a query costs a bundle
-//! slot, not a network round. Typed [`query::QueryHandle`]s fetch each
+//! topology traversal** — one unicast/broadcast per node carrying every
+//! query's message, one contributor envelope, one in-band count sketch,
+//! one adaptation decision. Registering a query costs a message in each
+//! send, not a network round. Typed [`query::QueryHandle`]s fetch each
 //! answer without downcasting at the call site.
 //!
 //! ```ignore
@@ -40,15 +40,18 @@
 //!
 //! Epoch execution is split into two phases. [`runner::EpochPlan`]
 //! **compiles** a topology into a reusable schedule — the level-ordered
-//! sender list, per-sender parents/heights, flattened broadcast delivery
-//! lists, and the preallocated inbox + `(node, query)` bundle-slot
-//! arenas — and [`runner::EpochPlan::run_set`] **executes** epochs over
-//! it. A [`session::Session`] caches one plan per topology version and
-//! recompiles only when §4.2 adaptation actually relabels vertices, so
-//! steady-state epochs do zero schedule recomputation and no per-node
-//! inbox growth. The one-shot entry points (`run_td_epoch_set` & co.)
-//! compile-and-execute in one call over the identical code path, so
-//! plan reuse is bit-for-bit invisible in results.
+//! sender list, per-sender parents/heights and flattened broadcast
+//! delivery lists — and [`runner::EpochPlan::run_set`] **executes**
+//! epochs over it: it draws the epoch's loss outcomes up front, runs
+//! each query over its own typed, slot-indexed message column (one
+//! dynamic call per query per epoch, no boxed message per node), then
+//! accounts the sends and evaluates at the base station. A
+//! [`session::Session`] caches one plan per topology and patches it in
+//! place when §4.2 adaptation relabels vertices or churn reroutes the
+//! tree, so steady-state epochs do zero schedule recomputation and grow
+//! no buffers. With more than one query the columns may run on several
+//! threads ([`runner::RunnerConfig::workers`]); any thread count is
+//! bit-identical.
 //!
 //! ## Parallel trials
 //!
@@ -68,16 +71,15 @@
 //!   Adapters are provided for every scalar aggregate in `td-aggregates`
 //!   ([`protocol::ScalarProtocol`]) and for the §6 frequent-items
 //!   algorithms ([`protocol::FreqProtocol`]).
-//! * [`query`] — the object-safe layer: [`query::DynProtocol`] (every
-//!   `Protocol` blanket-erased behind [`query::ErasedMsg`]), the
-//!   [`query::QuerySet`] registry, and typed [`query::QueryHandle`]s.
-//! * [`envelope`] — instrumentation wrappers the runner adds around each
-//!   link's message bundle: exact tree subtree counts, the in-band
-//!   approximate Count of §4.2, and the per-subtree
-//!   non-contribution extrema that drive the fine-grained TD strategy.
-//!   Shared by every query in the bundle.
+//! * [`query`] — the object-safe layer: the [`query::QuerySet`]
+//!   registry of heterogeneous queries (every `Protocol` erased at the
+//!   granularity of a whole epoch) and typed [`query::QueryHandle`]s.
+//! * [`envelope`] — the instrumentation the runner adds to each link's
+//!   send: exact tree subtree counts, the in-band approximate Count of
+//!   §4.2, and the per-subtree non-contribution extrema that drive the
+//!   fine-grained TD strategy. Shared by every query in the set.
 //! * [`runner`] — one epoch of level-synchronized execution over a
-//!   [`td_topology::TdTopology`] (plus the pure-TAG baseline runner),
+//!   compiled [`td_topology::TdTopology`] or TAG tree schedule,
 //!   carrying the whole query set per link. Synopsis-diffusion (SD) is
 //!   the special case of an all-multipath topology; TAG is the all-tree
 //!   special case on an unrestricted tree.
@@ -110,6 +112,6 @@ pub use driver::{
 pub use protocol::{
     FreqProtocol, Protocol, QuantileOutput, QuantileProtocol, QuantileSynopsisSet, ScalarProtocol,
 };
-pub use query::{Answers, DynProtocol, ErasedMsg, QueryHandle, QuerySet};
-pub use runner::{run_tag_epoch_set, run_td_epoch_set, EpochPlan, RunnerConfig, SetEpochOutput};
+pub use query::{Answers, QueryHandle, QuerySet};
+pub use runner::{EpochPlan, RunnerConfig, SetEpochOutput};
 pub use session::{QueryRecord, Scheme, Session, SessionBuilder, SessionConfig};

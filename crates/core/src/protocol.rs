@@ -28,12 +28,11 @@ use td_sketches::keyed::union_into;
 /// epoch, so plain-data implementations get this for free.
 pub trait Protocol: Sync {
     /// Partial result used in tributaries. (`'static` so messages can be
-    /// type-erased into a [`crate::query::QuerySet`] bundle — protocol
-    /// *instances* may still borrow their epoch's readings — `Send` so
-    /// sessions caching bundles can cross worker threads, and `Sync`
-    /// because a broadcast is parked once and every receiver, on
-    /// whichever worker, fuses it by shared reference; messages are
-    /// plain data.)
+    /// held in a [`crate::query::QuerySet`] query's type-erased column —
+    /// protocol *instances* may still borrow their epoch's readings —
+    /// and `Send` so sessions holding columns can cross worker threads.
+    /// The runner does not need `Sync` from a message: a column,
+    /// broadcasts included, is read by one thread at a time.)
     type TreeMsg: Clone + Send + Sync + 'static;
     /// Duplicate-insensitive partial result used in the delta.
     type MpMsg: Clone + Send + Sync + 'static;

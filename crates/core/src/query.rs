@@ -9,15 +9,15 @@
 //! instrumentation and adaptation signals) per query is the opposite of
 //! what the radio can afford.
 //!
-//! [`DynProtocol`] erases the message types behind [`ErasedMsg`]
-//! (`Box<dyn Any>` with clone support), and every `Protocol` is
-//! blanket-converted into it. A [`QuerySet`] collects heterogeneous
-//! erased queries — Count next to frequent-items — and the runner
-//! carries *all* of their messages in a single per-epoch traversal: one
-//! message bundle per link, sharing the contributor envelope, in-band
-//! count sketch, and adaptation extrema that would otherwise be
-//! duplicated N times. Per-query marginal cost becomes a bundle entry,
-//! not a network round.
+//! A [`QuerySet`] collects heterogeneous queries — Count next to
+//! frequent-items — behind one small object-safe interface, and the
+//! runner carries *all* of their messages in a single per-epoch
+//! traversal: one send per link, sharing the contributor envelope,
+//! in-band count sketch, and adaptation extrema that would otherwise be
+//! duplicated N times. Per-query marginal cost becomes a message in the
+//! send, not a network round. Erasure sits at the granularity of a whole
+//! epoch: each query runs the epoch over its own typed column of
+//! messages, so nothing per message is boxed or downcast.
 //!
 //! Registration returns a [`QueryHandle<O>`] remembering the output
 //! type, so answers come back typed despite the erased plumbing.
@@ -26,189 +26,34 @@ use std::any::Any;
 use std::marker::PhantomData;
 
 use crate::protocol::Protocol;
-use td_netsim::message::WireSize;
-use td_netsim::node::NodeId;
-
-// ---------------------------------------------------------------------
-// Erased messages
-// ---------------------------------------------------------------------
-
-/// Object-safe clone-plus-downcast, the capability every erased protocol
-/// message needs. (`Send` so sessions holding cached bundles can cross
-/// worker threads — the service layer moves whole tenants between
-/// them — and `Sync` so the level-parallel workers can fuse one parked
-/// broadcast by shared reference; protocol messages are plain data.)
-trait AnyClone: Any + Send + Sync {
-    fn clone_box(&self) -> Box<dyn AnyClone>;
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-impl<T: Any + Clone + Send + Sync> AnyClone for T {
-    fn clone_box(&self) -> Box<dyn AnyClone> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// A type-erased protocol message (tree partial or multi-path synopsis).
-///
-/// Produced and consumed by [`DynProtocol`] implementations; the runner
-/// moves these around without knowing what is inside.
-pub struct ErasedMsg(Box<dyn AnyClone>);
-
-impl Clone for ErasedMsg {
-    fn clone(&self) -> Self {
-        ErasedMsg(self.0.clone_box())
-    }
-}
-
-impl std::fmt::Debug for ErasedMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ErasedMsg(..)")
-    }
-}
-
-impl ErasedMsg {
-    /// Erase a concrete message.
-    pub fn new<T: Any + Clone + Send + Sync>(msg: T) -> Self {
-        ErasedMsg(Box::new(msg))
-    }
-
-    /// Borrow the concrete message.
-    ///
-    /// # Panics
-    /// Panics if the message is of a different type — which means a
-    /// message produced by one query was routed into another, a runner
-    /// bug worth failing loudly on.
-    pub fn downcast_ref<T: Any>(&self) -> &T {
-        self.0
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("erased message routed to a query of a different type")
-    }
-
-    /// Mutably borrow the concrete message (same panic contract as
-    /// [`downcast_ref`](Self::downcast_ref)).
-    pub fn downcast_mut<T: Any>(&mut self) -> &mut T {
-        self.0
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("erased message routed to a query of a different type")
-    }
-
-    /// Move the concrete message out — no clone, unlike the borrowing
-    /// accessors (same panic contract as
-    /// [`downcast_ref`](Self::downcast_ref)).
-    pub fn downcast<T: Any>(self) -> T {
-        *self
-            .0
-            .into_any()
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("erased message routed to a query of a different type"))
-    }
-}
+use crate::runner::{evaluate_column, run_column, Column, Frame};
 
 // ---------------------------------------------------------------------
 // Object-safe protocol
 // ---------------------------------------------------------------------
 
-/// The object-safe mirror of [`Protocol`]: the same tree / multi-path /
-/// conversion surface, with every message behind [`ErasedMsg`] and the
-/// output behind `Box<dyn Any>`.
-///
-/// Do not implement this directly — implement [`Protocol`] and rely on
-/// the blanket impl, which is what keeps the typed and erased surfaces
-/// in lockstep.
+/// The object-safe face of a [`Protocol`] inside a [`QuerySet`]: one
+/// call runs the query's whole epoch over its typed column, one more
+/// evaluates the answer at the base station. Every `Protocol` gets it
+/// through the blanket impl; the typed per-step code it dispatches to
+/// lives in the runner.
 ///
 /// `Sync` (mirroring [`Protocol`]) so a `QuerySet` can be shared by
-/// reference across the intra-epoch worker threads.
-pub trait DynProtocol: Sync {
-    /// Erased [`Protocol::local_tree`].
-    fn local_tree(&self, node: NodeId) -> Option<ErasedMsg>;
-    /// Erased [`Protocol::merge_tree`].
-    fn merge_tree(&self, into: &mut ErasedMsg, from: &ErasedMsg);
-    /// Erased [`Protocol::finalize_tree`].
-    fn finalize_tree(&self, node: NodeId, height: u32, msg: ErasedMsg) -> ErasedMsg;
-    /// Erased [`Protocol::local_mp`].
-    fn local_mp(&self, node: NodeId) -> Option<ErasedMsg>;
-    /// Erased [`Protocol::fuse`].
-    fn fuse(&self, into: &mut ErasedMsg, from: &ErasedMsg);
-    /// Erased [`Protocol::convert`].
-    fn convert(&self, root: NodeId, msg: &ErasedMsg) -> ErasedMsg;
-    /// Erased [`Protocol::tree_wire`].
-    fn tree_wire(&self, msg: &ErasedMsg) -> WireSize;
-    /// Erased [`Protocol::mp_wire`].
-    fn mp_wire(&self, msg: &ErasedMsg) -> WireSize;
-    /// Erased [`Protocol::evaluate`]. Takes the tree parts by value:
-    /// every part belongs to exactly one query, so the runner hands them
-    /// over instead of cloning.
-    fn evaluate(
-        &self,
-        tree_parts: Vec<ErasedMsg>,
-        mp: Option<&ErasedMsg>,
-        base_height: u32,
-    ) -> Box<dyn Any>;
+/// reference across the threads an epoch's columns run on.
+pub(crate) trait DynProtocol: Sync {
+    /// Run this query's epoch into its column.
+    fn run_column(&self, frame: &Frame<'_>, column: &mut Column);
+    /// Evaluate this query at the base station over its column.
+    fn evaluate(&self, frame: &Frame<'_>, column: &mut Column) -> Box<dyn Any>;
 }
 
 impl<P: Protocol> DynProtocol for P {
-    fn local_tree(&self, node: NodeId) -> Option<ErasedMsg> {
-        Protocol::local_tree(self, node).map(ErasedMsg::new)
+    fn run_column(&self, frame: &Frame<'_>, column: &mut Column) {
+        run_column(self, frame, column);
     }
 
-    fn merge_tree(&self, into: &mut ErasedMsg, from: &ErasedMsg) {
-        Protocol::merge_tree(self, into.downcast_mut(), from.downcast_ref());
-    }
-
-    fn finalize_tree(&self, node: NodeId, height: u32, msg: ErasedMsg) -> ErasedMsg {
-        ErasedMsg::new(Protocol::finalize_tree(self, node, height, msg.downcast()))
-    }
-
-    fn local_mp(&self, node: NodeId) -> Option<ErasedMsg> {
-        Protocol::local_mp(self, node).map(ErasedMsg::new)
-    }
-
-    fn fuse(&self, into: &mut ErasedMsg, from: &ErasedMsg) {
-        Protocol::fuse(self, into.downcast_mut(), from.downcast_ref());
-    }
-
-    fn convert(&self, root: NodeId, msg: &ErasedMsg) -> ErasedMsg {
-        ErasedMsg::new(Protocol::convert(self, root, msg.downcast_ref()))
-    }
-
-    fn tree_wire(&self, msg: &ErasedMsg) -> WireSize {
-        Protocol::tree_wire(self, msg.downcast_ref())
-    }
-
-    fn mp_wire(&self, msg: &ErasedMsg) -> WireSize {
-        Protocol::mp_wire(self, msg.downcast_ref())
-    }
-
-    fn evaluate(
-        &self,
-        tree_parts: Vec<ErasedMsg>,
-        mp: Option<&ErasedMsg>,
-        base_height: u32,
-    ) -> Box<dyn Any> {
-        let parts: Vec<P::TreeMsg> = tree_parts
-            .into_iter()
-            .map(|m| m.downcast::<P::TreeMsg>())
-            .collect();
-        Box::new(Protocol::evaluate(
-            self,
-            &parts,
-            mp.map(|m| m.downcast_ref::<P::MpMsg>()),
-            base_height,
-        ))
+    fn evaluate(&self, frame: &Frame<'_>, column: &mut Column) -> Box<dyn Any> {
+        Box::new(evaluate_column(self, frame, column))
     }
 }
 
@@ -290,13 +135,8 @@ impl<'e> QuerySet<'e> {
         self.queries.is_empty()
     }
 
-    /// The erased queries, in registration order.
-    pub fn queries(&self) -> impl Iterator<Item = &(dyn DynProtocol + 'e)> {
-        self.queries.iter().map(|b| b.as_ref())
-    }
-
     /// One erased query by registration index.
-    pub fn query(&self, index: usize) -> &(dyn DynProtocol + 'e) {
+    pub(crate) fn query(&self, index: usize) -> &(dyn DynProtocol + 'e) {
         self.queries[index].as_ref()
     }
 }
@@ -386,26 +226,49 @@ mod tests {
     use td_aggregates::count::Count;
     use td_aggregates::sum::Sum;
 
+    /// The erased column path answers what the typed protocol computes:
+    /// on a lossless tree, a Sum query run through a set sums every
+    /// sensor's reading, and each send is charged the typed wire size of
+    /// its message plus the tree overhead.
     #[test]
     fn erased_round_trip_matches_typed() {
+        use crate::envelope::TREE_OVERHEAD_WORDS;
+        use crate::runner::{EpochPlan, RunnerConfig};
+        use td_netsim::loss::NoLoss;
+        use td_netsim::network::Network;
+        use td_netsim::node::{NodeId, Position};
+        use td_netsim::rng::rng_from_seed;
+        use td_netsim::stats::CommStats;
+        use td_topology::tree::Tree;
+
+        let mut rng = rng_from_seed(5);
+        let net = Network::random_connected(3, 4.0, 4.0, Position::new(2.0, 2.0), 3.0, &mut rng);
+        assert_eq!(net.len(), 4);
+        // 3 → 1 → 0 ← 2
+        let tree = Tree::from_parents(vec![
+            None,
+            Some(NodeId(0)),
+            Some(NodeId(0)),
+            Some(NodeId(1)),
+        ]);
         let values = vec![0u64, 5, 7, 9];
         let p = ScalarProtocol::new(Sum::default(), &values);
-        let dynp: &dyn DynProtocol = &p;
-
-        let mut acc = dynp.local_tree(NodeId(1)).unwrap();
-        let b = dynp.local_tree(NodeId(2)).unwrap();
-        dynp.merge_tree(&mut acc, &b);
-        let acc = dynp.finalize_tree(NodeId(1), 2, acc);
-        let out = dynp.evaluate(vec![acc], None, 1);
-        assert_eq!(*out.downcast_ref::<f64>().unwrap(), 12.0);
-
-        // Wire sizes agree with the typed path.
-        let typed = Protocol::local_tree(&p, NodeId(3)).unwrap();
-        let erased = dynp.local_tree(NodeId(3)).unwrap();
-        assert_eq!(
-            Protocol::tree_wire(&p, &typed).words,
-            dynp.tree_wire(&erased).words
+        let mut set = QuerySet::new();
+        let h = set.register(&p);
+        let mut stats = CommStats::new(net.len());
+        let out = EpochPlan::compile_tag(&tree).run_set(
+            &set,
+            &net,
+            &NoLoss,
+            RunnerConfig::default(),
+            0,
+            &mut stats,
+            &mut rng,
         );
+        assert_eq!(*Answers::new(out.outputs).get(h), 21.0);
+        let local = Protocol::local_tree(&p, NodeId(3)).unwrap();
+        let words = Protocol::tree_wire(&p, &local).words + TREE_OVERHEAD_WORDS;
+        assert_eq!(stats.total_bytes(), 3 * 4 * words as u64);
     }
 
     #[test]

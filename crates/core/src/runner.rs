@@ -10,13 +10,10 @@
 //! this table: synopsis diffusion (SD) is an all-`M` labeling, and the
 //! pure-TAG baseline is an all-`T` table over an arbitrary
 //! (unrestricted) tree, its levels the tree's depth runs and its
-//! receiver table empty. Compilation also allocates the epoch arenas:
-//! per-slot inbox slabs for tree envelopes and for heard broadcasts and
-//! the flat `(node, query)` bundle-slot slab local messages are staged
-//! in. A cached plan makes steady-state epochs
+//! receiver table empty. A cached plan makes steady-state epochs
 //! **schedule-recomputation-free** (no per-epoch height/subtree/level
-//! sorts) and **growth-free** (inboxes and slabs keep their capacity
-//! across epochs).
+//! sorts) and **growth-free**: every per-epoch buffer lives in the
+//! plan's arenas and keeps its capacity from epoch to epoch.
 //!
 //! ## Plan lifecycle: compile once, patch on adaptation
 //!
@@ -27,13 +24,12 @@
 //! each mutation as a structured `TopologyDelta`, and the patch rewrites
 //! only the touched schedule state — per-vertex mode, unicast parent,
 //! switchability flags, and the `is M` bits of the flat broadcast table —
-//! in O(|delta| · ring degree), reusing every arena (inbox slabs,
-//! local-bundle slab, all free-lists) untouched. This works because the
-//! step order, receiver-table layout, heights, and subtree sizes depend
-//! only on the rings and the tree, never on the labeling, so a patched
-//! plan is field-for-field identical to a fresh compile (pinned by
-//! [`EpochPlan::structural_digest`] and a debug assertion in the session
-//! cache).
+//! in O(|delta| · ring degree), reusing every arena untouched. This
+//! works because the step order, receiver-table layout, heights, and
+//! subtree sizes depend only on the rings and the tree, never on the
+//! labeling, so a patched plan is field-for-field identical to a fresh
+//! compile (pinned by [`EpochPlan::structural_digest`] and a debug
+//! assertion in the session cache).
 //!
 //! The same path absorbs **structural** deltas: a §4.1 parent switch (a
 //! churn reroute via `apply_churn`, or an in-place `maintain_td`
@@ -47,95 +43,97 @@
 //! a wholesale `maintain_tree` round. A TAG plan has no labeling and no
 //! version: it is never patched.
 //!
-//! ## One step body, one level loop
+//! ## One epoch: draw, run the columns, account, evaluate
 //!
-//! [`EpochPlan::run_set`] executes a query epoch over the table. What a
-//! step does is written once, in two halves. **Process** builds the
-//! step's envelope from its own inboxes and prices it: a tributary
-//! (`T`) vertex merges its children's tree messages and finalizes at
-//! its height; a delta (`M`) vertex converts arriving tree messages
-//! (§5) and fuses the synopses it heard from the level above.
-//! **Merge** puts the envelope on the air against the step's pre-drawn
-//! loss outcome: a `T` envelope is unicast to the tree parent (with the
-//! configured retransmissions), an `M` envelope is broadcast and every
-//! `M`-labeled ring neighbor one level down that hears it will fold it
-//! in. The base station evaluates whatever reaches its slot.
+//! [`EpochPlan::run_set`] executes one epoch of a [`QuerySet`] in four
+//! passes.
 //!
-//! Every sender of a level only writes to inboxes of strictly later
-//! levels, so the loop runs level by level: it draws the level's loss
-//! outcomes on the calling thread in step order, cuts the level into
-//! `k` id-order **chunks**, processes chunk 0 in place and chunks
-//! `1..k` on the scoped workers of the fan-out (`parallel.rs`), and
-//! merges every step's effects in step order. Draw order and merge
-//! order are therefore the same for every `k`, which is what makes any
-//! worker count bit-identical — answers, accounting and the caller's
-//! RNG stream. **Sequential execution is `k = 1`**: no fan-out is
-//! built, so no thread, channel or job exists and the loop's "ship" and
-//! "collect" ranges are empty; it is chosen whenever
-//! [`RunnerConfig::workers`] resolves to 1 or the network is smaller
-//! than [`RunnerConfig::parallel_min_nodes`].
+//! 1. **Draw.** Every loss outcome of the epoch is drawn up front, on
+//!    the calling thread, in step order: the unicast (with the
+//!    configured retransmissions) of every `T` step that has a parent
+//!    and the per-receiver delivery of every `M` broadcast. No draw
+//!    depends on a payload, so the caller's RNG stream is the one a
+//!    send-by-send walk would consume. The outcomes then become two
+//!    **delivery lists** per slot, each in sender step order: the tree
+//!    children whose unicast arrived, and the `M` senders it heard.
+//! 2. **Run the columns.** Each registered query owns one typed
+//!    **column** — a slot-indexed vector of `Empty | Tree(msg) |
+//!    Mp(msg)` — and runs the whole epoch over it as a single job, so
+//!    dynamic dispatch happens once per query per epoch and the inner
+//!    loop is monomorphised [`Protocol`] calls on values. A `T` step
+//!    takes its local message, merges its delivered children's in
+//!    delivery order and finalizes at its height; an `M` step takes its
+//!    local message, converts (§5) and fuses its delivered tree
+//!    children, then fuses every broadcast it heard *by reference*.
+//!    Merged tree children are taken out of their slots, a lost unicast
+//!    is dropped at once, and a level's broadcasts are dropped as soon
+//!    as the level below — their only receivers — has run. The
+//!    **envelope column** is one more job: the exact tree counts, the
+//!    in-band count sketches and the §4.2 non-contribution extrema,
+//!    built in the same per-slot order.
+//! 3. **Account.** One pass in step order records each send as the
+//!    envelope overhead plus the sum of every query's wire size for
+//!    the slot, so the `CommStats` sequence is a single send per node
+//!    however many queries ride along.
+//! 4. **Evaluate.** The exact contributor count is derived from the
+//!    draws, and every column is evaluated at the base station.
+//!
+//! Nothing a job writes is visible to another job, and every job reads
+//! only the schedule and the epoch's draws, so the columns may run in
+//! any order on any thread. With [`RunnerConfig::workers`] above one the
+//! epoch spawns `k = min(workers, queries)` threads (the calling thread
+//! is one of them) once, and they claim the jobs from an atomic index,
+//! longest first by the previous epoch's job times (`parallel.rs`). One
+//! query, or a network smaller than [`RunnerConfig::parallel_min_nodes`],
+//! runs on the calling thread alone. Any worker count is bit-identical:
+//! answers, accounting and the RNG stream.
 //!
 //! **The TAG base step.** A TAG tree's base station merges and
 //! finalizes like any other tree vertex before it evaluates, so it
 //! stays a step: the last one, a `T` step with no parent. It draws
-//! nothing and records no send; its envelope goes straight to the base
-//! slot, where the same base-station tail as a `T`-mode TD base
-//! evaluates it.
+//! nothing and records no send; its message is delivered straight to
+//! the base slot, where the same base-station tail as a `T`-mode TD
+//! base evaluates it.
 //!
 //! **Who contributed.** The exact contributor count — the ground truth
 //! behind "% contributing" and the §4.2 adaptation signal — is not
 //! carried in the envelopes. The loss outcomes are kept for the whole
-//! epoch, and once the base station has evaluated, one backwards walk
-//! over them marks every step whose send reaches the base: a sensor
-//! contributes iff its own step is marked, because an envelope carries
-//! its sender's data and everything the sender merged or fused.
+//! epoch, and one backwards walk over them marks every step whose send
+//! reaches the base: a sensor contributes iff its own step is marked,
+//! because its message carries its own data and everything it merged
+//! or fused.
 //!
 //! ## Arenas
 //!
-//! Envelope *parts* — count sketches and bundle `Vec`s — cycle through
-//! the plan's free-lists (`Pools`): drawn when an envelope is built,
-//! returned when it is consumed, so at steady state none is allocated.
-//! What an epoch still allocates is the protocol payloads themselves
-//! (one `Box` per local, finalized or converted message, plus whatever
-//! the payload owns): 2.004 allocations per node-epoch on the repo
-//! benchmark's 10 000-node tree and 2.21 on its 2 500-node delta mix.
+//! The draws, the delivery lists, the columns and the envelope column
+//! all live in the plan and are reused from epoch to epoch; a column is
+//! downcast to its protocol's types once when it runs and once when it
+//! is evaluated, and replaced only if a differently typed query takes
+//! its position. An epoch therefore
+//! allocates only what the protocols allocate inside their own messages
+//! (a sketch's bitmaps, a summary's entries) plus a handful of per-epoch
+//! objects (the answers, and with a fan-out its threads): about 0.001
+//! allocations per node-epoch on the repo benchmark's 10 000-node Sum
+//! tree. What is live at once is what the radio has in flight: the
+//! broadcasts of the level being run and of the level above it, and the
+//! tree messages whose parents have not run yet. Nothing is copied per
+//! receiver except a message adopted by a vertex that has none of its
+//! own to fuse into (the base station).
 //!
-//! **Parked delivery.** An M vertex puts *one* message on the air. Its
-//! finished envelope is parked once, in the `ParkedLevel` of its
-//! level; each M neighbour that hears it gets the sender's slot pushed
-//! on its multi-path inbox (in step order) and later fuses the envelope
-//! *by reference*; when the next level — the only possible receivers —
-//! has run, the level's parked envelopes go back to the free-lists.
-//! Nothing is copied per receiver except a message adopted by a vertex
-//! that has none of its own to fuse into (the base station). An all-`T`
-//! plan pays for none of this: it has no multi-path inbox slab and its
-//! levels never park.
-//!
-//! **Pool discipline.** `Pools` is the only place parts rest. With more
-//! than one chunk the loop tops it up to the level's need before the
-//! level runs, lends each worker chunk its share and takes back all a
-//! chunk holds at the level's barrier, so the fill settles at the
-//! deployment's lossless demand (what is in flight plus one level) and
-//! stays there however envelopes cross chunk boundaries.
-//!
-//! The runner is **multi-query**: every link carries one *bundle*
-//! holding a message slot per query registered in the epoch's
-//! [`QuerySet`], so N concurrent aggregates cost one topology traversal
-//! — one unicast/broadcast per node, one envelope, one
-//! in-band count sketch, one set of adaptation extrema — instead of N.
-//! Message payload accounting sums the per-query wire sizes; the
-//! envelope overhead is charged once per link, not once per query.
-//!
-//! The one-shot entry points [`run_td_epoch_set`] / [`run_tag_epoch_set`]
-//! compile a fresh plan and execute it once, so a standalone call and a
-//! plan-reusing session run the identical code path and produce
-//! bit-identical results.
+//! The runner is **multi-query**: every link carries one message per
+//! query registered in the epoch's [`QuerySet`], so N concurrent
+//! aggregates cost one topology traversal — one unicast/broadcast per
+//! node, one envelope, one in-band count sketch, one set of adaptation
+//! extrema — instead of N. Message payload accounting sums the
+//! per-query wire sizes; the envelope overhead is charged once per
+//! link, not once per query.
 
 use std::any::Any;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use crate::envelope::{MpEnvelope, TreeEnvelope, TREE_OVERHEAD_WORDS};
-use crate::query::{ErasedMsg, QuerySet};
+use crate::envelope::{ExtremaSet, MpEnvelope, TreeEnvelope, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS};
+use crate::protocol::Protocol;
+use crate::query::QuerySet;
 use td_netsim::loss::{unicast, LossModel, Retransmit, RetransmitOutcome};
 use td_netsim::network::Network;
 use td_netsim::node::{NodeId, BASE_STATION};
@@ -157,17 +155,18 @@ pub struct RunnerConfig {
     /// (the in-band count sketch and the extremum reports). The
     /// non-adaptive baselines (TAG, SD) don't carry them.
     pub charge_adaptation_overhead: bool,
-    /// How many chunks the level loop cuts a level into: `0` = one per
-    /// available core, `1` = one chunk, no threads (sequential
-    /// execution), `k > 1` = `k` chunks (the calling thread plus
-    /// `k - 1` scoped workers). Any value produces bit-identical
-    /// results — chunks are deterministic id-order runs of a level and
-    /// every step's effects are merged back in step order.
+    /// How many threads an epoch may use. The unit of work is a query
+    /// column: an epoch runs on `k = min(workers, queries)` threads —
+    /// the calling thread plus `k - 1` scoped ones — so a one-query
+    /// set never spawns a thread. `0` = one per available core, `1` =
+    /// sequential. Any value produces bit-identical results: every
+    /// column writes only its own storage and every loss outcome is
+    /// drawn before any column runs.
     pub workers: usize,
-    /// Node-count floor below which the level loop runs one chunk even
-    /// when `workers > 1`: at small scales the per-level fan-out costs
-    /// more than it saves. Safe to tune freely — the chunk count never
-    /// changes results.
+    /// Node-count floor below which an epoch runs on the calling thread
+    /// even when `workers > 1`: at small scales spawning costs more than
+    /// it saves. Safe to tune freely — the thread count never changes
+    /// results.
     pub parallel_min_nodes: usize,
 }
 
@@ -214,9 +213,9 @@ pub struct SetEpochOutput {
     pub contributing_est: f64,
     /// Largest per-subtree non-contribution reports by switchable M
     /// vertices this epoch (TD expand signal).
-    pub max_noncontrib: crate::envelope::ExtremaSet,
+    pub max_noncontrib: ExtremaSet,
     /// Smallest such reports (TD shrink signal).
-    pub min_noncontrib: crate::envelope::ExtremaSet,
+    pub min_noncontrib: ExtremaSet,
 }
 
 impl std::fmt::Debug for SetEpochOutput {
@@ -227,317 +226,6 @@ impl std::fmt::Debug for SetEpochOutput {
             .field("contributing_est", &self.contributing_est)
             .finish()
     }
-}
-
-/// One query's slot per link message: `bundle[i]` belongs to query `i`.
-type Bundle = Vec<Option<ErasedMsg>>;
-
-fn bundle_tree_words(set: &QuerySet<'_>, bundle: &Bundle) -> usize {
-    bundle
-        .iter()
-        .enumerate()
-        .filter_map(|(i, slot)| slot.as_ref().map(|m| set.query(i).tree_wire(m).words))
-        .sum()
-}
-
-fn bundle_mp_wire(set: &QuerySet<'_>, bundle: &Bundle) -> (usize, usize) {
-    bundle
-        .iter()
-        .enumerate()
-        .filter_map(|(i, slot)| slot.as_ref().map(|m| set.query(i).mp_wire(m)))
-        .fold((0, 0), |(b, w), wire| (b + wire.bytes, w + wire.words))
-}
-
-/// What one multi-path send costs on the air, `(bytes, words)`: the
-/// bundled payloads plus — when charged — the adaptation overhead (the
-/// RLE-coded count sketch and the extremum reports), once per link and
-/// shared by every query in the bundle.
-fn mp_send_size(set: &QuerySet<'_>, env: &MpEnvelope<Bundle>, charge: bool) -> (usize, usize) {
-    let (payload_bytes, payload_words) =
-        bundle_mp_wire(set, env.msg.as_ref().expect("bundle present"));
-    let overhead_bytes = if charge {
-        sketch_rle::encoded_size_bytes(&env.count_sketch) + 8 * crate::envelope::TOP_K_EXTREMA
-    } else {
-        0
-    };
-    (
-        payload_bytes + overhead_bytes,
-        payload_words + overhead_bytes.div_ceil(4),
-    )
-}
-
-/// The envelope-part free-lists shared by every build/consume step: a
-/// consumed envelope returns its count sketch (multi-path only) and its
-/// bundle `Vec` here, and every envelope the plan constructs draws from
-/// here first — so steady-state epochs allocate none of these parts
-/// (the payloads inside a bundle are the protocols' and are still boxed
-/// per message).
-#[derive(Default)]
-struct Pools {
-    /// Recycled count sketches (invariant: cleared,
-    /// [`crate::envelope::COUNT_SKETCH_BITMAPS`] bitmaps).
-    sketches: Vec<FmSketch>,
-    /// Recycled bundle `Vec`s (invariant: empty, capacity retained).
-    bundles: Vec<Bundle>,
-}
-
-impl Pools {
-    /// A cleared count sketch: recycled, or fresh during warm-up.
-    fn sketch(&mut self) -> FmSketch {
-        self.sketches.pop().unwrap_or_else(fresh_sketch)
-    }
-
-    /// An empty bundle `Vec`: recycled, or fresh during warm-up.
-    fn bundle(&mut self) -> Bundle {
-        self.bundles.pop().unwrap_or_default()
-    }
-
-    /// Top the free-lists up to a fanned-out level's whole need — one
-    /// bundle per sender, one count sketch per M sender — before its
-    /// chunks are lent their shares, so that no chunk depends on what
-    /// another recycles meanwhile. Allocates only while the pool is below
-    /// the deployment's lossless demand (what is in flight plus the level
-    /// being run): loss only lowers that.
-    fn ensure(&mut self, senders: usize, m_senders: usize) {
-        fn top_up<T>(parts: &mut Vec<T>, need: usize, fresh: impl FnMut() -> T) {
-            if parts.len() < need {
-                parts.resize_with(need, fresh);
-            }
-        }
-        top_up(&mut self.sketches, m_senders, fresh_sketch);
-        top_up(&mut self.bundles, senders, Bundle::new);
-    }
-
-    /// Move a worker chunk's share of an [`ensure`](Self::ensure)d
-    /// level into `to`, the free-list its worker draws from.
-    fn lend(&mut self, to: &mut Pools, senders: usize, m_senders: usize) {
-        fn move_tail<T>(from: &mut Vec<T>, to: &mut Vec<T>, count: usize) {
-            to.extend(from.drain(from.len() - count..));
-        }
-        move_tail(&mut self.sketches, &mut to.sketches, m_senders);
-        move_tail(&mut self.bundles, &mut to.bundles, senders);
-    }
-
-    /// Take back everything `from` holds — what the chunk recycled as
-    /// well as what it was lent and did not need — leaving it empty.
-    fn reclaim(&mut self, from: &mut Pools) {
-        self.sketches.append(&mut from.sketches);
-        self.bundles.append(&mut from.bundles);
-    }
-}
-
-/// An empty count sketch of the width every pooled one has.
-fn fresh_sketch() -> FmSketch {
-    FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS)
-}
-
-/// Return a consumed multi-path envelope's count sketch to the free-list.
-fn recycle_sketch(pools: &mut Pools, mut sketch: FmSketch) {
-    sketch.clear();
-    pools.sketches.push(sketch);
-}
-
-/// Return a drained bundle `Vec` to the free-list (capacity retained).
-fn recycle_bundle(pools: &mut Pools, mut bundle: Bundle) {
-    bundle.clear();
-    pools.bundles.push(bundle);
-}
-
-/// Recycle the pooled part of a consumed tree envelope: its bundle.
-fn recycle_tree_env(pools: &mut Pools, env: TreeEnvelope<Bundle>) {
-    if let Some(bundle) = env.msg {
-        recycle_bundle(pools, bundle);
-    }
-}
-
-/// Recycle every pooled part of a consumed multi-path envelope.
-fn recycle_mp_env(pools: &mut Pools, env: MpEnvelope<Bundle>) {
-    if let Some(bundle) = env.msg {
-        recycle_bundle(pools, bundle);
-    }
-    recycle_sketch(pools, env.count_sketch);
-}
-
-/// Move one slot's staged local messages out of the slab into a bundle
-/// drawn from the free-list (capacity retained across epochs).
-fn take_local(staged: &mut [Option<ErasedMsg>], pools: &mut Pools) -> Bundle {
-    let mut bundle = pools.bundle();
-    bundle.extend(staged.iter_mut().map(Option::take));
-    bundle
-}
-
-/// One level's **parked** broadcasts. An M sender puts one message on
-/// the air, so its finished envelope is stored here once, every
-/// receiver that hears it gets only the sender's slot in its inbox and
-/// fuses the envelope *by reference*, and the whole level goes back to
-/// the free-lists once the next level — its only possible receivers —
-/// has run. No envelope is ever copied per receiver.
-#[derive(Default)]
-struct ParkedLevel {
-    /// Slot of the level's first step: `envs[slot - first]`.
-    first: usize,
-    /// How many steps the level has.
-    len: usize,
-    /// Per step of the level: its envelope if it was an M sender. Empty
-    /// until the level's first M sender parks, so an all-`T` level
-    /// costs nothing.
-    envs: Vec<Option<MpEnvelope<Bundle>>>,
-}
-
-impl ParkedLevel {
-    /// Start holding the level whose steps are `first..first + len`.
-    fn open(&mut self, first: usize, len: usize) {
-        debug_assert!(self.envs.is_empty(), "previous level not recycled");
-        self.first = first;
-        self.len = len;
-    }
-
-    fn park(&mut self, slot: usize, env: MpEnvelope<Bundle>) {
-        if self.envs.is_empty() {
-            self.envs.resize_with(self.len, || None);
-        }
-        self.envs[slot - self.first] = Some(env);
-    }
-
-    /// The envelope the M sender at `slot` broadcast.
-    fn get(&self, slot: u32) -> &MpEnvelope<Bundle> {
-        self.envs[slot as usize - self.first]
-            .as_ref()
-            .expect("a heard broadcast stays parked until its receivers' level has run")
-    }
-
-    /// Return every parked envelope's parts to the free-lists.
-    fn recycle_into(&mut self, pools: &mut Pools) {
-        for env in self.envs.drain(..).flatten() {
-            recycle_mp_env(pools, env);
-        }
-    }
-}
-
-/// Merge children + own local bundle into a tree envelope and finalize
-/// it. Drains `children` in delivery order, leaving its capacity in the
-/// arena; their bundles go back to the free-list.
-fn build_tree_envelope_set(
-    set: &QuerySet<'_>,
-    u: NodeId,
-    height: u32,
-    local: Bundle,
-    children: &mut Vec<TreeEnvelope<Bundle>>,
-    pools: &mut Pools,
-) -> TreeEnvelope<Bundle> {
-    let mut env = TreeEnvelope::local(u, Some(local));
-    for mut child in children.drain(..) {
-        env.absorb_counts(&child);
-        let mut child_bundle = child
-            .msg
-            .take()
-            .expect("bundle envelopes always carry a bundle");
-        let own = env.msg.as_mut().expect("just constructed with a bundle");
-        for (i, from) in child_bundle.drain(..).enumerate() {
-            let Some(from) = from else { continue };
-            match &mut own[i] {
-                Some(acc) => set.query(i).merge_tree(acc, &from),
-                slot @ None => *slot = Some(from),
-            }
-        }
-        recycle_bundle(pools, child_bundle);
-    }
-    let own = env.msg.as_mut().expect("constructed with a bundle");
-    for (i, slot) in own.iter_mut().enumerate() {
-        if let Some(m) = slot.take() {
-            *slot = Some(set.query(i).finalize_tree(u, height, m));
-        }
-    }
-    env.root = u;
-    env
-}
-
-/// Convert + fuse everything an M vertex holds into one envelope,
-/// reporting its subtree non-contribution when switchable. Drains both
-/// inboxes in delivery order, leaving their capacity in the arena: the
-/// tree envelopes' bundles go back to the free-list, the broadcasts
-/// named by `mp_heard` are fused by reference out of `parked` (the level
-/// above) and stay there.
-#[allow(clippy::too_many_arguments)]
-fn build_mp_envelope_set(
-    set: &QuerySet<'_>,
-    u: NodeId,
-    count_sketch: FmSketch,
-    subtree_size: u64,
-    switchable_m: bool,
-    local: Bundle,
-    tree_msgs: &mut Vec<TreeEnvelope<Bundle>>,
-    mp_heard: &mut Vec<u32>,
-    parked: &ParkedLevel,
-    pools: &mut Pools,
-) -> MpEnvelope<Bundle> {
-    let mut env = MpEnvelope::local_pooled(count_sketch, u, Some(local));
-    // §4.2: a switchable M vertex is the root of a unique (all-tree)
-    // subtree; it reports how many of its subtree's nodes are missing.
-    if switchable_m {
-        // Expected contributors below u: its whole static subtree minus u
-        // itself (u's own contribution is in the local envelope already).
-        let expected = subtree_size.saturating_sub(1);
-        let received: u64 = tree_msgs.iter().map(|e| e.count).sum();
-        env.report_noncontrib(u, expected.saturating_sub(received));
-    }
-    for mut te in tree_msgs.drain(..) {
-        env.absorb_tree_counts(&te);
-        let bundle = te.msg.take().expect("bundle envelopes carry a bundle");
-        let own = env.msg.as_mut().expect("constructed with a bundle");
-        for (i, slot) in bundle.iter().enumerate() {
-            let Some(m) = slot else { continue };
-            let converted = set.query(i).convert(te.root, m);
-            match &mut own[i] {
-                Some(acc) => set.query(i).fuse(acc, &converted),
-                empty @ None => *empty = Some(converted),
-            }
-        }
-        recycle_bundle(pools, bundle);
-    }
-    for sender in mp_heard.drain(..) {
-        let heard = parked.get(sender);
-        env.fuse_counts(heard);
-        let bundle = heard.msg.as_ref().expect("bundle envelopes carry a bundle");
-        let own = env.msg.as_mut().expect("constructed with a bundle");
-        for (i, from) in bundle.iter().enumerate() {
-            let Some(from) = from else { continue };
-            match &mut own[i] {
-                Some(acc) => set.query(i).fuse(acc, from),
-                // Nothing of its own to fuse into (the base station, a
-                // node without data): the one place a message is copied.
-                slot @ None => *slot = Some(from.clone()),
-            }
-        }
-    }
-    env
-}
-
-/// Evaluate every query over the tree bundles that reached a tree-mode
-/// base station. Drains the envelopes: each bundle slot is moved into
-/// its query's evaluation, never cloned; the emptied bundles go back to
-/// the free-list.
-fn evaluate_tree_base(
-    set: &QuerySet<'_>,
-    children: &mut Vec<TreeEnvelope<Bundle>>,
-    base_height: u32,
-    pools: &mut Pools,
-) -> Vec<Box<dyn Any>> {
-    let outputs = (0..set.len())
-        .map(|i| {
-            let parts: Vec<ErasedMsg> = children
-                .iter_mut()
-                .filter_map(|env| {
-                    env.msg.as_mut().expect("bundle envelopes carry a bundle")[i].take()
-                })
-                .collect();
-            set.query(i).evaluate(parts, None, base_height)
-        })
-        .collect();
-    for env in children.drain(..) {
-        recycle_tree_env(pools, env);
-    }
-    outputs
 }
 
 // ---------------------------------------------------------------------
@@ -573,11 +261,6 @@ impl Step {
     }
 }
 
-/// How many of `steps` are M senders (each draws a count sketch).
-fn m_senders(steps: &[Step]) -> usize {
-    steps.iter().filter(|s| s.mode == Mode::M).count()
-}
-
 /// The compiled schedule: one step table for every scheme.
 ///
 /// The step order (outermost level first, id order within a level), the
@@ -605,10 +288,9 @@ struct Schedule {
     step_of: Vec<u32>,
     /// Non-empty step ranges per level, outermost first:
     /// `steps[start..end]` is one level's senders — a ring level of a
-    /// TD plan, an equal-depth run of a TAG tree. Every step in a range
-    /// only writes to inboxes of strictly later ranges (tree parents
-    /// and broadcast receivers sit exactly one level down), so a range
-    /// can be cut into chunks that run side by side. Depends only on
+    /// TD plan, an equal-depth run of a TAG tree. Tree parents and
+    /// broadcast receivers sit exactly one level down, so a level's
+    /// broadcasts are dead once the next range has run. Depends only on
     /// the rings (or the tree's depths), so patching never touches it.
     levels: Vec<(u32, u32)>,
     base_mode: Mode,
@@ -621,8 +303,7 @@ struct Schedule {
 const NO_STEP: u32 = u32::MAX;
 
 impl Schedule {
-    /// The arena slot of the base station's inboxes: one past the last
-    /// step slot.
+    /// The slot of the base station: one past the last step slot.
     fn base_slot(&self) -> usize {
         self.steps.len()
     }
@@ -757,13 +438,13 @@ impl Schedule {
     }
 }
 
-/// One epoch's loss outcomes. Drawn level by level on the calling
-/// thread, in step order, before any of the level's steps runs — the
-/// caller's RNG therefore ends an epoch in the same state however many
-/// chunks a level is cut into — and kept for the whole epoch, because
-/// once the last level has run the same outcomes say which sensors
-/// reached the base station ([`Draws::contributing`]). Reused from
-/// epoch to epoch.
+/// One epoch's loss outcomes. Drawn up front on the calling thread, in
+/// step order, before any column runs — no draw depends on a payload,
+/// so the caller's RNG ends an epoch in the same state however many
+/// threads run the columns — and kept for the whole epoch: they decide
+/// the delivery lists, which tree messages are kept, and, once the
+/// columns have run, which sensors reached the base station
+/// ([`Draws::contributing`]). Reused from epoch to epoch.
 #[derive(Default)]
 struct Draws {
     /// Per slot: the unicast outcome of a sending T step (`None` for M
@@ -786,22 +467,19 @@ impl Draws {
         self.delivered.resize(sched.receivers.len(), false);
     }
 
-    /// Draw every outcome of the level `steps[level]`. An M step draws
+    /// Draw every outcome of the epoch, step by step. An M step draws
     /// for every receiver, M or not — which receivers count is the
     /// labeling's business, not the channel's.
-    #[allow(clippy::too_many_arguments)]
     fn draw<M: LossModel, R: rand::Rng + ?Sized>(
         &mut self,
         sched: &Schedule,
-        level: std::ops::Range<usize>,
         net: &Network,
         model: &M,
         retransmit: Retransmit,
         epoch: u64,
         rng: &mut R,
     ) {
-        for slot in level {
-            let step = &sched.steps[slot];
+        for (slot, step) in sched.steps.iter().enumerate() {
             match step.mode {
                 Mode::T => {
                     self.outcomes[slot] = step
@@ -863,105 +541,23 @@ impl Draws {
     }
 }
 
-/// A run of consecutive **schedule slots** of the arena slabs — tree
-/// inboxes, multi-path inboxes, staged local messages — borrowed as one
-/// piece. The level loop only ever cuts slots off the front: a level
-/// off the slots that have not run yet, a chunk off the level. What is
-/// left behind the level being run is exactly what that level may
-/// write to.
-struct Slabs<'a> {
-    /// Slot of the first entry: `tree[slot - first]`.
-    first: usize,
-    /// Queries per slot: `locals[(slot - first) * q..][..q]`.
-    q: usize,
-    tree: &'a mut [Vec<TreeEnvelope<Bundle>>],
-    /// Empty on a plan compiled without multi-path state (TAG).
-    mp: &'a mut [Vec<u32>],
-    locals: &'a mut [Option<ErasedMsg>],
-}
-
-impl<'a> Slabs<'a> {
-    fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Cut the first `len` slots off, leaving the rest in `self`.
-    fn take_front(&mut self, len: usize) -> Slabs<'a> {
-        let (tree, tree_rest) = std::mem::take(&mut self.tree).split_at_mut(len);
-        let mp = std::mem::take(&mut self.mp);
-        let (mp, mp_rest) = mp.split_at_mut(len.min(mp.len()));
-        let (locals, locals_rest) = std::mem::take(&mut self.locals).split_at_mut(len * self.q);
-        let front = Slabs {
-            first: self.first,
-            q: self.q,
-            tree,
-            mp,
-            locals,
-        };
-        *self = Slabs {
-            first: self.first + len,
-            q: self.q,
-            tree: tree_rest,
-            mp: mp_rest,
-            locals: locals_rest,
-        };
-        front
-    }
-}
-
-/// The reusable execution arenas: cleared, never shrunk, so steady-state
-/// epochs run without inbox or slab growth.
-///
-/// Inboxes and the local-message slab are indexed by **schedule slot**
-/// (a step's position in the level-ordered step list; the base station
-/// gets the one extra slot past the last step), not by node id. Slots
-/// are level-contiguous by construction, so an epoch's walk over the
-/// schedule touches the slabs strictly left to right — the
-/// cache-locality fix that makes plan reuse beat rebuild — and a
-/// chunk's slots form one contiguous block ([`Slabs`]).
+/// The reusable execution arenas, indexed by **schedule slot** (a
+/// step's position in the level-ordered step list; the base station
+/// gets the one extra slot past the last step). Sized on first use and
+/// never shrunk, so steady-state epochs grow nothing.
+#[derive(Default)]
 struct Arenas {
-    /// Per-slot tree-envelope inboxes, drained every epoch.
-    tree_inbox: Vec<Vec<TreeEnvelope<Bundle>>>,
-    /// Per-slot multi-path inboxes, drained every epoch: the slots of
-    /// the M senders whose broadcast this slot heard, in delivery order.
-    /// The envelopes themselves stay parked. Empty on a TAG plan.
-    mp_inbox: Vec<Vec<u32>>,
-    /// The parked broadcasts of the level above the one being run: what
-    /// the running level's `mp_inbox` entries point into. Behind an
-    /// `Arc` (allocated once, here) only so that a fan-out can hand its
-    /// workers a handle for the length of a level; with one chunk
-    /// nothing ever clones it.
-    parked_prev: Arc<ParkedLevel>,
-    /// The parked broadcasts of the level being run; it becomes
-    /// `parked_prev` when the level is done.
-    parked_cur: Arc<ParkedLevel>,
-    /// Flat local-message slab indexed by `(slot, query)`: entry
-    /// `slot * set.len() + query` stages the node's local tree or
-    /// multi-path message until its send step assembles the bundle.
-    locals: Vec<Option<ErasedMsg>>,
-    /// The envelope-part free-lists (count sketches, bundle `Vec`s).
-    /// Every envelope the plan builds draws from here and every consumed
-    /// envelope returns here, so steady-state epochs allocate no
-    /// per-envelope parts.
-    pools: Pools,
-    /// The epoch's loss outcomes, drawn level by level.
+    /// The epoch's loss outcomes.
     draws: Draws,
-}
-
-impl Arenas {
-    fn new(slots: usize, multipath: bool) -> Arenas {
-        Arenas {
-            tree_inbox: (0..slots).map(|_| Vec::new()).collect(),
-            mp_inbox: (0..if multipath { slots } else { 0 })
-                .map(|_| Vec::new())
-                .collect(),
-            parked_prev: Arc::default(),
-            parked_cur: Arc::default(),
-            locals: Vec::new(),
-            pools: Pools::default(),
-            draws: Draws::default(),
-        }
-    }
+    /// The epoch's delivery lists, derived from `draws`.
+    lists: Deliveries,
+    /// One column per registered query, by registration index.
+    columns: Vec<Column>,
+    /// The envelope column.
+    envelopes: Envelopes,
+    /// Each job's wall time at the last fan-out (columns by index, then
+    /// the envelope column): the longest-first order of the next one.
+    job_ns: Vec<u64>,
 }
 
 /// A compiled, reusable epoch schedule plus its execution arenas.
@@ -969,9 +565,9 @@ impl Arenas {
 /// Compile once per topology (version) with [`EpochPlan::compile_td`] /
 /// [`EpochPlan::compile_tag`], then call [`EpochPlan::run_set`] every
 /// epoch. Steady-state epochs perform zero schedule recomputation (no
-/// height/subtree/level passes) and no per-node inbox growth: the
-/// tree/multipath inbox slabs and the `(node, query)` local-bundle slab
-/// keep their capacity across epochs.
+/// height/subtree/level passes) and grow nothing: the draws, delivery
+/// lists, query columns and envelope column keep their capacity across
+/// epochs.
 pub struct EpochPlan {
     sched: Schedule,
     arenas: Arenas,
@@ -1017,8 +613,6 @@ impl EpochPlan {
                 levels.push((level_start, steps.len() as u32));
             }
         }
-        // One slot per step plus the base station's.
-        let slots = steps.len() + 1;
         EpochPlan {
             sched: Schedule {
                 version: Some(topo.version()),
@@ -1031,7 +625,7 @@ impl EpochPlan {
                 base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
                 base_switchable_m: topo.is_switchable_m(BASE_STATION),
             },
-            arenas: Arenas::new(slots, true),
+            arenas: Arenas::default(),
         }
     }
 
@@ -1041,7 +635,7 @@ impl EpochPlan {
     /// equal-depth runs (a parent is exactly one depth up, so each run
     /// only writes to later runs), no receiver table, and the base
     /// station as the last step — it merges and finalizes like any tree
-    /// vertex, sends nothing, and hands its envelope to the base slot.
+    /// vertex, sends nothing, and hands its message to the base slot.
     pub fn compile_tag(tree: &Tree) -> EpochPlan {
         let heights = tree.heights();
         let subtree_sizes = tree.subtree_sizes();
@@ -1070,7 +664,6 @@ impl EpochPlan {
                 recv_end: 0,
             });
         }
-        let slots = steps.len() + 1;
         EpochPlan {
             sched: Schedule {
                 version: None,
@@ -1083,22 +676,8 @@ impl EpochPlan {
                 base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
                 base_switchable_m: false,
             },
-            arenas: Arenas::new(slots, false),
+            arenas: Arenas::default(),
         }
-    }
-
-    /// Size of the arena's count-sketch free-list (introspection for
-    /// tests and benches: after a warm-up epoch the pool holds every
-    /// recycled sketch, and steady-state epochs neither grow nor drain
-    /// it below the per-epoch working need).
-    pub fn recycled_sketches(&self) -> usize {
-        self.arenas.pools.sketches.len()
-    }
-
-    /// Size of the arena's bundle-`Vec` free-list (same steady-state
-    /// introspection as [`recycled_sketches`](Self::recycled_sketches)).
-    pub fn recycled_bundles(&self) -> usize {
-        self.arenas.pools.bundles.len()
     }
 
     /// The topology version a TD plan currently matches (`None` for
@@ -1120,10 +699,9 @@ impl EpochPlan {
     /// endpoints' ancestor chains — O(|delta| · depth) — which is
     /// enough because §4.1 parent switches preserve every vertex's
     /// depth, so the step order and receiver-table layout survive. In
-    /// both cases every arena (inbox slabs, local-bundle slab, all
-    /// free-lists) is reused untouched, and the patched schedule is
-    /// field-for-field identical to [`compile_td`](Self::compile_td) at
-    /// the new version.
+    /// both cases every arena is reused untouched, and the patched
+    /// schedule is field-for-field identical to
+    /// [`compile_td`](Self::compile_td) at the new version.
     ///
     /// Returns `Some(touched)` — the number of **distinct** vertices
     /// whose mode or parent was rewritten (0 when the plan already
@@ -1187,10 +765,9 @@ impl EpochPlan {
 
     /// A deterministic digest of everything structural: the full
     /// compiled schedule (every step field, the receiver table, the
-    /// step index, the base-station fields, the version) plus the arena
-    /// *layout* (node count, inbox-slab shape) — but not the free-list
-    /// fill levels, which legitimately differ between a warmed-up plan
-    /// and a fresh compile. Two plans with equal digests execute epochs
+    /// step index, the base-station fields, the version) and the node
+    /// count — but not the arenas, which a warmed-up plan has sized and
+    /// a fresh compile has not. Two plans with equal digests execute epochs
     /// bit-identically; the patch tests (and a debug assertion in the
     /// session cache) compare patched plans against fresh compiles
     /// through this.
@@ -1238,8 +815,6 @@ impl EpochPlan {
         put(sched.base_subtree);
         put(sched.base_switchable_m as u64);
         put(sched.step_of.len() as u64);
-        put(self.arenas.tree_inbox.len() as u64);
-        put(self.arenas.mp_inbox.len() as u64);
         h
     }
 
@@ -1260,28 +835,69 @@ impl EpochPlan {
         stats: &mut CommStats,
         rng: &mut R,
     ) -> SetEpochOutput {
-        let exec = Exec {
-            sched: &self.sched,
-            set,
-            charge: config.charge_adaptation_overhead,
+        let sched = &self.sched;
+        let Arenas {
+            draws,
+            lists,
+            columns,
+            envelopes,
+            job_ns,
+        } = &mut self.arenas;
+
+        let sw = phase::stopwatch();
+        draws.open(sched);
+        draws.draw(sched, net, model, config.tree_retransmit, epoch, rng);
+        lists.collect(sched, draws);
+        phase::record(Phase::Randomness, sw);
+
+        let sw = phase::stopwatch();
+        columns.resize_with(set.len(), Column::default);
+        let frame = Frame {
+            sched,
+            draws,
+            lists,
         };
-        let arenas = &mut self.arenas;
-        exec.stage(arenas);
-        // Any chunk count is bit-identical (draws and merges happen in
-        // step order regardless), so this is purely a performance
-        // decision.
-        let workers = config.effective_workers();
-        let retransmit = config.tree_retransmit;
-        if workers <= 1 || self.sched.step_of.len() < config.parallel_min_nodes {
-            exec.run_levels(arenas, net, model, retransmit, epoch, stats, rng, None);
+        let charge = config.charge_adaptation_overhead;
+        // Any thread count is bit-identical (the jobs write disjoint
+        // storage), so this is purely a performance decision.
+        let threads = if sched.step_of.len() < config.parallel_min_nodes {
+            1
         } else {
-            std::thread::scope(|scope| {
-                let fan = parallel::FanOut::spawn(scope, exec, workers - 1);
-                exec.run_levels(arenas, net, model, retransmit, epoch, stats, rng, Some(fan));
+            config.effective_workers().min(set.len())
+        };
+        if threads <= 1 {
+            envelopes.run(&frame, charge);
+            for (i, column) in columns.iter_mut().enumerate() {
+                set.query(i).run_column(&frame, column);
+            }
+        } else {
+            let mut jobs: Vec<Job<'_>> = columns
+                .iter_mut()
+                .enumerate()
+                .map(|(i, column)| Job::Query(i, column))
+                .collect();
+            jobs.push(Job::Envelopes(envelopes));
+            parallel::run_longest_first(threads, jobs, job_ns, |job| match job {
+                Job::Query(i, column) => set.query(i).run_column(&frame, column),
+                Job::Envelopes(envelopes) => envelopes.run(&frame, charge),
             });
         }
+        phase::record(Phase::LevelExecute, sw);
+
         let sw = phase::stopwatch();
-        let out = exec.finish(arenas);
+        account(sched, draws, columns, envelopes, charge, stats);
+        let outputs = columns
+            .iter_mut()
+            .enumerate()
+            .map(|(i, column)| set.query(i).evaluate(&frame, column))
+            .collect();
+        let out = SetEpochOutput {
+            outputs,
+            contributing: draws.contributing(sched),
+            contributing_est: envelopes.base.est,
+            max_noncontrib: envelopes.base.max.clone(),
+            min_noncontrib: envelopes.base.min.clone(),
+        };
         phase::record(Phase::Merge, sw);
         out
     }
@@ -1289,345 +905,588 @@ impl EpochPlan {
 
 mod parallel;
 
-/// What a step put on the air: the product of [`Exec::process`], applied
-/// by [`Exec::merge`].
-enum Sent {
-    /// A finalized tree envelope and its size in words.
-    Tree(TreeEnvelope<Bundle>, usize),
-    /// A broadcast envelope and its size as `(bytes, words)`.
-    Mp(MpEnvelope<Bundle>, usize, usize),
+/// One job of a fanned-out epoch: a query's column or the envelope
+/// column.
+enum Job<'c> {
+    Query(usize, &'c mut Column),
+    Envelopes(&'c mut Envelopes),
 }
 
-/// What every step of an epoch shares, on whichever thread it runs.
-#[derive(Clone, Copy)]
-struct Exec<'a, 'e> {
-    sched: &'a Schedule,
-    set: &'a QuerySet<'e>,
-    /// Whether sends are charged the §4.2 adaptation overhead.
+/// Record every send of the epoch, in step order: a `T` step with a
+/// parent pays its payload words plus the tree overhead per attempt; an
+/// `M` step pays its payload plus — when charged — its count sketch's
+/// RLE size and the extremum reports. The payload of a slot is the sum
+/// of every query's wire size for it: one send carries the whole set.
+fn account(
+    sched: &Schedule,
+    draws: &Draws,
+    columns: &[Column],
+    envelopes: &Envelopes,
     charge: bool,
-}
-
-impl Exec<'_, '_> {
-    /// Stage every node's local messages (slot order; no RNG draws).
-    fn stage(&self, arenas: &mut Arenas) {
-        let q = self.set.len();
-        let slots = arenas.tree_inbox.len();
-        arenas.locals.clear();
-        arenas.locals.resize_with(slots * q, || None);
-        let mut stage = |slot: usize, u: NodeId, mode: Mode| {
-            let staged = &mut arenas.locals[slot * q..(slot + 1) * q];
-            for (local, query) in staged.iter_mut().zip(self.set.queries()) {
-                *local = match mode {
-                    Mode::T => query.local_tree(u),
-                    Mode::M => query.local_mp(u),
-                };
-            }
-        };
-        for (slot, step) in self.sched.steps.iter().enumerate() {
-            stage(slot, step.node, step.mode);
-        }
-        // A tree-mode base station evaluates its children's bundles
-        // directly and contributes no local data, so only an M base
-        // stages one.
-        if self.sched.base_mode == Mode::M {
-            stage(self.sched.base_slot(), BASE_STATION, Mode::M);
-        }
-    }
-
-    /// The first half of a step: build the envelope of the sender at
-    /// `slot` out of its own arena state (`own` holds its slot) and
-    /// price it. `above` is the parked level above the sender's. Touches
-    /// nothing another step of the level can see, so the steps of a
-    /// level may be processed in any order, on any thread.
-    fn process(
-        &self,
-        own: &mut Slabs<'_>,
-        slot: usize,
-        above: &ParkedLevel,
-        pools: &mut Pools,
-    ) -> Sent {
-        let step = &self.sched.steps[slot];
-        let i = slot - own.first;
-        let local = take_local(&mut own.locals[i * own.q..(i + 1) * own.q], pools);
+    stats: &mut CommStats,
+) {
+    let payload = |slot: usize| {
+        columns.iter().fold((0, 0), |(bytes, words), column| {
+            let wire = column.wire[slot];
+            (bytes + wire.bytes as usize, words + wire.words as usize)
+        })
+    };
+    for (slot, step) in sched.steps.iter().enumerate() {
         match step.mode {
             Mode::T => {
-                let env = build_tree_envelope_set(
-                    self.set,
-                    step.node,
-                    step.height,
-                    local,
-                    &mut own.tree[i],
-                    pools,
-                );
-                let payload =
-                    bundle_tree_words(self.set, env.msg.as_ref().expect("bundle present"));
-                let overhead = if self.charge { TREE_OVERHEAD_WORDS } else { 0 };
-                Sent::Tree(env, payload + overhead)
+                // The TAG base step sends nothing.
+                if step.parent.is_none() {
+                    continue;
+                }
+                let outcome = draws.outcomes[slot].expect("a sending T step drew its unicast");
+                let overhead = if charge { TREE_OVERHEAD_WORDS } else { 0 };
+                let words = payload(slot).1 + overhead;
+                stats.record_send(step.node, words * 4, words, outcome.attempts_used as u64);
             }
             Mode::M => {
-                let count_sketch = pools.sketch();
-                let env = build_mp_envelope_set(
-                    self.set,
-                    step.node,
-                    count_sketch,
-                    step.subtree_size as u64,
-                    step.switchable_m,
-                    local,
-                    &mut own.tree[i],
-                    &mut own.mp[i],
-                    above,
-                    pools,
-                );
-                let (bytes, words) = mp_send_size(self.set, &env, self.charge);
-                Sent::Mp(env, bytes, words)
-            }
-        }
-    }
-
-    /// The second half of a step: put what the sender at `slot` built on
-    /// the air against its pre-drawn outcome — record the send, deliver
-    /// a tree envelope to its parent's inbox (or recycle a lost one),
-    /// park a broadcast in `airing` and hand its slot to every M
-    /// receiver that heard it. `below` is every slot after the running
-    /// level. Called in step order — this is what pins any chunk count
-    /// bit-identical: `CommStats` records and inbox pushes replay one
-    /// sequence, so f64 accumulation order and envelope delivery order
-    /// never change.
-    #[allow(clippy::too_many_arguments)]
-    fn merge(
-        &self,
-        slot: usize,
-        sent: Sent,
-        draws: &Draws,
-        below: &mut Slabs<'_>,
-        airing: &mut ParkedLevel,
-        stats: &mut CommStats,
-        pools: &mut Pools,
-    ) {
-        let sched = self.sched;
-        let step = &sched.steps[slot];
-        match sent {
-            Sent::Tree(env, words) => {
-                let dest = match step.parent {
-                    // The TAG base step: nothing goes on the air.
-                    None => sched.base_slot(),
-                    Some(parent) => {
-                        let outcome =
-                            draws.outcomes[slot].expect("a sending T step drew its unicast");
-                        stats.record_send(
-                            step.node,
-                            words * 4,
-                            words,
-                            outcome.attempts_used as u64,
-                        );
-                        if !outcome.delivered {
-                            recycle_tree_env(pools, env);
-                            return;
-                        }
-                        sched.slot_or_base(parent)
-                    }
+                let (bytes, words) = payload(slot);
+                let overhead = if charge {
+                    envelopes.sketch_bytes[slot] as usize + 8 * TOP_K_EXTREMA
+                } else {
+                    0
                 };
-                below.tree[dest - below.first].push(env);
+                stats.record_send(step.node, bytes + overhead, words + overhead.div_ceil(4), 1);
             }
-            Sent::Mp(env, bytes, words) => {
-                stats.record_send(step.node, bytes, words, 1);
-                // One message on the air: every M neighbour that hears
-                // it is handed the sender's slot, not a copy.
-                let range = step.recv_range();
-                let heard = &draws.delivered[range.clone()];
-                for (&(r, is_m), &d) in sched.receivers[range].iter().zip(heard) {
-                    if d && is_m {
-                        below.mp[sched.slot_or_base(r) - below.first].push(slot as u32);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Delivery lists
+// ---------------------------------------------------------------------
+
+/// Per-slot lists of sender slots in compressed-row form: the senders
+/// of slot `s` are `from[start[s]..start[s + 1]]`, in sender step
+/// order.
+#[derive(Default)]
+struct SlotLists {
+    start: Vec<u32>,
+    from: Vec<u32>,
+}
+
+impl SlotLists {
+    fn of(&self, slot: usize) -> &[u32] {
+        &self.from[self.start[slot] as usize..self.start[slot + 1] as usize]
+    }
+}
+
+/// The epoch's deliveries, derived from its draws: which tree children
+/// reached each slot and which broadcasts each slot heard. These are
+/// the inboxes of a send-by-send walk, without the sends.
+#[derive(Default)]
+struct Deliveries {
+    /// Delivered tree children (a TAG base step's message always
+    /// reaches the base slot).
+    tree: SlotLists,
+    /// Heard broadcasts, `M` receivers only — the only ones that fuse.
+    mp: SlotLists,
+}
+
+impl Deliveries {
+    /// Rebuild both lists from `draws` by a counting sort over the
+    /// senders in step order, which keeps every list in sender step
+    /// order without sorting.
+    fn collect(&mut self, sched: &Schedule, draws: &Draws) {
+        let slots = sched.base_slot() + 1;
+        for lists in [&mut self.tree, &mut self.mp] {
+            lists.start.clear();
+            lists.start.resize(slots + 1, 0);
+        }
+        // Pass 1: count each destination's senders into `start[d + 1]`.
+        for_each_delivery(sched, draws, |tree, dest, _| {
+            let lists = if tree { &mut self.tree } else { &mut self.mp };
+            lists.start[dest + 1] += 1;
+        });
+        for lists in [&mut self.tree, &mut self.mp] {
+            for d in 1..=slots {
+                lists.start[d] += lists.start[d - 1];
+            }
+            lists.from.clear();
+            lists.from.resize(lists.start[slots] as usize, 0);
+        }
+        // Pass 2: fill, using `start[d]` as destination d's cursor; it
+        // ends at `start[d + 1]`'s value, so one shift restores it.
+        for_each_delivery(sched, draws, |tree, dest, sender| {
+            let lists = if tree { &mut self.tree } else { &mut self.mp };
+            let at = &mut lists.start[dest];
+            lists.from[*at as usize] = sender as u32;
+            *at += 1;
+        });
+        for lists in [&mut self.tree, &mut self.mp] {
+            lists.start.copy_within(0..slots, 1);
+            lists.start[0] = 0;
+        }
+    }
+}
+
+/// Call `f(is_tree, destination slot, sender slot)` for every delivery
+/// of the epoch, senders in step order: a `T` step's arrived unicast
+/// (the TAG base step's message always reaches the base slot), and
+/// every `M` receiver that heard a broadcast.
+fn for_each_delivery(sched: &Schedule, draws: &Draws, mut f: impl FnMut(bool, usize, usize)) {
+    for (slot, step) in sched.steps.iter().enumerate() {
+        match step.mode {
+            Mode::T => match step.parent {
+                None => f(true, sched.base_slot(), slot),
+                Some(parent) => {
+                    if draws.outcomes[slot].is_some_and(|o| o.delivered) {
+                        f(true, sched.slot_or_base(parent), slot);
                     }
                 }
-                airing.park(slot, env);
-            }
-        }
-    }
-
-    /// The one level loop. Per level: draw its loss outcomes in step
-    /// order, cut it into `k = min(workers, level length)` id-order
-    /// chunks (the first `len % k` one step longer — chunking never
-    /// affects results, only load balance), ship chunks `1..k` to the
-    /// fan-out, process and merge chunk 0 in place, then merge the
-    /// worker chunks in chunk order, which is step order. Without a
-    /// fan-out `k` is 1 and the ship and collect ranges are empty:
-    /// sequential execution is this loop.
-    #[allow(clippy::too_many_arguments)]
-    fn run_levels<'s, M: LossModel, R: rand::Rng + ?Sized>(
-        &self,
-        arenas: &'s mut Arenas,
-        net: &Network,
-        model: &M,
-        retransmit: Retransmit,
-        epoch: u64,
-        stats: &mut CommStats,
-        rng: &mut R,
-        mut fan: Option<parallel::FanOut<'s>>,
-    ) {
-        let Arenas {
-            tree_inbox,
-            mp_inbox,
-            parked_prev,
-            parked_cur,
-            locals,
-            pools,
-            draws,
-            ..
-        } = arenas;
-        let workers = fan.as_ref().map_or(1, |fan| fan.workers());
-        draws.open(self.sched);
-        let mut below = Slabs {
-            first: 0,
-            q: self.set.len(),
-            tree: tree_inbox,
-            mp: mp_inbox,
-            locals,
-        };
-        for &(lv_start, lv_end) in &self.sched.levels {
-            let level = lv_start as usize..lv_end as usize;
-            let sw = phase::stopwatch();
-            draws.draw(
-                self.sched,
-                level.clone(),
-                net,
-                model,
-                retransmit,
-                epoch,
-                rng,
-            );
-            phase::record(Phase::Randomness, sw);
-
-            // One per-level-execute sample covers the whole level:
-            // shipping, chunk 0 in place, and the merge barrier.
-            let sw = phase::stopwatch();
-            let len = level.len();
-            let k = workers.min(len);
-            let chunk_len = |c: usize| len / k + usize::from(c < len % k);
-            let mut own = below.take_front(len);
-            let mut chunk0 = own.take_front(chunk_len(0));
-            if k > 1 {
-                pools.ensure(len, m_senders(&self.sched.steps[level.clone()]));
-            }
-            // Ship chunks 1.. first so workers overlap with chunk 0.
-            for c in 1..k {
-                let chunk = own.take_front(chunk_len(c));
-                let m = m_senders(&self.sched.steps[chunk.first..chunk.first + chunk.len()]);
-                fan.as_mut()
-                    .expect("more than one chunk only with a fan-out")
-                    .ship(c, chunk, m, parked_prev, pools);
-            }
-            let airing = Arc::get_mut(parked_cur).expect("no worker holds the level being run");
-            airing.open(level.start, len);
-            let mut slot = level.start;
-            for _ in 0..chunk0.len() {
-                let sent = self.process(&mut chunk0, slot, parked_prev, pools);
-                self.merge(slot, sent, draws, &mut below, airing, stats, pools);
-                slot += 1;
-            }
-            // Barrier: merge worker chunks in chunk (= step) order.
-            for c in 1..k {
-                let fan = fan.as_mut().expect("shipped through it");
-                fan.collect(c, pools, |sent, pools| {
-                    self.merge(slot, sent, draws, &mut below, airing, stats, pools);
-                    slot += 1;
-                });
-            }
-            // Everyone who could hear the level above has run: its
-            // parked broadcasts go back to the free-lists and the level
-            // just run takes its place.
-            Arc::get_mut(parked_prev)
-                .expect("workers drop their handle before reporting")
-                .recycle_into(pools);
-            std::mem::swap(parked_prev, parked_cur);
-            phase::record(Phase::LevelExecute, sw);
-        }
-    }
-
-    /// The base-station tail of an epoch: evaluate whatever reached the
-    /// base slot, and count who contributed to it from the epoch's
-    /// draws.
-    fn finish(&self, arenas: &mut Arenas) -> SetEpochOutput {
-        let (sched, set) = (self.sched, self.set);
-        let base_slot = sched.base_slot();
-        let q = set.len();
-        let Arenas {
-            tree_inbox,
-            mp_inbox,
-            parked_prev,
-            locals,
-            pools,
-            draws,
-            ..
-        } = arenas;
-        let contributing = draws.contributing(sched);
-        let children = &mut tree_inbox[base_slot];
-        let parked = Arc::get_mut(parked_prev).expect("the workers have exited");
-        let out = match sched.base_mode {
-            Mode::T => {
-                let exact_count: u64 = children.iter().map(|env| env.count).sum();
-                SetEpochOutput {
-                    outputs: evaluate_tree_base(set, children, sched.base_height, pools),
-                    contributing,
-                    contributing_est: exact_count as f64,
-                    max_noncontrib: crate::envelope::ExtremaSet::largest(),
-                    min_noncontrib: crate::envelope::ExtremaSet::smallest(),
+            },
+            Mode::M => {
+                let range = step.recv_range();
+                for (&(r, is_m), &d) in sched.receivers[range.clone()]
+                    .iter()
+                    .zip(&draws.delivered[range])
+                {
+                    if d && is_m {
+                        f(false, sched.slot_or_base(r), slot);
+                    }
                 }
             }
+        }
+    }
+}
+
+/// What every job of an epoch reads: the schedule, the draws and the
+/// deliveries derived from them. Shared by reference across threads.
+pub(crate) struct Frame<'a> {
+    sched: &'a Schedule,
+    draws: &'a Draws,
+    lists: &'a Deliveries,
+}
+
+impl Frame<'_> {
+    /// Whether the message of the `T` step at `slot` reaches a
+    /// receiver: its unicast arrived, or it is the TAG base step.
+    fn tree_kept(&self, slot: usize) -> bool {
+        self.sched.steps[slot].parent.is_none()
+            || self.draws.outcomes[slot].is_some_and(|o| o.delivered)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Query columns
+// ---------------------------------------------------------------------
+
+/// One query's message in one slot of its column.
+enum Slot<T, M> {
+    Empty,
+    Tree(T),
+    Mp(M),
+}
+
+impl<T, M> Slot<T, M> {
+    fn take(&mut self) -> Self {
+        std::mem::replace(self, Slot::Empty)
+    }
+}
+
+/// A query's typed column: its messages by slot, plus the tree parts a
+/// tree-mode base station evaluates (kept for their capacity).
+struct Cells<T, M> {
+    slots: Vec<Slot<T, M>>,
+    parts: Vec<T>,
+}
+
+/// What one slot's message of one query costs on the air.
+#[derive(Clone, Copy, Default)]
+struct Wire {
+    bytes: u32,
+    words: u32,
+}
+
+/// One registered query's column, kept in the plan across epochs.
+#[derive(Default)]
+pub(crate) struct Column {
+    /// The query protocol's `Cells<TreeMsg, MpMsg>`, erased. Replaced
+    /// when a query of other message types takes this position.
+    cells: Option<Box<dyn Any + Send>>,
+    /// Per slot: this query's wire size of what the slot sent this
+    /// epoch (zero when it sent no message of this query).
+    wire: Vec<Wire>,
+}
+
+impl Column {
+    /// The column as `Cells<T, M>`, sized for `sched`: the one downcast
+    /// of a run or an evaluation.
+    fn cells<T, M>(&mut self, sched: &Schedule) -> (&mut Cells<T, M>, &mut [Wire])
+    where
+        T: Send + 'static,
+        M: Send + 'static,
+    {
+        if !self.cells.as_ref().is_some_and(|c| c.is::<Cells<T, M>>()) {
+            self.cells = Some(Box::new(Cells::<T, M> {
+                slots: Vec::new(),
+                parts: Vec::new(),
+            }));
+        }
+        let cells = self
+            .cells
+            .as_mut()
+            .and_then(|c| c.downcast_mut::<Cells<T, M>>())
+            .expect("the column was just given this query's types");
+        let steps = sched.steps.len();
+        cells.slots.resize_with(steps, || Slot::Empty);
+        self.wire.resize(steps, Wire::default());
+        (cells, &mut self.wire)
+    }
+}
+
+/// Run query `proto`'s whole epoch into its column: every step in step
+/// order, each slot's message and wire size written before any
+/// receiver reads it, and a level's broadcasts dropped once the level
+/// below has run.
+pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut Column) {
+    let sched = frame.sched;
+    let (cells, wire) = column.cells::<P::TreeMsg, P::MpMsg>(sched);
+    let slots = &mut cells.slots;
+    let mut above = 0..0;
+    for &(start, end) in &sched.levels {
+        let level = start as usize..end as usize;
+        for slot in level.clone() {
+            let step = &sched.steps[slot];
+            let children = frame.lists.tree.of(slot);
+            let (msg, size) = match step.mode {
+                Mode::T => {
+                    let msg = tree_step(proto, step.node, step.height, children, slots);
+                    let words = match (&msg, step.parent) {
+                        (Some(m), Some(_)) => proto.tree_wire(m).words as u32,
+                        _ => 0,
+                    };
+                    let msg = match msg {
+                        Some(m) if frame.tree_kept(slot) => Slot::Tree(m),
+                        _ => Slot::Empty,
+                    };
+                    (msg, Wire { bytes: 0, words })
+                }
+                Mode::M => {
+                    let heard = frame.lists.mp.of(slot);
+                    let msg = mp_step(proto, step.node, children, heard, sched, slots);
+                    let size = msg.as_ref().map_or(Wire::default(), |m| {
+                        let w = proto.mp_wire(m);
+                        Wire {
+                            bytes: w.bytes as u32,
+                            words: w.words as u32,
+                        }
+                    });
+                    (msg.map_or(Slot::Empty, Slot::Mp), size)
+                }
+            };
+            slots[slot] = msg;
+            wire[slot] = size;
+        }
+        drop_broadcasts(&mut slots[above]);
+        above = level;
+    }
+}
+
+/// Evaluate query `proto` at the base station over what reached the
+/// base slot, taking the tree parts out of their slots and dropping the
+/// last level's broadcasts, so the column ends the epoch empty.
+pub(crate) fn evaluate_column<P: Protocol>(
+    proto: &P,
+    frame: &Frame<'_>,
+    column: &mut Column,
+) -> P::Output {
+    let sched = frame.sched;
+    let base = sched.base_slot();
+    let (cells, _) = column.cells::<P::TreeMsg, P::MpMsg>(sched);
+    let Cells { slots, parts } = cells;
+    let children = frame.lists.tree.of(base);
+    let output = match sched.base_mode {
+        Mode::T => {
+            parts.extend(
+                children
+                    .iter()
+                    .filter_map(|&c| match slots[c as usize].take() {
+                        Slot::Tree(m) => Some(m),
+                        _ => None,
+                    }),
+            );
+            let output = proto.evaluate(parts, None, sched.base_height);
+            parts.clear();
+            output
+        }
+        Mode::M => {
+            let heard = frame.lists.mp.of(base);
+            let msg = mp_step(proto, BASE_STATION, children, heard, sched, slots);
+            proto.evaluate(&[], msg.as_ref(), sched.base_height)
+        }
+    };
+    // The innermost level's broadcasts had only the base station to
+    // reach.
+    if let Some(&(start, end)) = sched.levels.last() {
+        drop_broadcasts(&mut slots[start as usize..end as usize]);
+    }
+    output
+}
+
+fn drop_broadcasts<T, M>(slots: &mut [Slot<T, M>]) {
+    for slot in slots {
+        if matches!(slot, Slot::Mp(_)) {
+            *slot = Slot::Empty;
+        }
+    }
+}
+
+/// A `T` step's message: its local message with its delivered
+/// children's merged in, in delivery order (each taken out of its
+/// slot), finalized at its height.
+fn tree_step<P: Protocol>(
+    proto: &P,
+    node: NodeId,
+    height: u32,
+    children: &[u32],
+    slots: &mut [Slot<P::TreeMsg, P::MpMsg>],
+) -> Option<P::TreeMsg> {
+    let mut acc = proto.local_tree(node);
+    for &child in children {
+        if let Slot::Tree(m) = slots[child as usize].take() {
+            match &mut acc {
+                Some(a) => proto.merge_tree(a, &m),
+                None => acc = Some(m),
+            }
+        }
+    }
+    acc.map(|m| proto.finalize_tree(node, height, m))
+}
+
+/// An `M` vertex's message (a step's, or an `M` base station's): its
+/// local message, then its delivered tree children converted (§5) and
+/// fused in (each taken out of its slot), then every broadcast it heard
+/// fused in by reference.
+fn mp_step<P: Protocol>(
+    proto: &P,
+    node: NodeId,
+    children: &[u32],
+    heard: &[u32],
+    sched: &Schedule,
+    slots: &mut [Slot<P::TreeMsg, P::MpMsg>],
+) -> Option<P::MpMsg> {
+    let mut acc = proto.local_mp(node);
+    for &child in children {
+        if let Slot::Tree(m) = slots[child as usize].take() {
+            let converted = proto.convert(sched.steps[child as usize].node, &m);
+            match &mut acc {
+                Some(a) => proto.fuse(a, &converted),
+                None => acc = Some(converted),
+            }
+        }
+    }
+    for &sender in heard {
+        if let Slot::Mp(m) = &slots[sender as usize] {
+            match &mut acc {
+                Some(a) => proto.fuse(a, m),
+                // Nothing of its own to fuse into (the base station, a
+                // node without data): the one place a message is copied.
+                None => acc = Some(m.clone()),
+            }
+        }
+    }
+    acc
+}
+
+// ---------------------------------------------------------------------
+// The envelope column
+// ---------------------------------------------------------------------
+
+/// What the base station's envelope says: the in-band contributor
+/// estimate and the §4.2 non-contribution extrema.
+struct BaseEnvelope {
+    est: f64,
+    max: ExtremaSet,
+    min: ExtremaSet,
+}
+
+impl Default for BaseEnvelope {
+    fn default() -> Self {
+        BaseEnvelope {
+            est: 0.0,
+            max: ExtremaSet::largest(),
+            min: ExtremaSet::smallest(),
+        }
+    }
+}
+
+/// The envelope column: the instrumentation every query's messages
+/// share, run as one more job over the same deliveries.
+#[derive(Default)]
+struct Envelopes {
+    /// Per slot: the exact contributor count of a `T` step's tree
+    /// envelope.
+    counts: Vec<u64>,
+    /// Per slot: where an `M` step's envelope sits in its level's half
+    /// of `live`.
+    at: Vec<u32>,
+    /// The `M` envelopes of the level being built (`live[i % 2]` for
+    /// level `i`) and of the level above it — the only ones a receiver
+    /// can hear. Entries are reopened in place, so their count sketches
+    /// are reused from level to level and epoch to epoch.
+    live: [Vec<Option<MpEnvelope<()>>>; 2],
+    /// Spare envelope for an `M` base station.
+    base_env: Option<MpEnvelope<()>>,
+    /// Per slot: the RLE size of an `M` step's count sketch as it went on
+    /// the air (read by the accounting pass when overhead is charged).
+    sketch_bytes: Vec<u32>,
+    /// This epoch's base-station envelope.
+    base: BaseEnvelope,
+}
+
+impl Envelopes {
+    fn run(&mut self, frame: &Frame<'_>, charge: bool) {
+        let (sched, lists) = (frame.sched, frame.lists);
+        let steps = sched.steps.len();
+        let Envelopes {
+            counts,
+            at,
+            live,
+            base_env,
+            sketch_bytes,
+            base,
+        } = self;
+        counts.resize(steps, 0);
+        at.resize(steps, 0);
+        sketch_bytes.resize(steps, 0);
+        for (i, &(start, end)) in sched.levels.iter().enumerate() {
+            let (lo, hi) = live.split_at_mut(1);
+            let (building, above) = if i % 2 == 0 {
+                (&mut lo[0], &hi[0])
+            } else {
+                (&mut hi[0], &lo[0])
+            };
+            let mut built = 0;
+            for slot in start as usize..end as usize {
+                let step = &sched.steps[slot];
+                let children = lists.tree.of(slot);
+                match step.mode {
+                    Mode::T => {
+                        counts[slot] = u64::from(!step.node.is_base())
+                            + children.iter().map(|&c| counts[c as usize]).sum::<u64>();
+                    }
+                    Mode::M => {
+                        if building.len() == built {
+                            building.push(None);
+                        }
+                        let env = build_mp_envelope(
+                            &mut building[built],
+                            step.node,
+                            step.subtree_size as u64,
+                            step.switchable_m,
+                            children,
+                            lists.mp.of(slot),
+                            sched,
+                            counts,
+                            at,
+                            above,
+                        );
+                        if charge {
+                            sketch_bytes[slot] =
+                                sketch_rle::encoded_size_bytes(&env.count_sketch) as u32;
+                        }
+                        at[slot] = built as u32;
+                        built += 1;
+                    }
+                }
+            }
+        }
+        let children = lists.tree.of(sched.base_slot());
+        *base = match sched.base_mode {
+            Mode::T => BaseEnvelope {
+                est: children.iter().map(|&c| counts[c as usize]).sum::<u64>() as f64,
+                ..BaseEnvelope::default()
+            },
             Mode::M => {
-                let local = take_local(&mut locals[base_slot * q..(base_slot + 1) * q], pools);
-                let count_sketch = pools.sketch();
-                let mut env = build_mp_envelope_set(
-                    set,
+                // The base station hears the innermost level.
+                let above = &live[(sched.levels.len() + 1) % 2];
+                let env = build_mp_envelope(
+                    base_env,
                     BASE_STATION,
-                    count_sketch,
                     sched.base_subtree,
                     sched.base_switchable_m,
-                    local,
                     children,
-                    &mut mp_inbox[base_slot],
-                    parked,
-                    pools,
+                    lists.mp.of(sched.base_slot()),
+                    sched,
+                    counts,
+                    at,
+                    above,
                 );
-                let bundle = env.msg.take().expect("bundle present");
-                let outputs = (0..q)
-                    .map(|i| {
-                        set.query(i)
-                            .evaluate(Vec::new(), bundle[i].as_ref(), sched.base_height)
-                    })
-                    .collect();
-                recycle_bundle(pools, bundle);
-                let MpEnvelope {
-                    count_sketch,
-                    max_noncontrib,
-                    min_noncontrib,
-                    ..
-                } = env;
-                let contributing_est = count_sketch.estimate();
-                recycle_sketch(pools, count_sketch);
-                SetEpochOutput {
-                    outputs,
-                    contributing,
-                    contributing_est,
-                    max_noncontrib,
-                    min_noncontrib,
+                BaseEnvelope {
+                    est: env.count_sketch.estimate(),
+                    max: env.max_noncontrib.clone(),
+                    min: env.min_noncontrib.clone(),
                 }
             }
         };
-        // The innermost level's broadcasts had only the base station to
-        // reach.
-        parked.recycle_into(pools);
-        out
     }
+}
+
+/// Reopen `entry` as `node`'s multi-path envelope and fold in what
+/// reached it, in today's per-slot order: its own non-contribution
+/// report when switchable, its delivered tree children's counts, then
+/// the envelopes it heard from the level above (`above`, indexed by
+/// `at`).
+#[allow(clippy::too_many_arguments)]
+fn build_mp_envelope<'e>(
+    entry: &'e mut Option<MpEnvelope<()>>,
+    node: NodeId,
+    subtree_size: u64,
+    switchable_m: bool,
+    children: &[u32],
+    heard: &[u32],
+    sched: &Schedule,
+    counts: &[u64],
+    at: &[u32],
+    above: &[Option<MpEnvelope<()>>],
+) -> &'e MpEnvelope<()> {
+    let sketch = match entry.take() {
+        Some(old) => {
+            let mut sketch = old.count_sketch;
+            sketch.clear();
+            sketch
+        }
+        None => FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS),
+    };
+    let env = entry.insert(MpEnvelope::local_pooled(sketch, node, None));
+    // §4.2: a switchable M vertex is the root of a unique (all-tree)
+    // subtree; it reports how many of its subtree's nodes are missing.
+    if switchable_m {
+        // Expected contributors below the vertex: its whole static
+        // subtree minus itself (its own contribution is in the local
+        // envelope already).
+        let expected = subtree_size.saturating_sub(1);
+        let received: u64 = children.iter().map(|&c| counts[c as usize]).sum();
+        env.report_noncontrib(node, expected.saturating_sub(received));
+    }
+    for &child in children {
+        let child = child as usize;
+        env.absorb_tree_counts(&TreeEnvelope::<()> {
+            msg: None,
+            root: sched.steps[child].node,
+            count: counts[child],
+        });
+    }
+    for &sender in heard {
+        let heard = above[at[sender as usize] as usize]
+            .as_ref()
+            .expect("a heard broadcast's envelope stays live until the level below has run");
+        env.fuse_counts(heard);
+    }
+    env
 }
 
 /// Run one Tributary-Delta epoch for every query in `set`, compiling a
-/// fresh plan for this call — the rebuild path. Sessions cache an
-/// [`EpochPlan`] instead and execute the identical code, so the two
-/// paths are bit-for-bit interchangeable. `stats` accumulates
-/// communication accounting across epochs.
+/// fresh plan for this call — the rebuild path the plan-reuse tests
+/// compare a cached plan against.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn run_td_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
+pub(crate) fn run_td_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
     set: &QuerySet<'_>,
     topo: &TdTopology,
     net: &Network,
@@ -1641,10 +1500,10 @@ pub fn run_td_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
 }
 
 /// Run one epoch of the pure-TAG baseline for every query in `set`, over
-/// an arbitrary spanning tree (parents may be at any lower level — no
-/// ring restriction), compiling a fresh plan for this call.
+/// an arbitrary spanning tree, compiling a fresh plan for this call.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn run_tag_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
+pub(crate) fn run_tag_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
     set: &QuerySet<'_>,
     tree: &Tree,
     net: &Network,
@@ -1695,7 +1554,7 @@ mod tests {
     }
 
     /// Run `proto` alone through one of the set entry points — a
-    /// one-entry bundle, so a dedicated run is bit-identical to the same
+    /// one-query set, so a dedicated run is bit-identical to the same
     /// query inside a larger set.
     fn single<P: Protocol>(
         proto: &P,
@@ -2001,13 +1860,13 @@ mod tests {
         assert_eq!(reused_stats, rebuilt_stats);
     }
 
-    /// The level loop is bit-identical on any chunk count — answers,
-    /// instrumentation, byte accounting, and the caller's RNG stream —
-    /// for both TD (mixed T/M labeling, lossy) and TAG plans, including
-    /// 64 workers, more than any level here has steps (chunk count =
-    /// level length). (`parallel_min_nodes: 0` lets the fan-out engage
-    /// at test scale; the broader scheme × worker matrix lives in
-    /// `tests/e2e_parallel.rs`.)
+    /// The query-column fan-out is bit-identical on any worker count —
+    /// answers, instrumentation, byte accounting, and the caller's RNG
+    /// stream — for both TD (mixed T/M labeling, lossy) and TAG plans,
+    /// including more workers than the set has queries (`k` is capped
+    /// at the query count). Three queries, so the fan-out engages;
+    /// `parallel_min_nodes: 0` lets it engage at test scale. The
+    /// broader scheme × worker matrix lives in `tests/e2e_parallel.rs`.
     #[test]
     fn parallel_is_bit_identical_to_sequential() {
         use rand::Rng;
@@ -2025,24 +1884,24 @@ mod tests {
             } else {
                 EpochPlan::compile_td(&td)
             };
-            assert!(
-                workers < 64 || plan.sched.levels.iter().all(|&(s, e)| e - s < 64),
-                "some level is long enough to use every worker"
-            );
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(77);
             let mut history = Vec::new();
             for epoch in 0..6u64 {
-                let proto = ScalarProtocol::new(Sum::default(), &values);
+                let sum = ScalarProtocol::new(Sum::default(), &values);
+                let count = ScalarProtocol::new(Count::default(), &values);
+                let average = ScalarProtocol::new(Average::default(), &values);
                 let mut set = QuerySet::new();
-                set.register(&proto);
+                set.register(&sum);
+                set.register(&count);
+                set.register(&average);
                 let out = plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
+                let answer = |i: usize| out.outputs[i].downcast_ref::<f64>().unwrap().to_bits();
                 history.push((
-                    *out.outputs[0]
-                        .downcast_ref::<f64>()
-                        .expect("sum output is f64"),
+                    [answer(0), answer(1), answer(2)],
                     out.contributing,
-                    out.contributing_est,
+                    out.contributing_est.to_bits(),
+                    out.max_noncontrib.clone(),
                 ));
             }
             (history, stats, rng.gen::<u64>())
@@ -2064,7 +1923,7 @@ mod tests {
     /// order and draw order coincide) a TAG plan and a TD plan labelled
     /// all-`T` over the same tree are the same epoch — answers,
     /// contributing counts, byte accounting and the caller's RNG
-    /// stream, bit for bit, on one chunk and on two. The TAG base
+    /// stream, bit for bit, on one thread and on two. The TAG base
     /// station's extra merge-and-finalize step changes nothing a scalar
     /// aggregate can see.
     #[test]
@@ -2105,124 +1964,6 @@ mod tests {
             let td = run(EpochPlan::compile_td(&all_t), workers);
             assert!(tag.0.iter().any(|e| e.2 < net.num_sensors()), "no loss");
             assert_eq!(tag, td, "TAG and all-T TD diverged at {workers} workers");
-        }
-    }
-
-    /// The count-sketch and bundle-`Vec` free-lists reach a steady
-    /// state: after warm-up, further epochs allocate no per-envelope
-    /// sketches and no per-node bundle `Vec`s.
-    #[test]
-    fn sketch_and_bundle_pools_reach_steady_state() {
-        for delta_levels in [0u16, 2] {
-            let (net, td) = topo(138, 180, delta_levels);
-            let values: Vec<u64> = vec![3; net.len()];
-            let mut plan = EpochPlan::compile_td(&td);
-            let mut stats = CommStats::new(net.len());
-            let mut rng = rng_from_seed(139);
-            assert_eq!(plan.recycled_sketches(), 0);
-            assert_eq!(plan.recycled_bundles(), 0);
-            let mut sketches = Vec::new();
-            let mut bundles = Vec::new();
-            for epoch in 0..4u64 {
-                let proto = ScalarProtocol::new(Sum::default(), &values);
-                let mut set = QuerySet::new();
-                set.register(&proto);
-                plan.run_set(
-                    &set,
-                    &net,
-                    &NoLoss,
-                    RunnerConfig::default(),
-                    epoch,
-                    &mut stats,
-                    &mut rng,
-                );
-                sketches.push(plan.recycled_sketches());
-                bundles.push(plan.recycled_bundles());
-            }
-            // Every node stages a bundle, so the bundle pool is always
-            // exercised; sketches only exist where a delta does.
-            assert!(bundles[0] > 0, "no bundles recycled at {delta_levels}");
-            if delta_levels > 0 {
-                assert!(sketches[0] > 0, "no sketches recycled at {delta_levels}");
-            }
-            assert_eq!(
-                sketches[1], sketches[3],
-                "sketch pool still growing at delta {delta_levels}: {sketches:?}"
-            );
-            assert_eq!(
-                bundles[1], bundles[3],
-                "bundle pool still growing at delta {delta_levels}: {bundles:?}"
-            );
-        }
-    }
-
-    /// The same steady state on the level-parallel executor, where a
-    /// chunk's parts are lent to its worker and reclaimed at the barrier:
-    /// on a TAG tree and on a TD labeling, whichever way envelopes cross
-    /// the shard boundary, no side hoards parts. Loss only ever takes
-    /// envelopes out of flight early, so once two lossless epochs have
-    /// raised the free-lists to the lossless demand, 200 lossy epochs
-    /// must leave every one of them exactly there — on any seed.
-    #[test]
-    fn pools_stay_flat_on_the_parallel_path() {
-        let (net, td) = topo(142, 180, 2);
-        let values: Vec<u64> = vec![3; net.len()];
-        let config = RunnerConfig {
-            workers: 2,
-            parallel_min_nodes: 0,
-            ..RunnerConfig::default()
-        };
-        for (tag, seed) in [(true, 143), (true, 144), (false, 143), (false, 144)] {
-            let mut plan = if tag {
-                EpochPlan::compile_tag(td.tree())
-            } else {
-                EpochPlan::compile_td(&td)
-            };
-            let fill = |plan: &EpochPlan| (plan.recycled_sketches(), plan.recycled_bundles());
-            let mut stats = CommStats::new(net.len());
-            let mut rng = rng_from_seed(seed);
-            let mut epoch = 0u64;
-            let mut run = |plan: &mut EpochPlan, lossy: bool| {
-                let proto = ScalarProtocol::new(Sum::default(), &values);
-                let mut set = QuerySet::new();
-                set.register(&proto);
-                if lossy {
-                    let model = Global::new(0.1);
-                    plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
-                } else {
-                    plan.run_set(&set, &net, &NoLoss, config, epoch, &mut stats, &mut rng);
-                }
-                epoch += 1;
-            };
-            run(&mut plan, false);
-            run(&mut plan, false);
-            let warm = fill(&plan);
-            assert!(warm.1 > 0, "nothing recycled: {warm:?}");
-            assert_eq!(
-                warm.0 > 0,
-                !tag,
-                "sketches exist exactly where a delta does"
-            );
-            // One envelope per sender, so one part of each kind per
-            // node (plus the base station's) is all an epoch can need.
-            let bound = net.len() + 1;
-            assert!(
-                warm.0 <= bound && warm.1 <= bound,
-                "pools above the per-epoch envelope population: {warm:?}"
-            );
-            let mut lossy = Vec::new();
-            for _ in 0..200 {
-                run(&mut plan, true);
-                lossy.push(fill(&plan));
-            }
-            assert_eq!(
-                lossy[49], warm,
-                "pools moved by epoch 50 (tag {tag}, seed {seed})"
-            );
-            assert_eq!(
-                lossy[199], warm,
-                "pools moved by epoch 200 (tag {tag}, seed {seed})"
-            );
         }
     }
 
@@ -2294,11 +2035,11 @@ mod tests {
         }
     }
 
-    /// A broadcast is parked once and fused by reference: on an all-M
-    /// labeling the only message clones of an epoch are the base
-    /// station's adoptions (it has no local message to fuse into), one
-    /// per query — on either executor, however many neighbours hear
-    /// each broadcast.
+    /// A broadcast stays in its sender's slot and is fused by
+    /// reference: on an all-M labeling the only message clones of an
+    /// epoch are the base station's adoptions (it has no local message
+    /// to fuse into), one per query — on one thread or two, however many
+    /// neighbours hear each broadcast.
     #[test]
     fn broadcasts_are_never_copied_per_receiver() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -2349,6 +2090,136 @@ mod tests {
                         "{cloned} clones in epoch {epoch} at {workers} workers, range {radio_range}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A two-party meeting point with a timeout: each party announces
+    /// itself and waits until the other has, or until ten seconds have
+    /// passed (so a runner that ran both parties on one thread fails an
+    /// assertion instead of hanging).
+    #[derive(Default)]
+    struct Meeting {
+        arrived: std::sync::Mutex<usize>,
+        all_here: std::sync::Condvar,
+    }
+
+    impl Meeting {
+        fn meet(&self) {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all_here.notify_all();
+            let _ = self
+                .all_here
+                .wait_timeout_while(arrived, std::time::Duration::from_secs(10), |n| *n < 2)
+                .unwrap();
+        }
+    }
+
+    /// A protocol that records which thread ran its column: every
+    /// sensor's `local_mp` call notes `thread::current().id()`, and the
+    /// call for node `meet_at` waits at `meeting` for the other query's
+    /// column.
+    struct ThreadTagged {
+        seen: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        meeting: Option<std::sync::Arc<Meeting>>,
+        meet_at: NodeId,
+    }
+
+    impl Protocol for ThreadTagged {
+        type TreeMsg = u64;
+        type MpMsg = u64;
+        type Output = u64;
+
+        fn local_tree(&self, node: NodeId) -> Option<u64> {
+            (!node.is_base()).then_some(1)
+        }
+
+        fn merge_tree(&self, into: &mut u64, from: &u64) {
+            *into += from;
+        }
+
+        fn local_mp(&self, node: NodeId) -> Option<u64> {
+            // The base station's local message is taken when the column
+            // is evaluated, on the calling thread; every sensor's, by
+            // whichever thread runs the column.
+            if !node.is_base() {
+                let id = std::thread::current().id();
+                let mut seen = self.seen.lock().unwrap();
+                if !seen.contains(&id) {
+                    seen.push(id);
+                }
+            }
+            if let Some(meeting) = self.meeting.as_ref().filter(|_| node == self.meet_at) {
+                meeting.meet();
+            }
+            (!node.is_base()).then_some(1)
+        }
+
+        fn fuse(&self, into: &mut u64, from: &u64) {
+            *into = (*into).max(*from);
+        }
+
+        fn convert(&self, _root: NodeId, msg: &u64) -> u64 {
+            *msg
+        }
+
+        fn tree_wire(&self, _msg: &u64) -> td_netsim::message::WireSize {
+            td_netsim::message::WireSize::from_words(1)
+        }
+
+        fn mp_wire(&self, _msg: &u64) -> td_netsim::message::WireSize {
+            td_netsim::message::WireSize::from_words(1)
+        }
+
+        fn evaluate(&self, tree_parts: &[u64], mp: Option<&u64>, _base_height: u32) -> u64 {
+            mp.copied().unwrap_or_else(|| tree_parts.iter().sum())
+        }
+    }
+
+    /// The unit of the fan-out is a query column: at two workers the two
+    /// columns of a two-query set run at the same time on two threads —
+    /// each waits inside its first `local_mp` until the other has
+    /// arrived — and a one-query set never leaves the calling thread.
+    #[test]
+    fn columns_run_on_a_second_thread_only_with_two_queries() {
+        let (net, td) = topo(146, 150, 0);
+        let td = TdTopology::all_multipath(td.rings().clone(), td.tree().clone());
+        let config = RunnerConfig {
+            workers: 2,
+            parallel_min_nodes: 0,
+            ..RunnerConfig::default()
+        };
+        let mut plan = EpochPlan::compile_td(&td);
+        let first = plan.sched.steps[0].node;
+        let me = std::thread::current().id();
+        for queries in [1, 2] {
+            let meeting = (queries == 2).then(|| std::sync::Arc::new(Meeting::default()));
+            let protos: Vec<ThreadTagged> = (0..queries)
+                .map(|_| ThreadTagged {
+                    seen: std::sync::Mutex::new(Vec::new()),
+                    meeting: meeting.clone(),
+                    meet_at: first,
+                })
+                .collect();
+            let mut set = QuerySet::new();
+            for proto in &protos {
+                set.register(proto);
+            }
+            let mut stats = CommStats::new(net.len());
+            let mut rng = rng_from_seed(147);
+            plan.run_set(&set, &net, &NoLoss, config, 0, &mut stats, &mut rng);
+            let threads: Vec<Vec<std::thread::ThreadId>> = protos
+                .iter()
+                .map(|p| p.seen.lock().unwrap().clone())
+                .collect();
+            if queries == 1 {
+                assert_eq!(threads, [vec![me]], "one query left the calling thread");
+            } else {
+                assert!(
+                    threads.iter().all(|t| t.len() == 1) && threads[0] != threads[1],
+                    "two columns did not run on two threads: {threads:?}"
+                );
             }
         }
     }
@@ -2631,5 +2502,138 @@ mod tests {
             stats.total_bytes(),
             count_bytes + sum_bytes + avg_bytes
         );
+    }
+
+    /// One epoch's comparable record of the stale-slot check: the Sum
+    /// answer's bits, the frequent-items answer, and the shared
+    /// instrumentation.
+    type SlotRecord = (u64, String, usize, u64);
+
+    fn slot_record(out: &SetEpochOutput) -> SlotRecord {
+        let freq = out.outputs[1]
+            .downcast_ref::<crate::protocol::FreqOutput>()
+            .expect("query 1 is frequent items");
+        (
+            out.outputs[0].downcast_ref::<f64>().unwrap().to_bits(),
+            format!("{freq:?}"),
+            out.contributing,
+            out.contributing_est.to_bits(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Columns reuse their slot storage from epoch to epoch, so
+        /// nothing a slot held one epoch may leak into the next: one
+        /// long-lived plan — patched between epochs, on two workers —
+        /// answers 20 epochs exactly as a fresh compile does every
+        /// epoch, while frequent-items bags empty and refill (local
+        /// messages flip between `Some` and `None`), `Global(0.3)` loss
+        /// drops tree children and broadcasts, and on a TD plan a
+        /// relabel turns a slot from T to M and back.
+        #[test]
+        fn long_lived_columns_match_a_fresh_compile_every_epoch(
+            seed in 0u64..1_000,
+            tag in 0u8..2,
+        ) {
+            use crate::protocol::FreqProtocol;
+            use td_frequent::items::ItemBag;
+            use td_frequent::multipath::MultipathConfig;
+            use td_quantiles::gradient::MinTotalLoad;
+            use td_sketches::counter::ExactFactory;
+
+            let tag = tag == 1;
+            let (net, mut td) = topo(160 + seed, 120, 2);
+            let model = Global::new(0.3);
+            let long_config = RunnerConfig {
+                workers: 2,
+                parallel_min_nodes: 0,
+                ..RunnerConfig::default()
+            };
+            let mut plan = if tag {
+                EpochPlan::compile_tag(td.tree())
+            } else {
+                EpochPlan::compile_td(&td)
+            };
+            let (mut long_stats, mut fresh_stats) =
+                (CommStats::new(net.len()), CommStats::new(net.len()));
+            let (mut long_rng, mut fresh_rng) =
+                (rng_from_seed(seed), rng_from_seed(seed));
+            let mut switched: Option<NodeId> = None;
+            let mut round_trips = 0;
+            for epoch in 0..20u64 {
+                if !tag && epoch > 0 {
+                    match switched.take() {
+                        None => {
+                            let u = td.switchable_t_nodes()[0];
+                            td.switch_to_m(u).unwrap();
+                            switched = Some(u);
+                        }
+                        Some(u) => {
+                            td.switch_to_t(u).unwrap();
+                            round_trips += 1;
+                        }
+                    }
+                    proptest::prop_assert!(plan.patch(&td, td.len()).is_some());
+                }
+                let values: Vec<u64> =
+                    (0..net.len() as u64).map(|i| 1 + (i * (epoch + 3)) % 50).collect();
+                let bags: Vec<ItemBag> = (0..net.len() as u64)
+                    .map(|i| {
+                        if (i + epoch).is_multiple_of(3) {
+                            ItemBag::new()
+                        } else {
+                            ItemBag::from_counts([(i % 4, 1 + epoch % 3), (7, 2)])
+                        }
+                    })
+                    .collect();
+                let sum = ScalarProtocol::new(Sum::default(), &values);
+                let freq = FreqProtocol::new(
+                    MultipathConfig::new(0.01, 1.5, 1 << 20, ExactFactory),
+                    MinTotalLoad::new(0.01, 2.25),
+                    0.2,
+                    &bags,
+                );
+                let mut set = QuerySet::new();
+                set.register(&sum);
+                set.register(&freq);
+                let long = plan.run_set(
+                    &set,
+                    &net,
+                    &model,
+                    long_config,
+                    epoch,
+                    &mut long_stats,
+                    &mut long_rng,
+                );
+                let fresh = if tag {
+                    run_tag_epoch_set(
+                        &set,
+                        td.tree(),
+                        &net,
+                        &model,
+                        RunnerConfig::default(),
+                        epoch,
+                        &mut fresh_stats,
+                        &mut fresh_rng,
+                    )
+                } else {
+                    run_td_epoch_set(
+                        &set,
+                        &td,
+                        &net,
+                        &model,
+                        RunnerConfig::default(),
+                        epoch,
+                        &mut fresh_stats,
+                        &mut fresh_rng,
+                    )
+                };
+                proptest::prop_assert_eq!(slot_record(&long), slot_record(&fresh), "epoch {}", epoch);
+            }
+            proptest::prop_assert_eq!(&long_stats, &fresh_stats);
+            proptest::prop_assert!(tag || round_trips >= 9, "only {} T→M→T round trips", round_trips);
+        }
     }
 }

@@ -237,28 +237,28 @@ impl SessionBuilder {
         self
     }
 
-    /// How many chunks the epoch runner's level loop cuts each schedule
-    /// level into.
+    /// How many threads an epoch may use.
     ///
-    /// A level's senders are split into deterministic id-order chunks,
-    /// one per worker (the calling thread plus `workers - 1` scoped
-    /// threads), with a barrier per level; loss outcomes are drawn on
-    /// the calling thread and every step's stats and inbox writes merge
-    /// back in step order, so **every value produces bit-identical
-    /// results** — this knob trades wall-clock only. `0` (the default)
-    /// is one chunk per available core; `1` = one chunk, no threads:
-    /// sequential execution is the same loop with nothing to fan out.
-    /// Networks smaller than
-    /// [`parallel_min_nodes`](Self::parallel_min_nodes) run one chunk
-    /// regardless.
+    /// The unit of work is a **query column**: each registered query
+    /// runs the whole epoch over its own typed column as one job (the
+    /// shared envelope instrumentation is one more), so an epoch runs on
+    /// `k = min(workers, queries)` threads — the calling thread plus
+    /// `k - 1` scoped ones, spawned once per epoch — and a one-query set
+    /// never spawns a thread. Loss outcomes are drawn on the calling
+    /// thread before any column runs and every column writes only its
+    /// own storage, so **every value produces bit-identical results** —
+    /// this knob trades wall-clock only. `0` (the default) is one thread
+    /// per available core; `1` = sequential. Networks smaller than
+    /// [`parallel_min_nodes`](Self::parallel_min_nodes) run on the
+    /// calling thread regardless.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.runner.workers = workers;
         self
     }
 
-    /// Node-count floor below which every level runs as one chunk, no
-    /// threads, even with `workers > 1` (default 512 — below that the
-    /// per-level fan-out costs more than it saves, and the result is
+    /// Node-count floor below which an epoch runs its query columns on
+    /// the calling thread, even with `workers > 1` (default 512 — below
+    /// that spawning costs more than it saves, and the result is
     /// identical anyway).
     pub fn parallel_min_nodes(mut self, min_nodes: usize) -> Self {
         self.config.runner.parallel_min_nodes = min_nodes;
@@ -297,7 +297,7 @@ pub struct Session {
     sensors: usize,
     /// The compiled epoch plan, reused across epochs. Steady-state
     /// epochs run schedule-recomputation-free and reuse the plan's
-    /// inbox/bundle arenas; when adaptation relabels the topology the
+    /// draw/column arenas; when adaptation relabels the topology the
     /// plan is **patched in place** from the topology's delta log
     /// (arenas untouched), recompiling only when the log no longer
     /// covers the gap.
@@ -467,10 +467,11 @@ impl Session {
     }
 
     /// Override the intra-epoch worker count mid-flight (see
-    /// [`SessionBuilder::workers`]; results are bit-identical on any
-    /// value, so this is always safe). The service layer uses it to pin
-    /// tenants serial — tenant-level parallelism already fills the
-    /// cores there.
+    /// [`SessionBuilder::workers`]: the unit is a query column, so an
+    /// epoch uses `min(workers, queries)` threads; results are
+    /// bit-identical on any value, so this is always safe). The service
+    /// layer uses it to pin tenants serial — tenant-level parallelism
+    /// already fills the cores there.
     pub fn set_workers(&mut self, workers: usize) {
         self.config.runner.workers = workers;
     }

@@ -5,7 +5,7 @@
 //! number of windows over its answers. All windows of one query share
 //! **one pane series**: the session registers the underlying protocol
 //! once per epoch on the shared [`QuerySet`], so a query with five
-//! windows still costs one bundle slot in the single per-epoch topology
+//! windows still costs one query column in the single per-epoch topology
 //! traversal — windows are free-riders on panes, panes are free-riders
 //! on the traversal.
 //!

@@ -378,7 +378,7 @@ impl StreamSession {
     }
 
     /// Deregister a stream query by its index ([`WindowHandle::query`]).
-    /// The query stops costing a bundle slot from the next epoch on and
+    /// The query stops costing a query column from the next epoch on and
     /// its windows stop emitting; its tombstone keeps every other
     /// query's index (and issued handles) valid. Irreversible.
     pub fn deregister(&mut self, query: usize) -> Result<(), DeregisterError> {

@@ -420,7 +420,7 @@ impl PaneAlgebra for FreqPane {
 }
 
 /// A quantile pane: one epoch's merged quantile summary, as produced by
-/// a `QuantileProtocol` riding a bundle slot. Merging combines the
+/// a `QuantileProtocol` riding the query set. Merging combines the
 /// summaries (populations union, uncertainties add) — the same law the
 /// tree protocol uses, lifted across epochs.
 ///

@@ -1,11 +1,13 @@
 //! Epoch-lifecycle phase profiling.
 //!
 //! The epoch runner's time goes to seven places: plan **compile**,
-//! incremental **patch**, **precompute-randomness** (each level's loss
-//! draws, taken on the calling thread in step order before the level
-//! runs, which is what makes any chunk count bit-identical),
-//! **per-level execute**, **merge** (base-station fold), the stream
-//! layer's **window fold**, and the service layer's **outbox drain**.
+//! incremental **patch**, **precompute-randomness** (the epoch's loss
+//! draws, taken on the calling thread in step order before any query
+//! column runs, which is what makes any thread count bit-identical,
+//! and the delivery lists derived from them), **per-level execute**
+//! (the query and envelope columns), **merge** (send accounting and the
+//! base-station fold), the stream layer's **window fold**, and the
+//! service layer's **outbox drain**.
 //! Each hook wraps its phase in a [`stopwatch`]/[`record`] pair; the
 //! samples land in per-phase histograms (`phase.*_ns`) in the
 //! process-global registry, from which the benchmark reads per-phase
@@ -22,11 +24,13 @@ pub enum Phase {
     Compile,
     /// Incremental plan patch after topology churn.
     Patch,
-    /// Pre-draw of one level's loss outcomes, on every run.
+    /// Pre-draw of the epoch's loss outcomes and its delivery lists,
+    /// on every run.
     Randomness,
-    /// Executing one level's sends (one chunk or many).
+    /// Running the epoch's query and envelope columns over every level
+    /// (on one thread or several).
     LevelExecute,
-    /// Base-station fold and final evaluation.
+    /// Send accounting, base-station fold and final evaluation.
     Merge,
     /// Stream-layer pane absorption and window re-fold.
     WindowFold,
