@@ -16,8 +16,32 @@
 //!
 //! Typical encoded sizes are 25–40 bytes for the paper's configuration
 //! (asserted in tests), and the encoding round-trips exactly.
+//!
+//! # Sizing without encoding
+//!
+//! The simulator prices every multi-path send by its encoded length,
+//! so [`encoded_size_bytes`] computes that length without building the
+//! code. A bitmap's code length splits into a *head*, the gamma code of
+//! its `z` delta, which depends only on `z − median`, and a *tail*, the
+//! count and the offsets of the set bits above `z`, which depend only on
+//! those bits. Two tables built at compile time by a `const fn` from the
+//! gamma length formula hold both: the head for every `z − median`
+//! (65 entries), the tail for every pattern of the 8 bits just above `z`
+//! (256 entries). One pass over the bitmaps adds up the tails and
+//! counts each `z`; the median and the heads then come from those
+//! counts. A bitmap with a set bit more than 8 places above its `z`
+//! (rare: FM bitmaps thin out fast above `z`) has its tail walked gap by
+//! gap instead. [`encode`] stays the definition of the format, and the
+//! tests hold the size to `encode(..).len()` as its oracle.
 
 use crate::fm::{FmSketch, BITMAP_BITS};
+
+/// Width of the header that carries the median `z`. It has room for
+/// 32, but the median is clamped to 31 (see [`header_median`]).
+const HEADER_BITS: u32 = 6;
+
+/// Slots of a `z` histogram: a lowest-unset position runs `0..=32`.
+const Z_SLOTS: usize = BITMAP_BITS as usize + 1;
 
 /// A growable bit buffer written MSB-first within each byte.
 #[derive(Clone, Debug, Default)]
@@ -36,6 +60,23 @@ impl BitWriter {
             self.bytes[byte_idx] |= 0x80 >> (self.used_bits % 8);
         }
         self.used_bits += 1;
+    }
+
+    fn bits(&mut self, value: u32, width: u32) {
+        for i in (0..width).rev() {
+            self.write_bit((value >> i) & 1 == 1);
+        }
+    }
+
+    /// Elias-gamma code for `value >= 1`: (N-1) zeros, then the N-bit
+    /// value.
+    fn gamma(&mut self, value: u32) {
+        debug_assert!(value >= 1);
+        let n = 32 - value.leading_zeros();
+        for _ in 0..n - 1 {
+            self.write_bit(false);
+        }
+        self.bits(value, n);
     }
 
     fn finish(self) -> Vec<u8> {
@@ -73,11 +114,13 @@ impl<'a> BitReader<'a> {
         Some(v)
     }
 
+    /// A gamma-coded value that fits a `u32`: 32 or more leading zeros
+    /// cannot be one (a valid code here never needs more than 6).
     fn read_gamma(&mut self) -> Option<u32> {
         let mut zeros = 0;
         while !self.read_bit()? {
             zeros += 1;
-            if zeros > 32 {
+            if zeros >= 32 {
                 return None;
             }
         }
@@ -90,7 +133,7 @@ impl<'a> BitReader<'a> {
 }
 
 /// Zig-zag map signed deltas to unsigned: 0, -1, 1, -2, 2 → 0, 1, 2, 3, 4.
-fn zigzag(v: i32) -> u32 {
+const fn zigzag(v: i32) -> u32 {
     ((v << 1) ^ (v >> 31)) as u32
 }
 
@@ -98,87 +141,50 @@ fn unzigzag(v: u32) -> i32 {
     ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
 
-/// Where [`emit`] sends the code's fields: [`BitWriter`] materialises
-/// the bytes, [`BitCounter`] only adds up their widths.
-trait BitSink {
-    fn bits(&mut self, value: u32, width: u32);
-    /// Elias-gamma code for `value >= 1`: (N-1) zeros, then the N-bit
-    /// value.
-    fn gamma(&mut self, value: u32);
+/// Length in bits of the Elias-gamma code of `value >= 1`.
+const fn gamma_bits(value: u32) -> u32 {
+    2 * (32 - value.leading_zeros()) - 1
 }
 
-impl BitSink for BitWriter {
-    fn bits(&mut self, value: u32, width: u32) {
-        for i in (0..width).rev() {
-            self.write_bit((value >> i) & 1 == 1);
-        }
-    }
-
-    fn gamma(&mut self, value: u32) {
-        debug_assert!(value >= 1);
-        let n = 32 - value.leading_zeros();
-        for _ in 0..n - 1 {
-            self.write_bit(false);
-        }
-        self.bits(value, n);
-    }
-}
-
-/// The length of the code in bits, without the code.
-struct BitCounter(usize);
-
-impl BitSink for BitCounter {
-    fn bits(&mut self, _value: u32, width: u32) {
-        self.0 += width as usize;
-    }
-
-    fn gamma(&mut self, value: u32) {
-        debug_assert!(value >= 1);
-        self.0 += 2 * (32 - value.leading_zeros()) as usize - 1;
-    }
-}
-
-/// Walk a sketch's wire form field by field into `sink`. Allocation-free:
-/// the median `z` comes from a histogram over the 33 possible positions
-/// and the bits above `z` are peeled off the bitmap one gap at a time.
-fn emit(bitmaps: &[u32], sink: &mut impl BitSink) {
-    let mut histogram = [0usize; BITMAP_BITS as usize + 1];
-    for &bm in bitmaps {
-        histogram[FmSketch::lowest_unset(bm) as usize] += 1;
-    }
-    // The upper median: the z of rank `len / 2` in sorted order.
-    let mut rank = bitmaps.len() / 2;
-    let mut median = 0u32;
-    for (z, &count) in histogram.iter().enumerate() {
+/// The median `z` the header carries: the upper median (the `z` of rank
+/// `len / 2` in sorted order) of `len` bitmaps given as `(z, count)`
+/// pairs in increasing `z`, clamped to 31.
+fn header_median(counts: impl Iterator<Item = (usize, usize)>, len: usize) -> u32 {
+    let mut rank = len / 2;
+    for (z, count) in counts {
         if rank < count {
-            median = z as u32;
-            break;
+            return (z as u32).min(BITMAP_BITS - 1);
         }
         rank -= count;
     }
-    let median = median.min(BITMAP_BITS - 1);
-    sink.bits(median, 6); // z can be 32 when a bitmap saturates
-    for &bm in bitmaps {
-        let z = FmSketch::lowest_unset(bm);
-        sink.gamma(zigzag(z as i32 - median as i32) + 1);
-        // Set bits strictly above z, shifted down so that position
-        // z + 1 is bit 0 (none exist from z = 31 up).
-        let mut above = bm.checked_shr(z + 1).unwrap_or(0);
-        sink.gamma(above.count_ones() + 1);
-        while above != 0 {
-            // Distance from the previous set bit (or from z); at most
-            // 31, since `above` is at most 31 bits wide.
-            let gap = above.trailing_zeros() + 1;
-            sink.gamma(gap);
-            above >>= gap;
-        }
-    }
+    0
 }
 
 /// Encode a sketch into its compact wire form.
 pub fn encode(sketch: &FmSketch) -> Vec<u8> {
+    let bitmaps = sketch.bitmaps();
+    let mut histogram = [0usize; Z_SLOTS];
+    for &bm in bitmaps {
+        histogram[FmSketch::lowest_unset(bm) as usize] += 1;
+    }
+    let median = header_median(histogram.into_iter().enumerate(), bitmaps.len());
     let mut w = BitWriter::default();
-    emit(sketch.bitmaps(), &mut w);
+    w.bits(median, HEADER_BITS); // z can be 32 when a bitmap saturates
+    for &bm in bitmaps {
+        let z = FmSketch::lowest_unset(bm);
+        w.gamma(zigzag(z as i32 - median as i32) + 1);
+        // Set bits strictly above z, shifted down so that position
+        // z + 1 is bit 0 (none exist from z = 31 up).
+        let mut above = bm.checked_shr(z + 1).unwrap_or(0);
+        w.gamma(above.count_ones() + 1);
+        while above != 0 {
+            // Distance from the previous set bit (or from z); at most
+            // 31, since `above` is at most 31 bits wide.
+            let gap = above.trailing_zeros() + 1;
+            w.gamma(gap);
+            above >>= gap;
+        }
+    }
     w.finish()
 }
 
@@ -189,18 +195,21 @@ pub fn decode(bytes: &[u8], num_bitmaps: usize) -> Option<FmSketch> {
         return None; // no sketch has zero bitmaps
     }
     let mut r = BitReader::new(bytes);
-    let median = r.read_bits(6)?;
-    let mut bitmaps = Vec::with_capacity(num_bitmaps);
+    let median = r.read_bits(HEADER_BITS)?;
+    // Each bitmap costs at least two bits (two one-bit gamma codes), so
+    // the input bounds how many there can be, whatever the caller asks.
+    let room = bytes.len().saturating_mul(8) / 2;
+    let mut bitmaps = Vec::with_capacity(num_bitmaps.min(room));
     for _ in 0..num_bitmaps {
         let dz = unzigzag(r.read_gamma()? - 1);
-        let z = (median as i32 + dz).clamp(0, 32) as u32;
+        let z = (median as i32).checked_add(dz)?.clamp(0, 32) as u32;
         // Bits below z are all ones.
         let mut bm: u32 = if z >= 32 { u32::MAX } else { (1u32 << z) - 1 };
         let above_count = r.read_gamma()? - 1;
         let mut prev = z;
         for _ in 0..above_count {
             let gap = r.read_gamma()?;
-            let j = prev + gap;
+            let j = prev.checked_add(gap)?;
             if j >= 32 {
                 return None;
             }
@@ -212,6 +221,73 @@ pub fn decode(bytes: &[u8], num_bitmaps: usize) -> Option<FmSketch> {
     Some(FmSketch::from_bitmaps(bitmaps))
 }
 
+/// Bits of the head code, indexed by `z − median + 32`: the gamma code
+/// of the zig-zagged delta plus one. With `z` in `0..=32` and the median
+/// in `0..=31` the index stays in `1..=64`.
+static HEAD_BITS: [u8; 65] = head_table();
+
+/// Set-bit patterns above `z` that [`TAIL_BITS`] covers: the 8 bits
+/// just above `z`.
+const TAIL_TABLE_BITS: u32 = 8;
+
+/// Bits of the tail code, indexed by the bits above `z` (position
+/// `z + 1` is bit 0): the gamma-coded count of set bits plus one, then
+/// one gamma-coded gap per set bit.
+static TAIL_BITS: [u8; 1 << TAIL_TABLE_BITS] = tail_table();
+
+const fn head_table() -> [u8; 65] {
+    let mut table = [0; 65];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = gamma_bits(zigzag(i as i32 - 32) + 1) as u8;
+        i += 1;
+    }
+    table
+}
+
+const fn tail_table() -> [u8; 1 << TAIL_TABLE_BITS] {
+    let mut table = [0; 1 << TAIL_TABLE_BITS];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = tail_bits_walk(i as u32) as u8;
+        i += 1;
+    }
+    table
+}
+
+/// Tail length walked gap by gap, as [`encode`] writes it: the tables'
+/// generator, and the sizing path for bitmaps with a set bit more than
+/// 8 places above `z`. `above` is at most 31 bits wide, so no gap
+/// shifts by 32.
+#[cold]
+#[inline(never)]
+const fn tail_bits_walk(mut above: u32) -> u32 {
+    let mut bits = gamma_bits(above.count_ones() + 1);
+    while above != 0 {
+        let gap = above.trailing_zeros() + 1;
+        bits += gamma_bits(gap);
+        above >>= gap;
+    }
+    bits
+}
+
+/// Tail bits of one bitmap whose lowest unset position is `z`.
+#[inline(always)]
+fn tail_bits(bm: u32, z: u32) -> usize {
+    // z + 1 is at most 33: a 64-bit shift needs no overflow check.
+    let above = (u64::from(bm) >> (z + 1)) as u32;
+    if above < 1 << TAIL_TABLE_BITS {
+        usize::from(TAIL_BITS[above as usize])
+    } else {
+        tail_bits_walk(above) as usize
+    }
+}
+
+/// Independent `z` histograms the sizing pass alternates between, so
+/// that a run of equal `z`s does not chain its increments through one
+/// memory slot. Their counts are `usize`, so no width can overflow them.
+const LANES: usize = 2;
+
 /// Encoded size in bytes — what the simulator charges to the radio.
 /// Exactly `encode(sketch).len()`, computed without building the bytes:
 /// the runner prices every multi-path send with it.
@@ -222,9 +298,33 @@ pub fn encoded_size_bytes(sketch: &FmSketch) -> usize {
 /// [`encoded_size_bytes`] of raw bitmaps (the inline-stored
 /// [`FmCounter`](crate::counter::FmCounter) has no `FmSketch` to lend).
 pub(crate) fn bitmaps_size_bytes(bitmaps: &[u32]) -> usize {
-    let mut bits = BitCounter(0);
-    emit(bitmaps, &mut bits);
-    bits.0.div_ceil(8)
+    let mut lanes = [[0usize; Z_SLOTS]; LANES];
+    // Bit z is set once some bitmap has lowest unset position z: the
+    // folds below visit only the positions that occur.
+    let mut seen = 0u64;
+    let mut bits = HEADER_BITS as usize;
+    let mut tally = |lane: &mut [usize; Z_SLOTS], bm: u32| {
+        let z = FmSketch::lowest_unset(bm);
+        lane[z as usize] += 1;
+        seen |= 1 << z;
+        bits += tail_bits(bm, z);
+    };
+    let (pairs, rest) = bitmaps.as_chunks::<LANES>();
+    for pair in pairs {
+        for (lane, &bm) in lanes.iter_mut().zip(pair) {
+            tally(lane, bm);
+        }
+    }
+    for (lane, &bm) in lanes.iter_mut().zip(rest) {
+        tally(lane, bm);
+    }
+    let count = |z: usize| lanes.iter().map(|lane| lane[z]).sum::<usize>();
+    let zs = seen.trailing_zeros() as usize..(64 - seen.leading_zeros()) as usize;
+    let median = header_median(zs.clone().map(|z| (z, count(z))), bitmaps.len()) as usize;
+    for z in zs {
+        bits += count(z) * usize::from(HEAD_BITS[z + 32 - median]);
+    }
+    bits.div_ceil(8)
 }
 
 #[cfg(test)]
@@ -350,6 +450,126 @@ mod tests {
         }
     }
 
+    #[test]
+    fn decode_rejects_a_gamma_code_of_32_leading_zeros() {
+        // Header 000000, then 32 zeros, a one and 32 ones: a gamma code
+        // whose value needs 33 bits.
+        let mut w = BitWriter::default();
+        w.bits(0, HEADER_BITS);
+        w.bits(0, 32);
+        w.bits(1, 1);
+        w.bits(u32::MAX, 32);
+        assert_eq!(w.used_bits, 71);
+        assert!(decode(&w.finish(), 1).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_overflowing_deltas_and_gaps() {
+        // A z delta of 2^31 − 1 from the median, and a gap that walks
+        // past bit 31 by u32 overflow: both are malformed, not a panic.
+        let mut w = BitWriter::default();
+        w.bits(31, HEADER_BITS);
+        w.gamma(zigzag(i32::MAX) + 1);
+        assert!(decode(&w.finish(), 1).is_none());
+        let mut w = BitWriter::default();
+        w.bits(0, HEADER_BITS);
+        w.gamma(zigzag(0) + 1);
+        w.gamma(3);
+        w.gamma(1);
+        w.gamma(u32::MAX);
+        assert!(decode(&w.finish(), 1).is_none());
+    }
+
+    #[test]
+    fn decode_does_not_trust_the_width_for_its_allocation() {
+        let s = FmSketch::from_bitmaps(vec![0b111; 3]);
+        assert!(decode(&encode(&s), usize::MAX).is_none());
+    }
+
+    /// The table-driven size against the encoder it prices.
+    mod size_oracle {
+        use super::*;
+
+        /// One bitmap of the shape `kind` picks, drawn from `seed`:
+        /// anything, saturated (z = 32), ones below z with set bits at
+        /// most 8 places above it (the table path), set bits further up
+        /// (the walked path), or empty.
+        fn bitmap(kind: u64, seed: u64) -> u32 {
+            let z = (seed >> 8) as u32 % 33;
+            let below = 1u32.checked_shl(z).map_or(u32::MAX, |b| b - 1);
+            let near = ((seed >> 16) as u32 & 0xFF).checked_shl(z + 1).unwrap_or(0);
+            let hi = (seed >> 32) as u32;
+            match kind {
+                0 => hi,
+                1 => u32::MAX,
+                2 => below | near,
+                3 => below | near | (hi | 1).checked_shl(z + 9).unwrap_or(0),
+                _ => 0,
+            }
+        }
+
+        fn sketch(kind: u64, seeds: &[u64]) -> FmSketch {
+            // Kind 5 mixes every shape in one sketch.
+            FmSketch::from_bitmaps(
+                seeds
+                    .iter()
+                    .map(|&seed| bitmap(if kind == 5 { seed % 5 } else { kind }, seed))
+                    .collect(),
+            )
+        }
+
+        proptest! {
+            #[test]
+            fn prop_size_is_the_encoded_length(
+                kind in 0u64..6,
+                seeds in proptest::collection::vec(any::<u64>(), 1..301),
+            ) {
+                let s = sketch(kind, &seeds);
+                prop_assert_eq!(encoded_size_bytes(&s), encode(&s).len(), "{:x?}", s.bitmaps());
+            }
+        }
+
+        #[test]
+        fn size_is_exact_for_wide_sketches() {
+            // Far past the widths any workload uses, with an odd width
+            // so that one bitmap falls outside the pairs of lanes.
+            let seeds: Vec<u64> = (0..100_001u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i >> 3))
+                .collect();
+            for kind in 0..6 {
+                let s = sketch(kind, &seeds);
+                assert_eq!(encoded_size_bytes(&s), encode(&s).len(), "kind {kind}");
+            }
+        }
+
+        /// Every entry of both tables is the length the encoder writes
+        /// for the field it stands for.
+        #[test]
+        fn tables_hold_the_written_gamma_lengths() {
+            for (i, &entry) in HEAD_BITS.iter().enumerate() {
+                let mut w = BitWriter::default();
+                w.gamma(zigzag(i as i32 - 32) + 1);
+                assert_eq!(
+                    usize::from(entry),
+                    w.used_bits,
+                    "head z - median = {}",
+                    i as i32 - 32
+                );
+            }
+            for (above, &entry) in TAIL_BITS.iter().enumerate() {
+                let mut w = BitWriter::default();
+                let mut rest = above as u32;
+                w.gamma(rest.count_ones() + 1);
+                while rest != 0 {
+                    let gap = rest.trailing_zeros() + 1;
+                    w.gamma(gap);
+                    rest >>= gap;
+                }
+                assert_eq!(usize::from(entry), w.used_bits, "tail {above:#010b}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_size_matches_encode_random_bitmaps(bm in proptest::collection::vec(any::<u32>(), 1..64)) {
@@ -379,6 +599,26 @@ mod tests {
             let bytes = encode(&s);
             let d = decode(&bytes, s.num_bitmaps()).unwrap();
             prop_assert_eq!(d, s);
+        }
+
+        #[test]
+        fn prop_decode_never_panics(
+            symbols in proptest::collection::vec(0u16..768, 0..64),
+            num_bitmaps in 0usize..301,
+        ) {
+            // Any byte, with runs of 0x00 and 0xFF made common: long
+            // zero runs are what a hostile gamma code is made of.
+            let bytes: Vec<u8> = symbols
+                .iter()
+                .map(|&v| match v {
+                    0..=255 => v as u8,
+                    256..=511 => 0x00,
+                    _ => 0xFF,
+                })
+                .collect();
+            if let Some(s) = decode(&bytes, num_bitmaps) {
+                prop_assert_eq!(s.num_bitmaps(), num_bitmaps);
+            }
         }
 
         #[test]

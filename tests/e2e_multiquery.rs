@@ -6,18 +6,21 @@
 
 use td_suite::aggregates::average::Average;
 use td_suite::aggregates::count::Count;
+use td_suite::aggregates::minmax::Max;
 use td_suite::aggregates::sum::Sum;
 use td_suite::core::protocol::{FreqOutput, FreqProtocol, ScalarProtocol};
 use td_suite::core::query::QuerySet;
 use td_suite::core::session::{Scheme, Session, SessionBuilder};
 use td_suite::frequent::items::ItemBag;
 use td_suite::frequent::multipath::MultipathConfig;
-use td_suite::netsim::loss::Global;
+use td_suite::netsim::churn::ChurnSchedule;
+use td_suite::netsim::loss::{GilbertElliott, Global};
 use td_suite::netsim::network::Network;
 use td_suite::netsim::node::Position;
 use td_suite::netsim::rng::rng_from_seed;
 use td_suite::quantiles::gradient::MinTotalLoad;
 use td_suite::sketches::counter::ExactFactory;
+use td_suite::workloads::synthetic::Synthetic;
 
 const SEED: u64 = 90210;
 const EPOCHS: u64 = 30;
@@ -237,3 +240,58 @@ fn sd_multiquery_matches_dedicated_sessions() {
 fn tag_multiquery_matches_dedicated_sessions() {
     check_scheme(Scheme::Tag, 4);
 }
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// The simulated bytes of the scalar multi-path synopses pinned to a
+/// constant: an adaptive TD deployment under burst loss and churn, with
+/// the adaptation overhead charged (so every envelope carries its count
+/// sketch), runs Sum, Count and Max in one bundle. Every epoch folds the
+/// epoch's byte delta, and at the end every node's sent bytes, into one
+/// FNV digest. The Sum and Count FM sketches and the envelope's count
+/// sketch are priced by `rle::encoded_size_bytes`, so a change in how
+/// that size is computed has to leave every byte where it was.
+#[test]
+fn scalar_wire_bytes_match_the_pinned_digest() {
+    let net = Synthetic::small(300).build(0x5CA_1A2);
+    let values: Vec<u64> = (0..net.len() as u64).map(|i| 20 + (i * 13) % 111).collect();
+    let burst = GilbertElliott::bursty(0.15, 4.0, 0.8, 0xB0B);
+    let churn = ChurnSchedule::new(net.len(), 0.01, 8.0, 0xC4C);
+    let mut rng = rng_from_seed(0x5CA_1A2 + 1);
+    let mut session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut bytes_before = 0;
+    for epoch in 0..60u64 {
+        session.apply_churn(&churn.events_at(epoch));
+        let sum_p = ScalarProtocol::new(Sum::default(), &values);
+        let count_p = ScalarProtocol::new(Count::default(), &values);
+        let max_p = ScalarProtocol::new(Max, &values);
+        let mut set = QuerySet::new();
+        set.register(&sum_p);
+        set.register(&count_p);
+        set.register(&max_p);
+        session.run_set(&set, &churn.overlay(&burst), epoch, &mut rng);
+        let bytes = session.stats().total_bytes();
+        fnv(&mut h, bytes - bytes_before);
+        bytes_before = bytes;
+    }
+    for u in net.node_ids() {
+        fnv(&mut h, session.stats().node(u).bytes);
+    }
+    assert!(session.stats().nodes_left() > 0, "churn never fired");
+    assert!(session.plan_stats().patches > 0, "the delta never adapted");
+    assert_eq!(
+        h, PINNED_SCALAR_WIRE_DIGEST,
+        "scalar wire byte digest moved (got {h:#018x})"
+    );
+}
+
+/// Stamped before the RLE size kernel replaced the encoder replay, from
+/// a default-features run; asserted identically under
+/// `--no-default-features`.
+const PINNED_SCALAR_WIRE_DIGEST: u64 = 0xc86b_0992_157b_7f29;
