@@ -20,8 +20,6 @@
 //! | [`sum::Sum`] | exact sum | FM sketch (value insertion) | ≈ 12% |
 //! | [`minmax::Min`] / [`minmax::Max`] | exact | exact (idempotent) | none |
 //! | [`average::Average`] | (sum, count) | (FM, FM) | ≈ 17% (ratio) |
-//! | [`sample_agg::UniformSample`] | min-hash sample | min-hash sample | sampling error |
-//! | [`sample_agg::SampledQuantile`] / [`sample_agg::SampledMoment`] | ditto | ditto | sampling error |
 //!
 //! Frequent items — the paper's difficult aggregate — has its own crate
 //! (`td-frequent`) because its partial results are summaries/synopsis
@@ -34,13 +32,11 @@ pub mod average;
 pub mod count;
 pub mod laws;
 pub mod minmax;
-pub mod sample_agg;
 pub mod sum;
 pub mod traits;
 
 pub use average::Average;
 pub use count::Count;
 pub use minmax::{Max, Min};
-pub use sample_agg::{SampledMoment, SampledQuantile, UniformSample};
 pub use sum::Sum;
 pub use traits::Aggregate;

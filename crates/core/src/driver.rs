@@ -426,10 +426,6 @@ impl<T> TrialBatch<T> {
 #[derive(Clone, Copy, Debug)]
 pub struct TrialPool {
     threads: usize,
-    /// Smallest trial count worth spawning threads for; below it the
-    /// pool runs the identical sequential loop inline — at tiny batch
-    /// sizes thread spawn/join costs more than the trials themselves.
-    min_parallel: usize,
 }
 
 impl Default for TrialPool {
@@ -451,7 +447,6 @@ impl TrialPool {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            min_parallel: 2,
         }
     }
 
@@ -461,19 +456,7 @@ impl TrialPool {
     /// Panics if `threads` is zero.
     pub fn with_threads(threads: usize) -> Self {
         assert!(threads >= 1, "a trial pool needs at least one worker");
-        TrialPool {
-            threads,
-            min_parallel: 2,
-        }
-    }
-
-    /// Override the inline-sequential threshold: batches smaller than
-    /// `min_parallel` trials skip thread spawn/join and run the
-    /// identical sequential loop on the caller (results are index-keyed
-    /// and bit-identical either way, so this only trades wall-clock).
-    pub fn with_min_parallel(mut self, min_parallel: usize) -> Self {
-        self.min_parallel = min_parallel;
-        self
+        TrialPool { threads }
     }
 
     /// The worker count.
@@ -528,8 +511,9 @@ impl TrialPool {
         if n == 0 {
             return Vec::new();
         }
+        // One worker or one trial: the identical sequential loop, inline.
         let workers = self.threads.min(n);
-        if workers <= 1 || n < self.min_parallel {
+        if workers <= 1 {
             return (0..n).map(job).collect();
         }
         let counter = AtomicUsize::new(0);

@@ -163,6 +163,7 @@ impl<T> TreeEnvelope<T> {
     }
 
     /// Merge a delivered child envelope (payloads merged by the caller).
+    #[cfg(test)]
     pub fn absorb_counts(&mut self, child: &TreeEnvelope<T>) {
         self.count += child.count;
     }

@@ -1,26 +1,13 @@
 //! Error metrics used by the evaluation (§7).
 
-/// Relative root-mean-square error over a series of answers against a
-/// constant truth: `(1/V)·√(Σ (V_t − V)² / T)` (§7.3).
+/// Relative root-mean-square error of a series of answers against a
+/// per-epoch truth series (§7.3): the RMS of `V_t − V` over the RMS of
+/// `V`. Against a constant truth this is `(1/V)·√(Σ (V_t − V)² / T)`.
 ///
 /// Returns 0 for an empty series.
 ///
 /// # Panics
-/// Panics if `actual` is 0 (the metric is undefined).
-pub fn rms_error(estimates: &[f64], actual: f64) -> f64 {
-    assert!(actual != 0.0, "RMS error undefined for a zero actual value");
-    if estimates.is_empty() {
-        return 0.0;
-    }
-    let mse = estimates
-        .iter()
-        .map(|v| (v - actual) * (v - actual))
-        .sum::<f64>()
-        / estimates.len() as f64;
-    mse.sqrt() / actual.abs()
-}
-
-/// RMS error against a per-epoch truth series.
+/// Panics if any actual value is 0 (the metric is undefined).
 pub fn rms_error_series(estimates: &[f64], actuals: &[f64]) -> f64 {
     assert_eq!(estimates.len(), actuals.len());
     if estimates.is_empty() {
@@ -29,7 +16,7 @@ pub fn rms_error_series(estimates: &[f64], actuals: &[f64]) -> f64 {
     let mut mse = 0.0;
     let mut scale = 0.0;
     for (v, a) in estimates.iter().zip(actuals) {
-        assert!(*a != 0.0);
+        assert!(*a != 0.0, "RMS error undefined for a zero actual value");
         mse += (v - a) * (v - a);
         scale += a * a;
     }
@@ -71,13 +58,13 @@ mod tests {
 
     #[test]
     fn rms_of_exact_series_is_zero() {
-        assert_eq!(rms_error(&[100.0, 100.0, 100.0], 100.0), 0.0);
+        assert_eq!(rms_error_series(&[100.0; 3], &[100.0; 3]), 0.0);
     }
 
     #[test]
     fn rms_matches_hand_computation() {
         // Errors -10 and +10 around 100: sqrt((100+100)/2)/100 = 0.1.
-        let e = rms_error(&[90.0, 110.0], 100.0);
+        let e = rms_error_series(&[90.0, 110.0], &[100.0, 100.0]);
         assert!((e - 0.1).abs() < 1e-12);
     }
 
@@ -85,7 +72,7 @@ mod tests {
     fn rms_total_loss_is_one() {
         // Estimating 0 for everything gives RMS error 1.0 — the upper
         // plateau of Figure 5(a) at p = 1.
-        assert!((rms_error(&[0.0, 0.0], 500.0) - 1.0).abs() < 1e-12);
+        assert!((rms_error_series(&[0.0, 0.0], &[500.0, 500.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -113,6 +100,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "undefined")]
     fn rms_zero_actual_panics() {
-        let _ = rms_error(&[1.0], 0.0);
+        let _ = rms_error_series(&[1.0], &[0.0]);
     }
 }

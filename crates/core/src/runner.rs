@@ -32,16 +32,15 @@
 //! assertion in the session cache).
 //!
 //! The same path absorbs **structural** deltas: a §4.1 parent switch (a
-//! churn reroute via `apply_churn`, or an in-place `maintain_td`
-//! round) preserves every vertex's depth, so the step order and
-//! receiver table survive and the patch only rewrites the moved
-//! vertices' unicast parents and re-derives heights/subtree sizes along
-//! the switch endpoints' ancestor chains (O(|delta| · depth)). The
-//! session falls back to a full [`EpochPlan::compile_td`] only when the
-//! topology's bounded delta log no longer reaches back to the plan's
-//! version — e.g. after the topology object itself was rebuilt around
-//! a wholesale `maintain_tree` round. A TAG plan has no labeling and no
-//! version: it is never patched.
+//! churn reroute via `apply_churn`) preserves every vertex's depth, so
+//! the step order and receiver table survive and the patch only
+//! rewrites the moved vertices' unicast parents and re-derives
+//! heights/subtree sizes along the switch endpoints' ancestor chains
+//! (O(|delta| · depth)). The session falls back to a full
+//! [`EpochPlan::compile_td`] only when the topology's bounded delta log
+//! no longer reaches back to the plan's version — e.g. after the
+//! topology object itself was rebuilt. A TAG plan has no labeling and
+//! no version: it is never patched.
 //!
 //! ## One epoch: draw, run the columns, account, evaluate
 //!

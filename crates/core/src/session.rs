@@ -110,9 +110,6 @@ pub struct SessionConfig {
     /// (default) or the in-band sketched estimate (protocol-faithful,
     /// noisier — the ablation benches compare both).
     pub use_exact_contrib_signal: bool,
-    /// Whether the TAG tree may pick same-level parents (§6.1.3 notes the
-    /// standard algorithm allows it; hurts the domination factor).
-    pub tag_allow_same_level: bool,
 }
 
 impl SessionConfig {
@@ -136,7 +133,6 @@ impl SessionConfig {
             },
             initial_delta_levels: 1,
             use_exact_contrib_signal: true,
-            tag_allow_same_level: false,
         }
     }
 }
@@ -228,12 +224,6 @@ impl SessionBuilder {
     /// instrumented exact contribution (protocol-faithful, noisier).
     pub fn in_band_signal(mut self) -> Self {
         self.config.use_exact_contrib_signal = false;
-        self
-    }
-
-    /// Allow same-level parents in the TAG tree (§6.1.3).
-    pub fn tag_allow_same_level(mut self, allow: bool) -> Self {
-        self.config.tag_allow_same_level = allow;
         self
     }
 
@@ -344,13 +334,7 @@ impl Session {
     pub fn new<R: rand::Rng + ?Sized>(config: SessionConfig, net: &Network, rng: &mut R) -> Self {
         let kind = match config.scheme {
             Scheme::Tag => SessionKind::Tag {
-                tree: build_tag_tree(
-                    net,
-                    ParentSelection::Random,
-                    None,
-                    config.tag_allow_same_level,
-                    rng,
-                ),
+                tree: build_tag_tree(net, ParentSelection::Random, None, false, rng),
             },
             Scheme::Sd => {
                 let rings = Rings::build(net);
@@ -787,7 +771,6 @@ mod tests {
             .tree_retransmit(2)
             .initial_delta_levels(3)
             .in_band_signal()
-            .tag_allow_same_level(true)
             .workers(4)
             .parallel_min_nodes(64);
         let cfg = b.config();
@@ -796,7 +779,6 @@ mod tests {
         assert_eq!(cfg.runner.tree_retransmit.retries, 2);
         assert_eq!(cfg.initial_delta_levels, 3);
         assert!(!cfg.use_exact_contrib_signal);
-        assert!(cfg.tag_allow_same_level);
         assert_eq!(cfg.runner.workers, 4);
         assert_eq!(cfg.runner.parallel_min_nodes, 64);
 

@@ -15,7 +15,7 @@ pub type Item = u64;
 /// ```
 /// use td_frequent::items::ItemBag;
 ///
-/// let mut bag = ItemBag::from_stream([3, 3, 9]);
+/// let mut bag = ItemBag::from_counts([(3, 2), (9, 1)]);
 /// bag.add(3, 2);
 /// assert_eq!(bag.count(3), 4);
 /// assert_eq!(bag.total(), 5);
@@ -32,6 +32,7 @@ impl ItemBag {
     }
 
     /// Build from a stream of items.
+    #[cfg(test)]
     pub fn from_stream(items: impl IntoIterator<Item = Item>) -> Self {
         let mut bag = ItemBag::new();
         for i in items {

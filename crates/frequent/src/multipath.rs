@@ -238,12 +238,6 @@ impl<C: DiCounter> SynopsisSet<C> {
         self.syns.is_empty()
     }
 
-    /// Total synopses held (before compaction there may be several per
-    /// class).
-    pub fn num_synopses(&self) -> usize {
-        self.syns.len()
-    }
-
     /// Whether the set holds at most one synopsis per class.
     pub fn is_compact(&self) -> bool {
         self.syns.windows(2).all(|w| w[0].class != w[1].class)

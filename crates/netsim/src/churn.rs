@@ -31,7 +31,7 @@
 //!
 //! let schedule = ChurnSchedule::new(50, 0.05, 10.0, 42);
 //! // Deterministic per (node, epoch); the deployment starts complete.
-//! assert!(schedule.absent_at(0).is_empty());
+//! assert!(schedule.events_at(0).absent.is_empty());
 //! let events = schedule.events_at(30);
 //! assert_eq!(events.epoch, 30);
 //! // The channel overlay silences absent nodes.
@@ -104,11 +104,6 @@ impl ChurnSchedule {
         ChurnSchedule::new(num_nodes, 0.0, 1.0, 0)
     }
 
-    /// Whether any node can ever leave.
-    pub fn is_enabled(&self) -> bool {
-        self.chain.rates().0 > 0.0
-    }
-
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
         self.num_nodes
@@ -119,11 +114,6 @@ impl ChurnSchedule {
         self.num_nodes == 0
     }
 
-    /// The long-run fraction of each sensor's time spent absent.
-    pub fn stationary_absence(&self) -> f64 {
-        self.chain.stationary_p1()
-    }
-
     /// Whether `node` is absent at `epoch` (the base station never is).
     pub fn is_absent(&self, node: NodeId, epoch: u64) -> bool {
         node != BASE_STATION
@@ -132,6 +122,7 @@ impl ChurnSchedule {
     }
 
     /// Every absent node at `epoch`, in id order.
+    #[cfg(test)]
     pub fn absent_at(&self, epoch: u64) -> Vec<NodeId> {
         (1..self.num_nodes as u32)
             .map(NodeId)
@@ -247,8 +238,9 @@ mod tests {
     #[test]
     fn stationary_absence_matches_occupancy() {
         let s = ChurnSchedule::new(80, 0.05, 5.0, 21);
-        let pi = s.stationary_absence();
-        assert!((pi - 0.2).abs() < 1e-12);
+        // The up/down chain's stationary absence:
+        // leave / (leave + 1/downtime) = 0.05 / (0.05 + 0.2).
+        let pi = 0.2;
         let mut down = 0usize;
         let mut total = 0usize;
         // Skip the all-up transient at the start.
@@ -263,7 +255,6 @@ mod tests {
     #[test]
     fn disabled_schedule_never_fires() {
         let s = ChurnSchedule::disabled(40);
-        assert!(!s.is_enabled());
         for epoch in 0..100 {
             assert!(s.absent_at(epoch).is_empty());
             assert!(s.events_at(epoch).is_empty());
@@ -283,7 +274,7 @@ mod tests {
         let present = (1..500).find(|&e| !s.is_absent(NodeId(2), e)).unwrap();
         assert_eq!(m.loss_rate(NodeId(2), NodeId(0), &net, present), 0.0);
         // Composition with DeadNodes: both failure sources apply.
-        let dead = DeadNodes::new(&[NodeId(2)], 3, s.overlay(NoLoss));
+        let dead = DeadNodes::new(&[NodeId(2)], s.overlay(NoLoss));
         assert_eq!(dead.loss_rate(NodeId(2), NodeId(0), &net, present), 1.0);
         assert_eq!(dead.loss_rate(NodeId(1), NodeId(0), &net, epoch), 1.0);
     }

@@ -67,26 +67,6 @@ impl LatencyModel {
     pub fn epoch_latency_ms(&self, levels: u16) -> f64 {
         self.slot_ms() * levels as f64
     }
-
-    /// The §7.4.3 comparison: two retransmissions of one message versus a
-    /// single transmission of a payload three times as long. Returns the
-    /// ratio `retransmit_latency / long_message_latency` (> 1: the paper's
-    /// footnote 6 argues retransmission is the slower option).
-    pub fn retransmit_vs_long_message_ratio(&self) -> f64 {
-        let retransmit = LatencyModel {
-            messages_per_slot: 1,
-            retransmissions: 2,
-            timing: self.timing,
-        }
-        .slot_ms();
-        let long = LatencyModel {
-            messages_per_slot: 3,
-            retransmissions: 0,
-            timing: self.timing,
-        }
-        .slot_ms();
-        retransmit / long
-    }
 }
 
 #[cfg(test)]
@@ -127,10 +107,19 @@ mod tests {
         // "two retransmissions would incur more latency than a single
         // transmission of a 3 times longer message" (§7.4.3, footnote 6).
         let m = LatencyModel::simple();
+        let retransmit = LatencyModel {
+            retransmissions: 2,
+            ..m
+        };
+        let long = LatencyModel {
+            messages_per_slot: 3,
+            ..m
+        };
         assert!(
-            m.retransmit_vs_long_message_ratio() > 1.0,
-            "ratio {}",
-            m.retransmit_vs_long_message_ratio()
+            retransmit.slot_ms() > long.slot_ms(),
+            "{} ms vs {} ms",
+            retransmit.slot_ms(),
+            long.slot_ms()
         );
     }
 }

@@ -25,7 +25,7 @@
 //!   and retransmission policy ([`loss::Retransmit`]).
 //! * **Message and energy accounting** ([`message`], [`stats`]): TinyDB's
 //!   48-byte message payloads, quantization of partial results into whole
-//!   messages, and per-node transmission/byte/energy counters — the "Energy
+//!   messages, and per-node transmission/byte counters — the "Energy
 //!   Components" of the paper's Table 1.
 //! * **Determinism** ([`rng`]): every random choice flows from a caller-
 //!   provided 64-bit seed through named substreams, so simulations replay

@@ -113,6 +113,7 @@ impl BinaryMarkov {
     }
 
     /// The per-epoch transition probabilities `(p01, p10)`.
+    #[cfg(test)]
     pub fn rates(&self) -> (f64, f64) {
         (self.p01, self.p10)
     }

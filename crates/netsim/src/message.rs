@@ -26,18 +26,6 @@ pub fn messages_for_bytes(bytes: usize) -> u64 {
     }
 }
 
-/// Number of whole TinyDB messages needed to carry `words` 32-bit words.
-#[inline]
-pub fn messages_for_words(words: usize) -> u64 {
-    messages_for_bytes(words * WORD_BYTES)
-}
-
-/// How many words fit in a single TinyDB message.
-#[inline]
-pub fn words_per_message() -> usize {
-    TINYDB_PAYLOAD_BYTES / WORD_BYTES
-}
-
 /// A partial result's wire footprint, reported by every aggregate so the
 /// simulator can charge energy. `words` is the paper's unit for the
 /// frequent-items load plots (Figure 8); `bytes` feeds message
@@ -56,14 +44,6 @@ impl WireSize {
         WireSize {
             bytes: words * WORD_BYTES,
             words,
-        }
-    }
-
-    /// A wire size measured in bytes (words derived, rounding up).
-    pub fn from_bytes(bytes: usize) -> Self {
-        WireSize {
-            bytes,
-            words: bytes.div_ceil(WORD_BYTES),
         }
     }
 
@@ -93,9 +73,9 @@ mod tests {
 
     #[test]
     fn words_quantization() {
-        assert_eq!(words_per_message(), 12);
-        assert_eq!(messages_for_words(12), 1);
-        assert_eq!(messages_for_words(13), 2);
+        assert_eq!(TINYDB_PAYLOAD_BYTES / WORD_BYTES, 12);
+        assert_eq!(WireSize::from_words(12).messages(), 1);
+        assert_eq!(WireSize::from_words(13).messages(), 2);
     }
 
     #[test]
@@ -103,9 +83,6 @@ mod tests {
         let w = WireSize::from_words(10);
         assert_eq!(w.bytes, 40);
         assert_eq!(w.messages(), 1);
-        let b = WireSize::from_bytes(50);
-        assert_eq!(b.words, 13);
-        assert_eq!(b.messages(), 2);
     }
 
     #[test]

@@ -201,24 +201,6 @@ impl Network {
         let total: usize = self.neighbors.iter().map(Vec::len).sum();
         total as f64 / self.positions.len() as f64
     }
-
-    /// Sensor density: motes per unit area of the bounding box of all
-    /// sensor positions.
-    pub fn sensor_density(&self) -> f64 {
-        if self.num_sensors() == 0 {
-            return 0.0;
-        }
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for p in &self.positions[1..] {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        let area = ((max_x - min_x) * (max_y - min_y)).max(f64::MIN_POSITIVE);
-        self.num_sensors() as f64 / area
-    }
 }
 
 /// Unit-disk adjacency via uniform-grid spatial bucketing.
@@ -356,15 +338,6 @@ mod tests {
         assert_eq!(net.num_sensors(), 600);
         assert!(net.is_connected());
         assert!(net.average_degree() > 8.0);
-    }
-
-    #[test]
-    fn density_estimate_close_to_nominal() {
-        let mut rng = rng_from_seed(3);
-        let net =
-            Network::random_in_rect(600, 20.0, 20.0, Position::new(10.0, 10.0), 2.0, &mut rng);
-        let d = net.sensor_density();
-        assert!((1.0..2.2).contains(&d), "density {d} out of expected band");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Battery drain in motes is dominated by radio transmissions — "the drain
 //! for sending a message between two neighboring sensors exceeds by several
 //! orders of magnitude the drain for local operations" (§1). We therefore
-//! charge energy per transmitted message and per transmitted byte and keep
-//! per-node counters so experiments can report average and maximum load
-//! (Figure 8) and total energy (Table 1's energy components).
+//! count transmitted messages and bytes per node, the energy components
+//! of Table 1, so experiments can report average and maximum load
+//! (Figure 8).
 
 use crate::node::NodeId;
 
@@ -219,36 +219,6 @@ impl std::fmt::Display for CommStats {
     }
 }
 
-/// A simple radio energy model: `E = per_message * messages +
-/// per_byte * bytes`, in microjoules. Defaults follow mica2-class motes
-/// (dominated by the per-message fixed cost of preamble + MAC).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EnergyModel {
-    /// Fixed cost per transmitted message, in µJ.
-    pub per_message_uj: f64,
-    /// Cost per transmitted payload byte, in µJ.
-    pub per_byte_uj: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        // Mica2 CC1000-class numbers: ~20 µJ/byte on air at 38.4 kbps,
-        // ~300 µJ fixed per packet (preamble, sync, MAC backoff).
-        EnergyModel {
-            per_message_uj: 300.0,
-            per_byte_uj: 20.0,
-        }
-    }
-}
-
-impl EnergyModel {
-    /// Total transmit energy for a stats object, in µJ.
-    pub fn total_uj(&self, stats: &CommStats) -> f64 {
-        self.per_message_uj * stats.total_messages() as f64
-            + self.per_byte_uj * stats.total_bytes() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,14 +305,5 @@ mod tests {
         s.record_send(NodeId(1), 4, 1, 1);
         let later = s.clone();
         let _ = CommStats::new(2).diff(&later);
-    }
-
-    #[test]
-    fn energy_model_charges_messages_and_bytes() {
-        let mut s = CommStats::new(2);
-        s.record_send(NodeId(1), 48, 12, 1);
-        let e = EnergyModel::default();
-        let expected = 300.0 + 20.0 * 48.0;
-        assert!((e.total_uj(&s) - expected).abs() < 1e-9);
     }
 }

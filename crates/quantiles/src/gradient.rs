@@ -64,6 +64,7 @@ impl MinTotalLoad {
 
     /// Lemma 3's bound on total communication for `m` nodes:
     /// `(1 + 2/(√d−1)) · m/ε` words.
+    #[cfg(test)]
     pub fn total_load_bound(&self, m: usize) -> f64 {
         let sqrt_d = 1.0 / self.t;
         (1.0 + 2.0 / (sqrt_d - 1.0)) * m as f64 / self.eps
@@ -100,6 +101,7 @@ impl MinMaxLoad {
     }
 
     /// The per-link load bound `h/ε` counters.
+    #[cfg(test)]
     pub fn max_load_bound(&self) -> f64 {
         self.tree_height as f64 / self.eps
     }

@@ -29,15 +29,16 @@
 //!
 //! See [`summary`] and [`qdigest`] for the data structures,
 //! [`gradient`] for the precision-gradient helpers shared with the
-//! frequent-items crate, and [`laws`] for the algebraic law checks
-//! (combine commutativity/associativity up to canonical form, reduce
-//! budget adherence, quantile monotonicity).
+//! frequent-items crate. The algebraic law checks (combine
+//! commutativity/associativity up to canonical form, reduce budget
+//! adherence, quantile monotonicity) are property tests in `laws.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gradient;
-pub mod laws;
+#[cfg(test)]
+mod laws;
 pub mod qdigest;
 pub mod summary;
 

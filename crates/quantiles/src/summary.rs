@@ -226,11 +226,6 @@ impl GkSummary {
         self.uncertainty = e_target;
     }
 
-    /// `rmin` of tuple `i`.
-    fn rmin(&self, i: usize) -> u64 {
-        self.tuples[..=i].iter().map(|t| t.g).sum()
-    }
-
     /// Estimate the rank of `value` (number of items ≤ value), with
     /// absolute error at most `E`.
     ///
@@ -295,12 +290,6 @@ impl GkSummary {
     /// items — any value with true frequency > 2E must still be present).
     pub fn values(&self) -> impl Iterator<Item = u64> + '_ {
         self.tuples.iter().map(|t| t.value)
-    }
-
-    /// True rank bounds `(rmin, rmax)` of tuple `i` — exposed for tests.
-    pub fn rank_bounds(&self, i: usize) -> (u64, u64) {
-        let rmin = self.rmin(i);
-        (rmin, rmin + self.tuples[i].delta)
     }
 }
 

@@ -16,8 +16,6 @@
 //!   *accuracy-preserving duplicate-insensitive sum operator* of
 //!   Definition 1 (relative error `εc ≈ 1/√(k−2)`), including exact
 //!   order-statistics value insertion.
-//! * [`sample`] — min-hash uniform samples (duplicate-insensitive uniform
-//!   sampling, §5), the basis for sampled quantiles and moments.
 //! * [`counter`] — the [`counter::DiCounter`] abstraction over
 //!   duplicate-insensitive counters (exact / FM / KMV) that the
 //!   frequent-items Algorithm 2 is generic over.
@@ -37,9 +35,7 @@ pub mod hash;
 pub mod keyed;
 pub mod kmv;
 pub mod rle;
-pub mod sample;
 
 pub use counter::DiCounter;
 pub use fm::FmSketch;
 pub use kmv::Kmv;
-pub use sample::MinHashSample;

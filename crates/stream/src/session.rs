@@ -366,17 +366,6 @@ impl StreamSession {
         self.queries.iter().filter(|q| q.active).count()
     }
 
-    /// Upper bound on [`WindowReport`]s one measured epoch can emit —
-    /// every window of every active query fires at most once per pane.
-    /// The service layer sizes outbox headroom with this.
-    pub fn max_reports_per_epoch(&self) -> usize {
-        self.queries
-            .iter()
-            .filter(|q| q.active)
-            .map(|q| q.windows.len())
-            .sum()
-    }
-
     /// Deregister a stream query by its index ([`WindowHandle::query`]).
     /// The query stops costing a query column from the next epoch on and
     /// its windows stop emitting; its tombstone keeps every other

@@ -112,18 +112,6 @@ impl LogicalClock {
         }
     }
 
-    /// Attach a ring level.
-    pub fn with_level(mut self, level: u32) -> Self {
-        self.level = Some(level);
-        self
-    }
-
-    /// Attach a schedule slot.
-    pub fn with_slot(mut self, slot: u32) -> Self {
-        self.slot = Some(slot);
-        self
-    }
-
     /// Attach a tenant id.
     pub fn with_tenant(mut self, tenant: u64) -> Self {
         self.tenant = Some(tenant);

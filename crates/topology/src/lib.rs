@@ -8,7 +8,8 @@
 //!   level *i+1* nodes broadcast while level *i* nodes listen.
 //! * [`tree`] — spanning **aggregation trees**: the `Tree` structure
 //!   (parents, children, levels, heights, subtree sizes) plus the standard
-//!   TAG construction \[10\] with optional link-quality-aware parent choice.
+//!   TAG construction \[10\] with an optional best-link parent choice
+//!   ([`tree::ParentSelection`]).
 //! * [`bushy`] — the paper's tree-construction algorithm (§6.1.3):
 //!   parents restricted to ring level *i−1* (so tree links are a subset of
 //!   ring links and switching nodes never re-synchronizes epochs, §4.1)
@@ -23,9 +24,8 @@
 //!   adaptation strategies of §4, and the structured
 //!   [`td::TopologyDelta`] log (label switches *and* parent switches)
 //!   that compiled epoch plans patch from instead of recompiling.
-//! * [`maintenance`] — link-quality-driven parent switching \[24\] and
-//!   churn handling ([`maintenance::apply_churn`]): both express their
-//!   structural changes as bounded deltas through
+//! * [`maintenance`] — churn handling ([`maintenance::apply_churn`]):
+//!   orphans re-parent as one bounded delta through
 //!   [`td::TdTopology::switch_parents`].
 //!
 //! ## Quick example

@@ -1,190 +1,16 @@
-//! Link-quality-driven tree maintenance (\[24\]; §2).
+//! Churn rerouting for Tributary-Delta topologies.
 //!
-//! "To adapt the tree to changing network conditions, each node monitors
-//! the link quality to and from its neighbors. This is done less
-//! frequently than aggregation, in order to conserve energy. If the
-//! relative link qualities warrant it, a node will switch to a new parent
-//! with better link quality."
-//!
-//! [`LinkMonitor`] keeps an exponentially-weighted delivery estimate per
-//! observed link (fed by the simulator's actual delivery outcomes), and
-//! [`maintain_tree`] performs a maintenance round: every node whose
-//! current parent link is measurably worse than its best candidate
-//! switches. For Tributary-Delta trees the candidate set is restricted to
-//! ring level *i−1* so the §4.1 epoch-synchronization constraint is
-//! preserved.
-//!
-//! Two maintenance paths exist:
-//!
-//! * [`maintain_tree`] rebuilds a fresh [`Tree`] from the monitor — the
-//!   wholesale path, forcing consumers to rebuild topologies and plans;
-//! * [`maintain_td`] applies the same policy **in place** on a
-//!   [`TdTopology`] through [`TdTopology::switch_parents`], recording
-//!   the round as one bounded structural [`TopologyDelta`] that
-//!   compiled epoch plans patch instead of recompiling.
-//!
-//! [`apply_churn`] is the churn counterpart of the in-place path: when
-//! nodes leave mid-run their orphaned tree children re-parent onto
-//! surviving ring receivers (and rejoining nodes re-attach), again as a
-//! single bounded delta.
+//! [`apply_churn`] keeps a [`TdTopology`] routable when nodes leave
+//! mid-run: their orphaned tree children re-parent onto surviving ring
+//! receivers (and rejoining nodes re-attach) **in place**, through
+//! [`TdTopology::switch_parents`]. Each event lands in the topology's
+//! delta log as one bounded structural [`TopologyDelta`] that compiled
+//! epoch plans patch instead of recompiling.
 //!
 //! [`TopologyDelta`]: crate::td::TopologyDelta
 
-use crate::rings::Rings;
 use crate::td::{Mode, TdTopology};
-use crate::tree::Tree;
 use td_netsim::node::{NodeId, BASE_STATION};
-
-/// EWMA link-quality estimates over directed links.
-///
-/// ```
-/// use td_netsim::node::NodeId;
-/// use td_topology::maintenance::LinkMonitor;
-///
-/// let mut m = LinkMonitor::new(0.25);
-/// for _ in 0..20 { m.observe(NodeId(3), NodeId(1), true); }
-/// m.observe(NodeId(3), NodeId(1), false);
-/// let q = m.estimate(NodeId(3), NodeId(1)).unwrap();
-/// assert!(q > 0.6 && q < 1.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct LinkMonitor {
-    /// `quality[(from, to)]` = smoothed delivery probability.
-    quality: std::collections::BTreeMap<(u32, u32), f64>,
-    /// EWMA weight of a new observation.
-    alpha: f64,
-}
-
-impl LinkMonitor {
-    /// Create a monitor; `alpha` is the EWMA weight (0 < alpha ≤ 1).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        LinkMonitor {
-            quality: std::collections::BTreeMap::new(),
-            alpha,
-        }
-    }
-
-    /// Record a delivery outcome for `from -> to`.
-    pub fn observe(&mut self, from: NodeId, to: NodeId, delivered: bool) {
-        let x = if delivered { 1.0 } else { 0.0 };
-        self.quality
-            .entry((from.0, to.0))
-            .and_modify(|q| *q = (1.0 - self.alpha) * *q + self.alpha * x)
-            .or_insert(x);
-    }
-
-    /// The smoothed delivery estimate, if the link has been observed.
-    pub fn estimate(&self, from: NodeId, to: NodeId) -> Option<f64> {
-        self.quality.get(&(from.0, to.0)).copied()
-    }
-
-    /// Number of links with observations.
-    pub fn observed_links(&self) -> usize {
-        self.quality.len()
-    }
-}
-
-/// Outcome of a maintenance round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaintenanceReport {
-    /// Parents switched this round.
-    pub switched: usize,
-    /// Nodes with no better candidate.
-    pub kept: usize,
-}
-
-/// One maintenance round over a ring-restricted tree: each non-base node
-/// switches to its best-estimated receiver one ring level down if that
-/// estimate beats its current parent's by at least `hysteresis`
-/// (hysteresis prevents flapping between statistically tied links).
-/// Unobserved links count as quality `default_quality`.
-pub fn maintain_tree(
-    tree: &Tree,
-    rings: &Rings,
-    monitor: &LinkMonitor,
-    hysteresis: f64,
-    default_quality: f64,
-) -> (Tree, MaintenanceReport) {
-    let mut parent: Vec<Option<NodeId>> = (0..tree.len() as u32)
-        .map(|i| tree.parent(NodeId(i)))
-        .collect();
-    let mut report = MaintenanceReport::default();
-    for u in tree.tree_nodes() {
-        let Some(current) = tree.parent(u) else {
-            continue;
-        };
-        let q = |to: NodeId| monitor.estimate(u, to).unwrap_or(default_quality);
-        let current_q = q(current);
-        let best = rings
-            .receivers(u)
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                q(a).partial_cmp(&q(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    // Deterministic tie-break by id.
-                    .then(b.0.cmp(&a.0))
-            })
-            .unwrap_or(current);
-        if best != current && q(best) > current_q + hysteresis {
-            parent[u.index()] = Some(best);
-            report.switched += 1;
-        } else {
-            report.kept += 1;
-        }
-    }
-    (Tree::from_parents(parent), report)
-}
-
-/// One in-place maintenance round over a Tributary-Delta topology: the
-/// [`maintain_tree`] policy (best-estimated ring receiver, hysteresis
-/// against flapping) applied through [`TdTopology::switch_parents`], so
-/// the round lands in the topology's delta log as **one** structural
-/// [`crate::td::TopologyDelta`] and a cached epoch plan patches in
-/// O(|switches|·depth) instead of being rebuilt. Candidates are
-/// label-compatible by construction: an `M` vertex only considers `M`
-/// receivers (upward closure), a `T` vertex considers them all.
-pub fn maintain_td(
-    topo: &mut TdTopology,
-    monitor: &LinkMonitor,
-    hysteresis: f64,
-    default_quality: f64,
-) -> MaintenanceReport {
-    let mut moves = Vec::new();
-    let mut report = MaintenanceReport::default();
-    for u in topo.rings().connected_nodes() {
-        let Some(current) = topo.tree().parent(u) else {
-            continue;
-        };
-        let q = |to: NodeId| monitor.estimate(u, to).unwrap_or(default_quality);
-        let needs_m = topo.mode(u) == Mode::M;
-        let best = topo
-            .rings()
-            .receivers(u)
-            .iter()
-            .copied()
-            .filter(|&r| !needs_m || topo.mode(r) == Mode::M)
-            .max_by(|&a, &b| {
-                q(a).partial_cmp(&q(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    // Deterministic tie-break by id.
-                    .then(b.0.cmp(&a.0))
-            })
-            .unwrap_or(current);
-        if best != current && q(best) > q(current) + hysteresis {
-            moves.push((u, best));
-            report.switched += 1;
-        } else {
-            report.kept += 1;
-        }
-    }
-    let applied = topo
-        .switch_parents(&moves)
-        .expect("maintenance candidates are validated ring receivers");
-    debug_assert_eq!(applied, report.switched);
-    report
-}
 
 /// Outcome of applying one epoch's churn events to a topology.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -203,8 +29,7 @@ pub struct ChurnReport {
 ///
 /// * every tree child of a node in `left` switches to its lowest-id
 ///   surviving ring receiver (label-compatible: `M` children need an
-///   `M` parent), through the same parent-switch path link-quality
-///   maintenance uses;
+///   `M` parent), through [`TdTopology::switch_parents`];
 /// * every node in `joined` whose parent is still absent re-attaches
 ///   the same way (its ring level is fixed by geometry, so rejoining
 ///   *is* attaching at the nearest ring level).
@@ -281,7 +106,8 @@ pub fn apply_churn(
 mod tests {
     use super::*;
     use crate::bushy::{build_bushy_tree, BushyOptions};
-    use td_netsim::loss::{DistanceLoss, LossModel};
+    use crate::rings::Rings;
+    use crate::tree::Tree;
     use td_netsim::network::Network;
     use td_netsim::node::Position;
     use td_netsim::rng::rng_from_seed;
@@ -293,120 +119,6 @@ mod tests {
         let rings = Rings::build(&net);
         let tree = build_bushy_tree(&net, &rings, BushyOptions::default(), &mut rng);
         (net, rings, tree)
-    }
-
-    #[test]
-    fn monitor_ewma_converges() {
-        let mut m = LinkMonitor::new(0.2);
-        for _ in 0..100 {
-            m.observe(NodeId(1), NodeId(0), true);
-        }
-        assert!(m.estimate(NodeId(1), NodeId(0)).unwrap() > 0.99);
-        for _ in 0..100 {
-            m.observe(NodeId(1), NodeId(0), false);
-        }
-        assert!(m.estimate(NodeId(1), NodeId(0)).unwrap() < 0.01);
-        assert_eq!(m.estimate(NodeId(2), NodeId(0)), None);
-    }
-
-    #[test]
-    fn maintenance_preserves_ring_restriction() {
-        let (net, rings, tree) = setup(81);
-        let model = DistanceLoss::new(0.05, 0.7, 2.0);
-        let mut monitor = LinkMonitor::new(0.3);
-        let mut rng = rng_from_seed(82);
-        // Feed real delivery observations for every candidate link.
-        for u in rings.connected_nodes() {
-            for &r in rings.receivers(u) {
-                for _ in 0..30 {
-                    monitor.observe(u, r, model.delivered(u, r, &net, 0, &mut rng));
-                }
-            }
-        }
-        let (maintained, report) = maintain_tree(&tree, &rings, &monitor, 0.05, 0.5);
-        assert_eq!(maintained.tree_size(), tree.tree_size());
-        let level_of = |id: NodeId| rings.level(id);
-        assert!(maintained.respects_links(&net, Some(&level_of)));
-        assert!(report.switched + report.kept > 0);
-    }
-
-    #[test]
-    fn maintenance_improves_mean_parent_quality() {
-        let (net, rings, tree) = setup(83);
-        let model = DistanceLoss::new(0.05, 0.8, 2.0);
-        let mut monitor = LinkMonitor::new(0.3);
-        let mut rng = rng_from_seed(84);
-        for u in rings.connected_nodes() {
-            for &r in rings.receivers(u) {
-                for _ in 0..50 {
-                    monitor.observe(u, r, model.delivered(u, r, &net, 0, &mut rng));
-                }
-            }
-        }
-        let mean_quality = |t: &Tree| -> f64 {
-            let mut total = 0.0;
-            let mut n = 0;
-            for u in t.tree_nodes() {
-                if let Some(p) = t.parent(u) {
-                    total += 1.0 - model.loss_rate(u, p, &net, 0);
-                    n += 1;
-                }
-            }
-            total / n as f64
-        };
-        let before = mean_quality(&tree);
-        let (maintained, report) = maintain_tree(&tree, &rings, &monitor, 0.02, 0.5);
-        let after = mean_quality(&maintained);
-        assert!(report.switched > 0, "nothing switched");
-        assert!(
-            after > before,
-            "maintenance did not improve quality: {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn maintain_td_matches_policy_in_one_delta() {
-        let (net, rings, tree) = setup(86);
-        let model = DistanceLoss::new(0.05, 0.8, 2.0);
-        let mut monitor = LinkMonitor::new(0.3);
-        let mut rng = rng_from_seed(87);
-        for u in rings.connected_nodes() {
-            for &r in rings.receivers(u) {
-                for _ in 0..50 {
-                    monitor.observe(u, r, model.delivered(u, r, &net, 0, &mut rng));
-                }
-            }
-        }
-        let mut topo = TdTopology::all_tree(rings, tree);
-        let v0 = topo.version();
-        let report = maintain_td(&mut topo, &monitor, 0.02, 0.5);
-        assert!(report.switched > 0, "nothing switched");
-        assert!(topo.validate().is_ok());
-        let level_of = |id: NodeId| topo.rings().level(id);
-        assert!(topo.tree().respects_links(&net, Some(&level_of)));
-        // The whole round is one structural delta with every reparent.
-        let deltas: Vec<_> = topo.deltas_since(v0).expect("log covers").collect();
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].reparented.len(), report.switched);
-        assert!(deltas[0].relabeled.is_empty());
-    }
-
-    #[test]
-    fn maintain_td_keeps_m_children_under_m_parents() {
-        let (net, rings, tree) = setup(88);
-        // A monitor that adores every link equally except each M
-        // vertex's current parent — pushing toward switches everywhere.
-        let mut topo = TdTopology::new(rings, tree, 2);
-        let mut monitor = LinkMonitor::new(0.5);
-        for u in topo.rings().connected_nodes() {
-            let parent = topo.tree().parent(u);
-            for &r in topo.rings().receivers(u) {
-                monitor.observe(u, r, Some(r) != parent);
-            }
-        }
-        maintain_td(&mut topo, &monitor, 0.05, 0.0);
-        assert!(topo.validate().is_ok(), "upward closure broken");
-        let _ = net;
     }
 
     #[test]
@@ -467,22 +179,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn hysteresis_prevents_switching_on_ties() {
-        let (_, rings, tree) = setup(85);
-        // A monitor that thinks every link is identical: nothing switches.
-        let mut monitor = LinkMonitor::new(0.5);
-        for u in rings.connected_nodes() {
-            for &r in rings.receivers(u) {
-                monitor.observe(u, r, true);
-            }
-        }
-        let (maintained, report) = maintain_tree(&tree, &rings, &monitor, 0.05, 0.5);
-        assert_eq!(report.switched, 0);
-        for u in tree.tree_nodes() {
-            assert_eq!(maintained.parent(u), tree.parent(u));
-        }
     }
 }

@@ -53,13 +53,12 @@ pub struct Relabel {
     pub to: Mode,
 }
 
-/// One vertex re-parented by a structural mutation (a churn reroute or
-/// a link-quality maintenance switch), with its tree parent before and
-/// after. Parent switches preserve the vertex's depth (tree parents sit
-/// exactly one ring level down, §4.1), so — like a label switch — they
-/// invalidate nothing about a compiled plan's step order or receiver
-/// table, only the parent pointer and the heights/subtree sizes along
-/// the two ancestor chains.
+/// One vertex re-parented by a structural mutation (a churn reroute),
+/// with its tree parent before and after. Parent switches preserve the
+/// vertex's depth (tree parents sit exactly one ring level down, §4.1),
+/// so — like a label switch — they invalidate nothing about a compiled
+/// plan's step order or receiver table, only the parent pointer and the
+/// heights/subtree sizes along the two ancestor chains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reparent {
     /// The re-parented vertex.
@@ -659,6 +658,7 @@ impl TdTopology {
 
     /// The `M`-labeled receivers of `id`'s broadcast (ring neighbors one
     /// level down that will actually consume a synopsis from `id`).
+    #[cfg(test)]
     pub fn m_receivers(&self, id: NodeId) -> Vec<NodeId> {
         self.rings
             .receivers(id)

@@ -245,8 +245,8 @@ pub enum ParentSelection {
     /// heard, with random tie-breaking).
     #[default]
     Random,
-    /// The candidate with the best (lowest-loss) link, as in tree
-    /// maintenance with link-quality monitoring \[24\].
+    /// The candidate with the best (lowest-loss) link, the link-quality
+    /// parent choice of \[24\].
     BestLink,
 }
 

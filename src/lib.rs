@@ -6,8 +6,8 @@
 //!
 //! - [`netsim`] — the sensor-network simulator substrate
 //! - [`topology`] — TAG trees, rings, bushy trees, labeled TD graphs
-//! - [`sketches`] — duplicate-insensitive synopses (FM, KMV, min-hash)
-//! - [`aggregates`] — Count/Sum/Min/Max/Average/samples in the SG/SF/SE framework
+//! - [`sketches`] — duplicate-insensitive synopses (FM, KMV)
+//! - [`aggregates`] — Count/Sum/Min/Max/Average in the SG/SF/SE framework
 //! - [`quantiles`] — Greenwald–Khanna summaries with precision gradients
 //! - [`frequent`] — the paper's frequent-items algorithms (§6)
 //! - [`core`] — the Tributary-Delta framework: the **multi-query session

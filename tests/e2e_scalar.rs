@@ -4,7 +4,6 @@
 use td_suite::aggregates::average::Average;
 use td_suite::aggregates::count::Count;
 use td_suite::aggregates::minmax::{Max, Min};
-use td_suite::aggregates::sample_agg::SampledQuantile;
 use td_suite::aggregates::sum::Sum;
 use td_suite::aggregates::traits::Aggregate;
 use td_suite::core::protocol::ScalarProtocol;
@@ -96,21 +95,6 @@ fn average_close_in_every_scheme() {
         assert!(
             (out - 40.0).abs() < 16.0,
             "{}: average {out}",
-            scheme.name()
-        );
-    }
-}
-
-#[test]
-fn sampled_median_reasonable() {
-    let net = test_net(5);
-    let values: Vec<u64> = (0..net.len() as u64).collect();
-    let truth = net.len() as f64 / 2.0;
-    for scheme in [Scheme::Tag, Scheme::Sd] {
-        let out = run_lossless(SampledQuantile::new(64, 0.5), &values, &net, scheme);
-        assert!(
-            (out - truth).abs() < truth * 0.5,
-            "{}: median {out} vs ~{truth}",
             scheme.name()
         );
     }

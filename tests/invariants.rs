@@ -79,7 +79,7 @@ fn dead_nodes_reduce_but_never_corrupt() {
     let net = net(25, 150);
     let values = vec![1u64; net.len()];
     let dead: Vec<NodeId> = (1..=20).map(NodeId).collect();
-    let model = DeadNodes::new(&dead, net.len(), Global::new(0.05));
+    let model = DeadNodes::new(&dead, Global::new(0.05));
     let mut rng = rng_from_seed(26);
     let mut session = Session::with_paper_defaults(Scheme::Td, &net, &mut rng);
     for epoch in 0..40 {
@@ -211,7 +211,7 @@ fn contributing_matches_an_independent_oracle() {
         ("burst", &GilbertElliott::bursty(0.2, 4.0, 0.9, 0xB0B), None),
         (
             "dead nodes",
-            &DeadNodes::new(&dead, net.len(), Global::new(0.05)),
+            &DeadNodes::new(&dead, Global::new(0.05)),
             None,
         ),
         ("churn", &churn.overlay(Global::new(0.1)), Some(&churn)),
