@@ -5,16 +5,6 @@
 use td_bench::experiments::ablation;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!("Ablations — sensors={}", scale.sensors);
-    let t = ablation::signal_ablation(scale, 0xAB1A);
-    t.print();
-    t.write_csv("ablation_signal");
-    let t = ablation::tree_construction_ablation(scale, 0xAB1B);
-    t.print();
-    t.write_csv("ablation_tree");
-    let t = ablation::damping_ablation(scale, 0xAB1C);
-    t.print();
-    t.write_csv("ablation_damping");
+fn main() -> std::io::Result<()> {
+    ablation::regenerate(Scale::from_env_or(Scale::paper()))
 }

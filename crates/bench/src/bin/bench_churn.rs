@@ -8,15 +8,6 @@
 use td_bench::experiments::churn;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::smoke());
-    let t0 = std::time::Instant::now();
-    let rows = churn::run(scale, 0xC4012);
-    let table = churn::table(&rows);
-    table.print();
-    match table.write_csv("churn") {
-        Some(path) => println!("wrote {}", path.display()),
-        None => std::process::exit(1),
-    }
-    println!("done in {:.1}s", t0.elapsed().as_secs_f64());
+fn main() -> std::io::Result<()> {
+    churn::regenerate(Scale::from_env_or(Scale::smoke()))
 }

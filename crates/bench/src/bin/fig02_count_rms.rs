@@ -1,21 +1,9 @@
 //! Regenerates Figure 2: RMS error of a Count query under Global(p) for
 //! p in 0..0.4, all four schemes.
 
-use td_bench::experiments::rms;
+use td_bench::experiments::fig02;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!(
-        "Figure 2 — Count RMS vs loss (sensors={}, epochs={}, runs={})",
-        scale.sensors, scale.epochs, scale.runs
-    );
-    let points = rms::figure2(scale, 0xF1602);
-    let t = rms::table("Figure 2: RMS error of Count under Global(p)", &points);
-    t.print();
-    t.write_csv("fig02_count_rms");
-    println!(
-        "\npaper shape: TAG lowest at p=0; crossover at small p; SD flat ~0.12;\n\
-         TD/TD-Coarse <= min(TAG, SD) with up to ~3x reduction at moderate p"
-    );
+fn main() -> std::io::Result<()> {
+    fig02::regenerate(Scale::from_env_or(Scale::paper()))
 }

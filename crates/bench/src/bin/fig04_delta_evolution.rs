@@ -3,40 +3,8 @@
 //! statistics (plus the TD-Coarse contrast discussed in §7.2).
 
 use td_bench::experiments::fig04;
-use td_bench::report::Table;
 use td_bench::Scale;
-use td_workloads::synthetic::Synthetic;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!(
-        "Figure 4 — delta evolution (sensors={}, warmup={})",
-        scale.sensors, scale.warmup
-    );
-    let snapshots = fig04::run(scale, 0xF1604);
-    let t = fig04::table(&snapshots);
-    t.print();
-    t.write_csv("fig04_delta_summary");
-
-    // Scatter CSV + ASCII maps for the TD snapshots.
-    let spec = Synthetic::sized(scale.sensors);
-    let net = spec.build(0xF1604);
-    let region = td_workloads::scenario::failure_region_for(spec.width, spec.height);
-    for snap in &snapshots {
-        if snap.scheme != "TD" {
-            continue;
-        }
-        println!("\n--- TD delta under Regional({}, 0.05) ---", snap.p1);
-        println!("{}", fig04::ascii_map(&net, &snap.delta, region));
-        let mut t = Table::new(format!("delta coordinates p1={}", snap.p1), &["x", "y"]);
-        for &(x, y) in &snap.delta {
-            t.row(vec![format!("{x:.2}"), format!("{y:.2}")]);
-        }
-        t.write_csv(&format!("fig04_delta_p{}", (snap.p1 * 100.0) as u32));
-    }
-    println!(
-        "paper shape: the TD delta concentrates in the failure quadrant\n\
-         (frac_delta_in_region >> frac_nodes_in_region), growing with p1;\n\
-         TD-Coarse expands uniformly around the base station instead"
-    );
+fn main() -> std::io::Result<()> {
+    fig04::regenerate(Scale::from_env_or(Scale::paper()))
 }

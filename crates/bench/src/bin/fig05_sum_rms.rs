@@ -1,27 +1,9 @@
 //! Regenerates Figure 5: RMS error of Sum under (a) Global(p) and (b)
 //! Regional(p, 0.05), p in 0..1, all four schemes.
 
-use td_bench::experiments::rms;
+use td_bench::experiments::fig05;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!(
-        "Figure 5 — Sum RMS vs loss (sensors={}, epochs={}, runs={})",
-        scale.sensors, scale.epochs, scale.runs
-    );
-    let a = rms::figure5a(scale, 0xF1605A);
-    let ta = rms::table("Figure 5(a): Sum RMS under Global(p)", &a);
-    ta.print();
-    ta.write_csv("fig05a_sum_global");
-
-    let b = rms::figure5b(scale, 0xF1605B);
-    let tb = rms::table("Figure 5(b): Sum RMS under Regional(p, 0.05)", &b);
-    tb.print();
-    tb.write_csv("fig05b_sum_regional");
-
-    println!(
-        "\npaper shape: (a) TD tracks best-of-both with a visible gain at low p;\n\
-         (b) TD clearly below TD-Coarse (localized delta keeps exact tree regions)"
-    );
+fn main() -> std::io::Result<()> {
+    fig05::regenerate(Scale::from_env_or(Scale::paper()))
 }

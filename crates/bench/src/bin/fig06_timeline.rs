@@ -5,20 +5,6 @@
 use td_bench::experiments::fig06;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!(
-        "Figure 6 — relative error timeline (sensors={})",
-        scale.sensors
-    );
-    let result = fig06::run(scale, 0xF1606);
-    fig06::full_table(&result).write_csv("fig06_timeline");
-    let t = fig06::phase_means(&result);
-    t.print();
-    t.write_csv("fig06_phase_means");
-    println!(
-        "\npaper shape: TAG best in lossless phases, SD best in lossy ones;\n\
-         converged TD/TD-Coarse track the better of the two; TD converges\n\
-         slower (~50 epochs) but settles tighter than TD-Coarse"
-    );
+fn main() -> std::io::Result<()> {
+    fig06::regenerate(Scale::from_env_or(Scale::paper()))
 }

@@ -5,35 +5,6 @@
 use td_bench::experiments::fig07;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    let trials = (scale.runs * 3).max(3);
-    println!("Figure 7 — domination factors ({trials} trials per point)");
-    let a = fig07::density_sweep(trials, 0xF1607A);
-    let ta = fig07::table(
-        "Figure 7(a): domination factor vs density (20x20 area)",
-        "density",
-        &a,
-    );
-    ta.print();
-    ta.write_csv("fig07a_density");
-
-    let b = fig07::width_sweep(trials, 0xF1607B);
-    let tb = fig07::table(
-        "Figure 7(b): domination factor vs deployment width (height 20, density 1)",
-        "width",
-        &b,
-    );
-    tb.print();
-    tb.write_csv("fig07b_width");
-
-    let (lab_tag, lab_ours) = fig07::labdata_factor(trials, 0xF1607C);
-    println!(
-        "\nLabData (§7.4.1): TAG tree {:.2}, our tree {:.2} (paper: 2.25)",
-        lab_tag, lab_ours
-    );
-    println!(
-        "paper shape: our construction lifts the factor everywhere, most\n\
-         visibly at low density and narrow deployments"
-    );
+fn main() -> std::io::Result<()> {
+    fig07::regenerate(Scale::from_env_or(Scale::paper()))
 }

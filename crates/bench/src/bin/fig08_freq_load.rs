@@ -5,19 +5,6 @@
 use td_bench::experiments::fig08;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!(
-        "Figure 8 — frequent-items loads (items/node={})",
-        scale.items_per_node
-    );
-    let rows = fig08::run(scale, 0xF1608);
-    let t = fig08::table(&rows);
-    t.print();
-    t.write_csv("fig08_freq_load");
-    println!(
-        "\npaper shape: Min Total-load roughly halves Min Max-load's total on\n\
-         the disjoint-uniform streams; Hybrid best-or-near-best on LabData;\n\
-         Quantiles-based the most expensive (log-scale bars in the paper)"
-    );
+fn main() -> std::io::Result<()> {
+    fig08::regenerate(Scale::from_env_or(Scale::paper()))
 }

@@ -5,33 +5,6 @@
 use td_bench::experiments::fig09;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!(
-        "Figure 9 — frequent-items false negatives (items/node={}, runs={})",
-        scale.items_per_node, scale.runs
-    );
-    let a = fig09::run(0, scale, 0xF1609A);
-    let ta = fig09::table("Figure 9(a): false negatives, no retransmission", &a);
-    ta.print();
-    ta.write_csv("fig09a_false_negatives");
-
-    let b = fig09::run(2, scale, 0xF1609B);
-    let tb = fig09::table("Figure 9(b): false negatives, 2 tree retransmissions", &b);
-    tb.print();
-    tb.write_csv("fig09b_false_negatives_retx");
-
-    let c = fig09::run_regional(scale, 0xF1609C);
-    let tc = fig09::table(
-        "§7.4.3 extension: false negatives under Regional(p, 0.05)",
-        &c,
-    );
-    tc.print();
-    tc.write_csv("fig09c_false_negatives_regional");
-
-    println!(
-        "\npaper shape: (a) TAG's FN%% climbs steeply, SD stays low, TD tracks\n\
-         the best; (b) retransmissions rescue TAG at low p but SD/TD still\n\
-         win beyond p ~ 0.5; false positives stay small (< ~3%% lossless)"
-    );
+fn main() -> std::io::Result<()> {
+    fig09::regenerate(Scale::from_env_or(Scale::paper()))
 }

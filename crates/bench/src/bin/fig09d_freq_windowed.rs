@@ -3,30 +3,9 @@
 //! merged over a sliding window, scored against the exact windowed
 //! frequent set (`results/fig09d_false_negatives_windowed.csv`).
 
-use td_bench::experiments::{fig09, fig09d};
+use td_bench::experiments::fig09d;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::smoke());
-    println!(
-        "Figure 9(d) — windowed frequent-items false negatives \
-         (sliding({},1), s={}, sensors={}, epochs={}, runs={})",
-        fig09d::WINDOW,
-        fig09d::SUPPORT,
-        scale.sensors,
-        scale.epochs,
-        scale.runs
-    );
-    let t0 = std::time::Instant::now();
-    let points = fig09d::run(scale, 0xF1609D);
-    let t = fig09::table(
-        "Figure 9(d): windowed false negatives, sliding window of panes",
-        &points,
-    );
-    t.print();
-    match t.write_csv("fig09d_false_negatives_windowed") {
-        Some(path) => println!("wrote {}", path.display()),
-        None => std::process::exit(1),
-    }
-    println!("done in {:.1}s", t0.elapsed().as_secs_f64());
+fn main() -> std::io::Result<()> {
+    fig09d::regenerate(Scale::from_env_or(Scale::smoke()))
 }

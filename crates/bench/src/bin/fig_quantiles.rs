@@ -6,27 +6,6 @@
 use td_bench::experiments::fig_quantiles;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::smoke());
-    println!(
-        "Quantile sweep — eps={}, loss={}, sensors={}",
-        fig_quantiles::EPS,
-        fig_quantiles::LOSS,
-        scale.sensors
-    );
-    let cells = fig_quantiles::run(scale, 0xF1610);
-    let t = fig_quantiles::table(&cells);
-    t.print();
-    let path = t.write_csv("quantiles");
-    assert!(path.is_some(), "failed to write results/quantiles.csv");
-    let violations = fig_quantiles::ordering_violations(&cells);
-    assert!(
-        violations.is_empty(),
-        "precision-gradient ordering violated: {violations:?}"
-    );
-    println!(
-        "\npaper shape: on tree-bearing schemes the geometric gradient\n\
-         undercuts the uniform per-level budget on bytes at the same final\n\
-         rank error; SD is flat (its delta floods exact per-origin parts)"
-    );
+fn main() -> std::io::Result<()> {
+    fig_quantiles::regenerate(Scale::from_env_or(Scale::smoke()))
 }

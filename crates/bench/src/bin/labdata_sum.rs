@@ -4,18 +4,6 @@
 use td_bench::experiments::labdata_sum;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!(
-        "LabData Sum RMS (epochs={}, runs={})",
-        scale.epochs, scale.runs
-    );
-    let res = labdata_sum::run(scale, 0x1AB5);
-    let t = labdata_sum::table(&res);
-    t.print();
-    t.write_csv("labdata_sum");
-    println!(
-        "\nTD ran multi-path over {:.0}% of the motes (paper: \"most of the nodes\")",
-        res.td_delta_fraction * 100.0
-    );
+fn main() -> std::io::Result<()> {
+    labdata_sum::regenerate(Scale::from_env_or(Scale::paper()))
 }

@@ -5,16 +5,6 @@
 use td_bench::experiments::tab01;
 use td_bench::Scale;
 
-fn main() {
-    let scale = Scale::from_env_or(Scale::paper());
-    println!("Table 1 (quantified) — sensors={}", scale.sensors);
-    let rows = tab01::run(scale, 0x7AB01);
-    let t = tab01::table(&rows);
-    t.print();
-    t.write_csv("tab01_comparison");
-    println!(
-        "\npaper shape: messages minimal (~1/node/epoch) everywhere; tree has\n\
-         zero approximation error but very large communication error; rings\n\
-         the reverse; TD both-small; freq-items messages ~3x for multi-path"
-    );
+fn main() -> std::io::Result<()> {
+    tab01::regenerate(Scale::from_env_or(Scale::paper()))
 }

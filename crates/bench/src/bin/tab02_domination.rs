@@ -1,11 +1,6 @@
 //! Regenerates Table 2: the example 2-dominating tree Te vs the regular
 //! binary tree T2.
 
-use td_bench::experiments::tab02;
-
-fn main() {
-    let t = tab02::table();
-    t.print();
-    t.write_csv("tab02_domination");
-    println!("\n{}", tab02::summary());
+fn main() -> std::io::Result<()> {
+    td_bench::experiments::tab02::regenerate()
 }

@@ -38,7 +38,7 @@ pub fn signal_ablation(scale: Scale, seed: u64) -> Table {
         ],
     );
     let variants = [("exact (instrumented)", true), ("in-band sketch", false)];
-    let rows = TrialPool::new().map(seed, &variants, |_, &(name, exact), _pool_rng| {
+    let rows = TrialPool::new().map(&variants, |&(name, exact)| {
         let mut builder = SessionBuilder::new(Scheme::TdCoarse);
         if !exact {
             builder = builder.in_band_signal();
@@ -109,7 +109,7 @@ pub fn damping_ablation(scale: Scale, seed: u64) -> Table {
         &["damping", "adapt_actions", "final_interval_multiplier"],
     );
     let variants = [("on", true), ("off", false)];
-    let rows = TrialPool::new().map(seed, &variants, |_, &(name, enabled), _pool_rng| {
+    let rows = TrialPool::new().map(&variants, |&(name, enabled)| {
         let mut cfg = *SessionBuilder::new(Scheme::TdCoarse).config();
         // A zero-width band guarantees every adaptation epoch acts, so the
         // system flaps around the threshold; damping's job is to slow the
@@ -143,6 +143,14 @@ pub fn damping_ablation(scale: Scale, seed: u64) -> Table {
         t.row(row);
     }
     t
+}
+
+/// Regenerate the three ablations (`results/ablation_{signal,tree,damping}.csv`).
+pub fn regenerate(scale: Scale) -> std::io::Result<()> {
+    println!("Ablations — sensors={}", scale.sensors);
+    signal_ablation(scale, 0xAB1A).publish("ablation_signal")?;
+    tree_construction_ablation(scale, 0xAB1B).publish("ablation_tree")?;
+    damping_ablation(scale, 0xAB1C).publish("ablation_damping")
 }
 
 #[cfg(test)]

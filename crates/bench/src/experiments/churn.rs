@@ -144,7 +144,7 @@ pub fn run_grid(bursts: &[f64], churn_rates: &[f64], scale: Scale, seed: u64) ->
             }
         }
     }
-    TrialPool::new().map(seed, &cells, |_, &(scheme, burst, rate), _rng| {
+    TrialPool::new().map(&cells, |&(scheme, burst, rate)| {
         one_cell(scheme, burst, rate, scale, seed)
     })
 }
@@ -186,6 +186,11 @@ pub fn table(rows: &[ChurnRow]) -> Table {
         ]);
     }
     t
+}
+
+/// Regenerate the correlated-failure sweep (`results/churn.csv`).
+pub fn regenerate(scale: Scale) -> std::io::Result<()> {
+    table(&run(scale, 0xC4012)).publish("churn")
 }
 
 #[cfg(test)]

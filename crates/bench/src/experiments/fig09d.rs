@@ -21,7 +21,7 @@
 //!
 //! [`FreqPane`]: td_stream::FreqPane
 
-use crate::experiments::fig09::FnPoint;
+use crate::experiments::fig09::{self, FnPoint};
 use crate::Scale;
 use std::collections::BTreeMap;
 use td_frequent::items::{true_frequent, ItemBag};
@@ -146,7 +146,7 @@ fn cell(scheme: Scheme, p: f64, scale: Scale, seed: u64) -> (f64, f64) {
 /// `fig09::table`) so the CSV shape matches the one-shot figures.
 pub fn run(scale: Scale, seed: u64) -> Vec<FnPoint> {
     let ps: Vec<f64> = (0..=9).map(|i| i as f64 * 0.1).collect();
-    TrialPool::new().map(seed, &ps, |_, &p, _pool_rng| {
+    TrialPool::new().map(&ps, |&p| {
         let mut fn_pct = BTreeMap::new();
         let mut fp_pct = BTreeMap::new();
         for scheme in [Scheme::Tag, Scheme::Sd, Scheme::Td] {
@@ -156,6 +156,20 @@ pub fn run(scale: Scale, seed: u64) -> Vec<FnPoint> {
         }
         FnPoint { p, fn_pct, fp_pct }
     })
+}
+
+/// Regenerate Figure 9(d) (`results/fig09d_false_negatives_windowed.csv`).
+pub fn regenerate(scale: Scale) -> std::io::Result<()> {
+    println!(
+        "Figure 9(d) — windowed frequent-items false negatives \
+         (sliding({},1), s={}, sensors={}, epochs={}, runs={})",
+        WINDOW, SUPPORT, scale.sensors, scale.epochs, scale.runs
+    );
+    fig09::table(
+        "Figure 9(d): windowed false negatives, sliding window of panes",
+        &run(scale, 0xF1609D),
+    )
+    .publish("fig09d_false_negatives_windowed")
 }
 
 #[cfg(test)]

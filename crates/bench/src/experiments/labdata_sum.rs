@@ -35,7 +35,7 @@ pub fn run(scale: Scale, seed: u64) -> LabSumResult {
         .into_iter()
         .flat_map(|s| (0..scale.runs).map(move |run| (s, run)))
         .collect();
-    let measured = TrialPool::new().map(seed, &cells, |_, &(scheme, run), _pool_rng| {
+    let measured = TrialPool::new().map(&cells, |&(scheme, run)| {
         let mut rng = substream(seed, 0x1ab5 + run * 131 + scheme.index() * 104_729);
         let session = SessionBuilder::new(scheme).build(net, &mut rng);
         let mut driver = Driver::new(session, scale.warmup);
@@ -86,6 +86,21 @@ pub fn table(result: &LabSumResult) -> Table {
         ]);
     }
     t
+}
+
+/// Regenerate §7.3's LabData numbers (`results/labdata_sum.csv`).
+pub fn regenerate(scale: Scale) -> std::io::Result<()> {
+    println!(
+        "LabData Sum RMS (epochs={}, runs={})",
+        scale.epochs, scale.runs
+    );
+    let res = run(scale, 0x1AB5);
+    table(&res).publish("labdata_sum")?;
+    println!(
+        "\nTD ran multi-path over {:.0}% of the motes (paper: \"most of the nodes\")",
+        res.td_delta_fraction * 100.0
+    );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,4 +1,6 @@
-//! Figures 2 and 5: RMS error of Count/Sum versus message loss rate.
+//! The loss-rate sweep behind Figures 2 and 5 ([`fig02`](super::fig02),
+//! [`fig05`](super::fig05)): RMS error of Count/Sum versus message loss
+//! rate.
 //!
 //! Figure 2 is the 0–0.4 prefix of Figure 5(a) computed for Count;
 //! Figure 5(a) sweeps `Global(p)` for Sum over `p ∈ [0, 1]` and Figure
@@ -102,7 +104,7 @@ pub fn sweep(
         .iter()
         .flat_map(|&p| Scheme::all().into_iter().map(move |s| (p, s)))
         .collect();
-    let values = TrialPool::new().map(seed, &cells, |_, &(p, scheme), _pool_rng| {
+    let values = TrialPool::new().map(&cells, |&(p, scheme)| {
         let spec = Synthetic::sized(scale.sensors);
         match failure {
             SweepFailure::Global => rms_one(agg, scheme, &scenario::global(p), scale, seed),
@@ -140,36 +142,6 @@ pub fn table(title: &str, points: &[RmsPoint]) -> Table {
         ]);
     }
     t
-}
-
-/// Figure 2: Count under `Global(p)`, `p ∈ {0, 0.05, …, 0.4}`.
-pub fn figure2(scale: Scale, seed: u64) -> Vec<RmsPoint> {
-    let ps: Vec<f64> = (0..=8).map(|i| i as f64 * 0.05).collect();
-    sweep(
-        SweepAggregate::Count,
-        SweepFailure::Global,
-        &ps,
-        scale,
-        seed,
-    )
-}
-
-/// Figure 5(a): Sum under `Global(p)`, `p ∈ {0, 0.125, …, 1.0}`.
-pub fn figure5a(scale: Scale, seed: u64) -> Vec<RmsPoint> {
-    let ps: Vec<f64> = (0..=8).map(|i| i as f64 * 0.125).collect();
-    sweep(SweepAggregate::Sum, SweepFailure::Global, &ps, scale, seed)
-}
-
-/// Figure 5(b): Sum under `Regional(p, 0.05)`.
-pub fn figure5b(scale: Scale, seed: u64) -> Vec<RmsPoint> {
-    let ps: Vec<f64> = (0..=8).map(|i| i as f64 * 0.125).collect();
-    sweep(
-        SweepAggregate::Sum,
-        SweepFailure::Regional,
-        &ps,
-        scale,
-        seed,
-    )
 }
 
 #[cfg(test)]

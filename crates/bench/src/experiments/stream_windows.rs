@@ -114,9 +114,7 @@ fn one_scheme(scheme: Scheme, windows: &[(u32, u32)], scale: Scale, seed: u64) -
 pub fn run_windows(windows: &[(u32, u32)], scale: Scale, seed: u64) -> Vec<StreamRow> {
     let schemes = Scheme::all();
     TrialPool::new()
-        .map(seed, &schemes, |_, &scheme, _rng| {
-            one_scheme(scheme, windows, scale, seed)
-        })
+        .map(&schemes, |&scheme| one_scheme(scheme, windows, scale, seed))
         .into_iter()
         .flatten()
         .collect()
@@ -153,6 +151,11 @@ pub fn table(rows: &[StreamRow]) -> Table {
         ]);
     }
     t
+}
+
+/// Regenerate the streaming-window sweep (`results/stream_windows.csv`).
+pub fn regenerate(scale: Scale) -> std::io::Result<()> {
+    table(&run(scale, 0x57E2EA)).publish("stream_windows")
 }
 
 #[cfg(test)]

@@ -61,6 +61,14 @@ pub fn summary() -> String {
     )
 }
 
+/// Regenerate Table 2: print it, write `results/tab02_domination.csv`
+/// and print the domination verdicts.
+pub fn regenerate() -> std::io::Result<()> {
+    table().publish("tab02_domination")?;
+    println!("\n{}", summary());
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

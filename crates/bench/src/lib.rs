@@ -1,10 +1,13 @@
 //! # td-bench — regenerators for every table and figure in §7
 //!
-//! Each experiment lives in [`experiments`] as a plain function taking a
-//! [`Scale`], so the same code runs at paper scale and at smoke scale
-//! (`TD_SCALE=smoke`). The `src/bin` binaries print each result as an
-//! aligned table and write it as CSV under `results/`; `run_all` runs
-//! them all. Performance is measured by the standalone harness under
+//! Each experiment lives in [`experiments`] as one module with one
+//! `regenerate(scale)`: it prints its results as aligned tables, writes
+//! them as CSV under `results/` and runs its checks, at paper scale or
+//! at smoke scale (`TD_SCALE=smoke`). Each `src/bin` binary is a
+//! one-line `main` over one regenerator, at its own default scale;
+//! `run_all` calls every regenerator in turn, so it writes exactly what
+//! the binaries write (24 CSVs; at smoke scale they are committed).
+//! Performance is measured by the standalone harness under
 //! `benchmark/`, not here.
 //!
 //! | Regenerator | Paper artifact |

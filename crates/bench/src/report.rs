@@ -79,26 +79,23 @@ impl Table {
     }
 
     /// Write as CSV to `results/<name>.csv` (workspace root), returning
-    /// the path. Errors are reported but not fatal (experiments should
-    /// still print).
-    pub fn write_csv(&self, name: &str) -> Option<PathBuf> {
+    /// the path.
+    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let path = results_dir().join(format!("{name}.csv"));
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(path.parent().expect("has parent"))?;
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-            writeln!(f, "{}", self.header.join(","))?;
-            for row in &self.rows {
-                writeln!(f, "{}", row.join(","))?;
-            }
-            f.flush()
-        };
-        match write() {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: could not write {}: {e}", path.display());
-                None
-            }
+        std::fs::create_dir_all(path.parent().expect("has parent"))?;
+        let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        writeln!(f, "{}", self.header.join(","))?;
+        for row in &self.rows {
+            writeln!(f, "{}", row.join(","))?;
         }
+        f.flush()?;
+        Ok(path)
+    }
+
+    /// Print the table, then write it as `results/<name>.csv`.
+    pub fn publish(&self, name: &str) -> std::io::Result<()> {
+        self.print();
+        self.write_csv(name).map(drop)
     }
 }
 

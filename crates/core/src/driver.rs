@@ -9,7 +9,9 @@
 //! [`QuerySet`] (protocols borrow the readings, so the set is rebuilt
 //! per epoch — handles stay valid because registration order is stable),
 //! runs the single bundled traversal, and hands the answers to an
-//! observer along with whether the epoch counts as measured.
+//! observer along with whether the epoch counts as measured. Every
+//! epoch, whichever entry point asked for it, is one
+//! [`Driver::step_set`]: that is the only place the epoch clock moves.
 //!
 //! [`Driver::run_scalar`] is the one-scalar-aggregate convenience that
 //! covers the common "estimate vs truth series" experiment shape
@@ -19,27 +21,19 @@
 //!
 //! The paper's evaluation is thousands of *independent* epochs across
 //! schemes, loss rates, and seeds, so the experiment layer is
-//! embarrassingly parallel by construction. [`TrialPool`] owns that
-//! parallelism: a `std::thread::scope`-based executor that fans
-//! independent trial configurations across cores, hands every trial a
-//! deterministic RNG substream salted by its trial index
-//! ([`TrialPool::trial_rng`]), and merges results back **in trial
-//! order** — so a run is bit-for-bit identical whatever the thread count
-//! or scheduling. [`Driver::run_trials`] and [`Driver::run_sweep`] layer
-//! the common shapes on top (N seeds of one scenario; a parameter sweep
-//! × N seeds per point), merging per-trial [`CommStats`] with
-//! [`CommStats::merge`].
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! embarrassingly parallel by construction. [`TrialPool::map`] runs one
+//! job per trial configuration on the crate's one thread fan-out — the
+//! same longest-first scoped executor an epoch's query columns run on —
+//! and returns the outputs **in configuration order**. A job draws all
+//! of its randomness from its own configuration (each configuration
+//! carries its seed), so a sweep is bit-for-bit identical whatever the
+//! thread count or scheduling.
 
 use crate::protocol::{Protocol, ScalarProtocol};
 use crate::query::{QueryHandle, QuerySet};
 use crate::session::{QueryRecord, Session};
-use rand::rngs::StdRng;
 use td_aggregates::traits::Aggregate;
 use td_netsim::loss::LossModel;
-use td_netsim::rng::substream;
-use td_netsim::stats::CommStats;
 
 /// A source of per-epoch scalar readings (`readings()[0]` belongs to the
 /// base station and is ignored by aggregates).
@@ -146,13 +140,6 @@ impl Driver {
         &mut self.session
     }
 
-    /// The session's plan-cache counters: compiles vs in-place patches
-    /// across this driver's run — the adaptation-cost telemetry benches
-    /// report next to epochs/sec.
-    pub fn plan_stats(&self) -> crate::session::PlanCacheStats {
-        self.session.plan_stats()
-    }
-
     /// Unwrap the session (keeps its topology and statistics).
     pub fn into_session(self) -> Session {
         self.session
@@ -164,9 +151,11 @@ impl Driver {
         self.next_epoch
     }
 
-    /// The configured warmup epoch count.
-    pub fn warmup(&self) -> u64 {
-        self.warmup
+    /// How many epochs a run of `epochs` measured epochs steps from
+    /// here: the warmup epochs not yet run, then `epochs`. Warmup applies
+    /// only once, so a driver past it steps exactly `epochs`.
+    pub fn epochs_to_run(&self, epochs: u64) -> u64 {
+        self.warmup.saturating_sub(self.next_epoch) + epochs
     }
 
     /// Run exactly one epoch over a caller-built query set, advancing
@@ -216,25 +205,26 @@ impl Driver {
         Reg: for<'e> FnMut(&mut QuerySet<'e>, &'e [u64]) -> H,
         Obs: FnMut(EpochView<'_>, H),
     {
-        let remaining_warmup = self.warmup.saturating_sub(self.next_epoch);
-        for _ in 0..remaining_warmup + epochs {
-            let epoch = self.next_epoch;
-            let readings = workload.readings(epoch);
+        for _ in 0..self.epochs_to_run(epochs) {
+            let readings = workload.readings(self.next_epoch);
             let mut set = QuerySet::new();
             let handles = register(&mut set, &readings);
-            let record = self.session.run_set(&set, model, epoch, rng);
+            let SteppedEpoch {
+                epoch,
+                measured,
+                record,
+            } = self.step_set(&set, model, rng);
             drop(set);
             observe(
                 EpochView {
                     epoch,
-                    measured: epoch >= self.warmup,
+                    measured,
                     readings: &readings,
                     record,
                     session: &self.session,
                 },
                 handles,
             );
-            self.next_epoch += 1;
         }
     }
 
@@ -292,11 +282,12 @@ impl Driver {
     /// Unlike [`run`](Self::run), the per-epoch protocol may borrow data
     /// outside the driver (item bags, readings tables): `make` is called
     /// once per epoch and the protocol only needs to outlive that epoch.
-    /// That is also why this repeats [`run`](Self::run)'s small epoch
-    /// loop instead of delegating to it: `run`'s register callback is
-    /// higher-ranked over the set lifetime (`for<'e>`), which a closure
-    /// registering a protocol that captures outer borrows cannot
-    /// satisfy — here the loop body gives the set a concrete lifetime.
+    /// That is also why this loops over [`step_set`](Self::step_set)
+    /// instead of delegating to [`run`](Self::run): `run`'s register
+    /// callback is higher-ranked over the set lifetime (`for<'e>`), which
+    /// a closure registering a protocol that captures outer borrows
+    /// cannot satisfy — here the loop body gives the set a concrete
+    /// lifetime.
     pub fn run_protocol<P, M, R, F>(
         &mut self,
         mut make: F,
@@ -311,118 +302,26 @@ impl Driver {
         F: FnMut(u64) -> P,
     {
         let mut last = None;
-        let remaining_warmup = self.warmup.saturating_sub(self.next_epoch);
-        for _ in 0..remaining_warmup + epochs {
-            let epoch = self.next_epoch;
-            let proto = make(epoch);
+        for _ in 0..self.epochs_to_run(epochs) {
+            let proto = make(self.next_epoch);
             let mut set = QuerySet::new();
             let handle = set.register(&proto);
-            let mut rec = self.session.run_set(&set, model, epoch, rng);
-            last = Some(rec.answers.take(handle));
-            self.next_epoch += 1;
+            last = Some(self.step_set(&set, model, rng).record.answers.take(handle));
         }
         last
     }
-
-    /// Run `trials` independent trials of a scenario across the pool,
-    /// merging communication statistics. Trial `t` receives the
-    /// deterministic substream [`TrialPool::trial_rng`]`(seed, t)`;
-    /// outputs come back in trial order and the per-trial stats are
-    /// folded with [`CommStats::merge`], so the batch is bit-for-bit
-    /// identical to running the trials sequentially.
-    ///
-    /// The per-trial stats must track the same node count (the usual
-    /// case: every trial simulates the same deployment size);
-    /// [`CommStats::merge`] panics otherwise.
-    pub fn run_trials<T, F>(pool: &TrialPool, seed: u64, trials: u64, trial: F) -> TrialBatch<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut StdRng) -> (T, CommStats) + Sync,
-    {
-        let results = pool.run(seed, trials, trial);
-        let mut batch = TrialBatch {
-            outputs: Vec::with_capacity(results.len()),
-            stats: None,
-        };
-        for (out, trial_stats) in results {
-            batch.absorb(out, trial_stats);
-        }
-        batch
-    }
-
-    /// Run a parameter sweep: `trials_per_point` independent trials of
-    /// every point in `points`, all fanned across one flat pool (so a
-    /// slow point does not serialize the sweep), regrouped per point in
-    /// order. The RNG substream of `(point p, trial t)` is salted by the
-    /// flattened index `p * trials_per_point + t` — independent of the
-    /// thread count, so sweeps replay bit-for-bit.
-    pub fn run_sweep<P, T, F>(
-        pool: &TrialPool,
-        seed: u64,
-        points: &[P],
-        trials_per_point: u64,
-        job: F,
-    ) -> Vec<TrialBatch<T>>
-    where
-        P: Sync,
-        T: Send,
-        F: Fn(&P, u64, &mut StdRng) -> (T, CommStats) + Sync,
-    {
-        let total = points.len() as u64 * trials_per_point;
-        let flat = pool.run(seed, total, |g, rng| {
-            let point = (g / trials_per_point) as usize;
-            let trial = g % trials_per_point;
-            job(&points[point], trial, rng)
-        });
-        // One batch per point unconditionally, so the `zip(points)`
-        // contract holds even for a degenerate zero-trial sweep.
-        let mut batches: Vec<TrialBatch<T>> = points
-            .iter()
-            .map(|_| TrialBatch {
-                outputs: Vec::with_capacity(trials_per_point as usize),
-                stats: None,
-            })
-            .collect();
-        for (g, (out, trial_stats)) in flat.into_iter().enumerate() {
-            batches[g / trials_per_point as usize].absorb(out, trial_stats);
-        }
-        batches
-    }
 }
 
-/// The merged outcome of one [`Driver::run_trials`] batch (or one sweep
-/// point of [`Driver::run_sweep`]).
-#[derive(Clone, Debug)]
-pub struct TrialBatch<T> {
-    /// Per-trial outputs, in trial order.
-    pub outputs: Vec<T>,
-    /// Communication statistics summed across the batch's trials
-    /// ([`CommStats::merge`]); `None` when the batch ran zero trials.
-    pub stats: Option<CommStats>,
-}
-
-impl<T> TrialBatch<T> {
-    /// Fold one trial's result in: append the output, merge the stats
-    /// (first trial seeds the accumulator).
-    fn absorb(&mut self, output: T, stats: CommStats) {
-        match &mut self.stats {
-            Some(acc) => acc.merge(&stats),
-            none => *none = Some(stats),
-        }
-        self.outputs.push(output);
-    }
-}
-
-/// A `std::thread::scope`-based executor for independent simulation
-/// trials.
+/// The experiment layer's parallel map: one job per trial
+/// configuration, fanned across threads by the crate's one scoped
+/// executor, outputs in configuration order.
 ///
-/// Work is claimed off a shared atomic counter, so long trials load-
-/// balance across workers; determinism does not depend on scheduling
-/// because every trial's RNG is derived from `(seed, trial index)` alone
-/// ([`TrialPool::trial_rng`]) and results are reassembled in index
-/// order. A pool of one thread degenerates to a plain sequential loop
-/// over the identical substreams — the equivalence the determinism tests
-/// pin bit-for-bit.
+/// Determinism does not depend on scheduling: a job sees only its own
+/// configuration (which carries whatever seed the trial draws from) and
+/// writes only its own output slot. A pool of one thread runs the jobs
+/// in configuration order on the calling thread — the sequential loop
+/// the determinism tests pin the pool against bit for bit. A panicking
+/// job panics the caller.
 #[derive(Clone, Copy, Debug)]
 pub struct TrialPool {
     threads: usize,
@@ -434,19 +333,12 @@ impl Default for TrialPool {
     }
 }
 
-/// Salt mixed into every trial substream so trial streams never collide
-/// with the topology/loss substreams experiments derive from the same
-/// experiment seed.
-const TRIAL_STREAM_SALT: u64 = 0x7121_A100;
-
 impl TrialPool {
     /// A pool sized to the machine (`available_parallelism`, 1 if
     /// unknown).
     pub fn new() -> Self {
         TrialPool {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: crate::parallel::available_threads(),
         }
     }
 
@@ -459,97 +351,26 @@ impl TrialPool {
         TrialPool { threads }
     }
 
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The deterministic RNG substream of trial `index` under `seed` —
-    /// the stream [`run`](Self::run) hands each job. Public so
-    /// sequential baselines (tests, single-trial reruns of one sweep
-    /// point) can replay exactly what the pool executed.
-    pub fn trial_rng(seed: u64, index: u64) -> StdRng {
-        substream(seed, TRIAL_STREAM_SALT.wrapping_add(index))
-    }
-
-    /// Run `trials` independent jobs, returning outputs in trial order.
-    /// Job `t` runs `job(t, &mut trial_rng(seed, t))` on whichever
-    /// worker claims it first.
-    pub fn run<T, F>(&self, seed: u64, trials: u64, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut StdRng) -> T + Sync,
-    {
-        let n = usize::try_from(trials).expect("trial count fits in usize");
-        self.dispatch(n, |i| {
-            let mut rng = TrialPool::trial_rng(seed, i as u64);
-            job(i as u64, &mut rng)
-        })
-    }
-
-    /// Map `job` over `configs` in parallel: job `i` gets `configs[i]`
-    /// and the substream `trial_rng(seed, i)`. Outputs in config order.
-    pub fn map<C, T, F>(&self, seed: u64, configs: &[C], job: F) -> Vec<T>
+    /// Map `job` over `configs` in parallel: job `i` gets `configs[i]`,
+    /// and its output lands at index `i`.
+    pub fn map<C, T, F>(&self, configs: &[C], job: F) -> Vec<T>
     where
         C: Sync,
         T: Send,
-        F: Fn(u64, &C, &mut StdRng) -> T + Sync,
+        F: Fn(&C) -> T + Sync,
     {
-        self.dispatch(configs.len(), |i| {
-            let mut rng = TrialPool::trial_rng(seed, i as u64);
-            job(i as u64, &configs[i], &mut rng)
-        })
-    }
-
-    /// The shared fan-out core: claim indices `0..n` off an atomic
-    /// counter, run `job` on each, reassemble in index order.
-    fn dispatch<T, F>(&self, n: usize, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        // One worker or one trial: the identical sequential loop, inline.
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return (0..n).map(job).collect();
-        }
-        let counter = AtomicUsize::new(0);
-        // Index-keyed placement instead of collect-and-sort: every slot
-        // is filled exactly once (the atomic counter hands each index to
-        // one worker), so reassembly is a straight O(n) unwrap.
         let mut slots: Vec<Option<T>> = Vec::new();
-        slots.resize_with(n, || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        // Reused per-worker scratch, sized for an even
-                        // share up front so claim-loop pushes never
-                        // reallocate.
-                        let mut local = Vec::with_capacity(n / workers + 1);
-                        loop {
-                            let i = counter.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, job(i)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, t) in h.join().expect("trial worker panicked") {
-                    slots[i] = Some(t);
-                }
-            }
+        slots.resize_with(configs.len(), || None);
+        let jobs: Vec<(&C, &mut Option<T>)> = configs.iter().zip(&mut slots).collect();
+        let threads = self.threads.min(configs.len());
+        // No timings carry over between calls, so jobs start in
+        // configuration order.
+        crate::parallel::run_longest_first(threads, jobs, &mut Vec::new(), |(config, slot)| {
+            *slot = Some(job(config))
         });
         slots
             .into_iter()
-            .map(|t| t.expect("every trial index claimed exactly once"))
+            .map(|t| t.expect("every job runs exactly once"))
             .collect()
     }
 }
@@ -651,7 +472,7 @@ mod tests {
         let mut rng = rng_from_seed(208);
         let session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
         let mut driver = Driver::new(session, 3);
-        assert_eq!(driver.warmup(), 3);
+        assert_eq!(driver.epochs_to_run(5), 8);
         let mut via_step = Vec::new();
         for _ in 0..8 {
             let proto = ScalarProtocol::new(Sum::default(), &values);
@@ -669,72 +490,53 @@ mod tests {
 
     #[test]
     fn trial_pool_results_are_thread_count_invariant() {
-        // The job mixes its trial index into draws from the provided
-        // substream; any scheduling dependence would scramble the output.
-        let job = |t: u64, rng: &mut rand::rngs::StdRng| {
+        // Each config carries its own seed; any scheduling dependence
+        // would scramble the output.
+        let seeds: Vec<u64> = (0..16).map(|i| 99 + i).collect();
+        let job = |&seed: &u64| {
             use rand::Rng;
-            (t, rng.gen::<u64>())
+            (seed, rng_from_seed(seed).gen::<u64>())
         };
-        let sequential = TrialPool::with_threads(1).run(99, 16, job);
-        let parallel = TrialPool::with_threads(4).run(99, 16, job);
-        let wide = TrialPool::with_threads(32).run(99, 16, job);
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential, wide);
-        assert_eq!(sequential.len(), 16);
-        // And each stream really is the advertised substream.
-        for (t, draw) in &sequential {
-            use rand::Rng;
-            assert_eq!(*draw, TrialPool::trial_rng(99, *t).gen::<u64>());
+        let sequential: Vec<(u64, u64)> = seeds.iter().map(job).collect();
+        for threads in [1, 4, 32] {
+            assert_eq!(
+                TrialPool::with_threads(threads).map(&seeds, job),
+                sequential
+            );
         }
     }
 
     #[test]
     fn trial_pool_map_preserves_config_order() {
         let configs: Vec<u64> = (0..23).map(|i| i * 10).collect();
-        let out = TrialPool::with_threads(3).map(7, &configs, |i, &c, _rng| (i, c));
-        for (i, (idx, c)) in out.iter().enumerate() {
-            assert_eq!(*idx, i as u64);
-            assert_eq!(*c, configs[i]);
-        }
+        let out = TrialPool::with_threads(3).map(&configs, |&c| c + 1);
+        let expect: Vec<u64> = configs.iter().map(|c| c + 1).collect();
+        assert_eq!(out, expect);
+        assert!(TrialPool::with_threads(3)
+            .map(&[] as &[u64], |&c| c)
+            .is_empty());
     }
 
     #[test]
-    fn run_trials_merges_stats_across_trials() {
-        let batch = Driver::run_trials(&TrialPool::with_threads(2), 1, 5, |t, _rng| {
-            let mut stats = td_netsim::stats::CommStats::new(3);
-            stats.record_send(td_netsim::node::NodeId(1), 4, 1, 1);
-            (t, stats)
+    #[should_panic(expected = "trial 5 failed")]
+    fn trial_pool_job_panic_reaches_the_caller_sequentially() {
+        let configs: Vec<u64> = (0..8).collect();
+        TrialPool::with_threads(1).map(&configs, |&c| {
+            assert_ne!(c, 5, "trial 5 failed");
+            c
         });
-        assert_eq!(batch.outputs, vec![0, 1, 2, 3, 4]);
-        let stats = batch.stats.expect("five trials merged");
-        assert_eq!(stats.total_bytes(), 20);
-        assert_eq!(stats.total_rounds(), 5);
     }
 
     #[test]
-    fn run_sweep_groups_points_in_order() {
-        let points = [10u64, 20, 30];
-        let batches = Driver::run_sweep(&TrialPool::with_threads(4), 2, &points, 4, |&p, t, _| {
-            (p + t, td_netsim::stats::CommStats::new(1))
+    #[should_panic]
+    fn trial_pool_job_panic_reaches_the_caller_in_parallel() {
+        // On a spawned thread the scope re-raises with its own message,
+        // so only the panic itself is pinned.
+        let configs: Vec<u64> = (0..8).collect();
+        TrialPool::with_threads(4).map(&configs, |&c| {
+            assert_ne!(c, 5, "trial 5 failed");
+            c
         });
-        assert_eq!(batches.len(), 3);
-        for (i, batch) in batches.iter().enumerate() {
-            let p = points[i];
-            assert_eq!(batch.outputs, vec![p, p + 1, p + 2, p + 3]);
-        }
-    }
-
-    #[test]
-    fn run_sweep_zero_trials_still_yields_one_batch_per_point() {
-        let points = [1u64, 2];
-        let batches = Driver::run_sweep(&TrialPool::with_threads(2), 3, &points, 0, |&p, t, _| {
-            (p + t, td_netsim::stats::CommStats::new(1))
-        });
-        assert_eq!(batches.len(), 2);
-        for batch in &batches {
-            assert!(batch.outputs.is_empty());
-            assert!(batch.stats.is_none());
-        }
     }
 
     #[test]
@@ -760,5 +562,6 @@ mod tests {
         // First run: 3 warmup + 2 measured; second: warmup already spent.
         let expect: Vec<(u64, bool)> = (0..7u64).map(|e| (e, e >= 3)).collect();
         assert_eq!(epochs_seen, expect);
+        assert_eq!(driver.epochs_to_run(2), 2);
     }
 }

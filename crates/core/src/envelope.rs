@@ -1,7 +1,8 @@
 //! Instrumented message envelopes.
 //!
-//! The runner wraps every protocol message in an envelope carrying the
-//! adaptation signals of §4.2:
+//! Beside every node's protocol messages the runner sends one envelope
+//! carrying the adaptation signals of §4.2. Envelopes carry counts, not
+//! payloads: the messages themselves live in each query's column.
 //!
 //! * **Exact subtree count** (tree envelopes) — trees count exactly, and
 //!   this count is what the paper's augmented messages carry.
@@ -140,40 +141,16 @@ impl ExtremaSet {
     }
 }
 
-/// A tree (tributary) message plus instrumentation.
-#[derive(Clone, Debug)]
-pub struct TreeEnvelope<T> {
-    /// The protocol payload (`None` when the subtree had no data-bearing
-    /// protocol message but still counts contributors).
-    pub msg: Option<T>,
-    /// The subtree root that produced this envelope (the conversion salt).
-    pub root: NodeId,
-    /// Exact count of contributing sensors in this subtree.
-    pub count: u64,
+/// A tree envelope's exact contributor count: `node` itself (the base
+/// station counts nobody) plus what its delivered children counted.
+pub(crate) fn tree_count(node: NodeId, children: impl IntoIterator<Item = u64>) -> u64 {
+    u64::from(!node.is_base()) + children.into_iter().sum::<u64>()
 }
 
-impl<T> TreeEnvelope<T> {
-    /// A leaf-level envelope for `node` with its local message.
-    pub fn local(node: NodeId, msg: Option<T>) -> Self {
-        TreeEnvelope {
-            msg,
-            root: node,
-            count: u64::from(!node.is_base()),
-        }
-    }
-
-    /// Merge a delivered child envelope (payloads merged by the caller).
-    #[cfg(test)]
-    pub fn absorb_counts(&mut self, child: &TreeEnvelope<T>) {
-        self.count += child.count;
-    }
-}
-
-/// A multi-path (delta) message plus instrumentation.
+/// A multi-path (delta) vertex's instrumentation: the in-band count
+/// sketch and the non-contribution extrema every query's send carries.
 #[derive(Clone, Debug)]
-pub struct MpEnvelope<S> {
-    /// The protocol payload.
-    pub msg: Option<S>,
+pub struct MpEnvelope {
     /// In-band duplicate-insensitive count of contributors.
     pub count_sketch: FmSketch,
     /// Largest per-subtree non-contributions seen (TD expand signal).
@@ -182,43 +159,35 @@ pub struct MpEnvelope<S> {
     pub min_noncontrib: ExtremaSet,
 }
 
-impl<S> MpEnvelope<S> {
-    /// A local envelope for a delta vertex.
-    pub fn local(node: NodeId, msg: Option<S>) -> Self {
-        Self::local_pooled(FmSketch::new(COUNT_SKETCH_BITMAPS), node, msg)
-    }
-
-    /// [`MpEnvelope::local`] over a recycled count sketch (must be
-    /// cleared, [`COUNT_SKETCH_BITMAPS`] wide) — the allocation-free path
-    /// the runner's envelope column reopens its reused sketches through.
-    pub fn local_pooled(mut count_sketch: FmSketch, node: NodeId, msg: Option<S>) -> Self {
+impl MpEnvelope {
+    /// A local envelope for delta vertex `node` over a count sketch that
+    /// must be cleared and [`COUNT_SKETCH_BITMAPS`] wide — recycled, as
+    /// the runner's envelope column reopens its sketches, or fresh.
+    pub fn local_pooled(mut count_sketch: FmSketch, node: NodeId) -> Self {
         debug_assert!(count_sketch.is_empty(), "recycled count sketch not cleared");
         debug_assert_eq!(count_sketch.num_bitmaps(), COUNT_SKETCH_BITMAPS);
         if !node.is_base() {
             count_sketch.insert_distinct(td_sketches::hash::keyed(0xC0C0, node.0 as u64));
         }
         MpEnvelope {
-            msg,
             count_sketch,
             max_noncontrib: ExtremaSet::largest(),
             min_noncontrib: ExtremaSet::smallest(),
         }
     }
 
-    /// Fold a delivered tree envelope's instrumentation in (payload
-    /// conversion is the caller's job). The tree's exact count enters the
-    /// count sketch as a value salted by the subtree root — the same
-    /// conversion-function trick as the aggregate itself.
-    pub fn absorb_tree_counts<T>(&mut self, child: &TreeEnvelope<T>) {
-        self.count_sketch.insert_value(
-            td_sketches::hash::keyed(0xC0C1, child.root.0 as u64),
-            child.count,
-        );
+    /// Fold a delivered tree child's exact contributor count in. The
+    /// count enters the count sketch as a value salted by the subtree
+    /// `root` — the same conversion-function trick as the aggregate
+    /// itself.
+    pub fn absorb_tree_counts(&mut self, root: NodeId, count: u64) {
+        self.count_sketch
+            .insert_value(td_sketches::hash::keyed(0xC0C1, root.0 as u64), count);
     }
 
     /// ODI-fuse another delta envelope's instrumentation (payload fusion
     /// is the caller's job).
-    pub fn fuse_counts(&mut self, other: &MpEnvelope<S>) {
+    pub fn fuse_counts(&mut self, other: &MpEnvelope) {
         self.count_sketch.merge(&other.count_sketch);
         self.max_noncontrib.merge(&other.max_noncontrib);
         self.min_noncontrib.merge(&other.min_noncontrib);
@@ -237,28 +206,31 @@ impl<S> MpEnvelope<S> {
 mod tests {
     use super::*;
 
+    fn local(node: NodeId) -> MpEnvelope {
+        MpEnvelope::local_pooled(FmSketch::new(COUNT_SKETCH_BITMAPS), node)
+    }
+
     #[test]
     fn tree_envelope_counts_itself() {
-        let e = TreeEnvelope::<u64>::local(NodeId(3), Some(7));
-        assert_eq!(e.count, 1);
-        let b = TreeEnvelope::<u64>::local(NodeId(0), None);
-        assert_eq!(b.count, 0);
+        assert_eq!(tree_count(NodeId(3), []), 1);
+        assert_eq!(tree_count(NodeId(0), []), 0);
     }
 
     #[test]
     fn tree_absorb_accumulates() {
-        let mut a = TreeEnvelope::<u64>::local(NodeId(1), Some(1));
-        let b = TreeEnvelope::<u64>::local(NodeId(2), Some(1));
-        a.absorb_counts(&b);
-        assert_eq!(a.count, 2);
-        let c = TreeEnvelope::<u64>::local(NodeId(0), None);
-        a.absorb_counts(&c);
-        assert_eq!(a.count, 2, "the base station counts nobody");
+        let b = tree_count(NodeId(2), []);
+        assert_eq!(tree_count(NodeId(1), [b]), 2);
+        let c = tree_count(NodeId(0), []);
+        assert_eq!(
+            tree_count(NodeId(1), [b, c]),
+            2,
+            "the base station counts nobody"
+        );
     }
 
     #[test]
     fn mp_fuse_is_idempotent_on_counts() {
-        let mut a = MpEnvelope::<u64>::local(NodeId(1), Some(1));
+        let mut a = local(NodeId(1));
         let est = a.count_sketch.estimate();
         let b = a.clone();
         a.fuse_counts(&b);
@@ -269,11 +241,11 @@ mod tests {
 
     #[test]
     fn extrema_fusion_takes_max_and_min() {
-        let mut a = MpEnvelope::<u64>::local(NodeId(1), None);
+        let mut a = local(NodeId(1));
         a.report_noncontrib(NodeId(1), 5);
-        let mut b = MpEnvelope::<u64>::local(NodeId(2), None);
+        let mut b = local(NodeId(2));
         b.report_noncontrib(NodeId(2), 9);
-        let mut c = MpEnvelope::<u64>::local(NodeId(3), None);
+        let mut c = local(NodeId(3));
         c.report_noncontrib(NodeId(3), 2);
         a.fuse_counts(&b);
         a.fuse_counts(&c);
@@ -298,9 +270,9 @@ mod tests {
     #[test]
     fn extrema_fusion_deterministic_on_ties() {
         // Equal values break ties by node id, independent of fuse order.
-        let mut x = MpEnvelope::<u64>::local(NodeId(1), None);
+        let mut x = local(NodeId(1));
         x.report_noncontrib(NodeId(1), 4);
-        let mut y = MpEnvelope::<u64>::local(NodeId(2), None);
+        let mut y = local(NodeId(2));
         y.report_noncontrib(NodeId(2), 4);
         let mut xy = x.clone();
         xy.fuse_counts(&y);
@@ -316,8 +288,8 @@ mod tests {
         let mut recycled = FmSketch::new(COUNT_SKETCH_BITMAPS);
         recycled.insert_distinct(td_sketches::hash::keyed(0xC0C0, 9));
         recycled.clear();
-        let pooled = MpEnvelope::<u64>::local_pooled(recycled, NodeId(4), Some(1));
-        let fresh = MpEnvelope::<u64>::local(NodeId(4), Some(1));
+        let pooled = MpEnvelope::local_pooled(recycled, NodeId(4));
+        let fresh = local(NodeId(4));
         assert_eq!(
             pooled.count_sketch.estimate(),
             fresh.count_sketch.estimate()
@@ -328,14 +300,10 @@ mod tests {
 
     #[test]
     fn tree_counts_enter_count_sketch() {
-        let mut m = MpEnvelope::<u64>::local(NodeId(1), None);
-        let mut t = TreeEnvelope::<u64>::local(NodeId(2), Some(1));
-        for i in 3..100u32 {
-            let c = TreeEnvelope::<u64>::local(NodeId(i), Some(1));
-            t.absorb_counts(&c);
-        }
-        assert_eq!(t.count, 98);
-        m.absorb_tree_counts(&t);
+        let mut m = local(NodeId(1));
+        let count = tree_count(NodeId(2), (3..100u32).map(|i| tree_count(NodeId(i), [])));
+        assert_eq!(count, 98);
+        m.absorb_tree_counts(NodeId(2), count);
         let est = m.count_sketch.estimate();
         assert!(est > 30.0 && est < 300.0, "count sketch estimate {est}");
     }

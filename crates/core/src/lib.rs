@@ -56,12 +56,11 @@
 //! ## Parallel trials
 //!
 //! Multi-trial experiments (seeds × loss rates × schemes) fan across
-//! cores with [`driver::TrialPool`], a `std::thread::scope` executor
-//! whose per-trial RNG substreams are salted by trial index alone —
-//! results are reassembled in trial order and are bit-for-bit identical
-//! at any thread count. [`driver::Driver::run_trials`] and
-//! [`driver::Driver::run_sweep`] cover the common batch shapes and merge
-//! per-trial accounting with `CommStats::merge`.
+//! cores with [`driver::TrialPool::map`]: one job per trial
+//! configuration, each carrying its own seed, outputs in configuration
+//! order, so a sweep is bit-for-bit identical at any thread count. It
+//! runs on the same longest-first scoped fan-out as an epoch's query
+//! columns — the crate's one thread executor.
 //!
 //! Crate layout:
 //!
@@ -100,15 +99,14 @@ pub mod adapt;
 pub mod driver;
 pub mod envelope;
 pub mod metrics;
+mod parallel;
 pub mod protocol;
 pub mod query;
 pub mod runner;
 pub mod session;
 
 pub use adapt::{AdaptAction, Adapter, AdapterConfig, Strategy};
-pub use driver::{
-    Driver, EpochView, FixedReadings, ScalarRun, SteppedEpoch, TrialBatch, TrialPool, Workload,
-};
+pub use driver::{Driver, EpochView, FixedReadings, ScalarRun, SteppedEpoch, TrialPool, Workload};
 pub use protocol::{
     FreqProtocol, Protocol, QuantileOutput, QuantileProtocol, QuantileSynopsisSet, ScalarProtocol,
 };

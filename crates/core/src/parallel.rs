@@ -1,26 +1,43 @@
-//! The epoch's fan-out: its jobs — one per query column plus the
-//! envelope column — run on `k` threads, the calling thread and
-//! `k - 1` scoped ones, spawned once per epoch.
+//! The crate's one thread fan-out: a batch of independent jobs run on
+//! `k` threads, the calling thread and `k - 1` scoped ones.
 //!
-//! The jobs and everything that decides a result live in `runner.rs`;
-//! this only moves work. Each job owns its storage outright (a `&mut`
-//! to its own column) and only reads what every job shares (the
-//! schedule, the draws, the delivery lists), so which thread runs a job
-//! and in what order cannot change a result.
+//! Two callers use it. The epoch runner hands it one job per query
+//! column plus the envelope column, once per epoch; [`TrialPool::map`]
+//! hands it one job per trial configuration. The jobs and everything
+//! that decides a result live with the callers; this only moves work.
+//! Each job owns its storage outright (a `&mut` to its own column or
+//! output slot) and only reads what every job shares, so which thread
+//! runs a job and in what order cannot change a result.
 //!
 //! Threads claim jobs from one atomic index into a **longest-first**
 //! order (LPT): the jobs sorted by how long each took the last time the
-//! epoch fanned out, ties (and the first epoch) in job order. The
-//! biggest column starts first, and the small ones fill in behind it.
+//! caller fanned out, ties (and the first fan-out) in job order. The
+//! biggest job starts first, and the small ones fill in behind it.
+//!
+//! A panicking job panics the caller: the scope joins every thread and
+//! then re-raises.
+//!
+//! [`TrialPool::map`]: crate::driver::TrialPool::map
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// The machine's available parallelism, queried once per process (1 if
+/// unknown).
+pub(crate) fn available_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
 
 /// Run every job of `jobs` through `body` on `threads` threads, claimed
 /// longest first by `ns` — each job's wall time at the previous
 /// fan-out, indexed like `jobs` — and leave this run's times in `ns`.
-pub(super) fn run_longest_first<J: Send>(
+pub(crate) fn run_longest_first<J: Send>(
     threads: usize,
     jobs: Vec<J>,
     ns: &mut Vec<u64>,

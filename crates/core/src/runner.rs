@@ -82,7 +82,8 @@
 //! any order on any thread. With [`RunnerConfig::workers`] above one the
 //! epoch spawns `k = min(workers, queries)` threads (the calling thread
 //! is one of them) once, and they claim the jobs from an atomic index,
-//! longest first by the previous epoch's job times (`parallel.rs`). One
+//! longest first by the previous epoch's job times (`parallel.rs`, the
+//! crate's one fan-out, which the trial pool shares). One
 //! query, or a network smaller than [`RunnerConfig::parallel_min_nodes`],
 //! runs on the calling thread alone. Any worker count is bit-identical:
 //! answers, accounting and the RNG stream.
@@ -128,9 +129,9 @@
 //! link, not once per query.
 
 use std::any::Any;
-use std::sync::OnceLock;
 
-use crate::envelope::{ExtremaSet, MpEnvelope, TreeEnvelope, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS};
+use crate::envelope::{tree_count, ExtremaSet, MpEnvelope, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS};
+use crate::parallel;
 use crate::protocol::Protocol;
 use crate::query::QuerySet;
 use td_netsim::loss::{unicast, LossModel, Retransmit, RetransmitOutcome};
@@ -185,13 +186,8 @@ impl RunnerConfig {
     /// parallelism (queried once per process), anything else is taken
     /// literally.
     pub fn effective_workers(&self) -> usize {
-        static CORES: OnceLock<usize> = OnceLock::new();
         match self.workers {
-            0 => *CORES.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
+            0 => parallel::available_threads(),
             w => w,
         }
     }
@@ -902,8 +898,6 @@ impl EpochPlan {
     }
 }
 
-mod parallel;
-
 /// One job of a fanned-out epoch: a query's column or the envelope
 /// column.
 enum Job<'c> {
@@ -1328,9 +1322,9 @@ struct Envelopes {
     /// level `i`) and of the level above it — the only ones a receiver
     /// can hear. Entries are reopened in place, so their count sketches
     /// are reused from level to level and epoch to epoch.
-    live: [Vec<Option<MpEnvelope<()>>>; 2],
+    live: [Vec<Option<MpEnvelope>>; 2],
     /// Spare envelope for an `M` base station.
-    base_env: Option<MpEnvelope<()>>,
+    base_env: Option<MpEnvelope>,
     /// Per slot: the RLE size of an `M` step's count sketch as it went on
     /// the air (read by the accounting pass when overhead is charged).
     sketch_bytes: Vec<u32>,
@@ -1366,8 +1360,8 @@ impl Envelopes {
                 let children = lists.tree.of(slot);
                 match step.mode {
                     Mode::T => {
-                        counts[slot] = u64::from(!step.node.is_base())
-                            + children.iter().map(|&c| counts[c as usize]).sum::<u64>();
+                        counts[slot] =
+                            tree_count(step.node, children.iter().map(|&c| counts[c as usize]));
                     }
                     Mode::M => {
                         if building.len() == built {
@@ -1398,7 +1392,7 @@ impl Envelopes {
         let children = lists.tree.of(sched.base_slot());
         *base = match sched.base_mode {
             Mode::T => BaseEnvelope {
-                est: children.iter().map(|&c| counts[c as usize]).sum::<u64>() as f64,
+                est: tree_count(BASE_STATION, children.iter().map(|&c| counts[c as usize])) as f64,
                 ..BaseEnvelope::default()
             },
             Mode::M => {
@@ -1433,7 +1427,7 @@ impl Envelopes {
 /// `at`).
 #[allow(clippy::too_many_arguments)]
 fn build_mp_envelope<'e>(
-    entry: &'e mut Option<MpEnvelope<()>>,
+    entry: &'e mut Option<MpEnvelope>,
     node: NodeId,
     subtree_size: u64,
     switchable_m: bool,
@@ -1442,8 +1436,8 @@ fn build_mp_envelope<'e>(
     sched: &Schedule,
     counts: &[u64],
     at: &[u32],
-    above: &[Option<MpEnvelope<()>>],
-) -> &'e MpEnvelope<()> {
+    above: &[Option<MpEnvelope>],
+) -> &'e MpEnvelope {
     let sketch = match entry.take() {
         Some(old) => {
             let mut sketch = old.count_sketch;
@@ -1452,7 +1446,7 @@ fn build_mp_envelope<'e>(
         }
         None => FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS),
     };
-    let env = entry.insert(MpEnvelope::local_pooled(sketch, node, None));
+    let env = entry.insert(MpEnvelope::local_pooled(sketch, node));
     // §4.2: a switchable M vertex is the root of a unique (all-tree)
     // subtree; it reports how many of its subtree's nodes are missing.
     if switchable_m {
@@ -1465,11 +1459,7 @@ fn build_mp_envelope<'e>(
     }
     for &child in children {
         let child = child as usize;
-        env.absorb_tree_counts(&TreeEnvelope::<()> {
-            msg: None,
-            root: sched.steps[child].node,
-            count: counts[child],
-        });
+        env.absorb_tree_counts(sched.steps[child].node, counts[child]);
     }
     for &sender in heard {
         let heard = above[at[sender as usize] as usize]
@@ -1915,6 +1905,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A panicking query column panics the caller: with two queries at
+    /// two workers the fan-out joins its threads and re-raises instead
+    /// of losing the failure or hanging. The broken query's readings
+    /// cover only the base station, so its column indexes past them at
+    /// its first sensor, on whichever thread runs it (hence no expected
+    /// message: a spawned thread's panic is re-raised as the scope's).
+    #[test]
+    #[should_panic]
+    fn panicking_column_panics_the_caller() {
+        let (net, td) = topo(148, 150, 2);
+        let values: Vec<u64> = (0..net.len() as u64).collect();
+        let config = RunnerConfig {
+            workers: 2,
+            parallel_min_nodes: 0,
+            ..RunnerConfig::default()
+        };
+        let sum = ScalarProtocol::new(Sum::default(), &values);
+        let broken = ScalarProtocol::new(Count::default(), &values[..1]);
+        let mut set = QuerySet::new();
+        set.register(&sum);
+        set.register(&broken);
+        let mut stats = CommStats::new(net.len());
+        let mut rng = rng_from_seed(149);
+        EpochPlan::compile_td(&td).run_set(&set, &net, &NoLoss, config, 0, &mut stats, &mut rng);
     }
 
     /// The law the single step table rests on: TAG is the all-`T`

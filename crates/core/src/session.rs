@@ -369,11 +369,6 @@ impl Session {
         }
     }
 
-    /// Start building a session for `scheme` (paper defaults).
-    pub fn builder(scheme: Scheme) -> SessionBuilder {
-        SessionBuilder::new(scheme)
-    }
-
     /// Convenience: a session with the paper's defaults for `scheme`.
     pub fn with_paper_defaults<R: rand::Rng + ?Sized>(
         scheme: Scheme,

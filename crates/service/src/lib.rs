@@ -82,10 +82,9 @@ pub use tenant::{Tenant, TenantBuilder, TenantId, TenantPhase, TenantStatus};
 use rand::rngs::StdRng;
 use td_netsim::rng::substream;
 
-/// Substream salt separating tenant RNGs from every other named
-/// consumer of an experiment seed (trial RNGs use the driver's
-/// `TRIAL_STREAM_SALT`; this must differ so a tenant seeded `s` and a
-/// trial seeded `s` never share draws).
+/// Substream salt separating tenant RNGs from every other consumer of
+/// the same seed: a tenant seeded `s` never shares draws with the root
+/// stream of `s` or with the substreams an experiment derives from it.
 pub const TENANT_STREAM_SALT: u64 = 0x7D5E_7E4A;
 
 /// The RNG for the tenant seeded `seed` — the substream discipline
@@ -109,10 +108,12 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
-        // Distinct from the trial-pool substreams of the same seed.
-        for trial in 0..4 {
-            let mut c = tributary_delta::driver::TrialPool::trial_rng(42, trial);
-            assert_ne!(tenant_rng(42).gen::<u64>(), c.gen::<u64>());
+        // Distinct from the root stream and the low-salt substreams of
+        // the same seed.
+        let first = tenant_rng(42).gen::<u64>();
+        assert_ne!(first, td_netsim::rng::rng_from_seed(42).gen::<u64>());
+        for salt in 0..4 {
+            assert_ne!(first, substream(42, salt).gen::<u64>());
         }
     }
 }

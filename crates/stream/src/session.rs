@@ -515,12 +515,8 @@ impl StreamSession {
         M: LossModel,
         R: Rng + ?Sized,
     {
-        let remaining_warmup = self
-            .driver
-            .warmup()
-            .saturating_sub(self.driver.next_epoch());
         let mut reports = Vec::new();
-        for _ in 0..remaining_warmup + epochs {
+        for _ in 0..self.driver.epochs_to_run(epochs) {
             reports.extend(self.step_inner(workload, model, churn, rng));
         }
         reports
