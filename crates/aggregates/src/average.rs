@@ -7,7 +7,8 @@
 
 use crate::count::Count;
 use crate::sum::Sum;
-use crate::traits::{Aggregate, Wire};
+use crate::traits::Aggregate;
+use td_netsim::message::WireSize;
 use td_sketches::fm::FmSketch;
 
 /// Average reading across contributing nodes.
@@ -101,14 +102,14 @@ impl Aggregate for Average {
         }
     }
 
-    fn tree_wire(&self, _partial: &AvgPartial) -> Wire {
-        Wire::from_words(2)
+    fn tree_words(&self, _partial: &AvgPartial) -> usize {
+        2
     }
 
-    fn synopsis_wire(&self, synopsis: &AvgSynopsis) -> Wire {
+    fn synopsis_wire(&self, synopsis: &AvgSynopsis) -> WireSize {
         let a = self.sum.synopsis_wire(&synopsis.sum);
         let b = self.count.synopsis_wire(&synopsis.count);
-        Wire {
+        WireSize {
             bytes: a.bytes + b.bytes,
             words: a.words + b.words,
         }
@@ -118,7 +119,7 @@ impl Aggregate for Average {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laws::{assert_fuse_laws, fuse_all, merge_all};
+    use crate::laws::{assert_conversion_sound, assert_fuse_laws, fuse_all, merge_all};
 
     fn readings() -> Vec<(u32, u64)> {
         (1..=200u32).map(|i| (i, 40 + (i as u64 % 21))).collect()
@@ -158,5 +159,17 @@ mod tests {
         let b: Vec<(u32, u64)> = (30..80).map(|i| (i, 20)).collect();
         let c: Vec<(u32, u64)> = (70..90).map(|i| (i, 30)).collect();
         assert_fuse_laws(&agg, &a, &b, &c);
+    }
+
+    #[test]
+    fn conversion_sound() {
+        // A 100-node tributary converted at root 4 and fused with 100
+        // native synopses: both component sketches convert, so the ratio
+        // stays near the true average.
+        let agg = Average::default();
+        let rs = readings();
+        let truth = rs.iter().map(|&(_, v)| v as f64).sum::<f64>() / rs.len() as f64;
+        let (tree, mp) = rs.split_at(100);
+        assert_conversion_sound(&agg, 4, &tree.to_vec(), &mp.to_vec(), 0.4, Some(truth));
     }
 }

@@ -7,7 +7,8 @@
 //! equates with the value `c` (FM value-insertion salted by the tributary
 //! root, §5's Count example).
 
-use crate::traits::{Aggregate, Wire};
+use crate::traits::Aggregate;
+use td_netsim::message::WireSize;
 use td_sketches::fm::FmSketch;
 use td_sketches::hash::keyed;
 use td_sketches::rle;
@@ -90,12 +91,12 @@ impl Aggregate for Count {
         synopsis.estimate()
     }
 
-    fn tree_wire(&self, _partial: &u64) -> Wire {
-        Wire::from_words(1)
+    fn tree_words(&self, _partial: &u64) -> usize {
+        1
     }
 
-    fn synopsis_wire(&self, synopsis: &FmSketch) -> Wire {
-        Wire {
+    fn synopsis_wire(&self, synopsis: &FmSketch) -> WireSize {
+        WireSize {
             bytes: rle::encoded_size_bytes(synopsis),
             words: synopsis.num_bitmaps(),
         }
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn wire_sizes() {
         let agg = Count::default();
-        assert_eq!(agg.tree_wire(&5).words, 1);
+        assert_eq!(agg.tree_words(&5), 1);
         let s = fuse_all(&agg, &readings(1..601)).unwrap();
         let w = agg.synopsis_wire(&s);
         assert!(w.bytes <= 48, "count synopsis {} bytes", w.bytes);

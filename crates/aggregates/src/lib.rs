@@ -11,8 +11,8 @@
 //!    root hands its subtree's result to its delta parent (Figure 3).
 //!
 //! The [`traits::Aggregate`] trait packages all three plus wire-size
-//! accounting; the simulator in the `tributary-delta` crate is generic
-//! over it. Implementations here:
+//! accounting; the runner in the `tributary-delta` crate reaches an
+//! aggregate through its `ScalarProtocol` adapter. Implementations here:
 //!
 //! | Aggregate | Tree partial | Synopsis | Approximation error |
 //! |-----------|--------------|----------|---------------------|

@@ -4,7 +4,8 @@
 //! partial and the synopsis are the same scalar and the conversion is the
 //! identity — the "simple conversion functions" of §5.
 
-use crate::traits::{Aggregate, Wire};
+use crate::traits::Aggregate;
+use td_netsim::message::WireSize;
 
 /// Minimum reading across contributing nodes.
 #[derive(Clone, Copy, Debug, Default)]
@@ -58,12 +59,12 @@ macro_rules! impl_extremum {
                 *synopsis as f64
             }
 
-            fn tree_wire(&self, _partial: &u64) -> Wire {
-                Wire::from_words(1)
+            fn tree_words(&self, _partial: &u64) -> usize {
+                1
             }
 
-            fn synopsis_wire(&self, _synopsis: &u64) -> Wire {
-                Wire::from_words(1)
+            fn synopsis_wire(&self, _synopsis: &u64) -> WireSize {
+                WireSize::from_words(1)
             }
         }
     };

@@ -5,7 +5,8 @@
 //! inserts `v` pseudo-elements salted by its id. Conversion inserts a
 //! subtree's sum the same way, salted by the tributary root.
 
-use crate::traits::{Aggregate, Wire};
+use crate::traits::Aggregate;
+use td_netsim::message::WireSize;
 use td_sketches::fm::FmSketch;
 use td_sketches::hash::keyed;
 use td_sketches::rle;
@@ -73,12 +74,12 @@ impl Aggregate for Sum {
         synopsis.estimate()
     }
 
-    fn tree_wire(&self, _partial: &u64) -> Wire {
-        Wire::from_words(1)
+    fn tree_words(&self, _partial: &u64) -> usize {
+        1
     }
 
-    fn synopsis_wire(&self, synopsis: &FmSketch) -> Wire {
-        Wire {
+    fn synopsis_wire(&self, synopsis: &FmSketch) -> WireSize {
+        WireSize {
             bytes: rle::encoded_size_bytes(synopsis),
             words: synopsis.num_bitmaps(),
         }

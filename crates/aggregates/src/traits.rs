@@ -1,25 +1,6 @@
-//! The aggregate abstraction the Tributary-Delta runner is generic over.
+//! The aggregate abstraction: the three pieces of §5 plus wire sizes.
 
-/// Wire footprint of a partial result. Re-exported convenience alias of
-/// the netsim type to avoid a dependency here: bytes drive message
-/// quantization, words drive the load metrics of Figure 8.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Wire {
-    /// Payload bytes after encoding.
-    pub bytes: usize,
-    /// Payload size in 32-bit words before encoding.
-    pub words: usize,
-}
-
-impl Wire {
-    /// A wire size measured in words (4 bytes each).
-    pub fn from_words(words: usize) -> Self {
-        Wire {
-            bytes: words * 4,
-            words,
-        }
-    }
-}
+use td_netsim::message::WireSize;
 
 /// An aggregate computable in the Tributary-Delta framework (§5).
 ///
@@ -38,16 +19,20 @@ impl Wire {
 /// the conversion can salt its pseudo-elements uniquely (path correctness
 /// guarantees each tributary root is the root of a unique subtree, §4.2
 /// footnote 3).
-/// (`Send` so aggregate-carrying stream queries can cross worker
-/// threads — the service layer moves whole tenant sessions between
-/// them; every aggregate here is plain data.)
+///
+/// (`Send + Sync` on the aggregate because a protocol wrapping it is
+/// shared by reference across the threads an epoch's query columns run
+/// on, and stream queries carrying it move between worker threads;
+/// every aggregate here is plain data.)
 pub trait Aggregate: Clone + Send + Sync {
     /// Partial result used by tree (tributary) nodes. (`'static` +
-    /// `Send` so partials can ride in the type-erased per-query
-    /// columns of the session engine across worker threads.)
-    type TreePartial: Clone + std::fmt::Debug + Send + Sync + 'static;
-    /// Duplicate-insensitive partial result used by delta nodes.
-    type Synopsis: Clone + std::fmt::Debug + Send + Sync + 'static;
+    /// `Send` so partials can ride in a query's type-erased column and
+    /// move with it to the worker thread that runs it; not `Sync`,
+    /// because a column is read by one thread at a time.)
+    type TreePartial: Clone + std::fmt::Debug + Send + 'static;
+    /// Duplicate-insensitive partial result used by delta nodes (same
+    /// bounds as `TreePartial`).
+    type Synopsis: Clone + std::fmt::Debug + Send + 'static;
 
     /// Human-readable aggregate name (for reports).
     fn name(&self) -> &'static str;
@@ -74,21 +59,11 @@ pub trait Aggregate: Clone + Send + Sync {
     /// Synopsis evaluation (SE): evaluate a synopsis into the answer.
     fn evaluate_synopsis(&self, synopsis: &Self::Synopsis) -> f64;
 
-    /// Wire footprint of a tree partial.
-    fn tree_wire(&self, partial: &Self::TreePartial) -> Wire;
+    /// Size of a tree partial in 32-bit words (tree sends are priced
+    /// at 4 bytes a word).
+    fn tree_words(&self, partial: &Self::TreePartial) -> usize;
 
-    /// Wire footprint of a synopsis.
-    fn synopsis_wire(&self, synopsis: &Self::Synopsis) -> Wire;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_from_words() {
-        let w = Wire::from_words(3);
-        assert_eq!(w.bytes, 12);
-        assert_eq!(w.words, 3);
-    }
+    /// Wire footprint of a synopsis: encoded bytes drive message
+    /// quantization, words drive the load metrics of Figure 8.
+    fn synopsis_wire(&self, synopsis: &Self::Synopsis) -> WireSize;
 }

@@ -83,7 +83,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<DeltaSnapshot> {
     // The paper's two loss rates with its p2 = 0.05, plus a low-noise
     // variant where the outside network is healthy enough that a partial
     // delta meets the 90% target — the regime where fine-grained
-    // localization is visible (see EXPERIMENTS.md on depth sensitivity).
+    // localization is visible: its TD delta is the smallest of the three
+    // and the most concentrated in the region
+    // (`results/fig04_delta_summary.csv`).
     // Each (loss rates, scheme) snapshot converges independently on the
     // trial pool.
     let cells: Vec<(f64, f64, Scheme, &'static str)> = [(0.3, 0.05), (0.8, 0.05), (0.3, 0.005)]

@@ -120,7 +120,7 @@ mod tests {
         // TAG much worse than SD; TD no worse than SD (small slack for a
         // single seeded run). The paper reports a 4x TAG/SD gap on the
         // real lab; our sparser reconstruction yields ~1.7x — same
-        // ordering, weaker factor (documented in EXPERIMENTS.md).
+        // ordering, weaker factor (`results/labdata_sum.csv`).
         assert!(
             res.rms["TAG"] > 1.5 * res.rms["SD"],
             "TAG {} vs SD {}",

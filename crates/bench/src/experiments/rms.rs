@@ -5,7 +5,7 @@
 //! Figure 2 is the 0–0.4 prefix of Figure 5(a) computed for Count;
 //! Figure 5(a) sweeps `Global(p)` for Sum over `p ∈ [0, 1]` and Figure
 //! 5(b) sweeps `Regional(p, 0.05)`. Four schemes everywhere: TAG, SD,
-//! TD-Coarse, TD. Shape targets (EXPERIMENTS.md): TAG best at `p ≈ 0`,
+//! TD-Coarse, TD. The paper's shape targets: TAG best at `p ≈ 0`,
 //! crossing below SD at small `p`; SD flat near its ~12% approximation
 //! error; TD/TD-Coarse at or below the best of the two at every rate,
 //! with up to ~3× error reduction at realistic rates.

@@ -50,8 +50,8 @@ pub fn summary() -> String {
     format!(
         "Te: m={}, 2-dominating={}, grid factor={:.2} | T2: 2-dominating={}, grid factor={:.2}\n\
          (Paper claims Te is 2-dominating because H(i) of Te >= H(i) of T2 at every i;\n\
-         under the formal Definition, Te's exact factor is {:.2} — see EXPERIMENTS.md\n\
-         for the note on the paper's 2.05 parenthetical.)",
+         under the formal Definition, Te's exact factor is {:.2}, not the paper's\n\
+         parenthetical 2.05.)",
         te.num_nodes(),
         te.is_d_dominating(2.0),
         te.domination_factor(0.05),

@@ -23,19 +23,27 @@ use td_sketches::keyed::union_into;
 /// lets height-dependent algorithms (the §6.1 precision gradients) apply
 /// their per-level budget after a node has merged its children.
 ///
-/// `Sync` because the intra-epoch parallel runner shares `&QuerySet`
-/// across worker threads; protocol instances are read-only during an
-/// epoch, so plain-data implementations get this for free.
+/// The base station evaluates in the shape of its own mode: a tree-mode
+/// base calls [`evaluate_tree`](Self::evaluate_tree) over the parts its
+/// children delivered; a multi-path base calls
+/// [`evaluate_mp`](Self::evaluate_mp) over the synopsis it fused (its
+/// tree children were converted on arrival), or `evaluate_tree(&[], h)`
+/// when nothing reached it.
+///
+/// `Sync` because the epoch's query columns run on several threads that
+/// share the protocol instances by reference; instances are read-only
+/// during an epoch, so plain-data implementations get this for free.
 pub trait Protocol: Sync {
     /// Partial result used in tributaries. (`'static` so messages can be
     /// held in a [`crate::query::QuerySet`] query's type-erased column —
     /// protocol *instances* may still borrow their epoch's readings —
-    /// and `Send` so sessions holding columns can cross worker threads.
-    /// The runner does not need `Sync` from a message: a column,
-    /// broadcasts included, is read by one thread at a time.)
-    type TreeMsg: Clone + Send + Sync + 'static;
-    /// Duplicate-insensitive partial result used in the delta.
-    type MpMsg: Clone + Send + Sync + 'static;
+    /// and `Send` so a column can move to the worker thread that runs
+    /// it. Not `Sync`: a column, broadcasts included, is read by one
+    /// thread at a time.)
+    type TreeMsg: Clone + Send + 'static;
+    /// Duplicate-insensitive partial result used in the delta (same
+    /// bounds as `TreeMsg`).
+    type MpMsg: Clone + Send + 'static;
     /// The query answer produced at the base station.
     type Output: 'static;
 
@@ -61,23 +69,22 @@ pub trait Protocol: Sync {
     /// tributary root `root` as a multi-path message.
     fn convert(&self, root: NodeId, msg: &Self::TreeMsg) -> Self::MpMsg;
 
-    /// Wire footprint of a tree message.
-    fn tree_wire(&self, msg: &Self::TreeMsg) -> WireSize;
+    /// Size of a tree message in 32-bit words; a tree send is priced at
+    /// 4 bytes a word.
+    fn tree_words(&self, msg: &Self::TreeMsg) -> usize;
 
     /// Wire footprint of a multi-path message.
     fn mp_wire(&self, msg: &Self::MpMsg) -> WireSize;
 
-    /// Evaluate the answer at the base station. When the base runs
-    /// multi-path, `tree_parts` is empty and `mp` holds the fused delta
-    /// synopsis (tree parts were converted on arrival); when the whole
-    /// network is a tree, `mp` is `None`. `base_height` is the base
-    /// station's height for height-dependent final combines.
-    fn evaluate(
-        &self,
-        tree_parts: &[Self::TreeMsg],
-        mp: Option<&Self::MpMsg>,
-        base_height: u32,
-    ) -> Self::Output;
+    /// The answer at a tree-mode base station: the final combine of the
+    /// tree parts its children delivered, at `base_height` for
+    /// height-dependent budgets. Also the answer of a multi-path base
+    /// that heard nothing (`parts` empty).
+    fn evaluate_tree(&self, parts: &[Self::TreeMsg], base_height: u32) -> Self::Output;
+
+    /// The answer at a multi-path base station: the evaluation of the
+    /// delta synopsis it fused.
+    fn evaluate_mp(&self, mp: &Self::MpMsg) -> Self::Output;
 }
 
 /// Protocols pass through shared references, so per-epoch instances can
@@ -111,21 +118,20 @@ impl<P: Protocol> Protocol for &P {
         (**self).convert(root, msg)
     }
 
-    fn tree_wire(&self, msg: &Self::TreeMsg) -> WireSize {
-        (**self).tree_wire(msg)
+    fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
+        (**self).tree_words(msg)
     }
 
     fn mp_wire(&self, msg: &Self::MpMsg) -> WireSize {
         (**self).mp_wire(msg)
     }
 
-    fn evaluate(
-        &self,
-        tree_parts: &[Self::TreeMsg],
-        mp: Option<&Self::MpMsg>,
-        base_height: u32,
-    ) -> Self::Output {
-        (**self).evaluate(tree_parts, mp, base_height)
+    fn evaluate_tree(&self, parts: &[Self::TreeMsg], base_height: u32) -> Self::Output {
+        (**self).evaluate_tree(parts, base_height)
+    }
+
+    fn evaluate_mp(&self, mp: &Self::MpMsg) -> Self::Output {
+        (**self).evaluate_mp(mp)
     }
 }
 
@@ -133,10 +139,10 @@ impl<P: Protocol> Protocol for &P {
 // Scalar adapter
 // ---------------------------------------------------------------------
 
-/// Adapter running any [`Aggregate`] (Count, Sum, Min, Max, Average,
-/// samples…) as a Tributary-Delta protocol. Holds the epoch's readings:
-/// `values[i]` is node `i`'s reading (the base station's entry is
-/// ignored).
+/// Adapter running any [`Aggregate`] (Count, Sum, Min, Max, Average, or
+/// one of your own) as a Tributary-Delta protocol. Holds the epoch's
+/// readings: `values[i]` is node `i`'s reading (the base station's entry
+/// is ignored).
 #[derive(Clone, Debug)]
 pub struct ScalarProtocol<'v, A> {
     agg: A,
@@ -186,50 +192,27 @@ impl<'v, A: Aggregate> Protocol for ScalarProtocol<'v, A> {
         self.agg.convert(root.0, msg)
     }
 
-    fn tree_wire(&self, msg: &Self::TreeMsg) -> WireSize {
-        let w = self.agg.tree_wire(msg);
-        WireSize {
-            bytes: w.bytes,
-            words: w.words,
-        }
+    fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
+        self.agg.tree_words(msg)
     }
 
     fn mp_wire(&self, msg: &Self::MpMsg) -> WireSize {
-        let w = self.agg.synopsis_wire(msg);
-        WireSize {
-            bytes: w.bytes,
-            words: w.words,
-        }
+        self.agg.synopsis_wire(msg)
     }
 
-    fn evaluate(
-        &self,
-        tree_parts: &[Self::TreeMsg],
-        mp: Option<&Self::MpMsg>,
-        _base_height: u32,
-    ) -> f64 {
-        match (tree_parts, mp) {
-            ([], None) => 0.0,
-            (parts, None) => {
-                let mut acc = parts[0].clone();
-                for p in &parts[1..] {
-                    self.agg.merge_tree(&mut acc, p);
-                }
-                self.agg.evaluate_tree(&acc)
-            }
-            (parts, Some(mp)) => {
-                // Any stray tree parts (base running multi-path with tree
-                // children) are converted with the base as pseudo-root of
-                // each child's subtree; the runner normally does this
-                // before calling evaluate.
-                let mut acc = mp.clone();
-                for p in parts {
-                    let conv = self.agg.convert(0, p);
-                    self.agg.fuse(&mut acc, &conv);
-                }
-                self.agg.evaluate_synopsis(&acc)
-            }
+    fn evaluate_tree(&self, parts: &[Self::TreeMsg], _base_height: u32) -> f64 {
+        let Some((first, rest)) = parts.split_first() else {
+            return 0.0;
+        };
+        let mut acc = first.clone();
+        for p in rest {
+            self.agg.merge_tree(&mut acc, p);
         }
+        self.agg.evaluate_tree(&acc)
+    }
+
+    fn evaluate_mp(&self, mp: &Self::MpMsg) -> f64 {
+        self.agg.evaluate_synopsis(mp)
     }
 }
 
@@ -277,6 +260,15 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> FreqProtocol<'v, F, G> {
     /// The combined error tolerance ε = ε_a + ε_b.
     pub fn total_eps(&self) -> f64 {
         self.gradient.final_eps() + self.mp_cfg.eps
+    }
+
+    /// The answer from base-station estimates held to tolerance `eps`.
+    fn output(&self, estimates: FreqEstimates, eps: f64) -> FreqOutput {
+        FreqOutput {
+            reported: estimates.report(self.support - eps),
+            n_est: estimates.n_est,
+            estimates,
+        }
     }
 }
 
@@ -326,57 +318,38 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
         set
     }
 
-    fn tree_wire(&self, msg: &Self::TreeMsg) -> WireSize {
-        WireSize::from_words(msg.wire_words())
+    fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
+        msg.wire_words()
     }
 
     fn mp_wire(&self, msg: &Self::MpMsg) -> WireSize {
         WireSize::from_words(msg.wire_words())
     }
 
-    fn evaluate(
-        &self,
-        tree_parts: &[Self::TreeMsg],
-        mp: Option<&Self::MpMsg>,
-        base_height: u32,
-    ) -> FreqOutput {
-        let (estimates, eps) = match mp {
-            // Fused sets are compact already: evaluate in place.
-            Some(set) if tree_parts.is_empty() && set.is_compact() => {
-                (set.evaluate(), self.total_eps())
-            }
-            Some(set) => {
-                let mut set = set.clone();
-                for p in tree_parts {
-                    // Normally empty: the runner converts on arrival.
-                    if let Some(s) = convert_summary(&self.mp_cfg, td_netsim::node::BASE_STATION, p)
-                    {
-                        set.insert(s);
-                    }
-                }
-                set.compact(&self.mp_cfg);
-                (set.evaluate(), self.total_eps())
-            }
-            None => {
-                // Pure tree: final Algorithm 1 combine at the base.
-                let summary = FreqSummary::combine(
-                    tree_parts,
-                    &FreqSummary::empty(),
-                    self.gradient.eps_at(base_height),
-                );
-                let estimates = FreqEstimates {
-                    n_est: summary.n as f64,
-                    counts: summary.iter().map(|(u, c)| (u, c as f64)).collect(),
-                };
-                (estimates, self.gradient.final_eps())
-            }
+    fn evaluate_tree(&self, parts: &[Self::TreeMsg], base_height: u32) -> FreqOutput {
+        // The final Algorithm 1 combine at the base.
+        let summary = FreqSummary::combine(
+            parts,
+            &FreqSummary::empty(),
+            self.gradient.eps_at(base_height),
+        );
+        let estimates = FreqEstimates {
+            n_est: summary.n as f64,
+            counts: summary.iter().map(|(u, c)| (u, c as f64)).collect(),
         };
-        let reported = estimates.report(self.support - eps);
-        FreqOutput {
-            reported,
-            n_est: estimates.n_est,
-            estimates,
-        }
+        self.output(estimates, self.gradient.final_eps())
+    }
+
+    fn evaluate_mp(&self, set: &Self::MpMsg) -> FreqOutput {
+        // Fused sets are compact already: evaluate in place.
+        let estimates = if set.is_compact() {
+            set.evaluate()
+        } else {
+            let mut set = set.clone();
+            set.compact(&self.mp_cfg);
+            set.evaluate()
+        };
+        self.output(estimates, self.total_eps())
     }
 }
 
@@ -568,38 +541,27 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
         QuantileSynopsisSet::singleton(root.0, msg.clone())
     }
 
-    fn tree_wire(&self, msg: &Self::TreeMsg) -> WireSize {
-        WireSize::from_words(msg.wire_words())
+    fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
+        msg.wire_words()
     }
 
     fn mp_wire(&self, msg: &Self::MpMsg) -> WireSize {
         WireSize::from_words(msg.wire_words())
     }
 
-    fn evaluate(
-        &self,
-        tree_parts: &[Self::TreeMsg],
-        mp: Option<&Self::MpMsg>,
-        base_height: u32,
-    ) -> QuantileOutput<S> {
-        match mp {
-            None => {
-                // Pure tree: final combine + the base's budget.
-                let mut acc = self.template.exact_from(&[]);
-                for p in tree_parts {
-                    acc.combine_into(p);
-                }
-                acc.reduce(self.budget(base_height, acc.population()));
-                QuantileOutput { summary: acc }
-            }
-            Some(set) => {
-                let mut acc = set.merged(&self.template);
-                for p in tree_parts {
-                    // Normally empty: the runner converts on arrival.
-                    acc.combine_into(p);
-                }
-                QuantileOutput { summary: acc }
-            }
+    fn evaluate_tree(&self, parts: &[Self::TreeMsg], base_height: u32) -> QuantileOutput<S> {
+        // The final combine, then the base's budget.
+        let mut acc = self.template.exact_from(&[]);
+        for p in parts {
+            acc.combine_into(p);
+        }
+        acc.reduce(self.budget(base_height, acc.population()));
+        QuantileOutput { summary: acc }
+    }
+
+    fn evaluate_mp(&self, set: &Self::MpMsg) -> QuantileOutput<S> {
+        QuantileOutput {
+            summary: set.merged(&self.template),
         }
     }
 }
@@ -620,7 +582,7 @@ mod tests {
         let mut acc = p.local_tree(NodeId(1)).unwrap();
         let b = p.local_tree(NodeId(2)).unwrap();
         p.merge_tree(&mut acc, &b);
-        assert_eq!(p.evaluate(&[acc], None, 1), 30.0);
+        assert_eq!(p.evaluate_tree(&[acc], 1), 30.0);
     }
 
     #[test]
@@ -632,7 +594,7 @@ mod tests {
             let s = p.local_mp(NodeId(n)).unwrap();
             p.fuse(&mut acc, &s);
         }
-        let est = p.evaluate(&[], Some(&acc), 1);
+        let est = p.evaluate_mp(&acc);
         assert!(est > 0.5 && est < 12.0, "count estimate {est}");
     }
 
@@ -651,7 +613,7 @@ mod tests {
             let s = p.local_mp(NodeId(n)).unwrap();
             p.fuse(&mut mp, &s);
         }
-        let est = p.evaluate(&[], Some(&mp), 1);
+        let est = p.evaluate_mp(&mp);
         let rel = (est - 100.0).abs() / 100.0;
         assert!(rel < 0.45, "count estimate {est}");
     }
@@ -669,7 +631,7 @@ mod tests {
             p.merge_tree(&mut acc, &t);
         }
         let acc = p.finalize_tree(NodeId(1), 2, acc);
-        let out = p.evaluate(&[acc], None, 3);
+        let out = p.evaluate_tree(&[acc], 3);
         assert_eq!(out.population(), 3);
         assert_eq!(out.quantile(0.5), Some(20));
         assert_eq!(out.rank(15), 1);
@@ -686,7 +648,7 @@ mod tests {
         p.fuse(&mut acc, &b);
         let dup = acc.clone();
         p.fuse(&mut acc, &dup);
-        let out = p.evaluate(&[], Some(&acc), 1);
+        let out = p.evaluate_mp(&acc);
         assert_eq!(out.population(), 2);
         assert_eq!(out.uncertainty(), 0);
     }
@@ -707,7 +669,7 @@ mod tests {
             let s = p.local_mp(NodeId(n)).unwrap();
             p.fuse(&mut mp, &s);
         }
-        let out = p.evaluate(&[], Some(&mp), 3);
+        let out = p.evaluate_mp(&mp);
         assert_eq!(out.population(), 100);
         let median = out.quantile(0.5).unwrap();
         let err = out.summary.rank(median).abs_diff(50);
@@ -852,7 +814,7 @@ mod tests {
         let b = p.local_tree(NodeId(2)).unwrap();
         p.merge_tree(&mut a, &b);
         let a = p.finalize_tree(NodeId(1), 2, a);
-        let out = p.evaluate(&[a], None, 3);
+        let out = p.evaluate_tree(&[a], 3);
         assert_eq!(out.n_est, 1000.0);
         assert!(out.reported.contains(&1));
         assert!(!out.reported.contains(&9));
@@ -875,7 +837,7 @@ mod tests {
         let mut mp = p.convert(NodeId(1), &tree);
         let native = p.local_mp(NodeId(3)).unwrap();
         p.fuse(&mut mp, &native);
-        let out = p.evaluate(&[], Some(&mp), 3);
+        let out = p.evaluate_mp(&mp);
         // Exact counters: N̂ = 1920 exactly.
         assert!((out.n_est - 1920.0).abs() < 1e-6, "n_est {}", out.n_est);
         assert!(out.reported.contains(&1), "reported {:?}", out.reported);

@@ -267,7 +267,7 @@ mod tests {
         );
         assert_eq!(*Answers::new(out.outputs).get(h), 21.0);
         let local = Protocol::local_tree(&p, NodeId(3)).unwrap();
-        let words = Protocol::tree_wire(&p, &local).words + TREE_OVERHEAD_WORDS;
+        let words = Protocol::tree_words(&p, &local) + TREE_OVERHEAD_WORDS;
         assert_eq!(stats.total_bytes(), 3 * 4 * words as u64);
     }
 

@@ -1150,7 +1150,7 @@ pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut
                 Mode::T => {
                     let msg = tree_step(proto, step.node, step.height, children, slots);
                     let words = match (&msg, step.parent) {
-                        (Some(m), Some(_)) => proto.tree_wire(m).words as u32,
+                        (Some(m), Some(_)) => proto.tree_words(m) as u32,
                         _ => 0,
                     };
                     let msg = match msg {
@@ -1203,14 +1203,16 @@ pub(crate) fn evaluate_column<P: Protocol>(
                         _ => None,
                     }),
             );
-            let output = proto.evaluate(parts, None, sched.base_height);
+            let output = proto.evaluate_tree(parts, sched.base_height);
             parts.clear();
             output
         }
         Mode::M => {
             let heard = frame.lists.mp.of(base);
-            let msg = mp_step(proto, BASE_STATION, children, heard, sched, slots);
-            proto.evaluate(&[], msg.as_ref(), sched.base_height)
+            match mp_step(proto, BASE_STATION, children, heard, sched, slots) {
+                Some(msg) => proto.evaluate_mp(&msg),
+                None => proto.evaluate_tree(&[], sched.base_height),
+            }
         }
     };
     // The innermost level's broadcasts had only the base station to
@@ -1509,6 +1511,7 @@ pub(crate) fn run_tag_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::protocol::{Protocol, ScalarProtocol};
+    use std::cell::Cell;
     use td_aggregates::average::Average;
     use td_aggregates::count::Count;
     use td_aggregates::sum::Sum;
@@ -2037,16 +2040,20 @@ mod tests {
             self.tracked(*msg)
         }
 
-        fn tree_wire(&self, _msg: &u64) -> td_netsim::message::WireSize {
-            td_netsim::message::WireSize::from_words(1)
+        fn tree_words(&self, _msg: &u64) -> usize {
+            1
         }
 
         fn mp_wire(&self, _msg: &Tracked) -> td_netsim::message::WireSize {
             td_netsim::message::WireSize::from_words(1)
         }
 
-        fn evaluate(&self, _tree_parts: &[u64], mp: Option<&Tracked>, _base_height: u32) -> u64 {
-            mp.map_or(0, |m| m.count)
+        fn evaluate_tree(&self, _parts: &[u64], _base_height: u32) -> u64 {
+            0
+        }
+
+        fn evaluate_mp(&self, mp: &Tracked) -> u64 {
+            mp.count
         }
     }
 
@@ -2179,16 +2186,20 @@ mod tests {
             *msg
         }
 
-        fn tree_wire(&self, _msg: &u64) -> td_netsim::message::WireSize {
-            td_netsim::message::WireSize::from_words(1)
+        fn tree_words(&self, _msg: &u64) -> usize {
+            1
         }
 
         fn mp_wire(&self, _msg: &u64) -> td_netsim::message::WireSize {
             td_netsim::message::WireSize::from_words(1)
         }
 
-        fn evaluate(&self, tree_parts: &[u64], mp: Option<&u64>, _base_height: u32) -> u64 {
-            mp.copied().unwrap_or_else(|| tree_parts.iter().sum())
+        fn evaluate_tree(&self, parts: &[u64], _base_height: u32) -> u64 {
+            parts.iter().sum()
+        }
+
+        fn evaluate_mp(&self, mp: &u64) -> u64 {
+            *mp
         }
     }
 
@@ -2237,6 +2248,84 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Max of the contributing node ids, carried in `Cell`s: messages
+    /// that are `Send` but not `Sync`.
+    struct CellMax;
+
+    impl Protocol for CellMax {
+        type TreeMsg = Cell<u64>;
+        type MpMsg = Cell<u64>;
+        type Output = u64;
+
+        fn local_tree(&self, node: NodeId) -> Option<Cell<u64>> {
+            (!node.is_base()).then(|| Cell::new(node.0.into()))
+        }
+
+        fn merge_tree(&self, into: &mut Cell<u64>, from: &Cell<u64>) {
+            into.set(into.get().max(from.get()));
+        }
+
+        fn local_mp(&self, node: NodeId) -> Option<Cell<u64>> {
+            self.local_tree(node)
+        }
+
+        fn fuse(&self, into: &mut Cell<u64>, from: &Cell<u64>) {
+            self.merge_tree(into, from);
+        }
+
+        fn convert(&self, _root: NodeId, msg: &Cell<u64>) -> Cell<u64> {
+            msg.clone()
+        }
+
+        fn tree_words(&self, _msg: &Cell<u64>) -> usize {
+            1
+        }
+
+        fn mp_wire(&self, _msg: &Cell<u64>) -> td_netsim::message::WireSize {
+            td_netsim::message::WireSize::from_words(1)
+        }
+
+        fn evaluate_tree(&self, parts: &[Cell<u64>], _base_height: u32) -> u64 {
+            parts.iter().map(Cell::get).max().unwrap_or(0)
+        }
+
+        fn evaluate_mp(&self, mp: &Cell<u64>) -> u64 {
+            mp.get()
+        }
+    }
+
+    /// A column is read by one thread at a time, so messages need not
+    /// be `Sync`: a two-query epoch of `Cell` messages fanned out over
+    /// two workers answers exactly as on one.
+    #[test]
+    fn messages_need_send_but_not_sync() {
+        let (net, td) = topo(152, 200, 2);
+        let model = Global::new(0.3);
+        let run = |workers: usize| {
+            let config = RunnerConfig {
+                workers,
+                parallel_min_nodes: 0,
+                ..RunnerConfig::default()
+            };
+            let mut set = QuerySet::new();
+            set.register(CellMax);
+            set.register(CellMax);
+            let mut plan = EpochPlan::compile_td(&td);
+            let mut stats = CommStats::new(net.len());
+            let mut rng = rng_from_seed(153);
+            (0..6u64)
+                .map(|epoch| {
+                    let out = plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
+                    let answer = |i: usize| *out.outputs[i].downcast_ref::<u64>().unwrap();
+                    (answer(0), answer(1), out.contributing)
+                })
+                .collect::<Vec<_>>()
+        };
+        let one = run(1);
+        assert!(one.iter().all(|&(a, b, _)| a == b && a > 0), "{one:?}");
+        assert_eq!(run(2), one);
     }
 
     /// Patching a compiled plan across adaptation mutations yields a

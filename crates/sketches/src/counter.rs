@@ -23,10 +23,10 @@ use crate::kmv::Kmv;
 
 /// A duplicate-insensitive counter: supports adding a population of
 /// occurrences identified by a salt, ODI merging, and estimation.
-/// (`Send + Sync` so synopsis sets built from counters can ride the
-/// type-erased session bundles across worker threads and be fused by
-/// reference from them; counters are plain data.)
-pub trait DiCounter: Clone + Send + Sync + 'static {
+/// (`Send` so synopsis sets built from counters can ride a query's
+/// type-erased column to the worker thread that runs it; not `Sync`,
+/// because a column is read by one thread at a time.)
+pub trait DiCounter: Clone + Send + 'static {
     /// Add `count` occurrences belonging to the population `salt`.
     /// Re-adding the same `(salt, count)` population (possibly via a merged
     /// copy) must not change the estimate.

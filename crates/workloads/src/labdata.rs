@@ -93,10 +93,11 @@ impl LabData {
     }
 
     /// The measured-loss stand-in: link loss rising with distance. The
-    /// parameters are calibrated (see EXPERIMENTS.md) so that pure tree
-    /// aggregation loses roughly half the readings over the ~4-hop
-    /// network while rings stay near-complete — the paper's
-    /// TAG ≈ 0.5 / SD ≈ 0.12 RMS split.
+    /// parameters are calibrated so that pure tree aggregation loses
+    /// roughly half the readings over the ~4-hop network while rings stay
+    /// near-complete — the paper's TAG ≈ 0.5 / SD ≈ 0.12 RMS split.
+    /// `results/labdata_sum.csv` holds the split this reconstruction
+    /// measures beside the paper's.
     pub fn loss_model(&self) -> DistanceLoss {
         DistanceLoss::new(0.05, 0.6, 3.0)
     }

@@ -3,20 +3,22 @@
 //!
 //! Everything a new aggregate needs is the `Aggregate` trait from
 //! `td-aggregates`: a tree partial result, a duplicate-insensitive
-//! synopsis, and the conversion between them (§5 of the paper). OR is
-//! idempotent, so — like Min/Max — both sides are exact and conversion is
-//! the identity.
+//! synopsis, and the conversion between them (§5 of the paper), plus
+//! their sizes — tree partials in words, synopses as a netsim
+//! `WireSize`. OR is idempotent, so — like Min/Max — both sides are
+//! exact and conversion is the identity.
 //!
 //! ```sh
 //! cargo run --release --example custom_aggregate
 //! ```
 
-use td_suite::aggregates::traits::{Aggregate, Wire};
+use td_suite::aggregates::traits::Aggregate;
 use td_suite::core::driver::{Driver, EpochView, FixedReadings};
 use td_suite::core::protocol::ScalarProtocol;
 use td_suite::core::query::QuerySet;
 use td_suite::core::session::{Scheme, SessionBuilder};
 use td_suite::netsim::loss::Global;
+use td_suite::netsim::message::WireSize;
 use td_suite::netsim::rng::rng_from_seed;
 use td_suite::workloads::synthetic::Synthetic;
 
@@ -62,12 +64,12 @@ impl Aggregate for AnyAlarm {
         *synopsis as f64
     }
 
-    fn tree_wire(&self, _partial: &u64) -> Wire {
-        Wire::from_words(1)
+    fn tree_words(&self, _partial: &u64) -> usize {
+        1
     }
 
-    fn synopsis_wire(&self, _synopsis: &u64) -> Wire {
-        Wire::from_words(1)
+    fn synopsis_wire(&self, _synopsis: &u64) -> WireSize {
+        WireSize::from_words(1)
     }
 }
 

@@ -2,13 +2,14 @@
 //! Count + Sum + Average + frequent-items concurrently must produce, per
 //! query, outputs identical to four dedicated single-query sessions
 //! under the same seed and loss model — while `CommStats` records only
-//! one traversal's worth of message rounds.
+//! one traversal's worth of message rounds. Under total loss, the
+//! bundle's answers are the empty aggregate's.
 
 use td_suite::aggregates::average::Average;
 use td_suite::aggregates::count::Count;
 use td_suite::aggregates::minmax::Max;
 use td_suite::aggregates::sum::Sum;
-use td_suite::core::protocol::{FreqOutput, FreqProtocol, ScalarProtocol};
+use td_suite::core::protocol::{FreqOutput, FreqProtocol, QuantileProtocol, ScalarProtocol};
 use td_suite::core::query::QuerySet;
 use td_suite::core::session::{Scheme, Session, SessionBuilder};
 use td_suite::frequent::items::ItemBag;
@@ -218,6 +219,41 @@ fn check_scheme(scheme: Scheme, scheme_salt: u64) {
             session.stats().total_bytes(),
             singles.bytes_total
         );
+    }
+}
+
+/// A base station that hears nothing answers the empty aggregate: under
+/// total loss every scheme's five-query bundle (Sum, Count, Max,
+/// frequent items, q-digest) evaluates to zero scalars, no reported item
+/// and `N̂ = 0`, and an empty digest — whether the base runs as a tree
+/// (TAG) or multi-path (SD, and TD's delta).
+#[test]
+fn a_base_station_that_hears_nothing_answers_empty() {
+    let fx = fixture(0);
+    let model = Global::new(1.0);
+    for scheme in Scheme::all() {
+        let (mut session, mut rng) = fresh_session(&fx, scheme);
+        for epoch in 0..6 {
+            let sum = ScalarProtocol::new(Sum::default(), &fx.values);
+            let count = ScalarProtocol::new(Count::default(), &fx.values);
+            let max = ScalarProtocol::new(Max, &fx.values);
+            let freq = FreqProtocol::new(fx.mp_cfg.clone(), fx.gradient, 0.15, &fx.bags);
+            let digest = QuantileProtocol::qdigest(10, fx.gradient, &fx.values);
+            let mut set = QuerySet::new();
+            let scalars = [set.register(&sum), set.register(&count), set.register(&max)];
+            let h_freq = set.register(&freq);
+            let h_digest = set.register(&digest);
+            let rec = session.run_set(&set, &model, epoch, &mut rng);
+            let name = scheme.name();
+            assert_eq!(rec.contributing, 0, "{name}: a reading got through");
+            for h in scalars {
+                assert_eq!(*rec.answers.get(h), 0.0, "{name} epoch {epoch}");
+            }
+            let freq = rec.answers.get(h_freq);
+            assert!(freq.reported.is_empty(), "{name}: {:?}", freq.reported);
+            assert_eq!(freq.n_est, 0.0, "{name} epoch {epoch}");
+            assert_eq!(rec.answers.get(h_digest).population(), 0, "{name}");
+        }
     }
 }
 

@@ -292,13 +292,13 @@ proptest! {
         let (msg, included, h) =
             aggregate_subtree(&gk, &children, &values, 1, &drops).unwrap();
         // The root's finalized message survives one more evaluate.
-        let out = gk.evaluate(&[msg], None, h + 1);
+        let out = gk.evaluate_tree(&[msg], h + 1);
         prop_assert_eq!(out.population(), included.len() as u64);
 
         let qd = QuantileProtocol::qdigest(QD_BITS, gradient, &values);
         let (msg, included, h) =
             aggregate_subtree(&qd, &children, &values, 1, &drops).unwrap();
-        let out = qd.evaluate(&[msg], None, h + 1);
+        let out = qd.evaluate_tree(&[msg], h + 1);
         prop_assert_eq!(out.population(), included.len() as u64);
     }
 }

@@ -130,26 +130,20 @@ impl Protocol for ContributorOracle {
         msg.clone()
     }
 
-    fn tree_wire(&self, _msg: &BTreeSet<u32>) -> WireSize {
-        WireSize::from_words(1)
+    fn tree_words(&self, _msg: &BTreeSet<u32>) -> usize {
+        1
     }
 
     fn mp_wire(&self, _msg: &BTreeSet<u32>) -> WireSize {
         WireSize::from_words(1)
     }
 
-    fn evaluate(
-        &self,
-        tree_parts: &[BTreeSet<u32>],
-        mp: Option<&BTreeSet<u32>>,
-        _base_height: u32,
-    ) -> usize {
-        tree_parts
-            .iter()
-            .chain(mp)
-            .flatten()
-            .collect::<BTreeSet<_>>()
-            .len()
+    fn evaluate_tree(&self, parts: &[BTreeSet<u32>], _base_height: u32) -> usize {
+        parts.iter().flatten().collect::<BTreeSet<_>>().len()
+    }
+
+    fn evaluate_mp(&self, mp: &BTreeSet<u32>) -> usize {
+        mp.len()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Executable versions of the paper's headline claims, at reduced scale —
-//! the "does this reproduction actually reproduce" test file. The full-
-//! scale numbers live in EXPERIMENTS.md; these tests pin the *shape*.
+//! the "does this reproduction actually reproduce" test file. The
+//! `td-bench` regenerators print the numbers (their smoke-scale CSVs are
+//! committed under `results/`); these tests pin the *shape*.
 
 use td_suite::frequent::items::ItemBag;
 use td_suite::frequent::tree::{run_tree, GradientKind, TreeFrequentConfig};
