@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 use td_aggregates::traits::Aggregate;
-use td_frequent::convert::convert_summary;
+use td_frequent::convert::convert_summary_into;
 use td_frequent::items::{Item, ItemBag};
-use td_frequent::multipath::{generate_from_bag, FreqEstimates, MultipathConfig, SynopsisSet};
+use td_frequent::multipath::{FreqEstimates, MultipathConfig, SynopsisSet};
 use td_frequent::summary::FreqSummary;
 use td_netsim::message::WireSize;
 use td_netsim::node::NodeId;
@@ -22,6 +22,15 @@ use td_sketches::keyed::union_into;
 /// tributary root's final message into the delta (§5). `finalize_tree`
 /// lets height-dependent algorithms (the §6.1 precision gradients) apply
 /// their per-level budget after a node has merged its children.
+///
+/// A delta vertex builds its message in the runner's long-lived
+/// per-query **accumulator**: [`local_mp`](Self::local_mp) writes the
+/// vertex's own contribution into it, each delivered tree child is
+/// [`convert`](Self::convert)ed into a conversion scratch and fused in,
+/// every heard broadcast is fused in, and [`seal`](Self::seal) moves
+/// the finished message out for sending. The accumulator and the
+/// scratch outlive the vertex, so a set-valued message can be built in
+/// storage that earlier vertices grew and sealed at exact size.
 ///
 /// The base station evaluates in the shape of its own mode: a tree-mode
 /// base calls [`evaluate_tree`](Self::evaluate_tree) over the parts its
@@ -59,15 +68,29 @@ pub trait Protocol: Sync {
         msg
     }
 
-    /// The local multi-path contribution of a node.
-    fn local_mp(&self, node: NodeId) -> Option<Self::MpMsg>;
+    /// Write the local multi-path contribution of `node` into the
+    /// accumulator `acc` and return whether the node has one (`false`
+    /// for the base station or a node without data). Whatever `acc`
+    /// held is discarded; its storage may be reused.
+    fn local_mp(&self, node: NodeId, acc: &mut Option<Self::MpMsg>) -> bool;
 
     /// ODI fusion of multi-path messages.
     fn fuse(&self, into: &mut Self::MpMsg, from: &Self::MpMsg);
 
     /// Conversion function: re-express the finished tree message of
-    /// tributary root `root` as a multi-path message.
-    fn convert(&self, root: NodeId, msg: &Self::TreeMsg) -> Self::MpMsg;
+    /// tributary root `root` as a multi-path message, written into `out`
+    /// (left `Some`). Whatever `out` held is discarded; its storage may
+    /// be reused.
+    fn convert(&self, root: NodeId, msg: &Self::TreeMsg, out: &mut Option<Self::MpMsg>);
+
+    /// Move the message built in the accumulator `acc` out for sending.
+    /// The default takes it whole, leaving `acc` empty. A set-valued
+    /// message instead moves its content into an exact-size message, so
+    /// messages in flight carry no spare capacity, and leaves its
+    /// storage in `acc` for the next vertex. Never clones the content.
+    fn seal(&self, acc: &mut Option<Self::MpMsg>) -> Option<Self::MpMsg> {
+        acc.take()
+    }
 
     /// Size of a tree message in 32-bit words; a tree send is priced at
     /// 4 bytes a word.
@@ -106,16 +129,20 @@ impl<P: Protocol> Protocol for &P {
         (**self).finalize_tree(node, height, msg)
     }
 
-    fn local_mp(&self, node: NodeId) -> Option<Self::MpMsg> {
-        (**self).local_mp(node)
+    fn local_mp(&self, node: NodeId, acc: &mut Option<Self::MpMsg>) -> bool {
+        (**self).local_mp(node, acc)
     }
 
     fn fuse(&self, into: &mut Self::MpMsg, from: &Self::MpMsg) {
         (**self).fuse(into, from)
     }
 
-    fn convert(&self, root: NodeId, msg: &Self::TreeMsg) -> Self::MpMsg {
-        (**self).convert(root, msg)
+    fn convert(&self, root: NodeId, msg: &Self::TreeMsg, out: &mut Option<Self::MpMsg>) {
+        (**self).convert(root, msg, out)
+    }
+
+    fn seal(&self, acc: &mut Option<Self::MpMsg>) -> Option<Self::MpMsg> {
+        (**self).seal(acc)
     }
 
     fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
@@ -177,19 +204,20 @@ impl<'v, A: Aggregate> Protocol for ScalarProtocol<'v, A> {
         self.agg.merge_tree(into, from);
     }
 
-    fn local_mp(&self, node: NodeId) -> Option<Self::MpMsg> {
+    fn local_mp(&self, node: NodeId, acc: &mut Option<Self::MpMsg>) -> bool {
         if node.is_base() {
-            return None;
+            return false;
         }
-        Some(self.agg.local_synopsis(node.0, self.values[node.index()]))
+        *acc = Some(self.agg.local_synopsis(node.0, self.values[node.index()]));
+        true
     }
 
     fn fuse(&self, into: &mut Self::MpMsg, from: &Self::MpMsg) {
         self.agg.fuse(into, from);
     }
 
-    fn convert(&self, root: NodeId, msg: &Self::TreeMsg) -> Self::MpMsg {
-        self.agg.convert(root.0, msg)
+    fn convert(&self, root: NodeId, msg: &Self::TreeMsg, out: &mut Option<Self::MpMsg>) {
+        *out = Some(self.agg.convert(root.0, msg));
     }
 
     fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
@@ -296,26 +324,28 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
         msg
     }
 
-    fn local_mp(&self, node: NodeId) -> Option<Self::MpMsg> {
+    fn local_mp(&self, node: NodeId, acc: &mut Option<Self::MpMsg>) -> bool {
         if node.is_base() {
-            return None;
+            return false;
         }
-        let synopsis = generate_from_bag(&self.mp_cfg, node, &self.bags[node.index()])?;
-        let mut set = SynopsisSet::new();
-        set.insert(synopsis);
-        Some(set)
+        let set = acc.get_or_insert_with(SynopsisSet::new);
+        set.clear();
+        let bag = &self.bags[node.index()];
+        set.insert_generated(&self.mp_cfg, node.0 as u64, bag.iter(), bag.total())
     }
 
     fn fuse(&self, into: &mut Self::MpMsg, from: &Self::MpMsg) {
         into.fuse(&self.mp_cfg, from);
     }
 
-    fn convert(&self, root: NodeId, msg: &Self::TreeMsg) -> Self::MpMsg {
-        let mut set = SynopsisSet::new();
-        if let Some(s) = convert_summary(&self.mp_cfg, root, msg) {
-            set.insert(s);
-        }
-        set
+    fn convert(&self, root: NodeId, msg: &Self::TreeMsg, out: &mut Option<Self::MpMsg>) {
+        let set = out.get_or_insert_with(SynopsisSet::new);
+        set.clear();
+        convert_summary_into(&self.mp_cfg, root, msg, set);
+    }
+
+    fn seal(&self, acc: &mut Option<Self::MpMsg>) -> Option<Self::MpMsg> {
+        acc.as_mut().map(SynopsisSet::seal)
     }
 
     fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
@@ -368,23 +398,51 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
 /// Stored flat: `(origin, part)` sorted by origin, each part behind an
 /// `Arc`. A part never changes once made, so a union shares the parts it
 /// adds instead of copying them, and keeps its own for origins it holds.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct QuantileSynopsisSet<S> {
     parts: Vec<(u32, Arc<S>)>,
 }
 
-impl<S: QuantileSummary> QuantileSynopsisSet<S> {
-    /// A set holding one part from `origin`.
-    fn singleton(origin: u32, part: S) -> Self {
+impl<S> Clone for QuantileSynopsisSet<S> {
+    fn clone(&self) -> Self {
         QuantileSynopsisSet {
-            parts: vec![(origin, Arc::new(part))],
+            parts: self.parts.clone(),
         }
     }
 
+    /// Reuses this set's part list.
+    fn clone_from(&mut self, source: &Self) {
+        self.parts.clone_from(&source.parts);
+    }
+}
+
+impl<S: QuantileSummary> QuantileSynopsisSet<S> {
+    /// Make `self` the set holding one part from `origin`, reusing its
+    /// part list.
+    fn set_singleton(&mut self, origin: u32, part: S) {
+        self.parts.clear();
+        self.parts.push((origin, Arc::new(part)));
+    }
+
     /// Keyed union; the first writer wins (both copies of a key were
-    /// generated by the same node, so they are identical).
+    /// generated by the same node, so they are identical). Grows in
+    /// place; a new origin shares the sender's part.
     fn union(&mut self, other: &Self) {
-        union_into(&mut self.parts, &other.parts, |_, _| {}, Arc::clone);
+        union_into(
+            &mut self.parts,
+            &other.parts,
+            |_, _| {},
+            Arc::clone,
+            Arc::clone,
+        );
+    }
+
+    /// Move the parts out into an exact-size set, keeping this set's
+    /// part list for reuse.
+    fn seal(&mut self) -> Self {
+        let mut parts = Vec::with_capacity(self.parts.len());
+        parts.append(&mut self.parts);
+        QuantileSynopsisSet { parts }
     }
 
     /// Wire words: one origin-id word plus each part's payload.
@@ -399,6 +457,11 @@ impl<S: QuantileSummary> QuantileSynopsisSet<S> {
             acc.combine_into(p);
         }
         acc
+    }
+
+    /// An empty set.
+    fn new() -> Self {
+        QuantileSynopsisSet { parts: Vec::new() }
     }
 
     /// Number of distinct origins represented.
@@ -523,22 +586,29 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
         msg
     }
 
-    fn local_mp(&self, node: NodeId) -> Option<Self::MpMsg> {
+    fn local_mp(&self, node: NodeId, acc: &mut Option<Self::MpMsg>) -> bool {
         if node.is_base() {
-            return None;
+            return false;
         }
         let part = self
             .template
             .exact_from(std::slice::from_ref(&self.values[node.index()]));
-        Some(QuantileSynopsisSet::singleton(node.0, part))
+        acc.get_or_insert_with(QuantileSynopsisSet::new)
+            .set_singleton(node.0, part);
+        true
     }
 
     fn fuse(&self, into: &mut Self::MpMsg, from: &Self::MpMsg) {
         into.union(from);
     }
 
-    fn convert(&self, root: NodeId, msg: &Self::TreeMsg) -> Self::MpMsg {
-        QuantileSynopsisSet::singleton(root.0, msg.clone())
+    fn convert(&self, root: NodeId, msg: &Self::TreeMsg, out: &mut Option<Self::MpMsg>) {
+        out.get_or_insert_with(QuantileSynopsisSet::new)
+            .set_singleton(root.0, msg.clone());
+    }
+
+    fn seal(&self, acc: &mut Option<Self::MpMsg>) -> Option<Self::MpMsg> {
+        acc.as_mut().map(QuantileSynopsisSet::seal)
     }
 
     fn tree_words(&self, msg: &Self::TreeMsg) -> usize {
@@ -574,6 +644,21 @@ mod tests {
     use td_quantiles::gradient::MinTotalLoad;
     use td_sketches::counter::ExactFactory;
 
+    /// `node`'s local multi-path message, built in a fresh accumulator.
+    fn local<P: Protocol>(p: &P, node: NodeId) -> Option<P::MpMsg> {
+        let mut acc = None;
+        p.local_mp(node, &mut acc)
+            .then(|| p.seal(&mut acc))
+            .flatten()
+    }
+
+    /// `root`'s tree message converted into a fresh message.
+    fn converted<P: Protocol>(p: &P, root: NodeId, msg: &P::TreeMsg) -> P::MpMsg {
+        let mut out = None;
+        p.convert(root, msg, &mut out);
+        out.expect("convert writes a message")
+    }
+
     #[test]
     fn scalar_protocol_tree_path() {
         let values = vec![0u64, 10, 20, 30];
@@ -589,9 +674,9 @@ mod tests {
     fn scalar_protocol_mp_path() {
         let values = vec![0u64, 1, 1, 1];
         let p = ScalarProtocol::new(Count::default(), &values);
-        let mut acc = p.local_mp(NodeId(1)).unwrap();
+        let mut acc = local(&p, NodeId(1)).unwrap();
         for n in [2u32, 3] {
-            let s = p.local_mp(NodeId(n)).unwrap();
+            let s = local(&p, NodeId(n)).unwrap();
             p.fuse(&mut acc, &s);
         }
         let est = p.evaluate_mp(&acc);
@@ -608,9 +693,9 @@ mod tests {
             let t = p.local_tree(NodeId(n)).unwrap();
             p.merge_tree(&mut tree_acc, &t);
         }
-        let mut mp = p.convert(NodeId(1), &tree_acc);
+        let mut mp = converted(&p, NodeId(1), &tree_acc);
         for n in 51..=100u32 {
-            let s = p.local_mp(NodeId(n)).unwrap();
+            let s = local(&p, NodeId(n)).unwrap();
             p.fuse(&mut mp, &s);
         }
         let est = p.evaluate_mp(&mp);
@@ -641,8 +726,8 @@ mod tests {
     fn quantile_mp_fuse_is_duplicate_insensitive() {
         let values: Vec<u64> = (0..50).collect();
         let p = QuantileProtocol::qdigest(8, MinTotalLoad::new(0.05, 2.25), &values);
-        let mut acc = p.local_mp(NodeId(1)).unwrap();
-        let b = p.local_mp(NodeId(2)).unwrap();
+        let mut acc = local(&p, NodeId(1)).unwrap();
+        let b = local(&p, NodeId(2)).unwrap();
         p.fuse(&mut acc, &b);
         // The same part arriving over a second path must not double-count.
         p.fuse(&mut acc, &b);
@@ -664,9 +749,9 @@ mod tests {
             p.merge_tree(&mut tree, &t);
         }
         let tree = p.finalize_tree(NodeId(1), 3, tree);
-        let mut mp = p.convert(NodeId(1), &tree);
+        let mut mp = converted(&p, NodeId(1), &tree);
         for n in 51..=100u32 {
-            let s = p.local_mp(NodeId(n)).unwrap();
+            let s = local(&p, NodeId(n)).unwrap();
             p.fuse(&mut mp, &s);
         }
         let out = p.evaluate_mp(&mp);
@@ -692,9 +777,11 @@ mod tests {
     /// A set built the way the delta builds one: singletons unioned in
     /// the given order.
     fn origin_set<S: QuantileSummary>(template: &S, origins: &[u32]) -> QuantileSynopsisSet<S> {
-        let mut set = QuantileSynopsisSet { parts: Vec::new() };
+        let mut set = QuantileSynopsisSet::new();
+        let mut one = QuantileSynopsisSet::new();
         for &o in origins {
-            set.union(&QuantileSynopsisSet::singleton(o, part(template, o)));
+            one.set_singleton(o, part(template, o));
+            set.union(&one);
         }
         set
     }
@@ -796,6 +883,32 @@ mod tests {
         assert!(Arc::ptr_eq(&into.parts[4].1, &new.parts[1].1));
     }
 
+    /// A sealed quantile set carries no spare capacity, however much
+    /// the accumulator it was built in grew, and the accumulator keeps
+    /// its storage.
+    #[test]
+    fn a_sealed_quantile_set_is_exact_size() {
+        let t = td_quantiles::QDigest::empty(9);
+        let mut acc = origin_set(&t, &(0..40).collect::<Vec<_>>());
+        for n in [7usize, 3, 12] {
+            acc.set_singleton(100, part(&t, 100));
+            acc.union(&origin_set(
+                &t,
+                &(0..n as u32).map(|o| o * 3).collect::<Vec<_>>(),
+            ));
+            let grown = acc.parts.capacity();
+            let sealed = acc.seal();
+            assert_eq!(sealed.len(), n + 1);
+            assert_eq!(sealed.parts.capacity(), sealed.parts.len());
+            assert!(acc.is_empty());
+            assert_eq!(
+                acc.parts.capacity(),
+                grown,
+                "the accumulator lost its storage"
+            );
+        }
+    }
+
     fn freq_fixture(bags: &[ItemBag]) -> FreqProtocol<'_, ExactFactory, MinTotalLoad> {
         let mp_cfg = MultipathConfig::new(0.01, 1.5, 1 << 20, ExactFactory);
         let gradient = MinTotalLoad::new(0.01, 2.25);
@@ -834,8 +947,8 @@ mod tests {
         let t2 = p.local_tree(NodeId(2)).unwrap();
         p.merge_tree(&mut tree, &t2);
         let tree = p.finalize_tree(NodeId(1), 2, tree);
-        let mut mp = p.convert(NodeId(1), &tree);
-        let native = p.local_mp(NodeId(3)).unwrap();
+        let mut mp = converted(&p, NodeId(1), &tree);
+        let native = local(&p, NodeId(3)).unwrap();
         p.fuse(&mut mp, &native);
         let out = p.evaluate_mp(&mp);
         // Exact counters: N̂ = 1920 exactly.

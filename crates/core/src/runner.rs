@@ -1081,11 +1081,16 @@ impl<T, M> Slot<T, M> {
     }
 }
 
-/// A query's typed column: its messages by slot, plus the tree parts a
-/// tree-mode base station evaluates (kept for their capacity).
+/// A query's typed column: its messages by slot, the tree parts a
+/// tree-mode base station evaluates (kept for their capacity), and the
+/// accumulator and conversion scratch every delta vertex builds its
+/// message in (see [`Protocol`]). The two are the only storage kept
+/// across vertices and epochs; no slot outlives its epoch.
 struct Cells<T, M> {
     slots: Vec<Slot<T, M>>,
     parts: Vec<T>,
+    acc: Option<M>,
+    scratch: Option<M>,
 }
 
 /// What one slot's message of one query costs on the air.
@@ -1118,6 +1123,8 @@ impl Column {
             self.cells = Some(Box::new(Cells::<T, M> {
                 slots: Vec::new(),
                 parts: Vec::new(),
+                acc: None,
+                scratch: None,
             }));
         }
         let cells = self
@@ -1139,7 +1146,6 @@ impl Column {
 pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut Column) {
     let sched = frame.sched;
     let (cells, wire) = column.cells::<P::TreeMsg, P::MpMsg>(sched);
-    let slots = &mut cells.slots;
     let mut above = 0..0;
     for &(start, end) in &sched.levels {
         let level = start as usize..end as usize;
@@ -1148,7 +1154,7 @@ pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut
             let children = frame.lists.tree.of(slot);
             let (msg, size) = match step.mode {
                 Mode::T => {
-                    let msg = tree_step(proto, step.node, step.height, children, slots);
+                    let msg = tree_step(proto, step.node, step.height, children, &mut cells.slots);
                     let words = match (&msg, step.parent) {
                         (Some(m), Some(_)) => proto.tree_words(m) as u32,
                         _ => 0,
@@ -1161,7 +1167,12 @@ pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut
                 }
                 Mode::M => {
                     let heard = frame.lists.mp.of(slot);
-                    let msg = mp_step(proto, step.node, children, heard, sched, slots);
+                    let built = cells.build_mp(proto, step.node, children, heard, sched);
+                    let msg = if built {
+                        proto.seal(&mut cells.acc)
+                    } else {
+                        None
+                    };
                     let size = msg.as_ref().map_or(Wire::default(), |m| {
                         let w = proto.mp_wire(m);
                         Wire {
@@ -1172,10 +1183,10 @@ pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut
                     (msg.map_or(Slot::Empty, Slot::Mp), size)
                 }
             };
-            slots[slot] = msg;
+            cells.slots[slot] = msg;
             wire[slot] = size;
         }
-        drop_broadcasts(&mut slots[above]);
+        drop_broadcasts(&mut cells.slots[above]);
         above = level;
     }
 }
@@ -1191,10 +1202,10 @@ pub(crate) fn evaluate_column<P: Protocol>(
     let sched = frame.sched;
     let base = sched.base_slot();
     let (cells, _) = column.cells::<P::TreeMsg, P::MpMsg>(sched);
-    let Cells { slots, parts } = cells;
     let children = frame.lists.tree.of(base);
     let output = match sched.base_mode {
         Mode::T => {
+            let Cells { slots, parts, .. } = cells;
             parts.extend(
                 children
                     .iter()
@@ -1209,16 +1220,17 @@ pub(crate) fn evaluate_column<P: Protocol>(
         }
         Mode::M => {
             let heard = frame.lists.mp.of(base);
-            match mp_step(proto, BASE_STATION, children, heard, sched, slots) {
-                Some(msg) => proto.evaluate_mp(&msg),
-                None => proto.evaluate_tree(&[], sched.base_height),
+            let built = cells.build_mp(proto, BASE_STATION, children, heard, sched);
+            match &cells.acc {
+                Some(msg) if built => proto.evaluate_mp(msg),
+                _ => proto.evaluate_tree(&[], sched.base_height),
             }
         }
     };
     // The innermost level's broadcasts had only the base station to
     // reach.
     if let Some(&(start, end)) = sched.levels.last() {
-        drop_broadcasts(&mut slots[start as usize..end as usize]);
+        drop_broadcasts(&mut cells.slots[start as usize..end as usize]);
     }
     output
 }
@@ -1253,39 +1265,57 @@ fn tree_step<P: Protocol>(
     acc.map(|m| proto.finalize_tree(node, height, m))
 }
 
-/// An `M` vertex's message (a step's, or an `M` base station's): its
-/// local message, then its delivered tree children converted (§5) and
-/// fused in (each taken out of its slot), then every broadcast it heard
-/// fused in by reference.
-fn mp_step<P: Protocol>(
-    proto: &P,
-    node: NodeId,
-    children: &[u32],
-    heard: &[u32],
-    sched: &Schedule,
-    slots: &mut [Slot<P::TreeMsg, P::MpMsg>],
-) -> Option<P::MpMsg> {
-    let mut acc = proto.local_mp(node);
-    for &child in children {
-        if let Slot::Tree(m) = slots[child as usize].take() {
-            let converted = proto.convert(sched.steps[child as usize].node, &m);
-            match &mut acc {
-                Some(a) => proto.fuse(a, &converted),
-                None => acc = Some(converted),
+impl<T, M: Clone> Cells<T, M> {
+    /// Build an `M` vertex's message (a step's, or an `M` base
+    /// station's) in the accumulator: its local message, then its
+    /// delivered tree children converted (§5) through the scratch and
+    /// fused in (each taken out of its slot), then every broadcast it
+    /// heard fused in by reference. Returns whether the accumulator
+    /// holds a message.
+    fn build_mp<P: Protocol<TreeMsg = T, MpMsg = M>>(
+        &mut self,
+        proto: &P,
+        node: NodeId,
+        children: &[u32],
+        heard: &[u32],
+        sched: &Schedule,
+    ) -> bool {
+        let Cells {
+            slots,
+            acc,
+            scratch,
+            ..
+        } = self;
+        let mut built = proto.local_mp(node, acc);
+        for &child in children {
+            if let Slot::Tree(m) = slots[child as usize].take() {
+                let root = sched.steps[child as usize].node;
+                if built {
+                    proto.convert(root, &m, scratch);
+                    if let (Some(a), Some(converted)) = (acc.as_mut(), scratch.as_ref()) {
+                        proto.fuse(a, converted);
+                    }
+                } else {
+                    proto.convert(root, &m, acc);
+                    built = acc.is_some();
+                }
             }
         }
-    }
-    for &sender in heard {
-        if let Slot::Mp(m) = &slots[sender as usize] {
-            match &mut acc {
-                Some(a) => proto.fuse(a, m),
-                // Nothing of its own to fuse into (the base station, a
-                // node without data): the one place a message is copied.
-                None => acc = Some(m.clone()),
+        for &sender in heard {
+            if let Slot::Mp(m) = &slots[sender as usize] {
+                match acc {
+                    Some(a) if built => proto.fuse(a, m),
+                    // Nothing of its own to fuse into (the base station, a
+                    // node without data): the one place a message is
+                    // copied, into the accumulator's storage.
+                    Some(a) => a.clone_from(m),
+                    None => *acc = Some(m.clone()),
+                }
+                built = true;
             }
         }
+        built
     }
-    acc
 }
 
 // ---------------------------------------------------------------------
@@ -2028,16 +2058,17 @@ mod tests {
             *into += from;
         }
 
-        fn local_mp(&self, node: NodeId) -> Option<Tracked> {
-            (!node.is_base()).then(|| self.tracked(1))
+        fn local_mp(&self, node: NodeId, acc: &mut Option<Tracked>) -> bool {
+            *acc = (!node.is_base()).then(|| self.tracked(1));
+            acc.is_some()
         }
 
         fn fuse(&self, into: &mut Tracked, from: &Tracked) {
             into.count = into.count.max(from.count);
         }
 
-        fn convert(&self, _root: NodeId, msg: &u64) -> Tracked {
-            self.tracked(*msg)
+        fn convert(&self, _root: NodeId, msg: &u64, out: &mut Option<Tracked>) {
+            *out = Some(self.tracked(*msg));
         }
 
         fn tree_words(&self, _msg: &u64) -> usize {
@@ -2161,7 +2192,7 @@ mod tests {
             *into += from;
         }
 
-        fn local_mp(&self, node: NodeId) -> Option<u64> {
+        fn local_mp(&self, node: NodeId, acc: &mut Option<u64>) -> bool {
             // The base station's local message is taken when the column
             // is evaluated, on the calling thread; every sensor's, by
             // whichever thread runs the column.
@@ -2175,15 +2206,16 @@ mod tests {
             if let Some(meeting) = self.meeting.as_ref().filter(|_| node == self.meet_at) {
                 meeting.meet();
             }
-            (!node.is_base()).then_some(1)
+            *acc = (!node.is_base()).then_some(1);
+            acc.is_some()
         }
 
         fn fuse(&self, into: &mut u64, from: &u64) {
             *into = (*into).max(*from);
         }
 
-        fn convert(&self, _root: NodeId, msg: &u64) -> u64 {
-            *msg
+        fn convert(&self, _root: NodeId, msg: &u64, out: &mut Option<u64>) {
+            *out = Some(*msg);
         }
 
         fn tree_words(&self, _msg: &u64) -> usize {
@@ -2267,16 +2299,17 @@ mod tests {
             into.set(into.get().max(from.get()));
         }
 
-        fn local_mp(&self, node: NodeId) -> Option<Cell<u64>> {
-            self.local_tree(node)
+        fn local_mp(&self, node: NodeId, acc: &mut Option<Cell<u64>>) -> bool {
+            *acc = self.local_tree(node);
+            acc.is_some()
         }
 
         fn fuse(&self, into: &mut Cell<u64>, from: &Cell<u64>) {
             self.merge_tree(into, from);
         }
 
-        fn convert(&self, _root: NodeId, msg: &Cell<u64>) -> Cell<u64> {
-            msg.clone()
+        fn convert(&self, _root: NodeId, msg: &Cell<u64>, out: &mut Option<Cell<u64>>) {
+            *out = Some(msg.clone());
         }
 
         fn tree_words(&self, _msg: &Cell<u64>) -> usize {
@@ -2623,6 +2656,84 @@ mod tests {
             out.contributing,
             out.contributing_est.to_bits(),
         )
+    }
+
+    /// A column's accumulator and conversion scratch outlive the query
+    /// that grew them, so one query must not see another's leftovers: at
+    /// each column position, queries of the same message types but other
+    /// configurations take turns epoch by epoch — Sum over 40 and over
+    /// 16 bitmaps, frequent items over inline (16) and heap (24) FM
+    /// counters — and one long-lived plan answers and accounts exactly as
+    /// a fresh compile does every epoch, at 1 and at 2 workers.
+    #[test]
+    fn a_reused_accumulator_cannot_leak_between_queries() {
+        use crate::protocol::FreqProtocol;
+        use td_frequent::items::ItemBag;
+        use td_frequent::multipath::MultipathConfig;
+        use td_quantiles::gradient::MinTotalLoad;
+        use td_sketches::counter::FmFactory;
+
+        let (net, td) = topo(171, 120, 2);
+        let model = Global::new(0.3);
+        for workers in [1, 2] {
+            let config = RunnerConfig {
+                workers,
+                parallel_min_nodes: 0,
+                ..RunnerConfig::default()
+            };
+            let mut plan = EpochPlan::compile_td(&td);
+            let (mut long_stats, mut fresh_stats) =
+                (CommStats::new(net.len()), CommStats::new(net.len()));
+            let (mut long_rng, mut fresh_rng) = (rng_from_seed(172), rng_from_seed(172));
+            for epoch in 0..12u64 {
+                let values: Vec<u64> = (0..net.len() as u64)
+                    .map(|i| 1 + (i * (epoch + 5)) % 40)
+                    .collect();
+                let bags: Vec<ItemBag> = (0..net.len() as u64)
+                    .map(|i| ItemBag::from_counts([(i % 5, 1 + (i + epoch) % 4), (9, 3)]))
+                    .collect();
+                let (sum, bitmaps) = if epoch % 2 == 0 {
+                    (Sum::default(), 16)
+                } else {
+                    (Sum::with_bitmaps(16), 24)
+                };
+                let sum = ScalarProtocol::new(sum, &values);
+                let freq = FreqProtocol::new(
+                    MultipathConfig::new(0.01, 1.5, 1 << 20, FmFactory { bitmaps }),
+                    MinTotalLoad::new(0.01, 2.25),
+                    0.2,
+                    &bags,
+                );
+                let mut set = QuerySet::new();
+                set.register(&sum);
+                set.register(&freq);
+                let long = plan.run_set(
+                    &set,
+                    &net,
+                    &model,
+                    config,
+                    epoch,
+                    &mut long_stats,
+                    &mut long_rng,
+                );
+                let fresh = run_td_epoch_set(
+                    &set,
+                    &td,
+                    &net,
+                    &model,
+                    config,
+                    epoch,
+                    &mut fresh_stats,
+                    &mut fresh_rng,
+                );
+                assert_eq!(
+                    slot_record(&long),
+                    slot_record(&fresh),
+                    "epoch {epoch}, {workers} workers"
+                );
+                assert_eq!(long_stats, fresh_stats, "epoch {epoch}, {workers} workers");
+            }
+        }
     }
 
     proptest::proptest! {

@@ -10,7 +10,7 @@
 //! tree error ε_a and the multi-path error ε_b, so a deployment targeting
 //! ε splits the budget as `ε_a + ε_b = ε`.
 
-use crate::multipath::{generate, ClassSynopsis, MultipathConfig};
+use crate::multipath::{MultipathConfig, SynopsisSet};
 use crate::summary::FreqSummary;
 use td_netsim::node::NodeId;
 use td_sketches::counter::CounterFactory;
@@ -22,13 +22,16 @@ use td_sketches::hash::keyed;
 const CONVERT_KEY: u64 = 0x7DC0;
 
 /// Convert a tree summary from tributary root `root` into a multi-path
-/// synopsis. Returns `None` if the summary covers no items.
-pub fn convert_summary<F: CounterFactory>(
+/// synopsis and insert it into `set` (built in the set's retired
+/// storage). Returns `false`, inserting nothing, if the summary covers
+/// no items.
+pub fn convert_summary_into<F: CounterFactory>(
     cfg: &MultipathConfig<F>,
     root: NodeId,
     summary: &FreqSummary,
-) -> Option<ClassSynopsis<F::Counter>> {
-    generate(
+    set: &mut SynopsisSet<F::Counter>,
+) -> bool {
+    set.insert_generated(
         cfg,
         keyed(CONVERT_KEY, root.0 as u64),
         summary.iter(),
@@ -40,7 +43,7 @@ pub fn convert_summary<F: CounterFactory>(
 mod tests {
     use super::*;
     use crate::items::ItemBag;
-    use crate::multipath::{generate_from_bag, SynopsisSet};
+    use crate::multipath::generate_from_bag;
     use td_sketches::counter::ExactFactory;
 
     fn cfg(eps: f64) -> MultipathConfig<ExactFactory> {
@@ -52,9 +55,8 @@ mod tests {
         let cfg = cfg(0.01);
         let bag = ItemBag::from_counts([(1, 5000), (2, 2000), (3, 10)]);
         let tree = FreqSummary::combine(&[FreqSummary::local(&bag)], &FreqSummary::empty(), 0.001);
-        let synopsis = convert_summary(&cfg, NodeId(7), &tree).unwrap();
         let mut set = SynopsisSet::new();
-        set.insert(synopsis);
+        assert!(convert_summary_into(&cfg, NodeId(7), &tree, &mut set));
         let est = set.evaluate();
         // ñ equals the tree summary's population exactly (exact counters).
         assert!((est.n_est - tree.n as f64).abs() < 1e-9);
@@ -70,11 +72,9 @@ mod tests {
         let cfg = cfg(0.01);
         let bag = ItemBag::from_counts([(1, 3000), (2, 1500)]);
         let tree = FreqSummary::local(&bag);
-        let a = convert_summary(&cfg, NodeId(3), &tree).unwrap();
-        let b = convert_summary(&cfg, NodeId(3), &tree).unwrap();
         let mut set = SynopsisSet::new();
-        set.insert(a);
-        set.insert(b);
+        assert!(convert_summary_into(&cfg, NodeId(3), &tree, &mut set));
+        assert!(convert_summary_into(&cfg, NodeId(3), &tree, &mut set));
         set.compact(&cfg);
         let est = set.evaluate();
         assert!((est.n_est - 4500.0).abs() < 1e-9);
@@ -86,11 +86,9 @@ mod tests {
         let cfg = cfg(0.01);
         let bag = ItemBag::from_counts([(1, 1000)]);
         let tree = FreqSummary::local(&bag);
-        let a = convert_summary(&cfg, NodeId(3), &tree).unwrap();
-        let b = convert_summary(&cfg, NodeId(4), &tree).unwrap();
         let mut set = SynopsisSet::new();
-        set.insert(a);
-        set.insert(b);
+        assert!(convert_summary_into(&cfg, NodeId(3), &tree, &mut set));
+        assert!(convert_summary_into(&cfg, NodeId(4), &tree, &mut set));
         set.compact(&cfg);
         let est = set.evaluate();
         assert!((est.n_est - 2000.0).abs() < 1e-9);
@@ -103,15 +101,14 @@ mod tests {
         // synopses with a converted tributary summary.
         let cfg = cfg(0.01);
         let tree = FreqSummary::local(&ItemBag::from_counts([(1, 1024), (9, 600)]));
-        let converted = convert_summary(&cfg, NodeId(2), &tree).unwrap();
+        let mut set = SynopsisSet::new();
+        assert!(convert_summary_into(&cfg, NodeId(2), &tree, &mut set));
         let native = generate_from_bag(
             &cfg,
             NodeId(5),
             &ItemBag::from_counts([(1, 1024), (7, 512)]),
         )
         .unwrap();
-        let mut set = SynopsisSet::new();
-        set.insert(converted);
         set.insert(native);
         set.compact(&cfg);
         let est = set.evaluate();
@@ -123,6 +120,13 @@ mod tests {
     #[test]
     fn empty_summary_converts_to_none() {
         let cfg = cfg(0.01);
-        assert!(convert_summary(&cfg, NodeId(1), &FreqSummary::empty()).is_none());
+        let mut set = SynopsisSet::new();
+        assert!(!convert_summary_into(
+            &cfg,
+            NodeId(1),
+            &FreqSummary::empty(),
+            &mut set
+        ));
+        assert!(set.is_empty());
     }
 }

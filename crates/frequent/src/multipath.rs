@@ -110,20 +110,28 @@ impl<C: DiCounter> ClassSynopsis<C> {
 
     /// Steps 1 and 2 of Algorithm 2 against a borrowed synopsis: ñ ⊕ ñ'
     /// and per-item ⊕, copying only the counters of items `self` lacks.
-    fn absorb(&mut self, other: &Self) {
+    /// The item list grows in place; `factory` makes the stand-ins it
+    /// grows by.
+    fn absorb<F: CounterFactory<Counter = C>>(&mut self, other: &Self, factory: &F) {
         self.total.merge(&other.total);
-        union_into(&mut self.items, &other.items, C::merge, C::clone);
+        union_into(&mut self.items, &other.items, C::merge, C::clone, |_| {
+            factory.new_counter()
+        });
     }
 
-    /// Step 3: promote while ñ exceeds the class budget, dropping items
-    /// below the rising threshold each time (in place).
+    /// Step 3: promote while ñ exceeds the class budget, then drop the
+    /// items below the rising threshold (in place). The threshold
+    /// `ε·ñ / log N` does not depend on the class, so a promotion of
+    /// several steps drops once.
     fn promote<F: CounterFactory<Counter = C>>(&mut self, cfg: &MultipathConfig<F>) {
         let n_est = self.total.estimate();
-        while n_est > 2f64.powi(self.class as i32 + 1) && (self.class as f64) < cfg.log_n() {
+        let log_n = cfg.log_n();
+        let from = self.class;
+        while n_est > 2f64.powi(self.class as i32 + 1) && (self.class as f64) < log_n {
             self.class += 1;
-            let log_n = cfg.log_n();
-            let eps = cfg.eps;
-            let eta = cfg.eta;
+        }
+        if self.class > from {
+            let (eps, eta) = (cfg.eps, cfg.eta);
             self.items
                 .retain(|(_, c)| eps * n_est / log_n < eta * c.estimate());
         }
@@ -141,12 +149,25 @@ pub fn generate<F: CounterFactory>(
     pairs: impl Iterator<Item = (Item, u64)>,
     n0: u64,
 ) -> Option<ClassSynopsis<F::Counter>> {
+    generate_in(cfg, source_salt, pairs, n0, Vec::new())
+}
+
+/// SG writing its items into `items` (cleared first), whose capacity
+/// it keeps.
+fn generate_in<F: CounterFactory>(
+    cfg: &MultipathConfig<F>,
+    source_salt: u64,
+    pairs: impl Iterator<Item = (Item, u64)>,
+    n0: u64,
+    mut items: Vec<(Item, F::Counter)>,
+) -> Option<ClassSynopsis<F::Counter>> {
     if n0 == 0 {
         return None;
     }
     let class = (n0 as f64).log2().floor() as u32;
     let threshold = class as f64 * n0 as f64 * cfg.eps / cfg.log_n();
-    let mut items: Vec<(Item, F::Counter)> = Vec::with_capacity(pairs.size_hint().0);
+    items.clear();
+    items.reserve(pairs.size_hint().0);
     for (u, c) in pairs {
         if (c as f64) > threshold {
             let mut counter = cfg.factory.new_counter();
@@ -184,46 +205,85 @@ pub fn fuse<F: CounterFactory>(
     b: ClassSynopsis<F::Counter>,
 ) -> ClassSynopsis<F::Counter> {
     assert_eq!(a.class, b.class, "only same-class synopses fuse");
-    a.absorb(&b);
+    a.absorb(&b, &cfg.factory);
     a.promote(cfg);
     a
 }
 
 /// The collection of synopses a node holds/transmits: at most one per
 /// class after [`SynopsisSet::compact`] or [`SynopsisSet::fuse`].
-#[derive(Clone, Debug)]
+///
+/// A set used as a long-lived accumulator also keeps the item storage of
+/// the synopses it retired ([`clear`](Self::clear), fusion,
+/// [`seal`](Self::seal)) and builds new synopses in it; a sealed or
+/// cloned set keeps none.
+#[derive(Debug)]
 pub struct SynopsisSet<C> {
     /// Ascending by class; within a class, in arrival order (compaction
     /// fuses the newest two first).
     syns: Vec<ClassSynopsis<C>>,
+    /// Emptied item lists of retired synopses, for reuse.
+    spare: Vec<Vec<(Item, C)>>,
 }
 
 impl<C: DiCounter> Default for SynopsisSet<C> {
     fn default() -> Self {
-        SynopsisSet { syns: Vec::new() }
+        SynopsisSet {
+            syns: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 }
 
-/// A synopsis while [`SynopsisSet::fuse`] settles: owned by the receiving
-/// set, or still lent by the set being fused in.
-enum Held<'a, C> {
-    Own(ClassSynopsis<C>),
-    Lent(&'a ClassSynopsis<C>),
-}
-
-impl<C: DiCounter> Held<'_, C> {
-    fn get(&self) -> &ClassSynopsis<C> {
-        match self {
-            Held::Own(s) => s,
-            Held::Lent(s) => s,
+impl<C: DiCounter> Clone for SynopsisSet<C> {
+    fn clone(&self) -> Self {
+        SynopsisSet {
+            syns: self.syns.clone(),
+            spare: Vec::new(),
         }
     }
 
-    fn into_owned(self) -> ClassSynopsis<C> {
-        match self {
-            Held::Own(s) => s,
-            Held::Lent(s) => s.clone(),
+    /// Copies `source`'s synopses into this set's retired storage.
+    fn clone_from(&mut self, source: &Self) {
+        self.clear();
+        for s in &source.syns {
+            let copy = copy_into(&mut self.spare, s);
+            self.syns.push(copy);
         }
+    }
+}
+
+/// Entries of [`SynopsisSet::fuse`]'s settling list: an index into the
+/// receiver's synopses, or, with this bit set, into the lent set's.
+const LENT: u32 = 1 << 31;
+
+/// A fusion settles on a list of this many entries on the stack: two
+/// compact sets over every class there is (0 to 64, as `N ≤ 2^64`).
+/// Longer lists (non-compact inputs) spill to the heap.
+const ON_STACK: usize = 130;
+
+/// A copy of `s` whose item list reuses a spare one.
+fn copy_into<C: DiCounter>(
+    spare: &mut Vec<Vec<(Item, C)>>,
+    s: &ClassSynopsis<C>,
+) -> ClassSynopsis<C> {
+    let mut items = spare.pop().unwrap_or_default();
+    items.clone_from(&s.items);
+    ClassSynopsis {
+        class: s.class,
+        total: s.total.clone(),
+        items,
+    }
+}
+
+/// `syns[a]` mutably and `syns[b]` shared, `a ≠ b`.
+fn pair_mut<T>(syns: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
+    if a < b {
+        let (lo, hi) = syns.split_at_mut(b);
+        (&mut lo[a], &hi[0])
+    } else {
+        let (lo, hi) = syns.split_at_mut(a);
+        (&mut hi[0], &lo[b])
     }
 }
 
@@ -256,6 +316,55 @@ impl<C: DiCounter> SynopsisSet<C> {
         }
     }
 
+    /// Drop every synopsis, keeping their storage for reuse.
+    pub fn clear(&mut self) {
+        let SynopsisSet { syns, spare } = self;
+        for s in syns.drain(..) {
+            spare.push(retired(s));
+        }
+    }
+
+    /// SG into this set: insert the synopsis of `(item, count)` pairs
+    /// totalling `n0` occurrences salted by `source_salt` (see
+    /// [`generate`]), built in retired storage. Returns whether there was
+    /// one (`n0 > 0`).
+    pub fn insert_generated<F: CounterFactory<Counter = C>>(
+        &mut self,
+        cfg: &MultipathConfig<F>,
+        source_salt: u64,
+        pairs: impl Iterator<Item = (Item, u64)>,
+        n0: u64,
+    ) -> bool {
+        let items = self.spare.pop().unwrap_or_default();
+        match generate_in(cfg, source_salt, pairs, n0, items) {
+            Some(s) => {
+                self.insert(s);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Move the synopses out into a set whose every list is exact-size
+    /// (capacity equal to length), leaving this set empty with its
+    /// storage kept for the next message it builds. Nothing is cloned.
+    pub fn seal(&mut self) -> SynopsisSet<C> {
+        let SynopsisSet { syns, spare } = self;
+        let mut sealed = Vec::with_capacity(syns.len());
+        for mut s in syns.drain(..) {
+            if s.items.capacity() != s.items.len() {
+                let mut exact = Vec::with_capacity(s.items.len());
+                exact.append(&mut s.items);
+                spare.push(std::mem::replace(&mut s.items, exact));
+            }
+            sealed.push(s);
+        }
+        SynopsisSet {
+            syns: sealed,
+            spare: Vec::new(),
+        }
+    }
+
     /// Fuse down to at most one synopsis per class, beginning with the
     /// smallest class (§6.2 "Synopsis Fusion"): compaction is a fusion
     /// with nothing.
@@ -267,58 +376,131 @@ impl<C: DiCounter> SynopsisSet<C> {
     /// `self.absorb(from.clone()); self.compact(cfg)` produces, without
     /// the copy. It replays compaction's exact pairing order — the
     /// smallest class holding two or more synopses first, its newest two
-    /// fused, `from`'s synopses newer than `self`'s — over borrowed
-    /// synopses, and copies only a synopsis of a class nothing of `self`
-    /// fuses with (plus, inside a fusion, the counters of items the
-    /// receiving synopsis lacks). Where compaction would fuse a borrowed
-    /// synopsis into an owned one it fuses the other way round, which
-    /// relies on ⊕ commuting on the counters' representation (it does
-    /// for the exact, FM and KMV counters).
+    /// fused, `from`'s synopses newer than `self`'s — over a list of
+    /// indices (on the stack for compact inputs), and copies only a
+    /// synopsis of a class nothing of `self` fuses with (plus, inside a
+    /// fusion, the counters of items the receiving synopsis lacks). Where
+    /// compaction would fuse a borrowed synopsis into an owned one it
+    /// fuses the other way round, which relies on ⊕ commuting on the
+    /// counters' representation (it does for the exact, FM and KMV
+    /// counters). A synopsis fused into another is retired and its item
+    /// storage kept for reuse.
     pub fn fuse<F: CounterFactory<Counter = C>>(
         &mut self,
         cfg: &MultipathConfig<F>,
         from: &SynopsisSet<C>,
     ) {
+        let n = self.syns.len() + from.syns.len();
+        let mut stack = [0u32; ON_STACK];
+        let mut heap = Vec::new();
+        let list = if n <= ON_STACK {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        self.settle(cfg, from, list);
+    }
+
+    /// [`fuse`](Self::fuse) over `list`, one entry per synopsis of either
+    /// set.
+    fn settle<F: CounterFactory<Counter = C>>(
+        &mut self,
+        cfg: &MultipathConfig<F>,
+        from: &SynopsisSet<C>,
+        list: &mut [u32],
+    ) {
         // The list `absorb` would build: per class, own then lent.
-        let mut held = Vec::with_capacity(self.syns.len() + from.syns.len());
-        let mut lent = from.syns.iter().peekable();
-        for s in self.syns.drain(..) {
-            while let Some(f) = lent.next_if(|f| f.class < s.class) {
-                held.push(Held::Lent(f));
+        let mut len = 0;
+        let mut lent = 0;
+        for (i, s) in self.syns.iter().enumerate() {
+            while lent < from.syns.len() && from.syns[lent].class < s.class {
+                list[len] = LENT | lent as u32;
+                (len, lent) = (len + 1, lent + 1);
             }
-            held.push(Held::Own(s));
+            list[len] = i as u32;
+            len += 1;
         }
-        held.extend(lent.map(Held::Lent));
+        for j in lent..from.syns.len() {
+            list[len] = LENT | j as u32;
+            len += 1;
+        }
+        let class = |syns: &[ClassSynopsis<C>], e: u32| {
+            if e & LENT == 0 {
+                syns[e as usize].class
+            } else {
+                from.syns[(e & !LENT) as usize].class
+            }
+        };
         // The smallest class holding two or more synopses is the first
         // adjacent pair of equal classes.
-        while let Some(first) = held
+        while let Some(first) = list[..len]
             .windows(2)
-            .position(|w| w[0].get().class == w[1].get().class)
+            .position(|w| class(&self.syns, w[0]) == class(&self.syns, w[1]))
         {
-            let class = held[first].get().class;
-            let end = first + held[first..].partition_point(|h| h.get().class == class);
-            let newest = held.remove(end - 1);
-            let older = held.remove(end - 2);
-            let mut fused = match (newest, older) {
-                (Held::Own(mut a), b) => {
-                    a.absorb(b.get());
-                    a
-                }
-                (Held::Lent(a), Held::Own(mut b)) => {
-                    b.absorb(a);
-                    b
-                }
-                (Held::Lent(a), Held::Lent(b)) => {
-                    let mut a = a.clone();
-                    a.absorb(b);
-                    a
+            let c = class(&self.syns, list[first]);
+            let end = first + list[first..len].partition_point(|&e| class(&self.syns, e) == c);
+            let (newest, older) = (list[end - 1], list[end - 2]);
+            // Fuse into an own synopsis: the newest if own, else the
+            // older if own, else a copy of the newest.
+            let (mut into, other) = match (newest & LENT == 0, older & LENT == 0) {
+                (true, _) => (newest as usize, older),
+                (false, true) => (older as usize, newest),
+                (false, false) => {
+                    let copy = copy_into(&mut self.spare, &from.syns[(newest & !LENT) as usize]);
+                    self.syns.push(copy);
+                    (self.syns.len() - 1, older)
                 }
             };
-            fused.promote(cfg);
-            let at = held.partition_point(|h| h.get().class <= fused.class);
-            held.insert(at, Held::Own(fused));
+            let retire = (newest & LENT == 0 && older & LENT == 0).then_some(older as usize);
+            if other & LENT == 0 {
+                let (a, b) = pair_mut(&mut self.syns, into, other as usize);
+                a.absorb(b, &cfg.factory);
+            } else {
+                self.syns[into].absorb(&from.syns[(other & !LENT) as usize], &cfg.factory);
+            }
+            self.syns[into].promote(cfg);
+            list.copy_within(end..len, end - 2);
+            len -= 2;
+            if let Some(dead) = retire {
+                // Keep the own indices dense: the last synopsis takes
+                // the retired one's index.
+                let last = (self.syns.len() - 1) as u32;
+                let s = self.syns.swap_remove(dead);
+                self.spare.push(retired(s));
+                if let Some(e) = list[..len].iter_mut().find(|e| **e == last) {
+                    *e = dead as u32;
+                }
+                if into == last as usize {
+                    into = dead;
+                }
+            }
+            let fused = self.syns[into].class;
+            let at = list[..len].partition_point(|&e| class(&self.syns, e) <= fused);
+            list.copy_within(at..len, at + 1);
+            list[at] = into as u32;
+            len += 1;
         }
-        self.syns.extend(held.into_iter().map(Held::into_owned));
+        // Copy in the lent synopses left alone in their class, then put
+        // the own ones in list order: every own index appears once, so
+        // the list is a permutation of them.
+        for e in &mut list[..len] {
+            if *e & LENT != 0 {
+                let copy = copy_into(&mut self.spare, &from.syns[(*e & !LENT) as usize]);
+                self.syns.push(copy);
+                *e = (self.syns.len() - 1) as u32;
+            }
+        }
+        debug_assert_eq!(len, self.syns.len());
+        for p in 0..len {
+            // Where the synopsis listed at `p` is now: positions before
+            // `p` have already taken theirs, each by one swap.
+            let mut at = list[p] as usize;
+            while at < p {
+                at = list[at] as usize;
+            }
+            self.syns.swap(p, at);
+        }
     }
 
     /// Wire size in words across all synopses.
@@ -329,23 +511,42 @@ impl<C: DiCounter> SynopsisSet<C> {
     /// Synopsis evaluation (SE): ⊕-combine each item's counters across
     /// all classes and estimate; also estimate the total N̂.
     pub fn evaluate(&self) -> FreqEstimates {
-        let mut per_item: Vec<(Item, C)> = Vec::new();
         let mut total: Option<C> = None;
         for s in &self.syns {
             match &mut total {
                 Some(t) => t.merge(&s.total),
                 None => total = Some(s.total.clone()),
             }
-            union_into(&mut per_item, &s.items, C::merge, C::clone);
         }
+        // ⊕ commutes, so each item's counters combine in any order.
+        let mut per_item: Vec<(Item, &C)> = self
+            .syns
+            .iter()
+            .flat_map(|s| s.items.iter().map(|(u, c)| (*u, c)))
+            .collect();
+        per_item.sort_by_key(|&(u, _)| u);
+        let counts = per_item
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let mut c = run[0].1.clone();
+                for (_, other) in &run[1..] {
+                    c.merge(other);
+                }
+                (run[0].0, c.estimate())
+            })
+            .collect();
         FreqEstimates {
             n_est: total.map_or(0.0, |t| t.estimate()),
-            counts: per_item
-                .into_iter()
-                .map(|(u, c)| (u, c.estimate()))
-                .collect(),
+            counts,
         }
     }
+}
+
+/// A retired synopsis's item list, emptied for reuse.
+fn retired<C>(s: ClassSynopsis<C>) -> Vec<(Item, C)> {
+    let mut items = s.items;
+    items.clear();
+    items
 }
 
 /// The output of synopsis evaluation.
@@ -747,6 +948,202 @@ mod tests {
                 .iter()
                 .map(|s| (s.class, s.total.clone(), s.items.clone()))
                 .collect()
+        }
+    }
+
+    /// The fusion before the on-stack settling list — a heap list of
+    /// owned and lent synopses, rebuilt on every call — kept as the
+    /// oracle the index list and its final permutation must match on
+    /// the representation.
+    fn heap_list_fuse<C: DiCounter, F: CounterFactory<Counter = C>>(
+        set: &mut SynopsisSet<C>,
+        cfg: &MultipathConfig<F>,
+        from: &SynopsisSet<C>,
+    ) {
+        enum Held<'a, C> {
+            Own(ClassSynopsis<C>),
+            Lent(&'a ClassSynopsis<C>),
+        }
+        impl<C: DiCounter> Held<'_, C> {
+            fn get(&self) -> &ClassSynopsis<C> {
+                match self {
+                    Held::Own(s) => s,
+                    Held::Lent(s) => s,
+                }
+            }
+        }
+        let mut held = Vec::new();
+        let mut lent = from.syns.iter().peekable();
+        for s in set.syns.drain(..) {
+            while let Some(f) = lent.next_if(|f| f.class < s.class) {
+                held.push(Held::Lent(f));
+            }
+            held.push(Held::Own(s));
+        }
+        held.extend(lent.map(Held::Lent));
+        while let Some(first) = held
+            .windows(2)
+            .position(|w| w[0].get().class == w[1].get().class)
+        {
+            let class = held[first].get().class;
+            let end = first + held[first..].partition_point(|h| h.get().class == class);
+            let newest = held.remove(end - 1);
+            let older = held.remove(end - 2);
+            let mut fused = match (newest, older) {
+                (Held::Own(mut a), b) => {
+                    a.absorb(b.get(), &cfg.factory);
+                    a
+                }
+                (Held::Lent(a), Held::Own(mut b)) => {
+                    b.absorb(a, &cfg.factory);
+                    b
+                }
+                (Held::Lent(a), Held::Lent(b)) => {
+                    let mut a = a.clone();
+                    a.absorb(b, &cfg.factory);
+                    a
+                }
+            };
+            fused.promote(cfg);
+            let at = held.partition_point(|h| h.get().class <= fused.class);
+            held.insert(at, Held::Own(fused));
+        }
+        set.syns.extend(held.into_iter().map(|h| match h {
+            Held::Own(s) => s,
+            Held::Lent(s) => s.clone(),
+        }));
+    }
+
+    /// The on-stack fusion against the heap-list oracle, for receivers
+    /// compact or built by `insert`, fresh or recycled (cleared after
+    /// holding another set, or a `clone_from` of one), and for a set
+    /// fused with its own copy.
+    fn check_fuse_matches_heap_list<F>(cfg: &MultipathConfig<F>, seed: u64, picks: &[u64])
+    where
+        F: CounterFactory,
+        F::Counter: PartialEq + std::fmt::Debug,
+    {
+        let pool = synopsis_pool(cfg, seed);
+        if pool.is_empty() {
+            return;
+        }
+        let (a, b) = picks.split_at(picks.len() / 2);
+        let flat = reference::flatten;
+        for compact_into in [true, false] {
+            let into = draw_set(cfg, &pool, a, compact_into);
+            let from = draw_set(cfg, &pool, b, !compact_into);
+            let mut oracle = into.clone();
+            heap_list_fuse(&mut oracle, cfg, &from);
+            // Fresh.
+            let mut fresh = into.clone();
+            fresh.fuse(cfg, &from);
+            assert_eq!(flat(&fresh), flat(&oracle), "fresh receiver diverged");
+            // Recycled: storage left by a different set.
+            let mut recycled = from.clone();
+            recycled.fuse(cfg, &into);
+            recycled.clone_from(&into);
+            recycled.fuse(cfg, &from);
+            assert_eq!(flat(&recycled), flat(&oracle), "recycled receiver diverged");
+            // Sealed, fused again into storage its fusions grew.
+            let mut acc = from.clone();
+            acc.fuse(cfg, &into);
+            let sealed = acc.seal();
+            assert!(acc.is_empty());
+            for s in &into.syns {
+                let copy = copy_into(&mut acc.spare, s);
+                acc.insert(copy);
+            }
+            acc.fuse(cfg, &from);
+            assert_eq!(flat(&acc), flat(&oracle), "reused accumulator diverged");
+            let mut sealed_oracle = from.clone();
+            heap_list_fuse(&mut sealed_oracle, cfg, &into);
+            assert_eq!(
+                flat(&sealed),
+                flat(&sealed_oracle),
+                "sealing moved the content"
+            );
+            // A set fused with its own copy.
+            let mut twice = into.clone();
+            twice.fuse(cfg, &into);
+            let mut twice_oracle = into.clone();
+            heap_list_fuse(&mut twice_oracle, cfg, &into);
+            assert_eq!(flat(&twice), flat(&twice_oracle), "self-fusion diverged");
+        }
+    }
+
+    proptest::proptest! {
+        /// The on-stack settling list is the heap list, on the
+        /// representation, for exact counters and both FM layouts.
+        #[test]
+        fn prop_fuse_matches_the_heap_list_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 2..14),
+            eps_milli in 20u64..300,
+            n_bits in 9u32..16,
+        ) {
+            let eps = eps_milli as f64 / 1000.0;
+            check_fuse_matches_heap_list(&MultipathConfig::new(eps, 1.5, 1 << n_bits, ExactFactory), seed, &picks);
+            check_fuse_matches_heap_list(&MultipathConfig::new(eps, 1.5, 1 << n_bits, FmFactory { bitmaps: 16 }), seed, &picks);
+            check_fuse_matches_heap_list(&MultipathConfig::new(eps, 1.5, 1 << n_bits, FmFactory { bitmaps: 24 }), seed, &picks);
+        }
+    }
+
+    /// A fusion that raises a class two steps drops items once, against
+    /// the one threshold `ε·ñ / log N`.
+    #[test]
+    fn a_two_step_promotion_drops_against_one_threshold() {
+        use td_sketches::counter::ExactCounter;
+        let cfg = cfg_exact(0.2, 1 << 10);
+        let syn = |salt: u64, n: u64, items: &[(Item, u64)]| {
+            let mut total = ExactCounter::new();
+            total.add_occurrences(salt, n);
+            let items = items
+                .iter()
+                .map(|&(u, c)| {
+                    let mut counter = ExactCounter::new();
+                    counter.add_occurrences(keyed_pair(ITEM_POP_KEY, u, salt), c);
+                    (u, counter)
+                })
+                .collect();
+            ClassSynopsis {
+                class: 4,
+                total,
+                items,
+            }
+        };
+        // ñ = 110 > 2^6 lifts class 4 to 6; the threshold is
+        // 0.2 · 110 / 10 = 2.2, so an item stays iff 1.5 · c > 2.2.
+        let a = syn(1, 100, &[(1, 1), (2, 2), (3, 5)]);
+        let b = syn(2, 10, &[(4, 1), (5, 3)]);
+        let fused = fuse(&cfg, a, b);
+        assert_eq!(fused.class, 6);
+        let kept: Vec<Item> = fused.estimates().map(|(u, _)| u).collect();
+        assert_eq!(kept, vec![2, 3, 5]);
+    }
+
+    /// A sealed message carries no spare capacity, however much the
+    /// accumulator it was built in grew.
+    #[test]
+    fn a_sealed_set_is_exact_size() {
+        let cfg = MultipathConfig::new(0.01, 1.5, 1 << 16, FmFactory { bitmaps: 16 });
+        let pool = synopsis_pool(&cfg, 7);
+        let mut acc = SynopsisSet::new();
+        for round in 0..3u64 {
+            acc.clear();
+            for (i, s) in pool.iter().enumerate() {
+                let mut one = SynopsisSet::new();
+                one.insert(s.clone());
+                if i as u64 % 3 == round {
+                    acc.fuse(&cfg, &one);
+                }
+            }
+            let sealed = acc.seal();
+            assert!(!sealed.is_empty());
+            assert_eq!(sealed.syns.capacity(), sealed.syns.len());
+            for s in &sealed.syns {
+                assert_eq!(s.items.capacity(), s.items.len(), "class {}", s.class);
+            }
+            assert!(sealed.spare.is_empty());
         }
     }
 

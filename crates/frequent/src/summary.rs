@@ -76,7 +76,7 @@ impl FreqSummary {
         // Step 2: pointwise sums.
         let mut counts: Vec<(Item, u64)> = Vec::new();
         for s in children.iter().chain(std::iter::once(own)) {
-            union_into(&mut counts, &s.counts, |c, d| *c += d, |&d| d);
+            union_into(&mut counts, &s.counts, |c, d| *c += d, |&d| d, |&d| d);
         }
         // Step 3: uniform decrement by the budget gain.
         let spent: f64 =
@@ -98,7 +98,13 @@ impl FreqSummary {
     /// before its one Step-3 decrement.
     pub fn accumulate(&mut self, other: &FreqSummary) {
         let spent = self.eps * self.n as f64 + other.eps * other.n as f64;
-        union_into(&mut self.counts, &other.counts, |c, d| *c += d, |&d| d);
+        union_into(
+            &mut self.counts,
+            &other.counts,
+            |c, d| *c += d,
+            |&d| d,
+            |&d| d,
+        );
         self.n += other.n;
         self.eps = if self.n == 0 {
             0.0

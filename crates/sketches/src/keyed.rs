@@ -4,19 +4,26 @@
 //! synopsis holds one counter per item, a quantile synopsis one summary
 //! per origin node — stored as `Vec<(key, value)>` sorted by key, and
 //! fusing two of them is a keyed union: shared keys combine, new keys
-//! are copied in. [`union_into`] is that union, one two-pointer walk,
-//! reading the other set by reference.
+//! are copied in. [`union_into`] is that union, reading the other set by
+//! reference and growing the receiver in place.
 
 /// Union `from` into `into`, both sorted by strictly increasing key. A
 /// key present in both gets `both(&mut into_value, &from_value)`; a key
-/// only in `from` is added as `copy(&from_value)`, in key order. Linear
-/// in `|into| + |from|`; in place when `from` brings no new key, one
-/// allocation otherwise.
+/// only in `from` is added as `copy(&from_value)`, in key order.
+///
+/// Linear in `|into| + |from|` and in place: shared keys combine in one
+/// forward walk; if `from` brings new keys, `into` grows at its tail by
+/// one stand-in per new key (`spare(&from_value)`, a cheap value that is
+/// overwritten before the call returns) and one backward walk moves each
+/// old entry at most once and writes each new key straight into its
+/// final slot. No allocation when `into` has the capacity for the new
+/// keys, and `copy` runs exactly once per new key.
 pub fn union_into<K: Ord + Copy, V>(
     into: &mut Vec<(K, V)>,
     from: &[(K, V)],
     mut both: impl FnMut(&mut V, &V),
     mut copy: impl FnMut(&V) -> V,
+    mut spare: impl FnMut(&V) -> V,
 ) {
     debug_assert!(into.windows(2).all(|w| w[0].0 < w[1].0), "into not sorted");
     debug_assert!(from.windows(2).all(|w| w[0].0 < w[1].0), "from not sorted");
@@ -37,21 +44,32 @@ pub fn union_into<K: Ord + Copy, V>(
     if added == 0 {
         return;
     }
-    // Interleave the new keys into one fresh run.
-    let capacity = into.len() + added;
-    let mut old = std::mem::replace(into, Vec::with_capacity(capacity))
-        .into_iter()
-        .peekable();
-    for (k, v) in from {
-        while let Some(e) = old.next_if(|e| e.0 < *k) {
-            into.push(e);
+    // Old entries not yet placed are `into[..i]`, final slots are
+    // `into[w..]`, and the `w - i` slots between hold stand-ins: one per
+    // new key not yet written.
+    let (k0, v0) = &from[0];
+    into.extend((0..added).map(|_| (*k0, spare(v0))));
+    let mut i = into.len() - added;
+    let mut w = into.len();
+    for (k, v) in from.iter().rev() {
+        if i == w {
+            // No new key left: the rest is in place already.
+            break;
         }
-        match old.next_if(|e| e.0 == *k) {
-            Some(e) => into.push(e),
-            None => into.push((*k, copy(v))),
+        while i > 0 && into[i - 1].0 > *k {
+            i -= 1;
+            w -= 1;
+            into.swap(i, w);
+        }
+        w -= 1;
+        if i > 0 && into[i - 1].0 == *k {
+            i -= 1;
+            into.swap(i, w);
+        } else {
+            into[w] = (*k, copy(v));
         }
     }
-    into.extend(old);
+    debug_assert_eq!(i, w, "every stand-in was overwritten");
 }
 
 #[cfg(test)]
@@ -69,13 +87,49 @@ mod tests {
         ) {
             let mut into: Vec<(u32, u64)> = a.iter().map(|(&k, &v)| (k, v)).collect();
             let from: Vec<(u32, u64)> = b.iter().map(|(&k, &v)| (k, v)).collect();
-            union_into(&mut into, &from, |x, y| *x += y, |&y| y);
+            union_into(&mut into, &from, |x, y| *x += y, |&y| y, |&y| y);
             let mut expect = a.clone();
             for (&k, &v) in &b {
                 *expect.entry(k).or_insert(0) += v;
             }
             prop_assert_eq!(into, expect.into_iter().collect::<Vec<_>>());
         }
+    }
+
+    proptest! {
+        /// Every new key is copied exactly once, straight into its slot,
+        /// and a receiver with room for the new keys keeps its buffer.
+        #[test]
+        fn prop_union_copies_each_new_key_once_in_place(
+            a in proptest::collection::btree_map(0u32..60, 0u64..1000, 0..30),
+            b in proptest::collection::btree_map(0u32..60, 0u64..1000, 0..30),
+        ) {
+            let mut into: Vec<(u32, u64)> = Vec::with_capacity(a.len() + b.len());
+            into.extend(a.iter().map(|(&k, &v)| (k, v)));
+            let from: Vec<(u32, u64)> = b.iter().map(|(&k, &v)| (k, v)).collect();
+            let buffer = into.as_ptr();
+            let mut copies = 0;
+            union_into(&mut into, &from, |x, y| *x += y, |&y| { copies += 1; y }, |_| 0);
+            prop_assert_eq!(copies, b.keys().filter(|k| !a.contains_key(k)).count());
+            prop_assert_eq!(into.as_ptr(), buffer);
+        }
+    }
+
+    /// New keys below, between and above the old ones, one union.
+    #[test]
+    fn new_keys_interleave_with_old_ones() {
+        let mut into = vec![(2u32, 20u64), (5, 50), (8, 80)];
+        union_into(
+            &mut into,
+            &[(1, 1), (3, 3), (5, 5), (6, 6), (9, 9)],
+            |x, y| *x += y,
+            |&y| y,
+            |_| u64::MAX,
+        );
+        assert_eq!(
+            into,
+            vec![(1, 1), (2, 20), (3, 3), (5, 55), (6, 6), (8, 80), (9, 9)]
+        );
     }
 
     #[test]
@@ -86,6 +140,7 @@ mod tests {
             &[(4, 1), (9, 1)],
             |x, y| *x += y,
             |_| unreachable!("every key is shared"),
+            |_| unreachable!("every key is shared"),
         );
         assert_eq!(into, vec![(1, 10), (4, 41), (9, 91)]);
     }
@@ -93,9 +148,9 @@ mod tests {
     #[test]
     fn unions_with_empty_sides() {
         let mut into: Vec<(u32, u64)> = Vec::new();
-        union_into(&mut into, &[(2, 5), (3, 6)], |_, _| {}, |&v| v);
+        union_into(&mut into, &[(2, 5), (3, 6)], |_, _| {}, |&v| v, |&v| v);
         assert_eq!(into, vec![(2, 5), (3, 6)]);
-        union_into(&mut into, &[], |_, _| {}, |&v| v);
+        union_into(&mut into, &[], |_, _| {}, |&v| v, |&v| v);
         assert_eq!(into, vec![(2, 5), (3, 6)]);
     }
 }

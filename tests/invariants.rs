@@ -118,16 +118,17 @@ impl Protocol for ContributorOracle {
         into.extend(from);
     }
 
-    fn local_mp(&self, node: NodeId) -> Option<BTreeSet<u32>> {
-        Self::own(node)
+    fn local_mp(&self, node: NodeId, acc: &mut Option<BTreeSet<u32>>) -> bool {
+        *acc = Self::own(node);
+        acc.is_some()
     }
 
     fn fuse(&self, into: &mut BTreeSet<u32>, from: &BTreeSet<u32>) {
         into.extend(from);
     }
 
-    fn convert(&self, _root: NodeId, msg: &BTreeSet<u32>) -> BTreeSet<u32> {
-        msg.clone()
+    fn convert(&self, _root: NodeId, msg: &BTreeSet<u32>, out: &mut Option<BTreeSet<u32>>) {
+        *out = Some(msg.clone());
     }
 
     fn tree_words(&self, _msg: &BTreeSet<u32>) -> usize {
