@@ -40,8 +40,8 @@
 //!
 //! Epoch execution is split into two phases. [`runner::EpochPlan`]
 //! **compiles** a topology into a reusable schedule — the level-ordered
-//! sender list, per-sender parents/heights and flattened broadcast
-//! delivery lists — and [`runner::EpochPlan::run_set`] **executes**
+//! sender list, per-sender parents/heights, each slot's tree children
+//! and flattened broadcast delivery lists — and [`runner::EpochPlan::run_set`] **executes**
 //! epochs over it: it draws the epoch's loss outcomes up front, runs
 //! each query over its own typed, slot-indexed message column (one
 //! dynamic call per query per epoch, no boxed message per node), then

@@ -5,15 +5,16 @@
 //! plain TAG [`Tree`] — into **one step table**: the level-ordered
 //! sender list (outermost level first), per-sender mode, tree parent
 //! and height, per-link broadcast delivery lists flattened into one
-//! table, and the switchability/subtree metadata the §4.2 adaptation
-//! signals need. The paper's §4.1 graph has two extremes and both are
-//! this table: synopsis diffusion (SD) is an all-`M` labeling, and the
-//! pure-TAG baseline is an all-`T` table over an arbitrary
-//! (unrestricted) tree, its levels the tree's depth runs and its
-//! receiver table empty. A cached plan makes steady-state epochs
-//! **schedule-recomputation-free** (no per-epoch height/subtree/level
-//! sorts) and **growth-free**: every per-epoch buffer lives in the
-//! plan's arenas and keeps its capacity from epoch to epoch.
+//! table, each slot's tree children in one more, and the
+//! switchability/subtree metadata the §4.2 adaptation signals need.
+//! The paper's §4.1 graph has two extremes and both are this table:
+//! synopsis diffusion (SD) is an all-`M` labeling, and the pure-TAG
+//! baseline is an all-`T` table over an arbitrary (unrestricted) tree,
+//! its levels the tree's depth runs and its receiver table empty. A
+//! cached plan makes steady-state epochs **schedule-recomputation-free**
+//! (no per-epoch height/subtree/level sorts) and **growth-free**: every
+//! per-epoch buffer lives in the plan's arenas and keeps its capacity
+//! from epoch to epoch.
 //!
 //! ## Plan lifecycle: compile once, patch on adaptation
 //!
@@ -23,20 +24,22 @@
 //! **patched in place** ([`EpochPlan::patch`]): the topology records
 //! each mutation as a structured `TopologyDelta`, and the patch rewrites
 //! only the touched schedule state — per-vertex mode, unicast parent,
-//! switchability flags, and the `is M` bits of the flat broadcast table —
-//! in O(|delta| · ring degree), reusing every arena untouched. This
-//! works because the step order, receiver-table layout, heights, and
-//! subtree sizes depend only on the rings and the tree, never on the
-//! labeling, so a patched plan is field-for-field identical to a fresh
+//! switchability flags, the `M` step count and the `is M` bits of the
+//! flat broadcast table — in O(|delta| · ring degree), reusing every
+//! arena untouched. This works because the step order, receiver-table
+//! layout, tree-children table, heights, and subtree sizes depend only
+//! on the rings and the tree, never on the labeling, so a patched plan
+//! is field-for-field identical to a fresh
 //! compile (pinned by [`EpochPlan::structural_digest`] and a debug
 //! assertion in the session cache).
 //!
 //! The same path absorbs **structural** deltas: a §4.1 parent switch (a
 //! churn reroute via `apply_churn`) preserves every vertex's depth, so
 //! the step order and receiver table survive and the patch only
-//! rewrites the moved vertices' unicast parents and re-derives
+//! rewrites the moved vertices' unicast parents, re-derives
 //! heights/subtree sizes along the switch endpoints' ancestor chains
-//! (O(|delta| · depth)). The session falls back to a full
+//! (O(|delta| · depth)) and rebuilds the tree-children table by one
+//! counting sort (O(n)). The session falls back to a full
 //! [`EpochPlan::compile_td`] only when the topology's bounded delta log
 //! no longer reaches back to the plan's version — e.g. after the
 //! topology object itself was rebuilt. A TAG plan has no labeling and
@@ -52,9 +55,11 @@
 //!    configured retransmissions) of every `T` step that has a parent
 //!    and the per-receiver delivery of every `M` broadcast. No draw
 //!    depends on a payload, so the caller's RNG stream is the one a
-//!    send-by-send walk would consume. The outcomes then become two
-//!    **delivery lists** per slot, each in sender step order: the tree
-//!    children whose unicast arrived, and the `M` senders it heard.
+//!    send-by-send walk would consume. The broadcast outcomes then
+//!    become a **broadcast list** per slot, in sender step order: the
+//!    `M` senders it heard. The tree inboxes need no per-epoch list:
+//!    each slot's tree children are compiled into the plan, and a
+//!    reader skips those that are `M` or whose unicast was lost.
 //! 2. **Run the columns.** Each registered query owns one typed
 //!    **column** — a slot-indexed vector of `Empty | Tree(msg) |
 //!    Mp(msg)` — and runs the whole epoch over it as a single job, so
@@ -69,7 +74,12 @@
 //!    as the level below — their only receivers — has run. The
 //!    **envelope column** is one more job: the exact tree counts, the
 //!    in-band count sketches and the §4.2 non-contribution extrema,
-//!    built in the same per-slot order.
+//!    built in the same per-slot order. A plan **without a delta** (no
+//!    `M` vertex, the base station included: every TAG plan) skips all
+//!    of the delta's passes — the broadcast lists, the broadcast drops
+//!    and the envelope column. Its base envelope is known without
+//!    them: a `T` base's exact tree count is the contributor count, and
+//!    no switchable `M` vertex reports an extremum.
 //! 3. **Account.** One pass in step order records each send as the
 //!    envelope overhead plus the sum of every query's wire size for
 //!    the slot, so the `CommStats` sequence is a single send per node
@@ -78,10 +88,11 @@
 //!    draws, and every column is evaluated at the base station.
 //!
 //! Nothing a job writes is visible to another job, and every job reads
-//! only the schedule and the epoch's draws, so the columns may run in
-//! any order on any thread. With [`RunnerConfig::workers`] above one the
-//! epoch spawns `k = min(workers, queries)` threads (the calling thread
-//! is one of them) once, and they claim the jobs from an atomic index,
+//! only the schedule and the epoch's draws (through one `Frame`), so
+//! the columns may run in any order on any thread. With
+//! [`RunnerConfig::workers`] above one the epoch spawns
+//! `k = min(workers, queries)` threads (the calling thread is one of
+//! them) once, and they claim the jobs from an atomic index,
 //! longest first by the previous epoch's job times (`parallel.rs`, the
 //! crate's one fan-out, which the trial pool shares). One
 //! query, or a network smaller than [`RunnerConfig::parallel_min_nodes`],
@@ -105,11 +116,12 @@
 //!
 //! ## Arenas
 //!
-//! The draws, the delivery lists, the columns and the envelope column
-//! all live in the plan and are reused from epoch to epoch; a column is
-//! downcast to its protocol's types once when it runs and once when it
-//! is evaluated, and replaced only if a differently typed query takes
-//! its position. An epoch therefore
+//! The draws, the broadcast lists, the columns and the envelope column
+//! all live in the plan and are reused from epoch to epoch; a plan
+//! without a delta never sizes the broadcast lists or the envelope
+//! column. A column is downcast to its protocol's types once when it
+//! runs and once when it is evaluated, and replaced only if a
+//! differently typed query takes its position. An epoch therefore
 //! allocates only what the protocols allocate inside their own messages
 //! (a sketch's bitmaps, a summary's entries) plus a handful of per-epoch
 //! objects (the answers, and with a fan-out its threads): about 0.001
@@ -156,9 +168,11 @@ pub struct RunnerConfig {
     /// non-adaptive baselines (TAG, SD) don't carry them.
     pub charge_adaptation_overhead: bool,
     /// How many threads an epoch may use. The unit of work is a query
-    /// column: an epoch runs on `k = min(workers, queries)` threads —
-    /// the calling thread plus `k - 1` scoped ones — so a one-query
-    /// set never spawns a thread. `0` = one per available core, `1` =
+    /// column (plus the envelope column on a plan with a delta; an
+    /// all-`T` epoch fans out over its query columns only): an epoch
+    /// runs on `k = min(workers, queries)` threads — the calling thread
+    /// plus `k - 1` scoped ones — so a one-query set never spawns a
+    /// thread. `0` = one per available core, `1` =
     /// sequential. Any value produces bit-identical results: every
     /// column writes only its own storage and every loss outcome is
     /// drawn before any column runs.
@@ -288,6 +302,17 @@ struct Schedule {
     /// broadcasts are dead once the next range has run. Depends only on
     /// the rings (or the tree's depths), so patching never touches it.
     levels: Vec<(u32, u32)>,
+    /// Each slot's tree children, base slot included, in step order:
+    /// every step whose *tree* parent is the slot's vertex, whatever its
+    /// mode (on a TAG plan the base step is the base slot's one child).
+    /// It depends only on the tree, so a relabel leaves it alone and only
+    /// a reparent rebuilds it; which of them reached the slot in an
+    /// epoch is filtered where they are read ([`Frame::children`]).
+    children: SlotLists,
+    /// How many steps are `M`. With none and a `T` base the plan has no
+    /// delta, and its epochs skip every delta-only pass
+    /// ([`has_delta`](Self::has_delta)).
+    m_steps: u32,
     base_mode: Mode,
     base_height: u32,
     base_subtree: u64,
@@ -301,6 +326,42 @@ impl Schedule {
     /// The slot of the base station: one past the last step slot.
     fn base_slot(&self) -> usize {
         self.steps.len()
+    }
+
+    /// Whether any vertex, the base station included, is `M`. Without
+    /// one an epoch has no broadcast to list, hear or drop and no
+    /// envelope to build: the exact tree count of a `T` base is the
+    /// contributor count, and no switchable `M` vertex reports an
+    /// extremum.
+    fn has_delta(&self) -> bool {
+        self.m_steps > 0 || self.base_mode == Mode::M
+    }
+
+    /// Rebuild [`children`](Self::children) from `tree` by a counting
+    /// sort over the steps, O(n). A step is listed under its tree
+    /// parent's slot; the TAG base step, the one step without a tree
+    /// parent, under the base slot.
+    fn index_children(&mut self, tree: &Tree) {
+        let Schedule {
+            steps,
+            step_of,
+            children,
+            ..
+        } = self;
+        let base = steps.len();
+        children.fill(base + 1, || {
+            steps.iter().enumerate().filter_map(|(slot, step)| {
+                let parent = match tree.parent(step.node) {
+                    Some(p) => match step_of[p.index()] {
+                        NO_STEP => base,
+                        s => s as usize,
+                    },
+                    None if step.node.is_base() => base,
+                    None => return None,
+                };
+                Some((parent, slot))
+            })
+        });
     }
 
     /// The arena slot of `u`: its step index, or the base slot for the
@@ -340,6 +401,12 @@ impl Schedule {
             self.base_switchable_m = topo.is_switchable_m(BASE_STATION);
         } else {
             let step = &mut self.steps[self.step_of[u.index()] as usize];
+            if step.mode != mode {
+                match mode {
+                    Mode::M => self.m_steps += 1,
+                    Mode::T => self.m_steps -= 1,
+                }
+            }
             step.mode = mode;
             step.parent = Self::unicast_parent(topo, u, mode);
             step.switchable_m = topo.is_switchable_m(u);
@@ -437,9 +504,10 @@ impl Schedule {
 /// step order, before any column runs — no draw depends on a payload,
 /// so the caller's RNG ends an epoch in the same state however many
 /// threads run the columns — and kept for the whole epoch: they decide
-/// the delivery lists, which tree messages are kept, and, once the
-/// columns have run, which sensors reached the base station
-/// ([`Draws::contributing`]). Reused from epoch to epoch.
+/// which tree children reach their parents ([`Frame::children`]), the
+/// broadcast lists, and, once the columns have run, which sensors
+/// reached the base station ([`Draws::contributing`]). Reused from epoch
+/// to epoch.
 #[derive(Default)]
 struct Draws {
     /// Per slot: the unicast outcome of a sending T step (`None` for M
@@ -544,8 +612,9 @@ impl Draws {
 struct Arenas {
     /// The epoch's loss outcomes.
     draws: Draws,
-    /// The epoch's delivery lists, derived from `draws`.
-    lists: Deliveries,
+    /// The epoch's broadcast lists, derived from `draws`: per slot, the
+    /// `M` senders it heard. Left unbuilt by an epoch without a delta.
+    heard: SlotLists,
     /// One column per registered query, by registration index.
     columns: Vec<Column>,
     /// The envelope column.
@@ -560,7 +629,7 @@ struct Arenas {
 /// Compile once per topology (version) with [`EpochPlan::compile_td`] /
 /// [`EpochPlan::compile_tag`], then call [`EpochPlan::run_set`] every
 /// epoch. Steady-state epochs perform zero schedule recomputation (no
-/// height/subtree/level passes) and grow nothing: the draws, delivery
+/// height/subtree/level passes) and grow nothing: the draws, broadcast
 /// lists, query columns and envelope column keep their capacity across
 /// epochs.
 pub struct EpochPlan {
@@ -608,18 +677,23 @@ impl EpochPlan {
                 levels.push((level_start, steps.len() as u32));
             }
         }
+        let m_steps = steps.iter().filter(|s| s.mode == Mode::M).count() as u32;
+        let mut sched = Schedule {
+            version: Some(topo.version()),
+            steps,
+            receivers,
+            step_of,
+            levels,
+            children: SlotLists::default(),
+            m_steps,
+            base_mode: topo.mode(BASE_STATION),
+            base_height: heights[BASE_STATION.index()],
+            base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
+            base_switchable_m: topo.is_switchable_m(BASE_STATION),
+        };
+        sched.index_children(tree);
         EpochPlan {
-            sched: Schedule {
-                version: Some(topo.version()),
-                steps,
-                receivers,
-                step_of,
-                levels,
-                base_mode: topo.mode(BASE_STATION),
-                base_height: heights[BASE_STATION.index()],
-                base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
-                base_switchable_m: topo.is_switchable_m(BASE_STATION),
-            },
+            sched,
             arenas: Arenas::default(),
         }
     }
@@ -631,6 +705,7 @@ impl EpochPlan {
     /// only writes to later runs), no receiver table, and the base
     /// station as the last step — it merges and finalizes like any tree
     /// vertex, sends nothing, and hands its message to the base slot.
+    /// The plan has no delta, so its epochs run no envelope column.
     pub fn compile_tag(tree: &Tree) -> EpochPlan {
         let heights = tree.heights();
         let subtree_sizes = tree.subtree_sizes();
@@ -659,18 +734,22 @@ impl EpochPlan {
                 recv_end: 0,
             });
         }
+        let mut sched = Schedule {
+            version: None,
+            steps,
+            receivers: Vec::new(),
+            step_of,
+            levels,
+            children: SlotLists::default(),
+            m_steps: 0,
+            base_mode: Mode::T,
+            base_height: heights[BASE_STATION.index()],
+            base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
+            base_switchable_m: false,
+        };
+        sched.index_children(tree);
         EpochPlan {
-            sched: Schedule {
-                version: None,
-                steps,
-                receivers: Vec::new(),
-                step_of,
-                levels,
-                base_mode: Mode::T,
-                base_height: heights[BASE_STATION.index()],
-                base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
-                base_switchable_m: false,
-            },
+            sched,
             arenas: Arenas::default(),
         }
     }
@@ -687,11 +766,12 @@ impl EpochPlan {
     /// [`td_topology::td::TopologyDelta`]s instead of recompiling. Label switches
     /// rewrite only the relabeled vertices' steps (mode, unicast
     /// parent, switchability), the broadcast-table `is M` flags naming
-    /// them, and their ring neighbors' switchability — O(|delta| ·
-    /// degree) work. Parent switches (churn reroutes, in-place
-    /// maintenance rounds) rewrite the moved vertices' unicast parents
-    /// and re-derive heights and subtree sizes over the switch
-    /// endpoints' ancestor chains — O(|delta| · depth) — which is
+    /// them, their ring neighbors' switchability and the `M` step count
+    /// — O(|delta| · degree) work. Parent switches (churn reroutes,
+    /// in-place maintenance rounds) rewrite the moved vertices' unicast
+    /// parents, re-derive heights and subtree sizes over the switch
+    /// endpoints' ancestor chains — O(|delta| · depth) — and rebuild the
+    /// tree-children table, O(n), which is
     /// enough because §4.1 parent switches preserve every vertex's
     /// depth, so the step order and receiver-table layout survive. In
     /// both cases every arena is reused untouched, and the patched
@@ -753,6 +833,7 @@ impl EpochPlan {
                 .flat_map(|r| [r.node, r.from, r.to])
                 .collect();
             sched.refresh_structure(topo, &seeds);
+            sched.index_children(topo.tree());
         }
         sched.version = Some(topo.version());
         Some(distinct)
@@ -760,7 +841,8 @@ impl EpochPlan {
 
     /// A deterministic digest of everything structural: the full
     /// compiled schedule (every step field, the receiver table, the
-    /// step index, the base-station fields, the version) and the node
+    /// step index, the levels, the tree-children table, the `M` step
+    /// count, the base-station fields, the version) and the node
     /// count — but not the arenas, which a warmed-up plan has sized and
     /// a fresh compile has not. Two plans with equal digests execute epochs
     /// bit-identically; the patch tests (and a debug assertion in the
@@ -805,6 +887,13 @@ impl EpochPlan {
             put(s as u64);
             put(e as u64);
         }
+        for table in [&sched.children.start, &sched.children.from] {
+            put(table.len() as u64);
+            for &i in table {
+                put(i as u64);
+            }
+        }
+        put(sched.m_steps as u64);
         put(mode_tag(sched.base_mode));
         put(sched.base_height as u64);
         put(sched.base_subtree);
@@ -833,16 +922,19 @@ impl EpochPlan {
         let sched = &self.sched;
         let Arenas {
             draws,
-            lists,
+            heard,
             columns,
             envelopes,
             job_ns,
         } = &mut self.arenas;
+        let delta = sched.has_delta();
 
         let sw = phase::stopwatch();
         draws.open(sched);
         draws.draw(sched, net, model, config.tree_retransmit, epoch, rng);
-        lists.collect(sched, draws);
+        if delta {
+            collect_heard(heard, sched, draws);
+        }
         phase::record(Phase::Randomness, sw);
 
         let sw = phase::stopwatch();
@@ -850,7 +942,7 @@ impl EpochPlan {
         let frame = Frame {
             sched,
             draws,
-            lists,
+            heard,
         };
         let charge = config.charge_adaptation_overhead;
         // Any thread count is bit-identical (the jobs write disjoint
@@ -861,7 +953,9 @@ impl EpochPlan {
             config.effective_workers().min(set.len())
         };
         if threads <= 1 {
-            envelopes.run(&frame, charge);
+            if delta {
+                envelopes.run(&frame, charge);
+            }
             for (i, column) in columns.iter_mut().enumerate() {
                 set.query(i).run_column(&frame, column);
             }
@@ -871,7 +965,9 @@ impl EpochPlan {
                 .enumerate()
                 .map(|(i, column)| Job::Query(i, column))
                 .collect();
-            jobs.push(Job::Envelopes(envelopes));
+            if delta {
+                jobs.push(Job::Envelopes(envelopes));
+            }
             parallel::run_longest_first(threads, jobs, job_ns, |job| match job {
                 Job::Query(i, column) => set.query(i).run_column(&frame, column),
                 Job::Envelopes(envelopes) => envelopes.run(&frame, charge),
@@ -886,20 +982,31 @@ impl EpochPlan {
             .enumerate()
             .map(|(i, column)| set.query(i).evaluate(&frame, column))
             .collect();
+        let contributing = draws.contributing(sched);
+        let base = if delta {
+            std::mem::take(&mut envelopes.base)
+        } else {
+            // What the envelope column would report: a `T` base's exact
+            // tree count is the contributor count, and no extremum.
+            BaseEnvelope {
+                est: contributing as f64,
+                ..BaseEnvelope::default()
+            }
+        };
         let out = SetEpochOutput {
             outputs,
-            contributing: draws.contributing(sched),
-            contributing_est: envelopes.base.est,
-            max_noncontrib: envelopes.base.max.clone(),
-            min_noncontrib: envelopes.base.min.clone(),
+            contributing,
+            contributing_est: base.est,
+            max_noncontrib: base.max,
+            min_noncontrib: base.min,
         };
         phase::record(Phase::Merge, sw);
         out
     }
 }
 
-/// One job of a fanned-out epoch: a query's column or the envelope
-/// column.
+/// One job of a fanned-out epoch: a query's column or, when the plan
+/// has a delta, the envelope column.
 enum Job<'c> {
     Query(usize, &'c mut Column),
     Envelopes(&'c mut Envelopes),
@@ -966,101 +1073,91 @@ impl SlotLists {
     fn of(&self, slot: usize) -> &[u32] {
         &self.from[self.start[slot] as usize..self.start[slot + 1] as usize]
     }
-}
 
-/// The epoch's deliveries, derived from its draws: which tree children
-/// reached each slot and which broadcasts each slot heard. These are
-/// the inboxes of a send-by-send walk, without the sends.
-#[derive(Default)]
-struct Deliveries {
-    /// Delivered tree children (a TAG base step's message always
-    /// reaches the base slot).
-    tree: SlotLists,
-    /// Heard broadcasts, `M` receivers only — the only ones that fuse.
-    mp: SlotLists,
-}
-
-impl Deliveries {
-    /// Rebuild both lists from `draws` by a counting sort over the
-    /// senders in step order, which keeps every list in sender step
-    /// order without sorting.
-    fn collect(&mut self, sched: &Schedule, draws: &Draws) {
-        let slots = sched.base_slot() + 1;
-        for lists in [&mut self.tree, &mut self.mp] {
-            lists.start.clear();
-            lists.start.resize(slots + 1, 0);
-        }
+    /// Rebuild the lists of `slots` slots from the `(destination,
+    /// sender)` pairs `pairs()` yields, senders in step order, by a
+    /// counting sort — which keeps every list in sender step order
+    /// without sorting. `pairs` is walked twice: once to count, once to
+    /// fill.
+    fn fill<I: Iterator<Item = (usize, usize)>>(&mut self, slots: usize, pairs: impl Fn() -> I) {
+        let SlotLists { start, from } = self;
+        start.clear();
+        start.resize(slots + 1, 0);
         // Pass 1: count each destination's senders into `start[d + 1]`.
-        for_each_delivery(sched, draws, |tree, dest, _| {
-            let lists = if tree { &mut self.tree } else { &mut self.mp };
-            lists.start[dest + 1] += 1;
-        });
-        for lists in [&mut self.tree, &mut self.mp] {
-            for d in 1..=slots {
-                lists.start[d] += lists.start[d - 1];
-            }
-            lists.from.clear();
-            lists.from.resize(lists.start[slots] as usize, 0);
+        pairs().for_each(|(dest, _)| start[dest + 1] += 1);
+        for d in 1..=slots {
+            start[d] += start[d - 1];
         }
+        from.clear();
+        from.resize(start[slots] as usize, 0);
         // Pass 2: fill, using `start[d]` as destination d's cursor; it
         // ends at `start[d + 1]`'s value, so one shift restores it.
-        for_each_delivery(sched, draws, |tree, dest, sender| {
-            let lists = if tree { &mut self.tree } else { &mut self.mp };
-            let at = &mut lists.start[dest];
-            lists.from[*at as usize] = sender as u32;
+        pairs().for_each(|(dest, sender)| {
+            let at = &mut start[dest];
+            from[*at as usize] = sender as u32;
             *at += 1;
         });
-        for lists in [&mut self.tree, &mut self.mp] {
-            lists.start.copy_within(0..slots, 1);
-            lists.start[0] = 0;
-        }
+        start.copy_within(0..slots, 1);
+        start[0] = 0;
     }
 }
 
-/// Call `f(is_tree, destination slot, sender slot)` for every delivery
-/// of the epoch, senders in step order: a `T` step's arrived unicast
-/// (the TAG base step's message always reaches the base slot), and
-/// every `M` receiver that heard a broadcast.
-fn for_each_delivery(sched: &Schedule, draws: &Draws, mut f: impl FnMut(bool, usize, usize)) {
-    for (slot, step) in sched.steps.iter().enumerate() {
-        match step.mode {
-            Mode::T => match step.parent {
-                None => f(true, sched.base_slot(), slot),
-                Some(parent) => {
-                    if draws.outcomes[slot].is_some_and(|o| o.delivered) {
-                        f(true, sched.slot_or_base(parent), slot);
-                    }
-                }
-            },
-            Mode::M => {
+/// Rebuild `heard` from the epoch's draws: per slot, the `M` senders
+/// whose broadcast it heard, `M` receivers only — the only ones that
+/// fuse. These are the broadcast inboxes of a send-by-send walk,
+/// without the sends; the tree inboxes are compiled
+/// ([`Schedule::children`]) and filtered where they are read.
+fn collect_heard(heard: &mut SlotLists, sched: &Schedule, draws: &Draws) {
+    heard.fill(sched.base_slot() + 1, || {
+        sched
+            .steps
+            .iter()
+            .enumerate()
+            .filter(|(_, step)| step.mode == Mode::M)
+            .flat_map(|(slot, step)| {
                 let range = step.recv_range();
-                for (&(r, is_m), &d) in sched.receivers[range.clone()]
+                sched.receivers[range.clone()]
                     .iter()
                     .zip(&draws.delivered[range])
-                {
-                    if d && is_m {
-                        f(false, sched.slot_or_base(r), slot);
-                    }
-                }
-            }
-        }
-    }
+                    .filter(|&(&(_, is_m), &d)| d && is_m)
+                    .map(move |(&(r, _), _)| (sched.slot_or_base(r), slot))
+            })
+    });
 }
 
 /// What every job of an epoch reads: the schedule, the draws and the
-/// deliveries derived from them. Shared by reference across threads.
+/// broadcast lists derived from them. Shared by reference across
+/// threads. Every reader of a slot's inbox goes through it: the tree
+/// children that reached the slot ([`children`](Self::children), the
+/// compiled table filtered by the draws) and the broadcasts it heard
+/// (`heard`, read only by `M` vertices, so only on a plan with a delta).
+#[derive(Clone, Copy)]
 pub(crate) struct Frame<'a> {
     sched: &'a Schedule,
     draws: &'a Draws,
-    lists: &'a Deliveries,
+    heard: &'a SlotLists,
 }
 
-impl Frame<'_> {
+impl<'a> Frame<'a> {
     /// Whether the message of the `T` step at `slot` reaches a
     /// receiver: its unicast arrived, or it is the TAG base step.
     fn tree_kept(&self, slot: usize) -> bool {
         self.sched.steps[slot].parent.is_none()
             || self.draws.outcomes[slot].is_some_and(|o| o.delivered)
+    }
+
+    /// The tree children whose message reached `slot` this epoch, in
+    /// step order: the compiled children that are `T` steps and whose
+    /// message is kept. The mode is checked first — an `M` step has no
+    /// unicast parent, so [`tree_kept`](Self::tree_kept) holds for it,
+    /// and its slot holds a broadcast that other receivers still read
+    /// and must never be taken.
+    fn children(&self, slot: usize) -> impl Iterator<Item = usize> + Clone + 'a {
+        let frame = *self;
+        self.sched.children.of(slot).iter().filter_map(move |&c| {
+            let c = c as usize;
+            (frame.sched.steps[c].mode == Mode::T && frame.tree_kept(c)).then_some(c)
+        })
     }
 }
 
@@ -1141,17 +1238,18 @@ impl Column {
 
 /// Run query `proto`'s whole epoch into its column: every step in step
 /// order, each slot's message and wire size written before any
-/// receiver reads it, and a level's broadcasts dropped once the level
-/// below has run.
+/// receiver reads it, and (on a plan with a delta) a level's broadcasts
+/// dropped once the level below has run.
 pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut Column) {
     let sched = frame.sched;
+    let delta = sched.has_delta();
     let (cells, wire) = column.cells::<P::TreeMsg, P::MpMsg>(sched);
     let mut above = 0..0;
     for &(start, end) in &sched.levels {
         let level = start as usize..end as usize;
         for slot in level.clone() {
             let step = &sched.steps[slot];
-            let children = frame.lists.tree.of(slot);
+            let children = frame.children(slot);
             let (msg, size) = match step.mode {
                 Mode::T => {
                     let msg = tree_step(proto, step.node, step.height, children, &mut cells.slots);
@@ -1166,7 +1264,7 @@ pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut
                     (msg, Wire { bytes: 0, words })
                 }
                 Mode::M => {
-                    let heard = frame.lists.mp.of(slot);
+                    let heard = frame.heard.of(slot);
                     let built = cells.build_mp(proto, step.node, children, heard, sched);
                     let msg = if built {
                         proto.seal(&mut cells.acc)
@@ -1186,7 +1284,9 @@ pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut
             cells.slots[slot] = msg;
             wire[slot] = size;
         }
-        drop_broadcasts(&mut cells.slots[above]);
+        if delta {
+            drop_broadcasts(&mut cells.slots[above]);
+        }
         above = level;
     }
 }
@@ -1202,24 +1302,20 @@ pub(crate) fn evaluate_column<P: Protocol>(
     let sched = frame.sched;
     let base = sched.base_slot();
     let (cells, _) = column.cells::<P::TreeMsg, P::MpMsg>(sched);
-    let children = frame.lists.tree.of(base);
+    let children = frame.children(base);
     let output = match sched.base_mode {
         Mode::T => {
             let Cells { slots, parts, .. } = cells;
-            parts.extend(
-                children
-                    .iter()
-                    .filter_map(|&c| match slots[c as usize].take() {
-                        Slot::Tree(m) => Some(m),
-                        _ => None,
-                    }),
-            );
+            parts.extend(children.filter_map(|c| match slots[c].take() {
+                Slot::Tree(m) => Some(m),
+                _ => None,
+            }));
             let output = proto.evaluate_tree(parts, sched.base_height);
             parts.clear();
             output
         }
         Mode::M => {
-            let heard = frame.lists.mp.of(base);
+            let heard = frame.heard.of(base);
             let built = cells.build_mp(proto, BASE_STATION, children, heard, sched);
             match &cells.acc {
                 Some(msg) if built => proto.evaluate_mp(msg),
@@ -1229,7 +1325,7 @@ pub(crate) fn evaluate_column<P: Protocol>(
     };
     // The innermost level's broadcasts had only the base station to
     // reach.
-    if let Some(&(start, end)) = sched.levels.last() {
+    if let Some(&(start, end)) = sched.levels.last().filter(|_| sched.has_delta()) {
         drop_broadcasts(&mut cells.slots[start as usize..end as usize]);
     }
     output
@@ -1250,12 +1346,12 @@ fn tree_step<P: Protocol>(
     proto: &P,
     node: NodeId,
     height: u32,
-    children: &[u32],
+    children: impl Iterator<Item = usize>,
     slots: &mut [Slot<P::TreeMsg, P::MpMsg>],
 ) -> Option<P::TreeMsg> {
     let mut acc = proto.local_tree(node);
-    for &child in children {
-        if let Slot::Tree(m) = slots[child as usize].take() {
+    for child in children {
+        if let Slot::Tree(m) = slots[child].take() {
             match &mut acc {
                 Some(a) => proto.merge_tree(a, &m),
                 None => acc = Some(m),
@@ -1276,7 +1372,7 @@ impl<T, M: Clone> Cells<T, M> {
         &mut self,
         proto: &P,
         node: NodeId,
-        children: &[u32],
+        children: impl Iterator<Item = usize>,
         heard: &[u32],
         sched: &Schedule,
     ) -> bool {
@@ -1287,9 +1383,9 @@ impl<T, M: Clone> Cells<T, M> {
             ..
         } = self;
         let mut built = proto.local_mp(node, acc);
-        for &child in children {
-            if let Slot::Tree(m) = slots[child as usize].take() {
-                let root = sched.steps[child as usize].node;
+        for child in children {
+            if let Slot::Tree(m) = slots[child].take() {
+                let root = sched.steps[child].node;
                 if built {
                     proto.convert(root, &m, scratch);
                     if let (Some(a), Some(converted)) = (acc.as_mut(), scratch.as_ref()) {
@@ -1341,7 +1437,8 @@ impl Default for BaseEnvelope {
 }
 
 /// The envelope column: the instrumentation every query's messages
-/// share, run as one more job over the same deliveries.
+/// share, run as one more job over the same deliveries on a plan with a
+/// delta. A plan without one never runs it, so its arenas stay unsized.
 #[derive(Default)]
 struct Envelopes {
     /// Per slot: the exact contributor count of a `T` step's tree
@@ -1366,7 +1463,7 @@ struct Envelopes {
 
 impl Envelopes {
     fn run(&mut self, frame: &Frame<'_>, charge: bool) {
-        let (sched, lists) = (frame.sched, frame.lists);
+        let sched = frame.sched;
         let steps = sched.steps.len();
         let Envelopes {
             counts,
@@ -1389,11 +1486,10 @@ impl Envelopes {
             let mut built = 0;
             for slot in start as usize..end as usize {
                 let step = &sched.steps[slot];
-                let children = lists.tree.of(slot);
+                let children = frame.children(slot);
                 match step.mode {
                     Mode::T => {
-                        counts[slot] =
-                            tree_count(step.node, children.iter().map(|&c| counts[c as usize]));
+                        counts[slot] = tree_count(step.node, children.map(|c| counts[c]));
                     }
                     Mode::M => {
                         if building.len() == built {
@@ -1405,7 +1501,7 @@ impl Envelopes {
                             step.subtree_size as u64,
                             step.switchable_m,
                             children,
-                            lists.mp.of(slot),
+                            frame.heard.of(slot),
                             sched,
                             counts,
                             at,
@@ -1421,10 +1517,10 @@ impl Envelopes {
                 }
             }
         }
-        let children = lists.tree.of(sched.base_slot());
+        let children = frame.children(sched.base_slot());
         *base = match sched.base_mode {
             Mode::T => BaseEnvelope {
-                est: tree_count(BASE_STATION, children.iter().map(|&c| counts[c as usize])) as f64,
+                est: tree_count(BASE_STATION, children.map(|c| counts[c])) as f64,
                 ..BaseEnvelope::default()
             },
             Mode::M => {
@@ -1436,7 +1532,7 @@ impl Envelopes {
                     sched.base_subtree,
                     sched.base_switchable_m,
                     children,
-                    lists.mp.of(sched.base_slot()),
+                    frame.heard.of(sched.base_slot()),
                     sched,
                     counts,
                     at,
@@ -1463,7 +1559,7 @@ fn build_mp_envelope<'e>(
     node: NodeId,
     subtree_size: u64,
     switchable_m: bool,
-    children: &[u32],
+    children: impl Iterator<Item = usize> + Clone,
     heard: &[u32],
     sched: &Schedule,
     counts: &[u64],
@@ -1486,11 +1582,10 @@ fn build_mp_envelope<'e>(
         // subtree minus itself (its own contribution is in the local
         // envelope already).
         let expected = subtree_size.saturating_sub(1);
-        let received: u64 = children.iter().map(|&c| counts[c as usize]).sum();
+        let received: u64 = children.clone().map(|c| counts[c]).sum();
         env.report_noncontrib(node, expected.saturating_sub(received));
     }
-    for &child in children {
-        let child = child as usize;
+    for child in children {
         env.absorb_tree_counts(sched.steps[child].node, counts[child]);
     }
     for &sender in heard {
@@ -2736,8 +2831,246 @@ mod tests {
         }
     }
 
+    /// The per-epoch tree lists the compiled children table replaced,
+    /// kept as its oracle: every `T` step's arrived unicast, the TAG
+    /// base step's message always reaching the base slot, listed by a
+    /// counting sort over the senders in step order.
+    fn epoch_tree_lists(sched: &Schedule, draws: &Draws) -> SlotLists {
+        let mut lists = SlotLists::default();
+        lists.fill(sched.base_slot() + 1, || {
+            sched.steps.iter().enumerate().filter_map(|(slot, step)| {
+                match (step.mode, step.parent) {
+                    (Mode::M, _) => None,
+                    (Mode::T, None) => Some((sched.base_slot(), slot)),
+                    (Mode::T, Some(parent)) => draws.outcomes[slot]
+                        .is_some_and(|o| o.delivered)
+                        .then(|| (sched.slot_or_base(parent), slot)),
+                }
+            })
+        });
+        lists
+    }
+
+    /// Draw `epochs` epochs of `model` over `plan` and require, for
+    /// every slot, that [`Frame::children`] yields exactly the oracle's
+    /// list.
+    fn assert_children_match_the_epoch_lists(
+        plan: &EpochPlan,
+        net: &Network,
+        model: &Global,
+        rng: &mut rand::rngs::StdRng,
+        epochs: u64,
+    ) {
+        let sched = &plan.sched;
+        let heard = SlotLists::default();
+        let mut draws = Draws::default();
+        for epoch in 0..epochs {
+            draws.open(sched);
+            draws.draw(sched, net, model, Retransmit::default(), epoch, rng);
+            let frame = Frame {
+                sched,
+                draws: &draws,
+                heard: &heard,
+            };
+            let oracle = epoch_tree_lists(sched, &draws);
+            for slot in 0..=sched.base_slot() {
+                let compiled: Vec<u32> = frame.children(slot).map(|c| c as u32).collect();
+                assert_eq!(compiled, oracle.of(slot), "slot {slot}, epoch {epoch}");
+            }
+        }
+    }
+
+    /// Up to `max` parent switches of `td` onto another ring receiver
+    /// one level down — what a churn reroute records — chosen by `rng`
+    /// among the vertices that have one (an `M` vertex only onto an `M`
+    /// receiver).
+    fn reparent_moves(
+        td: &TdTopology,
+        rng: &mut rand::rngs::StdRng,
+        max: usize,
+    ) -> Vec<(NodeId, NodeId)> {
+        use rand::Rng;
+        let candidates: Vec<(NodeId, NodeId)> =
+            td.rings()
+                .connected_nodes()
+                .filter_map(|u| {
+                    let p = td.tree().parent(u)?;
+                    let alt =
+                        td.rings().receivers(u).iter().copied().find(|&r| {
+                            r != p && (td.mode(u) == Mode::T || td.mode(r) == Mode::M)
+                        })?;
+                    Some((u, alt))
+                })
+                .collect();
+        (0..max.min(candidates.len()))
+            .map(|_| candidates[rng.gen_range(0..candidates.len())])
+            .collect()
+    }
+
+    /// Switch up to `flips` random switchable vertices, `T` → `M` or back.
+    fn relabel_randomly(td: &mut TdTopology, rng: &mut rand::rngs::StdRng, flips: usize) {
+        use rand::Rng;
+        for _ in 0..flips {
+            let (to_m, to_t) = (td.switchable_t_nodes(), td.switchable_m_nodes());
+            if !to_m.is_empty() && (to_t.is_empty() || rng.gen::<bool>()) {
+                td.switch_to_m(to_m[rng.gen_range(0..to_m.len())]).unwrap();
+            } else if !to_t.is_empty() {
+                td.switch_to_t(to_t[rng.gen_range(0..to_t.len())]).unwrap();
+            }
+        }
+    }
+
+    /// A parent switch (what a churn reroute records) makes `patch`
+    /// rebuild the tree-children table to exactly a fresh compile's, and
+    /// the structural digest covers the table: permuting it changes the
+    /// digest.
+    #[test]
+    fn a_reparent_rebuilds_the_children_table_the_digest_covers() {
+        let (_, mut td) = topo(173, 200, 2);
+        let mut plan = EpochPlan::compile_td(&td);
+        let before = plan.sched.children.from.clone();
+        let moves = reparent_moves(&td, &mut rng_from_seed(174), 6);
+        assert!(td.switch_parents(&moves).unwrap() > 0);
+        assert!(plan.patch(&td, td.len()).is_some());
+        let fresh = EpochPlan::compile_td(&td);
+        assert_ne!(
+            plan.sched.children.from, before,
+            "the moves left the table as it was"
+        );
+        assert_eq!(plan.sched.children.start, fresh.sched.children.start);
+        assert_eq!(plan.sched.children.from, fresh.sched.children.from);
+        assert_eq!(plan.structural_digest(), fresh.structural_digest());
+
+        let digest = plan.structural_digest();
+        let from = &mut plan.sched.children.from;
+        let i = (1..from.len())
+            .find(|&i| from[i - 1] != from[i])
+            .expect("two distinct children");
+        from.swap(i - 1, i);
+        assert_ne!(
+            plan.structural_digest(),
+            digest,
+            "a permuted table kept the digest"
+        );
+    }
+
+    /// Run the envelope column over the plan's last epoch — whether or
+    /// not that epoch ran it — in arenas of its own, and return the base
+    /// station's envelope.
+    impl EpochPlan {
+        fn explicit_envelope(&mut self, charge: bool) -> BaseEnvelope {
+            let Arenas { draws, heard, .. } = &mut self.arenas;
+            collect_heard(heard, &self.sched, draws);
+            let mut envelopes = Envelopes::default();
+            envelopes.run(
+                &Frame {
+                    sched: &self.sched,
+                    draws,
+                    heard,
+                },
+                charge,
+            );
+            envelopes.base
+        }
+    }
+
+    /// A plan without a delta skips the envelope column and reports what
+    /// the column would have: on TAG plans and on the all-`T` TD plan of
+    /// [`tag_plan_is_the_all_t_td_plan`], over many loss seeds at 1 and 2
+    /// workers (two queries, so the fan-out engages), `contributing_est`
+    /// and both extrema equal the column's when run explicitly, and the
+    /// envelope arena is never sized. A plan with a delta — the base
+    /// station alone (its estimate is a sketch's, not the exact count),
+    /// or two ring levels — runs the column and sizes the arena.
+    #[test]
+    fn a_plan_without_a_delta_reports_the_envelope_it_skips() {
+        let (net, td) = topo(151, 200, 2);
+        let all_t = TdTopology::all_tree(td.rings().clone(), td.tree().clone());
+        let base_only = TdTopology::new(td.rings().clone(), td.tree().clone(), 0);
+        let values: Vec<u64> = (0..net.len() as u64).map(|i| 1 + i % 60).collect();
+        for workers in [1, 2] {
+            let config = RunnerConfig {
+                workers,
+                parallel_min_nodes: 0,
+                ..RunnerConfig::default()
+            };
+            for (name, mut plan, delta) in [
+                ("TAG", EpochPlan::compile_tag(td.tree()), false),
+                ("all-T TD", EpochPlan::compile_td(&all_t), false),
+                ("base-only delta", EpochPlan::compile_td(&base_only), true),
+                ("two-level delta", EpochPlan::compile_td(&td), true),
+            ] {
+                assert_eq!(plan.sched.has_delta(), delta, "{name}");
+                let mut lossy = false;
+                for seed in 0..24u64 {
+                    let model = Global::new(0.05 * (seed % 6) as f64);
+                    let mut stats = CommStats::new(net.len());
+                    let mut rng = rng_from_seed(500 + seed);
+                    for epoch in 0..3u64 {
+                        let sum = ScalarProtocol::new(Sum::default(), &values);
+                        let count = ScalarProtocol::new(Count::default(), &values);
+                        let mut set = QuerySet::new();
+                        set.register(&sum);
+                        set.register(&count);
+                        let out =
+                            plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
+                        let env = plan.explicit_envelope(config.charge_adaptation_overhead);
+                        let at = format!("{name}, seed {seed}, epoch {epoch}, {workers} workers");
+                        assert_eq!(out.contributing_est.to_bits(), env.est.to_bits(), "{at}");
+                        assert_eq!(out.max_noncontrib, env.max, "{at}");
+                        assert_eq!(out.min_noncontrib, env.min, "{at}");
+                        lossy |= out.contributing < net.num_sensors();
+                    }
+                }
+                assert!(lossy, "{name}: no epoch lost a sensor");
+                let envelopes = &plan.arenas.envelopes;
+                let never_sized = envelopes.counts.capacity() == 0
+                    && envelopes.at.capacity() == 0
+                    && envelopes.sketch_bytes.capacity() == 0
+                    && envelopes.live.iter().all(|l| l.capacity() == 0);
+                assert_eq!(never_sized, !delta, "{name}: the envelope arena's sizing");
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The compiled tree-children table, filtered through
+        /// [`Frame::children`], yields exactly the per-epoch tree lists
+        /// it replaced, for every slot: on TAG plans and on TD plans of
+        /// random labelings and loss, fresh and after relabel-only and
+        /// reparent patch batches.
+        #[test]
+        fn compiled_children_match_the_epoch_lists(
+            seed in 0u64..1_000,
+            delta_levels in 0u16..4,
+            flips in 0usize..16,
+            loss in 0u8..3,
+        ) {
+            let (net, mut td) = topo(400 + seed, 120, delta_levels);
+            let model = Global::new([0.0, 0.2, 0.5][loss as usize]);
+            let mut rng = rng_from_seed(seed);
+            assert_children_match_the_epoch_lists(
+                &EpochPlan::compile_tag(td.tree()), &net, &model, &mut rng, 2);
+            relabel_randomly(&mut td, &mut rng, flips);
+            let mut plan = EpochPlan::compile_td(&td);
+            assert_children_match_the_epoch_lists(&plan, &net, &model, &mut rng, 2);
+
+            relabel_randomly(&mut td, &mut rng, 1 + flips);
+            proptest::prop_assert!(plan.patch(&td, td.len()).is_some());
+            assert_children_match_the_epoch_lists(&plan, &net, &model, &mut rng, 2);
+
+            let moves = reparent_moves(&td, &mut rng, 1 + flips);
+            td.switch_parents(&moves).unwrap();
+            relabel_randomly(&mut td, &mut rng, flips / 2);
+            proptest::prop_assert!(plan.patch(&td, td.len()).is_some());
+            proptest::prop_assert_eq!(
+                plan.structural_digest(),
+                EpochPlan::compile_td(&td).structural_digest()
+            );
+            assert_children_match_the_epoch_lists(&plan, &net, &model, &mut rng, 2);
+        }
 
         /// Columns reuse their slot storage from epoch to epoch, so
         /// nothing a slot held one epoch may leak into the next: one

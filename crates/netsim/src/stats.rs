@@ -70,9 +70,9 @@ impl CommStats {
 
     /// Record a churn event batch: `joined` nodes (re)appeared and
     /// `left` nodes went absent this epoch. Kept alongside the radio
-    /// counters so per-epoch snapshots ([`diff`](Self::diff)) attribute
-    /// churn to the same panes/windows they attribute traffic to —
-    /// lossy-under-churn windows degrade visibly.
+    /// counters so per-epoch snapshots ([`advance_to`](Self::advance_to))
+    /// attribute churn to the same panes/windows they attribute traffic
+    /// to — lossy-under-churn windows degrade visibly.
     pub fn record_churn(&mut self, joined: u64, left: u64) {
         self.nodes_joined += joined;
         self.nodes_left += left;
@@ -151,15 +151,61 @@ impl CommStats {
         self.nodes_left += other.nodes_left;
     }
 
-    /// Per-node counter difference `self − earlier`: the activity
-    /// recorded between two snapshots of one accumulating stats object.
-    /// This is how the stream engine attributes communication to a
-    /// single epoch pane out of a session's cumulative counters.
+    /// Move this snapshot forward to `now`, a later state of the same
+    /// accumulating stats object, and return the per-node activity
+    /// recorded in between (`now − self`, churn counts included): the
+    /// difference and the catch-up in one walk over the nodes, with one
+    /// allocation (the returned counters). This is how the stream engine
+    /// attributes communication to a single epoch pane out of a
+    /// session's cumulative counters.
+    ///
+    /// # Panics
+    /// Panics if node counts differ or `self` is not actually an
+    /// earlier snapshot of `now` (any of its counters exceeds `now`'s).
+    pub fn advance_to(&mut self, now: &CommStats) -> CommStats {
+        assert_eq!(
+            self.per_node.len(),
+            now.per_node.len(),
+            "snapshot node counts differ"
+        );
+        let sub = |a: u64, b: u64| {
+            a.checked_sub(b)
+                .expect("diff baseline is not an earlier snapshot")
+        };
+        let per_node = self
+            .per_node
+            .iter_mut()
+            .zip(&now.per_node)
+            .map(|(then, now)| {
+                let between = NodeComm {
+                    rounds: sub(now.rounds, then.rounds),
+                    transmissions: sub(now.transmissions, then.transmissions),
+                    messages: sub(now.messages, then.messages),
+                    bytes: sub(now.bytes, then.bytes),
+                    words: sub(now.words, then.words),
+                };
+                *then = *now;
+                between
+            })
+            .collect();
+        let between = CommStats {
+            per_node,
+            nodes_joined: sub(now.nodes_joined, self.nodes_joined),
+            nodes_left: sub(now.nodes_left, self.nodes_left),
+        };
+        self.nodes_joined = now.nodes_joined;
+        self.nodes_left = now.nodes_left;
+        between
+    }
+
+    /// Per-node counter difference `self − earlier`: the two-walk
+    /// reference [`advance_to`](Self::advance_to) is checked against.
     ///
     /// # Panics
     /// Panics if node counts differ or `earlier` is not actually an
     /// earlier snapshot (any of its counters exceeds `self`'s).
-    pub fn diff(&self, earlier: &CommStats) -> CommStats {
+    #[cfg(test)]
+    fn diff(&self, earlier: &CommStats) -> CommStats {
         assert_eq!(
             self.per_node.len(),
             earlier.per_node.len(),
@@ -296,6 +342,45 @@ mod tests {
         assert_eq!(roundtrip, s);
         // A diff against the current state is all-zero.
         assert_eq!(s.diff(&s).total_bytes(), 0);
+    }
+
+    /// `advance_to` is `diff` followed by `merge` in one walk: on random
+    /// counters, churn counts included, it returns the same difference
+    /// pane after pane and leaves the snapshot equal to the later state.
+    #[test]
+    fn advance_to_is_diff_then_merge() {
+        use rand::Rng;
+        let mut rng = crate::rng::rng_from_seed(29);
+        for _ in 0..200 {
+            let nodes = rng.gen_range(1..24usize);
+            let mut total = CommStats::new(nodes);
+            let mut snapshot = total.clone();
+            for _ in 0..rng.gen_range(1..6) {
+                for _ in 0..rng.gen_range(0..40) {
+                    total.record_send(
+                        NodeId(rng.gen_range(0..nodes as u32)),
+                        rng.gen_range(0..300usize),
+                        rng.gen_range(0..80usize),
+                        rng.gen_range(1..4u64),
+                    );
+                }
+                total.record_churn(rng.gen_range(0..3u64), rng.gen_range(0..3u64));
+                let expect = total.diff(&snapshot);
+                let mut merged = snapshot.clone();
+                merged.merge(&expect);
+                assert_eq!(snapshot.advance_to(&total), expect);
+                assert_eq!(snapshot, merged);
+                assert_eq!(snapshot, total);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not an earlier snapshot")]
+    fn advance_to_rejects_a_later_baseline() {
+        let mut s = CommStats::new(2);
+        s.record_send(NodeId(1), 4, 1, 1);
+        let _ = s.clone().advance_to(&CommStats::new(2));
     }
 
     #[test]

@@ -568,11 +568,10 @@ impl StreamSession {
         drop(set);
 
         self.stats.epochs_run += 1;
-        // One allocation per epoch (the diff itself); folding it
-        // back keeps `last_stats` equal to the session total
-        // without cloning the full per-node vector.
-        let comm = self.driver.session().stats().diff(&self.last_stats);
-        self.last_stats.merge(&comm);
+        // One walk and one allocation per epoch (the pane's counters):
+        // `last_stats` catches up with the session total without
+        // cloning the full per-node vector.
+        let comm = self.last_stats.advance_to(self.driver.session().stats());
         if !stepped.measured {
             return reports;
         }

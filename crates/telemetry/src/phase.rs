@@ -4,8 +4,9 @@
 //! incremental **patch**, **precompute-randomness** (the epoch's loss
 //! draws, taken on the calling thread in step order before any query
 //! column runs, which is what makes any thread count bit-identical,
-//! and the delivery lists derived from them), **per-level execute**
-//! (the query and envelope columns), **merge** (send accounting and the
+//! and, on a plan with a delta, the broadcast lists derived from them),
+//! **per-level execute** (the query columns, and the envelope column on
+//! a plan with a delta), **merge** (send accounting and the
 //! base-station fold), the stream layer's **window fold**, and the
 //! service layer's **outbox drain**.
 //! Each hook wraps its phase in a [`stopwatch`]/[`record`] pair; the
@@ -24,11 +25,11 @@ pub enum Phase {
     Compile,
     /// Incremental plan patch after topology churn.
     Patch,
-    /// Pre-draw of the epoch's loss outcomes and its delivery lists,
-    /// on every run.
+    /// Pre-draw of the epoch's loss outcomes and, on a plan with a
+    /// delta, its broadcast lists, on every run.
     Randomness,
-    /// Running the epoch's query and envelope columns over every level
-    /// (on one thread or several).
+    /// Running the epoch's query columns, and the envelope column on a
+    /// plan with a delta, over every level (on one thread or several).
     LevelExecute,
     /// Send accounting, base-station fold and final evaluation.
     Merge,
