@@ -132,11 +132,9 @@ impl Adapter {
     /// * `max_noncontrib` / `min_noncontrib` — the §4.2 top-k extremum
     ///   reports fused through the delta (used by [`Strategy::Td`]).
     ///
-    /// Every label switch this step applies is recorded by the topology
-    /// as a structured [`td_topology::td::TopologyDelta`] (relabeled
-    /// vertices, modes before/after, affected subtree roots) alongside
-    /// the version bump — the session's plan cache replays those deltas
-    /// to patch its compiled schedule in place instead of recompiling.
+    /// Every label switch this step applies re-mints the topology's
+    /// version; the session's plan cache sees the moved version and
+    /// rebuilds its compiled schedule in place before the next epoch.
     pub fn step(
         &mut self,
         topo: &mut TdTopology,

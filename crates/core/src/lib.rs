@@ -46,10 +46,10 @@
 //! each query over its own typed, slot-indexed message column (one
 //! dynamic call per query per epoch, no boxed message per node), then
 //! accounts the sends and evaluates at the base station. A
-//! [`session::Session`] caches one plan per topology and patches it in
-//! place when §4.2 adaptation relabels vertices or churn reroutes the
-//! tree, so steady-state epochs do zero schedule recomputation and grow
-//! no buffers. With more than one query the columns may run on several
+//! [`session::Session`] caches one plan per topology and rebuilds its
+//! schedule in place, into the same buffers, when §4.2 adaptation
+//! relabels vertices or churn reroutes the tree, so steady-state epochs
+//! do zero schedule recomputation and no epoch grows a buffer. With more than one query the columns may run on several
 //! threads ([`runner::RunnerConfig::workers`]); any thread count is
 //! bit-identical.
 //!

@@ -16,34 +16,23 @@
 //! per-epoch buffer lives in the plan's arenas and keeps its capacity
 //! from epoch to epoch.
 //!
-//! ## Plan lifecycle: compile once, patch on adaptation
+//! ## Plan lifecycle: compile once, rebuild in place when stale
 //!
 //! [`crate::session::Session`] caches one plan per topology. While the
-//! labeling holds still (`TdTopology::version` unchanged) the plan is
-//! reused as-is. When §4.2 adaptation relabels vertices, the plan is
-//! **patched in place** ([`EpochPlan::patch`]): the topology records
-//! each mutation as a structured `TopologyDelta`, and the patch rewrites
-//! only the touched schedule state — per-vertex mode, unicast parent,
-//! switchability flags, the `M` step count and the `is M` bits of the
-//! flat broadcast table — in O(|delta| · ring degree), reusing every
-//! arena untouched. This works because the step order, receiver-table
-//! layout, tree-children table, heights, and subtree sizes depend only
-//! on the rings and the tree, never on the labeling, so a patched plan
-//! is field-for-field identical to a fresh
-//! compile (pinned by [`EpochPlan::structural_digest`] and a debug
-//! assertion in the session cache).
-//!
-//! The same path absorbs **structural** deltas: a §4.1 parent switch (a
-//! churn reroute via `apply_churn`) preserves every vertex's depth, so
-//! the step order and receiver table survive and the patch only
-//! rewrites the moved vertices' unicast parents, re-derives
-//! heights/subtree sizes along the switch endpoints' ancestor chains
-//! (O(|delta| · depth)) and rebuilds the tree-children table by one
-//! counting sort (O(n)). The session falls back to a full
-//! [`EpochPlan::compile_td`] only when the topology's bounded delta log
-//! no longer reaches back to the plan's version — e.g. after the
-//! topology object itself was rebuilt. A TAG plan has no labeling and
-//! no version: it is never patched.
+//! topology holds still (`TdTopology::version` unchanged) the plan is
+//! reused as-is. When §4.2 adaptation relabels vertices, or a churn
+//! reroute (`apply_churn`) switches tree parents, the version moves and
+//! the plan is **rebuilt in place** ([`EpochPlan::patch`]): the builder
+//! [`EpochPlan::compile_td`] runs clears the schedule's tables — the
+//! steps, the broadcast table, the step index, the levels and the
+//! tree-children table — and refills them from the topology, so the
+//! result is a fresh compile's field for field (pinned by
+//! [`EpochPlan::structural_digest`]). The rings never change, so every
+//! table refills to the length it had: a refresh grows no buffer, and
+//! it never touches the arenas. The rebuild is O(n), a small share of
+//! an epoch, which is itself O(n) per query. A TAG plan has no labeling
+//! and no version: it is never refreshed, and the session recompiles it
+//! after a churn reroute.
 //!
 //! ## One epoch: draw, run the columns, account, evaluate
 //!
@@ -256,10 +245,9 @@ struct Step {
     /// Whether the vertex is a switchable M vertex under this labeling.
     switchable_m: bool,
     /// Range into the flat receiver table. Compiled for every step of a
-    /// TD plan — ring links are label-independent, so the table layout
-    /// survives relabeling and a patch only flips per-entry `is M`
-    /// flags — but only M steps read their range (T steps unicast to
-    /// `parent`). Empty on a TAG plan.
+    /// TD plan — ring links are label-independent, so the table has the
+    /// same layout under every labeling — but only M steps read their
+    /// range (T steps unicast to `parent`). Empty on a TAG plan.
     recv_start: u32,
     recv_end: u32,
 }
@@ -273,15 +261,13 @@ impl Step {
 /// The compiled schedule: one step table for every scheme.
 ///
 /// The step order (outermost level first, id order within a level), the
-/// receiver-table layout, and the `step_of` index depend only on the
-/// rings and the tree — never on the labeling — so a label switch
-/// invalidates nothing structural: [`EpochPlan::patch`] rewrites the
-/// per-vertex mode/parent/switchability fields and the touched `is M`
-/// receiver flags in place and the result is field-for-field identical
-/// to compiling fresh at the new version.
+/// receiver-table layout, the `step_of` index and the levels depend only
+/// on the rings — never on the labeling or the tree — so every table of
+/// a TD schedule has the same length under every labeling and tree:
+/// [`fill_td`](Self::fill_td) refills them in place and grows nothing.
 struct Schedule {
     /// Topology version a TD plan currently matches (advanced by
-    /// [`EpochPlan::patch`] without recompiling); `None` for a TAG
+    /// [`EpochPlan::patch`], which rebuilds in place); `None` for a TAG
     /// plan, whose tree carries no labeling to track.
     version: Option<u64>,
     /// Senders, outermost level first, id order within a level. On a
@@ -300,14 +286,13 @@ struct Schedule {
     /// TD plan, an equal-depth run of a TAG tree. Tree parents and
     /// broadcast receivers sit exactly one level down, so a level's
     /// broadcasts are dead once the next range has run. Depends only on
-    /// the rings (or the tree's depths), so patching never touches it.
+    /// the rings (or the tree's depths).
     levels: Vec<(u32, u32)>,
     /// Each slot's tree children, base slot included, in step order:
     /// every step whose *tree* parent is the slot's vertex, whatever its
     /// mode (on a TAG plan the base step is the base slot's one child).
-    /// It depends only on the tree, so a relabel leaves it alone and only
-    /// a reparent rebuilds it; which of them reached the slot in an
-    /// epoch is filtered where they are read ([`Frame::children`]).
+    /// Which of them reached the slot in an epoch is filtered where they
+    /// are read ([`Frame::children`]).
     children: SlotLists,
     /// How many steps are `M`. With none and a `T` base the plan has no
     /// delta, and its epochs skip every delta-only pass
@@ -374,128 +359,117 @@ impl Schedule {
         }
     }
 
-    /// The unicast parent `u`'s step carries under `mode`: its current
-    /// tree parent for a T vertex, none for an M vertex.
-    fn unicast_parent(topo: &TdTopology, u: NodeId, mode: Mode) -> Option<NodeId> {
-        match mode {
-            Mode::T => Some(
-                topo.tree()
-                    .parent(u)
-                    .expect("connected non-base T vertex has a parent"),
-            ),
-            Mode::M => None,
-        }
-    }
-
-    /// Bring every schedule field that depends on `u`'s label in line
-    /// with `topo`'s current labeling: `u`'s own step (mode, unicast
-    /// parent, switchability), the `is M` flag of every broadcast-table
-    /// entry naming `u` (they live in the ranges of `u`'s ring sources,
-    /// one level up), and the switchability of the vertices `u`
-    /// broadcasts to (they have `u` as a ring source).
-    fn apply_relabel(&mut self, topo: &TdTopology, u: NodeId) {
+    /// Fill the schedule of the labeled topology `topo` **in place**:
+    /// every table is cleared and refilled, so refilling a schedule
+    /// from the topology it was filled from — relabeled or reparented
+    /// since, but over the same rings — keeps every buffer and grows
+    /// nothing. Heights and subtree sizes come from the children table:
+    /// a tree child sits one ring level out, at an earlier slot, so one
+    /// pass in step order meets every child before its parent.
+    fn fill_td(&mut self, topo: &TdTopology) {
         let rings = topo.rings();
-        let mode = topo.mode(u);
-        if u == BASE_STATION {
-            self.base_mode = mode;
-            self.base_switchable_m = topo.is_switchable_m(BASE_STATION);
-        } else {
-            let step = &mut self.steps[self.step_of[u.index()] as usize];
-            if step.mode != mode {
-                match mode {
-                    Mode::M => self.m_steps += 1,
-                    Mode::T => self.m_steps -= 1,
-                }
+        self.version = Some(topo.version());
+        self.steps.clear();
+        self.receivers.clear();
+        self.step_of.clear();
+        self.step_of.resize(rings.len(), NO_STEP);
+        self.levels.clear();
+        for level in (1..=rings.max_level()).rev() {
+            let level_start = self.steps.len() as u32;
+            // Filtered in place rather than collected: a refresh
+            // allocates nothing.
+            for u in rings
+                .connected_nodes()
+                .filter(|&u| rings.level(u) == Some(level))
+            {
+                let mode = topo.mode(u);
+                // The receiver range is compiled for every vertex (the
+                // ring links never change), so the table's layout does
+                // not depend on the labeling.
+                let recv_start = self.receivers.len() as u32;
+                self.receivers.extend(
+                    rings
+                        .receivers(u)
+                        .iter()
+                        .map(|&r| (r, topo.mode(r) == Mode::M)),
+                );
+                self.step_of[u.index()] = self.steps.len() as u32;
+                self.steps.push(Step {
+                    node: u,
+                    mode,
+                    height: 0,
+                    parent: match mode {
+                        Mode::T => Some(
+                            topo.tree()
+                                .parent(u)
+                                .expect("connected non-base T vertex has a parent"),
+                        ),
+                        Mode::M => None,
+                    },
+                    subtree_size: 0,
+                    switchable_m: topo.is_switchable_m(u),
+                    recv_start,
+                    recv_end: self.receivers.len() as u32,
+                });
             }
-            step.mode = mode;
-            step.parent = Self::unicast_parent(topo, u, mode);
-            step.switchable_m = topo.is_switchable_m(u);
-        }
-        let is_m = mode == Mode::M;
-        for &s in rings.sources(u) {
-            let range = self.steps[self.step_of[s.index()] as usize].recv_range();
-            for entry in &mut self.receivers[range] {
-                if entry.0 == u {
-                    entry.1 = is_m;
-                }
+            if self.steps.len() as u32 > level_start {
+                self.levels.push((level_start, self.steps.len() as u32));
             }
         }
-        for &r in rings.receivers(u) {
-            if r == BASE_STATION {
-                self.base_switchable_m = topo.is_switchable_m(BASE_STATION);
-            } else {
-                let step = &mut self.steps[self.step_of[r.index()] as usize];
-                step.switchable_m = topo.is_switchable_m(r);
+        self.m_steps = self.steps.iter().filter(|s| s.mode == Mode::M).count() as u32;
+        self.base_mode = topo.mode(BASE_STATION);
+        self.base_switchable_m = topo.is_switchable_m(BASE_STATION);
+        self.index_children(topo.tree());
+        for slot in 0..=self.base_slot() {
+            let (mut height, mut subtree) = (1u32, 1u64);
+            for &c in self.children.of(slot) {
+                let child = &self.steps[c as usize];
+                height = height.max(child.height + 1);
+                subtree += u64::from(child.subtree_size);
+            }
+            match self.steps.get_mut(slot) {
+                Some(step) => (step.height, step.subtree_size) = (height, subtree as u32),
+                None => (self.base_height, self.base_subtree) = (height, subtree),
             }
         }
     }
 
-    /// Bring `u`'s unicast parent in line with the topology's current
-    /// tree (the reparent counterpart of
-    /// [`apply_relabel`](Self::apply_relabel)).
-    fn apply_reparent(&mut self, topo: &TdTopology, u: NodeId) {
-        let step = &mut self.steps[self.step_of[u.index()] as usize];
-        step.parent = Self::unicast_parent(topo, u, step.mode);
-    }
-
-    /// Re-derive heights and subtree sizes **incrementally** after a
-    /// batch of parent switches: only the vertices on the (final-tree)
-    /// ancestor chains of the switch endpoints can have changed, so
-    /// recompute exactly that closure bottom-up from the children's
-    /// cached step values — O(|delta| · depth) against the O(n log n)
-    /// full passes a compile runs. Parent switches preserve depth
-    /// (§4.1: tree parents sit one ring level down), so the step order
-    /// and receiver table stay valid and children always carry correct
-    /// values by the time their ancestor is recomputed (the closure is
-    /// processed outermost ring first, and any child whose value
-    /// changed is itself on one of the chains).
-    ///
-    /// `seeds` are the chain starting points: for every recorded
-    /// [`Reparent`] event, its node and both parent endpoints. Walking
-    /// *final-tree* chains from all of them covers every intermediate
-    /// tree's affected ancestors too: an old-chain vertex either kept
-    /// its own parent (so it is on the final chain of the endpoint
-    /// below it) or was itself reparented (so it seeds its own event's
-    /// chains).
-    fn refresh_structure(&mut self, topo: &TdTopology, seeds: &[NodeId]) {
+    /// How many vertices, the base station included, `topo` labels or
+    /// tree-parents differently from this TD schedule — one pass over
+    /// the children table, each vertex counted once however many of
+    /// its fields moved. `topo` must span the schedule's rings.
+    fn changed_vertices(&self, topo: &TdTopology) -> usize {
         let tree = topo.tree();
-        let rings = topo.rings();
-        let mut seen = vec![false; self.step_of.len()];
-        let mut affected: Vec<NodeId> = Vec::new();
-        for &s in seeds {
-            let mut cur = Some(s);
-            while let Some(v) = cur {
-                if std::mem::replace(&mut seen[v.index()], true) {
-                    break; // the rest of this chain is already queued
-                }
-                affected.push(v);
-                cur = tree.parent(v);
-            }
+        let mut changed = usize::from(self.base_mode != topo.mode(BASE_STATION));
+        for slot in 0..=self.base_slot() {
+            let parent = self.steps.get(slot).map_or(BASE_STATION, |s| s.node);
+            changed += self
+                .children
+                .of(slot)
+                .iter()
+                .map(|&c| &self.steps[c as usize])
+                .filter(|s| s.mode != topo.mode(s.node) || tree.parent(s.node) != Some(parent))
+                .count();
         }
-        // Children before parents: outermost ring level first (depth ==
-        // ring level for §4.1-restricted trees), ids for determinism.
-        affected.sort_unstable_by_key(|v| {
-            (
-                std::cmp::Reverse(rings.level(*v).expect("scheduled vertices are connected")),
-                v.0,
-            )
-        });
-        for &v in &affected {
-            let mut height = 1u32;
-            let mut subtree = 1u64;
-            for &c in tree.children(v) {
-                let cs = &self.steps[self.step_of[c.index()] as usize];
-                height = height.max(cs.height + 1);
-                subtree += cs.subtree_size as u64;
-            }
-            if v == BASE_STATION {
-                self.base_height = height;
-                self.base_subtree = subtree;
-            } else {
-                let step = &mut self.steps[self.step_of[v.index()] as usize];
-                step.height = height;
-                step.subtree_size = subtree as u32;
-            }
+        changed
+    }
+}
+
+impl Default for Schedule {
+    /// An empty TAG-shaped schedule, for the compilers to fill.
+    fn default() -> Self {
+        Schedule {
+            version: None,
+            steps: Vec::new(),
+            receivers: Vec::new(),
+            step_of: Vec::new(),
+            levels: Vec::new(),
+            children: SlotLists::default(),
+            m_steps: 0,
+            base_mode: Mode::T,
+            base_height: 0,
+            base_subtree: 0,
+            base_switchable_m: false,
         }
     }
 }
@@ -641,57 +615,8 @@ impl EpochPlan {
     /// Compile the level-ordered schedule of a labeled Tributary-Delta
     /// topology (SD is the all-multipath special case).
     pub fn compile_td(topo: &TdTopology) -> EpochPlan {
-        let rings = topo.rings();
-        let tree = topo.tree();
-        let heights = tree.heights();
-        let subtree_sizes = tree.subtree_sizes();
-        let n = rings.len();
-        let mut steps = Vec::new();
-        let mut receivers = Vec::new();
-        let mut step_of = vec![NO_STEP; n];
-        let mut levels = Vec::new();
-        for level in (1..=rings.max_level()).rev() {
-            let level_start = steps.len() as u32;
-            for u in rings.nodes_at_level(level) {
-                let mode = topo.mode(u);
-                // The receiver range is compiled for every vertex (the
-                // ring links never change) so that a later T→M patch
-                // finds its broadcast list already in place.
-                let recv_start = receivers.len() as u32;
-                for &r in rings.receivers(u) {
-                    receivers.push((r, topo.mode(r) == Mode::M));
-                }
-                step_of[u.index()] = steps.len() as u32;
-                steps.push(Step {
-                    node: u,
-                    mode,
-                    height: heights[u.index()],
-                    parent: Schedule::unicast_parent(topo, u, mode),
-                    subtree_size: subtree_sizes[u.index()],
-                    switchable_m: mode == Mode::M && topo.is_switchable_m(u),
-                    recv_start,
-                    recv_end: receivers.len() as u32,
-                });
-            }
-            if steps.len() as u32 > level_start {
-                levels.push((level_start, steps.len() as u32));
-            }
-        }
-        let m_steps = steps.iter().filter(|s| s.mode == Mode::M).count() as u32;
-        let mut sched = Schedule {
-            version: Some(topo.version()),
-            steps,
-            receivers,
-            step_of,
-            levels,
-            children: SlotLists::default(),
-            m_steps,
-            base_mode: topo.mode(BASE_STATION),
-            base_height: heights[BASE_STATION.index()],
-            base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
-            base_switchable_m: topo.is_switchable_m(BASE_STATION),
-        };
-        sched.index_children(tree);
+        let mut sched = Schedule::default();
+        sched.fill_td(topo);
         EpochPlan {
             sched,
             arenas: Arenas::default(),
@@ -735,17 +660,12 @@ impl EpochPlan {
             });
         }
         let mut sched = Schedule {
-            version: None,
             steps,
-            receivers: Vec::new(),
             step_of,
             levels,
-            children: SlotLists::default(),
-            m_steps: 0,
-            base_mode: Mode::T,
             base_height: heights[BASE_STATION.index()],
             base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
-            base_switchable_m: false,
+            ..Schedule::default()
         };
         sched.index_children(tree);
         EpochPlan {
@@ -756,87 +676,36 @@ impl EpochPlan {
 
     /// The topology version a TD plan currently matches (`None` for
     /// TAG plans, whose tree never changes). Advanced by
-    /// [`patch`](Self::patch) without recompiling.
+    /// [`patch`](Self::patch), which rebuilds in place.
     pub fn compiled_version(&self) -> Option<u64> {
         self.sched.version
     }
 
-    /// Update the compiled TD schedule **in place** to match `topo`'s
-    /// current labeling *and tree*, replaying the topology's recorded
-    /// [`td_topology::td::TopologyDelta`]s instead of recompiling. Label switches
-    /// rewrite only the relabeled vertices' steps (mode, unicast
-    /// parent, switchability), the broadcast-table `is M` flags naming
-    /// them, their ring neighbors' switchability and the `M` step count
-    /// — O(|delta| · degree) work. Parent switches (churn reroutes,
-    /// in-place maintenance rounds) rewrite the moved vertices' unicast
-    /// parents, re-derive heights and subtree sizes over the switch
-    /// endpoints' ancestor chains — O(|delta| · depth) — and rebuild the
-    /// tree-children table, O(n), which is
-    /// enough because §4.1 parent switches preserve every vertex's
-    /// depth, so the step order and receiver-table layout survive. In
-    /// both cases every arena is reused untouched, and the patched
-    /// schedule is field-for-field identical to
-    /// [`compile_td`](Self::compile_td) at the new version.
+    /// Bring a stale TD plan in line with `topo`'s current labeling
+    /// *and tree* by **rebuilding its schedule in place**: the same
+    /// builder as [`compile_td`](Self::compile_td) clears and refills
+    /// the schedule's tables, so the result is field-for-field a fresh
+    /// compile's, no table grows (the rings, and with them every
+    /// table's length, never change), and every arena is kept
+    /// untouched. `topo` must be the topology the plan was compiled
+    /// from, mutated any number of times since.
     ///
-    /// Returns `Some(touched)` — the number of **distinct** vertices
-    /// whose mode or parent was rewritten (0 when the plan already
-    /// matched `topo.version()`) — when the plan now matches the
-    /// topology. Returns `None` — caller must recompile — when the plan
-    /// is a TAG plan, the delta log no longer reaches back to the
-    /// plan's version (e.g. the topology object itself was rebuilt), or
-    /// more than `max_relabels` **distinct** vertices changed (past
-    /// that point a fresh compile is cheaper than chasing
-    /// neighborhoods — a vertex switched back and forth counts once,
-    /// matching the actual patch work). This is the single home of the
-    /// patch-eligibility rule; callers only pick the budget.
+    /// Before rebuilding, one pass counts the **distinct** vertices
+    /// whose mode or tree parent differs from the plan's. Returns
+    /// `Some(count)` once the plan matches `topo` (`Some(0)`, with no
+    /// rebuild, when its version already did), and `None` — the plan
+    /// untouched — for a TAG plan, or when more than `max_relabels`
+    /// vertices changed.
     pub fn patch(&mut self, topo: &TdTopology, max_relabels: usize) -> Option<usize> {
-        let sched = &mut self.sched;
-        let version = sched.version?;
-        if version == topo.version() {
+        if self.sched.version? == topo.version() {
             return Some(0);
         }
-        let deltas = topo.deltas_since(version)?;
-        // Collect the touched vertices once; the final state is read
-        // straight from `topo`, so replay order is irrelevant and a
-        // vertex switched back and forth costs a single pass — and is
-        // budgeted as one, since the budget bounds patch work.
-        let mut relabeled: Vec<NodeId> = Vec::new();
-        let mut reparents: Vec<td_topology::td::Reparent> = Vec::new();
-        for d in deltas {
-            relabeled.extend(d.relabeled.iter().map(|r| r.node));
-            reparents.extend(d.reparented.iter().copied());
-        }
-        relabeled.sort_unstable_by_key(|u| u.0);
-        relabeled.dedup();
-        let mut moved: Vec<NodeId> = reparents.iter().map(|r| r.node).collect();
-        moved.sort_unstable_by_key(|u| u.0);
-        moved.dedup();
-        let distinct = {
-            let mut all = relabeled.clone();
-            all.extend(moved.iter().copied());
-            all.sort_unstable_by_key(|u| u.0);
-            all.dedup();
-            all.len()
-        };
-        if distinct > max_relabels {
+        let changed = self.sched.changed_vertices(topo);
+        if changed > max_relabels {
             return None;
         }
-        for &u in &relabeled {
-            sched.apply_relabel(topo, u);
-        }
-        if !reparents.is_empty() {
-            for &u in &moved {
-                sched.apply_reparent(topo, u);
-            }
-            let seeds: Vec<NodeId> = reparents
-                .iter()
-                .flat_map(|r| [r.node, r.from, r.to])
-                .collect();
-            sched.refresh_structure(topo, &seeds);
-            sched.index_children(topo.tree());
-        }
-        sched.version = Some(topo.version());
-        Some(distinct)
+        self.sched.fill_td(topo);
+        Some(changed)
     }
 
     /// A deterministic digest of everything structural: the full
@@ -845,9 +714,8 @@ impl EpochPlan {
     /// count, the base-station fields, the version) and the node
     /// count — but not the arenas, which a warmed-up plan has sized and
     /// a fresh compile has not. Two plans with equal digests execute epochs
-    /// bit-identically; the patch tests (and a debug assertion in the
-    /// session cache) compare patched plans against fresh compiles
-    /// through this.
+    /// bit-identically; the refresh tests compare refreshed plans
+    /// against fresh compiles through this.
     pub fn structural_digest(&self) -> u64 {
         // FNV-1a over a canonical u64 serialization.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -2537,9 +2405,9 @@ mod tests {
         }
     }
 
-    /// `patch` declines (instead of corrupting) when it cannot help:
-    /// TAG plans, over-budget relabel sets, and gaps the delta log no
-    /// longer covers.
+    /// `patch` declines (instead of corrupting) on a TAG plan and past
+    /// its budget, and a plan any number of mutations behind still
+    /// refreshes to a fresh compile.
     #[test]
     fn patch_falls_back_when_it_cannot_patch() {
         let (_, mut td) = topo(141, 150, 1);
@@ -2563,8 +2431,8 @@ mod tests {
         // A no-op patch at the current version succeeds trivially.
         assert_eq!(plan.patch(&td, 0), Some(0));
 
-        // A plan too far behind the delta log must recompile.
-        let stale_version = td.version();
+        // A plan 80 mutations behind refreshes like one a single
+        // mutation behind.
         for _ in 0..80 {
             match td.switchable_t_nodes().first().copied() {
                 Some(u) => td.switch_to_m(u).unwrap(),
@@ -2574,8 +2442,11 @@ mod tests {
                 }
             }
         }
-        assert!(td.deltas_since(stale_version).is_none());
-        assert!(plan.patch(&td, td.len()).is_none());
+        assert!(plan.patch(&td, td.len()).is_some());
+        assert_eq!(
+            plan.structural_digest(),
+            EpochPlan::compile_td(&td).structural_digest()
+        );
     }
 
     /// The same reuse-vs-rebuild identity for the TAG plan.
@@ -2917,6 +2788,81 @@ mod tests {
             } else if !to_t.is_empty() {
                 td.switch_to_t(to_t[rng.gen_range(0..to_t.len())]).unwrap();
             }
+        }
+    }
+
+    /// A refresh rebuilds the schedule in the plan's own buffers: after
+    /// relabel batches, reparent batches and both together, `patch`
+    /// leaves the steps, the broadcast table and a query column's slot
+    /// and wire storage where they were, at the capacity they had, and
+    /// the plan equals a fresh compile.
+    #[test]
+    fn a_refresh_keeps_the_plan_buffers() {
+        type Sum64 = ScalarProtocol<'static, Sum>;
+        type SumCells = Cells<<Sum64 as Protocol>::TreeMsg, <Sum64 as Protocol>::MpMsg>;
+        fn at<T>(v: &[T], cap: usize) -> (usize, usize) {
+            (v.as_ptr() as usize, cap)
+        }
+        fn buffers(plan: &EpochPlan) -> [(usize, usize); 4] {
+            let column = &plan.arenas.columns[0];
+            let cells = column
+                .cells
+                .as_ref()
+                .and_then(|c| c.downcast_ref::<SumCells>())
+                .expect("a Sum column");
+            let sched = &plan.sched;
+            [
+                at(&sched.steps, sched.steps.capacity()),
+                at(&sched.receivers, sched.receivers.capacity()),
+                at(&cells.slots, cells.slots.capacity()),
+                at(&column.wire, column.wire.capacity()),
+            ]
+        }
+        let (net, mut td) = topo(175, 200, 2);
+        let values: Vec<u64> = (0..net.len() as u64).map(|i| 1 + i % 40).collect();
+        let model = Global::new(0.2);
+        let mut rng = rng_from_seed(176);
+        let mut stats = CommStats::new(net.len());
+        let mut plan = EpochPlan::compile_td(&td);
+        let mut run = |plan: &mut EpochPlan, epoch: u64, rng: &mut rand::rngs::StdRng| {
+            let proto = ScalarProtocol::new(Sum::default(), &values);
+            let mut set = QuerySet::new();
+            set.register(&proto);
+            plan.run_set(
+                &set,
+                &net,
+                &model,
+                RunnerConfig::default(),
+                epoch,
+                &mut stats,
+                rng,
+            );
+        };
+        run(&mut plan, 0, &mut rng);
+        let kept = buffers(&plan);
+        for round in 1..=6u64 {
+            let before = td.version();
+            if round % 3 != 2 {
+                relabel_randomly(&mut td, &mut rng, 6);
+            }
+            if round % 3 != 1 {
+                let moves = reparent_moves(&td, &mut rng, 6);
+                td.switch_parents(&moves).unwrap();
+            }
+            assert_ne!(td.version(), before, "round {round} changed nothing");
+            assert!(plan.patch(&td, td.len()).is_some());
+            assert_eq!(buffers(&plan), kept, "round {round}: a buffer moved");
+            assert_eq!(
+                plan.structural_digest(),
+                EpochPlan::compile_td(&td).structural_digest(),
+                "round {round}"
+            );
+            run(&mut plan, round, &mut rng);
+            assert_eq!(
+                buffers(&plan),
+                kept,
+                "round {round}: an epoch moved a buffer"
+            );
         }
     }
 

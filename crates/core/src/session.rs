@@ -14,17 +14,17 @@
 //! through the same bundled engine, so a dedicated session and a bundled
 //! one produce bit-identical per-query answers under the same seed.
 //!
-//! ## Plan cache: compile, reuse, patch
+//! ## Plan cache: compile, reuse, rebuild in place
 //!
 //! The session compiles its [`EpochPlan`] once and reuses it while the
-//! topology version holds still. When adaptation relabels vertices it
-//! does **not** recompile: the cached plan is patched in place from the
-//! topology's recorded deltas ([`EpochPlan::patch`]) — O(|delta|) work
-//! against O(network) for a compile, with every arena reused — falling
-//! back to a full recompile only when the topology's bounded delta log
-//! no longer covers the gap. All three paths (reuse, patch, recompile)
-//! are bit-identical by construction; [`Session::plan_stats`] counts
-//! how often each ran.
+//! topology version holds still. When adaptation relabels vertices or
+//! churn re-parents them, the version moves and the cached plan
+//! rebuilds its schedule in place ([`EpochPlan::patch`]): the same
+//! O(network) builder as a compile, into the plan's own tables, with
+//! every arena kept. It compiles again only after
+//! [`Session::clear_cached_plan`] (and, on TAG, after a churn reroute).
+//! All three paths (reuse, refresh, compile) are bit-identical by
+//! construction; [`Session::plan_stats`] counts how often each ran.
 //!
 //! The four schemes of §7:
 //!
@@ -138,20 +138,22 @@ impl SessionConfig {
 }
 
 /// Counters for the session's plan-cache maintenance: how often the
-/// cached [`EpochPlan`] was compiled from scratch versus patched in
-/// place after adaptation ([`EpochPlan::patch`]), and how many vertex
-/// relabels the patches absorbed. Kept outside [`CommStats`] on
-/// purpose — plan maintenance is simulator work, not radio traffic, and
+/// cached [`EpochPlan`] was compiled from scratch versus rebuilt in
+/// place after the topology changed ([`EpochPlan::patch`]), and how
+/// many vertices those refreshes found changed. Kept outside
+/// [`CommStats`] on purpose — plan maintenance is simulator work, not radio traffic, and
 /// the determinism tests pin `CommStats` equality across cache
 /// strategies that *should* differ here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Full compilations (initial build, delta log exhausted, or
-    /// [`Session::clear_cached_plan`]).
+    /// Full compilations (the first epoch, and the first after
+    /// [`Session::clear_cached_plan`] or a TAG churn reroute).
     pub compiles: u64,
-    /// In-place patches after adaptation relabeled the topology.
+    /// In-place rebuilds of a stale plan after adaptation or churn
+    /// changed the topology.
     pub patches: u64,
-    /// Total vertices relabeled across all patches.
+    /// Vertices whose mode or tree parent had changed, summed over the
+    /// refreshes (each vertex once per refresh).
     pub patched_relabels: u64,
 }
 
@@ -160,7 +162,7 @@ impl std::fmt::Display for PlanCacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} compiles, {} patches ({} relabels absorbed)",
+            "{} compiles, {} patches ({} vertices changed)",
             self.compiles, self.patches, self.patched_relabels
         )
     }
@@ -287,12 +289,11 @@ pub struct Session {
     sensors: usize,
     /// The compiled epoch plan, reused across epochs. Steady-state
     /// epochs run schedule-recomputation-free and reuse the plan's
-    /// draw/column arenas; when adaptation relabels the topology the
-    /// plan is **patched in place** from the topology's delta log
-    /// (arenas untouched), recompiling only when the log no longer
-    /// covers the gap.
+    /// draw/column arenas; when adaptation or churn changes the
+    /// topology the plan **rebuilds its schedule in place** (arenas
+    /// untouched).
     plan: Option<EpochPlan>,
-    /// Compile/patch counters for the cached plan.
+    /// Compile/refresh counters for the cached plan.
     plan_stats: PlanCacheStats,
 }
 
@@ -410,9 +411,7 @@ impl Session {
     }
 
     /// Plan-cache maintenance counters: full compiles vs in-place
-    /// patches (and the relabels the patches absorbed). The win of the
-    /// incremental path is `patches / (patches + compiles)` trending
-    /// toward 1 for an adapting session.
+    /// refreshes (and the vertices the refreshes found changed).
     pub fn plan_stats(&self) -> PlanCacheStats {
         self.plan_stats
     }
@@ -436,9 +435,8 @@ impl Session {
     }
 
     /// Drop the cached [`EpochPlan`], forcing the next epoch to
-    /// recompile from the topology (patching needs a live plan, so this
-    /// bypasses the patch path too). Results are unaffected (the
-    /// rebuild, reuse, and patch paths are bit-identical); this exists
+    /// compile a new one from the topology. Results are unaffected (the
+    /// compile, reuse, and refresh paths are bit-identical); this exists
     /// so benchmarks and tests can drive the per-epoch-rebuild path
     /// explicitly.
     pub fn clear_cached_plan(&mut self) {
@@ -464,9 +462,9 @@ impl Session {
     ///   delta** ([`td_topology::maintenance::apply_churn`] →
     ///   [`TdTopology::switch_parents`]): orphaned children re-parent
     ///   onto surviving ring receivers, rejoining nodes re-attach, and
-    ///   the cached epoch plan **patches in place** on the next epoch
-    ///   exactly like an adaptation relabel — counted in
-    ///   [`plan_stats`](Self::plan_stats), bit-identical to a rebuild.
+    ///   the cached epoch plan **rebuilds in place** on the next epoch
+    ///   exactly as after an adaptation relabel — counted in
+    ///   [`plan_stats`](Self::plan_stats), bit-identical to a compile.
     /// * TAG re-parents orphans onto surviving radio neighbors one tree
     ///   depth up and recompiles its (cheap, label-free) plan — TAG
     ///   trees are not ring-restricted, so a parent switch there may
@@ -533,8 +531,8 @@ impl Session {
                     tree.switch_parent(c, p);
                 }
                 if !moves.is_empty() {
-                    // TAG plans carry no version/delta machinery; a
-                    // structural change recompiles the (small) plan.
+                    // TAG plans carry no version; a structural change
+                    // recompiles the plan.
                     self.plan = None;
                 }
                 report
@@ -565,98 +563,48 @@ impl Session {
         epoch: u64,
         rng: &mut R,
     ) -> QueryRecord {
-        match &mut self.kind {
-            SessionKind::Tag { tree } => {
-                // The TAG tree never changes: compile the plan once.
-                if self.plan.is_none() {
-                    let sw = phase::stopwatch();
-                    self.plan = Some(EpochPlan::compile_tag(tree));
-                    phase::record(Phase::Compile, sw);
-                    self.plan_stats.compiles += 1;
-                }
-                let plan = self.plan.as_mut().expect("plan just ensured");
-                let out = plan.run_set(
-                    set,
-                    &self.net,
-                    model,
-                    self.config.runner,
-                    epoch,
-                    &mut self.stats,
-                    rng,
-                );
-                let pct = out.contributing as f64 / self.sensors.max(1) as f64;
-                td_telemetry::td_event!(
-                    td_telemetry::Level::Debug,
-                    "session",
-                    "epoch",
-                    td_telemetry::LogicalClock::at_epoch(epoch),
-                    scheme = "tag",
-                    contributing = out.contributing,
-                    pct = pct,
-                );
-                QueryRecord {
-                    answers: Answers::new(out.outputs),
-                    contributing: out.contributing,
-                    pct_contributing: pct,
-                    delta_size: 0,
-                    action: AdaptAction::Idle,
-                }
+        // Compile the first plan; after that, rebuild a TD plan in place
+        // whenever the topology's version has moved past it. The budget
+        // is the whole network, which no refresh can exceed.
+        match (&mut self.plan, &self.kind) {
+            (None, kind) => {
+                let sw = phase::stopwatch();
+                self.plan = Some(match kind {
+                    SessionKind::Tag { tree } => EpochPlan::compile_tag(tree),
+                    SessionKind::Td { topo, .. } => EpochPlan::compile_td(topo),
+                });
+                phase::record(Phase::Compile, sw);
+                self.plan_stats.compiles += 1;
             }
+            (Some(plan), SessionKind::Td { topo, .. })
+                if plan.compiled_version() != Some(topo.version()) =>
+            {
+                let sw = phase::stopwatch();
+                let changed = plan
+                    .patch(topo, topo.len())
+                    .expect("a TD plan refreshes within the whole network");
+                phase::record(Phase::Patch, sw);
+                self.plan_stats.patches += 1;
+                self.plan_stats.patched_relabels += changed as u64;
+            }
+            _ => {}
+        }
+        let plan = self.plan.as_mut().expect("plan just ensured");
+        let out = plan.run_set(
+            set,
+            &self.net,
+            model,
+            self.config.runner,
+            epoch,
+            &mut self.stats,
+            rng,
+        );
+        let pct = out.contributing as f64 / self.sensors.max(1) as f64;
+        let (delta_size, action) = match &mut self.kind {
+            SessionKind::Tag { .. } => (0, AdaptAction::Idle),
             SessionKind::Td { topo, adapter } => {
-                // Reuse the cached plan while the labeling holds still.
-                // After adaptation bumped the version, patch the plan in
-                // place from the topology's delta log (O(|delta|), all
-                // arenas reused); recompile only when the log no longer
-                // covers the gap: the relabel budget is the whole
-                // network, which no delta can exceed.
-                let stale = self
-                    .plan
-                    .as_ref()
-                    .is_none_or(|p| p.compiled_version() != Some(topo.version()));
-                if stale {
-                    let sw = phase::stopwatch();
-                    let patched = self
-                        .plan
-                        .as_mut()
-                        .and_then(|plan| plan.patch(topo, topo.len()));
-                    match patched {
-                        Some(relabels) => {
-                            phase::record(Phase::Patch, sw);
-                            self.plan_stats.patches += 1;
-                            self.plan_stats.patched_relabels += relabels as u64;
-                            debug_assert_eq!(
-                                self.plan
-                                    .as_ref()
-                                    .expect("just patched")
-                                    .structural_digest(),
-                                EpochPlan::compile_td(topo).structural_digest(),
-                                "patched plan diverged from a fresh compile"
-                            );
-                        }
-                        None => {
-                            // The failed patch probe is O(|delta|) and
-                            // aborts early; attribute the whole
-                            // resolution to the compile that follows.
-                            let sw = phase::stopwatch();
-                            self.plan = Some(EpochPlan::compile_td(topo));
-                            phase::record(Phase::Compile, sw);
-                            self.plan_stats.compiles += 1;
-                        }
-                    }
-                }
-                let plan = self.plan.as_mut().expect("plan just ensured");
-                let out = plan.run_set(
-                    set,
-                    &self.net,
-                    model,
-                    self.config.runner,
-                    epoch,
-                    &mut self.stats,
-                    rng,
-                );
-                let pct_exact = out.contributing as f64 / self.sensors.max(1) as f64;
-                let pct_signal = if self.config.use_exact_contrib_signal {
-                    pct_exact
+                let signal = if self.config.use_exact_contrib_signal {
+                    pct
                 } else {
                     out.contributing_est / self.sensors.max(1) as f64
                 };
@@ -664,30 +612,34 @@ impl Session {
                     Some(a) => a.step(
                         topo,
                         epoch,
-                        pct_signal,
+                        signal,
                         &out.max_noncontrib,
                         &out.min_noncontrib,
                     ),
                     None => AdaptAction::Idle,
                 };
-                td_telemetry::td_event!(
-                    td_telemetry::Level::Debug,
-                    "session",
-                    "epoch",
-                    td_telemetry::LogicalClock::at_epoch(epoch),
-                    scheme = "td",
-                    contributing = out.contributing,
-                    pct = pct_exact,
-                    delta = topo.delta_size(),
-                );
-                QueryRecord {
-                    answers: Answers::new(out.outputs),
-                    contributing: out.contributing,
-                    pct_contributing: pct_exact,
-                    delta_size: topo.delta_size(),
-                    action,
-                }
+                (topo.delta_size(), action)
             }
+        };
+        td_telemetry::td_event!(
+            td_telemetry::Level::Debug,
+            "session",
+            "epoch",
+            td_telemetry::LogicalClock::at_epoch(epoch),
+            scheme = match self.kind {
+                SessionKind::Tag { .. } => "tag",
+                SessionKind::Td { .. } => "td",
+            },
+            contributing = out.contributing,
+            pct = pct,
+            delta = delta_size,
+        );
+        QueryRecord {
+            answers: Answers::new(out.outputs),
+            contributing: out.contributing,
+            pct_contributing: pct,
+            delta_size,
+            action,
         }
     }
 
@@ -899,7 +851,7 @@ mod tests {
     }
 
     /// A small churn event (a few departures) reaches the next epoch as
-    /// an in-place plan patch — never a recompile — and the patched
+    /// an in-place plan refresh — never a recompile — and the refreshed
     /// session stays bit-identical to one that recompiles every epoch.
     #[test]
     fn churn_patches_the_cached_plan_and_stays_bit_identical() {
@@ -967,12 +919,11 @@ mod tests {
         assert!(session.stats().nodes_left() > 0);
     }
 
-    /// Bump the topology's version past its bounded delta log without
-    /// changing it: one switchable vertex toggled back and forth 40
-    /// times (80 deltas). The labeling ends where it started, but the
-    /// cached plan's version is no longer covered, so the next epoch
-    /// must take the one fallback left — a full compile.
-    fn exhaust_delta_log(session: &mut Session) {
+    /// Move the topology's version 80 times without changing it: one
+    /// switchable vertex toggled back and forth 40 times. The labeling
+    /// ends where it started, so the next epoch refreshes a stale plan
+    /// that finds nothing changed.
+    fn toggle_a_vertex(session: &mut Session) {
         let SessionKind::Td { topo, .. } = &mut session.kind else {
             return;
         };
@@ -991,20 +942,20 @@ mod tests {
     }
 
     /// Plan caching across an adapting run is invisible: a session that
-    /// recompiles its plan every epoch, and one whose delta log is
-    /// exhausted mid-run (forcing the compile fallback), produce
+    /// recompiles its plan every epoch, and one whose topology version
+    /// is churned mid-run by 80 switches that cancel out, produce
     /// bit-identical answers, adaptation trajectory, and accounting to
-    /// one reusing the cache (which invalidates only on topology
-    /// version bumps).
+    /// one reusing the cache (which refreshes only on topology version
+    /// bumps) — and the churned session never compiles again.
     #[test]
     fn cached_plan_matches_forced_rebuild_across_adaptation() {
         let net = net(165, 300);
         let values: Vec<u64> = (0..net.len() as u64).map(|i| 1 + i % 30).collect();
         let model = Global::new(0.3);
         let epochs = 60u64;
-        let exhaust_at = 30u64;
+        let toggle_at = 30u64;
         for scheme in Scheme::all() {
-            let run = |rebuild_every_epoch: bool, exhaust_log: bool| {
+            let run = |rebuild_every_epoch: bool, toggle: bool| {
                 let mut rng = rng_from_seed(166);
                 let mut session = Session::with_paper_defaults(scheme, &net, &mut rng);
                 let mut outs = Vec::new();
@@ -1012,8 +963,8 @@ mod tests {
                     if rebuild_every_epoch {
                         session.clear_cached_plan();
                     }
-                    if exhaust_log && epoch == exhaust_at {
-                        exhaust_delta_log(&mut session);
+                    if toggle && epoch == toggle_at {
+                        toggle_a_vertex(&mut session);
                     }
                     let proto = ScalarProtocol::new(Sum::default(), &values);
                     let rec = session.run_epoch(&proto, &model, epoch, &mut rng);
@@ -1023,7 +974,7 @@ mod tests {
             };
             let (cached, cached_stats, cached_plan) = run(false, false);
             let (rebuilt, rebuilt_stats, _) = run(true, false);
-            let (exhausted, exhausted_stats, exhausted_plan) = run(false, true);
+            let (toggled, toggled_stats, toggled_plan) = run(false, true);
             assert_eq!(cached, rebuilt, "{} diverged", scheme.name());
             assert_eq!(
                 cached_stats,
@@ -1031,16 +982,15 @@ mod tests {
                 "{} stats diverged",
                 scheme.name()
             );
-            assert_eq!(cached, exhausted, "{} diverged", scheme.name());
-            assert_eq!(cached_stats, exhausted_stats);
-            if scheme != Scheme::Tag {
-                assert_eq!(
-                    exhausted_plan.compiles,
-                    cached_plan.compiles + 1,
-                    "{}: an exhausted delta log did not recompile: {exhausted_plan:?}",
-                    scheme.name()
-                );
-            }
+            assert_eq!(cached, toggled, "{} diverged", scheme.name());
+            assert_eq!(cached_stats, toggled_stats);
+            assert_eq!(
+                toggled_plan.compiles,
+                1,
+                "{}: a moved version recompiled: {toggled_plan:?}",
+                scheme.name()
+            );
+            assert_eq!(cached_plan.compiles, 1);
         }
     }
 

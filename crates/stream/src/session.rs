@@ -388,7 +388,7 @@ impl StreamSession {
 
     /// Apply one batch of membership transitions to the session outside
     /// a schedule ([`Session::apply_churn`] — orphans re-route, the
-    /// cached plan patches, the join/leave counts land in the next
+    /// cached plan rebuilds in place, the join/leave counts land in the next
     /// pane's [`CommStats`] delta). This is the service layer's churn
     /// injection point; note it changes **structure and accounting**
     /// only — silencing absent nodes on the channel stays the loss
@@ -402,7 +402,7 @@ impl StreamSession {
     /// Drop the underlying session's cached epoch plan
     /// ([`Session::clear_cached_plan`]) so the next epoch recompiles it.
     /// Reports are unaffected; this is the per-epoch-rebuild reference
-    /// the patched plan is pinned against.
+    /// the refreshed plan is pinned against.
     ///
     /// [`Session::clear_cached_plan`]: tributary_delta::session::Session::clear_cached_plan
     pub fn clear_cached_plan(&mut self) {
@@ -440,7 +440,7 @@ impl StreamSession {
 
     /// [`run`](Self::run) under node churn: before each epoch the
     /// schedule's membership transitions are applied to the session
-    /// ([`Session::apply_churn`] — orphans re-route, the plan patches)
+    /// ([`Session::apply_churn`] — orphans re-route, the plan refreshes)
     /// and delivery runs under [`ChurnSchedule::overlay`], so absent
     /// nodes are silent on the channel *and* routed around in the
     /// structure. Every pane's [`CommStats`] delta carries the epoch's

@@ -779,7 +779,7 @@ fn view<P: PaneAlgebra>(value: &PaneValue) -> Cow<'_, P> {
 
 /// Fold `panes` in left-fold order — the from-scratch reference fold.
 fn refold<'a, P: PaneAlgebra>(
-    mut panes: impl Iterator<Item = &'a PaneSlot>,
+    mut panes: impl Iterator<Item = &'a PaneInput>,
     counters: &mut AccumCounters,
 ) -> P {
     let first = panes.next().expect("a fold needs at least one pane");
@@ -856,12 +856,12 @@ trait ValueFold: std::fmt::Debug + Send {
     fn push(&mut self, value: &PaneValue, counters: &mut AccumCounters);
     /// Drop the oldest pane of `buf` (still buffered, with at least one
     /// successor) from the value.
-    fn evict(&mut self, buf: &VecDeque<PaneSlot>, counters: &mut AccumCounters);
+    fn evict(&mut self, buf: &VecDeque<PaneInput>, counters: &mut AccumCounters);
     /// The answer over the window's panes (`buf`, for the folds that
     /// keep one).
     fn answer(
         &self,
-        buf: &VecDeque<PaneSlot>,
+        buf: &VecDeque<PaneInput>,
         merge: EpochMerge,
         counters: &mut AccumCounters,
     ) -> PaneValue;
@@ -898,7 +898,7 @@ impl<P: PaneAlgebra> ValueFold for ValueAccum<P> {
         }
     }
 
-    fn evict(&mut self, buf: &VecDeque<PaneSlot>, counters: &mut AccumCounters) {
+    fn evict(&mut self, buf: &VecDeque<PaneInput>, counters: &mut AccumCounters) {
         match self {
             ValueAccum::Subtract {
                 acc,
@@ -928,7 +928,7 @@ impl<P: PaneAlgebra> ValueFold for ValueAccum<P> {
 
     fn answer(
         &self,
-        buf: &VecDeque<PaneSlot>,
+        buf: &VecDeque<PaneInput>,
         merge: EpochMerge,
         counters: &mut AccumCounters,
     ) -> PaneValue {
@@ -959,18 +959,6 @@ impl<P: PaneAlgebra> ValueFold for ValueAccum<P> {
     }
 }
 
-/// One pane as retained in a sliding window's buffer.
-#[derive(Clone, Debug)]
-struct PaneSlot {
-    epoch: u64,
-    value: PaneValue,
-    coverage: f64,
-    relabeled: bool,
-    joined: u64,
-    left: u64,
-    bytes: u64,
-}
-
 /// Per-window incremental state machine: absorbs one pane per measured
 /// epoch, maintains the window answer and its instrumentation
 /// aggregates in O(1) amortized per pane, and emits a [`WindowAnswer`]
@@ -988,7 +976,7 @@ pub struct WindowAccum {
     merge: EpochMerge,
     value: Box<dyn ValueFold>,
     /// In-window panes, oldest first (empty for running-only shapes).
-    buf: VecDeque<PaneSlot>,
+    buf: VecDeque<PaneInput>,
     keeps_buf: bool,
     /// Tumbling-like: clear all state after each emission.
     resets: bool,
@@ -1088,15 +1076,7 @@ impl WindowAccum {
         self.bytes += pane.bytes;
         self.value.push(&pane.value, counters);
         if self.keeps_buf {
-            self.buf.push_back(PaneSlot {
-                epoch: pane.epoch,
-                value: pane.value.clone(),
-                coverage: pane.coverage,
-                relabeled: pane.relabeled,
-                joined: pane.nodes_joined,
-                left: pane.nodes_left,
-                bytes: pane.bytes,
-            });
+            self.buf.push_back(pane.clone());
         }
         // -- evict -----------------------------------------------------
         if let Some(len) = self.spec.full_span() {
@@ -1124,8 +1104,8 @@ impl WindowAccum {
         // flag was promoted at that successor's push — undo it, and the
         // exact integer aggregates, directly.
         self.relabels -= u32::from(front.relabeled);
-        self.joined -= front.joined;
-        self.left -= front.left;
+        self.joined -= front.nodes_joined;
+        self.left -= front.nodes_left;
         self.bytes -= front.bytes;
         self.value.evict(&self.buf, counters);
         self.min_cov

@@ -1,7 +1,7 @@
 //! Epoch-lifecycle phase profiling.
 //!
 //! The epoch runner's time goes to seven places: plan **compile**,
-//! incremental **patch**, **precompute-randomness** (the epoch's loss
+//! in-place plan rebuild (**patch**), **precompute-randomness** (the epoch's loss
 //! draws, taken on the calling thread in step order before any query
 //! column runs, which is what makes any thread count bit-identical,
 //! and, on a plan with a delta, the broadcast lists derived from them),
@@ -23,7 +23,7 @@
 pub enum Phase {
     /// Full schedule compilation (`compile_td` / `compile_tag`).
     Compile,
-    /// Incremental plan patch after topology churn.
+    /// In-place rebuild of a stale plan after adaptation or churn.
     Patch,
     /// Pre-draw of the epoch's loss outcomes and, on a plan with a
     /// delta, its broadcast lists, on every run.

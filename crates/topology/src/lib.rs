@@ -21,11 +21,11 @@
 //! * [`td`] — the labeled **Tributary-Delta graph** of §3: per-node
 //!   tree/multi-path modes, the edge/path correctness properties, the
 //!   switchable-vertex rules, the expand/shrink primitives used by the
-//!   adaptation strategies of §4, and the structured
-//!   [`td::TopologyDelta`] log (label switches *and* parent switches)
-//!   that compiled epoch plans patch from instead of recompiling.
+//!   adaptation strategies of §4, and the topology version every label
+//!   or parent switch re-mints, by which compiled epoch plans notice
+//!   that they are stale.
 //! * [`maintenance`] — churn handling ([`maintenance::apply_churn`]):
-//!   orphans re-parent as one bounded delta through
+//!   orphans re-parent as one mutation through
 //!   [`td::TdTopology::switch_parents`].
 //!
 //! ## Quick example
@@ -48,8 +48,8 @@
 //! let v0 = td.version();
 //! td.expand_all(); // widen the delta one level (§4.2 TD-Coarse)
 //! assert!(td.validate().is_ok());
-//! // The mutation is in the delta log: plan caches replay it in place.
-//! assert_eq!(td.deltas_since(v0).unwrap().count(), 1);
+//! // The mutation re-minted the version: cached plans see they are stale.
+//! assert_ne!(td.version(), v0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -27,8 +27,6 @@
 //! vertices) and Lemma 1 (nonempty `T`/`M` sets always contain a
 //! switchable vertex) hold by construction and are verified in tests.
 
-use std::collections::VecDeque;
-
 use crate::rings::Rings;
 use crate::tree::Tree;
 use td_netsim::node::{NodeId, BASE_STATION};
@@ -42,88 +40,14 @@ pub enum Mode {
     M,
 }
 
-/// One vertex relabeled by a mutation, with its mode before and after.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Relabel {
-    /// The switched vertex.
-    pub node: NodeId,
-    /// Mode before the switch.
-    pub from: Mode,
-    /// Mode after the switch.
-    pub to: Mode,
-}
-
-/// One vertex re-parented by a structural mutation (a churn reroute),
-/// with its tree parent before and after. Parent switches preserve the
-/// vertex's depth (tree parents sit exactly one ring level down, §4.1),
-/// so — like a label switch — they invalidate nothing about a compiled
-/// plan's step order or receiver table, only the parent pointer and the
-/// heights/subtree sizes along the two ancestor chains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Reparent {
-    /// The re-parented vertex.
-    pub node: NodeId,
-    /// Tree parent before the switch.
-    pub from: NodeId,
-    /// Tree parent after the switch.
-    pub to: NodeId,
-}
-
-/// The structured record of one mutation: which vertices switched
-/// label, which switched tree parent, and under which subtree roots.
-/// The relabel and reparent lists are what compiled epoch plans replay
-/// to update themselves in place instead of recompiling (§4.2 relabels
-/// a handful of vertices per decision; churn re-parents a handful of
-/// orphans per event — the delta is the whole change); the roots are
-/// diagnostic — they name the subtrees the mutation targeted, for
-/// telemetry and tests, and no execution path depends on them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TopologyDelta {
-    /// Topology version before the mutation.
-    pub from_version: u64,
-    /// Topology version after the mutation (a fresh globally-unique
-    /// mint; consecutive log entries chain `to_version` →
-    /// `from_version` but the values are not consecutive integers).
-    pub to_version: u64,
-    /// The label-switched vertices, in id order.
-    pub relabeled: Vec<Relabel>,
-    /// The parent-switched vertices, in id order (empty for pure label
-    /// mutations — the common adaptation case).
-    pub reparented: Vec<Reparent>,
-    /// The affected subtree roots (each relabeled vertex's tree parent
-    /// for expansions, the vertex itself for shrinks, both endpoints
-    /// for reparents), deduplicated and in id order.
-    pub roots: Vec<NodeId>,
-}
-
-impl TopologyDelta {
-    /// Number of mutation events this delta carries (relabels plus
-    /// reparents; a vertex appearing in both counts twice here —
-    /// consumers sizing patch work dedupe, see `EpochPlan::patch`).
-    pub fn len(&self) -> usize {
-        self.relabeled.len() + self.reparented.len()
-    }
-
-    /// Whether the delta changed nothing (never recorded).
-    pub fn is_empty(&self) -> bool {
-        self.relabeled.is_empty() && self.reparented.is_empty()
-    }
-}
-
-/// How many mutation deltas the topology remembers. One §4.2 adaptation
-/// decision produces at most a few mutations, and plan caches consult
-/// the log at the next epoch, so a short window is plenty; a consumer
-/// that falls further behind recompiles from scratch.
-const DELTA_LOG_CAP: usize = 64;
-
 /// The process-global version mint. Every topology version — initial or
 /// post-mutation — is drawn from here, so a version value is unique
 /// across *all* [`TdTopology`] instances and lineages: equal versions
-/// imply an identical labeling, and a cached plan can never be fooled
+/// imply an identical labeling and tree, and a cached plan can never be fooled
 /// by a rebuilt (or cloned-and-diverged) topology whose own counter
 /// happens to land on the same number — its versions are different
-/// numbers by construction, so stale plans fail the version check and
-/// `deltas_since` lookups instead of silently reusing a dead schedule.
+/// numbers by construction, so a stale plan always fails the version
+/// check instead of silently reusing a dead schedule.
 static NEXT_VERSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Mint a fresh, process-globally-unique topology version.
@@ -183,14 +107,10 @@ pub struct TdTopology {
     rings: Rings,
     tree: Tree,
     label: Vec<Mode>,
-    /// Bumped on every successful label mutation; lets callers cache
-    /// derived structures (compiled epoch plans) and invalidate them only
-    /// when the labeling actually changed.
+    /// Re-minted on every successful mutation (labels or tree parents);
+    /// lets callers cache derived structures (compiled epoch plans) and
+    /// refresh them only when the topology actually changed.
     version: u64,
-    /// The most recent mutations, one [`TopologyDelta`] per version bump
-    /// (capped at [`DELTA_LOG_CAP`], oldest dropped first). Plan caches
-    /// replay these to patch compiled schedules in place.
-    delta_log: VecDeque<TopologyDelta>,
 }
 
 impl TdTopology {
@@ -226,7 +146,6 @@ impl TdTopology {
             tree,
             label,
             version: fresh_version(),
-            delta_log: VecDeque::new(),
         };
         debug_assert!(td.validate().is_ok());
         td
@@ -263,10 +182,11 @@ impl TdTopology {
         self.label[id.index()]
     }
 
-    /// The labeling version: re-minted from a process-global counter on
-    /// every label mutation. Version values are unique across **all**
-    /// topology instances (not merely within one), so equal versions
-    /// guarantee an identical labeling even across rebuilds and clones:
+    /// The topology version: re-minted from a process-global counter on
+    /// every label or tree-parent mutation. Version values are unique
+    /// across **all** topology instances (not merely within one), so
+    /// equal versions guarantee an identical labeling and tree even
+    /// across rebuilds and clones:
     /// anything compiled from the topology (schedules, epoch plans)
     /// stays valid exactly while the version holds still, and a plan
     /// compiled against a topology that has since been rebuilt can
@@ -276,73 +196,6 @@ impl TdTopology {
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The recorded mutations that carry version `since` forward to the
-    /// current version, oldest first — the patch path for plan caches: a
-    /// consumer holding a structure compiled at `since` applies exactly
-    /// these relabels to catch up. Returns `None` when the log no longer
-    /// reaches back that far (the consumer must recompile). `since`
-    /// equal to the current version yields an empty slice-like iterator.
-    pub fn deltas_since(
-        &self,
-        since: u64,
-    ) -> Option<impl Iterator<Item = &TopologyDelta> + Clone + '_> {
-        // Versions are globally unique, non-contiguous mints: locate
-        // `since` in this instance's log by value. A version minted by
-        // another topology instance (a rebuild, a diverged clone) is
-        // never in the log, so a consumer holding one is correctly told
-        // to recompile. Entries chain (`to_version` of one is
-        // `from_version` of the next), so the suffix from the match
-        // replays contiguously to the current version.
-        if since == self.version {
-            return Some(self.delta_log.iter().skip(self.delta_log.len()));
-        }
-        let idx = self
-            .delta_log
-            .iter()
-            .position(|d| d.from_version == since)?;
-        Some(self.delta_log.iter().skip(idx))
-    }
-
-    /// Total relabel **events** recorded between version `since` and
-    /// now (a vertex switched back and forth counts once per switch),
-    /// or `None` when the delta log no longer reaches back that far.
-    /// Consumers sizing actual patch work should dedupe — see
-    /// `EpochPlan::patch`, which budgets distinct vertices.
-    pub fn relabels_since(&self, since: u64) -> Option<usize> {
-        self.deltas_since(since).map(|ds| ds.map(|d| d.len()).sum())
-    }
-
-    /// Record one successful mutation: bump the version and append the
-    /// structured delta (dropping the oldest entry past the cap).
-    fn record_delta(
-        &mut self,
-        mut relabeled: Vec<Relabel>,
-        mut reparented: Vec<Reparent>,
-        mut roots: Vec<NodeId>,
-    ) {
-        debug_assert!(
-            !(relabeled.is_empty() && reparented.is_empty()),
-            "empty deltas are never recorded"
-        );
-        relabeled.sort_by_key(|r| r.node.0);
-        reparented.sort_by_key(|r| r.node.0);
-        roots.sort_by_key(|n| n.0);
-        roots.dedup();
-        let to_version = fresh_version();
-        let delta = TopologyDelta {
-            from_version: self.version,
-            to_version,
-            relabeled,
-            reparented,
-            roots,
-        };
-        self.version = to_version;
-        if self.delta_log.len() == DELTA_LOG_CAP {
-            self.delta_log.pop_front();
-        }
-        self.delta_log.push_back(delta);
     }
 
     /// Number of vertices tracked.
@@ -434,16 +287,7 @@ impl TdTopology {
             return Err(SwitchError::NotSwitchable(id));
         }
         self.label[id.index()] = Mode::M;
-        let root = self.tree.parent(id).unwrap_or(id);
-        self.record_delta(
-            vec![Relabel {
-                node: id,
-                from: Mode::T,
-                to: Mode::M,
-            }],
-            Vec::new(),
-            vec![root],
-        );
+        self.version = fresh_version();
         debug_assert!(self.validate().is_ok());
         Ok(())
     }
@@ -457,15 +301,7 @@ impl TdTopology {
             return Err(SwitchError::NotSwitchable(id));
         }
         self.label[id.index()] = Mode::T;
-        self.record_delta(
-            vec![Relabel {
-                node: id,
-                from: Mode::M,
-                to: Mode::T,
-            }],
-            Vec::new(),
-            vec![id],
-        );
+        self.version = fresh_version();
         debug_assert!(self.validate().is_ok());
         Ok(())
     }
@@ -479,19 +315,7 @@ impl TdTopology {
             self.label[u.index()] = Mode::M;
         }
         if !targets.is_empty() {
-            let relabeled = targets
-                .iter()
-                .map(|&u| Relabel {
-                    node: u,
-                    from: Mode::T,
-                    to: Mode::M,
-                })
-                .collect();
-            let roots = targets
-                .iter()
-                .map(|&u| self.tree.parent(u).unwrap_or(u))
-                .collect();
-            self.record_delta(relabeled, Vec::new(), roots);
+            self.version = fresh_version();
         }
         debug_assert!(self.validate().is_ok());
         targets.len()
@@ -505,15 +329,7 @@ impl TdTopology {
             self.label[u.index()] = Mode::T;
         }
         if !targets.is_empty() {
-            let relabeled = targets
-                .iter()
-                .map(|&u| Relabel {
-                    node: u,
-                    from: Mode::M,
-                    to: Mode::T,
-                })
-                .collect();
-            self.record_delta(relabeled, Vec::new(), targets.clone());
+            self.version = fresh_version();
         }
         debug_assert!(self.validate().is_ok());
         targets.len()
@@ -542,15 +358,7 @@ impl TdTopology {
             self.label[c.index()] = Mode::M;
         }
         if !children.is_empty() {
-            let relabeled = children
-                .iter()
-                .map(|&c| Relabel {
-                    node: c,
-                    from: Mode::T,
-                    to: Mode::M,
-                })
-                .collect();
-            self.record_delta(relabeled, Vec::new(), vec![root]);
+            self.version = fresh_version();
         }
         debug_assert!(self.validate().is_ok());
         Ok(children.len())
@@ -561,11 +369,9 @@ impl TdTopology {
     /// parent a ring receiver of its child (one level down, preserving
     /// §4.1 and every vertex's depth) and label-compatible (`M`
     /// children keep `M` parents — upward closure). The whole batch is
-    /// validated first and recorded as a single [`TopologyDelta`] whose
-    /// [`Reparent`] list compiled plans replay in place, so one churn
-    /// event or maintenance round costs one version bump however many
-    /// orphans it reroutes. No-op moves (already the parent) are
-    /// skipped. Returns the number of parents actually switched.
+    /// validated first and applied as one mutation, so one churn event
+    /// or maintenance round costs one version bump however many orphans
+    /// it reroutes. No-op moves (already the parent) are skipped. Returns the number of parents actually switched.
     ///
     /// Labels are untouched, so edge/path correctness is preserved by
     /// the label-compatibility check alone.
@@ -623,28 +429,15 @@ impl TdTopology {
                 return Err(SwitchError::InvalidParent(parent));
             }
         }
-        let mut reparented = Vec::new();
-        let mut roots = Vec::new();
+        let mut switched = 0;
         for &(child, parent) in moves {
-            let from = self
-                .tree
-                .parent(child)
-                .expect("connected non-base vertex has a parent");
-            if from == parent {
-                continue;
+            if self.tree.parent(child) != Some(parent) {
+                self.tree.switch_parent(child, parent);
+                switched += 1;
             }
-            self.tree.switch_parent(child, parent);
-            reparented.push(Reparent {
-                node: child,
-                from,
-                to: parent,
-            });
-            roots.push(from);
-            roots.push(parent);
         }
-        let switched = reparented.len();
         if switched > 0 {
-            self.record_delta(Vec::new(), reparented, roots);
+            self.version = fresh_version();
         }
         debug_assert!(self.validate().is_ok());
         Ok(switched)
@@ -962,114 +755,17 @@ mod tests {
             .expect("some deep T vertex exists");
         assert!(td.switch_to_m(deep_t).is_err());
         assert_eq!(td.version(), v1);
-        // Bulk operations mint once per effective change: the single
-        // new log entry spans v1 -> the new current version.
+        // Bulk operations mint on an effective change and not on a
+        // no-op one.
         assert!(td.expand_all() > 0);
-        assert!(td.version() > v1);
-        assert_eq!(td.deltas_since(v1).unwrap().count(), 1);
-    }
-
-    #[test]
-    fn delta_log_records_every_mutation() {
-        let mut td = topo(67, 1);
-        let v0 = td.version();
-
-        // A rejected switch records nothing.
-        let deep_t = td
-            .rings()
-            .connected_nodes()
-            .find(|&w| {
-                td.mode(w) == Mode::T && td.tree().parent(w).is_some_and(|p| td.mode(p) == Mode::T)
-            })
-            .expect("some deep T vertex exists");
-        assert!(td.switch_to_m(deep_t).is_err());
-        assert_eq!(td.deltas_since(v0).unwrap().count(), 0);
-
-        // A single switch records one single-relabel delta whose root is
-        // the parent subtree it expanded under.
-        let u = td.switchable_t_nodes()[0];
-        td.switch_to_m(u).unwrap();
-        let d = td.deltas_since(v0).unwrap().next().unwrap().clone();
-        assert_eq!((d.from_version, d.to_version), (v0, td.version()));
-        assert_eq!(
-            d.relabeled,
-            vec![Relabel {
-                node: u,
-                from: Mode::T,
-                to: Mode::M
-            }]
-        );
-        assert_eq!(d.roots, vec![td.tree().parent(u).unwrap_or(u)]);
-
-        // A bulk expansion records every switched vertex in id order.
-        let switched = td.expand_all();
-        let ds: Vec<_> = td.deltas_since(v0).unwrap().collect();
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[1].len(), switched);
-        assert!(ds[1]
-            .relabeled
-            .windows(2)
-            .all(|w| w[0].node.0 < w[1].node.0));
-        assert!(ds[1]
-            .relabeled
-            .iter()
-            .all(|r| r.from == Mode::T && r.to == Mode::M));
-        assert_eq!(td.relabels_since(v0), Some(1 + switched));
-
-        // Shrinks record the reverse direction with the vertex as root.
-        let before_shrink = td.version();
-        let shrunk = td.shrink_all();
-        assert!(shrunk > 0);
-        let last = td.deltas_since(before_shrink).unwrap().next().unwrap();
-        assert!(last
-            .relabeled
-            .iter()
-            .all(|r| r.from == Mode::M && r.to == Mode::T));
-        assert_eq!(
-            last.roots,
-            last.relabeled.iter().map(|r| r.node).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn deltas_since_covers_exactly_the_logged_window() {
-        let mut td = topo(68, 1);
-        let v0 = td.version();
-        // A version this topology never minted is unanswerable.
-        assert!(td.deltas_since(v0.wrapping_add(u64::MAX / 2)).is_none());
-        // The current version yields an empty delta.
-        assert_eq!(td.deltas_since(v0).unwrap().count(), 0);
-
-        // Push far more mutations than the log retains.
-        let mut versions = vec![v0];
-        for _ in 0..80 {
-            let u = td.switchable_t_nodes().first().copied();
-            match u {
-                Some(u) => td.switch_to_m(u).unwrap(),
-                None => {
-                    let m = td.switchable_m_nodes()[0];
-                    td.switch_to_t(m).unwrap();
-                }
-            }
-            versions.push(td.version());
-        }
-        // The oldest versions have been trimmed out of the log...
-        assert!(td.deltas_since(v0).is_none());
-        assert!(td.relabels_since(v0).is_none());
-        // ...but every covered suffix replays as a contiguous chain
-        // (each entry's from_version is its predecessor's to_version)
-        // ending at the current version.
-        let since = versions[versions.len() - 11];
-        let covered = td.deltas_since(since).unwrap();
-        let mut expect = since;
-        let mut replayed = 0;
-        for d in covered {
-            assert_eq!(d.from_version, expect);
-            expect = d.to_version;
-            replayed += 1;
-        }
-        assert_eq!(replayed, 10);
-        assert_eq!(expect, td.version());
+        let v2 = td.version();
+        assert!(v2 > v1);
+        let leaf_m = td
+            .delta_nodes()
+            .find(|&u| td.tree().children(u).iter().all(|&c| td.mode(c) == Mode::M))
+            .expect("some M vertex has no T child");
+        assert_eq!(td.expand_subtree(leaf_m), Ok(0));
+        assert_eq!(td.version(), v2);
     }
 
     #[test]

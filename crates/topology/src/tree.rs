@@ -179,7 +179,7 @@ impl Tree {
     /// switch is. Heights and subtree sizes along the two ancestor
     /// chains do change; they are recomputed on demand by
     /// [`heights`](Self::heights) / [`subtree_sizes`](Self::subtree_sizes)
-    /// (or patched incrementally by compiled epoch plans).
+    /// (and by a compiled epoch plan when it rebuilds in place).
     ///
     /// A no-op when `new_parent` is already the parent.
     ///
