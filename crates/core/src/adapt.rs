@@ -21,6 +21,7 @@
 //! adjustments").
 
 use crate::envelope::ExtremaSet;
+use td_netsim::node::NodeId;
 use td_topology::td::TdTopology;
 
 /// Which adaptation strategy to run.
@@ -270,8 +271,10 @@ impl Adapter {
             }
         }
         if switched == 0 {
-            let sizes = topo.tree().subtree_sizes();
-            let target = topo.switchable_m_iter().max_by_key(|n| sizes[n.index()]);
+            let mut stack = Vec::new();
+            let target = topo
+                .switchable_m_iter()
+                .max_by_key(|&n| subtree_size(topo, n, &mut stack));
             if let Some(node) = target {
                 switched = topo.expand_subtree(node).unwrap_or(0);
             }
@@ -299,8 +302,10 @@ impl Adapter {
             None => {
                 // No reports (e.g. delta is only the base station): shrink
                 // the smallest-subtree switchable vertex.
-                let sizes = topo.tree().subtree_sizes();
-                let target = topo.switchable_m_iter().min_by_key(|n| sizes[n.index()]);
+                let mut stack = Vec::new();
+                let target = topo
+                    .switchable_m_iter()
+                    .min_by_key(|&n| subtree_size(topo, n, &mut stack));
                 match target {
                     Some(n) => topo.switch_to_t(n).map(|_| 1).unwrap_or(0),
                     None => 0,
@@ -332,6 +337,20 @@ impl Adapter {
     }
 }
 
+/// How many vertices hang from `root` in `topo`'s tree, itself included,
+/// walked on the caller's `stack`. Switchable `M` vertices have only `T`
+/// vertices below them, so their subtrees are disjoint and sizing every
+/// candidate walks each vertex at most once.
+fn subtree_size(topo: &TdTopology, root: NodeId, stack: &mut Vec<NodeId>) -> usize {
+    stack.push(root);
+    std::iter::from_fn(|| {
+        let u = stack.pop()?;
+        stack.extend_from_slice(topo.tree().children(u));
+        Some(())
+    })
+    .count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +369,24 @@ mod tests {
         let rings = Rings::build(&net);
         let tree = build_bushy_tree(&net, &rings, BushyOptions::default(), &mut rng);
         TdTopology::new(rings, tree, 1)
+    }
+
+    /// The fallbacks' subtree size is the vertex plus everything below
+    /// it: for every vertex, the nodes whose parent chain passes through
+    /// it, with one stack reused across calls.
+    #[test]
+    fn subtree_size_counts_the_vertex_and_everything_below_it() {
+        let td = topo(140);
+        let tree = td.tree();
+        let n = tree.len() as u32;
+        let mut stack = Vec::new();
+        for root in tree.tree_nodes() {
+            let below = (0..n)
+                .map(NodeId)
+                .filter(|&u| std::iter::successors(Some(u), |&v| tree.parent(v)).any(|v| v == root))
+                .count();
+            assert_eq!(subtree_size(&td, root, &mut stack), below, "{root}");
+        }
     }
 
     #[test]

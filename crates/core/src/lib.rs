@@ -39,10 +39,11 @@
 //! ## Compile-then-execute epochs
 //!
 //! Epoch execution is split into two phases. [`runner::EpochPlan`]
-//! **compiles** a topology into a reusable schedule — the level-ordered
+//! **compiles** a topology — a TD labeling, or a TAG tree as the all-`T`
+//! plan of the same builder — into a reusable schedule: the depth-ordered
 //! sender list, per-sender parents/heights, each slot's tree children
-//! and flattened broadcast delivery lists — and [`runner::EpochPlan::run_set`] **executes**
-//! epochs over it: it draws the epoch's loss outcomes up front, runs
+//! and flattened broadcast delivery lists. [`runner::EpochPlan::run_set`]
+//! **executes** epochs over it: it draws the epoch's loss outcomes up front, runs
 //! each query over its own typed, slot-indexed message column (one
 //! dynamic call per query per epoch, no boxed message per node), then
 //! accounts the sends and evaluates at the base station. A

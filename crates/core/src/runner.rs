@@ -2,15 +2,18 @@
 //! and **execute** phases.
 //!
 //! [`EpochPlan`] compiles a topology — a labeled [`TdTopology`] or a
-//! plain TAG [`Tree`] — into **one step table**: the level-ordered
-//! sender list (outermost level first), per-sender mode, tree parent
-//! and height, per-link broadcast delivery lists flattened into one
-//! table, each slot's tree children in one more, and the
-//! switchability/subtree metadata the §4.2 adaptation signals need.
-//! The paper's §4.1 graph has two extremes and both are this table:
-//! synopsis diffusion (SD) is an all-`M` labeling, and the pure-TAG
-//! baseline is an all-`T` table over an arbitrary (unrestricted) tree,
-//! its levels the tree's depth runs and its receiver table empty. A
+//! plain TAG [`Tree`] — into **one step table** with **one builder**:
+//! the sender list ordered by tree depth (deepest first, id order within
+//! a depth), per-sender mode, tree parent and height, per-link broadcast
+//! delivery lists flattened into one table, each slot's tree children in
+//! one more, and the switchability/subtree metadata the §4.2 adaptation
+//! signals need. The paper's §4.1 graph has two extremes and both are
+//! this table: synopsis diffusion (SD) is an all-`M` labeling, and the
+//! pure-TAG baseline is the all-`T` one — [`EpochPlan::compile_tag`] is
+//! the builder called without a labeling, so its receiver table is empty.
+//! On a TD topology the §4.1 restriction makes tree depth equal to ring
+//! level, so the depths are the ring levels. Every plan gives the base
+//! station the one slot past the last step and no step of its own. A
 //! cached plan makes steady-state epochs **schedule-recomputation-free**
 //! (no per-epoch height/subtree/level sorts) and **growth-free**: every
 //! per-epoch buffer lives in the plan's arenas and keeps its capacity
@@ -23,16 +26,16 @@
 //! reused as-is. When §4.2 adaptation relabels vertices, or a churn
 //! reroute (`apply_churn`) switches tree parents, the version moves and
 //! the plan is **rebuilt in place** ([`EpochPlan::patch`]): the builder
-//! [`EpochPlan::compile_td`] runs clears the schedule's tables — the
-//! steps, the broadcast table, the step index, the levels and the
-//! tree-children table — and refills them from the topology, so the
-//! result is a fresh compile's field for field (pinned by
-//! [`EpochPlan::structural_digest`]). The rings never change, so every
-//! table refills to the length it had: a refresh grows no buffer, and
-//! it never touches the arenas. The rebuild is O(n), a small share of
-//! an epoch, which is itself O(n) per query. A TAG plan has no labeling
-//! and no version: it is never refreshed, and the session recompiles it
-//! after a churn reroute.
+//! both compilers call clears the schedule's tables — the steps, the
+//! broadcast table, the step index, the levels and the tree-children
+//! table — and refills them from the topology, so the result is a fresh
+//! compile's field for field (pinned by
+//! [`EpochPlan::structural_digest`]). A parent switch keeps every depth,
+//! so every table refills to the length it had: a refresh grows no
+//! buffer, and it never touches the arenas. The rebuild is O(n), a small
+//! share of an epoch, which is itself O(n) per query. A TAG plan has no
+//! labeling and no version: it is never refreshed, and the session
+//! recompiles it after a churn reroute.
 //!
 //! ## One epoch: draw, run the columns, account, evaluate
 //!
@@ -87,13 +90,6 @@
 //! query, or a network smaller than [`RunnerConfig::parallel_min_nodes`],
 //! runs on the calling thread alone. Any worker count is bit-identical:
 //! answers, accounting and the RNG stream.
-//!
-//! **The TAG base step.** A TAG tree's base station merges and
-//! finalizes like any other tree vertex before it evaluates, so it
-//! stays a step: the last one, a `T` step with no parent. It draws
-//! nothing and records no send; its message is delivered straight to
-//! the base slot, where the same base-station tail as a `T`-mode TD
-//! base evaluates it.
 //!
 //! **Who contributed.** The exact contributor count — the ground truth
 //! behind "% contributing" and the §4.2 adaptation signal — is not
@@ -237,9 +233,10 @@ struct Step {
     mode: Mode,
     /// §6.1 height (the `finalize_tree` argument for T steps).
     height: u32,
-    /// Tree parent of a T step; `None` for M steps (they broadcast) and
-    /// for the TAG base step (it sends nothing).
-    parent: Option<NodeId>,
+    /// Tree parent: where a T step unicasts. An M step broadcasts
+    /// instead; its tree parent only lists it among that slot's
+    /// children, which a reader skips.
+    parent: NodeId,
     /// Static subtree size (the M-step non-contribution baseline).
     subtree_size: u32,
     /// Whether the vertex is a switchable M vertex under this labeling.
@@ -247,7 +244,8 @@ struct Step {
     /// Range into the flat receiver table. Compiled for every step of a
     /// TD plan — ring links are label-independent, so the table has the
     /// same layout under every labeling — but only M steps read their
-    /// range (T steps unicast to `parent`). Empty on a TAG plan.
+    /// range (T steps unicast to `parent`). Empty on a TAG plan, which
+    /// has no labeling.
     recv_start: u32,
     recv_end: u32,
 }
@@ -258,41 +256,42 @@ impl Step {
     }
 }
 
-/// The compiled schedule: one step table for every scheme.
+/// The compiled schedule: one step table for every scheme, filled by
+/// one builder ([`fill`](Self::fill)).
 ///
-/// The step order (outermost level first, id order within a level), the
+/// The step order (deepest first, id order within a depth), the
 /// receiver-table layout, the `step_of` index and the levels depend only
-/// on the rings — never on the labeling or the tree — so every table of
-/// a TD schedule has the same length under every labeling and tree:
-/// [`fill_td`](Self::fill_td) refills them in place and grows nothing.
+/// on the tree's depths and the rings — never on the labeling, and not
+/// on which parent a vertex has, since a parent switch keeps every
+/// depth — so every table of a TD schedule has the same length under
+/// every labeling and reroute: [`fill`](Self::fill) refills them in
+/// place and grows nothing.
 struct Schedule {
     /// Topology version a TD plan currently matches (advanced by
     /// [`EpochPlan::patch`], which rebuilds in place); `None` for a TAG
     /// plan, whose tree carries no labeling to track.
     version: Option<u64>,
-    /// Senders, outermost level first, id order within a level. On a
-    /// TAG plan the base station is the last step.
+    /// Senders, deepest first, id order within a depth: every vertex
+    /// below the base station. The base station has no step.
     steps: Vec<Step>,
     /// Flat broadcast delivery table: `(receiver, receiver is M)`,
     /// indexed by each step's `recv_start..recv_end`.
     receivers: Vec<(NodeId, bool)>,
     /// `step_of[node.index()]` = index into `steps`, or `NO_STEP` for
-    /// the TD base station and disconnected nodes. The way from a
-    /// unicast parent, a broadcast receiver or a relabeled vertex to
-    /// its schedule entry.
+    /// the base station and disconnected nodes. The way from a unicast
+    /// parent, a broadcast receiver or a relabeled vertex to its
+    /// schedule entry.
     step_of: Vec<u32>,
-    /// Non-empty step ranges per level, outermost first:
-    /// `steps[start..end]` is one level's senders — a ring level of a
-    /// TD plan, an equal-depth run of a TAG tree. Tree parents and
-    /// broadcast receivers sit exactly one level down, so a level's
-    /// broadcasts are dead once the next range has run. Depends only on
-    /// the rings (or the tree's depths).
+    /// Step ranges per level, deepest first: `steps[start..end]` is one
+    /// tree depth's senders, which on a TD plan is one ring level. Tree
+    /// parents and broadcast receivers sit exactly one level down, so a
+    /// level's broadcasts are dead once the next range has run. Depends
+    /// only on the tree's depths.
     levels: Vec<(u32, u32)>,
     /// Each slot's tree children, base slot included, in step order:
     /// every step whose *tree* parent is the slot's vertex, whatever its
-    /// mode (on a TAG plan the base step is the base slot's one child).
-    /// Which of them reached the slot in an epoch is filtered where they
-    /// are read ([`Frame::children`]).
+    /// mode. Which of them reached the slot in an epoch is filtered where
+    /// they are read ([`Frame::children`]).
     children: SlotLists,
     /// How many steps are `M`. With none and a `T` base the plan has no
     /// delta, and its epochs skip every delta-only pass
@@ -322,11 +321,9 @@ impl Schedule {
         self.m_steps > 0 || self.base_mode == Mode::M
     }
 
-    /// Rebuild [`children`](Self::children) from `tree` by a counting
-    /// sort over the steps, O(n). A step is listed under its tree
-    /// parent's slot; the TAG base step, the one step without a tree
-    /// parent, under the base slot.
-    fn index_children(&mut self, tree: &Tree) {
+    /// Rebuild [`children`](Self::children) from the steps' tree
+    /// parents by a counting sort over the steps, O(n).
+    fn index_children(&mut self) {
         let Schedule {
             steps,
             step_of,
@@ -335,23 +332,19 @@ impl Schedule {
         } = self;
         let base = steps.len();
         children.fill(base + 1, || {
-            steps.iter().enumerate().filter_map(|(slot, step)| {
-                let parent = match tree.parent(step.node) {
-                    Some(p) => match step_of[p.index()] {
-                        NO_STEP => base,
-                        s => s as usize,
-                    },
-                    None if step.node.is_base() => base,
-                    None => return None,
+            steps.iter().enumerate().map(|(slot, step)| {
+                let parent = match step_of[step.parent.index()] {
+                    NO_STEP => base,
+                    s => s as usize,
                 };
-                Some((parent, slot))
+                (parent, slot)
             })
         });
     }
 
     /// The arena slot of `u`: its step index, or the base slot for the
-    /// TD base station (the only slot-bearing node without a step —
-    /// every unicast parent and broadcast receiver is connected).
+    /// base station (the only slot-bearing node without a step — every
+    /// unicast parent and broadcast receiver is connected).
     fn slot_or_base(&self, u: NodeId) -> usize {
         match self.step_of[u.index()] {
             NO_STEP => self.base_slot(),
@@ -359,67 +352,63 @@ impl Schedule {
         }
     }
 
-    /// Fill the schedule of the labeled topology `topo` **in place**:
-    /// every table is cleared and refilled, so refilling a schedule
-    /// from the topology it was filled from — relabeled or reparented
-    /// since, but over the same rings — keeps every buffer and grows
-    /// nothing. Heights and subtree sizes come from the children table:
-    /// a tree child sits one ring level out, at an earlier slot, so one
-    /// pass in step order meets every child before its parent.
-    fn fill_td(&mut self, topo: &TdTopology) {
-        let rings = topo.rings();
-        self.version = Some(topo.version());
+    /// Fill the schedule of `tree` **in place**: labeled by `topo` for a
+    /// TD plan (`tree` is then `topo.tree()`), all-`T` without one — the
+    /// TAG plan, which has no receiver table and no version. The only
+    /// builder: every table is cleared and refilled, so refilling a
+    /// schedule from the topology it was filled from — relabeled or
+    /// reparented since, but over the same depths — keeps every buffer
+    /// and grows nothing. Heights and subtree sizes come from the
+    /// children table: a tree child sits one depth out, at an earlier
+    /// slot, so one pass in step order meets every child before its
+    /// parent.
+    fn fill(&mut self, tree: &Tree, topo: Option<&TdTopology>) {
+        let mode = |u: NodeId| topo.map_or(Mode::T, |t| t.mode(u));
+        self.version = topo.map(TdTopology::version);
         self.steps.clear();
+        // Exact on a first fill, so a compile never over-allocates.
+        self.steps.reserve(tree.tree_size() - 1);
         self.receivers.clear();
         self.step_of.clear();
-        self.step_of.resize(rings.len(), NO_STEP);
+        self.step_of.resize(tree.len(), NO_STEP);
         self.levels.clear();
-        for level in (1..=rings.max_level()).rev() {
+        for depth in (1..=tree.max_depth()).rev() {
             let level_start = self.steps.len() as u32;
             // Filtered in place rather than collected: a refresh
             // allocates nothing.
-            for u in rings
-                .connected_nodes()
-                .filter(|&u| rings.level(u) == Some(level))
-            {
-                let mode = topo.mode(u);
+            for u in tree.tree_nodes().filter(|&u| tree.depth(u) == Some(depth)) {
                 // The receiver range is compiled for every vertex (the
                 // ring links never change), so the table's layout does
                 // not depend on the labeling.
                 let recv_start = self.receivers.len() as u32;
-                self.receivers.extend(
-                    rings
-                        .receivers(u)
-                        .iter()
-                        .map(|&r| (r, topo.mode(r) == Mode::M)),
-                );
+                if let Some(topo) = topo {
+                    self.receivers.extend(
+                        topo.rings()
+                            .receivers(u)
+                            .iter()
+                            .map(|&r| (r, topo.mode(r) == Mode::M)),
+                    );
+                }
                 self.step_of[u.index()] = self.steps.len() as u32;
                 self.steps.push(Step {
                     node: u,
-                    mode,
+                    mode: mode(u),
                     height: 0,
-                    parent: match mode {
-                        Mode::T => Some(
-                            topo.tree()
-                                .parent(u)
-                                .expect("connected non-base T vertex has a parent"),
-                        ),
-                        Mode::M => None,
-                    },
+                    parent: tree
+                        .parent(u)
+                        .expect("a vertex below the base has a parent"),
                     subtree_size: 0,
-                    switchable_m: topo.is_switchable_m(u),
+                    switchable_m: topo.is_some_and(|t| t.is_switchable_m(u)),
                     recv_start,
                     recv_end: self.receivers.len() as u32,
                 });
             }
-            if self.steps.len() as u32 > level_start {
-                self.levels.push((level_start, self.steps.len() as u32));
-            }
+            self.levels.push((level_start, self.steps.len() as u32));
         }
         self.m_steps = self.steps.iter().filter(|s| s.mode == Mode::M).count() as u32;
-        self.base_mode = topo.mode(BASE_STATION);
-        self.base_switchable_m = topo.is_switchable_m(BASE_STATION);
-        self.index_children(topo.tree());
+        self.base_mode = mode(BASE_STATION);
+        self.base_switchable_m = topo.is_some_and(|t| t.is_switchable_m(BASE_STATION));
+        self.index_children();
         for slot in 0..=self.base_slot() {
             let (mut height, mut subtree) = (1u32, 1u64);
             for &c in self.children.of(slot) {
@@ -456,7 +445,7 @@ impl Schedule {
 }
 
 impl Default for Schedule {
-    /// An empty TAG-shaped schedule, for the compilers to fill.
+    /// An empty schedule, for [`fill`](Self::fill).
     fn default() -> Self {
         Schedule {
             version: None,
@@ -484,8 +473,8 @@ impl Default for Schedule {
 /// to epoch.
 #[derive(Default)]
 struct Draws {
-    /// Per slot: the unicast outcome of a sending T step (`None` for M
-    /// steps and the TAG base step).
+    /// Per slot: the unicast outcome of a T step (`None` for M steps,
+    /// which broadcast).
     outcomes: Vec<Option<RetransmitOutcome>>,
     /// Per broadcast-table entry: whether the broadcast reached it
     /// (entries of T steps stay `false`, unread).
@@ -519,9 +508,15 @@ impl Draws {
         for (slot, step) in sched.steps.iter().enumerate() {
             match step.mode {
                 Mode::T => {
-                    self.outcomes[slot] = step
-                        .parent
-                        .map(|p| unicast(model, retransmit, step.node, p, net, epoch, rng));
+                    self.outcomes[slot] = Some(unicast(
+                        model,
+                        retransmit,
+                        step.node,
+                        step.parent,
+                        net,
+                        epoch,
+                        rng,
+                    ));
                 }
                 Mode::M => {
                     let range = step.recv_range();
@@ -543,8 +538,7 @@ impl Draws {
     /// slot than its sender):
     ///
     /// * a T step is reached iff its unicast was delivered and its
-    ///   parent's slot is reached; the TAG base step (no parent) hands
-    ///   its envelope straight to the base slot;
+    ///   parent's slot is reached;
     /// * an M step is reached iff some `M` receiver that heard it —
     ///   the only receivers that fuse a broadcast — is reached.
     fn contributing(&mut self, sched: &Schedule) -> usize {
@@ -556,13 +550,10 @@ impl Draws {
         for slot in (0..base).rev() {
             let step = &sched.steps[slot];
             let reached = match step.mode {
-                Mode::T => match step.parent {
-                    None => true,
-                    Some(p) => {
-                        self.outcomes[slot].is_some_and(|o| o.delivered)
-                            && self.reached[sched.slot_or_base(p)]
-                    }
-                },
+                Mode::T => {
+                    self.outcomes[slot].is_some_and(|o| o.delivered)
+                        && self.reached[sched.slot_or_base(step.parent)]
+                }
                 Mode::M => {
                     let range = step.recv_range();
                     sched.receivers[range.clone()]
@@ -572,7 +563,7 @@ impl Draws {
                 }
             };
             self.reached[slot] = reached;
-            count += usize::from(reached && !step.node.is_base());
+            count += usize::from(reached);
         }
         count
     }
@@ -601,73 +592,34 @@ struct Arenas {
 /// A compiled, reusable epoch schedule plus its execution arenas.
 ///
 /// Compile once per topology (version) with [`EpochPlan::compile_td`] /
-/// [`EpochPlan::compile_tag`], then call [`EpochPlan::run_set`] every
-/// epoch. Steady-state epochs perform zero schedule recomputation (no
-/// height/subtree/level passes) and grow nothing: the draws, broadcast
-/// lists, query columns and envelope column keep their capacity across
-/// epochs.
+/// [`EpochPlan::compile_tag`] (one builder under both), then call
+/// [`EpochPlan::run_set`] every epoch. Steady-state epochs perform zero
+/// schedule recomputation (no height/subtree/level passes) and grow
+/// nothing: the draws, broadcast lists, query columns and envelope
+/// column keep their capacity across epochs.
 pub struct EpochPlan {
     sched: Schedule,
     arenas: Arenas,
 }
 
 impl EpochPlan {
-    /// Compile the level-ordered schedule of a labeled Tributary-Delta
-    /// topology (SD is the all-multipath special case).
+    /// Compile the schedule of a labeled Tributary-Delta topology (SD is
+    /// the all-multipath special case).
     pub fn compile_td(topo: &TdTopology) -> EpochPlan {
-        let mut sched = Schedule::default();
-        sched.fill_td(topo);
-        EpochPlan {
-            sched,
-            arenas: Arenas::default(),
-        }
+        EpochPlan::compile(topo.tree(), Some(topo))
     }
 
-    /// Compile the bottom-up schedule of a pure-TAG spanning tree
-    /// (parents may be at any lower level — no ring restriction) into
-    /// the same step table: every step `T`, the levels the tree's
-    /// equal-depth runs (a parent is exactly one depth up, so each run
-    /// only writes to later runs), no receiver table, and the base
-    /// station as the last step — it merges and finalizes like any tree
-    /// vertex, sends nothing, and hands its message to the base slot.
-    /// The plan has no delta, so its epochs run no envelope column.
+    /// Compile the schedule of a pure-TAG spanning tree: the all-`T`
+    /// plan of the same builder, ordered by the tree's depths, with no
+    /// receiver table. The plan has no delta, so its epochs run no
+    /// envelope column.
     pub fn compile_tag(tree: &Tree) -> EpochPlan {
-        let heights = tree.heights();
-        let subtree_sizes = tree.subtree_sizes();
-        let n = tree.len();
-        let order = tree.bottom_up_order();
-        let mut steps: Vec<Step> = Vec::with_capacity(order.len());
-        let mut step_of = vec![NO_STEP; n];
-        let mut levels: Vec<(u32, u32)> = Vec::new();
-        for u in order {
-            let at = steps.len() as u32;
-            match levels.last_mut() {
-                Some((start, end)) if tree.depth(steps[*start as usize].node) == tree.depth(u) => {
-                    *end = at + 1
-                }
-                _ => levels.push((at, at + 1)),
-            }
-            step_of[u.index()] = at;
-            steps.push(Step {
-                node: u,
-                mode: Mode::T,
-                height: heights[u.index()],
-                parent: tree.parent(u),
-                subtree_size: subtree_sizes[u.index()],
-                switchable_m: false,
-                recv_start: 0,
-                recv_end: 0,
-            });
-        }
-        let mut sched = Schedule {
-            steps,
-            step_of,
-            levels,
-            base_height: heights[BASE_STATION.index()],
-            base_subtree: subtree_sizes[BASE_STATION.index()] as u64,
-            ..Schedule::default()
-        };
-        sched.index_children(tree);
+        EpochPlan::compile(tree, None)
+    }
+
+    fn compile(tree: &Tree, topo: Option<&TdTopology>) -> EpochPlan {
+        let mut sched = Schedule::default();
+        sched.fill(tree, topo);
         EpochPlan {
             sched,
             arenas: Arenas::default(),
@@ -685,8 +637,8 @@ impl EpochPlan {
     /// *and tree* by **rebuilding its schedule in place**: the same
     /// builder as [`compile_td`](Self::compile_td) clears and refills
     /// the schedule's tables, so the result is field-for-field a fresh
-    /// compile's, no table grows (the rings, and with them every
-    /// table's length, never change), and every arena is kept
+    /// compile's, no table grows (the depths and the rings, and with them
+    /// every table's length, never change), and every arena is kept
     /// untouched. `topo` must be the topology the plan was compiled
     /// from, mutated any number of times since.
     ///
@@ -704,7 +656,7 @@ impl EpochPlan {
         if changed > max_relabels {
             return None;
         }
-        self.sched.fill_td(topo);
+        self.sched.fill(topo.tree(), Some(topo));
         Some(changed)
     }
 
@@ -736,7 +688,7 @@ impl EpochPlan {
             put(s.node.0 as u64);
             put(mode_tag(s.mode));
             put(s.height as u64);
-            put(s.parent.map_or(u64::MAX, |p| p.0 as u64));
+            put(s.parent.0 as u64);
             put(s.subtree_size as u64);
             put(s.switchable_m as u64);
             put(s.recv_start as u64);
@@ -902,11 +854,7 @@ fn account(
     for (slot, step) in sched.steps.iter().enumerate() {
         match step.mode {
             Mode::T => {
-                // The TAG base step sends nothing.
-                if step.parent.is_none() {
-                    continue;
-                }
-                let outcome = draws.outcomes[slot].expect("a sending T step drew its unicast");
+                let outcome = draws.outcomes[slot].expect("a T step drew its unicast");
                 let overhead = if charge { TREE_OVERHEAD_WORDS } else { 0 };
                 let words = payload(slot).1 + overhead;
                 stats.record_send(step.node, words * 4, words, outcome.attempts_used as u64);
@@ -1007,25 +955,24 @@ pub(crate) struct Frame<'a> {
 }
 
 impl<'a> Frame<'a> {
-    /// Whether the message of the `T` step at `slot` reaches a
-    /// receiver: its unicast arrived, or it is the TAG base step.
+    /// Whether the step at `slot` unicast its message and it arrived.
+    /// Never for an `M` step: it draws no unicast, and its slot holds a
+    /// broadcast that other receivers still read and must never be
+    /// taken.
     fn tree_kept(&self, slot: usize) -> bool {
-        self.sched.steps[slot].parent.is_none()
-            || self.draws.outcomes[slot].is_some_and(|o| o.delivered)
+        self.draws.outcomes[slot].is_some_and(|o| o.delivered)
     }
 
     /// The tree children whose message reached `slot` this epoch, in
-    /// step order: the compiled children that are `T` steps and whose
-    /// message is kept. The mode is checked first — an `M` step has no
-    /// unicast parent, so [`tree_kept`](Self::tree_kept) holds for it,
-    /// and its slot holds a broadcast that other receivers still read
-    /// and must never be taken.
+    /// step order: the compiled children whose unicast is kept.
     fn children(&self, slot: usize) -> impl Iterator<Item = usize> + Clone + 'a {
         let frame = *self;
-        self.sched.children.of(slot).iter().filter_map(move |&c| {
-            let c = c as usize;
-            (frame.sched.steps[c].mode == Mode::T && frame.tree_kept(c)).then_some(c)
-        })
+        self.sched
+            .children
+            .of(slot)
+            .iter()
+            .map(|&c| c as usize)
+            .filter(move |&c| frame.tree_kept(c))
     }
 }
 
@@ -1121,10 +1068,7 @@ pub(crate) fn run_column<P: Protocol>(proto: &P, frame: &Frame<'_>, column: &mut
             let (msg, size) = match step.mode {
                 Mode::T => {
                     let msg = tree_step(proto, step.node, step.height, children, &mut cells.slots);
-                    let words = match (&msg, step.parent) {
-                        (Some(m), Some(_)) => proto.tree_words(m) as u32,
-                        _ => 0,
-                    };
+                    let words = msg.as_ref().map_or(0, |m| proto.tree_words(m) as u32);
                     let msg = match msg {
                         Some(m) if frame.tree_kept(slot) => Slot::Tree(m),
                         _ => Slot::Empty,
@@ -1483,23 +1427,6 @@ pub(crate) fn run_td_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
     EpochPlan::compile_td(topo).run_set(set, net, model, config, epoch, stats, rng)
 }
 
-/// Run one epoch of the pure-TAG baseline for every query in `set`, over
-/// an arbitrary spanning tree, compiling a fresh plan for this call.
-#[cfg(test)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_tag_epoch_set<M: LossModel, R: rand::Rng + ?Sized>(
-    set: &QuerySet<'_>,
-    tree: &Tree,
-    net: &Network,
-    model: &M,
-    config: RunnerConfig,
-    epoch: u64,
-    stats: &mut CommStats,
-    rng: &mut R,
-) -> SetEpochOutput {
-    EpochPlan::compile_tag(tree).run_set(set, net, model, config, epoch, stats, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1675,9 +1602,8 @@ mod tests {
             });
             td_contrib += out.contributing;
             let out = single(&proto, |set| {
-                run_tag_epoch_set(
+                EpochPlan::compile_tag(td.tree()).run_set(
                     set,
-                    td.tree(),
                     &net,
                     &model,
                     RunnerConfig::default(),
@@ -1735,9 +1661,8 @@ mod tests {
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(1000 + e);
             plain += single(&proto, |set| {
-                run_tag_epoch_set(
+                EpochPlan::compile_tag(tree).run_set(
                     set,
-                    tree,
                     &net,
                     &model,
                     RunnerConfig::default(),
@@ -1749,9 +1674,8 @@ mod tests {
             .contributing;
             let mut rng = rng_from_seed(1000 + e);
             retried += single(&proto, |set| {
-                run_tag_epoch_set(
+                EpochPlan::compile_tag(tree).run_set(
                     set,
-                    tree,
                     &net,
                     &model,
                     RunnerConfig {
@@ -1930,21 +1854,71 @@ mod tests {
     }
 
     /// The law the single step table rests on: TAG is the all-`T`
-    /// table. On a §4.1-restricted tree (depth = ring level, so step
-    /// order and draw order coincide) a TAG plan and a TD plan labelled
-    /// all-`T` over the same tree are the same epoch — answers,
-    /// contributing counts, byte accounting and the caller's RNG
-    /// stream, bit for bit, on one thread and on two. The TAG base
-    /// station's extra merge-and-finalize step changes nothing a scalar
-    /// aggregate can see.
+    /// plan. On a §4.1-restricted tree (depth = ring level) a TAG plan
+    /// and a TD plan labelled all-`T` over the same tree compile the same
+    /// tables — steps, step index, levels, tree children and base fields;
+    /// only the version and the TD plan's receiver table differ — neither
+    /// gives the base station a step, and they run the same epochs: the
+    /// answers of a bundle of scalar, frequent-items (exact and FM
+    /// counters) and quantile (GK and q-digest) queries, contributing
+    /// counts, byte accounting and the caller's RNG stream, bit for bit,
+    /// lossless and lossy, on one thread and on two.
     #[test]
     fn tag_plan_is_the_all_t_td_plan() {
+        use crate::protocol::{FreqOutput, FreqProtocol, QuantileOutput, QuantileProtocol};
         use rand::Rng;
+        use td_frequent::items::ItemBag;
+        use td_frequent::multipath::MultipathConfig;
+        use td_quantiles::gradient::MinTotalLoad;
+        use td_quantiles::{GkSummary, QDigest};
+        use td_sketches::counter::{ExactFactory, FmFactory};
+
+        fn debug<T: std::fmt::Debug + 'static>(answer: &dyn Any) -> String {
+            format!("{:?}", answer.downcast_ref::<T>().expect("answer type"))
+        }
+
         let (net, td) = topo(151, 200, 2);
         let all_t = TdTopology::all_tree(td.rings().clone(), td.tree().clone());
+        let tables = |plan: &EpochPlan| {
+            let s = &plan.sched;
+            assert!(
+                s.steps.iter().all(|step| !step.node.is_base()),
+                "the base station has a step"
+            );
+            assert_eq!(s.step_of[BASE_STATION.index()], NO_STEP);
+            let steps: Vec<Step> = s
+                .steps
+                .iter()
+                .map(|&step| Step {
+                    recv_start: 0,
+                    recv_end: 0,
+                    ..step
+                })
+                .collect();
+            (
+                steps,
+                s.step_of.clone(),
+                s.levels.clone(),
+                (s.children.start.clone(), s.children.from.clone()),
+                s.m_steps,
+                (
+                    s.base_mode,
+                    s.base_height,
+                    s.base_subtree,
+                    s.base_switchable_m,
+                ),
+            )
+        };
+        let tag_plan = EpochPlan::compile_tag(all_t.tree());
+        assert!(tag_plan.sched.receivers.is_empty());
+        assert_eq!(tables(&tag_plan), tables(&EpochPlan::compile_td(&all_t)));
+
         let values: Vec<u64> = (0..net.len() as u64).map(|i| 1 + i % 60).collect();
-        let model = Global::new(0.1);
-        let run = |mut plan: EpochPlan, workers: usize| {
+        let bags: Vec<ItemBag> = (0..net.len() as u64)
+            .map(|i| ItemBag::from_counts([(i % 7, 1 + i % 3), (11, 2)]))
+            .collect();
+        let run = |mut plan: EpochPlan, loss: f64, workers: usize| {
+            let model = Global::new(loss);
             let config = RunnerConfig {
                 workers,
                 parallel_min_nodes: 0,
@@ -1953,28 +1927,56 @@ mod tests {
             let mut stats = CommStats::new(net.len());
             let mut rng = rng_from_seed(78);
             let mut history = Vec::new();
-            for epoch in 0..6u64 {
+            for epoch in 0..5u64 {
+                let gradient = MinTotalLoad::new(0.01, 2.25);
                 let sum = ScalarProtocol::new(Sum::default(), &values);
                 let average = ScalarProtocol::new(Average::default(), &values);
+                let exact = FreqProtocol::new(
+                    MultipathConfig::new(0.01, 1.5, 1 << 20, ExactFactory),
+                    gradient,
+                    0.2,
+                    &bags,
+                );
+                let fm = FreqProtocol::new(
+                    MultipathConfig::new(0.01, 1.5, 1 << 20, FmFactory { bitmaps: 16 }),
+                    gradient,
+                    0.2,
+                    &bags,
+                );
+                let gk = QuantileProtocol::gk(MinTotalLoad::new(0.05, 2.25), &values);
+                let qdigest = QuantileProtocol::qdigest(8, MinTotalLoad::new(0.05, 2.25), &values);
                 let mut set = QuerySet::new();
                 set.register(&sum);
                 set.register(&average);
+                set.register(&exact);
+                set.register(&fm);
+                set.register(&gk);
+                set.register(&qdigest);
                 let out = plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
-                let answer = |i: usize| out.outputs[i].downcast_ref::<f64>().unwrap().to_bits();
+                let scalar = |i: usize| out.outputs[i].downcast_ref::<f64>().unwrap().to_bits();
                 history.push((
-                    answer(0),
-                    answer(1),
+                    (scalar(0), scalar(1)),
+                    debug::<FreqOutput>(&*out.outputs[2]),
+                    debug::<FreqOutput>(&*out.outputs[3]),
+                    debug::<QuantileOutput<GkSummary>>(&*out.outputs[4]),
+                    debug::<QuantileOutput<QDigest>>(&*out.outputs[5]),
                     out.contributing,
                     out.contributing_est.to_bits(),
                 ));
             }
             (history, stats, rng.gen::<u64>())
         };
-        for workers in [1, 2] {
-            let tag = run(EpochPlan::compile_tag(all_t.tree()), workers);
-            let td = run(EpochPlan::compile_td(&all_t), workers);
-            assert!(tag.0.iter().any(|e| e.2 < net.num_sensors()), "no loss");
-            assert_eq!(tag, td, "TAG and all-T TD diverged at {workers} workers");
+        for loss in [0.0, 0.1, 0.3] {
+            for workers in [1, 2] {
+                let tag = run(EpochPlan::compile_tag(all_t.tree()), loss, workers);
+                let td = run(EpochPlan::compile_td(&all_t), loss, workers);
+                let lost = tag.0.iter().any(|e| e.5 < net.num_sensors());
+                assert_eq!(lost, loss > 0.0, "loss {loss}");
+                assert_eq!(
+                    tag, td,
+                    "TAG and all-T TD diverged at loss {loss}, {workers} workers"
+                );
+            }
         }
     }
 
@@ -2475,9 +2477,8 @@ mod tests {
                 &mut reused_stats,
                 &mut reused_rng,
             );
-            let rebuilt = run_tag_epoch_set(
+            let rebuilt = EpochPlan::compile_tag(tree).run_set(
                 &set,
-                tree,
                 &net,
                 &model,
                 RunnerConfig::default(),
@@ -2703,21 +2704,19 @@ mod tests {
     }
 
     /// The per-epoch tree lists the compiled children table replaced,
-    /// kept as its oracle: every `T` step's arrived unicast, the TAG
-    /// base step's message always reaching the base slot, listed by a
+    /// kept as its oracle: every `T` step's arrived unicast, listed by a
     /// counting sort over the senders in step order.
     fn epoch_tree_lists(sched: &Schedule, draws: &Draws) -> SlotLists {
         let mut lists = SlotLists::default();
         lists.fill(sched.base_slot() + 1, || {
-            sched.steps.iter().enumerate().filter_map(|(slot, step)| {
-                match (step.mode, step.parent) {
-                    (Mode::M, _) => None,
-                    (Mode::T, None) => Some((sched.base_slot(), slot)),
-                    (Mode::T, Some(parent)) => draws.outcomes[slot]
-                        .is_some_and(|o| o.delivered)
-                        .then(|| (sched.slot_or_base(parent), slot)),
-                }
-            })
+            sched
+                .steps
+                .iter()
+                .enumerate()
+                .filter(|&(slot, step)| {
+                    step.mode == Mode::T && draws.outcomes[slot].is_some_and(|o| o.delivered)
+                })
+                .map(|(slot, step)| (sched.slot_or_base(step.parent), slot))
         });
         lists
     }
@@ -3102,9 +3101,8 @@ mod tests {
                     &mut long_rng,
                 );
                 let fresh = if tag {
-                    run_tag_epoch_set(
+                    EpochPlan::compile_tag(td.tree()).run_set(
                         &set,
-                        td.tree(),
                         &net,
                         &model,
                         RunnerConfig::default(),

@@ -47,7 +47,7 @@ use td_netsim::network::Network;
 use td_netsim::stats::CommStats;
 use td_telemetry::phase::{self, Phase};
 use td_topology::bushy::{build_bushy_tree, BushyOptions};
-use td_topology::maintenance::{apply_churn, ChurnReport};
+use td_topology::maintenance::{apply_churn, reroute, ChurnReport};
 use td_topology::rings::Rings;
 use td_topology::td::TdTopology;
 use td_topology::tree::{build_tag_tree, ParentSelection, Tree};
@@ -139,15 +139,17 @@ impl SessionConfig {
 
 /// Counters for the session's plan-cache maintenance: how often the
 /// cached [`EpochPlan`] was compiled from scratch versus rebuilt in
-/// place after the topology changed ([`EpochPlan::patch`]), and how
-/// many vertices those refreshes found changed. Kept outside
+/// place after the topology changed ([`EpochPlan::patch`]) — the same
+/// builder either way, into fresh tables or into the plan's own — and
+/// how many vertices those refreshes found changed. Kept outside
 /// [`CommStats`] on purpose — plan maintenance is simulator work, not radio traffic, and
 /// the determinism tests pin `CommStats` equality across cache
 /// strategies that *should* differ here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Full compilations (the first epoch, and the first after
-    /// [`Session::clear_cached_plan`] or a TAG churn reroute).
+    /// [`Session::clear_cached_plan`] or a TAG churn reroute, since a
+    /// TAG plan has no version to refresh by).
     pub compiles: u64,
     /// In-place rebuilds of a stale plan after adaptation or churn
     /// changed the topology.
@@ -465,10 +467,13 @@ impl Session {
     ///   the cached epoch plan **rebuilds in place** on the next epoch
     ///   exactly as after an adaptation relabel — counted in
     ///   [`plan_stats`](Self::plan_stats), bit-identical to a compile.
-    /// * TAG re-parents orphans onto surviving radio neighbors one tree
-    ///   depth up and recompiles its (cheap, label-free) plan — TAG
-    ///   trees are not ring-restricted, so a parent switch there may
-    ///   change depths and the bottom-up order.
+    /// * TAG runs the same policy ([`td_topology::maintenance::reroute`])
+    ///   with the radio neighbors one tree depth up as candidates, applies
+    ///   the moves with [`Tree::switch_parent`], and recompiles its plan,
+    ///   which carries no version to refresh by. The TAG tree is built
+    ///   with no same-level parents, so every depth is a ring level, those
+    ///   neighbors are the node's ring receivers, and a switch keeps every
+    ///   depth.
     ///
     /// The policy is deterministic (no RNG draws), so churn-afflicted
     /// runs replay bit-for-bit and schemes stay comparable. The caller
@@ -484,49 +489,16 @@ impl Session {
                 apply_churn(topo, &events.left, &events.joined, &events.absent)
             }
             SessionKind::Tag { tree } => {
-                let mut absent = vec![false; tree.len()];
-                for n in &events.absent {
-                    if n.index() < absent.len() {
-                        absent[n.index()] = true;
-                    }
-                }
-                let mut report = ChurnReport::default();
-                let mut moves: Vec<(td_netsim::node::NodeId, td_netsim::node::NodeId)> = Vec::new();
-                {
+                let (moves, report) = {
                     let tree = &*tree;
-                    // Lowest-id present radio neighbor one depth up (the
-                    // depth a parent must sit at, so the switch is legal).
-                    let best = |c: td_netsim::node::NodeId, avoid: td_netsim::node::NodeId| {
-                        let need = tree.depth(c)?.checked_sub(1)?;
-                        self.net.neighbors(c).iter().copied().find(|&n| {
-                            n != avoid && !absent[n.index()] && tree.depth(n) == Some(need)
+                    // Radio neighbors one depth up: the depth a parent
+                    // must sit at, so every switch keeps the depths.
+                    reroute(tree, &events.left, &events.joined, &events.absent, |c| {
+                        self.net.neighbors(c).iter().copied().filter(move |&n| {
+                            tree.depth(n).is_some_and(|d| Some(d + 1) == tree.depth(c))
                         })
-                    };
-                    for &u in &events.left {
-                        if u.index() >= tree.len() {
-                            continue;
-                        }
-                        for &c in tree.children(u) {
-                            match best(c, u) {
-                                Some(b) => {
-                                    moves.push((c, b));
-                                    report.reparented += 1;
-                                }
-                                None => report.stranded += 1,
-                            }
-                        }
-                    }
-                    for &j in &events.joined {
-                        let Some(p) = tree.parent(j) else { continue };
-                        if !absent[p.index()] {
-                            continue;
-                        }
-                        if let Some(b) = best(j, p) {
-                            moves.push((j, b));
-                            report.rejoined += 1;
-                        }
-                    }
-                }
+                    })
+                };
                 for &(c, p) in &moves {
                     tree.switch_parent(c, p);
                 }
@@ -917,6 +889,42 @@ mod tests {
         }
         assert!(rerouted > 0, "TAG churn never re-routed an orphan");
         assert!(session.stats().nodes_left() > 0);
+    }
+
+    /// One churn-reroute policy: a TAG session's reroute (radio
+    /// neighbors one depth up) reports and re-parents exactly as
+    /// `maintenance::apply_churn` does on the all-`T` ring topology over
+    /// the same tree, every epoch of a churn schedule, at three leave
+    /// rates.
+    #[test]
+    fn tag_reroute_is_the_ring_reroute() {
+        use td_netsim::churn::ChurnSchedule;
+        use td_netsim::node::NodeId;
+        for (seed, leave_rate) in [(175u64, 0.01), (176, 0.05), (177, 0.2)] {
+            let net = net(seed, 200);
+            let schedule = ChurnSchedule::new(net.len(), leave_rate, 6.0, seed);
+            let mut rng = rng_from_seed(seed);
+            let mut session = Session::with_paper_defaults(Scheme::Tag, &net, &mut rng);
+            let tree = session.tag_tree().expect("a TAG session").clone();
+            let mut topo = TdTopology::all_tree(Rings::build(&net), tree);
+            let mut moved = 0;
+            for epoch in 0..200 {
+                let events = schedule.events_at(epoch);
+                let tag = session.apply_churn(&events);
+                let ring = apply_churn(&mut topo, &events.left, &events.joined, &events.absent);
+                assert_eq!(tag, ring, "leave rate {leave_rate}, epoch {epoch}");
+                let tag_tree = session.tag_tree().expect("a TAG session");
+                for u in (0..net.len() as u32).map(NodeId) {
+                    assert_eq!(
+                        tag_tree.parent(u),
+                        topo.tree().parent(u),
+                        "leave rate {leave_rate}, epoch {epoch}, node {u}"
+                    );
+                }
+                moved += tag.reparented + tag.rejoined;
+            }
+            assert!(moved > 0, "leave rate {leave_rate}: nothing rerouted");
+        }
     }
 
     /// Move the topology's version 80 times without changing it: one

@@ -21,7 +21,8 @@
 /// The profiled phases of an epoch's lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Full schedule compilation (`compile_td` / `compile_tag`).
+    /// Full schedule compilation: the one plan builder, run by
+    /// `compile_td` or `compile_tag`.
     Compile,
     /// In-place rebuild of a stale plan after adaptation or churn.
     Patch,

@@ -24,8 +24,9 @@
 //!   adaptation strategies of §4, and the topology version every label
 //!   or parent switch re-mints, by which compiled epoch plans notice
 //!   that they are stale.
-//! * [`maintenance`] — churn handling ([`maintenance::apply_churn`]):
-//!   orphans re-parent as one mutation through
+//! * [`maintenance`] — churn handling: one reroute policy over any tree
+//!   ([`maintenance::reroute`]), and [`maintenance::apply_churn`], which
+//!   re-parents a labeled topology's orphans as one mutation through
 //!   [`td::TdTopology::switch_parents`].
 //!
 //! ## Quick example

@@ -1,13 +1,10 @@
-//! Churn rerouting for Tributary-Delta topologies.
-//!
-//! [`apply_churn`] keeps a [`TdTopology`] routable when nodes leave
-//! mid-run: their orphaned tree children re-parent onto surviving ring
-//! receivers (and rejoining nodes re-attach) **in place**, through
-//! [`TdTopology::switch_parents`]. Each event is one mutation and one
-//! version bump; a compiled epoch plan then rebuilds its schedule in
-//! place instead of being recompiled.
+//! Churn rerouting: [`reroute`], the one policy, over any tree, and
+//! [`apply_churn`], which runs it on a [`TdTopology`] **in place** — one
+//! mutation and one version bump per event, so a compiled epoch plan
+//! rebuilds its schedule in place instead of being recompiled.
 
 use crate::td::{Mode, TdTopology};
+use crate::tree::Tree;
 use td_netsim::node::{NodeId, BASE_STATION};
 
 /// Outcome of applying one epoch's churn events to a topology.
@@ -23,57 +20,51 @@ pub struct ChurnReport {
     pub rejoined: usize,
 }
 
-/// Route around one epoch's churn with a **bounded structural delta**:
+/// Route around one epoch's churn over `tree` with a **bounded
+/// structural delta**: every tree child of a node in `left`, then every
+/// node in `joined` whose parent is still absent, moves to its lowest-id
+/// present candidate parent. `candidates(c)` lists the parents `c` may
+/// take, all at its parent's depth. `absent` is the full post-event
+/// absent set (leavers included); an orphan with no present candidate is
+/// "stranded" (keeps the dead parent, loses the data) — the realistic
+/// outcome when a region's only uplink is down.
 ///
-/// * every tree child of a node in `left` switches to its lowest-id
-///   surviving ring receiver (label-compatible: `M` children need an
-///   `M` parent), through [`TdTopology::switch_parents`];
-/// * every node in `joined` whose parent is still absent re-attaches
-///   the same way (its ring level is fixed by geometry, so rejoining
-///   *is* attaching at the nearest ring level).
-///
-/// All moves are **one** mutation, so a churn event edits the `Tree`
-/// and `TdTopology` in place, and the cached epoch plan refreshes in
-/// place, instead of rebuilding them wholesale. The policy is
-/// deterministic — no RNG — so refreshed and rebuilt sessions stay
+/// Returns the moves as `(child, new parent)` in child id order, one per
+/// child (a later move of a child replaces its earlier one), and the
+/// report. No RNG is drawn, so refreshed and rebuilt sessions stay
 /// bit-identical.
-///
-/// `absent` is the full post-event absent set (leavers included):
-/// candidates are drawn from present nodes only, falling back to
-/// "stranded" (keep the dead parent, lose the data) when no compatible
-/// present receiver exists — the realistic outcome when a region's only
-/// uplink is down.
-pub fn apply_churn(
-    topo: &mut TdTopology,
+pub fn reroute<I: IntoIterator<Item = NodeId>>(
+    tree: &Tree,
     left: &[NodeId],
     joined: &[NodeId],
     absent: &[NodeId],
-) -> ChurnReport {
-    let mut is_absent = vec![false; topo.len()];
+    candidates: impl Fn(NodeId) -> I,
+) -> (Vec<(NodeId, NodeId)>, ChurnReport) {
+    let mut is_absent = vec![false; tree.len()];
     for n in absent {
         if n.index() < is_absent.len() {
             is_absent[n.index()] = true;
         }
     }
+    let best = |c: NodeId, avoid: NodeId| {
+        candidates(c)
+            .into_iter()
+            .filter(|&r| r != avoid && !is_absent[r.index()])
+            .min()
+    };
     let mut report = ChurnReport::default();
-    // Deterministic move set: BTreeMap keyed by child id, last write
-    // wins (a child can be both orphaned and rejoining in one epoch).
-    let mut moves: std::collections::BTreeMap<NodeId, NodeId> = std::collections::BTreeMap::new();
-    let best_alternative =
-        |topo: &TdTopology, c: NodeId, avoid: NodeId| -> Option<NodeId> {
-            let needs_m = topo.mode(c) == Mode::M;
-            topo.rings().receivers(c).iter().copied().find(|&r| {
-                r != avoid && !is_absent[r.index()] && (!needs_m || topo.mode(r) == Mode::M)
-            })
-        };
+    // Keyed by child id, last write wins.
+    let mut moves = std::collections::BTreeMap::new();
     for &u in left {
-        if u == BASE_STATION || topo.rings().level(u).is_none() {
+        // Injected events may name any id; one outside the tree has no
+        // children to reroute.
+        if u == BASE_STATION || u.index() >= tree.len() || !tree.contains(u) {
             continue;
         }
-        for c in topo.tree().children(u).to_vec() {
-            match best_alternative(topo, c, u) {
-                Some(best) => {
-                    moves.insert(c, best);
+        for &c in tree.children(u) {
+            match best(c, u) {
+                Some(p) => {
+                    moves.insert(c, p);
                     report.reparented += 1;
                 }
                 None => report.stranded += 1,
@@ -81,21 +72,40 @@ pub fn apply_churn(
         }
     }
     for &j in joined {
-        if j == BASE_STATION || topo.rings().level(j).is_none() {
-            continue;
-        }
-        let Some(p) = topo.tree().parent(j) else {
+        let Some(p) = tree.parent(j) else {
             continue;
         };
         if !is_absent[p.index()] {
             continue;
         }
-        if let Some(best) = best_alternative(topo, j, p) {
+        if let Some(best) = best(j, p) {
             moves.insert(j, best);
             report.rejoined += 1;
         }
     }
-    let moves: Vec<(NodeId, NodeId)> = moves.into_iter().collect();
+    (moves.into_iter().collect(), report)
+}
+
+/// [`reroute`] a labeled topology in place: the candidates are each
+/// child's ring receivers, label-compatible (`M` children need an `M`
+/// parent), so rejoining *is* attaching at the nearest ring level; the
+/// moves are **one** [`TdTopology::switch_parents`] mutation, and the
+/// cached epoch plan refreshes in place instead of rebuilding.
+pub fn apply_churn(
+    topo: &mut TdTopology,
+    left: &[NodeId],
+    joined: &[NodeId],
+    absent: &[NodeId],
+) -> ChurnReport {
+    let (moves, report) = reroute(topo.tree(), left, joined, absent, |c| {
+        let needs_m = topo.mode(c) == Mode::M;
+        let topo = &*topo;
+        topo.rings()
+            .receivers(c)
+            .iter()
+            .copied()
+            .filter(move |&r| !needs_m || topo.mode(r) == Mode::M)
+    });
     topo.switch_parents(&moves)
         .expect("churn reroutes are validated ring receivers");
     report

@@ -147,20 +147,6 @@ impl Tree {
         heights
     }
 
-    /// Subtree sizes (each in-tree node counts itself; out-of-tree nodes 0).
-    pub fn subtree_sizes(&self) -> Vec<u32> {
-        let mut sizes = vec![0u32; self.parent.len()];
-        let mut order: Vec<NodeId> = self.tree_nodes().collect();
-        order.sort_by_key(|id| std::cmp::Reverse(self.depth[id.index()]));
-        for u in order {
-            sizes[u.index()] = 1 + self.children[u.index()]
-                .iter()
-                .map(|c| sizes[c.index()])
-                .sum::<u32>();
-        }
-        sizes
-    }
-
     /// In-tree nodes ordered by decreasing depth (leaves first) — the order
     /// in which level-synchronized aggregation processes senders.
     pub fn bottom_up_order(&self) -> Vec<NodeId> {
@@ -178,8 +164,8 @@ impl Tree {
     /// switch is a *bounded structural delta*, the same way a label
     /// switch is. Heights and subtree sizes along the two ancestor
     /// chains do change; they are recomputed on demand by
-    /// [`heights`](Self::heights) / [`subtree_sizes`](Self::subtree_sizes)
-    /// (and by a compiled epoch plan when it rebuilds in place).
+    /// [`heights`](Self::heights) (and by a compiled epoch plan when it
+    /// rebuilds in place).
     ///
     /// A no-op when `new_parent` is already the parent.
     ///
@@ -342,7 +328,6 @@ mod tests {
         assert_eq!(tree.max_depth(), 2);
         assert_eq!(tree.tree_size(), 4);
         assert_eq!(tree.heights(), vec![3, 2, 1, 1]);
-        assert_eq!(tree.subtree_sizes(), vec![4, 2, 1, 1]);
     }
 
     #[test]
@@ -458,7 +443,6 @@ mod tests {
         assert_eq!(tree.children(NodeId(2)), &[NodeId(3)]);
         assert_eq!(tree.depth(NodeId(3)), Some(2), "depth preserved");
         assert_eq!(tree.heights(), vec![3, 1, 2, 1]);
-        assert_eq!(tree.subtree_sizes(), vec![4, 1, 2, 1]);
         // Switching back restores the original shape.
         tree.switch_parent(NodeId(3), NodeId(1));
         assert_eq!(tree.heights(), vec![3, 2, 1, 1]);
