@@ -12,16 +12,19 @@
 
 use crate::report::{f, Table};
 use crate::Scale;
-use td_frequent::tree::{run_tree, TreeFrequentConfig};
+use td_frequent::multipath::MultipathConfig;
 use td_netsim::loss::{Global, NoLoss};
 use td_netsim::rng::substream;
+use td_quantiles::gradient::MinTotalLoad;
+use td_sketches::counter::ExactFactory;
 use td_topology::bushy::{build_bushy_tree, build_restricted_tree, BushyOptions};
 use td_topology::domination::domination_factor;
 use td_topology::rings::Rings;
-use td_workloads::items::zipf_bags;
+use td_workloads::items::{run_on_tree, zipf_bags};
 use td_workloads::synthetic::Synthetic;
 use tributary_delta::driver::{Driver, TrialPool};
 use tributary_delta::metrics::rms_error_series;
+use tributary_delta::protocol::FreqProtocol;
 use tributary_delta::session::{Scheme, SessionBuilder};
 
 /// Ablation 1: exact vs in-band adaptation signal at `Global(0.3)`.
@@ -79,21 +82,21 @@ pub fn tree_construction_ablation(scale: Scale, seed: u64) -> Table {
     let plain = build_restricted_tree(&net, &rings, &mut rng);
     let bushy = build_bushy_tree(&net, &rings, BushyOptions::default(), &mut rng);
     for (name, tree) in [("restricted (random)", &plain), ("bushy (§6.1.3)", &bushy)] {
-        let mut rng = substream(seed, 0xAB3);
-        let res = run_tree(
-            &net,
-            tree,
-            &TreeFrequentConfig::new(0.01),
+        let d = domination_factor(tree, 0.05);
+        // The tree half alone runs; the multi-path half is a placeholder.
+        let proto = FreqProtocol::new(
+            MultipathConfig::new(0.01, 2.0, 2, ExactFactory),
+            MinTotalLoad::new(0.01, d.max(1.1)),
+            0.01,
             &bags,
-            &NoLoss,
-            0,
-            &mut rng,
         );
+        let mut rng = substream(seed, 0xAB3);
+        let (_, stats) = run_on_tree(&net, tree, &proto, &NoLoss, 0, &mut rng);
         t.row(vec![
             name.to_string(),
-            format!("{:.2}", domination_factor(tree, 0.05)),
-            res.stats.total_words().to_string(),
-            res.stats.max_words_per_sensor().to_string(),
+            format!("{d:.2}"),
+            stats.total_words().to_string(),
+            stats.max_words_per_sensor().to_string(),
         ]);
     }
     t

@@ -10,18 +10,24 @@
 use crate::report::Table;
 use crate::Scale;
 use td_frequent::items::ItemBag;
-use td_frequent::quantile_based::{run_tree_gk, QuantileBasedConfig};
-use td_frequent::tree::{run_tree, GradientKind, TreeFrequentConfig};
+use td_frequent::multipath::MultipathConfig;
+use td_frequent::quantile_based::run_tree_gk;
 use td_netsim::loss::NoLoss;
 use td_netsim::network::Network;
+use td_netsim::node::BASE_STATION;
 use td_netsim::rng::substream;
+use td_netsim::stats::CommStats;
+use td_quantiles::gradient::{Hybrid, MinMaxLoad, MinTotalLoad, PrecisionGradient};
+use td_sketches::counter::ExactFactory;
 use td_topology::bushy::{build_bushy_tree, BushyOptions};
+use td_topology::domination::domination_factor;
 use td_topology::rings::Rings;
 use td_topology::tree::Tree;
-use td_workloads::items::{disjoint_uniform_bags, labdata_bags};
+use td_workloads::items::{disjoint_uniform_bags, labdata_bags, run_on_tree};
 use td_workloads::labdata::LabData;
 use td_workloads::synthetic::Synthetic;
 use tributary_delta::driver::TrialPool;
+use tributary_delta::protocol::FreqProtocol;
 
 /// The paper's error margin ε = 0.1%.
 pub const EPS: f64 = 0.001;
@@ -47,6 +53,25 @@ fn tree_for(net: &Network, seed: u64) -> Tree {
     build_bushy_tree(net, &rings, BushyOptions::default(), &mut rng)
 }
 
+/// Algorithm 1 over `tree` under `gradient`: one lossless epoch on the
+/// engine. Only the protocol's tree half runs, so its multi-path half is
+/// a placeholder.
+fn tree_load<G: PrecisionGradient>(
+    net: &Network,
+    tree: &Tree,
+    bags: &[ItemBag],
+    gradient: G,
+    seed: u64,
+) -> CommStats {
+    let proto = FreqProtocol::new(
+        MultipathConfig::new(EPS, 2.0, 2, ExactFactory),
+        gradient,
+        0.01,
+        bags,
+    );
+    run_on_tree(net, tree, &proto, &NoLoss, 0, &mut substream(seed, 0x10AD)).1
+}
+
 fn loads(
     net: &Network,
     tree: &Tree,
@@ -54,38 +79,23 @@ fn loads(
     algorithm: &'static str,
     seed: u64,
 ) -> (f64, u64) {
-    let mut rng = substream(seed, 0x10AD);
-    match algorithm {
+    // Lemma 3 needs d > 1: a barely dominating tree runs at 1.1.
+    let d = domination_factor(tree, 0.05).max(1.1);
+    let height = tree.heights()[BASE_STATION.index()].max(1);
+    let stats = match algorithm {
         "Quantiles-based" => {
-            let res = run_tree_gk(
-                net,
-                tree,
-                &QuantileBasedConfig::new(EPS),
-                bags,
-                &NoLoss,
-                0,
-                &mut rng,
-            );
-            (
-                res.stats.average_words_per_sensor(),
-                res.stats.max_words_per_sensor(),
-            )
+            let mut rng = substream(seed, 0x10AD);
+            run_tree_gk(net, tree, EPS, bags, &NoLoss, 0, &mut rng).stats
         }
-        name => {
-            let gradient = match name {
-                "Min Max-load" => GradientKind::MinMaxLoad,
-                "Min Total-load" => GradientKind::MinTotalLoad,
-                "Hybrid" => GradientKind::Hybrid,
-                other => panic!("unknown algorithm {other}"),
-            };
-            let cfg = TreeFrequentConfig::new(EPS).with_gradient(gradient);
-            let res = run_tree(net, tree, &cfg, bags, &NoLoss, 0, &mut rng);
-            (
-                res.stats.average_words_per_sensor(),
-                res.stats.max_words_per_sensor(),
-            )
-        }
-    }
+        "Min Max-load" => tree_load(net, tree, bags, MinMaxLoad::new(EPS, height), seed),
+        "Min Total-load" => tree_load(net, tree, bags, MinTotalLoad::new(EPS, d), seed),
+        "Hybrid" => tree_load(net, tree, bags, Hybrid::new(EPS, d, height), seed),
+        other => panic!("unknown algorithm {other}"),
+    };
+    (
+        stats.average_words_per_sensor(),
+        stats.max_words_per_sensor(),
+    )
 }
 
 /// The four algorithms in the figure's legend order.

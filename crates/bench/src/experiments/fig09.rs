@@ -6,25 +6,27 @@
 //! TAG's false negatives climb steeply with loss; SD stays low; TD tracks
 //! the better of the two; two tree retransmissions rescue TAG at low loss
 //! but SD/TD still win beyond p ≈ 0.5; false positives stay small.
+//!
+//! Every scheme runs its own session on the epoch engine with the same
+//! `FreqProtocol`, so the three columns differ only in their labeling.
 
 use crate::report::Table;
 use crate::Scale;
 use std::collections::BTreeMap;
 use td_frequent::items::{true_frequent, ItemBag};
-use td_frequent::multipath::{run_rings, MultipathConfig};
-use td_frequent::tree::{run_tree, TreeFrequentConfig};
-use td_netsim::loss::Global;
+use td_frequent::multipath::MultipathConfig;
+use td_netsim::loss::{Global, LossModel};
 use td_netsim::rng::substream;
+use td_netsim::stats::CommStats;
 use td_quantiles::gradient::MinTotalLoad;
 use td_sketches::counter::FmFactory;
 use td_topology::domination::domination_factor;
-use td_topology::rings::Rings;
-use td_topology::tree::{build_tag_tree, ParentSelection};
+use td_topology::td::TdTopology;
 use td_workloads::items::labdata_bags;
 use td_workloads::labdata::LabData;
-use tributary_delta::driver::{Driver, TrialPool};
+use tributary_delta::driver::TrialPool;
 use tributary_delta::metrics::{false_negative_rate, false_positive_rate};
-use tributary_delta::protocol::FreqProtocol;
+use tributary_delta::protocol::{FreqOutput, FreqProtocol};
 use tributary_delta::session::{Scheme, SessionBuilder};
 
 /// ε = 0.1 % and s = 1 % (§7.4.3).
@@ -43,14 +45,17 @@ pub struct FnPoint {
     pub fp_pct: BTreeMap<&'static str, f64>,
 }
 
-struct Fixture {
-    lab: LabData,
+/// The LabData item streams of one seed and their ground truth.
+pub(crate) struct Fixture {
+    pub(crate) lab: LabData,
     bags: Vec<ItemBag>,
-    truth: Vec<u64>,
+    pub(crate) truth: Vec<u64>,
     n_total: u64,
 }
 
-fn fixture(scale: Scale, seed: u64) -> Fixture {
+/// Each mote's discretized light readings over `scale.items_per_node`
+/// epochs, and the items frequent at support [`SUPPORT`].
+pub(crate) fn fixture(scale: Scale, seed: u64) -> Fixture {
     let lab = LabData::new(seed);
     let bags = labdata_bags(&lab, scale.items_per_node as u64);
     let truth = true_frequent(&bags, SUPPORT);
@@ -83,97 +88,64 @@ fn report_against_total(estimates: impl Iterator<Item = (u64, f64)>, n_true: u64
         .collect()
 }
 
-fn tag_rates(fx: &Fixture, p: f64, retries: u32, runs: u64, seed: u64) -> (f64, f64) {
-    tag_rates_with(fx, &Global::new(p), retries, runs, seed)
-}
-
-fn tag_rates_with<M: td_netsim::loss::LossModel>(
+/// One run of `scheme`'s frequent-items query on its own session,
+/// built from `rng` with `retries` tree retransmissions. TAG and SD
+/// answer in the one epoch `run`; TD and TD-Coarse run
+/// `scale.warmup / 2 + 5` epochs from 0, so their delta adapts, and
+/// answer in the last. Returns the answer and that epoch's
+/// communication.
+pub(crate) fn scheme_run<M: LossModel, R: rand::Rng + ?Sized>(
     fx: &Fixture,
+    scheme: Scheme,
     model: &M,
     retries: u32,
-    runs: u64,
-    seed: u64,
-) -> (f64, f64) {
-    let net = fx.lab.network();
-    let (mut fn_sum, mut fp_sum) = (0.0, 0.0);
-    for run in 0..runs {
-        let mut rng = substream(seed, 0x7A6 + run);
-        let tree = build_tag_tree(net, ParentSelection::Random, None, false, &mut rng);
-        let cfg = TreeFrequentConfig::new(EPS).with_retransmit(retries);
-        let res = run_tree(net, &tree, &cfg, &fx.bags, model, run, &mut rng);
-        let reported =
-            report_against_total(res.summary.iter().map(|(u, c)| (u, c as f64)), fx.n_total);
-        let (fnr, fpr) = rates(&reported, &fx.truth);
-        fn_sum += fnr;
-        fp_sum += fpr;
+    run: u64,
+    scale: Scale,
+    rng: &mut R,
+) -> (FreqOutput, CommStats) {
+    let mut session = SessionBuilder::new(scheme)
+        .tree_retransmit(retries)
+        .build(fx.lab.network(), rng);
+    // TAG runs only the tree half and SD only the multi-path half, each
+    // with the whole ε; TD splits ε between the two (§6.3).
+    let (eps, first, last) = match scheme {
+        Scheme::Tag | Scheme::Sd => (EPS, run, run),
+        Scheme::TdCoarse | Scheme::Td => (EPS / 2.0, 0, scale.warmup / 2 + 4),
+    };
+    let tree = session
+        .tag_tree()
+        .or(session.topology().map(TdTopology::tree))
+        .expect("every scheme aggregates over a tree");
+    let gradient = MinTotalLoad::new(eps, domination_factor(tree, 0.05).max(1.1));
+    let mp_cfg = MultipathConfig::new(eps, 2.0, fx.n_total * 2, FmFactory { bitmaps: 16 });
+    let proto = FreqProtocol::new(mp_cfg, gradient, SUPPORT, &fx.bags);
+    for epoch in first..last {
+        session.run_epoch(&proto, model, epoch, rng);
     }
-    (fn_sum / runs as f64, fp_sum / runs as f64)
+    let mut before = session.stats().clone();
+    let out = session.run_epoch(&proto, model, last, rng).output;
+    (out, before.advance_to(session.stats()))
 }
 
-fn sd_rates(fx: &Fixture, p: f64, runs: u64, seed: u64) -> (f64, f64) {
-    sd_rates_with(fx, &Global::new(p), runs, seed)
-}
-
-fn sd_rates_with<M: td_netsim::loss::LossModel>(
+/// Mean false-negative and false-positive percentages of `scheme` over
+/// `scale.runs` runs, each on its own RNG substream.
+fn scheme_rates<M: LossModel>(
     fx: &Fixture,
-    model: &M,
-    runs: u64,
-    seed: u64,
-) -> (f64, f64) {
-    let net = fx.lab.network();
-    let rings = Rings::build(net);
-    let cfg = MultipathConfig::new(EPS, 2.0, fx.n_total * 2, FmFactory { bitmaps: 16 });
-    let (mut fn_sum, mut fp_sum) = (0.0, 0.0);
-    for run in 0..runs {
-        let mut rng = substream(seed, 0x5D0 + run);
-        let res = run_rings(net, &rings, &cfg, &fx.bags, model, run, &mut rng);
-        let reported = report_against_total(
-            res.estimates.counts.iter().map(|(&u, &c)| (u, c)),
-            fx.n_total,
-        );
-        let (fnr, fpr) = rates(&reported, &fx.truth);
-        fn_sum += fnr;
-        fp_sum += fpr;
-    }
-    (fn_sum / runs as f64, fp_sum / runs as f64)
-}
-
-fn td_rates(fx: &Fixture, p: f64, retries: u32, scale: Scale, seed: u64) -> (f64, f64) {
-    td_rates_with(fx, &Global::new(p), retries, scale, seed)
-}
-
-fn td_rates_with<M: td_netsim::loss::LossModel>(
-    fx: &Fixture,
+    scheme: Scheme,
     model: &M,
     retries: u32,
     scale: Scale,
     seed: u64,
 ) -> (f64, f64) {
-    let net = fx.lab.network();
+    let salt = match scheme {
+        Scheme::Tag => 0x7A6,
+        Scheme::Sd => 0x5D0,
+        Scheme::TdCoarse | Scheme::Td => 0x7D0,
+    };
     let (mut fn_sum, mut fp_sum) = (0.0, 0.0);
     for run in 0..scale.runs {
-        let mut rng = substream(seed, 0x7D0 + run);
-        let session = SessionBuilder::new(Scheme::Td)
-            .tree_retransmit(retries)
-            .build(net, &mut rng);
-        // Split ε between the tree and multi-path parts (§6.3).
-        let d = session
-            .topology()
-            .map(|t| domination_factor(t.tree(), 0.05))
-            .unwrap_or(2.0)
-            .max(1.1);
-        let gradient = MinTotalLoad::new(EPS / 2.0, d);
-        let mp_cfg =
-            MultipathConfig::new(EPS / 2.0, 2.0, fx.n_total * 2, FmFactory { bitmaps: 16 });
-        let mut driver = Driver::new(session, 0);
-        let out = driver
-            .run_protocol(
-                |_epoch| FreqProtocol::new(mp_cfg.clone(), gradient, SUPPORT, &fx.bags),
-                model,
-                scale.warmup / 2 + 5,
-                &mut rng,
-            )
-            .expect("ran at least one epoch");
+        let mut rng = substream(seed, salt + run);
+        let (out, _) = scheme_run(fx, scheme, model, retries, run, scale, &mut rng);
         let reported = report_against_total(
             out.estimates.counts.iter().map(|(&u, &c)| (u, c)),
             fx.n_total,
@@ -183,6 +155,25 @@ fn td_rates_with<M: td_netsim::loss::LossModel>(
         fp_sum += fpr;
     }
     (fn_sum / scale.runs as f64, fp_sum / scale.runs as f64)
+}
+
+/// One sweep point: every scheme under `model`.
+fn point<M: LossModel>(
+    fx: &Fixture,
+    p: f64,
+    model: &M,
+    retries: u32,
+    scale: Scale,
+    seed: u64,
+) -> FnPoint {
+    let mut fn_pct = BTreeMap::new();
+    let mut fp_pct = BTreeMap::new();
+    for scheme in [Scheme::Tag, Scheme::Sd, Scheme::Td] {
+        let (fnr, fpr) = scheme_rates(fx, scheme, model, retries, scale, seed);
+        fn_pct.insert(scheme.name(), fnr);
+        fp_pct.insert(scheme.name(), fpr);
+    }
+    FnPoint { p, fn_pct, fp_pct }
 }
 
 /// The lab's regional failure: the west half of the 40 m × 30 m floor
@@ -201,21 +192,7 @@ fn lab_regional(p1: f64) -> td_netsim::loss::Regional {
 pub fn run_regional(scale: Scale, seed: u64) -> Vec<FnPoint> {
     let fx = fixture(scale, seed);
     let ps: Vec<f64> = (0..=9).map(|i| i as f64 * 0.1).collect();
-    TrialPool::new().map(&ps, |&p| {
-        let model = lab_regional(p);
-        let mut fn_pct = BTreeMap::new();
-        let mut fp_pct = BTreeMap::new();
-        let (fnr, fpr) = tag_rates_with(&fx, &model, 0, scale.runs, seed);
-        fn_pct.insert("TAG", fnr);
-        fp_pct.insert("TAG", fpr);
-        let (fnr, fpr) = sd_rates_with(&fx, &model, scale.runs, seed);
-        fn_pct.insert("SD", fnr);
-        fp_pct.insert("SD", fpr);
-        let (fnr, fpr) = td_rates_with(&fx, &model, 0, scale, seed);
-        fn_pct.insert("TD", fnr);
-        fp_pct.insert("TD", fpr);
-        FnPoint { p, fn_pct, fp_pct }
-    })
+    TrialPool::new().map(&ps, |&p| point(&fx, p, &lab_regional(p), 0, scale, seed))
 }
 
 /// Run the sweep: `retries = 0` is Figure 9(a), `retries = 2` Figure 9(b)
@@ -224,18 +201,7 @@ pub fn run(retries: u32, scale: Scale, seed: u64) -> Vec<FnPoint> {
     let fx = fixture(scale, seed);
     let ps: Vec<f64> = (0..=9).map(|i| i as f64 * 0.1).collect();
     TrialPool::new().map(&ps, |&p| {
-        let mut fn_pct = BTreeMap::new();
-        let mut fp_pct = BTreeMap::new();
-        let (fnr, fpr) = tag_rates(&fx, p, retries, scale.runs, seed);
-        fn_pct.insert("TAG", fnr);
-        fp_pct.insert("TAG", fpr);
-        let (fnr, fpr) = sd_rates(&fx, p, scale.runs, seed);
-        fn_pct.insert("SD", fnr);
-        fp_pct.insert("SD", fpr);
-        let (fnr, fpr) = td_rates(&fx, p, retries, scale, seed);
-        fn_pct.insert("TD", fnr);
-        fp_pct.insert("TD", fpr);
-        FnPoint { p, fn_pct, fp_pct }
+        point(&fx, p, &Global::new(p), retries, scale, seed)
     })
 }
 
@@ -313,24 +279,26 @@ mod tests {
         };
         let fx = fixture(scale, 3);
         assert!(!fx.truth.is_empty(), "workload has no frequent items");
-        let (fn_tag, _) = tag_rates(&fx, 0.0, 0, 1, 3);
+        let lossless = Global::new(0.0);
+        let (fn_tag, _) = scheme_rates(&fx, Scheme::Tag, &lossless, 0, scale, 3);
         assert_eq!(fn_tag, 0.0, "TAG misses items without loss");
-        let (fn_sd, _) = sd_rates(&fx, 0.0, 1, 3);
+        let (fn_sd, _) = scheme_rates(&fx, Scheme::Sd, &lossless, 0, scale, 3);
         assert!(fn_sd <= 34.0, "SD lossless FN {fn_sd}% too high");
     }
 
     #[test]
     fn tree_collapses_at_high_loss_multipath_survives() {
         let scale = Scale {
-            runs: 1,
+            runs: 2,
             epochs: 5,
             warmup: 10,
             sensors: 0,
             items_per_node: 120,
         };
         let fx = fixture(scale, 5);
-        let (fn_tag, _) = tag_rates(&fx, 0.7, 0, 2, 5);
-        let (fn_sd, _) = sd_rates(&fx, 0.7, 2, 5);
+        let lossy = Global::new(0.7);
+        let (fn_tag, _) = scheme_rates(&fx, Scheme::Tag, &lossy, 0, scale, 5);
+        let (fn_sd, _) = scheme_rates(&fx, Scheme::Sd, &lossy, 0, scale, 5);
         assert!(
             fn_tag > fn_sd,
             "TAG FN {fn_tag}% not worse than SD {fn_sd}% at p=0.7"

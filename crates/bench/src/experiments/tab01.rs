@@ -6,16 +6,11 @@
 //! realistic loss rate (p = 0.15) and at p = 0 (isolating approximation
 //! error from communication error).
 
+use crate::experiments::fig09::{self, EPS, SUPPORT};
 use crate::report::{f, Table};
 use crate::Scale;
-use td_frequent::items::true_frequent;
-use td_frequent::multipath::{run_rings, MultipathConfig};
-use td_frequent::tree::{run_tree, TreeFrequentConfig};
 use td_netsim::loss::Global;
 use td_netsim::rng::substream;
-use td_sketches::counter::FmFactory;
-use td_topology::rings::Rings;
-use td_topology::tree::{build_tag_tree, ParentSelection};
 use td_workloads::synthetic::Synthetic;
 use tributary_delta::driver::{Driver, TrialPool};
 use tributary_delta::metrics::{false_negative_rate, rms_error_series};
@@ -41,7 +36,8 @@ pub struct ComparisonRow {
     pub count_err_lossless: f64,
     /// Frequent items: false-negative rate at p = 0.15.
     pub freq_fn_lossy: f64,
-    /// Frequent items: mean messages per sensor (one aggregation).
+    /// Frequent items: messages per sensor in the answering epoch (the
+    /// one epoch of TAG and SD; the last of TD's adapting run).
     pub freq_msgs_per_node: f64,
 }
 
@@ -92,42 +88,15 @@ fn count_metrics(scheme: Scheme, p: f64, scale: Scale, seed: u64) -> (f64, f64, 
 fn freq_metrics(scheme: Scheme, p: f64, scale: Scale, seed: u64) -> (f64, f64) {
     // §7.4.3 compares message costs on the LabData streams ("3 times on
     // average"); skewed bucketized readings keep synopses realistic.
-    let lab = td_workloads::labdata::LabData::new(seed);
-    let net = lab.network().clone();
-    let bags = td_workloads::items::labdata_bags(&lab, scale.items_per_node as u64);
-    let truth = true_frequent(&bags, 0.01);
-    let n_total: u64 = bags.iter().map(|b| b.total()).sum();
-    let eps = 0.001;
+    // Each scheme runs Figure 9's session for its one answering epoch.
+    let fx = fig09::fixture(scale, seed);
     let mut rng = substream(seed, 0x7AB2);
-    match scheme {
-        Scheme::Tag => {
-            let tree = build_tag_tree(&net, ParentSelection::Random, None, false, &mut rng);
-            let res = run_tree(
-                &net,
-                &tree,
-                &TreeFrequentConfig::new(eps),
-                &bags,
-                &Global::new(p),
-                0,
-                &mut rng,
-            );
-            let reported = res.summary.report_frequent(0.01);
-            (
-                false_negative_rate(&reported, &truth),
-                res.stats.total_messages() as f64 / net.num_sensors() as f64,
-            )
-        }
-        _ => {
-            let rings = Rings::build(&net);
-            let cfg = MultipathConfig::new(eps, 2.0, n_total * 2, FmFactory { bitmaps: 16 });
-            let res = run_rings(&net, &rings, &cfg, &bags, &Global::new(p), 0, &mut rng);
-            let reported = res.estimates.report(0.01 - eps);
-            (
-                false_negative_rate(&reported, &truth),
-                res.stats.total_messages() as f64 / net.num_sensors() as f64,
-            )
-        }
-    }
+    let (out, stats) = fig09::scheme_run(&fx, scheme, &Global::new(p), 0, 0, scale, &mut rng);
+    let reported = out.estimates.report(SUPPORT - EPS);
+    (
+        false_negative_rate(&reported, &fx.truth),
+        stats.total_messages() as f64 / fx.lab.network().num_sensors() as f64,
+    )
 }
 
 /// Measure all schemes (one trial-pool job per scheme).
@@ -135,9 +104,6 @@ pub fn run(scale: Scale, seed: u64) -> Vec<ComparisonRow> {
     TrialPool::new().map(&Scheme::all(), |&scheme| {
         let (err_lossy, msgs, bytes, latency) = count_metrics(scheme, 0.15, scale, seed);
         let (err_lossless, _, _, _) = count_metrics(scheme, 0.0, scale, seed ^ 0x11);
-        // Frequent items: TD variants share SD's multi-path costs in
-        // this summary (their delta dominates under loss); TAG is the
-        // tree column.
         let (freq_fn, freq_msgs) = freq_metrics(scheme, 0.15, scale, seed);
         ComparisonRow {
             scheme: scheme.name(),

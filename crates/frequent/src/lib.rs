@@ -7,13 +7,17 @@
 //! `c̃(u) > (s−ε)·N` are reported (no false negatives among items with
 //! frequency ≥ `s·N`; false positives have frequency ≥ `(s−ε)·N`).
 //!
+//! This crate holds the algorithms; the epoch engine in
+//! `tributary-delta` runs them. Its `FreqProtocol` drives Algorithm 1 in
+//! tree (tributary) vertices, Algorithm 2 in the delta and the §6.3
+//! conversion at the boundary, so TAG (all tree), SD (all delta) and
+//! Tributary-Delta answer frequent-items queries on one executor.
+//!
 //! * [`items`] — item collections and exact counting (ground truth).
 //! * [`summary`] — the ε-deficient summary and **Algorithm 1** (generate
-//!   an ε(k)-summary at a height-k node).
-//! * [`tree`] — the tree algorithms: Algorithm 1 driven over an
-//!   aggregation tree under a precision gradient — `Min Total-load`
-//!   (Lemma 3), `Min Max-load` \[13\], `Hybrid` (§6.1.4) — with
-//!   communication-load accounting for Figure 8.
+//!   an ε(k)-summary at a height-k node); the precision gradients that
+//!   pick ε(k) — `Min Total-load` (Lemma 3), `Min Max-load` \[13\],
+//!   `Hybrid` (§6.1.4) — live in `td-quantiles`.
 //! * [`quantile_based`] — the Quantiles-based baseline \[8\]: GK summaries
 //!   up the tree, frequencies extracted from ranks.
 //! * [`multipath`] — the paper's new multi-path algorithm (§6.2):
@@ -30,9 +34,8 @@ pub mod items;
 pub mod multipath;
 pub mod quantile_based;
 pub mod summary;
-pub mod tree;
+mod tree;
 
 pub use items::{count_items, Item, ItemBag};
 pub use multipath::{MultipathConfig, SynopsisSet};
 pub use summary::FreqSummary;
-pub use tree::TreeFrequentConfig;

@@ -25,10 +25,7 @@
 
 use crate::items::{Item, ItemBag};
 use std::collections::BTreeMap;
-use td_netsim::loss::{broadcast, LossModel};
-use td_netsim::network::Network;
-use td_netsim::node::{NodeId, BASE_STATION};
-use td_netsim::stats::CommStats;
+use td_netsim::node::NodeId;
 use td_sketches::counter::{CounterFactory, DiCounter};
 use td_sketches::hash::keyed_pair;
 use td_sketches::keyed::union_into;
@@ -309,7 +306,10 @@ impl<C: DiCounter> SynopsisSet<C> {
         self.syns.insert(at, s);
     }
 
-    /// Absorb all synopses of another set.
+    /// Absorb all synopses of another set: with
+    /// [`compact`](Self::compact), the definition of a fusion that the
+    /// fusion tests hold [`fuse`](Self::fuse) to.
+    #[cfg(test)]
     pub fn absorb(&mut self, other: SynopsisSet<C>) {
         for s in other.syns {
             self.insert(s);
@@ -571,68 +571,14 @@ impl FreqEstimates {
     }
 }
 
-/// Result of a rings (synopsis diffusion) frequent-items run.
-#[derive(Clone, Debug)]
-pub struct RingsRunResult {
-    /// The estimates evaluated at the base station.
-    pub estimates: FreqEstimates,
-    /// Communication accounting.
-    pub stats: CommStats,
-}
-
-/// Run the multi-path algorithm over a rings topology: level-by-level
-/// broadcasts, each receiver one ring closer folding in whatever it hears.
-pub fn run_rings<F: CounterFactory, M: LossModel, R: rand::Rng + ?Sized>(
-    net: &Network,
-    rings: &td_topology::rings::Rings,
-    cfg: &MultipathConfig<F>,
-    bags: &[ItemBag],
-    model: &M,
-    epoch: u64,
-    rng: &mut R,
-) -> RingsRunResult {
-    assert_eq!(bags.len(), net.len(), "one bag per node required");
-    let mut holding: Vec<SynopsisSet<F::Counter>> =
-        (0..net.len()).map(|_| SynopsisSet::new()).collect();
-    let mut stats = CommStats::new(net.len());
-
-    for level in (1..=rings.max_level()).rev() {
-        for u in rings.nodes_at_level(level) {
-            let set = &mut holding[u.index()];
-            if let Some(local) = generate_from_bag(cfg, u, &bags[u.index()]) {
-                set.insert(local);
-            }
-            set.compact(cfg);
-            let words = set.wire_words();
-            stats.record_send(u, words * 4, words, 1);
-            if set.is_empty() {
-                continue;
-            }
-            let receivers = broadcast(model, u, rings.receivers(u), net, epoch, rng);
-            let payload = std::mem::take(&mut holding[u.index()]);
-            for r in &receivers {
-                holding[r.index()].absorb(payload.clone());
-            }
-        }
-    }
-    let mut base = std::mem::take(&mut holding[BASE_STATION.index()]);
-    if let Some(local) = generate_from_bag(cfg, BASE_STATION, &bags[BASE_STATION.index()]) {
-        base.insert(local);
-    }
-    base.compact(cfg);
-    RingsRunResult {
-        estimates: base.evaluate(),
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::items::{count_items, true_frequent};
-    use td_netsim::loss::{Global, NoLoss};
+    use td_netsim::network::Network;
     use td_netsim::node::Position;
     use td_netsim::rng::rng_from_seed;
+    use td_netsim::stats::CommStats;
     use td_sketches::counter::{CounterFactory, DiCounter, ExactFactory, FmFactory};
     use td_topology::rings::Rings;
 
@@ -738,18 +684,56 @@ mod tests {
         bags
     }
 
+    /// Algorithm 2 over lossless rings, checked without the epoch engine
+    /// (which depends on this crate): level by level, outermost first,
+    /// each node adds its own synopsis to the ones it heard, compacts and
+    /// broadcasts to every receiver one ring closer; the base station
+    /// evaluates what reaches it. Returns the estimates and each node's
+    /// broadcast load.
+    fn lossless_rings<F: CounterFactory>(
+        net: &Network,
+        rings: &Rings,
+        cfg: &MultipathConfig<F>,
+        bags: &[ItemBag],
+    ) -> (FreqEstimates, CommStats) {
+        let mut holding: Vec<SynopsisSet<F::Counter>> =
+            (0..net.len()).map(|_| SynopsisSet::new()).collect();
+        let mut stats = CommStats::new(net.len());
+        for level in (0..=rings.max_level()).rev() {
+            for u in rings
+                .connected_nodes()
+                .filter(|&u| rings.level(u) == Some(level))
+            {
+                let set = &mut holding[u.index()];
+                if let Some(local) = generate_from_bag(cfg, u, &bags[u.index()]) {
+                    set.insert(local);
+                }
+                set.compact(cfg);
+                if level == 0 {
+                    return (set.evaluate(), stats);
+                }
+                let words = set.wire_words();
+                stats.record_send(u, words * 4, words, 1);
+                let payload = std::mem::take(set);
+                for r in rings.receivers(u) {
+                    holding[r.index()].absorb(payload.clone());
+                }
+            }
+        }
+        unreachable!("the base station is the ring-0 node")
+    }
+
     #[test]
     fn rings_lossless_exact_counters_find_frequent() {
         let (net, rings) = rings_setup(91, 60);
         let bags = skewed_bags(&net, 200, 92);
         let n: u64 = bags.iter().map(|b| b.total()).sum();
         let cfg = cfg_exact(0.002, n * 2);
-        let mut rng = rng_from_seed(93);
-        let res = run_rings(&net, &rings, &cfg, &bags, &NoLoss, 0, &mut rng);
+        let (estimates, _) = lossless_rings(&net, &rings, &cfg, &bags);
         // Exact counters + no loss: N̂ = N exactly.
-        assert!((res.estimates.n_est - n as f64).abs() < 1e-6);
+        assert!((estimates.n_est - n as f64).abs() < 1e-6);
         let s = 0.05;
-        let reported = res.estimates.report(s - cfg.eps);
+        let reported = estimates.report(s - cfg.eps);
         for item in true_frequent(&bags, s) {
             assert!(reported.contains(&item), "missing {item}");
         }
@@ -770,10 +754,9 @@ mod tests {
         let bags = skewed_bags(&net, 100, 95);
         let n: u64 = bags.iter().map(|b| b.total()).sum();
         let cfg = cfg_exact(0.01, n * 2);
-        let mut rng = rng_from_seed(96);
-        let res = run_rings(&net, &rings, &cfg, &bags, &NoLoss, 0, &mut rng);
+        let (estimates, _) = lossless_rings(&net, &rings, &cfg, &bags);
         let truth = count_items(&bags);
-        for (&u, &est) in &res.estimates.counts {
+        for (&u, &est) in &estimates.counts {
             assert!(
                 est <= truth.count(u) as f64 + 1e-6,
                 "item {u}: est {est} > truth {}",
@@ -783,35 +766,14 @@ mod tests {
     }
 
     #[test]
-    fn rings_robust_to_loss() {
-        // At 30% loss, multi-path still accounts for nearly everything.
-        let (net, rings) = rings_setup(97, 150);
-        let bags = skewed_bags(&net, 100, 98);
-        let n: u64 = bags.iter().map(|b| b.total()).sum();
-        let cfg = cfg_exact(0.01, n * 2);
-        let mut rng = rng_from_seed(99);
-        let res = run_rings(&net, &rings, &cfg, &bags, &Global::new(0.3), 0, &mut rng);
-        // Outer-ring nodes with a single receiver can still lose whole
-        // subtrees, so multi-path is not lossless — but it accounts for
-        // the large majority where a tree would lose most of the network
-        // (the tree expectation at ~6 hops and p=0.3 is ~0.7^6 ≈ 12%).
-        assert!(
-            res.estimates.n_est > 0.75 * n as f64,
-            "only {:.0}/{n} accounted for",
-            res.estimates.n_est
-        );
-    }
-
-    #[test]
     fn rings_with_fm_counters_reports_heavy_hitters() {
         let (net, rings) = rings_setup(101, 60);
         let bags = skewed_bags(&net, 200, 102);
         let n: u64 = bags.iter().map(|b| b.total()).sum();
         let cfg = MultipathConfig::new(0.005, 2.0, n * 2, FmFactory { bitmaps: 16 });
-        let mut rng = rng_from_seed(103);
-        let res = run_rings(&net, &rings, &cfg, &bags, &NoLoss, 0, &mut rng);
+        let (estimates, _) = lossless_rings(&net, &rings, &cfg, &bags);
         // Items 1..3 each carry ~13% of N; report at s = 5%.
-        let reported = res.estimates.report(0.05 - cfg.eps);
+        let reported = estimates.report(0.05 - cfg.eps);
         for item in true_frequent(&bags, 0.05) {
             assert!(reported.contains(&item), "missing heavy hitter {item}");
         }
@@ -825,9 +787,8 @@ mod tests {
         let bags = skewed_bags(&net, 150, 105);
         let n: u64 = bags.iter().map(|b| b.total()).sum();
         let cfg = MultipathConfig::new(0.01, 2.0, n * 2, FmFactory { bitmaps: 16 });
-        let mut rng = rng_from_seed(106);
-        let res = run_rings(&net, &rings, &cfg, &bags, &NoLoss, 0, &mut rng);
-        let avg_messages = res.stats.total_messages() as f64 / net.num_sensors() as f64;
+        let (_, stats) = lossless_rings(&net, &rings, &cfg, &bags);
+        let avg_messages = stats.total_messages() as f64 / net.num_sensors() as f64;
         assert!(
             avg_messages > 1.0,
             "expected multi-message synopses, got {avg_messages}"
@@ -1215,7 +1176,7 @@ mod tests {
                 oracle.flatten(),
                 "fuse diverged (compact into {compact_into}, from {compact_from})"
             );
-            // Compaction alone, and the by-value absorb run_rings uses.
+            // Compaction alone, after a by-value absorb.
             let mut by_value = into.clone();
             by_value.absorb(from.clone());
             by_value.compact(cfg);

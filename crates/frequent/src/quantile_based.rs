@@ -10,40 +10,13 @@
 //! the bushy trees the paper evaluates (Figure 8's tallest bars).
 
 use crate::items::ItemBag;
-use crate::tree::GradientKind;
 use td_netsim::loss::{unicast, LossModel, Retransmit};
 use td_netsim::network::Network;
+use td_netsim::node::BASE_STATION;
 use td_netsim::stats::CommStats;
+use td_quantiles::gradient::{MinMaxLoad, PrecisionGradient};
 use td_quantiles::summary::GkSummary;
-use td_topology::domination::DominationProfile;
 use td_topology::tree::Tree;
-
-/// Configuration for the quantiles-based run.
-#[derive(Clone, Copy, Debug)]
-pub struct QuantileBasedConfig {
-    /// Error tolerance ε (rank error budget as a fraction of N).
-    pub eps: f64,
-    /// Precision gradient (the baseline historically pairs with
-    /// Min Max-load's linear gradient).
-    pub gradient: GradientKind,
-    /// Domination-factor granularity.
-    pub granularity: f64,
-    /// Retransmission policy.
-    pub retransmit: Retransmit,
-}
-
-impl QuantileBasedConfig {
-    /// Defaults matching the paper's baseline.
-    pub fn new(eps: f64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0);
-        QuantileBasedConfig {
-            eps,
-            gradient: GradientKind::MinMaxLoad,
-            granularity: 0.05,
-            retransmit: Retransmit::default(),
-        }
-    }
-}
 
 /// Result of a quantiles-based run.
 #[derive(Clone, Debug)]
@@ -74,23 +47,24 @@ impl QuantileRunResult {
     }
 }
 
-/// Run GK summaries up `tree` under the configured gradient. Each node of
-/// height `k` combines its children with its local exact summary and
-/// reduces to absolute uncertainty `ε(k) · n_subtree` before transmitting.
+/// Run GK summaries up `tree` under Min Max-load's linear gradient for
+/// error tolerance `eps` (the rank error budget as a fraction of N),
+/// the gradient the baseline pairs with. Each node of height `k`
+/// combines its children with its local exact summary and reduces to
+/// absolute uncertainty `ε(k) · n_subtree` before transmitting.
 pub fn run_tree_gk<M: LossModel, R: rand::Rng + ?Sized>(
     net: &Network,
     tree: &Tree,
-    config: &QuantileBasedConfig,
+    eps: f64,
     bags: &[ItemBag],
     model: &M,
     epoch: u64,
     rng: &mut R,
 ) -> QuantileRunResult {
+    assert!(eps > 0.0 && eps < 1.0, "eps {eps} out of (0,1)");
     assert_eq!(bags.len(), tree.len());
     let heights = tree.heights();
-    let d = DominationProfile::from_tree(tree).domination_factor(config.granularity);
-    let tree_height = heights[td_netsim::node::BASE_STATION.index()].max(1);
-    let gradient = config.gradient.gradient(config.eps, d, tree_height);
+    let gradient = MinMaxLoad::new(eps, heights[BASE_STATION.index()].max(1));
 
     let mut inbox: Vec<Vec<GkSummary>> = vec![Vec::new(); tree.len()];
     let mut stats = CommStats::new(tree.len());
@@ -108,7 +82,7 @@ pub fn run_tree_gk<M: LossModel, R: rand::Rng + ?Sized>(
             None => result = acc,
             Some(p) => {
                 let words = acc.wire_words();
-                let outcome = unicast(model, config.retransmit, u, p, net, epoch, rng);
+                let outcome = unicast(model, Retransmit::default(), u, p, net, epoch, rng);
                 stats.record_send(u, words * 4, words, outcome.attempts_used as u64);
                 if outcome.delivered {
                     inbox[p.index()].push(acc);
@@ -126,7 +100,6 @@ pub fn run_tree_gk<M: LossModel, R: rand::Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::items::{count_items, true_frequent};
-    use crate::tree::{run_tree, TreeFrequentConfig};
     use td_netsim::loss::NoLoss;
     use td_netsim::node::Position;
     use td_netsim::rng::rng_from_seed;
@@ -156,13 +129,13 @@ mod tests {
     #[test]
     fn finds_frequent_items_lossless() {
         let (net, tree, bags) = setup(111);
-        let cfg = QuantileBasedConfig::new(0.01);
+        let eps = 0.01;
         let mut rng = rng_from_seed(112);
-        let res = run_tree_gk(&net, &tree, &cfg, &bags, &NoLoss, 0, &mut rng);
+        let res = run_tree_gk(&net, &tree, eps, &bags, &NoLoss, 0, &mut rng);
         let truth = count_items(&bags);
         assert_eq!(res.summary.population(), truth.total());
         let s = 0.05;
-        let reported = res.report_frequent(s, cfg.eps);
+        let reported = res.report_frequent(s, eps);
         for item in true_frequent(&bags, s) {
             assert!(reported.contains(&item), "missing frequent item {item}");
         }
@@ -171,16 +144,16 @@ mod tests {
     #[test]
     fn frequency_estimates_within_error() {
         let (net, tree, bags) = setup(113);
-        let cfg = QuantileBasedConfig::new(0.02);
+        let eps = 0.02;
         let mut rng = rng_from_seed(114);
-        let res = run_tree_gk(&net, &tree, &cfg, &bags, &NoLoss, 0, &mut rng);
+        let res = run_tree_gk(&net, &tree, eps, &bags, &NoLoss, 0, &mut rng);
         let truth = count_items(&bags);
         let n = truth.total() as f64;
         for item in [1u64, 2, 3] {
             let est = res.summary.frequency(item) as f64;
             let err = (est - truth.count(item) as f64).abs();
             assert!(
-                err <= 2.0 * cfg.eps * n + 2.0,
+                err <= 2.0 * eps * n + 2.0,
                 "item {item}: est {est} truth {} err {err}",
                 truth.count(item)
             );
@@ -194,30 +167,15 @@ mod tests {
         let (net, tree, bags) = setup(115);
         let eps = 0.01;
         let mut rng = rng_from_seed(116);
-        let gk = run_tree_gk(
-            &net,
-            &tree,
-            &QuantileBasedConfig::new(eps),
-            &bags,
-            &NoLoss,
-            0,
-            &mut rng,
-        );
+        let gk = run_tree_gk(&net, &tree, eps, &bags, &NoLoss, 0, &mut rng);
+        let mtl = crate::tree::tests::min_total_load(&tree, eps);
         let mut rng = rng_from_seed(116);
-        let mtl = run_tree(
-            &net,
-            &tree,
-            &TreeFrequentConfig::new(eps),
-            &bags,
-            &NoLoss,
-            0,
-            &mut rng,
-        );
+        let (_, mtl) = crate::tree::tests::run(&net, &tree, &mtl, &bags, &NoLoss, 0, &mut rng);
         assert!(
-            gk.stats.total_words() > mtl.stats.total_words(),
+            gk.stats.total_words() > mtl.total_words(),
             "GK {} words vs MTL {} words",
             gk.stats.total_words(),
-            mtl.stats.total_words()
+            mtl.total_words()
         );
     }
 }

@@ -41,6 +41,11 @@ pub struct FreqSummary {
     pub eps: f64,
     /// `(item, c̃)` sorted by item.
     counts: Vec<(Item, u64)>,
+    /// The budget `Σ ε_j·n_j` the summary's inputs spent, summed in
+    /// input order as [`combine`](Self::combine) sums it: `ε·N` once
+    /// Step 3 has run, the running sum while [`accumulate`](Self::accumulate)
+    /// collects inputs.
+    spent: f64,
 }
 
 impl FreqSummary {
@@ -56,6 +61,7 @@ impl FreqSummary {
             n: bag.total(),
             eps: 0.0,
             counts: bag.iter().collect(),
+            spent: 0.0,
         }
     }
 
@@ -85,6 +91,7 @@ impl FreqSummary {
             n,
             eps: 0.0,
             counts,
+            spent,
         };
         summary.decrement(eps_k, spent);
         summary
@@ -92,12 +99,13 @@ impl FreqSummary {
 
     /// Steps 1 and 2 of Algorithm 1 in place, without Step 3: add
     /// `other`'s population and estimates to this summary's. The budget
-    /// both have spent, `Σ ε_j·n_j`, is kept as the weighted mean ε, so
-    /// a later [`finalize`](Self::finalize) charges only the gain. This
-    /// is how the Tributary-Delta protocol accumulates a node's children
-    /// before its one Step-3 decrement.
+    /// the inputs have spent, `Σ ε_j·n_j`, is summed in input order (ε
+    /// reads its weighted mean meanwhile), so a later
+    /// [`finalize`](Self::finalize) charges only the gain. This is how
+    /// the Tributary-Delta protocol accumulates a node's children before
+    /// its one Step-3 decrement.
     pub fn accumulate(&mut self, other: &FreqSummary) {
-        let spent = self.eps * self.n as f64 + other.eps * other.n as f64;
+        self.spent += other.eps * other.n as f64;
         union_into(
             &mut self.counts,
             &other.counts,
@@ -109,20 +117,21 @@ impl FreqSummary {
         self.eps = if self.n == 0 {
             0.0
         } else {
-            spent / self.n as f64
+            self.spent / self.n as f64
         };
     }
 
     /// Step 3 of Algorithm 1 in place: raise the summary to `eps_k`,
-    /// decrementing every estimate by the budget gain `ε(k)·n − ε·n`
-    /// and dropping non-positive entries — bit for bit
-    /// `combine(&[self], &empty(), eps_k)`.
+    /// decrementing every estimate by the budget gain `ε(k)·n − Σ ε_j·n_j`
+    /// and dropping non-positive entries. A node's local summary with its
+    /// children accumulated into it finalizes bit for bit to
+    /// `combine(children, local, eps_k)`.
     ///
     /// # Panics
     /// Panics if `eps_k` is below the summary's ε (a non-monotone
     /// precision gradient).
     pub fn finalize(&mut self, eps_k: f64) {
-        self.decrement(eps_k, self.eps * self.n as f64);
+        self.decrement(eps_k, self.spent);
     }
 
     /// Step 3 with the inputs' spent budget `spent = Σ ε_j·n_j`.
@@ -144,6 +153,7 @@ impl FreqSummary {
             }
         });
         self.eps = eps_k;
+        self.spent = eps_k * n as f64;
     }
 
     /// The ε-deficient count of an item (0 if dropped).
@@ -274,6 +284,36 @@ mod tests {
     }
 
     #[test]
+    fn finalize_sums_the_spent_budget_as_combine_does() {
+        // Min Max-load with ε = 1 % and h = 5: two height-2 children
+        // (ε 0.4 %, 100 and 300 occurrences) reach a height-3 node
+        // (ε 0.6 %) holding 200 of its own. The gain is 3.6 − 1.6 = 2;
+        // a spent budget carried as a weighted-mean ε comes back as
+        // 1.6000000000000003, which would leave item 1 (3 occurrences)
+        // at 2 instead of 1.
+        let (e2, e3) = (0.01 * 2.0 / 5.0, 0.01 * 3.0 / 5.0);
+        let child = |pairs: &[(Item, u64)]| {
+            FreqSummary::combine(
+                &[FreqSummary::local(&bag(pairs))],
+                &FreqSummary::empty(),
+                e2,
+            )
+        };
+        let children = [
+            child(&[(1, 2), (2, 14), (3, 84)]),
+            child(&[(1, 2), (2, 17), (4, 281)]),
+        ];
+        let local = FreqSummary::local(&bag(&[(9, 200)]));
+        let mut acc = local.clone();
+        for c in &children {
+            acc.accumulate(c);
+        }
+        acc.finalize(e3);
+        assert_eq!(acc.count(1), 1);
+        assert_eq!(acc, FreqSummary::combine(&children, &local, e3));
+    }
+
+    #[test]
     #[should_panic(expected = "non-monotone precision gradient")]
     fn non_monotone_gradient_panics() {
         let child = {
@@ -350,15 +390,17 @@ mod tests {
                          "{:?}", root.check_invariant(&truth));
         }
 
-        /// The in-place tributary path is the one it replaced: a chain
-        /// of `accumulate`s is the pointwise `BTreeMap` sum with the
-        /// spent budget carried as a weighted mean ε (the pre-flat
-        /// protocol merge), and `finalize` is `combine` of the one
-        /// accumulated summary — all to the bit.
+        /// The in-place tributary path is Algorithm 1's `combine`: a
+        /// chain of `accumulate`s onto a node's local summary is the
+        /// pointwise `BTreeMap` sum with the spent budget summed in
+        /// input order (ε its weighted mean), and `finalize` is
+        /// `combine` of the same children onto the same local summary —
+        /// all to the bit.
         #[test]
         fn prop_accumulate_then_finalize_is_combine(
             bags in proptest::collection::vec(
                 proptest::collection::btree_map(0u64..30, 1u64..60, 0..12), 1..6),
+            own in proptest::collection::btree_map(0u64..30, 1u64..60, 0..12),
             child_eps in proptest::collection::vec(0.0f64..0.05, 6..7),
             extra in 0.0f64..0.05,
         ) {
@@ -369,23 +411,24 @@ mod tests {
                     FreqSummary::combine(&[FreqSummary::local(&ItemBag::from_counts(b))], &FreqSummary::empty(), e)
                 })
                 .collect();
-            let mut acc = children[0].clone();
-            let (mut n, mut eps) = (acc.n, acc.eps);
+            let local = FreqSummary::local(&ItemBag::from_counts(own));
+            let mut acc = local.clone();
+            let (mut n, mut spent) = (acc.n, 0.0);
             let mut counts: std::collections::BTreeMap<Item, u64> = acc.iter().collect();
-            for c in &children[1..] {
+            for c in &children {
                 acc.accumulate(c);
-                let spent = eps * n as f64 + c.eps * c.n as f64;
+                spent += c.eps * c.n as f64;
                 for (u, k) in c.iter() {
                     *counts.entry(u).or_insert(0) += k;
                 }
                 n += c.n;
-                eps = if n == 0 { 0.0 } else { spent / n as f64 };
+                let eps = if n == 0 { 0.0 } else { spent / n as f64 };
+                prop_assert_eq!(acc.eps.to_bits(), eps.to_bits());
             }
             prop_assert_eq!(acc.n, n);
-            prop_assert_eq!(acc.eps.to_bits(), eps.to_bits());
             prop_assert_eq!(acc.iter().collect::<Vec<_>>(), counts.into_iter().collect::<Vec<_>>());
             let eps_k = child_eps.iter().cloned().fold(0.0, f64::max) + extra;
-            let expect = FreqSummary::combine(std::slice::from_ref(&acc), &FreqSummary::empty(), eps_k);
+            let expect = FreqSummary::combine(&children, &local, eps_k);
             acc.finalize(eps_k);
             prop_assert_eq!(acc.eps.to_bits(), expect.eps.to_bits());
             prop_assert_eq!(acc, expect);

@@ -1,162 +1,70 @@
-//! Tree-based frequent items: Algorithm 1 driven over an aggregation tree
-//! under a precision gradient (§6.1).
-//!
-//! Proceeding level-by-level up the tree, each node of height `k` runs
-//! Algorithm 1 to produce an `ε(k)`-summary and unicasts it to its parent
-//! (with optional retransmissions, §7.4.3). The gradient determines the
-//! communication profile measured in Figure 8:
-//!
-//! * `Min Total-load` (the paper's contribution, Lemma 3) — total
-//!   communication ≤ `(1 + 2/(√d−1))·m/ε` words on a d-dominating tree;
-//! * `Min Max-load` \[13\] — per-link load ≤ `h/ε` words;
-//! * `Hybrid` (§6.1.4) — within 2× of both simultaneously;
-//! * `Uniform` — naive baseline (no intermediate pruning budget).
+//! Algorithm 1 over an aggregation tree, checked without the epoch
+//! engine (which depends on this crate, so its tests cannot run here):
+//! proceeding bottom-up, each node of height `k` combines its children's
+//! summaries with its own into an `ε(k)`-summary and unicasts it to its
+//! parent. The tests hold the tree-side guarantees of §6.1 — the
+//! ε-deficiency invariant, Figure 8's gradient load ordering and
+//! Lemma 3's bound — on the algorithm itself; the engine's own runs are
+//! checked end to end in `tests/e2e_frequent.rs`. The module holds
+//! only tests.
 
-use crate::items::ItemBag;
-use crate::summary::FreqSummary;
-use td_netsim::loss::{unicast, LossModel, Retransmit};
-use td_netsim::network::Network;
-use td_netsim::node::BASE_STATION;
-use td_netsim::stats::CommStats;
-use td_quantiles::gradient::{Hybrid, MinMaxLoad, MinTotalLoad, PrecisionGradient, Uniform};
-use td_topology::domination::DominationProfile;
-use td_topology::tree::Tree;
+#[cfg(test)]
+pub(crate) mod tests {
+    use crate::items::{count_items, true_frequent, ItemBag};
+    use crate::summary::FreqSummary;
+    use td_netsim::loss::{unicast, Global, LossModel, NoLoss, Retransmit};
+    use td_netsim::network::Network;
+    use td_netsim::node::{Position, BASE_STATION};
+    use td_netsim::rng::rng_from_seed;
+    use td_netsim::stats::CommStats;
+    use td_quantiles::gradient::{Hybrid, MinMaxLoad, MinTotalLoad, PrecisionGradient, Uniform};
+    use td_topology::bushy::{build_bushy_tree, BushyOptions};
+    use td_topology::domination::domination_factor;
+    use td_topology::rings::Rings;
+    use td_topology::tree::Tree;
 
-/// Which precision gradient to run Algorithm 1 with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GradientKind {
-    /// The paper's Min Total-load (Lemma 3).
-    MinTotalLoad,
-    /// Min Max-load of \[13\].
-    MinMaxLoad,
-    /// §6.1.4's Hybrid of the two.
-    Hybrid,
-    /// The whole budget at every level (ablation baseline).
-    Uniform,
-}
-
-impl GradientKind {
-    /// Build this gradient for a tree of `height` whose domination
-    /// factor is `d`. `d` is clamped to a hair above 1 when the tree is
-    /// barely dominating, since Lemma 3 requires `d > 1`.
-    pub fn gradient(self, eps: f64, d: f64, height: u32) -> Box<dyn PrecisionGradient> {
-        let d = d.max(1.1);
-        match self {
-            GradientKind::MinTotalLoad => Box::new(MinTotalLoad::new(eps, d)),
-            GradientKind::MinMaxLoad => Box::new(MinMaxLoad::new(eps, height.max(1))),
-            GradientKind::Hybrid => Box::new(Hybrid::new(eps, d, height.max(1))),
-            GradientKind::Uniform => Box::new(Uniform::new(eps)),
-        }
-    }
-}
-
-/// Configuration for a tree frequent-items run.
-#[derive(Clone, Copy, Debug)]
-pub struct TreeFrequentConfig {
-    /// The user-facing error tolerance ε.
-    pub eps: f64,
-    /// Gradient selection.
-    pub gradient: GradientKind,
-    /// Granularity for the domination factor (paper: 0.05).
-    pub granularity: f64,
-    /// Retransmission policy on tree links.
-    pub retransmit: Retransmit,
-}
-
-impl TreeFrequentConfig {
-    /// Config with the paper's defaults (ε, Min Total-load, 0.05 grid, no
-    /// retransmission).
-    pub fn new(eps: f64) -> Self {
-        assert!(eps > 0.0 && eps < 1.0, "eps {eps} out of (0,1)");
-        TreeFrequentConfig {
-            eps,
-            gradient: GradientKind::MinTotalLoad,
-            granularity: 0.05,
-            retransmit: Retransmit::default(),
-        }
+    /// Min Total-load at `eps` for `tree`: its domination factor on the
+    /// paper's 0.05 grid, held a hair above 1 as Lemma 3 needs.
+    pub(crate) fn min_total_load(tree: &Tree, eps: f64) -> MinTotalLoad {
+        MinTotalLoad::new(eps, domination_factor(tree, 0.05).max(1.1))
     }
 
-    /// Same config with a different gradient.
-    pub fn with_gradient(mut self, gradient: GradientKind) -> Self {
-        self.gradient = gradient;
-        self
-    }
-
-    /// Same config with retransmissions.
-    pub fn with_retransmit(mut self, retries: u32) -> Self {
-        self.retransmit = Retransmit { retries };
-        self
-    }
-}
-
-/// Result of a tree frequent-items run.
-#[derive(Clone, Debug)]
-pub struct TreeRunResult {
-    /// The ε-deficient summary at the base station.
-    pub summary: FreqSummary,
-    /// Communication accounting (words = counters, the Figure 8 unit).
-    pub stats: CommStats,
-    /// The domination factor used (relevant for `MinTotalLoad`/`Hybrid`).
-    pub domination_factor: f64,
-}
-
-/// Run Algorithm 1 over `tree` with per-node item bags (`bags[i]` for node
-/// `i`; the base station's bag should be empty). Message loss is governed
-/// by `model` (use [`td_netsim::loss::NoLoss`] for the load measurements
-/// of Figure 8) and the config's retransmission policy.
-pub fn run_tree<M: LossModel, R: rand::Rng + ?Sized>(
-    net: &Network,
-    tree: &Tree,
-    config: &TreeFrequentConfig,
-    bags: &[ItemBag],
-    model: &M,
-    epoch: u64,
-    rng: &mut R,
-) -> TreeRunResult {
-    assert_eq!(bags.len(), tree.len(), "one bag per node required");
-    let heights = tree.heights();
-    let profile = DominationProfile::from_tree(tree);
-    let d = profile.domination_factor(config.granularity);
-    let tree_height = heights[BASE_STATION.index()].max(1);
-    let gradient = config.gradient.gradient(config.eps, d, tree_height);
-
-    let mut inbox: Vec<Vec<FreqSummary>> = vec![Vec::new(); tree.len()];
-    let mut stats = CommStats::new(tree.len());
-    let mut result = FreqSummary::empty();
-
-    for u in tree.bottom_up_order() {
-        let own = FreqSummary::local(&bags[u.index()]);
-        let k = heights[u.index()];
-        let children = std::mem::take(&mut inbox[u.index()]);
-        let summary = FreqSummary::combine(&children, &own, gradient.eps_at(k));
-        match tree.parent(u) {
-            None => result = summary,
-            Some(p) => {
-                let words = summary.wire_words();
-                let outcome = unicast(model, config.retransmit, u, p, net, epoch, rng);
-                stats.record_send(u, words * 4, words, outcome.attempts_used as u64);
-                if outcome.delivered {
-                    inbox[p.index()].push(summary);
+    /// One epoch of Algorithm 1 over `tree` under `gradient`, each tree link
+    /// retrying `retries` times under `model`. Returns the base station's
+    /// summary and the epoch's communication (words are counters, Figure 8's
+    /// unit).
+    pub(crate) fn run<G: PrecisionGradient + ?Sized, M: LossModel, R: rand::Rng + ?Sized>(
+        net: &Network,
+        tree: &Tree,
+        gradient: &G,
+        bags: &[ItemBag],
+        model: &M,
+        retries: u32,
+        rng: &mut R,
+    ) -> (FreqSummary, CommStats) {
+        let heights = tree.heights();
+        let mut inbox: Vec<Vec<FreqSummary>> = vec![Vec::new(); tree.len()];
+        let mut stats = CommStats::new(tree.len());
+        let mut result = FreqSummary::empty();
+        for u in tree.bottom_up_order() {
+            let own = FreqSummary::local(&bags[u.index()]);
+            let children = std::mem::take(&mut inbox[u.index()]);
+            let summary =
+                FreqSummary::combine(&children, &own, gradient.eps_at(heights[u.index()]));
+            match tree.parent(u) {
+                None => result = summary,
+                Some(p) => {
+                    let words = summary.wire_words();
+                    let outcome = unicast(model, Retransmit { retries }, u, p, net, 0, rng);
+                    stats.record_send(u, words * 4, words, outcome.attempts_used as u64);
+                    if outcome.delivered {
+                        inbox[p.index()].push(summary);
+                    }
                 }
             }
         }
+        (result, stats)
     }
-    TreeRunResult {
-        summary: result,
-        stats,
-        domination_factor: d,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::items::{count_items, true_frequent};
-    use td_netsim::loss::{Global, NoLoss};
-    use td_netsim::node::Position;
-    use td_netsim::rng::rng_from_seed;
-    use td_topology::bushy::{build_bushy_tree, BushyOptions};
-    use td_topology::rings::Rings;
 
     /// Build a deployment + bushy tree + per-node bags with a few heavy
     /// hitters and a long tail of rare items.
@@ -185,22 +93,22 @@ mod tests {
     #[test]
     fn lossless_run_meets_deficiency_invariant() {
         let (net, tree, bags) = setup(60, 200, 71);
-        let cfg = TreeFrequentConfig::new(0.01);
+        let mtl = min_total_load(&tree, 0.01);
         let mut rng = rng_from_seed(72);
-        let res = run_tree(&net, &tree, &cfg, &bags, &NoLoss, 0, &mut rng);
+        let (summary, _) = run(&net, &tree, &mtl, &bags, &NoLoss, 0, &mut rng);
         let truth = count_items(&bags);
-        res.summary.check_invariant(&truth).unwrap();
-        assert_eq!(res.summary.n, truth.total());
+        summary.check_invariant(&truth).unwrap();
+        assert_eq!(summary.n, truth.total());
     }
 
     #[test]
     fn no_false_negatives_lossless() {
         let (net, tree, bags) = setup(60, 200, 73);
         let s = 0.05; // heavy items are ~10% each
-        let cfg = TreeFrequentConfig::new(0.005);
+        let mtl = min_total_load(&tree, 0.005);
         let mut rng = rng_from_seed(74);
-        let res = run_tree(&net, &tree, &cfg, &bags, &NoLoss, 0, &mut rng);
-        let reported = res.summary.report_frequent(s);
+        let (summary, _) = run(&net, &tree, &mtl, &bags, &NoLoss, 0, &mut rng);
+        let reported = summary.report_frequent(s);
         for item in true_frequent(&bags, s) {
             assert!(reported.contains(&item), "missing frequent item {item}");
         }
@@ -210,21 +118,24 @@ mod tests {
     fn all_gradients_correct_and_paper_load_ordering() {
         let (net, tree, bags) = setup(80, 300, 75);
         let truth = count_items(&bags);
+        let eps = 0.01;
+        let d = domination_factor(&tree, 0.05).max(1.1);
+        let h = tree.heights()[BASE_STATION.index()].max(1);
+        let gradients: [(&str, Box<dyn PrecisionGradient>); 4] = [
+            ("MinTotalLoad", Box::new(MinTotalLoad::new(eps, d))),
+            ("MinMaxLoad", Box::new(MinMaxLoad::new(eps, h))),
+            ("Hybrid", Box::new(Hybrid::new(eps, d, h))),
+            ("Uniform", Box::new(Uniform::new(eps))),
+        ];
         let mut totals = std::collections::BTreeMap::new();
-        let mut maxes = std::collections::BTreeMap::new();
-        for kind in [
-            GradientKind::MinTotalLoad,
-            GradientKind::MinMaxLoad,
-            GradientKind::Hybrid,
-            GradientKind::Uniform,
-        ] {
-            let cfg = TreeFrequentConfig::new(0.01).with_gradient(kind);
+        for (name, gradient) in &gradients {
             let mut rng = rng_from_seed(76);
-            let res = run_tree(&net, &tree, &cfg, &bags, &NoLoss, 0, &mut rng);
+            let (summary, stats) = run(&net, &tree, &**gradient, &bags, &NoLoss, 0, &mut rng);
             // Every gradient yields a valid ε-deficient summary.
-            res.summary.check_invariant(&truth).unwrap();
-            totals.insert(format!("{kind:?}"), res.stats.total_words());
-            maxes.insert(format!("{kind:?}"), res.stats.max_words_per_sensor());
+            summary.check_invariant(&truth).unwrap();
+            // Max load is never degenerate (someone always transmits).
+            assert!(stats.max_words_per_sensor() > 0, "{name} max load is zero");
+            totals.insert(*name, stats.total_words());
         }
         // The paper's headline (Figure 8): Min Total-load transmits fewer
         // total words than Min Max-load (whose tiny leaf budgets cannot
@@ -246,37 +157,41 @@ mod tests {
             totals["MinTotalLoad"],
             totals["Hybrid"]
         );
-        // Max load is never degenerate (someone always transmits).
-        for (k, &v) in &maxes {
-            assert!(v > 0, "{k} max load is zero");
-        }
     }
 
     #[test]
     fn min_total_load_within_lemma3_bound() {
         let (net, tree, bags) = setup(100, 100, 77);
-        let cfg = TreeFrequentConfig::new(0.02);
+        let eps = 0.02;
+        let d = domination_factor(&tree, 0.05).max(1.1);
         let mut rng = rng_from_seed(78);
-        let res = run_tree(&net, &tree, &cfg, &bags, &NoLoss, 0, &mut rng);
-        let d = res.domination_factor.max(1.1);
-        let bound = (1.0 + 2.0 / (d.sqrt() - 1.0)) * net.len() as f64 / cfg.eps;
+        let (_, stats) = run(
+            &net,
+            &tree,
+            &MinTotalLoad::new(eps, d),
+            &bags,
+            &NoLoss,
+            0,
+            &mut rng,
+        );
+        let bound = (1.0 + 2.0 / (d.sqrt() - 1.0)) * net.len() as f64 / eps;
         assert!(
-            (res.stats.total_words() as f64) <= bound,
+            (stats.total_words() as f64) <= bound,
             "total load {} exceeds Lemma 3 bound {bound}",
-            res.stats.total_words()
+            stats.total_words()
         );
     }
 
     #[test]
     fn loss_drops_subtrees() {
         let (net, tree, bags) = setup(60, 100, 79);
-        let cfg = TreeFrequentConfig::new(0.01);
+        let mtl = min_total_load(&tree, 0.01);
         let mut rng = rng_from_seed(80);
-        let res = run_tree(&net, &tree, &cfg, &bags, &Global::new(0.4), 0, &mut rng);
+        let (summary, _) = run(&net, &tree, &mtl, &bags, &Global::new(0.4), 0, &mut rng);
         let truth = count_items(&bags);
         // Loss can only lose occurrences, never invent them.
-        assert!(res.summary.n < truth.total());
-        for (u, c) in res.summary.iter() {
+        assert!(summary.n < truth.total());
+        for (u, c) in summary.iter() {
             assert!(c <= truth.count(u), "estimate exceeds truth for {u}");
         }
     }
@@ -284,45 +199,18 @@ mod tests {
     #[test]
     fn retransmission_recovers_population() {
         let (net, tree, bags) = setup(60, 100, 81);
-        let cfg = TreeFrequentConfig::new(0.01);
-        let mut rng = rng_from_seed(82);
-        let lossy = run_tree(&net, &tree, &cfg, &bags, &Global::new(0.3), 0, &mut rng);
-        let mut rng = rng_from_seed(82);
-        let cfg2 = cfg.with_retransmit(2);
-        let retried = run_tree(&net, &tree, &cfg2, &bags, &Global::new(0.3), 0, &mut rng);
+        let mtl = min_total_load(&tree, 0.01);
+        let model = Global::new(0.3);
+        let (lossy, lossy_stats) = run(&net, &tree, &mtl, &bags, &model, 0, &mut rng_from_seed(82));
+        let (retried, retried_stats) =
+            run(&net, &tree, &mtl, &bags, &model, 2, &mut rng_from_seed(82));
         assert!(
-            retried.summary.n > lossy.summary.n,
+            retried.n > lossy.n,
             "retransmission did not help: {} vs {}",
-            retried.summary.n,
-            lossy.summary.n
+            retried.n,
+            lossy.n
         );
         // ... at the cost of more transmissions.
-        assert!(retried.stats.total_transmissions() > lossy.stats.total_transmissions());
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let (net, tree, bags) = setup(40, 50, 83);
-        let cfg = TreeFrequentConfig::new(0.02);
-        let a = run_tree(
-            &net,
-            &tree,
-            &cfg,
-            &bags,
-            &Global::new(0.2),
-            0,
-            &mut rng_from_seed(84),
-        );
-        let b = run_tree(
-            &net,
-            &tree,
-            &cfg,
-            &bags,
-            &Global::new(0.2),
-            0,
-            &mut rng_from_seed(84),
-        );
-        assert_eq!(a.summary, b.summary);
-        assert_eq!(a.stats.total_words(), b.stats.total_words());
+        assert!(retried_stats.total_transmissions() > lossy_stats.total_transmissions());
     }
 }

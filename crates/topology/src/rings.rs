@@ -102,14 +102,6 @@ impl Rings {
         &self.children_above[id.index()]
     }
 
-    /// All connected nodes at a given level, in id order.
-    pub fn nodes_at_level(&self, l: u16) -> Vec<NodeId> {
-        (0..self.level.len() as u32)
-            .map(NodeId)
-            .filter(|id| self.level[id.index()] == Some(l))
-            .collect()
-    }
-
     /// Iterator over the connected node ids.
     pub fn connected_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.level.len() as u32)
@@ -193,7 +185,11 @@ mod tests {
         let rings = Rings::build(&net);
         assert_eq!(rings.level(NodeId(2)), None);
         assert_eq!(rings.connected_count(), 2);
-        assert_eq!(rings.nodes_at_level(1), vec![NodeId(1)]);
+        assert_eq!(rings.level(NodeId(1)), Some(1));
+        assert_eq!(
+            rings.connected_nodes().collect::<Vec<_>>(),
+            vec![NodeId(0), NodeId(1)]
+        );
     }
 
     #[test]
@@ -202,8 +198,14 @@ mod tests {
         let net =
             Network::random_in_rect(300, 20.0, 20.0, Position::new(10.0, 10.0), 2.0, &mut rng);
         let rings = Rings::build(&net);
+        // Every connected node sits at one level in 0..=max.
         let total: usize = (0..=rings.max_level())
-            .map(|l| rings.nodes_at_level(l).len())
+            .map(|l| {
+                rings
+                    .connected_nodes()
+                    .filter(|&u| rings.level(u) == Some(l))
+                    .count()
+            })
             .sum();
         assert_eq!(total, rings.connected_count());
     }

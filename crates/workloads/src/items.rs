@@ -1,11 +1,17 @@
-//! Item streams for the frequent-items experiments (§7.4).
+//! Item streams for the frequent-items experiments (§7.4), and
+//! [`run_on_tree`], the one epoch those experiments run over a tree they
+//! built themselves.
 
 use crate::labdata::LabData;
 use rand::distributions::Distribution;
 use rand::Rng;
 use td_frequent::items::ItemBag;
+use td_netsim::loss::{LossModel, Retransmit};
 use td_netsim::network::Network;
 use td_netsim::rng::substream;
+use td_netsim::stats::CommStats;
+use td_topology::tree::Tree;
+use tributary_delta::{EpochPlan, Protocol, QuerySet, RunnerConfig, Scheme, SessionConfig};
 
 /// A Zipf sampler over items `0..universe` with exponent `alpha`
 /// (inverse-CDF over precomputed cumulative weights).
@@ -101,6 +107,39 @@ pub fn labdata_bags(lab: &LabData, window_epochs: u64) -> Vec<ItemBag> {
         }
     }
     bags
+}
+
+/// One epoch (epoch 0) of `proto` over a given aggregation `tree`, on
+/// the epoch engine: the all-`T` plan of the tree, run with TAG's paper
+/// defaults (no adaptation fields charged) and `retries`
+/// retransmissions per tree link. Returns the answer and the epoch's
+/// communication. This is how Figure 8, the tree ablation and the
+/// frequent-items tests run Algorithm 1 on the bushy trees they build;
+/// a scheme that builds its own topology runs on a
+/// [`Session`](tributary_delta::Session) instead.
+pub fn run_on_tree<P: Protocol, M: LossModel, R: Rng + ?Sized>(
+    net: &Network,
+    tree: &Tree,
+    proto: &P,
+    model: &M,
+    retries: u32,
+    rng: &mut R,
+) -> (P::Output, CommStats) {
+    let mut set = QuerySet::new();
+    set.register(proto);
+    let config = RunnerConfig {
+        tree_retransmit: Retransmit { retries },
+        ..SessionConfig::paper_defaults(Scheme::Tag).runner
+    };
+    let mut stats = CommStats::new(net.len());
+    let mut out =
+        EpochPlan::compile_tag(tree).run_set(&set, net, model, config, 0, &mut stats, rng);
+    let output = out
+        .outputs
+        .pop()
+        .and_then(|o| o.downcast::<P::Output>().ok())
+        .expect("the one registered query answered");
+    (*output, stats)
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //!
 //! [`items`] generates the item streams for the frequent-items
 //! experiments (Zipf-skewed readings and §7.4.2's disjoint-uniform
-//! streams), and [`scenario`] packages the failure models, including the
-//! dynamic timeline of Figure 6. [`workload`] plugs both deployments
+//! streams) and runs one epoch over a tree an experiment built itself
+//! ([`items::run_on_tree`]); [`scenario`] packages the failure models,
+//! including the dynamic timeline of Figure 6. [`workload`] plugs both deployments
 //! into the session driver's [`tributary_delta::Workload`] interface.
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,9 @@
 //! Frequent items over the LabData reconstruction: find the light levels
 //! that dominate the lab's readings, comparing the paper's three schemes
-//! under realistic loss (§6 + §7.4).
+//! under realistic loss (§6 + §7.4). All three run the same
+//! `FreqProtocol` on the one epoch engine: the tree scheme as the all-tree
+//! plan of a bushy tree, SD as an all-delta session, TD as an adapting
+//! session.
 //!
 //! ```sh
 //! cargo run --release --example frequent_items_lab
@@ -11,15 +14,14 @@ use td_suite::core::metrics::{false_negative_rate, false_positive_rate};
 use td_suite::core::protocol::FreqProtocol;
 use td_suite::core::session::{Scheme, SessionBuilder};
 use td_suite::frequent::items::true_frequent;
-use td_suite::frequent::multipath::{run_rings, MultipathConfig};
-use td_suite::frequent::tree::{run_tree, GradientKind, TreeFrequentConfig};
+use td_suite::frequent::multipath::MultipathConfig;
 use td_suite::netsim::rng::rng_from_seed;
 use td_suite::quantiles::gradient::MinTotalLoad;
 use td_suite::sketches::counter::FmFactory;
 use td_suite::topology::bushy::{build_bushy_tree, BushyOptions};
 use td_suite::topology::domination::domination_factor;
 use td_suite::topology::rings::Rings;
-use td_suite::workloads::items::labdata_bags;
+use td_suite::workloads::items::{labdata_bags, run_on_tree};
 use td_suite::workloads::labdata::LabData;
 
 fn main() {
@@ -40,26 +42,31 @@ fn main() {
     let mut rng = rng_from_seed(4);
 
     // Tree scheme: Algorithm 1 under the Min Total-load precision gradient
-    // over the bushy tree of §6.1.3.
+    // over the bushy tree of §6.1.3, one epoch. The protocol's multi-path
+    // half has no vertex to run on here.
     let rings = Rings::build(net);
     let tree = build_bushy_tree(net, &rings, BushyOptions::default(), &mut rng);
-    let cfg = TreeFrequentConfig::new(eps).with_gradient(GradientKind::MinTotalLoad);
-    let res = run_tree(net, &tree, &cfg, &bags, &model, 0, &mut rng);
+    let mp_cfg = MultipathConfig::new(eps, 2.0, n_total * 2, FmFactory { bitmaps: 16 });
+    let d = domination_factor(&tree, 0.05).max(1.1);
+    let proto = FreqProtocol::new(mp_cfg.clone(), MinTotalLoad::new(eps, d), support, &bags);
+    let (out, stats) = run_on_tree(net, &tree, &proto, &model, 0, &mut rng);
     report(
         "tree (Min Total-load)",
-        &res.summary.report_frequent(support),
+        &out.reported,
         &truth,
-        res.stats.total_words(),
+        stats.total_words(),
     );
 
-    // Multi-path scheme: Algorithm 2 with best-effort FM counters.
-    let mp_cfg = MultipathConfig::new(eps, 2.0, n_total * 2, FmFactory { bitmaps: 16 });
-    let res = run_rings(net, &rings, &mp_cfg, &bags, &model, 0, &mut rng);
+    // Multi-path scheme (SD): Algorithm 2 with best-effort FM counters
+    // over the rings, one epoch; now the tree half has no vertex.
+    let mut sd = SessionBuilder::new(Scheme::Sd).build(net, &mut rng);
+    let proto = FreqProtocol::new(mp_cfg, MinTotalLoad::new(eps, d), support, &bags);
+    let out = sd.run_epoch(&proto, &model, 0, &mut rng).output;
     report(
-        "multi-path (rings)",
-        &res.estimates.report(support - eps),
+        "multi-path (SD)",
+        &out.estimates.report(support - eps),
         &truth,
-        res.stats.total_words(),
+        sd.stats().total_words(),
     );
 
     // Tributary-Delta: Algorithm 1 tributaries + Algorithm 2 delta, ε
@@ -82,8 +89,8 @@ fn main() {
             &mut rng,
         )
         .expect("ran at least one epoch");
-    // The tree/rings runs above are single aggregations; the session ran
-    // 30 epochs, so report its per-epoch load for a fair comparison.
+    // The tree and SD runs above are single epochs; this session ran 30,
+    // so report its per-epoch load for a fair comparison.
     report(
         "tributary-delta (TD)",
         &out.reported,

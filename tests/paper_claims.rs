@@ -3,17 +3,36 @@
 //! `td-bench` regenerators print the numbers (their smoke-scale CSVs are
 //! committed under `results/`); these tests pin the *shape*.
 
+use td_suite::core::protocol::{FreqOutput, FreqProtocol};
 use td_suite::frequent::items::ItemBag;
-use td_suite::frequent::tree::{run_tree, GradientKind, TreeFrequentConfig};
+use td_suite::frequent::multipath::MultipathConfig;
 use td_suite::netsim::loss::NoLoss;
 use td_suite::netsim::network::Network;
-use td_suite::netsim::node::Position;
+use td_suite::netsim::node::{Position, BASE_STATION};
 use td_suite::netsim::rng::rng_from_seed;
-use td_suite::quantiles::gradient::{MinTotalLoad, PrecisionGradient};
+use td_suite::netsim::stats::CommStats;
+use td_suite::quantiles::gradient::{MinMaxLoad, MinTotalLoad, PrecisionGradient};
+use td_suite::sketches::counter::ExactFactory;
 use td_suite::topology::bushy::{build_bushy_tree, BushyOptions};
 use td_suite::topology::domination::{domination_factor, DominationProfile};
 use td_suite::topology::rings::Rings;
-use td_suite::topology::tree::{build_tag_tree, ParentSelection};
+use td_suite::topology::tree::{build_tag_tree, ParentSelection, Tree};
+use td_suite::workloads::items::run_on_tree;
+
+/// Algorithm 1 over `tree` under `gradient`: one lossless epoch of a
+/// frequent-items query at support `s` on the engine's all-`T` plan
+/// (the protocol's multi-path half is a placeholder; no vertex runs it).
+fn tree_frequent<G: PrecisionGradient>(
+    net: &Network,
+    tree: &Tree,
+    bags: &[ItemBag],
+    gradient: G,
+    s: f64,
+) -> (FreqOutput, CommStats) {
+    let placeholder = MultipathConfig::new(0.01, 2.0, 2, ExactFactory);
+    let proto = FreqProtocol::new(placeholder, gradient, s, bags);
+    run_on_tree(net, tree, &proto, &NoLoss, 0, &mut rng_from_seed(0))
+}
 
 /// §1/Figure 2: there is a crossover — the tree wins at zero loss, the
 /// multi-path approach wins at realistic loss. (The end-to-end scheme
@@ -107,21 +126,13 @@ fn lemma3_bound_holds_on_deployments() {
             }
         }
         let eps = 0.02;
-        let res = run_tree(
-            &net,
-            &tree,
-            &TreeFrequentConfig::new(eps),
-            &bags,
-            &NoLoss,
-            0,
-            &mut rng,
-        );
-        let d = res.domination_factor.max(1.1);
+        let d = domination_factor(&tree, 0.05).max(1.1);
+        let (_, stats) = tree_frequent(&net, &tree, &bags, MinTotalLoad::new(eps, d), 0.05);
         let bound = (1.0 + 2.0 / (d.sqrt() - 1.0)) * net.len() as f64 / eps;
         assert!(
-            (res.stats.total_words() as f64) <= bound,
+            (stats.total_words() as f64) <= bound,
             "seed {seed}: total {} > bound {bound}",
-            res.stats.total_words()
+            stats.total_words()
         );
     }
 }
@@ -159,22 +170,23 @@ fn frequent_items_load_ordering() {
         }
     }
     let eps = 0.001;
-    let load = |kind: GradientKind| {
-        let mut rng = rng_from_seed(72);
-        run_tree(
-            &net,
-            &tree,
-            &TreeFrequentConfig::new(eps).with_gradient(kind),
-            &bags,
-            &NoLoss,
-            0,
-            &mut rng,
-        )
-        .stats
-        .total_words()
-    };
-    let mtl = load(GradientKind::MinTotalLoad);
-    let mml = load(GradientKind::MinMaxLoad);
+    let d = domination_factor(&tree, 0.05).max(1.1);
+    let height = tree.heights()[BASE_STATION.index()].max(1);
+    let words = |(_, stats): (FreqOutput, CommStats)| stats.total_words();
+    let mtl = words(tree_frequent(
+        &net,
+        &tree,
+        &bags,
+        MinTotalLoad::new(eps, d),
+        0.01,
+    ));
+    let mml = words(tree_frequent(
+        &net,
+        &tree,
+        &bags,
+        MinMaxLoad::new(eps, height),
+        0.01,
+    ));
     assert!(mtl < mml, "MTL {mtl} !< MML {mml}");
     // The paper's synthetic-data claim: roughly half (accept < 0.8).
     assert!(
@@ -194,7 +206,7 @@ fn frequent_items_load_ordering() {
 fn quantile_derived_frequent_items_agree_with_direct_route() {
     use rand::Rng;
     use td_suite::frequent::items::count_items;
-    use td_suite::frequent::quantile_based::{run_tree_gk, QuantileBasedConfig};
+    use td_suite::frequent::quantile_based::run_tree_gk;
 
     let mut rng = rng_from_seed(742);
     let net = Network::random_connected(60, 18.0, 18.0, Position::new(9.0, 9.0), 4.5, &mut rng);
@@ -218,32 +230,15 @@ fn quantile_derived_frequent_items_agree_with_direct_route() {
     }
     let (s, eps) = (0.05, 0.01);
 
-    let mut rng = rng_from_seed(743);
-    let quant = run_tree_gk(
-        &net,
-        &tree,
-        &QuantileBasedConfig::new(eps),
-        &bags,
-        &NoLoss,
-        0,
-        &mut rng,
-    );
-    let mut rng = rng_from_seed(743);
-    let direct = run_tree(
-        &net,
-        &tree,
-        &TreeFrequentConfig::new(eps),
-        &bags,
-        &NoLoss,
-        0,
-        &mut rng,
-    );
+    let quant = run_tree_gk(&net, &tree, eps, &bags, &NoLoss, 0, &mut rng_from_seed(743));
+    let d = domination_factor(&tree, 0.05).max(1.1);
+    let (direct, _) = tree_frequent(&net, &tree, &bags, MinTotalLoad::new(eps, d), s);
 
     let truth = count_items(&bags);
     let n = truth.total() as f64;
     assert_eq!(quant.summary.population(), truth.total());
     let from_quantiles = quant.report_frequent(s, eps);
-    let from_direct = direct.summary.report_frequent(s);
+    let from_direct = direct.reported;
 
     // Each route over-reports by at most its own ε below s·N, so the
     // two reports can only disagree inside the combined band.
