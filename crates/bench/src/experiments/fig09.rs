@@ -50,7 +50,7 @@ pub(crate) struct Fixture {
     pub(crate) lab: LabData,
     bags: Vec<ItemBag>,
     pub(crate) truth: Vec<u64>,
-    n_total: u64,
+    pub(crate) n_total: u64,
 }
 
 /// Each mote's discretized light readings over `scale.items_per_node`
@@ -80,7 +80,10 @@ fn rates(reported: &[u64], truth: &[u64]) -> (f64, f64) {
 /// the query's total N (the deployment knows its own data volume), so
 /// loss-induced undercounting produces false negatives — exactly what
 /// Figure 9 measures.
-fn report_against_total(estimates: impl Iterator<Item = (u64, f64)>, n_true: u64) -> Vec<u64> {
+pub(crate) fn report_against_total(
+    estimates: impl Iterator<Item = (u64, f64)>,
+    n_true: u64,
+) -> Vec<u64> {
     let threshold = (SUPPORT - EPS) * n_true as f64;
     estimates
         .filter(|&(_, c)| c > threshold)

@@ -13,7 +13,7 @@ use td_netsim::node::NodeId;
 use td_quantiles::gradient::PrecisionGradient;
 use td_quantiles::summary::QuantileSummary;
 use td_sketches::counter::CounterFactory;
-use td_sketches::keyed::union_into;
+use td_sketches::keyed::union_by;
 
 /// An aggregation protocol runnable by the Tributary-Delta runner.
 ///
@@ -387,20 +387,57 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
 // Quantile adapter
 // ---------------------------------------------------------------------
 
-/// ODI multi-path message for quantile queries: per-origin summaries
-/// keyed by the node that generated them. Quantile summaries are
+/// ODI multi-path message for quantile queries: per-origin parts keyed
+/// by the node that generated them. Quantile summaries are
 /// duplicate-*sensitive* (combining a summary with itself double-counts
 /// its population), so the delta carries a keyed set — re-inserting a
 /// part that another path already delivered is a no-op, which restores
 /// order-and-duplicate insensitivity. The same trick `SynopsisSet` uses
 /// for the frequent-items delta.
 ///
-/// Stored flat: `(origin, part)` sorted by origin, each part behind an
-/// `Arc`. A part never changes once made, so a union shares the parts it
-/// adds instead of copying them, and keeps its own for origins it holds.
+/// Stored flat, sorted by origin, 16 bytes a part. A sensor's own part
+/// is its one reading, kept inline: a one-reading summary is one exact
+/// entry (a q-digest leaf of count 1, a GK tuple), so nothing is built
+/// until the base merges. A tributary root's summary sits behind an
+/// `Arc`: a part never changes once made, so a union shares the
+/// summaries it adds instead of copying them, and keeps its own part
+/// for origins it holds.
 #[derive(Debug)]
 pub struct QuantileSynopsisSet<S> {
-    parts: Vec<(u32, Arc<S>)>,
+    parts: Vec<Part<S>>,
+}
+
+/// One origin's part of a [`QuantileSynopsisSet`].
+#[derive(Debug)]
+enum Part<S> {
+    /// A sensor's own reading: the exact one-reading summary.
+    Reading { origin: u32, value: u64 },
+    /// A tributary root's converted summary.
+    Summary { origin: u32, part: Arc<S> },
+}
+
+impl<S> Part<S> {
+    fn origin(&self) -> u32 {
+        match *self {
+            Part::Reading { origin, .. } | Part::Summary { origin, .. } => origin,
+        }
+    }
+}
+
+impl<S> Clone for Part<S> {
+    /// Copies a reading; shares a summary.
+    fn clone(&self) -> Self {
+        match self {
+            Part::Reading { origin, value } => Part::Reading {
+                origin: *origin,
+                value: *value,
+            },
+            Part::Summary { origin, part } => Part::Summary {
+                origin: *origin,
+                part: Arc::clone(part),
+            },
+        }
+    }
 }
 
 impl<S> Clone for QuantileSynopsisSet<S> {
@@ -417,23 +454,24 @@ impl<S> Clone for QuantileSynopsisSet<S> {
 }
 
 impl<S: QuantileSummary> QuantileSynopsisSet<S> {
-    /// Make `self` the set holding one part from `origin`, reusing its
-    /// part list.
-    fn set_singleton(&mut self, origin: u32, part: S) {
+    /// Make `self` the set holding one part, reusing its part list.
+    fn set_singleton(&mut self, part: Part<S>) {
         self.parts.clear();
-        self.parts.push((origin, Arc::new(part)));
+        self.parts.push(part);
     }
 
     /// Keyed union; the first writer wins (both copies of a key were
     /// generated by the same node, so they are identical). Grows in
-    /// place; a new origin shares the sender's part.
+    /// place; a new origin copies the sender's reading or shares its
+    /// summary.
     fn union(&mut self, other: &Self) {
-        union_into(
+        union_by(
             &mut self.parts,
             &other.parts,
+            Part::origin,
             |_, _| {},
-            Arc::clone,
-            Arc::clone,
+            Part::clone,
+            Part::clone,
         );
     }
 
@@ -445,16 +483,26 @@ impl<S: QuantileSummary> QuantileSynopsisSet<S> {
         QuantileSynopsisSet { parts }
     }
 
-    /// Wire words: one origin-id word plus each part's payload.
-    fn wire_words(&self) -> usize {
-        self.parts.iter().map(|(_, p)| 1 + p.wire_words()).sum()
+    /// Wire words: one origin-id word plus each part's payload, a
+    /// reading costing `reading_words` (its one-reading summary's).
+    fn wire_words(&self, reading_words: usize) -> usize {
+        self.parts
+            .iter()
+            .map(|p| match p {
+                Part::Reading { .. } => 1 + reading_words,
+                Part::Summary { part, .. } => 1 + part.wire_words(),
+            })
+            .sum()
     }
 
     /// Combine every part in deterministic (origin) order, in place.
     fn merged(&self, template: &S) -> S {
         let mut acc = template.exact_from(&[]);
-        for (_, p) in &self.parts {
-            acc.combine_into(p);
+        for p in &self.parts {
+            match p {
+                Part::Reading { value, .. } => acc.insert_exact(*value),
+                Part::Summary { part, .. } => acc.combine_into(part),
+            }
         }
         acc
     }
@@ -516,13 +564,16 @@ impl<S: QuantileSummary> QuantileOutput<S> {
 /// budget `⌊ε(h) · n_subtree⌋` — the gradient's per-level error
 /// *differences* pay for compression, so `MinTotalLoad` geometric
 /// budgets beat a `Uniform` budget on bytes at matched final error. In
-/// the delta, per-origin exact summaries ride a keyed ODI set; `convert`
-/// injects a tributary root's reduced summary under the root's key.
+/// the delta, each sensor's reading rides a keyed ODI set under its own
+/// key; `convert` injects a tributary root's reduced summary under the
+/// root's key.
 #[derive(Clone, Debug)]
 pub struct QuantileProtocol<'v, S, G> {
     template: S,
     gradient: G,
     values: &'v [u64],
+    /// Wire words of a one-reading summary, whatever the reading.
+    reading_words: usize,
 }
 
 impl<'v, S: QuantileSummary, G: PrecisionGradient> QuantileProtocol<'v, S, G> {
@@ -531,6 +582,7 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> QuantileProtocol<'v, S, G> {
     /// bits) and is otherwise empty.
     pub fn new(template: S, gradient: G, values: &'v [u64]) -> Self {
         QuantileProtocol {
+            reading_words: template.exact_from(&[0]).wire_words(),
             template,
             gradient,
             values,
@@ -590,11 +642,11 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
         if node.is_base() {
             return false;
         }
-        let part = self
-            .template
-            .exact_from(std::slice::from_ref(&self.values[node.index()]));
         acc.get_or_insert_with(QuantileSynopsisSet::new)
-            .set_singleton(node.0, part);
+            .set_singleton(Part::Reading {
+                origin: node.0,
+                value: self.values[node.index()],
+            });
         true
     }
 
@@ -604,7 +656,10 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
 
     fn convert(&self, root: NodeId, msg: &Self::TreeMsg, out: &mut Option<Self::MpMsg>) {
         out.get_or_insert_with(QuantileSynopsisSet::new)
-            .set_singleton(root.0, msg.clone());
+            .set_singleton(Part::Summary {
+                origin: root.0,
+                part: Arc::new(msg.clone()),
+            });
     }
 
     fn seal(&self, acc: &mut Option<Self::MpMsg>) -> Option<Self::MpMsg> {
@@ -616,7 +671,7 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
     }
 
     fn mp_wire(&self, msg: &Self::MpMsg) -> WireSize {
-        WireSize::from_words(msg.wire_words())
+        WireSize::from_words(msg.wire_words(self.reading_words))
     }
 
     fn evaluate_tree(&self, parts: &[Self::TreeMsg], base_height: u32) -> QuantileOutput<S> {
@@ -765,25 +820,61 @@ mod tests {
         );
     }
 
-    /// A deterministic part per origin: every copy of an origin's part
-    /// is identical, as in the engine (one node generates it).
-    fn part<S: QuantileSummary>(template: &S, origin: u32) -> S {
-        let values: Vec<u64> = (0..1 + origin % 5)
-            .map(|i| (origin as u64 * 37 + i as u64 * 101) % 500)
-            .collect();
-        template.exact_from(&values)
+    /// The readings origin `origin`'s part stands for. Every copy of an
+    /// origin's part is identical, as in the engine (one node generates
+    /// it). Origins divisible by 3 are tributary roots with a summary of
+    /// several readings, the rest sensors with one reading each; a few
+    /// readings fall outside a 9-bit q-digest's domain and saturate.
+    fn values_of(origin: u32) -> Vec<u64> {
+        let n = if origin.is_multiple_of(3) {
+            2 + origin % 4
+        } else {
+            1
+        };
+        (0..n)
+            .map(|i| (origin as u64 * 37 + i as u64 * 101) % 700)
+            .collect()
     }
 
-    /// A set built the way the delta builds one: singletons unioned in
-    /// the given order.
-    fn origin_set<S: QuantileSummary>(template: &S, origins: &[u32]) -> QuantileSynopsisSet<S> {
+    /// Origin `origin`'s part as the engine builds it: a reading inline,
+    /// a tributary root's summary behind an `Arc`.
+    fn part<S: QuantileSummary>(template: &S, origin: u32) -> Part<S> {
+        match values_of(origin)[..] {
+            [value] => Part::Reading { origin, value },
+            ref values => Part::Summary {
+                origin,
+                part: Arc::new(template.exact_from(values)),
+            },
+        }
+    }
+
+    /// Origin `origin`'s part with every reading as its one-reading
+    /// summary behind an `Arc`: the layout before readings went inline.
+    fn boxed_part<S: QuantileSummary>(template: &S, origin: u32) -> Part<S> {
+        Part::Summary {
+            origin,
+            part: Arc::new(template.exact_from(&values_of(origin))),
+        }
+    }
+
+    /// A set built the way the delta builds one: singletons of `make`'s
+    /// parts unioned in the given order.
+    fn set_of<S: QuantileSummary>(
+        template: &S,
+        origins: &[u32],
+        make: fn(&S, u32) -> Part<S>,
+    ) -> QuantileSynopsisSet<S> {
         let mut set = QuantileSynopsisSet::new();
         let mut one = QuantileSynopsisSet::new();
         for &o in origins {
-            one.set_singleton(o, part(template, o));
+            one.set_singleton(make(template, o));
             set.union(&one);
         }
         set
+    }
+
+    fn origin_set<S: QuantileSummary>(template: &S, origins: &[u32]) -> QuantileSynopsisSet<S> {
+        set_of(template, origins, part)
     }
 
     /// The pre-flat union, kept as the oracle: a `BTreeMap` of deep
@@ -794,13 +885,22 @@ mod tests {
     ) -> std::collections::BTreeMap<u32, S> {
         let mut map = std::collections::BTreeMap::new();
         for &o in origins {
-            map.entry(o).or_insert_with(|| part(template, o));
+            map.entry(o)
+                .or_insert_with(|| template.exact_from(&values_of(o)));
         }
         map
     }
 
-    fn flat<S: Clone>(set: &QuantileSynopsisSet<S>) -> Vec<(u32, S)> {
-        set.parts.iter().map(|(o, p)| (*o, (**p).clone())).collect()
+    /// The set as `(origin, summary)`, each reading as its one-reading
+    /// summary.
+    fn flat<S: QuantileSummary>(template: &S, set: &QuantileSynopsisSet<S>) -> Vec<(u32, S)> {
+        set.parts
+            .iter()
+            .map(|p| match p {
+                Part::Reading { origin, value } => (*origin, template.exact_from(&[*value])),
+                Part::Summary { origin, part } => (*origin, (**part).clone()),
+            })
+            .collect()
     }
 
     /// The flat set against the map oracle, for one summary family: the
@@ -809,6 +909,7 @@ mod tests {
     /// (`union(x, x) == x`), commutativity at evaluation, and
     /// associativity on the representation.
     fn check_quantile_set<S: QuantileSummary>(template: &S, a: &[u32], b: &[u32], c: &[u32]) {
+        let flat = |set: &QuantileSynopsisSet<S>| flat(template, set);
         let (sa, sb, sc) = (
             origin_set(template, a),
             origin_set(template, b),
@@ -844,6 +945,34 @@ mod tests {
         assert_eq!(flat(&ab_c), flat(&a_bc));
     }
 
+    /// Inline readings mixed with tributary-root summaries merge and
+    /// size exactly like the same set with every reading boxed as its
+    /// one-reading summary, whatever order the parts arrive in.
+    fn check_inline_readings<S: QuantileSummary>(template: &S, a: &[u32], b: &[u32]) {
+        let reading_words = template.exact_from(&[0]).wire_words();
+        let mut inline = set_of(template, a, part);
+        inline.union(&set_of(template, b, part));
+        let mut boxed = set_of(template, b, boxed_part);
+        boxed.union(&set_of(template, a, boxed_part));
+        assert_eq!(inline.len(), boxed.len());
+        assert_eq!(inline.merged(template), boxed.merged(template));
+        assert_eq!(
+            inline.wire_words(reading_words),
+            boxed.wire_words(reading_words)
+        );
+        let readings = inline
+            .parts
+            .iter()
+            .filter(|p| matches!(p, Part::Reading { .. }))
+            .count();
+        let sensors = inline
+            .parts
+            .iter()
+            .filter(|p| !p.origin().is_multiple_of(3))
+            .count();
+        assert_eq!(readings, sensors, "every sensor's part is inline");
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_quantile_set_is_the_map_union_and_lawful(
@@ -854,33 +983,70 @@ mod tests {
             check_quantile_set(&td_quantiles::QDigest::empty(9), &a, &b, &c);
             check_quantile_set(&td_quantiles::GkSummary::empty(), &a, &b, &c);
         }
+
+        #[test]
+        fn prop_inline_readings_merge_and_size_like_boxed_singletons(
+            a in proptest::collection::vec(0u32..60, 0..30),
+            b in proptest::collection::vec(0u32..60, 0..30),
+        ) {
+            check_inline_readings(&td_quantiles::QDigest::empty(9), &a, &b);
+            check_inline_readings(&td_quantiles::GkSummary::empty(), &a, &b);
+        }
     }
 
-    /// A union never deep-copies a part: origins the receiver holds keep
-    /// its own part (the first writer wins, nothing is touched), and new
-    /// origins share the sender's part.
+    /// The summary behind a part, if it is a summary.
+    fn shared<S>(p: &Part<S>) -> Option<&Arc<S>> {
+        match p {
+            Part::Reading { .. } => None,
+            Part::Summary { part, .. } => Some(part),
+        }
+    }
+
+    /// A union never deep-copies a summary: origins the receiver holds
+    /// keep its own part (the first writer wins, nothing is touched),
+    /// a new origin's summary is shared with the sender, and a new
+    /// origin's reading is copied. A part costs what an `(origin, Arc)`
+    /// entry did.
     #[test]
-    fn quantile_union_shares_parts_and_copies_none() {
+    fn quantile_union_shares_summaries_and_copies_readings() {
         let t = td_quantiles::QDigest::empty(9);
+        assert_eq!(
+            std::mem::size_of::<Part<td_quantiles::QDigest>>(),
+            std::mem::size_of::<(u32, Arc<td_quantiles::QDigest>)>()
+        );
+        // Origin 3 is a tributary root; 1, 2 and 4 are sensors.
         let mut into = origin_set(&t, &[1, 2, 3]);
-        let before: Vec<Arc<_>> = into.parts.iter().map(|(_, p)| Arc::clone(p)).collect();
+        let own = Arc::clone(shared(&into.parts[2]).expect("origin 3 is a summary"));
         let held = origin_set(&t, &[3, 2]);
         into.union(&held);
-        assert_eq!(into.len(), 3);
-        for ((_, p), old) in into.parts.iter().zip(&before) {
-            assert!(Arc::ptr_eq(p, old), "a held origin's part was replaced");
-        }
-        for (_, p) in &held.parts {
-            assert_eq!(Arc::strong_count(p), 1, "a held origin's part was taken");
-        }
-        let new = origin_set(&t, &[4, 0]);
+        assert_eq!(flat(&t, &into), flat(&t, &origin_set(&t, &[1, 2, 3])));
+        assert!(
+            Arc::ptr_eq(shared(&into.parts[2]).unwrap(), &own),
+            "a held origin's part was replaced"
+        );
+        assert_eq!(
+            Arc::strong_count(shared(&held.parts[1]).unwrap()),
+            1,
+            "a held origin's part was taken"
+        );
+        let new = origin_set(&t, &[4, 0, 6]);
         into.union(&new);
         assert_eq!(
-            into.parts.iter().map(|(o, _)| *o).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
+            into.parts.iter().map(Part::origin).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4, 6]
         );
-        assert!(Arc::ptr_eq(&into.parts[0].1, &new.parts[0].1));
-        assert!(Arc::ptr_eq(&into.parts[4].1, &new.parts[1].1));
+        assert!(Arc::ptr_eq(
+            shared(&into.parts[0]).unwrap(),
+            shared(&new.parts[0]).unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            shared(&into.parts[5]).unwrap(),
+            shared(&new.parts[2]).unwrap()
+        ));
+        assert!(matches!(
+            (&into.parts[4], &new.parts[1]),
+            (Part::Reading { value: a, .. }, Part::Reading { value: b, .. }) if a == b
+        ));
     }
 
     /// A sealed quantile set carries no spare capacity, however much
@@ -891,15 +1057,17 @@ mod tests {
         let t = td_quantiles::QDigest::empty(9);
         let mut acc = origin_set(&t, &(0..40).collect::<Vec<_>>());
         for n in [7usize, 3, 12] {
-            acc.set_singleton(100, part(&t, 100));
+            acc.set_singleton(part(&t, 100));
             acc.union(&origin_set(
                 &t,
-                &(0..n as u32).map(|o| o * 3).collect::<Vec<_>>(),
+                &(0..n as u32).map(|o| o * 3 + 1).collect::<Vec<_>>(),
             ));
             let grown = acc.parts.capacity();
+            let before = flat(&t, &acc);
             let sealed = acc.seal();
             assert_eq!(sealed.len(), n + 1);
             assert_eq!(sealed.parts.capacity(), sealed.parts.len());
+            assert_eq!(flat(&t, &sealed), before, "sealing moved the content");
             assert!(acc.is_empty());
             assert_eq!(
                 acc.parts.capacity(),

@@ -97,21 +97,25 @@ impl<C: DiCounter> ClassSynopsis<C> {
     /// Wire size in 32-bit words: per class 2 header words (class, item
     /// count) + the ñ counter + each item id with its counter.
     pub fn wire_words(&self) -> usize {
-        2 + self.total.wire_words()
-            + self
-                .items
-                .iter()
-                .map(|(_, c)| 2 + c.wire_words())
-                .sum::<usize>()
+        self.view().wire_words()
+    }
+
+    /// This synopsis, read in place.
+    fn view(&self) -> SynRef<'_, C> {
+        SynRef {
+            class: self.class,
+            total: &self.total,
+            items: &self.items,
+        }
     }
 
     /// Steps 1 and 2 of Algorithm 2 against a borrowed synopsis: ñ ⊕ ñ'
     /// and per-item ⊕, copying only the counters of items `self` lacks.
     /// The item list grows in place; `factory` makes the stand-ins it
     /// grows by.
-    fn absorb<F: CounterFactory<Counter = C>>(&mut self, other: &Self, factory: &F) {
-        self.total.merge(&other.total);
-        union_into(&mut self.items, &other.items, C::merge, C::clone, |_| {
+    fn absorb<F: CounterFactory<Counter = C>>(&mut self, other: SynRef<'_, C>, factory: &F) {
+        self.total.merge(other.total);
+        union_into(&mut self.items, other.items, C::merge, C::clone, |_| {
             factory.new_counter()
         });
     }
@@ -202,25 +206,65 @@ pub fn fuse<F: CounterFactory>(
     b: ClassSynopsis<F::Counter>,
 ) -> ClassSynopsis<F::Counter> {
     assert_eq!(a.class, b.class, "only same-class synopses fuse");
-    a.absorb(&b, &cfg.factory);
+    a.absorb(b.view(), &cfg.factory);
     a.promote(cfg);
     a
+}
+
+/// A class synopsis read in place: a [`ClassSynopsis`], or one of a
+/// sealed set's, whose items sit in the set's one buffer.
+#[derive(Clone, Copy)]
+struct SynRef<'a, C> {
+    class: u32,
+    total: &'a C,
+    items: &'a [(Item, C)],
+}
+
+impl<C: DiCounter> SynRef<'_, C> {
+    /// [`ClassSynopsis::wire_words`].
+    fn wire_words(&self) -> usize {
+        2 + self.total.wire_words()
+            + self
+                .items
+                .iter()
+                .map(|(_, c)| 2 + c.wire_words())
+                .sum::<usize>()
+    }
 }
 
 /// The collection of synopses a node holds/transmits: at most one per
 /// class after [`SynopsisSet::compact`] or [`SynopsisSet::fuse`].
 ///
-/// A set used as a long-lived accumulator also keeps the item storage of
-/// the synopses it retired ([`clear`](Self::clear), fusion,
-/// [`seal`](Self::seal)) and builds new synopses in it; a sealed or
-/// cloned set keeps none.
+/// A set takes one of two forms, which fuse, evaluate, size and copy
+/// alike. A set being built (a long-lived accumulator) keeps one item
+/// list per synopsis, plus the item storage of the synopses it retired
+/// ([`clear`](Self::clear), fusion, [`seal`](Self::seal)), and builds
+/// new synopses in it. A sealed set (a message on the air) keeps every
+/// synopsis's items in one exact-size buffer: two allocations, its
+/// headers and its items, whatever its class count. Building on a sealed
+/// set gives it back one list per synopsis first; a cloned set keeps no
+/// retired storage.
 #[derive(Debug)]
 pub struct SynopsisSet<C> {
     /// Ascending by class; within a class, in arrival order (compaction
-    /// fuses the newest two first).
+    /// fuses the newest two first). Empty in a sealed set.
     syns: Vec<ClassSynopsis<C>>,
     /// Emptied item lists of retired synopses, for reuse.
     spare: Vec<Vec<(Item, C)>>,
+    /// A sealed set's synopses, in the same order, without their items.
+    heads: Box<[Head<C>]>,
+    /// A sealed set's items: synopsis `k`'s are
+    /// `items[heads[k - 1].end..heads[k].end]`.
+    items: Box<[(Item, C)]>,
+}
+
+/// A sealed synopsis: its class and ñ, and where its items end in the
+/// set's buffer.
+#[derive(Clone, Debug)]
+struct Head<C> {
+    class: u32,
+    end: u32,
+    total: C,
 }
 
 impl<C: DiCounter> Default for SynopsisSet<C> {
@@ -228,6 +272,8 @@ impl<C: DiCounter> Default for SynopsisSet<C> {
         SynopsisSet {
             syns: Vec::new(),
             spare: Vec::new(),
+            heads: Box::default(),
+            items: Box::default(),
         }
     }
 }
@@ -237,13 +283,16 @@ impl<C: DiCounter> Clone for SynopsisSet<C> {
         SynopsisSet {
             syns: self.syns.clone(),
             spare: Vec::new(),
+            heads: self.heads.clone(),
+            items: self.items.clone(),
         }
     }
 
-    /// Copies `source`'s synopses into this set's retired storage.
+    /// Copies `source`'s synopses into this set's retired storage,
+    /// leaving it a set being built.
     fn clone_from(&mut self, source: &Self) {
         self.clear();
-        for s in &source.syns {
+        for s in source.iter() {
             let copy = copy_into(&mut self.spare, s);
             self.syns.push(copy);
         }
@@ -260,12 +309,9 @@ const LENT: u32 = 1 << 31;
 const ON_STACK: usize = 130;
 
 /// A copy of `s` whose item list reuses a spare one.
-fn copy_into<C: DiCounter>(
-    spare: &mut Vec<Vec<(Item, C)>>,
-    s: &ClassSynopsis<C>,
-) -> ClassSynopsis<C> {
+fn copy_into<C: DiCounter>(spare: &mut Vec<Vec<(Item, C)>>, s: SynRef<'_, C>) -> ClassSynopsis<C> {
     let mut items = spare.pop().unwrap_or_default();
-    items.clone_from(&s.items);
+    items.extend_from_slice(s.items);
     ClassSynopsis {
         class: s.class,
         total: s.total.clone(),
@@ -292,16 +338,74 @@ impl<C: DiCounter> SynopsisSet<C> {
 
     /// Whether the set holds no synopses.
     pub fn is_empty(&self) -> bool {
-        self.syns.is_empty()
+        self.len() == 0
     }
 
     /// Whether the set holds at most one synopsis per class.
     pub fn is_compact(&self) -> bool {
-        self.syns.windows(2).all(|w| w[0].class != w[1].class)
+        (1..self.len()).all(|k| self.class_of(k - 1) != self.class_of(k))
+    }
+
+    /// Number of synopses, in either form.
+    fn len(&self) -> usize {
+        self.syns.len() + self.heads.len()
+    }
+
+    /// Synopsis `k`'s class.
+    fn class_of(&self, k: usize) -> u32 {
+        match self.heads.get(k) {
+            Some(h) => h.class,
+            None => self.syns[k].class,
+        }
+    }
+
+    /// Synopsis `k`, read in place.
+    fn syn(&self, k: usize) -> SynRef<'_, C> {
+        match self.heads.get(k) {
+            Some(h) => {
+                let start = k.checked_sub(1).map_or(0, |p| self.heads[p].end as usize);
+                SynRef {
+                    class: h.class,
+                    total: &h.total,
+                    items: &self.items[start..h.end as usize],
+                }
+            }
+            None => self.syns[k].view(),
+        }
+    }
+
+    /// Every synopsis in order, read in place.
+    fn iter(&self) -> impl Iterator<Item = SynRef<'_, C>> {
+        (0..self.len()).map(|k| self.syn(k))
+    }
+
+    /// Give a sealed set one item list per synopsis again, so it can be
+    /// built on; its buffer joins the retired storage. A no-op on a set
+    /// being built.
+    fn unseal(&mut self) {
+        if self.heads.is_empty() {
+            return;
+        }
+        let mut buffer = std::mem::take(&mut self.items).into_vec();
+        let mut items = buffer.drain(..);
+        let mut start = 0;
+        for h in std::mem::take(&mut self.heads).into_vec() {
+            let mut list = self.spare.pop().unwrap_or_default();
+            list.extend(items.by_ref().take(h.end as usize - start));
+            start = h.end as usize;
+            self.syns.push(ClassSynopsis {
+                class: h.class,
+                total: h.total,
+                items: list,
+            });
+        }
+        drop(items);
+        self.spare.push(buffer);
     }
 
     /// Add one synopsis (the newest of its class).
     pub fn insert(&mut self, s: ClassSynopsis<C>) {
+        self.unseal();
         let at = self.syns.partition_point(|x| x.class <= s.class);
         self.syns.insert(at, s);
     }
@@ -310,7 +414,8 @@ impl<C: DiCounter> SynopsisSet<C> {
     /// [`compact`](Self::compact), the definition of a fusion that the
     /// fusion tests hold [`fuse`](Self::fuse) to.
     #[cfg(test)]
-    pub fn absorb(&mut self, other: SynopsisSet<C>) {
+    pub fn absorb(&mut self, mut other: SynopsisSet<C>) {
+        other.unseal();
         for s in other.syns {
             self.insert(s);
         }
@@ -318,7 +423,8 @@ impl<C: DiCounter> SynopsisSet<C> {
 
     /// Drop every synopsis, keeping their storage for reuse.
     pub fn clear(&mut self) {
-        let SynopsisSet { syns, spare } = self;
+        self.unseal();
+        let SynopsisSet { syns, spare, .. } = self;
         for s in syns.drain(..) {
             spare.push(retired(s));
         }
@@ -345,23 +451,27 @@ impl<C: DiCounter> SynopsisSet<C> {
         }
     }
 
-    /// Move the synopses out into a set whose every list is exact-size
-    /// (capacity equal to length), leaving this set empty with its
-    /// storage kept for the next message it builds. Nothing is cloned.
+    /// Move the synopses out into a sealed set, every synopsis's items
+    /// in one exact-size buffer, leaving this set empty with every item
+    /// list kept for the next message it builds. Nothing is cloned.
     pub fn seal(&mut self) -> SynopsisSet<C> {
-        let SynopsisSet { syns, spare } = self;
-        let mut sealed = Vec::with_capacity(syns.len());
+        self.unseal();
+        let SynopsisSet { syns, spare, .. } = self;
+        let mut heads = Vec::with_capacity(syns.len());
+        let mut items = Vec::with_capacity(syns.iter().map(|s| s.items.len()).sum());
         for mut s in syns.drain(..) {
-            if s.items.capacity() != s.items.len() {
-                let mut exact = Vec::with_capacity(s.items.len());
-                exact.append(&mut s.items);
-                spare.push(std::mem::replace(&mut s.items, exact));
-            }
-            sealed.push(s);
+            items.append(&mut s.items);
+            heads.push(Head {
+                class: s.class,
+                end: items.len() as u32,
+                total: s.total,
+            });
+            spare.push(s.items);
         }
         SynopsisSet {
-            syns: sealed,
-            spare: Vec::new(),
+            heads: heads.into_boxed_slice(),
+            items: items.into_boxed_slice(),
+            ..SynopsisSet::default()
         }
     }
 
@@ -390,7 +500,8 @@ impl<C: DiCounter> SynopsisSet<C> {
         cfg: &MultipathConfig<F>,
         from: &SynopsisSet<C>,
     ) {
-        let n = self.syns.len() + from.syns.len();
+        self.unseal();
+        let n = self.syns.len() + from.len();
         let mut stack = [0u32; ON_STACK];
         let mut heap = Vec::new();
         let list = if n <= ON_STACK {
@@ -414,14 +525,14 @@ impl<C: DiCounter> SynopsisSet<C> {
         let mut len = 0;
         let mut lent = 0;
         for (i, s) in self.syns.iter().enumerate() {
-            while lent < from.syns.len() && from.syns[lent].class < s.class {
+            while lent < from.len() && from.class_of(lent) < s.class {
                 list[len] = LENT | lent as u32;
                 (len, lent) = (len + 1, lent + 1);
             }
             list[len] = i as u32;
             len += 1;
         }
-        for j in lent..from.syns.len() {
+        for j in lent..from.len() {
             list[len] = LENT | j as u32;
             len += 1;
         }
@@ -429,7 +540,7 @@ impl<C: DiCounter> SynopsisSet<C> {
             if e & LENT == 0 {
                 syns[e as usize].class
             } else {
-                from.syns[(e & !LENT) as usize].class
+                from.class_of((e & !LENT) as usize)
             }
         };
         // The smallest class holding two or more synopses is the first
@@ -447,7 +558,7 @@ impl<C: DiCounter> SynopsisSet<C> {
                 (true, _) => (newest as usize, older),
                 (false, true) => (older as usize, newest),
                 (false, false) => {
-                    let copy = copy_into(&mut self.spare, &from.syns[(newest & !LENT) as usize]);
+                    let copy = copy_into(&mut self.spare, from.syn((newest & !LENT) as usize));
                     self.syns.push(copy);
                     (self.syns.len() - 1, older)
                 }
@@ -455,9 +566,9 @@ impl<C: DiCounter> SynopsisSet<C> {
             let retire = (newest & LENT == 0 && older & LENT == 0).then_some(older as usize);
             if other & LENT == 0 {
                 let (a, b) = pair_mut(&mut self.syns, into, other as usize);
-                a.absorb(b, &cfg.factory);
+                a.absorb(b.view(), &cfg.factory);
             } else {
-                self.syns[into].absorb(&from.syns[(other & !LENT) as usize], &cfg.factory);
+                self.syns[into].absorb(from.syn((other & !LENT) as usize), &cfg.factory);
             }
             self.syns[into].promote(cfg);
             list.copy_within(end..len, end - 2);
@@ -486,7 +597,7 @@ impl<C: DiCounter> SynopsisSet<C> {
         // the list is a permutation of them.
         for e in &mut list[..len] {
             if *e & LENT != 0 {
-                let copy = copy_into(&mut self.spare, &from.syns[(*e & !LENT) as usize]);
+                let copy = copy_into(&mut self.spare, from.syn((*e & !LENT) as usize));
                 self.syns.push(copy);
                 *e = (self.syns.len() - 1) as u32;
             }
@@ -505,22 +616,21 @@ impl<C: DiCounter> SynopsisSet<C> {
 
     /// Wire size in words across all synopses.
     pub fn wire_words(&self) -> usize {
-        self.syns.iter().map(ClassSynopsis::wire_words).sum()
+        self.iter().map(|s| s.wire_words()).sum()
     }
 
     /// Synopsis evaluation (SE): ⊕-combine each item's counters across
     /// all classes and estimate; also estimate the total N̂.
     pub fn evaluate(&self) -> FreqEstimates {
         let mut total: Option<C> = None;
-        for s in &self.syns {
+        for s in self.iter() {
             match &mut total {
-                Some(t) => t.merge(&s.total),
+                Some(t) => t.merge(s.total),
                 None => total = Some(s.total.clone()),
             }
         }
         // ⊕ commutes, so each item's counters combine in any order.
         let mut per_item: Vec<(Item, &C)> = self
-            .syns
             .iter()
             .flat_map(|s| s.items.iter().map(|(u, c)| (*u, c)))
             .collect();
@@ -800,7 +910,7 @@ mod tests {
     /// `compact` — kept as the oracle the flat, by-reference paths must
     /// match on the representation.
     mod reference {
-        use super::super::{ClassSynopsis, MultipathConfig, SynopsisSet};
+        use super::super::{MultipathConfig, SynRef, SynopsisSet};
         use crate::items::Item;
         use std::collections::BTreeMap;
         use td_sketches::counter::{CounterFactory, DiCounter};
@@ -815,7 +925,7 @@ mod tests {
             pub items: BTreeMap<Item, C>,
         }
 
-        pub fn from_flat<C: DiCounter>(s: &ClassSynopsis<C>) -> RefSynopsis<C> {
+        pub fn from_flat<C: DiCounter>(s: SynRef<'_, C>) -> RefSynopsis<C> {
             RefSynopsis {
                 class: s.class,
                 total: s.total.clone(),
@@ -860,7 +970,7 @@ mod tests {
                 let mut r = RefSet {
                     slots: BTreeMap::new(),
                 };
-                for s in &set.syns {
+                for s in set.iter() {
                     r.insert(from_flat(s));
                 }
                 r
@@ -903,11 +1013,10 @@ mod tests {
             }
         }
 
-        /// The flat set in [`RefSet::flatten`]'s shape.
+        /// The flat set, in either form, in [`RefSet::flatten`]'s shape.
         pub fn flatten<C: DiCounter>(set: &SynopsisSet<C>) -> Flat<C> {
-            set.syns
-                .iter()
-                .map(|s| (s.class, s.total.clone(), s.items.clone()))
+            set.iter()
+                .map(|s| (s.class, s.total.clone(), s.items.to_vec()))
                 .collect()
         }
     }
@@ -952,16 +1061,16 @@ mod tests {
             let older = held.remove(end - 2);
             let mut fused = match (newest, older) {
                 (Held::Own(mut a), b) => {
-                    a.absorb(b.get(), &cfg.factory);
+                    a.absorb(b.get().view(), &cfg.factory);
                     a
                 }
                 (Held::Lent(a), Held::Own(mut b)) => {
-                    b.absorb(a, &cfg.factory);
+                    b.absorb(a.view(), &cfg.factory);
                     b
                 }
                 (Held::Lent(a), Held::Lent(b)) => {
                     let mut a = a.clone();
-                    a.absorb(b, &cfg.factory);
+                    a.absorb(b.view(), &cfg.factory);
                     a
                 }
             };
@@ -1010,7 +1119,7 @@ mod tests {
             acc.fuse(cfg, &into);
             let sealed = acc.seal();
             assert!(acc.is_empty());
-            for s in &into.syns {
+            for s in into.iter() {
                 let copy = copy_into(&mut acc.spare, s);
                 acc.insert(copy);
             }
@@ -1082,8 +1191,10 @@ mod tests {
         assert_eq!(kept, vec![2, 3, 5]);
     }
 
-    /// A sealed message carries no spare capacity, however much the
-    /// accumulator it was built in grew.
+    /// A sealed message keeps every synopsis's items in one exact-size
+    /// buffer, however much the accumulator it was built in grew: its
+    /// headers and that buffer are all it allocates, and the accumulator
+    /// keeps every item list for the next message.
     #[test]
     fn a_sealed_set_is_exact_size() {
         let cfg = MultipathConfig::new(0.01, 1.5, 1 << 16, FmFactory { bitmaps: 16 });
@@ -1098,13 +1209,101 @@ mod tests {
                     acc.fuse(&cfg, &one);
                 }
             }
+            let before = reference::flatten(&acc);
+            let lists = acc.syns.len() + acc.spare.len();
             let sealed = acc.seal();
             assert!(!sealed.is_empty());
-            assert_eq!(sealed.syns.capacity(), sealed.syns.len());
-            for s in &sealed.syns {
-                assert_eq!(s.items.capacity(), s.items.len(), "class {}", s.class);
-            }
-            assert!(sealed.spare.is_empty());
+            assert_eq!(
+                reference::flatten(&sealed),
+                before,
+                "sealing moved the content"
+            );
+            assert_eq!(sealed.heads.len(), before.len());
+            assert_eq!(
+                sealed.items.len(),
+                before
+                    .iter()
+                    .map(|(_, _, items)| items.len())
+                    .sum::<usize>()
+            );
+            assert_eq!(
+                (sealed.syns.capacity(), sealed.spare.capacity()),
+                (0, 0),
+                "a sealed set holds more than its two buffers"
+            );
+            assert!(acc.is_empty());
+            assert_eq!(acc.spare.len(), lists, "the accumulator lost an item list");
+        }
+    }
+
+    /// Estimates with every float as its bits.
+    fn estimate_bits(set: &SynopsisSet<impl DiCounter>) -> (u64, Vec<(Item, u64)>) {
+        let e = set.evaluate();
+        let counts = e.counts.iter().map(|(&u, c)| (u, c.to_bits())).collect();
+        (e.n_est.to_bits(), counts)
+    }
+
+    /// A sealed set against the accumulator it was sealed from: the same
+    /// synopses, wire words and estimates, and the same result fused
+    /// into another set, fused into itself, copied by `clone_from`, or
+    /// built on.
+    fn check_sealed_matches_accumulator<F>(cfg: &MultipathConfig<F>, seed: u64, picks: &[u64])
+    where
+        F: CounterFactory,
+        F::Counter: PartialEq + std::fmt::Debug,
+    {
+        let pool = synopsis_pool(cfg, seed);
+        if pool.is_empty() {
+            return;
+        }
+        let flat = reference::flatten;
+        let (a, b) = picks.split_at(picks.len() / 2);
+        let other = draw_set(cfg, &pool, b, true);
+        for compact in [true, false] {
+            let mut acc = draw_set(cfg, &pool, a, compact);
+            acc.fuse(cfg, &draw_set(cfg, &pool, b, false));
+            let kept = acc.clone();
+            let sealed = acc.seal();
+            assert_eq!(flat(&sealed), flat(&kept));
+            assert_eq!(sealed.wire_words(), kept.wire_words());
+            assert_eq!(sealed.is_compact(), kept.is_compact());
+            assert_eq!(estimate_bits(&sealed), estimate_bits(&kept));
+            // Fused into another set.
+            let (mut x, mut y) = (other.clone(), other.clone());
+            x.fuse(cfg, &sealed);
+            y.fuse(cfg, &kept);
+            assert_eq!(flat(&x), flat(&y), "a sealed sender fused differently");
+            // Fused into, and built on.
+            let (mut x, mut y) = (sealed.clone(), kept.clone());
+            x.fuse(cfg, &other);
+            y.fuse(cfg, &other);
+            assert_eq!(flat(&x), flat(&y), "a sealed receiver fused differently");
+            let (mut x, mut y) = (sealed.clone(), kept.clone());
+            x.insert(pool[0].clone());
+            y.insert(pool[0].clone());
+            assert_eq!(flat(&x), flat(&y), "a sealed set built on differently");
+            // Copied into a set's retired storage.
+            let mut copy = other.clone();
+            copy.clone_from(&sealed);
+            assert!(copy.heads.is_empty(), "a copy is a set being built");
+            assert_eq!(flat(&copy), flat(&kept));
+        }
+    }
+
+    proptest::proptest! {
+        /// The flat seal is the accumulator, on the representation and
+        /// through every reader, for exact counters and both FM layouts.
+        #[test]
+        fn prop_a_sealed_set_reads_as_its_accumulator(
+            seed in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 2..14),
+            eps_milli in 20u64..300,
+            n_bits in 9u32..16,
+        ) {
+            let eps = eps_milli as f64 / 1000.0;
+            check_sealed_matches_accumulator(&MultipathConfig::new(eps, 1.5, 1 << n_bits, ExactFactory), seed, &picks);
+            check_sealed_matches_accumulator(&MultipathConfig::new(eps, 1.5, 1 << n_bits, FmFactory { bitmaps: 16 }), seed, &picks);
+            check_sealed_matches_accumulator(&MultipathConfig::new(eps, 1.5, 1 << n_bits, FmFactory { bitmaps: 24 }), seed, &picks);
         }
     }
 
@@ -1188,7 +1387,11 @@ mod tests {
             );
             if x.class == y.class {
                 let f = fuse(cfg, x.clone(), y.clone());
-                let r = reference::fuse(cfg, reference::from_flat(x), reference::from_flat(y));
+                let r = reference::fuse(
+                    cfg,
+                    reference::from_flat(x.view()),
+                    reference::from_flat(y.view()),
+                );
                 assert_eq!(
                     (f.class, &f.total, f.items.clone()),
                     (r.class, &r.total, r.items.into_iter().collect::<Vec<_>>())

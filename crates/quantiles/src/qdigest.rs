@@ -69,12 +69,20 @@ impl QDigest {
     /// `2^bits` saturate to the domain maximum.
     pub fn exact(values: &[u64], bits: u32) -> Self {
         let mut d = QDigest::empty(bits);
-        let max = (1u64 << bits) - 1;
         for &v in values {
-            *d.nodes.entry((bits, v.min(max))).or_insert(0) += 1;
+            d.insert_exact(v);
         }
-        d.n = values.len() as u64;
         d
+    }
+
+    /// Add one exact reading in place: its leaf's count goes up by one,
+    /// saturating like [`exact`](Self::exact). The digest
+    /// `combine_into(&QDigest::exact(&[value], bits))` builds, without
+    /// building the one-leaf digest.
+    pub(crate) fn insert_exact(&mut self, value: u64) {
+        let max = (1u64 << self.bits) - 1;
+        *self.nodes.entry((self.bits, value.min(max))).or_insert(0) += 1;
+        self.n += 1;
     }
 
     /// Domain width exponent.
@@ -509,6 +517,27 @@ mod tests {
                 let err = d.rank(probe).abs_diff(true_rank(&vals, probe));
                 prop_assert!(err <= d.uncertainty(), "rank err {err} > E {}", d.uncertainty());
             }
+        }
+
+        /// An in-place reading is the one-reading digest combined in,
+        /// on the representation, for readings in and out of the domain.
+        #[test]
+        fn prop_insert_exact_is_combining_a_one_reading_digest(
+            vals in proptest::collection::vec(0u64..2048, 0..60),
+            e in 0u64..40,
+            raw in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // Readings of every magnitude: about one in seven fits the
+            // 9-bit domain, the rest saturate.
+            let v = raw >> shift;
+            let mut d = QDigest::exact(&vals, 9);
+            d.reduce(e);
+            let mut combined = d.clone();
+            combined.combine_into(&QDigest::exact(&[v], 9));
+            d.insert_exact(v);
+            prop_assert!(d.check_invariant().is_ok());
+            prop_assert_eq!(d, combined);
         }
 
         #[test]

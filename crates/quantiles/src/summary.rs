@@ -318,6 +318,14 @@ pub trait QuantileSummary: Clone + PartialEq + Send + Sync + std::fmt::Debug + '
         *self = self.combine(other);
     }
 
+    /// `self.combine_into(&self.exact_from(&[value]))`: add one exact
+    /// reading. Families that can add it in place (q-digest, one leaf
+    /// count) do so without building the one-reading summary.
+    fn insert_exact(&mut self, value: u64) {
+        let one = self.exact_from(std::slice::from_ref(&value));
+        self.combine_into(&one);
+    }
+
     /// Compress to rank-error budget `e_target` (no-op if the summary
     /// is already within budget).
     fn reduce(&mut self, e_target: u64);
@@ -404,6 +412,10 @@ impl QuantileSummary for crate::qdigest::QDigest {
 
     fn combine_into(&mut self, other: &Self) {
         crate::qdigest::QDigest::combine_into(self, other)
+    }
+
+    fn insert_exact(&mut self, value: u64) {
+        crate::qdigest::QDigest::insert_exact(self, value)
     }
 
     fn reduce(&mut self, e_target: u64) {

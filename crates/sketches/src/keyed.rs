@@ -1,11 +1,12 @@
 //! Keyed union over flat sorted storage.
 //!
 //! The delta's set-valued messages are keyed sets — a frequent-items
-//! synopsis holds one counter per item, a quantile synopsis one summary
-//! per origin node — stored as `Vec<(key, value)>` sorted by key, and
-//! fusing two of them is a keyed union: shared keys combine, new keys
-//! are copied in. [`union_into`] is that union, reading the other set by
-//! reference and growing the receiver in place.
+//! synopsis holds one counter per item, a quantile synopsis one part
+//! per origin node — stored flat and sorted by key, and fusing two of
+//! them is a keyed union: shared keys combine, new keys are copied in.
+//! [`union_into`] is that union over `(key, value)` pairs, reading the
+//! other set by reference and growing the receiver in place;
+//! [`union_by`] is the same union over entries that carry their own key.
 
 /// Union `from` into `into`, both sorted by strictly increasing key. A
 /// key present in both gets `both(&mut into_value, &from_value)`; a key
@@ -25,17 +26,45 @@ pub fn union_into<K: Ord + Copy, V>(
     mut copy: impl FnMut(&V) -> V,
     mut spare: impl FnMut(&V) -> V,
 ) {
-    debug_assert!(into.windows(2).all(|w| w[0].0 < w[1].0), "into not sorted");
-    debug_assert!(from.windows(2).all(|w| w[0].0 < w[1].0), "from not sorted");
+    union_by(
+        into,
+        from,
+        |e| e.0,
+        |x, y| both(&mut x.1, &y.1),
+        |y| (y.0, copy(&y.1)),
+        |y| (y.0, spare(&y.1)),
+    );
+}
+
+/// [`union_into`] over entries that carry their own key, read by `key`:
+/// `both`, `copy` and `spare` see whole entries, and a copied entry must
+/// keep its key.
+pub fn union_by<T, K: Ord + Copy>(
+    into: &mut Vec<T>,
+    from: &[T],
+    key: impl Fn(&T) -> K,
+    mut both: impl FnMut(&mut T, &T),
+    mut copy: impl FnMut(&T) -> T,
+    mut spare: impl FnMut(&T) -> T,
+) {
+    debug_assert!(
+        into.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+        "into not sorted"
+    );
+    debug_assert!(
+        from.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+        "from not sorted"
+    );
     // Shared keys combine in place; count the new ones.
     let mut added = 0;
     let mut i = 0;
-    for (k, v) in from {
-        while i < into.len() && into[i].0 < *k {
+    for e in from {
+        let k = key(e);
+        while i < into.len() && key(&into[i]) < k {
             i += 1;
         }
-        if i < into.len() && into[i].0 == *k {
-            both(&mut into[i].1, v);
+        if i < into.len() && key(&into[i]) == k {
+            both(&mut into[i], e);
             i += 1;
         } else {
             added += 1;
@@ -47,26 +76,27 @@ pub fn union_into<K: Ord + Copy, V>(
     // Old entries not yet placed are `into[..i]`, final slots are
     // `into[w..]`, and the `w - i` slots between hold stand-ins: one per
     // new key not yet written.
-    let (k0, v0) = &from[0];
-    into.extend((0..added).map(|_| (*k0, spare(v0))));
+    let e0 = &from[0];
+    into.extend((0..added).map(|_| spare(e0)));
     let mut i = into.len() - added;
     let mut w = into.len();
-    for (k, v) in from.iter().rev() {
+    for e in from.iter().rev() {
         if i == w {
             // No new key left: the rest is in place already.
             break;
         }
-        while i > 0 && into[i - 1].0 > *k {
+        let k = key(e);
+        while i > 0 && key(&into[i - 1]) > k {
             i -= 1;
             w -= 1;
             into.swap(i, w);
         }
         w -= 1;
-        if i > 0 && into[i - 1].0 == *k {
+        if i > 0 && key(&into[i - 1]) == k {
             i -= 1;
             into.swap(i, w);
         } else {
-            into[w] = (*k, copy(v));
+            into[w] = copy(e);
         }
     }
     debug_assert_eq!(i, w, "every stand-in was overwritten");
