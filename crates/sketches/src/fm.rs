@@ -37,6 +37,21 @@
 //! patched, so a hit returns exactly what `row(v)` would compute. Which
 //! values happen to be cached — on which thread, after which evictions —
 //! changes how long an insertion takes, never the bits it sets.
+//!
+//! Two kernels draw the band, and both set exactly the same bits. The
+//! portable kernel steps four scalar streams in lockstep and runs on any
+//! CPU. The AVX-512 kernel puts one stream in each 64-bit lane of a vector
+//! and steps up to eight vectors, 64 bitmaps, in lockstep; it needs
+//! `avx512dq`'s 64-bit multiply. Each insertion picks the AVX-512 kernel
+//! when the CPU reports `avx512f` and `avx512dq` at run time, and the
+//! portable one otherwise: no option or build flag chooses. The AVX-512
+//! lanes use the scalar code's seeds, stream order and integer thresholds,
+//! so a sketch's bits, and everything estimated from them, do not depend on
+//! the CPU. The tests hold each kernel the CPU can run to a
+//! straightforward reference (`powf` per call, float comparisons) at every
+//! width from 1 to 70 and on the kernel's edge values, and check that the
+//! dispatch picks AVX-512 exactly when both features are detected. Calling
+//! the AVX-512 kernel is the crate's one `unsafe` block.
 
 use crate::hash::{key_mix, keyed_mixed, mix64, pair_value, SplitMix};
 use std::cell::RefCell;
@@ -213,8 +228,14 @@ pub(crate) fn merge_into(bitmaps: &mut [u32], other: &[u32]) {
     }
 }
 
-/// [`FmSketch::insert_value`] over raw bitmaps.
+/// [`FmSketch::insert_value`] over raw bitmaps, drawn by the fastest
+/// kernel this CPU runs.
 pub(crate) fn insert_value_into(bitmaps: &mut [u32], salt: u64, v: u64) {
+    insert_value_with(Kernel::chosen(), bitmaps, salt, v);
+}
+
+/// [`insert_value_into`] with the approximate path drawn by `kernel`.
+fn insert_value_with(kernel: Kernel, bitmaps: &mut [u32], salt: u64, v: u64) {
     if v == 0 {
         return;
     }
@@ -230,14 +251,50 @@ pub(crate) fn insert_value_into(bitmaps: &mut [u32], salt: u64, v: u64) {
     // Independent-bit approximation (Considine et al. [5]): bit j is
     // set with probability 1 - (1 - 2^{-(j+1)})^v, sampled from a
     // deterministic stream per (salt, bitmap) against the shared row.
-    let row = memo_row(v);
-    let (quads, tail) = bitmaps.as_chunks_mut::<4>();
-    let tail_k = 4 * quads.len();
-    for (q, quad) in quads.iter_mut().enumerate() {
-        draw_row(quad, 4 * q, mixed_salt, &row);
+    kernel.draw(bitmaps, mixed_salt, &memo_row(v));
+}
+
+/// A way to draw a row into bitmaps. Every kernel sets exactly the bits
+/// [`draw_row`] sets; they differ only in speed and in the CPUs that can
+/// run them.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    /// [`draw_row`], four bitmaps at a time: any CPU.
+    Portable,
+    /// [`avx512`], eight bitmaps per vector: a CPU with `avx512f` and
+    /// `avx512dq`, which the token proves.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(avx512::Detected),
+}
+
+impl Kernel {
+    /// The kernel value insertion runs: AVX-512 when this CPU reports both
+    /// features it needs, the portable one otherwise.
+    #[inline]
+    fn chosen() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(detected) = avx512::Detected::new() {
+            return Kernel::Avx512(detected);
+        }
+        Kernel::Portable
     }
-    for (i, bm) in tail.iter_mut().enumerate() {
-        draw_row(std::array::from_mut(bm), tail_k + i, mixed_salt, &row);
+
+    /// OR `row` into every bitmap, bitmap `k` drawing from stream `k`.
+    fn draw(self, bitmaps: &mut [u32], mixed_salt: u64, row: &Row) {
+        match self {
+            Kernel::Portable => {
+                let (quads, tail) = bitmaps.as_chunks_mut::<4>();
+                let tail_k = 4 * quads.len();
+                for (q, quad) in quads.iter_mut().enumerate() {
+                    draw_row(quad, 4 * q, mixed_salt, row);
+                }
+                for (i, bm) in tail.iter_mut().enumerate() {
+                    draw_row(std::array::from_mut(bm), tail_k + i, mixed_salt, row);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512(detected) => detected.draw(bitmaps, mixed_salt, row),
+        }
     }
 }
 
@@ -262,6 +319,168 @@ fn draw_row<const N: usize>(bitmaps: &mut [u32; N], first_k: usize, mixed_salt: 
     }
     for (bm, bits) in bitmaps.iter_mut().zip(drawn) {
         *bm |= bits;
+    }
+}
+
+/// [`draw_row`] with each SplitMix stream in one 64-bit lane of an AVX-512
+/// vector. The x86-64 baseline has no 64-bit vector multiply, so eight
+/// lanes gain nothing there; `avx512dq`'s `vpmullq` is one.
+///
+/// Bitmaps go in groups of up to 64 (eight vectors): a group is seeded,
+/// then drawn band bit by band bit with its vectors in lockstep, as
+/// `draw_row` does with four scalar streams. Each lane computes its
+/// bitmap's seed, draws and comparisons with the scalar code's integer
+/// operations, so it sets the same bits; lanes past the last bitmap are
+/// drawn and dropped. The kernel calls only intrinsics that are safe where
+/// their features are enabled, and reaches the bitmaps through the slice
+/// alone: no pointer loads or stores.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Row, STREAM_KEY};
+    use crate::hash::{GOLDEN, MIX_MUL, PAIR_MUL};
+    use std::arch::x86_64::{
+        __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_cmpge_epu64_mask,
+        _mm512_cvtepi64_epi32, _mm512_mask_or_epi64, _mm512_mullo_epi64, _mm512_set1_epi64,
+        _mm512_setr_epi64, _mm512_srli_epi64, _mm512_xor_si512,
+    };
+
+    /// Bitmaps per vector: one 64-bit stream per lane.
+    const LANES: usize = 8;
+
+    /// Vectors drawn in lockstep: a group of 64 bitmaps.
+    const MAX_VECTORS: usize = 8;
+
+    /// Proof that this CPU runs `avx512f` and `avx512dq`. Its field is
+    /// private to this module, so [`Detected::new`] is the only way to
+    /// make one.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Detected(());
+
+    impl Detected {
+        /// A token if the CPU reports both features, `None` otherwise.
+        #[inline]
+        pub(super) fn new() -> Option<Detected> {
+            let detected =
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
+            detected.then_some(Detected(()))
+        }
+
+        /// [`Kernel::draw`](super::Kernel::draw) on this CPU's vectors.
+        pub(super) fn draw(self, bitmaps: &mut [u32], mixed_salt: u64, row: &Row) {
+            #[allow(unsafe_code)]
+            // SAFETY: `draw_groups` is compiled for `avx512f` and
+            // `avx512dq`, so it may run only on a CPU that has both.
+            // `self` exists only if `Detected::new` saw
+            // `is_x86_feature_detected!("avx512f")` and
+            // `is_x86_feature_detected!("avx512dq")` both true at run time.
+            unsafe {
+                draw_groups(bitmaps, mixed_salt, row)
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn draw_groups(bitmaps: &mut [u32], mixed_salt: u64, row: &Row) {
+        let group_len = LANES * MAX_VECTORS;
+        for (g, group) in bitmaps.chunks_mut(group_len).enumerate() {
+            let first_k = group_len * g;
+            // One instance per vector count, so the streams stay in
+            // registers.
+            match group.len().div_ceil(LANES) {
+                1 => draw_group::<1>(group, first_k, mixed_salt, row),
+                2 => draw_group::<2>(group, first_k, mixed_salt, row),
+                3 => draw_group::<3>(group, first_k, mixed_salt, row),
+                4 => draw_group::<4>(group, first_k, mixed_salt, row),
+                5 => draw_group::<5>(group, first_k, mixed_salt, row),
+                6 => draw_group::<6>(group, first_k, mixed_salt, row),
+                7 => draw_group::<7>(group, first_k, mixed_salt, row),
+                _ => draw_group::<MAX_VECTORS>(group, first_k, mixed_salt, row),
+            }
+        }
+    }
+
+    /// `draw_row` over bitmaps `first_k..first_k + group.len()`, which
+    /// fill `V` vectors, the last one possibly in part.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn draw_group<const V: usize>(group: &mut [u32], first_k: usize, mixed_salt: u64, row: &Row) {
+        let lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+        // Each stream's state is kept one `GOLDEN` ahead, as `mix64`
+        // first adds it: `ahead = state + GOLDEN`.
+        let mut ahead: [__m512i; V] = std::array::from_fn(|i| {
+            // `SplitMix::new(keyed_mixed(STREAM_KEY, pair_value(mixed_salt, k)))`.
+            let k = _mm512_add_epi64(splat((first_k + LANES * i) as u64), lane);
+            let pair = _mm512_add_epi64(splat(mixed_salt), mul(k, PAIR_MUL));
+            let seed = mix64(_mm512_add_epi64(splat(STREAM_KEY), mul(pair, GOLDEN)));
+            _mm512_add_epi64(mix64(seed), splat(GOLDEN))
+        });
+        let mut drawn = [splat(row.certain as u64); V];
+        let band = &row.thresholds[row.lo as usize..row.hi as usize];
+        for (j, &threshold) in (row.lo..).zip(band) {
+            // `u >> 11 >= t` is `u >= t << 11`, and `t < 2^53` because
+            // the band's `p_j ≤ 1 − 1e-12`, so the shift cannot overflow.
+            let threshold = splat(threshold << 11);
+            let bit = splat(1 << j);
+            for (ahead, bits) in ahead.iter_mut().zip(&mut drawn) {
+                // `next_u64`: step the state, then mix it.
+                *ahead = _mm512_add_epi64(*ahead, splat(GOLDEN));
+                let set = _mm512_cmpge_epu64_mask(mix64_ahead(*ahead), threshold);
+                *bits = _mm512_mask_or_epi64(*bits, set, *bits, bit);
+            }
+        }
+        for (bitmaps, bits) in group.chunks_mut(LANES).zip(drawn) {
+            for (bm, bits) in bitmaps.iter_mut().zip(low_halves(bits)) {
+                *bm |= bits;
+            }
+        }
+    }
+
+    /// `x` in every lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(x: u64) -> __m512i {
+        _mm512_set1_epi64(x as i64)
+    }
+
+    /// Lane-wise `wrapping_mul` by a constant.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn mul(a: __m512i, by: u64) -> __m512i {
+        _mm512_mullo_epi64(a, splat(by))
+    }
+
+    /// `hash::mix64`, lane by lane.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn mix64(z: __m512i) -> __m512i {
+        mix64_ahead(_mm512_add_epi64(z, splat(GOLDEN)))
+    }
+
+    /// `mix64(z)` given `z + GOLDEN`: the rest of the finalizer.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn mix64_ahead(z: __m512i) -> __m512i {
+        let z = mul(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), MIX_MUL[0]);
+        let z = mul(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), MIX_MUL[1]);
+        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
+    }
+
+    /// The low 32 bits of each lane, lane 0 first.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn low_halves(v: __m512i) -> [u32; LANES] {
+        let packed = _mm512_cvtepi64_epi32(v);
+        let pairs = [
+            _mm256_extract_epi64::<0>(packed),
+            _mm256_extract_epi64::<1>(packed),
+            _mm256_extract_epi64::<2>(packed),
+            _mm256_extract_epi64::<3>(packed),
+        ];
+        let mut halves = [0; LANES];
+        for (two, pair) in halves.chunks_exact_mut(2).zip(pairs) {
+            two[0] = pair as u32;
+            two[1] = (pair as u64 >> 32) as u32;
+        }
+        halves
     }
 }
 
@@ -762,7 +981,85 @@ mod tests {
             Ok(())
         }
 
+        /// Every kernel this CPU can run: the portable one, and the
+        /// AVX-512 one where both its features are detected.
+        fn runnable_kernels() -> Vec<Kernel> {
+            #[allow(unused_mut)]
+            let mut kernels = vec![Kernel::Portable];
+            #[cfg(target_arch = "x86_64")]
+            kernels.extend(avx512::Detected::new().map(Kernel::Avx512));
+            kernels
+        }
+
+        /// `values`, inserted one after another under `salt` into `k`
+        /// bitmaps by `kernel`, set the reference's bits after every
+        /// insertion: into fresh bitmaps first, then into bitmaps the
+        /// earlier values filled.
+        fn kernel_matches_reference(
+            kernel: Kernel,
+            k: usize,
+            salt: u64,
+            values: impl IntoIterator<Item = u64>,
+        ) -> Result<(), String> {
+            let mut expected = vec![0u32; k];
+            let mut got = vec![0u32; k];
+            for v in values {
+                reference::insert_value_into(&mut expected, salt, v);
+                insert_value_with(kernel, &mut got, salt, v);
+                prop_assert_eq!(&got, &expected, "{kernel:?} k {k} v {v} salt {salt:#x}");
+            }
+            Ok(())
+        }
+
+        /// The dispatch runs the AVX-512 kernel exactly when the CPU
+        /// reports `avx512f` and `avx512dq`, so a fast path that stops
+        /// being chosen fails here rather than going unnoticed.
+        #[test]
+        fn the_dispatch_picks_avx512_exactly_when_both_features_are_detected() {
+            #[cfg(target_arch = "x86_64")]
+            {
+                let both =
+                    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
+                assert_eq!(matches!(Kernel::chosen(), Kernel::Avx512(_)), both);
+                assert_eq!(runnable_kernels().len(), 1 + both as usize);
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            assert!(matches!(Kernel::chosen(), Kernel::Portable));
+        }
+
+        /// Each kernel at every width 1..=70 (one AVX-512 group of 64 and
+        /// a ragged second group at the top, a part-filled last vector at
+        /// most widths) against the reference, on the edge values and
+        /// values across the band's shapes.
+        #[test]
+        fn each_kernel_matches_the_reference_at_every_width() {
+            let values = [17, 40, 130, 300, 1_000, 2_500, 40_000, 1 << 40];
+            for kernel in runnable_kernels() {
+                for k in 1..=70 {
+                    for salt in [0, 1, 0xDEAD_BEEF, u64::MAX] {
+                        let values = EDGE_VALUES.into_iter().chain(values);
+                        kernel_matches_reference(kernel, k, salt, values).unwrap();
+                    }
+                }
+            }
+        }
+
         proptest! {
+            /// Each kernel this CPU runs, called directly rather than
+            /// through the dispatch, against the reference.
+            #[test]
+            fn prop_each_kernel_matches_the_reference(
+                salt in any::<u64>(),
+                v in 0u64..(1 << 20) + 1,
+                small in 0u64..200,
+                k in 1usize..71,
+            ) {
+                for kernel in runnable_kernels() {
+                    let values = [v, small].into_iter().chain(EDGE_VALUES);
+                    kernel_matches_reference(kernel, k, salt, values)?;
+                }
+            }
+
             /// Widths 1..=70 cover the inline and heap counters, widths
             /// that are not a multiple of 4, and bitmaps past the 64-entry
             /// key table.

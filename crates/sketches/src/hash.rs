@@ -7,13 +7,23 @@
 //! primitive and build keyed variants on top. `std`'s `DefaultHasher` is
 //! not used because its output may change between Rust releases.
 
+/// SplitMix64's increment, 2^64 / φ: the step of [`SplitMix`]'s state and
+/// the multiplier [`keyed`] spreads its value with.
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The two multipliers of [`mix64`], in order.
+pub(crate) const MIX_MUL: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
+/// The multiplier [`keyed_pair`] spreads the pair's second value with.
+pub(crate) const PAIR_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
+
 /// SplitMix64 finalizer. Bijective on `u64`, passes BigCrush as a mixer.
 /// A `const fn`, so tables of mixed keys can be built at compile time.
 #[inline]
 pub const fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z = z.wrapping_add(GOLDEN);
+    z = (z ^ (z >> 30)).wrapping_mul(MIX_MUL[0]);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX_MUL[1]);
     z ^ (z >> 31)
 }
 
@@ -42,13 +52,13 @@ pub(crate) const fn key_mix(key: u64) -> u64 {
 /// once more, for avalanche on both inputs.
 #[inline]
 pub(crate) fn keyed_mixed(key_mix: u64, value: u64) -> u64 {
-    mix64(key_mix.wrapping_add(value.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    mix64(key_mix.wrapping_add(value.wrapping_mul(GOLDEN)))
 }
 
 /// The value [`keyed_pair`] hashes for `(a, b)`, given `mix64(a)`.
 #[inline]
 pub(crate) fn pair_value(mixed_a: u64, b: u64) -> u64 {
-    mixed_a.wrapping_add(b.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+    mixed_a.wrapping_add(b.wrapping_mul(PAIR_MUL))
 }
 
 /// A tiny deterministic generator for sequences of pseudo-random u64s
@@ -70,7 +80,7 @@ impl SplitMix {
     /// Next pseudo-random u64.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GOLDEN);
         mix64(self.state)
     }
 

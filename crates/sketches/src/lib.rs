@@ -25,8 +25,16 @@
 //!   draws from.
 //!
 //! The ⊕ laws are enforced by property tests in every module.
+//!
+//! The crate denies `unsafe` code with one exception: the call into
+//! [`fm`]'s AVX-512 value-insertion kernel. A function compiled for CPU
+//! features the baseline target lacks may only run where they exist, so
+//! that call is `unsafe`; it is made only after both features were
+//! detected at run time. Without it, Sum's FM insertion (most of the CPU
+//! time of a tributary/delta epoch) would run at scalar speed on every
+//! CPU, or the whole build would need a target flag.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counter;
