@@ -7,12 +7,9 @@
 //! (`telemetry_snapshot.prom`), and the buffered structured events as
 //! JSONL (`telemetry_events.jsonl`).
 //!
-//! With telemetry compiled in (the default) it **asserts** that every
-//! phase histogram is populated and the event ring is non-empty, so CI
-//! can run this binary as the observability smoke test. Built with
-//! `--no-default-features` it still writes the files — marked
-//! `"telemetry_compiled": false`, with no phase histograms — proving
-//! the export path itself needs no feature gates.
+//! It **asserts** that every phase histogram is populated, the service
+//! counters are merged in and the event ring is non-empty, so CI can
+//! run this binary as the observability smoke test.
 
 use td_bench::report::write_results_text;
 use td_netsim::churn::ChurnSchedule;
@@ -136,40 +133,35 @@ fn main() {
         "telemetry_events.jsonl",
         &String::from_utf8(jsonl).expect("events are utf-8"),
     );
-    println!("exported {exported} structured events");
+    println!(
+        "exported {exported} structured events ({} dropped by the ring)",
+        snap.counter(events::DROPPED_METRIC)
+    );
 
-    if td_telemetry::compiled() {
-        for p in Phase::ALL {
-            let hist = snap
-                .histogram(p.metric_name())
-                .unwrap_or_else(|| panic!("phase histogram {} missing", p.metric_name()));
-            assert!(
-                !hist.is_empty(),
-                "phase histogram {} is empty — the scenario no longer reaches it",
-                p.metric_name()
-            );
-            println!(
-                "  {}: n={} p50={:.0}ns p99={:.0}ns",
-                p.metric_name(),
-                hist.count(),
-                hist.quantile(0.50),
-                hist.quantile(0.99)
-            );
-        }
+    for p in Phase::ALL {
+        let hist = snap
+            .histogram(p.metric_name())
+            .unwrap_or_else(|| panic!("phase histogram {} missing", p.metric_name()));
         assert!(
-            snap.counter("service.epochs_driven") > 0,
-            "service counters missing from the merged snapshot"
+            !hist.is_empty(),
+            "phase histogram {} is empty — the scenario no longer reaches it",
+            p.metric_name()
         );
-        assert!(exported > 0, "event ring is empty at Debug level");
         println!(
-            "telemetry smoke OK: all {} phases populated",
-            Phase::ALL.len()
+            "  {}: n={} p50={:.0}ns p99={:.0}ns",
+            p.metric_name(),
+            hist.count(),
+            hist.quantile(0.50),
+            hist.quantile(0.99)
         );
-    } else {
-        assert!(
-            snap.histograms.is_empty(),
-            "no-telemetry build recorded phase histograms"
-        );
-        println!("telemetry compiled out: exported marker snapshot only");
     }
+    assert!(
+        snap.counter("service.epochs_driven") > 0,
+        "service counters missing from the merged snapshot"
+    );
+    assert!(exported > 0, "event ring is empty at Debug level");
+    println!(
+        "telemetry smoke OK: all {} phases populated",
+        Phase::ALL.len()
+    );
 }

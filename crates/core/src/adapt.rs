@@ -47,18 +47,20 @@ pub struct AdapterConfig {
     pub strategy: Strategy,
     /// Consecutive expand/shrink alternations before damping kicks in.
     pub damping_after: u32,
-    /// Maximum damping multiplier on the adaptation interval.
-    pub max_damping: u64,
-    /// TD only: when the contribution deficit (threshold − pct) exceeds
-    /// this gap, expansion escalates to a whole-level (`expand_all`) move
-    /// for that step. §4.2 leaves TD's adaptivity heuristics open ("using
-    /// max/2 instead of max or maintaining the top-k values"); deficit-
-    /// proportional escalation keeps fine-grained, localized growth when
-    /// the target is close (Figure 4) and converges level-by-level like
-    /// TD-Coarse when loss is network-wide — where localization cannot
-    /// meet the target anyway.
-    pub escalation_gap: f64,
 }
+
+/// Maximum damping multiplier on the adaptation interval.
+const MAX_DAMPING: u64 = 8;
+
+/// TD only: when the contribution deficit (threshold − pct) exceeds
+/// this gap, expansion escalates to a whole-level (`expand_all`) move
+/// for that step. §4.2 leaves TD's adaptivity heuristics open ("using
+/// max/2 instead of max or maintaining the top-k values"); deficit-
+/// proportional escalation keeps fine-grained, localized growth when
+/// the target is close (Figure 4) and converges level-by-level like
+/// TD-Coarse when loss is network-wide — where localization cannot
+/// meet the target anyway.
+const ESCALATION_GAP: f64 = 0.15;
 
 impl Default for AdapterConfig {
     fn default() -> Self {
@@ -68,8 +70,6 @@ impl Default for AdapterConfig {
             shrink_margin: 0.07,
             strategy: Strategy::Td,
             damping_after: 2,
-            max_damping: 8,
-            escalation_gap: 0.15,
         }
     }
 }
@@ -156,7 +156,7 @@ impl Adapter {
 
         if pct_contributing < self.config.threshold {
             let escalate = self.config.strategy == Strategy::Td
-                && pct_contributing < self.config.threshold - self.config.escalation_gap;
+                && pct_contributing < self.config.threshold - ESCALATION_GAP;
             let switched = match self.config.strategy {
                 Strategy::TdCoarse => topo.expand_all(),
                 Strategy::Td if escalate => topo.expand_all(),
@@ -229,9 +229,6 @@ impl Adapter {
     /// subtree expanded). Falls back to the switchable M vertex with the
     /// largest subtree when no report is available (e.g. nothing reached
     /// the base station at all).
-    // With telemetry compiled out the event macros expand to nothing
-    // and `epoch` is only a clock coordinate, hence the allow.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
     fn expand_td(&self, topo: &mut TdTopology, epoch: u64, max_noncontrib: &ExtremaSet) -> usize {
         let mut switched = 0usize;
         // §4.2's max/2 heuristic: act on every report within half of the
@@ -330,7 +327,7 @@ impl Adapter {
             }
         }
         if alternations >= self.config.damping_after {
-            self.damping = (self.damping * 2).min(self.config.max_damping);
+            self.damping = (self.damping * 2).min(MAX_DAMPING);
         } else if alternations == 0 && self.recent.len() >= 2 {
             self.damping = 1;
         }

@@ -40,9 +40,6 @@ use crate::query::{Answers, QuerySet};
 use crate::runner::{EpochPlan, RunnerConfig};
 use td_netsim::churn::ChurnEvents;
 use td_netsim::loss::LossModel;
-// NOTE: event macros are invoked fully-qualified
-// (`td_telemetry::td_event!`) so the `--no-default-features` build —
-// where they expand to nothing — leaves no unused imports behind.
 use td_netsim::network::Network;
 use td_netsim::stats::CommStats;
 use td_telemetry::phase::{self, Phase};

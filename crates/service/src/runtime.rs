@@ -230,7 +230,6 @@ fn worker_loop(shard: Arc<Shard>, counters: Arc<Counters>) {
 /// Advance one tenant by at most one epoch. Returns whether the entry
 /// should be retired (removal requested and its epoch boundary
 /// reached).
-#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
 fn step_entry(id: u64, e: &mut Entry, counters: &Counters, progress: &mut bool) -> bool {
     // 1. Backpressure: move staged reports into the outbox; if any
     // remain it is full — park (never drop) until a drain makes room.
@@ -335,7 +334,6 @@ fn apply_op(e: &mut Entry, at: u64, next: u64, op: TenantOp, counters: &Counters
 /// Final flush at removal or shutdown: everything staged goes into the
 /// (now unbounded, closed) outbox so a live handle can still drain it;
 /// if no handle is left, the queue is discarded and counted dropped.
-#[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
 fn retire_entry(id: u64, mut e: Entry, counters: &Counters) {
     e.outbox.flush_and_close(&mut e.staged);
     if let Some(since) = e.park_started.take() {

@@ -24,14 +24,20 @@
 //! came from the environment — are echoed to stderr, preserving the
 //! "set an env var, see the decisions" workflow that the old
 //! `TD_DEBUG_ADAPT` `eprintln!`s provided. Programmatic callers can
-//! turn the echo off with [`set_echo`].
-//!
-//! With `--no-default-features` the recording side compiles out: the
-//! [`td_event!`](crate::td_event) macro expands to nothing and the
-//! functions here become inert stubs (always-false filter, empty
-//! ring), so call sites need no `cfg` of their own.
+//! turn the echo off with [`set_echo`]. Each event the full ring evicts
+//! is counted in the process-global registry as
+//! `telemetry.events_dropped`, so an exported snapshot says how much
+//! of the event stream is missing.
 
+use crate::registry::Counter;
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Mutex, Once, OnceLock};
+use std::time::Instant;
+
+/// Name of the counter of events evicted from the full ring.
+pub const DROPPED_METRIC: &str = "telemetry.events_dropped";
 
 /// Event severity, ordered from most to least severe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -245,237 +251,178 @@ impl fmt::Display for Event {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{Event, Level};
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-    use std::sync::{Mutex, Once, OnceLock};
-    use std::time::Instant;
+/// Highest level any filter enables — the one-load fast-path gate.
+static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
+/// Global (target-less) level.
+static GLOBAL_LEVEL: AtomicU8 = AtomicU8::new(0);
+static ECHO: AtomicBool = AtomicBool::new(false);
+static INIT: Once = Once::new();
 
-    /// Highest level any filter enables — the one-load fast-path gate.
-    static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
-    /// Global (target-less) level.
-    static GLOBAL_LEVEL: AtomicU8 = AtomicU8::new(0);
-    static ECHO: AtomicBool = AtomicBool::new(false);
-    static INIT: Once = Once::new();
+struct TargetFilter {
+    overrides: Mutex<Vec<(String, u8)>>,
+}
 
-    struct TargetFilter {
-        overrides: Mutex<Vec<(String, u8)>>,
-    }
+fn targets() -> &'static TargetFilter {
+    static T: OnceLock<TargetFilter> = OnceLock::new();
+    T.get_or_init(|| TargetFilter {
+        overrides: Mutex::new(Vec::new()),
+    })
+}
 
-    fn targets() -> &'static TargetFilter {
-        static T: OnceLock<TargetFilter> = OnceLock::new();
-        T.get_or_init(|| TargetFilter {
-            overrides: Mutex::new(Vec::new()),
-        })
-    }
+/// The bounded ring and the counter of events it evicted.
+struct Sink {
+    ring: Mutex<VecDeque<Event>>,
+    dropped: Counter,
+}
 
-    fn ring() -> &'static Mutex<VecDeque<Event>> {
-        static RING: OnceLock<Mutex<VecDeque<Event>>> = OnceLock::new();
-        RING.get_or_init(|| Mutex::new(VecDeque::new()))
-    }
+fn sink() -> &'static Sink {
+    static SINK: OnceLock<Sink> = OnceLock::new();
+    SINK.get_or_init(|| Sink {
+        ring: Mutex::new(VecDeque::new()),
+        dropped: crate::global().counter(DROPPED_METRIC),
+    })
+}
 
-    fn ring_capacity() -> usize {
-        static CAP: OnceLock<usize> = OnceLock::new();
-        *CAP.get_or_init(|| {
-            std::env::var("TD_LOG_RING")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(4096)
-        })
-    }
+fn ring_capacity() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        std::env::var("TD_LOG_RING")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(4096)
+    })
+}
 
-    fn epoch_instant() -> Instant {
-        static T0: OnceLock<Instant> = OnceLock::new();
-        *T0.get_or_init(Instant::now)
-    }
+fn epoch_instant() -> Instant {
+    static T0: OnceLock<Instant> = OnceLock::new();
+    *T0.get_or_init(Instant::now)
+}
 
-    fn recompute_max() {
-        let global = GLOBAL_LEVEL.load(Ordering::Relaxed);
-        let overrides = targets().overrides.lock().unwrap();
-        let max = overrides
-            .iter()
-            .map(|(_, l)| *l)
-            .chain(std::iter::once(global))
-            .max()
-            .unwrap_or(0);
-        MAX_LEVEL.store(max, Ordering::Relaxed);
-    }
+fn recompute_max() {
+    let global = GLOBAL_LEVEL.load(Ordering::Relaxed);
+    let overrides = targets().overrides.lock().unwrap();
+    let max = overrides
+        .iter()
+        .map(|(_, l)| *l)
+        .chain(std::iter::once(global))
+        .max()
+        .unwrap_or(0);
+    MAX_LEVEL.store(max, Ordering::Relaxed);
+}
 
-    /// Apply a `TD_LOG`-style spec (`info,adapt=trace`) to the filters.
-    /// Must stay `ensure_init`-free: it runs inside the `INIT` closure,
-    /// and `Once` deadlocks on recursive `call_once`.
-    fn apply_spec(spec: &str) {
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
+/// Apply a `TD_LOG`-style spec (`info,adapt=trace`) to the filters.
+/// Must stay `ensure_init`-free: it runs inside the `INIT` closure,
+/// and `Once` deadlocks on recursive `call_once`.
+fn apply_spec(spec: &str) {
+    for part in spec.split(',') {
+        let part = part.trim();
+        if part.is_empty() {
+            continue;
+        }
+        if let Some((target, level)) = part.split_once('=') {
+            if let Some(l) = Level::parse(level) {
+                apply_target_level(target, l);
             }
-            if let Some((target, level)) = part.split_once('=') {
-                if let Some(l) = Level::parse(level) {
-                    apply_target_level(target, l);
-                }
-            } else if let Some(l) = Level::parse(part) {
-                apply_level(l);
-            }
+        } else if let Some(l) = Level::parse(part) {
+            apply_level(l);
         }
-    }
-
-    fn ensure_init() {
-        INIT.call_once(|| {
-            epoch_instant();
-            let Ok(spec) = std::env::var("TD_LOG") else {
-                return;
-            };
-            // Env-driven filters echo to stderr, like the old
-            // TD_DEBUG_ADAPT debugging flow.
-            ECHO.store(true, Ordering::Relaxed);
-            apply_spec(&spec);
-        });
-    }
-
-    pub fn enabled(level: Level, target: &str) -> bool {
-        ensure_init();
-        let max = MAX_LEVEL.load(Ordering::Relaxed);
-        if level as u8 > max {
-            return false;
-        }
-        if level as u8 <= GLOBAL_LEVEL.load(Ordering::Relaxed) {
-            return true;
-        }
-        let overrides = targets().overrides.lock().unwrap();
-        overrides
-            .iter()
-            .any(|(t, l)| t == target && level as u8 <= *l)
-    }
-
-    fn apply_level(level: Option<Level>) {
-        GLOBAL_LEVEL.store(level.map_or(0, |l| l as u8), Ordering::Relaxed);
-        recompute_max();
-    }
-
-    fn apply_target_level(target: &str, level: Option<Level>) {
-        let mut overrides = targets().overrides.lock().unwrap();
-        overrides.retain(|(t, _)| t != target);
-        if let Some(l) = level {
-            overrides.push((target.to_string(), l as u8));
-        }
-        drop(overrides);
-        recompute_max();
-    }
-
-    pub fn set_level(level: Option<Level>) {
-        ensure_init();
-        apply_level(level);
-    }
-
-    pub fn set_target_level(target: &str, level: Option<Level>) {
-        ensure_init();
-        apply_target_level(target, level);
-    }
-
-    pub fn set_echo(on: bool) {
-        ECHO.store(on, Ordering::Relaxed);
-    }
-
-    pub fn wall_ns() -> u64 {
-        u64::try_from(epoch_instant().elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    pub fn record(event: Event) {
-        if ECHO.load(Ordering::Relaxed) {
-            eprintln!("{event}");
-        }
-        let mut ring = ring().lock().unwrap();
-        if ring.len() >= ring_capacity() {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-
-    pub fn events() -> Vec<Event> {
-        ring().lock().unwrap().iter().cloned().collect()
-    }
-
-    pub fn drain() -> Vec<Event> {
-        ring().lock().unwrap().drain(..).collect()
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    //! Inert stubs: with telemetry compiled out the filter is always
-    //! off and the ring is always empty, at zero cost.
-    use super::{Event, Level};
+fn ensure_init() {
+    INIT.call_once(|| {
+        epoch_instant();
+        let Ok(spec) = std::env::var("TD_LOG") else {
+            return;
+        };
+        // Env-driven filters echo to stderr, like the old
+        // TD_DEBUG_ADAPT debugging flow.
+        ECHO.store(true, Ordering::Relaxed);
+        apply_spec(&spec);
+    });
+}
 
-    #[inline(always)]
-    pub fn enabled(_level: Level, _target: &str) -> bool {
-        false
+fn apply_level(level: Option<Level>) {
+    GLOBAL_LEVEL.store(level.map_or(0, |l| l as u8), Ordering::Relaxed);
+    recompute_max();
+}
+
+fn apply_target_level(target: &str, level: Option<Level>) {
+    let mut overrides = targets().overrides.lock().unwrap();
+    overrides.retain(|(t, _)| t != target);
+    if let Some(l) = level {
+        overrides.push((target.to_string(), l as u8));
     }
-    pub fn set_level(_level: Option<Level>) {}
-    pub fn set_target_level(_target: &str, _level: Option<Level>) {}
-    pub fn set_echo(_on: bool) {}
-    #[inline(always)]
-    pub fn wall_ns() -> u64 {
-        0
-    }
-    pub fn record(_event: Event) {}
-    pub fn events() -> Vec<Event> {
-        Vec::new()
-    }
-    pub fn drain() -> Vec<Event> {
-        Vec::new()
-    }
+    drop(overrides);
+    recompute_max();
 }
 
 /// Whether an event at `level` for `target` would be recorded.
 ///
-/// One relaxed atomic load when every filter is off; always `false`
-/// with telemetry compiled out.
-#[inline]
+/// One relaxed atomic load when every filter is off.
 pub fn enabled(level: Level, target: &str) -> bool {
-    imp::enabled(level, target)
+    ensure_init();
+    let max = MAX_LEVEL.load(Ordering::Relaxed);
+    if level as u8 > max {
+        return false;
+    }
+    if level as u8 <= GLOBAL_LEVEL.load(Ordering::Relaxed) {
+        return true;
+    }
+    let overrides = targets().overrides.lock().unwrap();
+    overrides
+        .iter()
+        .any(|(t, l)| t == target && level as u8 <= *l)
 }
 
 /// Set the global level filter (`None` = off). Overrides `TD_LOG`.
 pub fn set_level(level: Option<Level>) {
-    imp::set_level(level)
+    ensure_init();
+    apply_level(level);
 }
 
 /// Set (or with `None`, clear) a per-target level override.
 pub fn set_target_level(target: &str, level: Option<Level>) {
-    imp::set_target_level(target, level)
+    ensure_init();
+    apply_target_level(target, level);
 }
 
 /// Enable or disable echoing recorded events to stderr. Defaults to
 /// on only when the filter came from the `TD_LOG` environment
 /// variable.
 pub fn set_echo(on: bool) {
-    imp::set_echo(on)
+    ECHO.store(on, Ordering::Relaxed);
 }
 
 /// Nanoseconds since first telemetry use (the wall-clock annotation).
-#[inline]
 pub fn wall_ns() -> u64 {
-    imp::wall_ns()
+    u64::try_from(epoch_instant().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Push an event into the ring sink (and stderr, when echo is on).
-/// Call sites normally go through [`td_event!`](crate::td_event),
-/// which checks [`enabled`] first.
+/// A full ring evicts its oldest event and counts it in
+/// `telemetry.events_dropped`. Call sites normally go through
+/// [`td_event!`](crate::td_event), which checks [`enabled`] first.
 pub fn record(event: Event) {
-    imp::record(event)
+    if ECHO.load(Ordering::Relaxed) {
+        eprintln!("{event}");
+    }
+    let sink = sink();
+    let mut ring = sink.ring.lock().unwrap();
+    if ring.len() >= ring_capacity() && ring.pop_front().is_some() {
+        sink.dropped.inc();
+    }
+    ring.push_back(event);
 }
 
 /// Copy of the ring's current contents, oldest first.
 pub fn events() -> Vec<Event> {
-    imp::events()
+    sink().ring.lock().unwrap().iter().cloned().collect()
 }
 
 /// Drain the ring, returning its contents oldest first.
 pub fn drain() -> Vec<Event> {
-    imp::drain()
+    sink().ring.lock().unwrap().drain(..).collect()
 }
 
 /// Write every buffered event as JSONL into `w` (one event per line),
@@ -497,11 +444,9 @@ pub fn export_jsonl<W: std::io::Write>(w: &mut W) -> std::io::Result<usize> {
 ///           switched = 3u64, pct = 0.82);
 /// ```
 ///
-/// Expands to nothing when the `telemetry` feature is off — field
-/// expressions are not even evaluated. The filter check happens
-/// before any field is materialized, so a disabled event costs one
-/// atomic load.
-#[cfg(feature = "telemetry")]
+/// The filter check happens before any field is materialized, so a
+/// disabled event costs one atomic load and evaluates no field
+/// expression.
 #[macro_export]
 macro_rules! td_event {
     ($lvl:expr, $target:expr, $name:expr, $clock:expr $(, $k:ident = $v:expr)* $(,)?) => {{
@@ -521,14 +466,7 @@ macro_rules! td_event {
     }};
 }
 
-/// Record a structured event (no-op: telemetry compiled out).
-#[cfg(not(feature = "telemetry"))]
-#[macro_export]
-macro_rules! td_event {
-    ($($tt:tt)*) => {};
-}
-
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

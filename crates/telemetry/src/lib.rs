@@ -1,7 +1,7 @@
 //! Observability layer for the Tributary-Delta suite.
 //!
 //! Three pieces, designed so the hot path never takes a cross-thread
-//! lock and the whole layer can be compiled out:
+//! lock:
 //!
 //! - [`registry`] — a metrics registry of counters, gauges, and
 //!   fixed-bucket latency histograms. Every metric is **sharded**: each
@@ -13,22 +13,19 @@
 //!   the system ([`LogicalClock`]: epoch, ring level, schedule slot,
 //!   tenant id) with wall-clock attached as an annotation, filtered at
 //!   runtime by a `TD_LOG`-style level filter (silent by default),
-//!   buffered in a bounded ring, and exportable as JSONL.
+//!   buffered in a bounded ring whose evictions are counted, and
+//!   exportable as JSONL.
 //! - [`phase`] — stopwatches for the seven epoch-lifecycle phases
 //!   (compile, patch, precompute-randomness, per-level execute, merge,
 //!   window fold, outbox drain), recorded into histograms in the
 //!   process-global registry.
 //!
-//! # Compile-out guarantee
+//! # Inertness
 //!
-//! The registry type is available in every configuration (the service
-//! layer's counters are built on it), but everything with a hot-path
-//! cost — event recording, the [`td_event!`] macro, phase stopwatches
-//! — is gated behind `feature = "telemetry"` (on by default). Building
-//! with `--no-default-features` turns those into inline no-ops;
-//! [`compiled()`] reports which build this is. Telemetry never touches
-//! an RNG or a result path, so enabled and disabled builds are
-//! bit-identical — pinned by the workspace's `e2e_telemetry` tests.
+//! Telemetry never touches an RNG or a result path, so a run with
+//! event recording off is bit-identical to one traced at `Trace` —
+//! pinned, with a fixed-seed digest, by the workspace's
+//! `e2e_telemetry` tests.
 //!
 //! # Example
 //!
@@ -69,15 +66,6 @@ pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use snapshot::{HistogramSnapshot, Snapshot};
 
 use std::sync::OnceLock;
-
-/// Whether the `telemetry` feature was compiled in.
-///
-/// `false` in `--no-default-features` builds: events and phase
-/// stopwatches are no-ops there, and only explicitly-created metrics
-/// (e.g. the service layer's counters) record anything.
-pub const fn compiled() -> bool {
-    cfg!(feature = "telemetry")
-}
 
 /// The process-global registry used by [`phase`] hooks and the
 /// [`td_event!`]-adjacent counters.

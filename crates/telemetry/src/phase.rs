@@ -13,10 +13,10 @@
 //! samples land in per-phase histograms (`phase.*_ns`) in the
 //! process-global registry, from which the benchmark reads per-phase
 //! shares and exporters write `results/telemetry_snapshot.json`.
-//!
-//! With the `telemetry` feature off, [`Stopwatch`] is a zero-sized
-//! type and both functions are empty inline stubs — the hooks cost
-//! nothing.
+
+use crate::registry::Histogram;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// The profiled phases of an epoch's lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,7 +65,6 @@ impl Phase {
         }
     }
 
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     const fn index(self) -> usize {
         match self {
             Phase::Compile => 0,
@@ -79,62 +78,25 @@ impl Phase {
     }
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::Phase;
-    use crate::registry::Histogram;
-    use std::sync::OnceLock;
-    use std::time::Instant;
+/// A started phase timer.
+#[derive(Clone, Copy, Debug)]
+pub struct Stopwatch(Instant);
 
-    /// A started phase timer.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Stopwatch(Instant);
-
-    fn histograms() -> &'static [Histogram; 7] {
-        static HISTS: OnceLock<[Histogram; 7]> = OnceLock::new();
-        HISTS.get_or_init(|| Phase::ALL.map(|p| crate::global().histogram(p.metric_name())))
-    }
-
-    #[inline]
-    pub fn stopwatch() -> Stopwatch {
-        Stopwatch(Instant::now())
-    }
-
-    #[inline]
-    pub fn record(phase: Phase, sw: Stopwatch) {
-        histograms()[phase.index()].record_duration(sw.0.elapsed());
-    }
+fn histograms() -> &'static [Histogram; 7] {
+    static HISTS: OnceLock<[Histogram; 7]> = OnceLock::new();
+    HISTS.get_or_init(|| Phase::ALL.map(|p| crate::global().histogram(p.metric_name())))
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::Phase;
-
-    /// A started phase timer (zero-sized: telemetry compiled out).
-    #[derive(Clone, Copy, Debug)]
-    pub struct Stopwatch;
-
-    #[inline(always)]
-    pub fn stopwatch() -> Stopwatch {
-        Stopwatch
-    }
-
-    #[inline(always)]
-    pub fn record(_phase: Phase, _sw: Stopwatch) {}
-}
-
-pub use imp::Stopwatch;
-
-/// Start timing a phase. Free when telemetry is compiled out.
+/// Start timing a phase.
 #[inline]
 pub fn stopwatch() -> Stopwatch {
-    imp::stopwatch()
+    Stopwatch(Instant::now())
 }
 
 /// Record the elapsed time since `sw` into `phase`'s global histogram.
 #[inline]
 pub fn record(phase: Phase, sw: Stopwatch) {
-    imp::record(phase, sw)
+    histograms()[phase.index()].record_duration(sw.0.elapsed());
 }
 
 #[cfg(test)]
@@ -152,7 +114,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn record_lands_in_global_histogram() {
         let sw = stopwatch();

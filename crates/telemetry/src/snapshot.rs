@@ -159,7 +159,6 @@ impl Snapshot {
     /// `results/telemetry_snapshot.json`.
     pub fn to_json(&self) -> String {
         let mut root = JsonObject::new();
-        root.set("telemetry_compiled", crate::compiled());
         let mut counters = JsonObject::new();
         for (name, v) in &self.counters {
             counters.set(name, *v);

@@ -66,12 +66,11 @@ fn td_log_env_filter_initializes_without_deadlock() {
 
 /// Runs in the child process, with `TD_LOG=info,adapt=trace` in the
 /// environment since before any telemetry call. The first `enabled()`
-/// triggers the env-driven init; with telemetry compiled out the spec
-/// is ignored and every check is `false`.
+/// triggers the env-driven init, which must apply both parts of the
+/// spec.
 fn child() {
-    let compiled = td_telemetry::compiled();
-    assert_eq!(events::enabled(Level::Info, "anything"), compiled);
-    assert_eq!(events::enabled(Level::Trace, "adapt"), compiled);
+    assert!(events::enabled(Level::Info, "anything"));
+    assert!(events::enabled(Level::Trace, "adapt"));
     assert!(!events::enabled(Level::Trace, "anything"));
     println!("{CHILD_OK}");
 }

@@ -23,9 +23,8 @@
 //!   ownership, bounded outboxes, and bit-deterministic isolation
 //!   (extension)
 //! - [`telemetry`] — lock-free sharded metrics, structured events keyed
-//!   by the logical clock, and epoch-lifecycle phase profiling; compiles
-//!   out under `--no-default-features` and is provably inert either way
-//!   (extension)
+//!   by the logical clock, and epoch-lifecycle phase profiling, provably
+//!   inert (extension)
 //!
 //! The typical entry point is the session engine:
 //!

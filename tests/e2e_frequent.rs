@@ -215,8 +215,7 @@ fn set_valued_answers_match_the_pinned_digest() {
     );
 }
 
-/// Stamped from a default-features run; asserted identically under
-/// `--no-default-features`.
+/// Stamped from the digest the test prints when it fails.
 const PINNED_SET_VALUED_DIGEST: u64 = 0xff90_c8ba_0e8f_4348;
 
 /// Algorithm 1 over a given `tree` under `gradient`: one epoch of a

@@ -327,7 +327,5 @@ fn scalar_wire_bytes_match_the_pinned_digest() {
     );
 }
 
-/// Stamped before the RLE size kernel replaced the encoder replay, from
-/// a default-features run; asserted identically under
-/// `--no-default-features`.
+/// Stamped before the RLE size kernel replaced the encoder replay.
 const PINNED_SCALAR_WIRE_DIGEST: u64 = 0xc86b_0992_157b_7f29;
