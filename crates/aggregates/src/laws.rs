@@ -8,9 +8,6 @@
 //!   directly from the underlying readings;
 //! * **tree exactness** — with no loss, the tree side reproduces the true
 //!   answer for exact aggregates.
-//!
-//! These helpers are `pub` so other crates' tests (and the integration
-//! suite) can reuse them on custom aggregates.
 
 use crate::traits::Aggregate;
 

@@ -24,13 +24,18 @@
 //! Frequent items — the paper's difficult aggregate — has its own crate
 //! (`td-frequent`) because its partial results are summaries/synopsis
 //! *collections* rather than scalars.
+//!
+//! The law checks every aggregate must pass (⊕ commutative, associative
+//! and idempotent; `merge_tree` commutative and associative; conversion
+//! sound) are test helpers in `laws.rs`, run by each aggregate's tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod average;
 pub mod count;
-pub mod laws;
+#[cfg(test)]
+mod laws;
 pub mod minmax;
 pub mod sum;
 pub mod traits;

@@ -11,7 +11,7 @@ use crate::report::Table;
 use crate::Scale;
 use td_frequent::items::ItemBag;
 use td_frequent::multipath::MultipathConfig;
-use td_frequent::quantile_based::run_tree_gk;
+use td_frequent::quantile_based;
 use td_netsim::loss::NoLoss;
 use td_netsim::network::Network;
 use td_netsim::node::BASE_STATION;
@@ -27,7 +27,7 @@ use td_workloads::items::{disjoint_uniform_bags, labdata_bags, run_on_tree};
 use td_workloads::labdata::LabData;
 use td_workloads::synthetic::Synthetic;
 use tributary_delta::driver::TrialPool;
-use tributary_delta::protocol::FreqProtocol;
+use tributary_delta::protocol::{FreqProtocol, QuantileProtocol};
 
 /// The paper's error margin ε = 0.1%.
 pub const EPS: f64 = 0.001;
@@ -84,8 +84,9 @@ fn loads(
     let height = tree.heights()[BASE_STATION.index()].max(1);
     let stats = match algorithm {
         "Quantiles-based" => {
-            let mut rng = substream(seed, 0x10AD);
-            run_tree_gk(net, tree, EPS, bags, &NoLoss, 0, &mut rng).stats
+            let items: Vec<Vec<u64>> = bags.iter().map(ItemBag::expand).collect();
+            let proto = QuantileProtocol::gk(quantile_based::gradient(EPS, tree), &items);
+            run_on_tree(net, tree, &proto, &NoLoss, 0, &mut substream(seed, 0x10AD)).1
         }
         "Min Max-load" => tree_load(net, tree, bags, MinMaxLoad::new(EPS, height), seed),
         "Min Total-load" => tree_load(net, tree, bags, MinTotalLoad::new(EPS, d), seed),

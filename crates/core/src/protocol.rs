@@ -398,10 +398,11 @@ impl<'v, F: CounterFactory, G: PrecisionGradient> Protocol for FreqProtocol<'v, 
 /// Stored flat, sorted by origin, 16 bytes a part. A sensor's own part
 /// is its one reading, kept inline: a one-reading summary is one exact
 /// entry (a q-digest leaf of count 1, a GK tuple), so nothing is built
-/// until the base merges. A tributary root's summary sits behind an
-/// `Arc`: a part never changes once made, so a union shares the
-/// summaries it adds instead of copying them, and keeps its own part
-/// for origins it holds.
+/// until the base merges. A tributary root's summary, or the exact
+/// summary of a sensor with several readings, sits behind an `Arc`: a
+/// part never changes once made, so a union shares the summaries it
+/// adds instead of copying them, and keeps its own part for origins it
+/// holds.
 #[derive(Debug)]
 pub struct QuantileSynopsisSet<S> {
     parts: Vec<Part<S>>,
@@ -412,7 +413,8 @@ pub struct QuantileSynopsisSet<S> {
 enum Part<S> {
     /// A sensor's own reading: the exact one-reading summary.
     Reading { origin: u32, value: u64 },
-    /// A tributary root's converted summary.
+    /// A tributary root's converted summary, or the exact summary of a
+    /// sensor with several readings.
     Summary { origin: u32, part: Arc<S> },
 }
 
@@ -553,34 +555,54 @@ impl<S: QuantileSummary> QuantileOutput<S> {
     }
 }
 
+/// One node's readings for an epoch: a single `u64`, or a multiset held
+/// as a `Vec<u64>` (a node's expanded [`ItemBag`], as the
+/// Quantiles-based frequent-items baseline \[8\] feeds it).
+pub trait NodeReadings: Sync {
+    /// The readings, in any order.
+    fn readings(&self) -> &[u64];
+}
+
+impl NodeReadings for u64 {
+    fn readings(&self) -> &[u64] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl NodeReadings for Vec<u64> {
+    fn readings(&self) -> &[u64] {
+        self
+    }
+}
+
 /// Adapter running a quantile summary family (GK or q-digest — anything
 /// implementing [`QuantileSummary`]) under Tributary-Delta: the §6.1.4
 /// extension of the precision-gradient machinery to quantiles. Holds the
-/// epoch's readings (`values[i]` is node `i`'s reading; the base
-/// station's entry is ignored).
+/// epoch's readings (`values[i]` is node `i`'s readings, one `u64` by
+/// default; the base station's entry is ignored).
 ///
 /// In the tributaries each node combines its children's summaries and
 /// `finalize_tree` reduces the result to its height's **absolute** rank
 /// budget `⌊ε(h) · n_subtree⌋` — the gradient's per-level error
 /// *differences* pay for compression, so `MinTotalLoad` geometric
 /// budgets beat a `Uniform` budget on bytes at matched final error. In
-/// the delta, each sensor's reading rides a keyed ODI set under its own
-/// key; `convert` injects a tributary root's reduced summary under the
-/// root's key.
+/// the delta, each sensor's readings ride a keyed ODI set under its own
+/// key — one reading inline, several as their exact summary; `convert`
+/// injects a tributary root's reduced summary under the root's key.
 #[derive(Clone, Debug)]
-pub struct QuantileProtocol<'v, S, G> {
+pub struct QuantileProtocol<'v, S, G, R = u64> {
     template: S,
     gradient: G,
-    values: &'v [u64],
+    values: &'v [R],
     /// Wire words of a one-reading summary, whatever the reading.
     reading_words: usize,
 }
 
-impl<'v, S: QuantileSummary, G: PrecisionGradient> QuantileProtocol<'v, S, G> {
+impl<'v, S: QuantileSummary, G: PrecisionGradient, R: NodeReadings> QuantileProtocol<'v, S, G, R> {
     /// Create the protocol over this epoch's readings. `template`
     /// carries the summary family's configuration (e.g. q-digest domain
     /// bits) and is otherwise empty.
-    pub fn new(template: S, gradient: G, values: &'v [u64]) -> Self {
+    pub fn new(template: S, gradient: G, values: &'v [R]) -> Self {
         QuantileProtocol {
             reading_words: template.exact_from(&[0]).wire_words(),
             template,
@@ -600,21 +622,25 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> QuantileProtocol<'v, S, G> {
     }
 }
 
-impl<'v, G: PrecisionGradient> QuantileProtocol<'v, td_quantiles::GkSummary, G> {
+impl<'v, G: PrecisionGradient, R: NodeReadings>
+    QuantileProtocol<'v, td_quantiles::GkSummary, G, R>
+{
     /// A Greenwald–Khanna quantile protocol.
-    pub fn gk(gradient: G, values: &'v [u64]) -> Self {
+    pub fn gk(gradient: G, values: &'v [R]) -> Self {
         QuantileProtocol::new(td_quantiles::GkSummary::empty(), gradient, values)
     }
 }
 
-impl<'v, G: PrecisionGradient> QuantileProtocol<'v, td_quantiles::QDigest, G> {
+impl<'v, G: PrecisionGradient, R: NodeReadings> QuantileProtocol<'v, td_quantiles::QDigest, G, R> {
     /// A q-digest quantile protocol over the domain `[0, 2^bits)`.
-    pub fn qdigest(bits: u32, gradient: G, values: &'v [u64]) -> Self {
+    pub fn qdigest(bits: u32, gradient: G, values: &'v [R]) -> Self {
         QuantileProtocol::new(td_quantiles::QDigest::empty(bits), gradient, values)
     }
 }
 
-impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol<'v, S, G> {
+impl<'v, S: QuantileSummary, G: PrecisionGradient, R: NodeReadings> Protocol
+    for QuantileProtocol<'v, S, G, R>
+{
     type TreeMsg = S;
     type MpMsg = QuantileSynopsisSet<S>;
     type Output = QuantileOutput<S>;
@@ -625,7 +651,7 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
         }
         Some(
             self.template
-                .exact_from(std::slice::from_ref(&self.values[node.index()])),
+                .exact_from(self.values[node.index()].readings()),
         )
     }
 
@@ -642,11 +668,18 @@ impl<'v, S: QuantileSummary, G: PrecisionGradient> Protocol for QuantileProtocol
         if node.is_base() {
             return false;
         }
-        acc.get_or_insert_with(QuantileSynopsisSet::new)
-            .set_singleton(Part::Reading {
+        let part = match *self.values[node.index()].readings() {
+            [value] => Part::Reading {
                 origin: node.0,
-                value: self.values[node.index()],
-            });
+                value,
+            },
+            ref values => Part::Summary {
+                origin: node.0,
+                part: Arc::new(self.template.exact_from(values)),
+            },
+        };
+        acc.get_or_insert_with(QuantileSynopsisSet::new)
+            .set_singleton(part);
         true
     }
 
@@ -817,6 +850,38 @@ mod tests {
             err <= out.uncertainty() + 1,
             "median {median} rank err {err} vs E {}",
             out.uncertainty()
+        );
+    }
+
+    /// Over per-node multisets a node's tree message is the exact
+    /// summary of all its readings; in the delta a one-reading node
+    /// still sends its reading inline and a node with several sends
+    /// their exact summary, so the base merges what the flat readings
+    /// would give.
+    #[test]
+    fn quantile_protocol_over_multisets() {
+        let t = td_quantiles::QDigest::empty(9);
+        let values: Vec<Vec<u64>> = vec![vec![], vec![40], vec![7, 300, 7], vec![], vec![9, 1]];
+        let p = QuantileProtocol::new(t.clone(), MinTotalLoad::new(0.05, 2.25), &values);
+        assert_eq!(p.local_tree(NodeId(2)), Some(t.exact_from(&[7, 300, 7])));
+        assert_eq!(p.local_tree(NodeId(3)).map(|s| s.population()), Some(0));
+        let parts: Vec<_> = (1..=4u32).map(|n| local(&p, NodeId(n)).unwrap()).collect();
+        assert!(matches!(
+            parts[0].parts[..],
+            [Part::Reading { value: 40, .. }]
+        ));
+        for (part, readings) in parts[1..].iter().zip(&values[2..]) {
+            assert!(
+                matches!(&part.parts[..], [Part::Summary { part, .. }] if **part == t.exact_from(readings))
+            );
+        }
+        let mut mp = parts[0].clone();
+        for s in &parts[1..] {
+            p.fuse(&mut mp, s);
+        }
+        assert_eq!(
+            p.evaluate_mp(&mp).summary,
+            t.exact_from(&[40, 7, 300, 7, 9, 1])
         );
     }
 

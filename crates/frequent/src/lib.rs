@@ -18,8 +18,10 @@
 //!   an ε(k)-summary at a height-k node); the precision gradients that
 //!   pick ε(k) — `Min Total-load` (Lemma 3), `Min Max-load` \[13\],
 //!   `Hybrid` (§6.1.4) — live in `td-quantiles`.
-//! * [`quantile_based`] — the Quantiles-based baseline \[8\]: GK summaries
-//!   up the tree, frequencies extracted from ranks.
+//! * [`quantile_based`] — the Quantiles-based baseline \[8\]: the engine
+//!   runs GK summaries of each node's items up the tree; this module
+//!   holds the gradient they pair with and reads frequencies out of the
+//!   ranks at the base.
 //! * [`multipath`] — the paper's new multi-path algorithm (§6.2):
 //!   class-indexed synopses with duplicate-insensitive counters, rising
 //!   thresholds in place of subtraction, and the η slack (**Algorithm 2**).

@@ -492,7 +492,7 @@ impl<C: DiCounter> SynopsisSet<C> {
     /// fusion, the counters of items the receiving synopsis lacks). Where
     /// compaction would fuse a borrowed synopsis into an owned one it
     /// fuses the other way round, which relies on ⊕ commuting on the
-    /// counters' representation (it does for the exact, FM and KMV
+    /// counters' representation (it does for the exact and FM
     /// counters). A synopsis fused into another is retired and its item
     /// storage kept for reuse.
     pub fn fuse<F: CounterFactory<Counter = C>>(

@@ -9,7 +9,7 @@
 //! only tests.
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use crate::items::{count_items, true_frequent, ItemBag};
     use crate::summary::FreqSummary;
     use td_netsim::loss::{unicast, Global, LossModel, NoLoss, Retransmit};
@@ -25,7 +25,7 @@ pub(crate) mod tests {
 
     /// Min Total-load at `eps` for `tree`: its domination factor on the
     /// paper's 0.05 grid, held a hair above 1 as Lemma 3 needs.
-    pub(crate) fn min_total_load(tree: &Tree, eps: f64) -> MinTotalLoad {
+    fn min_total_load(tree: &Tree, eps: f64) -> MinTotalLoad {
         MinTotalLoad::new(eps, domination_factor(tree, 0.05).max(1.1))
     }
 
@@ -33,7 +33,7 @@ pub(crate) mod tests {
     /// retrying `retries` times under `model`. Returns the base station's
     /// summary and the epoch's communication (words are counters, Figure 8's
     /// unit).
-    pub(crate) fn run<G: PrecisionGradient + ?Sized, M: LossModel, R: rand::Rng + ?Sized>(
+    fn run<G: PrecisionGradient + ?Sized, M: LossModel, R: rand::Rng + ?Sized>(
         net: &Network,
         tree: &Tree,
         gradient: &G,

@@ -3,23 +3,20 @@
 //! The multi-path frequent-items Algorithm 2 replaces ordinary addition
 //! with a duplicate-insensitive sum ⊕ in its Steps 1 and 2. This module
 //! defines the [`DiCounter`] trait those steps are generic over, plus
-//! three implementations spanning the accuracy/size spectrum:
+//! two implementations:
 //!
 //! * [`ExactCounter`] — `εc = 0`, unbounded size. A reference
 //!   implementation for tests and ground truth (stores the contributing
 //!   populations explicitly).
 //! * [`FmCounter`] — the low-overhead best-effort estimator of \[7\] that
-//!   the paper's experiments actually use (§7.4.3): small, ~`1.1/√K`
-//!   relative error, not accuracy-preserving in the Definition 1 sense.
-//! * [`KmvCounter`] — the accuracy-preserving operator of Definition 1
-//!   (`k = O(1/εc²)`), needed for Theorem 1's guarantees.
+//!   the paper's experiments run (§7.4.3): small, ~`1.1/√K` relative
+//!   error, not accuracy-preserving in the Definition 1 sense.
 //!
 //! Every occurrence population is identified by a `salt` (in the frequent
 //! items algorithms: the hash of `(item, node)` or `(item, tree-root)`),
 //! so re-delivery along multiple paths dedups exactly.
 
 use crate::fm;
-use crate::kmv::Kmv;
 
 /// A duplicate-insensitive counter: supports adding a population of
 /// occurrences identified by a salt, ODI merging, and estimation.
@@ -224,62 +221,6 @@ impl CounterFactory for FmFactory {
     }
 }
 
-// ---------------------------------------------------------------------
-// KMV counter
-// ---------------------------------------------------------------------
-
-/// Accuracy-preserving counter (Definition 1) backed by a KMV sketch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KmvCounter {
-    kmv: Kmv,
-}
-
-impl KmvCounter {
-    /// Create a KMV counter with parameter `k` (`εc ≈ 1/√(k−2)`).
-    pub fn new(k: usize) -> Self {
-        KmvCounter { kmv: Kmv::new(k) }
-    }
-
-    /// Create a counter achieving relative error `eps_c`.
-    pub fn with_error(eps_c: f64) -> Self {
-        KmvCounter {
-            kmv: Kmv::new(Kmv::k_for_error(eps_c)),
-        }
-    }
-}
-
-impl DiCounter for KmvCounter {
-    fn add_occurrences(&mut self, salt: u64, count: u64) {
-        self.kmv.add_occurrences(salt, count);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.kmv.merge(&other.kmv);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.kmv.estimate()
-    }
-
-    fn wire_words(&self) -> usize {
-        self.kmv.wire_words()
-    }
-}
-
-/// Factory for [`KmvCounter`].
-#[derive(Clone, Copy, Debug)]
-pub struct KmvFactory {
-    /// KMV parameter `k`.
-    pub k: usize,
-}
-
-impl CounterFactory for KmvFactory {
-    type Counter = KmvCounter;
-    fn new_counter(&self) -> KmvCounter {
-        KmvCounter::new(self.k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,11 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn kmv_counter_within_tolerance() {
-        behaves_like_counter(&KmvFactory { k: 512 }, 0.25);
-    }
-
-    #[test]
     fn exact_counter_max_semantics() {
         let mut c = ExactCounter::new();
         c.add_occurrences(1, 10);
@@ -331,16 +267,13 @@ mod tests {
     fn wire_words_scale() {
         let mut exact = ExactCounter::new();
         let mut fm = FmCounter::new(16);
-        let mut kmv = KmvCounter::new(16);
         for salt in 0..100u64 {
             exact.add_occurrences(salt, 5);
             fm.add_occurrences(salt, 5);
-            kmv.add_occurrences(salt, 5);
         }
-        // Exact grows linearly; sketches stay bounded.
+        // Exact grows linearly; the sketch stays bounded.
         assert_eq!(exact.wire_words(), 400);
         assert!(fm.wire_words() <= 16 + 4);
-        assert!(kmv.wire_words() <= 32);
     }
 
     /// Inline or on the heap, an FM counter is the FM sketch it stands
@@ -372,6 +305,5 @@ mod tests {
     fn empty_counters_estimate_zero() {
         assert_eq!(ExactFactory.new_counter().estimate(), 0.0);
         assert_eq!(FmFactory::default().new_counter().estimate(), 0.0);
-        assert_eq!(KmvFactory { k: 8 }.new_counter().estimate(), 0.0);
     }
 }

@@ -12,13 +12,9 @@
 //!   approximation error seen in Figure 2.
 //! * [`rle`] — the run-length wire encoding that packs those 40 bitmaps
 //!   into a single 48-byte TinyDB message (\[17\], §7.1).
-//! * [`kmv`] — k-minimum-values distinct-count sketches: the
-//!   *accuracy-preserving duplicate-insensitive sum operator* of
-//!   Definition 1 (relative error `εc ≈ 1/√(k−2)`), including exact
-//!   order-statistics value insertion.
 //! * [`counter`] — the [`counter::DiCounter`] abstraction over
-//!   duplicate-insensitive counters (exact / FM / KMV) that the
-//!   frequent-items Algorithm 2 is generic over.
+//!   duplicate-insensitive counters (exact, and the FM counter §7.4.3
+//!   runs) that the frequent-items Algorithm 2 is generic over.
 //! * [`keyed`] — the keyed union over flat sorted `(key, value)` runs
 //!   that fuses the delta's set-valued synopses by reference.
 //! * [`hash`] — the deterministic 64-bit hash family everything above
@@ -41,9 +37,7 @@ pub mod counter;
 pub mod fm;
 pub mod hash;
 pub mod keyed;
-pub mod kmv;
 pub mod rle;
 
 pub use counter::DiCounter;
 pub use fm::FmSketch;
-pub use kmv::Kmv;

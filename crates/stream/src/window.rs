@@ -1172,10 +1172,19 @@ impl WindowAccum {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use td_aggregates::laws::merge_all;
     use td_aggregates::minmax::{Max, Min};
     use td_aggregates::sum::Sum;
     use td_aggregates::traits::Aggregate;
+
+    /// The merged tree partial of `readings`, folded in order.
+    fn merge_tree<A: Aggregate>(agg: &A, readings: &[(u32, u64)]) -> A::TreePartial {
+        let (&(n, v), rest) = readings.split_first().expect("non-empty");
+        let mut acc = agg.local_tree(n, v);
+        for &(n, v) in rest {
+            agg.merge_tree(&mut acc, &agg.local_tree(n, v));
+        }
+        acc
+    }
 
     fn fold(values: &[f64]) -> PanePartial {
         let mut acc = PanePartial::of(values[0]);
@@ -1355,11 +1364,11 @@ mod tests {
             let acc = fold(&panes);
 
             let sum = Sum::default();
-            let sum_partial = merge_all(&sum, &readings).expect("non-empty");
+            let sum_partial = merge_tree(&sum, &readings);
             prop_assert_eq!(acc.evaluate(EpochMerge::Add), sum.evaluate_tree(&sum_partial));
-            let min_partial = merge_all(&Min, &readings).expect("non-empty");
+            let min_partial = merge_tree(&Min, &readings);
             prop_assert_eq!(acc.evaluate(EpochMerge::Min), Min.evaluate_tree(&min_partial));
-            let max_partial = merge_all(&Max, &readings).expect("non-empty");
+            let max_partial = merge_tree(&Max, &readings);
             prop_assert_eq!(acc.evaluate(EpochMerge::Max), Max.evaluate_tree(&max_partial));
         }
 

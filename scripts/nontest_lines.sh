@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Count non-test Rust lines in a checkout of this workspace.
+#
+# The rule: every `.rs` file outside the top-level `tests/`, `benchmark/`,
+# `crates/shims/` and `target/` counts (`crates/*/tests/` included), each
+# file cut before its first `mod` carrying `#[cfg(test)]` or
+# `#[cfg(all(test, ..))]`. Every line before the cut counts, blank lines
+# and comments included.
+#
+# Usage: scripts/nontest_lines.sh [-v] [DIR]
+# DIR defaults to the checkout this script sits in. Prints the total;
+# `-v` first lists each file's count.
+set -euo pipefail
+
+verbose=0
+if [[ "${1:-}" == "-v" ]]; then
+    verbose=1
+    shift
+fi
+cd "${1:-$(dirname "$0")/..}"
+
+find . \( -path ./tests -o -path ./benchmark -o -path ./crates/shims -o -path ./target \
+    -o -path ./.git \) -prune -o -name '*.rs' -type f -print |
+    LC_ALL=C sort |
+    while read -r file; do
+        awk -v file="$file" '
+            # A test attribute is held back until the next line shows
+            # whether it opens the cut.
+            {
+                if (held && $0 ~ /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/) exit
+                n += held
+                held = 0
+                if ($0 ~ /^[[:space:]]*#\[cfg\((test|all\(test[,)].*)\)\][[:space:]]*$/) held = 1
+                else n++
+            }
+            END { print n + held, file }
+        ' "$file"
+    done |
+    awk -v verbose="$verbose" '
+        verbose { print }
+        { total += $1 }
+        END { print total }
+    '

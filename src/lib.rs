@@ -6,7 +6,7 @@
 //!
 //! - [`netsim`] — the sensor-network simulator substrate
 //! - [`topology`] — TAG trees, rings, bushy trees, labeled TD graphs
-//! - [`sketches`] — duplicate-insensitive synopses (FM, KMV)
+//! - [`sketches`] — duplicate-insensitive synopses (FM)
 //! - [`aggregates`] — Count/Sum/Min/Max/Average in the SG/SF/SE framework
 //! - [`quantiles`] — Greenwald–Khanna summaries with precision gradients
 //! - [`frequent`] — the paper's frequent-items algorithms (§6)

@@ -7,7 +7,7 @@ use td_suite::core::query::QuerySet;
 use td_suite::core::session::{Scheme, Session, SessionBuilder, SessionConfig};
 use td_suite::frequent::items::{count_items, true_frequent, ItemBag};
 use td_suite::frequent::multipath::MultipathConfig;
-use td_suite::frequent::quantile_based::run_tree_gk;
+use td_suite::frequent::quantile_based;
 use td_suite::netsim::churn::ChurnSchedule;
 use td_suite::netsim::loss::{GilbertElliott, Global, LossModel, NoLoss};
 use td_suite::netsim::network::Network;
@@ -15,6 +15,7 @@ use td_suite::netsim::node::{NodeId, Position, BASE_STATION};
 use td_suite::netsim::rng::rng_from_seed;
 use td_suite::netsim::stats::CommStats;
 use td_suite::quantiles::gradient::{Hybrid, MinMaxLoad, MinTotalLoad, PrecisionGradient, Uniform};
+use td_suite::quantiles::summary::GkSummary;
 use td_suite::sketches::counter::{CounterFactory, ExactFactory, FmFactory};
 use td_suite::topology::bushy::{build_bushy_tree, BushyOptions};
 use td_suite::topology::domination::domination_factor;
@@ -334,6 +335,128 @@ fn tag_frequent_items_match_the_deleted_tree_runner() {
 /// deletion; asserted unchanged on the engine.
 const PINNED_TREE_RUNNER_DIGEST: u64 = 0xfc46_66a1_2e1b_a4e0;
 
+/// The Quantiles-based baseline \[8\] over a given `tree` at error
+/// tolerance `eps`: one epoch of GK summaries of every node's items on
+/// the engine's all-`T` plan, without retries. Returns the base
+/// station's summary and the epoch's communication.
+fn gk_run<M: LossModel>(
+    net: &Network,
+    tree: &Tree,
+    bags: &[ItemBag],
+    eps: f64,
+    model: &M,
+    seed: u64,
+) -> (GkSummary, CommStats) {
+    let items: Vec<Vec<u64>> = bags.iter().map(ItemBag::expand).collect();
+    let proto = QuantileProtocol::gk(quantile_based::gradient(eps, tree), &items);
+    let (out, stats) = run_on_tree(net, tree, &proto, model, 0, &mut rng_from_seed(seed));
+    (out.summary, stats)
+}
+
+/// The Quantiles-based baseline's answers and loads on the engine,
+/// pinned to a constant stamped from the private level walk td-frequent
+/// ran it on before the engine replaced it: the base summary's tuples,
+/// population and uncertainty, then every node's communication
+/// counters, on a bushy tree without loss at ε = 0.01 and 0.02 and on a
+/// TAG tree at 30 % loss without retries. GK's `combine` breaks ties by
+/// argument order, so this also pins that the engine merges a node's
+/// own summary first and then its children in delivery order.
+#[test]
+fn quantiles_based_baseline_matches_the_deleted_tree_walk() {
+    fn fold(h: &mut u64, (summary, stats): &(GkSummary, CommStats)) {
+        for t in summary.tuples() {
+            for x in [t.value, t.g, t.delta] {
+                fnv(h, x);
+            }
+        }
+        fnv(h, summary.population());
+        fnv(h, summary.uncertainty());
+        for i in 0..stats.len() {
+            let c = stats.node(NodeId(i as u32));
+            for x in [c.rounds, c.transmissions, c.messages, c.bytes, c.words] {
+                fnv(h, x);
+            }
+        }
+    }
+
+    let (net, bags) = fixture(19);
+    let mut rng = rng_from_seed(20);
+    let bushy = build_bushy_tree(&net, &Rings::build(&net), BushyOptions::default(), &mut rng);
+    let tag = build_tag_tree(&net, ParentSelection::Random, None, false, &mut rng);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fold(&mut h, &gk_run(&net, &bushy, &bags, 0.01, &NoLoss, 25));
+    fold(&mut h, &gk_run(&net, &bushy, &bags, 0.02, &NoLoss, 26));
+    fold(
+        &mut h,
+        &gk_run(&net, &tag, &bags, 0.01, &Global::new(0.3), 27),
+    );
+    assert_eq!(
+        h, PINNED_GK_WALK_DIGEST,
+        "Quantiles-based baseline digest moved (got {h:#018x})"
+    );
+}
+
+/// Stamped from td-frequent's `run_tree_gk` level walk on the commit
+/// before its deletion; asserted unchanged on the engine.
+const PINNED_GK_WALK_DIGEST: u64 = 0x7277_a793_205d_7da0;
+
+/// A deployment on a 20 × 20 field with radio range 5, a bushy tree
+/// over it, and per-node bags of 150 occurrences: 40 % heavy hitters
+/// {1, 2, 3}, the rest a tail.
+fn gk_fixture(seed: u64) -> (Network, Tree, Vec<ItemBag>) {
+    use rand::Rng;
+    let mut rng = rng_from_seed(seed);
+    let net = Network::random_connected(50, 20.0, 20.0, Position::new(10.0, 10.0), 5.0, &mut rng);
+    let tree = build_bushy_tree(&net, &Rings::build(&net), BushyOptions::default(), &mut rng);
+    let mut bags = vec![ItemBag::new(); net.len()];
+    for u in net.sensor_ids() {
+        for _ in 0..150 {
+            if rng.gen_bool(0.4) {
+                bags[u.index()].add(rng.gen_range(1u64..4), 1);
+            } else {
+                bags[u.index()].add(rng.gen_range(50u64..2000), 1);
+            }
+        }
+    }
+    (net, tree, bags)
+}
+
+/// Without loss the Quantiles-based baseline counts every occurrence
+/// and its rank-difference report misses no frequent item.
+#[test]
+fn quantiles_based_finds_frequent_items_lossless() {
+    let (net, tree, bags) = gk_fixture(111);
+    let eps = 0.01;
+    let (summary, _) = gk_run(&net, &tree, &bags, eps, &NoLoss, 112);
+    let truth = count_items(&bags);
+    assert_eq!(summary.population(), truth.total());
+    let s = 0.05;
+    let reported = quantile_based::report_frequent(&summary, s, eps);
+    for item in true_frequent(&bags, s) {
+        assert!(reported.contains(&item), "missing frequent item {item}");
+    }
+}
+
+/// The baseline's rank-difference frequencies are within `2εN` of
+/// truth (plus rounding).
+#[test]
+fn quantiles_based_frequency_estimates_within_error() {
+    let (net, tree, bags) = gk_fixture(113);
+    let eps = 0.02;
+    let (summary, _) = gk_run(&net, &tree, &bags, eps, &NoLoss, 114);
+    let truth = count_items(&bags);
+    let n = truth.total() as f64;
+    for item in [1u64, 2, 3] {
+        let est = summary.frequency(item) as f64;
+        let err = (est - truth.count(item) as f64).abs();
+        assert!(
+            err <= 2.0 * eps * n + 2.0,
+            "item {item}: est {est} truth {} err {err}",
+            truth.count(item)
+        );
+    }
+}
+
 /// Algorithm 1 under every gradient keeps every estimate ε-deficient —
 /// `c(u) − ε·N ≤ c̃(u) ≤ c(u)` with ε the base station's ε(h) — invents
 /// no item, counts every occurrence without loss, and so reports every
@@ -381,7 +504,7 @@ fn tree_gradient_loads_order_as_in_figure_8() {
     let mtl = tree_run(&net, &tree, &bags, g_mtl, &NoLoss, 0, 76).1;
     let mml = tree_run(&net, &tree, &bags, g_mml, &NoLoss, 0, 76).1;
     let hybrid = tree_run(&net, &tree, &bags, g_hybrid, &NoLoss, 0, 76).1;
-    let gk = run_tree_gk(&net, &tree, eps, &bags, &NoLoss, 0, &mut rng_from_seed(76)).stats;
+    let gk = gk_run(&net, &tree, &bags, eps, &NoLoss, 76).1;
     let (t_mtl, t_mml) = (mtl.total_words(), mml.total_words());
     let (t_hybrid, t_gk) = (hybrid.total_words(), gk.total_words());
     assert!(t_mtl < t_mml, "MTL {t_mtl} !< MML {t_mml}");

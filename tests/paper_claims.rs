@@ -205,8 +205,9 @@ fn frequent_items_load_ordering() {
 #[test]
 fn quantile_derived_frequent_items_agree_with_direct_route() {
     use rand::Rng;
+    use td_suite::core::protocol::QuantileProtocol;
     use td_suite::frequent::items::count_items;
-    use td_suite::frequent::quantile_based::run_tree_gk;
+    use td_suite::frequent::quantile_based;
 
     let mut rng = rng_from_seed(742);
     let net = Network::random_connected(60, 18.0, 18.0, Position::new(9.0, 9.0), 4.5, &mut rng);
@@ -230,14 +231,16 @@ fn quantile_derived_frequent_items_agree_with_direct_route() {
     }
     let (s, eps) = (0.05, 0.01);
 
-    let quant = run_tree_gk(&net, &tree, eps, &bags, &NoLoss, 0, &mut rng_from_seed(743));
+    let items: Vec<Vec<u64>> = bags.iter().map(ItemBag::expand).collect();
+    let proto = QuantileProtocol::gk(quantile_based::gradient(eps, &tree), &items);
+    let (quant, _) = run_on_tree(&net, &tree, &proto, &NoLoss, 0, &mut rng_from_seed(743));
     let d = domination_factor(&tree, 0.05).max(1.1);
     let (direct, _) = tree_frequent(&net, &tree, &bags, MinTotalLoad::new(eps, d), s);
 
     let truth = count_items(&bags);
     let n = truth.total() as f64;
     assert_eq!(quant.summary.population(), truth.total());
-    let from_quantiles = quant.report_frequent(s, eps);
+    let from_quantiles = quantile_based::report_frequent(&quant.summary, s, eps);
     let from_direct = direct.reported;
 
     // Each route over-reports by at most its own ε below s·N, so the
