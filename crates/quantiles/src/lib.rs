@@ -23,9 +23,7 @@
 //!
 //! * [`summary::GkSummary`] — the power-conserving GK formulation;
 //! * [`qdigest::QDigest`] — the q-digest of "Medians and Beyond"
-//!   (dyadic-range counts), whose node-wise combine is additionally
-//!   *invertible*, giving windowed quantile panes an exact
-//!   subtract-on-evict path.
+//!   (dyadic-range counts), whose combine is node-wise count addition.
 //!
 //! See [`summary`] and [`qdigest`] for the data structures,
 //! [`gradient`] for the precision-gradient helpers shared with the

@@ -6,15 +6,10 @@
 //! dyadic ranges (nodes of the implicit complete binary tree over the
 //! domain), each carrying a count. An exact digest stores only leaves
 //! (width-1 ranges); `reduce` moves counts from children into parents,
-//! trading rank precision for size. Two properties make it the natural
-//! *windowed* quantile summary here:
-//!
-//! * `combine` is node-wise count addition — exact, associative, and
-//!   commutative **on the representation**, not just up to evaluation;
-//! * node-wise addition is invertible, so [`QDigest::retract`] can
-//!   subtract a previously-combined digest back out — the O(1)
-//!   subtract-on-evict path the stream layer's window accumulators use
-//!   (GK's combine is not invertible, so GK panes re-fold instead).
+//! trading rank precision for size. `combine` is node-wise count
+//! addition — exact, associative, and commutative **on the
+//! representation**, not just up to evaluation — which makes it the
+//! natural *windowed* quantile summary here.
 
 use std::collections::BTreeMap;
 
@@ -189,36 +184,6 @@ impl QDigest {
         }
         self.n += other.n;
         self.uncertainty += other.uncertainty;
-    }
-
-    /// Subtract a digest that was previously combined in: the exact
-    /// inverse of [`combine`](Self::combine), node-wise. Returns `None`
-    /// if `evicted` is not contained in `self` (different domain, or a
-    /// count/uncertainty would go negative) — the caller should re-fold
-    /// from scratch in that case. This is what gives windowed q-digest
-    /// panes an O(1) eviction where GK panes must re-fold.
-    pub fn retract(&self, evicted: &Self) -> Option<Self> {
-        if evicted.bits != self.bits || evicted.n > self.n || evicted.uncertainty > self.uncertainty
-        {
-            return None;
-        }
-        let mut nodes = self.nodes.clone();
-        for (k, &c) in &evicted.nodes {
-            let mine = nodes.get_mut(k)?;
-            if *mine < c {
-                return None;
-            }
-            *mine -= c;
-            if *mine == 0 {
-                nodes.remove(k);
-            }
-        }
-        Some(QDigest {
-            bits: self.bits,
-            nodes,
-            n: self.n - evicted.n,
-            uncertainty: self.uncertainty - evicted.uncertainty,
-        })
     }
 
     /// Reduce (compress) the digest toward the budget: repeatedly merge
@@ -430,46 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_inverts_combine() {
-        let a = QDigest::exact(&[1, 5, 9, 200], 10);
-        let mut b = QDigest::exact(&(0..300).collect::<Vec<_>>(), 10);
-        b.reduce(30);
-        let c = a.combine(&b);
-        assert_eq!(c.retract(&b).unwrap(), a);
-        assert_eq!(c.retract(&a).unwrap(), b);
-        // Retracting something never combined in fails cleanly.
-        let stranger = QDigest::exact(&[1, 1, 1, 1, 1], 10);
-        assert!(c.retract(&stranger).is_none());
-        // Domain mismatch fails cleanly.
-        assert!(c.retract(&QDigest::exact(&[1], 8)).is_none());
-    }
-
-    #[test]
-    fn retract_matches_refold_over_a_window() {
-        // Fold 6 panes, retract the oldest two: must equal folding the
-        // remaining four from scratch, bit for bit.
-        let panes: Vec<QDigest> = (0..6)
-            .map(|i| {
-                let vals: Vec<u64> = (i * 37..i * 37 + 40).collect();
-                let mut d = QDigest::exact(&vals, 9);
-                d.reduce(4 + i);
-                d
-            })
-            .collect();
-        let mut acc = panes[0].clone();
-        for p in &panes[1..] {
-            acc = acc.combine(p);
-        }
-        let acc = acc.retract(&panes[0]).unwrap();
-        let acc = acc.retract(&panes[1]).unwrap();
-        let mut refold = panes[2].clone();
-        for p in &panes[3..] {
-            refold = refold.combine(p);
-        }
-        assert_eq!(acc, refold);
-    }
-
-    #[test]
     fn quantile_error_bounded() {
         let vals: Vec<u64> = (0..2000).collect();
         let mut d = QDigest::exact(&vals, 11);
@@ -538,23 +463,6 @@ mod tests {
             d.insert_exact(v);
             prop_assert!(d.check_invariant().is_ok());
             prop_assert_eq!(d, combined);
-        }
-
-        #[test]
-        fn prop_combine_retract_roundtrip(
-            a in proptest::collection::vec(0u64..512, 1..120),
-            b in proptest::collection::vec(0u64..512, 1..120),
-            ea in 0u64..40,
-            eb in 0u64..40,
-        ) {
-            let mut da = QDigest::exact(&a, 9);
-            da.reduce(ea);
-            let mut db = QDigest::exact(&b, 9);
-            db.reduce(eb);
-            let c = da.combine(&db);
-            prop_assert!(c.check_invariant().is_ok());
-            prop_assert_eq!(c.retract(&db).unwrap(), da.clone());
-            prop_assert_eq!(c.retract(&da).unwrap(), db);
         }
     }
 }

@@ -43,9 +43,6 @@ use std::time::{Duration, Instant};
 use td_netsim::churn::ChurnEvents;
 use td_netsim::rng::splitmix64;
 use td_stream::{PaneProtocol, StreamQuery, StreamSession, WindowHandle, WindowReport};
-// NOTE: event macros are invoked fully qualified (`td_telemetry::td_event!`)
-// so no imports go unused when the `telemetry` feature is off and the
-// macro expands to nothing.
 use td_telemetry::Registry;
 
 use crate::outbox::{Outbox, TenantReport};

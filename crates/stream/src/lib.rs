@@ -25,12 +25,11 @@
 //!   per-item count estimates for windowed frequent-items queries
 //!   ([`FreqStreamQuery`]), and [`QuantilePane`] carries merged
 //!   GK/q-digest summaries for windowed medians and p99s
-//!   ([`QuantileStreamQuery`]), subtracting evicted panes exactly
-//!   where the digest's invertible combine allows it.
-//! * [`WindowAccum`] / [`FoldMode`] — per-window incremental
-//!   accumulators (subtract-on-evict, two-stacks), written once over
-//!   [`PaneAlgebra`], making a window hop O(1) amortized regardless of
-//!   window length, bit-for-bit equal to the from-scratch re-fold.
+//!   ([`QuantileStreamQuery`]).
+//! * [`WindowAccum`] / [`FoldMode`] — the per-window fold, written once
+//!   over [`PaneAlgebra`]: a running fold where no pane ever leaves the
+//!   window, a refold of the ≤ `len` buffered panes at each emission of
+//!   an overlapping sliding window — bit-for-bit the from-scratch fold.
 //!
 //! Windows interoperate with loss and adaptation instead of hiding
 //! them: every report carries the newest pane's [`CommStats`] and
@@ -59,5 +58,5 @@ pub use session::{
 };
 pub use window::{
     AccumCounters, EpochMerge, FoldMode, FreqPane, PaneAlgebra, PaneInput, PaneKind, PanePartial,
-    PaneValue, QuantilePane, TwoStacks, WindowAccum, WindowAnswer, WindowSpec,
+    PaneValue, QuantilePane, WindowAccum, WindowAnswer, WindowSpec,
 };

@@ -10,10 +10,6 @@
 //! windowed median as its scalar `value` *and* the full merged summary
 //! in its `quantile` field — ask it for p99s, ranks, or any other φ.
 //!
-//! Eviction follows the pane's family: q-digest panes subtract exactly
-//! (node-wise invertible combine), GK panes refold — see
-//! [`QuantilePane`] for the certificate details.
-//!
 //! [`WindowReport`]: crate::session::WindowReport
 
 use td_quantiles::gradient::PrecisionGradient;

@@ -26,14 +26,15 @@
 //! history — so adaptation mid-window degrades answers visibly
 //! (through coverage) rather than invalidating them.
 //!
-//! ## Incremental absorption
+//! ## Absorption
 //!
-//! Each window owns a [`WindowAccum`] — the O(1)-amortized state
-//! machine from [`crate::window`] — so absorbing a pane costs O(1)
-//! per window regardless of window length, and steady-state hops
-//! allocate nothing. Reports carry the window aggregates plus the
-//! newest pane's [`PaneStats`]; a `tumbling(1)` window's reports are
-//! the per-pane history.
+//! Each window owns a [`WindowAccum`] — the state machine from
+//! [`crate::window`] — which folds a pane into a running accumulator,
+//! or buffers it and refolds the window's ≤ `len` panes when an
+//! overlapping window emits; steady-state hops allocate nothing.
+//! Reports carry the window aggregates plus the newest pane's
+//! [`PaneStats`]; a `tumbling(1)` window's reports are the per-pane
+//! history.
 
 use std::sync::Arc;
 
@@ -167,10 +168,10 @@ pub struct StreamStats {
     pub panes_built: u64,
     /// Pane merge/fold operations performed across all windows.
     pub pane_merges: u64,
-    /// Evictions where the subtract-on-evict exactness certificate did
-    /// not hold and the window value was refolded from its pane buffer
-    /// instead ([`AccumCounters::value_refolds`]). Zero in the exact
-    /// integer regimes the engine is built for.
+    /// Window answers computed by refolding the window's pane buffer
+    /// ([`AccumCounters::value_refolds`]): one per emission of an
+    /// overlapping sliding window, or of any non-landmark window under
+    /// [`FoldMode::Refold`].
     pub value_refolds: u64,
     /// Window reports emitted.
     pub reports_emitted: u64,
@@ -259,8 +260,7 @@ pub struct StreamSession {
 
 impl StreamSession {
     /// Wrap a driver (its warmup epochs produce no panes). Windows run
-    /// the O(1)-amortized incremental accumulators
-    /// ([`FoldMode::Incremental`]) unless
+    /// [`FoldMode::Incremental`] unless
     /// [`set_fold_mode`](Self::set_fold_mode) says otherwise.
     pub fn new(driver: Driver) -> Self {
         let last_stats = driver.session().stats().clone();
@@ -276,8 +276,8 @@ impl StreamSession {
 
     /// Select how windows maintain their answers —
     /// [`FoldMode::Refold`] re-folds every emission from the pane
-    /// buffer (the pre-incremental engine, kept as the bit-for-bit
-    /// reference). Both modes produce identical
+    /// buffer, tumbling windows included (the bit-for-bit reference).
+    /// Both modes produce identical
     /// reports on every field; only the work profile differs.
     ///
     /// # Panics
@@ -600,7 +600,7 @@ impl StreamSession {
     }
 
     /// Fold one measured epoch's answer into query `qi`'s pane series —
-    /// one O(1)-amortized [`WindowAccum::absorb`] per window — and emit
+    /// one [`WindowAccum::absorb`] per window — and emit
     /// whatever windows close on it.
     fn absorb_pane(
         &mut self,

@@ -1,57 +1,36 @@
-//! Window shapes, the cross-epoch pane algebra, and the incremental
+//! Window shapes, the cross-epoch pane algebra, and the
 //! [`WindowAccum`] state machine.
 //!
 //! A *pane* is one measured epoch's contribution to a windowed query:
 //! the epoch answer plus its instrumentation. Windows never re-traverse
 //! history — they merge panes, and the merge must therefore be
-//! associative and commutative so panes can combine in arrival order, hop
-//! order, or eviction order interchangeably. [`PanePartial`] is that
-//! merge: the product of the scalar aggregates' tree-merge laws
-//! (`Sum`/`Count` addition, `Min`/`Max` extrema, `Average`'s
-//! `(sum, count)` pair) lifted to the `f64` answers epochs produce, and
-//! [`EpochMerge`] selects which component a window evaluates. The
-//! [`PaneAlgebra`] trait generalizes the fold beyond four scalars:
-//! [`FreqPane`] carries *set-valued* per-item count estimates and
-//! [`QuantilePane`] a merged quantile summary, so frequent-items and
-//! quantile queries are windowed like any scalar.
+//! associative and commutative so panes can combine in any order and
+//! grouping. [`PanePartial`] is that merge: the product of the scalar
+//! aggregates' tree-merge laws (`Sum`/`Count` addition, `Min`/`Max`
+//! extrema, `Average`'s `(sum, count)` pair) lifted to the `f64`
+//! answers epochs produce, and [`EpochMerge`] selects which component a
+//! window evaluates. The [`PaneAlgebra`] trait generalizes the fold
+//! beyond four scalars: [`FreqPane`] carries *set-valued* per-item count
+//! estimates and [`QuantilePane`] a merged quantile summary, so
+//! frequent-items and quantile queries are windowed like any scalar.
 //!
-//! ## Incremental maintenance: a hop costs O(1), not O(W)
+//! ## One fold per window
 //!
-//! [`WindowAccum`] replaces the per-emission re-fold with one value fold
-//! per window, written once over [`PaneAlgebra`] and selected by window
-//! shape and merge law:
+//! [`WindowAccum`] answers every window with the left fold of its panes,
+//! written once over [`PaneAlgebra`] and selected by window shape:
 //!
-//! * tumbling / landmark / `sliding(len, hop == len)` → a **running**
-//!   left fold (reset at each emission for tumbling) — trivially the
-//!   same fold as a from-scratch pass;
-//! * sliding `hop < len`, `Add`/`Mean` (every set-valued window) →
-//!   **subtract-on-evict** ([`PaneAlgebra::retract`]) guarded by an
-//!   exactness certificate (below);
-//! * sliding `hop < len`, scalar `Min`/`Max` → the **two-stacks** scheme
-//!   ([`TwoStacks`]): amortized O(1) push/evict/query without needing
-//!   an inverse.
+//! * tumbling / landmark / `sliding(len, hop == len)` — no pane ever
+//!   leaves the window, so a **running** left fold (reset at each
+//!   emission for tumbling) is the answer;
+//! * overlapping sliding (`hop < len`) — the window buffers its ≤ `len`
+//!   panes and **refolds** them at each emission (`len − 1` merges).
 //!
-//! ### The bit-for-bit pin, honestly
-//!
-//! Every answer this machinery emits is pinned **bit-for-bit** equal to
-//! the from-scratch left fold of the window's panes (the old engine's
-//! behavior, preserved as [`FoldMode::Refold`]). Floating-point
-//! subtraction does not invert floating-point addition in general, so
-//! the subtract path only fires under a certificate that makes every
-//! partial sum provably exact: all pane values currently in the window
-//! are integer-valued with magnitude ≤ 2⁵¹ and their magnitudes sum to
-//! ≤ 2⁵² — then all sums and differences are exactly representable and
-//! the subtracted sum *equals* the refolded sum, bit for bit. When the
-//! certificate fails (fractional multi-path estimates, overflow-scale
-//! values, GK summaries, whose combine has no inverse) or the pane
-//! declines the retraction, the eviction falls back to refolding from
-//! the window's own pane buffer — O(len) for that hop, still bit-exact,
-//! counted in [`AccumCounters::value_refolds`]. Pushes never need the
-//! certificate: appending to a left fold *is* the left fold of the
-//! extended sequence. `Min`/`Max` are selection operations (the answer
-//! is one of the pane values), so [`TwoStacks`] matches the refold
-//! exactly up to the IEEE `min(±0.0, ∓0.0)` tie, which pane values (sums
-//! of readings) do not produce.
+//! Both are the same left fold over the same panes in the same order, so
+//! every answer is bit-for-bit the from-scratch fold that
+//! [`FoldMode::Refold`] computes for every non-landmark window. Evicting
+//! a pane needs no inverse: the buffer drops it. The windows the
+//! workloads, experiments and examples open are ≤ 16 panes, so a refold
+//! is a handful of merges.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -245,8 +224,8 @@ impl PanePartial {
 /// The cross-epoch fold interface, one implementation per pane kind:
 /// [`PanePartial`] for scalar panes, [`FreqPane`] for set-valued
 /// frequent-items panes, [`QuantilePane`] for quantile summaries.
-/// [`WindowAccum`]'s running, subtract-on-evict and refold paths are
-/// written once against this trait.
+/// [`WindowAccum`]'s running fold and buffer refold are written once
+/// against this trait.
 pub trait PaneAlgebra: Clone + std::fmt::Debug + Send + 'static {
     /// This kind's view of a pane value — borrowed for the shared
     /// set-valued panes, built for scalars — or `None` for a pane of
@@ -256,19 +235,6 @@ pub trait PaneAlgebra: Clone + std::fmt::Debug + Send + 'static {
     /// Absorb the next pane (left-fold order: `self` is the older
     /// partial, `next` the newer pane).
     fn absorb(&mut self, next: &Self);
-
-    /// Subtract a previously absorbed pane. Called only while the
-    /// window's exactness certificate holds. Either the result equals a
-    /// from-scratch fold of the remaining panes, bit for bit, and this
-    /// returns `true`; or `self` is left unchanged and this returns
-    /// `false`, and the caller refolds.
-    fn retract(&mut self, evicted: &Self) -> bool;
-
-    /// The pane's exactness-certificate weight and eligibility (see the
-    /// module docs): the magnitude it adds to the window's budget, and
-    /// whether its contribution is integer-valued and small enough for
-    /// exact subtraction.
-    fn exactness(&self) -> (f64, bool);
 
     /// The window answer this partial evaluates to under `merge`.
     fn answer(self, merge: EpochMerge) -> PaneValue;
@@ -286,23 +252,6 @@ impl PaneAlgebra for PanePartial {
         self.merge(next);
     }
 
-    /// Exact on `sum` and `count`, the components `Add`/`Mean` evaluate
-    /// — the only scalar laws that subtract. `min`/`max` have no
-    /// inverse and are left as they were.
-    fn retract(&mut self, evicted: &Self) -> bool {
-        self.sum -= evicted.sum;
-        self.count -= evicted.count;
-        true
-    }
-
-    fn exactness(&self) -> (f64, bool) {
-        let v = self.sum;
-        (
-            v.abs(),
-            v.is_finite() && v.fract() == 0.0 && v.abs() <= EXACT_VALUE_MAX,
-        )
-    }
-
     fn answer(self, merge: EpochMerge) -> PaneValue {
         PaneValue::Scalar(self.evaluate(merge))
     }
@@ -312,9 +261,7 @@ impl PaneAlgebra for PanePartial {
 /// total, as produced by one epoch of a frequent-items query
 /// (§6 / Figure 9). Merging adds counts item-wise and totals — the
 /// multiset-union law lifted to estimates. Construction drops
-/// non-positive counts so that an item is present iff it contributes,
-/// which keeps the subtract-on-evict path's remove-at-exact-zero
-/// canonical with a from-scratch fold.
+/// non-positive counts so that an item is present iff it contributes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FreqPane {
     counts: BTreeMap<Item, f64>,
@@ -382,38 +329,6 @@ impl PaneAlgebra for FreqPane {
         self.merge(next);
     }
 
-    /// Item-wise subtraction. Under the exactness certificate every
-    /// count is an exactly-summed integer: a count reaching exactly zero
-    /// means no remaining pane contains the item, so the entry is
-    /// removed — matching the map a from-scratch fold of the remaining
-    /// panes would build.
-    fn retract(&mut self, evicted: &Self) -> bool {
-        for (&u, &c) in &evicted.counts {
-            if let Some(e) = self.counts.get_mut(&u) {
-                *e -= c;
-                if *e == 0.0 {
-                    self.counts.remove(&u);
-                }
-            }
-        }
-        self.total -= evicted.total;
-        true
-    }
-
-    /// The weight bounds every partial sum this pane can contribute to
-    /// (its total and its largest count); the pane is safe when all of
-    /// those are non-negative integers small enough that window sums
-    /// stay exact.
-    fn exactness(&self) -> (f64, bool) {
-        let mut weight = self.total.abs();
-        let mut safe = self.total.is_finite() && self.total >= 0.0 && self.total.fract() == 0.0;
-        for &c in self.counts.values() {
-            weight = weight.max(c);
-            safe = safe && c.is_finite() && c.fract() == 0.0;
-        }
-        (weight, safe && weight <= EXACT_VALUE_MAX)
-    }
-
     fn answer(self, _merge: EpochMerge) -> PaneValue {
         PaneValue::Freq(Arc::new(self))
     }
@@ -423,20 +338,11 @@ impl PaneAlgebra for FreqPane {
 /// a `QuantileProtocol` riding the query set. Merging combines the
 /// summaries (populations union, uncertainties add) — the same law the
 /// tree protocol uses, lifted across epochs.
-///
-/// The two summary families split on eviction: q-digest combine is
-/// node-wise count addition and therefore *invertible*, so `retract`
-/// subtracts an evicted pane exactly (canonical with a from-scratch
-/// fold, bit for bit); GK combine is not invertible, so GK panes report
-/// themselves ineligible for the exactness certificate and every
-/// eviction falls back to an O(len) refold — "canonicalized
-/// merge/retract where the digest supports it, refold fallback
-/// otherwise".
 #[derive(Clone, Debug, PartialEq)]
 pub enum QuantilePane {
-    /// A Greenwald–Khanna summary pane (evictions refold).
+    /// A Greenwald–Khanna summary pane.
     Gk(td_quantiles::GkSummary),
-    /// A q-digest summary pane (evictions subtract exactly).
+    /// A q-digest summary pane.
     Digest(td_quantiles::QDigest),
 }
 
@@ -506,32 +412,6 @@ impl PaneAlgebra for QuantilePane {
         self.merge(next);
     }
 
-    /// q-digest retraction is node-wise and atomic (no change when the
-    /// evictee is not contained); GK always declines.
-    fn retract(&mut self, evicted: &Self) -> bool {
-        match (self, evicted) {
-            (QuantilePane::Digest(a), QuantilePane::Digest(b)) => match a.retract(b) {
-                Some(r) => {
-                    *a = r;
-                    true
-                }
-                None => false,
-            },
-            _ => false,
-        }
-    }
-
-    /// Population counts are exact `u64`s, so a digest pane is always
-    /// eligible (the retraction itself re-checks node-wise containment);
-    /// GK panes never are.
-    fn exactness(&self) -> (f64, bool) {
-        let weight = self.population() as f64;
-        (
-            weight,
-            matches!(self, QuantilePane::Digest(_)) && weight <= EXACT_VALUE_MAX,
-        )
-    }
-
     fn answer(self, _merge: EpochMerge) -> PaneValue {
         PaneValue::Quantile(Arc::new(self))
     }
@@ -578,27 +458,18 @@ pub enum PaneKind {
     Quantile,
 }
 
-/// Largest pane magnitude the exactness certificate accepts: 2⁵¹.
-/// Integer values up to here are exactly representable with headroom.
-const EXACT_VALUE_MAX: f64 = 2251799813685248.0;
-/// Largest window magnitude budget (sum of pane weights) the
-/// certificate accepts: 2⁵². With every pane weight ≤ 2⁵¹ the budget
-/// arithmetic itself stays below 2⁵³ and therefore exact, and every
-/// per-item/window partial sum is an exactly-representable integer.
-const EXACT_BUDGET_MAX: f64 = 4503599627370496.0;
-
 /// How a [`WindowAccum`] maintains its answer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FoldMode {
-    /// O(1)-amortized incremental accumulators (the default).
+    /// A running fold where no pane ever leaves the window, a buffer
+    /// refold per emission where panes do (the default).
     #[default]
     Incremental,
-    /// Re-fold every emission from the window's pane buffer — the old
-    /// engine's O(len)-per-hop behavior, kept as the bit-for-bit
-    /// reference the equality proptests and the hop-cost pin compare
-    /// against. Landmark windows always run their running
-    /// accumulator (a from-scratch landmark fold would be O(stream)
-    /// and *is* the running fold).
+    /// Refold every emission from the window's pane buffer, tumbling
+    /// windows included — the from-scratch reference the equality tests
+    /// compare against. Landmark windows always run their running fold
+    /// (a from-scratch landmark fold would be O(stream) and *is* the
+    /// running fold).
     Refold,
 }
 
@@ -655,112 +526,14 @@ pub struct WindowAnswer {
 }
 
 /// Work counters an absorb pass accumulates, so callers (the stream
-/// session, the hop-cost pin) can account merges and certificate-failure
-/// refolds without the accumulator owning global stats.
+/// session, the tests) can account fold work without the accumulator
+/// owning global stats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AccumCounters {
     /// Pane merge/fold operations performed.
     pub pane_merges: u64,
-    /// Evictions that fell back to an O(len) refold because the
-    /// exactness certificate did not hold.
+    /// Window answers computed by refolding the pane buffer.
     pub value_refolds: u64,
-}
-
-/// The two-stacks sliding-extremum structure (SLIDE/DABA family): a
-/// *front* stack of suffix partials over the older segment and a
-/// *back* running fold over the newer segment. Push and query are O(1);
-/// evict is O(1) amortized — when the front empties, the whole back
-/// segment is flipped into front suffix partials, touching each element
-/// once per lifetime. `min`/`max` need no inverse, so this is the
-/// non-invertible half of the incremental window machinery; one that
-/// never evicts is a running extremum.
-#[derive(Clone, Debug)]
-pub struct TwoStacks {
-    take_max: bool,
-    /// `(value, partial)` with `partial` = fold of this value and every
-    /// younger value in the front segment; the stack top (vector end)
-    /// is the oldest element of the window.
-    front: Vec<(f64, f64)>,
-    back_partial: Option<f64>,
-    back_len: usize,
-}
-
-impl TwoStacks {
-    /// A sliding-minimum accumulator.
-    pub fn min() -> Self {
-        TwoStacks {
-            take_max: false,
-            front: Vec::new(),
-            back_partial: None,
-            back_len: 0,
-        }
-    }
-
-    /// A sliding-maximum accumulator.
-    pub fn max() -> Self {
-        TwoStacks {
-            take_max: true,
-            ..TwoStacks::min()
-        }
-    }
-
-    fn op(&self, a: f64, b: f64) -> f64 {
-        if self.take_max {
-            a.max(b)
-        } else {
-            a.min(b)
-        }
-    }
-
-    /// Drop every value, keeping the front stack's capacity.
-    pub(crate) fn clear(&mut self) {
-        self.front.clear();
-        self.back_partial = None;
-        self.back_len = 0;
-    }
-
-    /// Append the newest value — O(1).
-    pub fn push(&mut self, v: f64) {
-        self.back_partial = Some(match self.back_partial {
-            None => v,
-            Some(acc) => self.op(acc, v),
-        });
-        self.back_len += 1;
-    }
-
-    /// Evict the oldest value — O(1) amortized. `newest_first` must
-    /// yield the window's current values (the evictee included) from
-    /// newest to oldest; it is only consumed when the front stack is
-    /// empty and the back segment flips.
-    pub fn evict(&mut self, newest_first: impl Iterator<Item = f64>) {
-        if self.front.is_empty() {
-            let mut partial: Option<f64> = None;
-            for v in newest_first.take(self.back_len) {
-                let p = match partial {
-                    None => v,
-                    Some(acc) => self.op(v, acc),
-                };
-                partial = Some(p);
-                self.front.push((v, p));
-            }
-            self.back_partial = None;
-            self.back_len = 0;
-        }
-        self.front.pop().expect("evict from an empty TwoStacks");
-    }
-
-    /// The current extremum — O(1).
-    ///
-    /// # Panics
-    /// Panics when empty.
-    pub fn query(&self) -> f64 {
-        match (self.front.last(), self.back_partial) {
-            (Some(&(_, f)), Some(b)) => self.op(f, b),
-            (Some(&(_, f)), None) => f,
-            (None, Some(b)) => b,
-            (None, None) => panic!("query on an empty TwoStacks"),
-        }
-    }
 }
 
 /// `P`'s view of a pane value — the one place a [`PaneValue`] becomes a
@@ -791,62 +564,13 @@ fn refold<'a, P: PaneAlgebra>(
     acc
 }
 
-/// Start `acc` from `value` or absorb `value` into it; `true` when that
-/// took a merge.
-fn fold_into<P: PaneAlgebra>(acc: &mut Option<P>, value: &PaneValue) -> bool {
-    let pane = view::<P>(value);
-    match acc {
-        None => {
-            *acc = Some(pane.into_owned());
-            false
-        }
-        Some(a) => {
-            a.absorb(&pane);
-            true
-        }
-    }
-}
-
-/// The value half of a [`WindowAccum`] over panes of algebra `P`,
-/// selected by window shape, merge law and [`FoldMode`].
+/// The value half of a [`WindowAccum`] over panes of algebra `P`.
 #[derive(Clone, Debug)]
 enum ValueAccum<P> {
-    /// Running left fold (tumbling/landmark/`hop == len`).
+    /// Running left fold, for windows no pane ever leaves.
     Running(Option<P>),
-    /// Subtract-on-evict (`Add`/`Mean`, every set-valued kind):
-    /// `budget` sums the in-window panes' certificate weights and
-    /// `unsafe_panes` counts the ineligible ones; an eviction retracts
-    /// while the certificate holds and refolds the buffer otherwise.
-    Subtract {
-        acc: Option<P>,
-        budget: f64,
-        unsafe_panes: u32,
-    },
-    /// Two-stacks sliding extremum over the panes' scalar face (scalar
-    /// `Min`/`Max`).
-    TwoStacks(TwoStacks),
-    /// Fold the pane buffer at every emission ([`FoldMode::Refold`]).
+    /// Fold the window's pane buffer at every emission.
     Refold,
-}
-
-impl<P: PaneAlgebra> ValueAccum<P> {
-    fn boxed(spec: WindowSpec, merge: EpochMerge, mode: FoldMode) -> Box<dyn ValueFold> {
-        Box::<Self>::new(match (spec, mode) {
-            // Landmark's running fold IS the from-scratch fold.
-            (WindowSpec::Landmark, _) => ValueAccum::Running(None),
-            (_, FoldMode::Refold) => ValueAccum::Refold,
-            _ if !spec.overlaps() => ValueAccum::Running(None),
-            _ => match merge {
-                EpochMerge::Add | EpochMerge::Mean => ValueAccum::Subtract {
-                    acc: None,
-                    budget: 0.0,
-                    unsafe_panes: 0,
-                },
-                EpochMerge::Min => ValueAccum::TwoStacks(TwoStacks::min()),
-                EpochMerge::Max => ValueAccum::TwoStacks(TwoStacks::max()),
-            },
-        })
-    }
 }
 
 /// A [`ValueAccum`] with its pane algebra erased, so one [`WindowAccum`]
@@ -854,11 +578,7 @@ impl<P: PaneAlgebra> ValueAccum<P> {
 trait ValueFold: std::fmt::Debug + Send {
     /// Fold in the newest pane.
     fn push(&mut self, value: &PaneValue, counters: &mut AccumCounters);
-    /// Drop the oldest pane of `buf` (still buffered, with at least one
-    /// successor) from the value.
-    fn evict(&mut self, buf: &VecDeque<PaneInput>, counters: &mut AccumCounters);
-    /// The answer over the window's panes (`buf`, for the folds that
-    /// keep one).
+    /// The answer over the window's panes (`buf`, for the refold).
     fn answer(
         &self,
         buf: &VecDeque<PaneInput>,
@@ -867,62 +587,20 @@ trait ValueFold: std::fmt::Debug + Send {
     ) -> PaneValue;
     /// Forget every pane (tumbling-like windows, after each emission).
     fn reset(&mut self);
-    /// The two-stacks, for the steady-state capacity pin.
-    #[cfg(test)]
-    fn stacks(&self) -> Option<&TwoStacks>;
 }
 
 impl<P: PaneAlgebra> ValueFold for ValueAccum<P> {
     fn push(&mut self, value: &PaneValue, counters: &mut AccumCounters) {
-        match self {
-            ValueAccum::Running(acc) => counters.pane_merges += u64::from(fold_into(acc, value)),
-            ValueAccum::Subtract {
-                acc,
-                budget,
-                unsafe_panes,
-            } => {
-                // Appending to a left fold is the left fold of the
-                // extended sequence — exact-extension needs no
-                // certificate.
-                let (weight, safe) = view::<P>(value).exactness();
-                *budget += weight;
-                *unsafe_panes += u32::from(!safe);
-                fold_into(acc, value);
+        let ValueAccum::Running(acc) = self else {
+            return;
+        };
+        let pane = view::<P>(value);
+        match acc {
+            None => *acc = Some(pane.into_owned()),
+            Some(a) => {
+                a.absorb(&pane);
                 counters.pane_merges += 1;
             }
-            ValueAccum::TwoStacks(st) => {
-                st.push(value.scalar());
-                counters.pane_merges += 1;
-            }
-            ValueAccum::Refold => {}
-        }
-    }
-
-    fn evict(&mut self, buf: &VecDeque<PaneInput>, counters: &mut AccumCounters) {
-        match self {
-            ValueAccum::Subtract {
-                acc,
-                budget,
-                unsafe_panes,
-            } => {
-                let acc = acc.as_mut().expect("evict from an empty window");
-                let evicted = view::<P>(&buf[0].value);
-                if *unsafe_panes == 0 && *budget <= EXACT_BUDGET_MAX && acc.retract(&evicted) {
-                    // Certificate holds: the retracted partial IS the
-                    // refold of the remaining panes.
-                    *budget -= evicted.exactness().0;
-                } else {
-                    counters.value_refolds += 1;
-                    *acc = refold(buf.iter().skip(1), counters);
-                    (*budget, *unsafe_panes) = buf.iter().skip(1).fold((0.0, 0), |(b, u), p| {
-                        let (weight, safe) = view::<P>(&p.value).exactness();
-                        (b + weight, u + u32::from(!safe))
-                    });
-                }
-            }
-            ValueAccum::TwoStacks(st) => st.evict(buf.iter().rev().map(|p| p.value.scalar())),
-            ValueAccum::Refold => {}
-            ValueAccum::Running(_) => unreachable!("running accumulators never evict"),
         }
     }
 
@@ -933,49 +611,41 @@ impl<P: PaneAlgebra> ValueFold for ValueAccum<P> {
         counters: &mut AccumCounters,
     ) -> PaneValue {
         match self {
-            ValueAccum::Running(acc) | ValueAccum::Subtract { acc, .. } => acc
+            ValueAccum::Running(acc) => acc
                 .clone()
                 .expect("window emitted with no panes")
                 .answer(merge),
-            ValueAccum::TwoStacks(st) => PaneValue::Scalar(st.query()),
-            ValueAccum::Refold => refold::<P>(buf.iter(), counters).answer(merge),
+            ValueAccum::Refold => {
+                counters.value_refolds += 1;
+                refold::<P>(buf.iter(), counters).answer(merge)
+            }
         }
     }
 
     fn reset(&mut self) {
-        // Only tumbling-like windows reset; they run `Running` or
-        // `Refold`, whose buffer the window clears.
+        // A refolding window's buffer is cleared by the window itself.
         if let ValueAccum::Running(acc) = self {
             *acc = None;
         }
     }
-
-    #[cfg(test)]
-    fn stacks(&self) -> Option<&TwoStacks> {
-        match self {
-            ValueAccum::TwoStacks(st) => Some(st),
-            _ => None,
-        }
-    }
 }
 
-/// Per-window incremental state machine: absorbs one pane per measured
-/// epoch, maintains the window answer and its instrumentation
-/// aggregates in O(1) amortized per pane, and emits a [`WindowAnswer`]
-/// whenever the window's schedule closes. See the module docs for the
-/// accumulator selection and the bit-for-bit exactness discipline.
+/// Per-window state machine: absorbs one pane per measured epoch,
+/// maintains the window answer and its instrumentation aggregates, and
+/// emits a [`WindowAnswer`] whenever the window's schedule closes. See
+/// the module docs for the running fold and the buffer refold.
 ///
-/// The buffer of in-window panes (sliding windows only) is the *only*
-/// per-pane state retained; tumbling and landmark windows keep pure
-/// running accumulators. Steady-state absorption allocates nothing:
-/// the buffer and the two-stacks vectors reach their window-length
-/// capacity once and are reused thereafter.
+/// The buffer of in-window panes (overlapping sliding windows, and every
+/// non-landmark window under [`FoldMode::Refold`]) is the *only*
+/// per-pane state retained; the other windows keep pure running
+/// accumulators. Steady-state absorption allocates nothing: the buffer
+/// reaches its window-length capacity once and is reused thereafter.
 #[derive(Debug)]
 pub struct WindowAccum {
     spec: WindowSpec,
     merge: EpochMerge,
     value: Box<dyn ValueFold>,
-    /// In-window panes, oldest first (empty for running-only shapes).
+    /// In-window panes, oldest first (empty for running-only windows).
     buf: VecDeque<PaneInput>,
     keeps_buf: bool,
     /// Tumbling-like: clear all state after each emission.
@@ -989,9 +659,9 @@ pub struct WindowAccum {
     /// refresh every `len` evictions bounds floating-point drift of the
     /// running mean at amortized O(1).
     evictions_since_refresh: u32,
-    /// Minimum pane coverage — where panes never leave the window, a
-    /// two-stacks that never evicts is a running minimum.
-    min_cov: TwoStacks,
+    /// Running minimum pane coverage, read where the window keeps no
+    /// buffer (a buffered window reads its minimum off the buffer).
+    min_cov: f64,
     relabels: u32,
     /// Relabel flag of the newest pane — promoted into `relabels` only
     /// once a later pane arrives (a relabel after the newest pane is
@@ -1017,14 +687,21 @@ impl WindowAccum {
             "set-valued panes support EpochMerge::Add only, got {merge:?}"
         );
         let overlapping = spec.overlaps();
-        let resets = !overlapping && spec != WindowSpec::Landmark;
+        let landmark = spec == WindowSpec::Landmark;
+        // Landmark's running fold IS the from-scratch fold.
+        let keeps_buf = !landmark && (overlapping || mode == FoldMode::Refold);
+        fn boxed<P: PaneAlgebra>(keeps_buf: bool) -> Box<dyn ValueFold> {
+            Box::new(if keeps_buf {
+                ValueAccum::<P>::Refold
+            } else {
+                ValueAccum::<P>::Running(None)
+            })
+        }
         let value = match kind {
-            PaneKind::Scalar => ValueAccum::<PanePartial>::boxed(spec, merge, mode),
-            PaneKind::Freq => ValueAccum::<FreqPane>::boxed(spec, merge, mode),
-            PaneKind::Quantile => ValueAccum::<QuantilePane>::boxed(spec, merge, mode),
+            PaneKind::Scalar => boxed::<PanePartial>(keeps_buf),
+            PaneKind::Freq => boxed::<FreqPane>(keeps_buf),
+            PaneKind::Quantile => boxed::<QuantilePane>(keeps_buf),
         };
-        let keeps_buf =
-            overlapping || (mode == FoldMode::Refold && !matches!(spec, WindowSpec::Landmark));
         let cap = spec.full_span().unwrap_or(0) + 1;
         WindowAccum {
             spec,
@@ -1032,16 +709,13 @@ impl WindowAccum {
             value,
             buf: VecDeque::with_capacity(if keeps_buf { cap } else { 0 }),
             keeps_buf,
-            resets,
+            resets: !overlapping && !landmark,
             panes: 0,
             start_epoch: 0,
             end_epoch: 0,
             coverage_sum: 0.0,
             evictions_since_refresh: 0,
-            // The min-coverage path depends on the window *shape* only —
-            // never on the fold mode — so Incremental and Refold reports
-            // stay bit-identical on every field.
-            min_cov: TwoStacks::min(),
+            min_cov: 0.0,
             relabels: 0,
             last_relabeled: false,
             joined: 0,
@@ -1060,17 +734,17 @@ impl WindowAccum {
         counters: &mut AccumCounters,
     ) -> Option<WindowAnswer> {
         // -- push ------------------------------------------------------
-        if self.panes > 0 && self.last_relabeled {
-            self.relabels += 1;
-        }
-        self.last_relabeled = pane.relabeled;
         if self.panes == 0 {
             self.start_epoch = pane.epoch;
+            self.min_cov = pane.coverage;
+        } else {
+            self.relabels += u32::from(self.last_relabeled);
+            self.min_cov = self.min_cov.min(pane.coverage);
         }
+        self.last_relabeled = pane.relabeled;
         self.end_epoch = pane.epoch;
         self.panes += 1;
         self.coverage_sum += pane.coverage;
-        self.min_cov.push(pane.coverage);
         self.joined += pane.nodes_joined;
         self.left += pane.nodes_left;
         self.bytes += pane.bytes;
@@ -1081,7 +755,7 @@ impl WindowAccum {
         // -- evict -----------------------------------------------------
         if let Some(len) = self.spec.full_span() {
             while self.buf.len() > len {
-                self.evict_oldest(len as u32, counters);
+                self.evict_oldest(len as u32);
             }
         }
         // -- emit ------------------------------------------------------
@@ -1098,19 +772,15 @@ impl WindowAccum {
     /// Drop the oldest buffered pane from every aggregate. Runs only
     /// for windows that keep a buffer, with at least two panes present
     /// (`buf.len() > len ≥ 1`), so the evictee always has a successor.
-    fn evict_oldest(&mut self, len: u32, counters: &mut AccumCounters) {
-        let front = self.buf.front().expect("evict with an empty buffer");
+    fn evict_oldest(&mut self, len: u32) {
+        let slot = self.buf.pop_front().expect("evict with an empty buffer");
         // The evictee is interior (it has a successor), so its relabel
         // flag was promoted at that successor's push — undo it, and the
         // exact integer aggregates, directly.
-        self.relabels -= u32::from(front.relabeled);
-        self.joined -= front.nodes_joined;
-        self.left -= front.nodes_left;
-        self.bytes -= front.bytes;
-        self.value.evict(&self.buf, counters);
-        self.min_cov
-            .evict(self.buf.iter().rev().map(|p| p.coverage));
-        let slot = self.buf.pop_front().expect("buffer emptied mid-evict");
+        self.relabels -= u32::from(slot.relabeled);
+        self.joined -= slot.nodes_joined;
+        self.left -= slot.nodes_left;
+        self.bytes -= slot.bytes;
         self.panes -= 1;
         self.coverage_sum -= slot.coverage;
         self.start_epoch = self
@@ -1135,6 +805,12 @@ impl WindowAccum {
             PaneValue::Freq(f) => (Some(f), None),
             PaneValue::Quantile(q) => (None, Some(q)),
         };
+        let min_coverage = if self.keeps_buf {
+            let covs = self.buf.iter().map(|p| p.coverage);
+            covs.reduce(f64::min).expect("window emitted with no panes")
+        } else {
+            self.min_cov
+        };
         WindowAnswer {
             start_epoch: self.start_epoch,
             end_epoch: self.end_epoch,
@@ -1143,7 +819,7 @@ impl WindowAccum {
             freq,
             quantile,
             coverage: self.coverage_sum / self.panes as f64,
-            min_coverage: self.min_cov.query(),
+            min_coverage,
             relabels: self.relabels,
             nodes_joined: self.joined,
             nodes_left: self.left,
@@ -1160,7 +836,6 @@ impl WindowAccum {
         self.left = 0;
         self.bytes = 0;
         self.buf.clear();
-        self.min_cov.clear();
         self.value.reset();
         // `last_relabeled` survives the reset unpromoted: a relabel
         // after the previous window's final pane fell *between* windows
@@ -1228,22 +903,25 @@ mod tests {
     }
 
     /// Feed `panes` through an `Incremental` and a `Refold` accumulator
-    /// of the same window and pin every answer field bit for bit;
-    /// returns both work counters.
+    /// of the same sliding window and pin every answer field bit for
+    /// bit. `Refold` refolds its buffer at every emission, `Incremental`
+    /// only where the window overlaps.
     fn pin_incremental_to_refold(
         spec: WindowSpec,
         merge: EpochMerge,
         kind: PaneKind,
         panes: &[PaneInput],
-    ) -> Result<(AccumCounters, AccumCounters), String> {
+    ) -> Result<(), String> {
         let mut inc = WindowAccum::new(spec, merge, kind, FoldMode::Incremental);
         let mut rf = WindowAccum::new(spec, merge, kind, FoldMode::Refold);
         let (mut ci, mut cr) = (AccumCounters::default(), AccumCounters::default());
+        let mut emitted = 0;
         for (seq, pane) in panes.iter().enumerate() {
             let a = inc.absorb(seq as u64, pane, &mut ci);
             let b = rf.absorb(seq as u64, pane, &mut cr);
             prop_assert_eq!(a.is_some(), b.is_some(), "schedule diverged at {}", seq);
             if let (Some(a), Some(b)) = (a, b) {
+                emitted += 1;
                 prop_assert_eq!(
                     a.value.to_bits(),
                     b.value.to_bits(),
@@ -1265,8 +943,9 @@ mod tests {
                 prop_assert_eq!(a.quantile.as_deref(), b.quantile.as_deref());
             }
         }
-        prop_assert_eq!(cr.value_refolds, 0);
-        Ok((ci, cr))
+        prop_assert_eq!(cr.value_refolds, emitted);
+        prop_assert_eq!(ci.value_refolds, if spec.overlaps() { emitted } else { 0 });
+        Ok(())
     }
 
     #[test]
@@ -1399,41 +1078,9 @@ mod tests {
             prop_assert_eq!(forward, grouped);
         }
 
-        /// The two-stacks structure against a naive scan of the live
-        /// window, bit-for-bit at every step, for min and max.
-        #[test]
-        fn two_stacks_matches_naive_scan(
-            values in proptest::collection::vec(-100_000i64..100_000, 1..200),
-            window in 1usize..24,
-        ) {
-            let mut st_min = TwoStacks::min();
-            let mut st_max = TwoStacks::max();
-            let mut buf: VecDeque<f64> = VecDeque::new();
-            for &raw in &values {
-                let v = raw as f64;
-                buf.push_back(v);
-                st_min.push(v);
-                st_max.push(v);
-                while buf.len() > window {
-                    // Same call shape as WindowAccum: the evictee is
-                    // still in the buffer when the back segment flips.
-                    st_min.evict(buf.iter().rev().copied());
-                    st_max.evict(buf.iter().rev().copied());
-                    buf.pop_front();
-                }
-                prop_assert_eq!(st_min.front.len() + st_min.back_len, buf.len());
-                let naive_min = buf.iter().copied().fold(f64::INFINITY, f64::min);
-                let naive_max = buf.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                prop_assert_eq!(st_min.query().to_bits(), naive_min.to_bits());
-                prop_assert_eq!(st_max.query().to_bits(), naive_max.to_bits());
-            }
-        }
-
         /// The accumulator state machine against [`FoldMode::Refold`]
         /// on every answer field, for every merge law, over random
-        /// sliding shapes — with integer panes (exercising the exact
-        /// subtract path) and fractional panes (exercising the
-        /// certificate-failure refold fallback).
+        /// sliding shapes, with integer and with fractional panes.
         #[test]
         fn window_accum_incremental_equals_refold(
             raw in proptest::collection::vec(-5_000i64..5_000, 4..120),
@@ -1457,92 +1104,22 @@ mod tests {
                 EpochMerge::Max,
             ] {
                 let spec = WindowSpec::sliding(len, hop);
-                let (ci, _) = pin_incremental_to_refold(spec, merge, PaneKind::Scalar, &panes)?;
-                if !fractional && matches!(merge, EpochMerge::Add | EpochMerge::Mean) {
-                    // Small integer panes: the certificate always
-                    // holds, so every eviction stays on the O(1) path.
-                    prop_assert_eq!(ci.value_refolds, 0);
-                } else if fractional
-                    && matches!(merge, EpochMerge::Add | EpochMerge::Mean)
-                    && hop < len
-                    && raw.len() as u32 > len
-                {
-                    // Overlapping window + fractional panes: evictions
-                    // happen and every one fails the certificate — and
-                    // the answers above still pinned bit-for-bit.
-                    prop_assert!(ci.value_refolds > 0);
-                }
+                pin_incremental_to_refold(spec, merge, PaneKind::Scalar, &panes)?;
             }
         }
     }
 
-    /// Set-valued panes: retract after merges equals a from-scratch
-    /// fold, with exact-zero counts canonicalized away.
+    /// Construction drops non-positive counts, so an item is present
+    /// iff it contributes.
     #[test]
-    fn freq_pane_retract_matches_refold() {
-        let panes: Vec<FreqPane> = (0..6u64)
-            .map(|i| FreqPane::from_counts([(1, 10.0 + i as f64), (2 + i, 4.0)], 30.0 + i as f64))
-            .collect();
-        // Window [1..6): merge all, retract pane 0 — vs folding 1..6.
-        let mut acc = panes[0].clone();
-        for p in &panes[1..] {
-            acc.merge(p);
-        }
-        assert!(acc.retract(&panes[0]));
-        let mut expect = panes[1].clone();
-        for p in &panes[2..] {
-            expect.merge(p);
-        }
-        assert_eq!(acc.total().to_bits(), expect.total().to_bits());
-        let got: Vec<(u64, u64)> = acc
-            .counts()
-            .iter()
-            .map(|(&u, &c)| (u, c.to_bits()))
-            .collect();
-        let want: Vec<(u64, u64)> = expect
-            .counts()
-            .iter()
-            .map(|(&u, &c)| (u, c.to_bits()))
-            .collect();
-        // Item 2 (only in pane 0) must have vanished, not linger at 0.
-        assert!(!acc.counts().contains_key(&2));
-        assert_eq!(got, want);
-        // Construction canonicalizes non-positive counts away.
+    fn freq_pane_drops_non_positive_counts() {
         let canon = FreqPane::from_counts([(7, 0.0), (8, -1.0), (9, 2.0)], 2.0);
         assert_eq!(canon.counts().len(), 1);
     }
 
-    /// Quantile panes: digest retraction after merges equals a
-    /// from-scratch fold bit-for-bit (node-wise exact inverse), and GK
-    /// panes always decline the subtract path.
-    #[test]
-    fn quantile_pane_retract_matches_refold() {
-        let panes: Vec<QuantilePane> = (0..6u64)
-            .map(|i| {
-                let vals: Vec<u64> = (0..40).map(|j| (i * 37 + j * 11) % 1024).collect();
-                QuantilePane::Digest(td_quantiles::QDigest::exact(&vals, 10))
-            })
-            .collect();
-        let mut acc = panes[0].clone();
-        for p in &panes[1..] {
-            acc.merge(p);
-        }
-        assert!(acc.retract(&panes[0]));
-        let mut expect = panes[1].clone();
-        for p in &panes[2..] {
-            expect.merge(p);
-        }
-        assert_eq!(acc, expect);
-        let mut gk = QuantilePane::Gk(td_quantiles::GkSummary::exact(&[1, 2, 3]));
-        let gk_other = gk.clone();
-        assert!(!gk.retract(&gk_other));
-    }
-
     proptest! {
-        /// Incremental quantile windows (digest subtract-on-evict, GK
-        /// per-evict refold) match from-scratch refold bit-for-bit, and
-        /// the counters confirm which path ran: digests never refold,
-        /// GK refolds on every eviction.
+        /// Quantile windows of either summary family match the
+        /// from-scratch refold bit-for-bit.
         #[test]
         fn incremental_quantile_matches_refold(
             raw in proptest::collection::vec(
@@ -1565,21 +1142,13 @@ mod tests {
                 })
                 .collect();
             let spec = WindowSpec::sliding(len, hop);
-            let (ci, _) = pin_incremental_to_refold(spec, EpochMerge::Add, PaneKind::Quantile, &panes)?;
-            if digest {
-                prop_assert_eq!(ci.value_refolds, 0);
-            } else if hop < len && raw.len() as u32 > len {
-                // Overlapping GK window: evictions happen and every one
-                // refolds — and the answers above still pinned
-                // bit-for-bit.
-                prop_assert!(ci.value_refolds > 0);
-            }
+            pin_incremental_to_refold(spec, EpochMerge::Add, PaneKind::Quantile, &panes)?;
         }
 
-        /// Incremental frequent-items windows match from-scratch refold
-        /// bit-for-bit: integer counts (exact counters) stay on the O(1)
-        /// subtract path, fractional ones (FM estimates) refold on every
-        /// eviction.
+        /// Frequent-items windows match the from-scratch refold
+        /// bit-for-bit, with integer counts (exact counters) and with
+        /// fractional ones (FM estimates); an overlapping window refolds
+        /// once per emission, a `hop == len` one never.
         #[test]
         fn incremental_freq_matches_refold(
             raw in proptest::collection::vec(
@@ -1603,26 +1172,14 @@ mod tests {
                 })
                 .collect();
             let spec = WindowSpec::sliding(len, hop);
-            let (ci, _) = pin_incremental_to_refold(spec, EpochMerge::Add, PaneKind::Freq, &panes)?;
-            if !fractional {
-                prop_assert_eq!(ci.value_refolds, 0);
-            } else if hop < len && raw.len() as u32 > len {
-                prop_assert!(ci.value_refolds > 0);
-            }
+            pin_incremental_to_refold(spec, EpochMerge::Add, PaneKind::Freq, &panes)?;
         }
     }
 
     /// The steady-state pin (the stream-layer sibling of the runner's
-    /// pool pins): after the window fills, 10 000 more hops grow
-    /// neither the pane buffer nor either two-stacks front stack (value
-    /// and min-coverage), and each hop costs a constant number of pane
-    /// merges whatever the window length — the same at W = 4096 as at
-    /// W = 64 — while the `Refold` reference fed the same panes pays at
-    /// least W − 1 merges per emitted window. At W = 4096 that gap is
-    /// the whole O(W) → O(1) claim, so an `Incremental` accumulator that
-    /// silently refolds fails here. A landmark window over the same
-    /// panes keeps no buffer at all. (A two-stacks flip is not counted
-    /// as a merge; it touches each value once per lifetime.)
+    /// pool pins): after the window fills, 10 000 more hops do not grow
+    /// the pane buffer, and a landmark window over the same panes keeps
+    /// no buffer at all.
     #[test]
     fn steady_state_hops_never_allocate() {
         const HOPS: u64 = 10_000;
@@ -1643,69 +1200,21 @@ mod tests {
             }
             emitted
         }
-        /// Capacities of the pane buffer and both front stacks.
-        fn capacities(acc: &WindowAccum) -> (usize, usize, usize) {
-            let value_front = acc.value.stacks().map_or(0, |st| st.front.capacity());
-            (
-                acc.buf.capacity(),
-                value_front,
-                acc.min_cov.front.capacity(),
-            )
-        }
+        // Every merge law keeps the same buffer, so one law suffices.
         for len in [64u32, 4096] {
             let warm = 2 * len as u64;
-            // The reference: the same panes through `Refold` cost a whole
-            // window per emission (the fold count is the same for every
-            // merge law, so one law suffices).
-            let mut reference = WindowAccum::new(
+            let mut acc = WindowAccum::new(
                 WindowSpec::sliding(len, 1),
                 EpochMerge::Add,
                 PaneKind::Scalar,
-                FoldMode::Refold,
+                FoldMode::Incremental,
             );
-            let mut rc = AccumCounters::default();
-            drive(&mut reference, &mut rc, 0, len as u64);
-            let merges_before = rc.pane_merges;
-            let emitted = drive(&mut reference, &mut rc, len as u64, len as u64 + 256);
-            assert!(
-                rc.pane_merges - merges_before >= emitted * (len as u64 - 1),
-                "W={len}: the refold reference stopped refolding"
-            );
-            for merge in [
-                EpochMerge::Add,
-                EpochMerge::Mean,
-                EpochMerge::Min,
-                EpochMerge::Max,
-            ] {
-                let mut acc = WindowAccum::new(
-                    WindowSpec::sliding(len, 1),
-                    merge,
-                    PaneKind::Scalar,
-                    FoldMode::Incremental,
-                );
-                let mut c = AccumCounters::default();
-                drive(&mut acc, &mut c, 0, warm);
-                let caps = capacities(&acc);
-                let merges_before = c.pane_merges;
-                assert_eq!(drive(&mut acc, &mut c, warm, warm + HOPS), HOPS);
-                assert_eq!(acc.buf.len(), len as usize);
-                assert_eq!(
-                    capacities(&acc),
-                    caps,
-                    "{merge:?} W={len}: buffer or front stack grew (buffer, value, coverage)"
-                );
-                let per_hop = (c.pane_merges - merges_before) as f64 / HOPS as f64;
-                assert!(
-                    per_hop <= 2.0,
-                    "{merge:?} W={len}: {per_hop} pane merges per hop — not O(1)"
-                );
-                if matches!(merge, EpochMerge::Add | EpochMerge::Mean) {
-                    assert_eq!(
-                        c.value_refolds, 0,
-                        "{merge:?} W={len}: integer panes must never leave the O(1) path"
-                    );
-                }
-            }
+            let mut c = AccumCounters::default();
+            drive(&mut acc, &mut c, 0, warm);
+            let cap = acc.buf.capacity();
+            assert_eq!(drive(&mut acc, &mut c, warm, warm + HOPS), HOPS);
+            assert_eq!(acc.buf.len(), len as usize);
+            assert_eq!(acc.buf.capacity(), cap, "W={len}: buffer grew");
         }
         let mut landmark = WindowAccum::new(
             WindowSpec::landmark(),
@@ -1715,6 +1224,6 @@ mod tests {
         );
         let mut c = AccumCounters::default();
         assert_eq!(drive(&mut landmark, &mut c, 0, HOPS), HOPS);
-        assert_eq!(capacities(&landmark), (0, 0, 0), "landmark kept pane state");
+        assert_eq!(landmark.buf.capacity(), 0, "landmark kept pane state");
     }
 }

@@ -9,10 +9,11 @@
 //!     self-reported uncertainty `E` at EVERY tree height, under random
 //!     topologies and random subtree loss — the validity invariant the
 //!     precision gradient rides on;
-//! (c) windowed quantile answers from the incremental accumulators
-//!     (digest subtract-on-evict, GK per-evict refold) are bit-equal to
-//!     the from-scratch pane refold across adaptation relabels and
-//!     churn, for all four schemes and worker counts 1, 2, and 8.
+//! (c) windowed quantile answers under `FoldMode::Incremental` (running
+//!     folds for tumbling and landmark windows) are bit-equal to the
+//!     from-scratch pane refold across adaptation relabels and churn,
+//!     for both summary families, all four schemes and worker counts 1,
+//!     2, and 8.
 
 use proptest::prelude::*;
 use td_suite::aggregates::sum::Sum;

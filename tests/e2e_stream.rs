@@ -448,10 +448,11 @@ fn mode_fingerprint(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Tentpole pin: the O(1)-amortized incremental accumulators emit
-    /// reports bit-for-bit identical to the from-scratch re-fold on
-    /// EVERY field, for every `EpochMerge` op, across random window
-    /// specs, churn, adaptation relabels, and worker counts.
+    /// Tentpole pin: `FoldMode::Incremental` (running folds where no
+    /// pane leaves the window) emits reports bit-for-bit identical to
+    /// the from-scratch re-fold on EVERY field, for every `EpochMerge`
+    /// op, across random window specs, churn, adaptation relabels, and
+    /// worker counts.
     #[test]
     fn incremental_reports_are_bit_identical_to_refold(
         seed in 1u64..50_000,
@@ -497,26 +498,41 @@ proptest! {
             let reports =
                 stream.run_under_churn(&workload, &Global::new(loss), &schedule, 40, &mut rng);
             let stats = *stream.stream_stats();
-            (reports.iter().map(mode_fingerprint).collect::<Vec<_>>(), stats)
+            // Emissions of overlapping and of non-landmark windows.
+            let emits = |refolds: fn(WindowSpec) -> bool| {
+                reports.iter().filter(|r| refolds(r.spec)).count() as u64
+            };
+            let refold_emits = (
+                emits(|s| matches!(s, WindowSpec::Sliding { len, hop } if hop < len)),
+                emits(|s| s != WindowSpec::Landmark),
+            );
+            (
+                reports.iter().map(mode_fingerprint).collect::<Vec<_>>(),
+                stats,
+                refold_emits,
+            )
         };
-        let (incremental, inc_stats) = run(FoldMode::Incremental);
-        let (refold, ref_stats) = run(FoldMode::Refold);
+        let (incremental, inc_stats, (overlapping, non_landmark)) = run(FoldMode::Incremental);
+        let (refold, ref_stats, _) = run(FoldMode::Refold);
         prop_assert_eq!(incremental, refold, "fold modes diverged");
         prop_assert_eq!(inc_stats.panes_built, ref_stats.panes_built);
         prop_assert_eq!(inc_stats.reports_emitted, ref_stats.reports_emitted);
         prop_assert_eq!(
-            ref_stats.value_refolds, 0,
-            "refold mode never runs the subtract path"
+            inc_stats.value_refolds, overlapping,
+            "incremental mode refolds once per overlapping emission"
+        );
+        prop_assert_eq!(
+            ref_stats.value_refolds, non_landmark,
+            "refold mode refolds once per non-landmark emission"
         );
     }
 }
 
 /// Set-valued panes, exact counters: a windowed frequent-items query
-/// under the subtract-on-evict path is bit-identical to the re-fold,
-/// with ZERO certificate-failure refolds (exact counters keep every
-/// count a small integer), and a full lossless tumbling window reports
-/// every truly frequent item of its merged epochs (the §6 guarantee
-/// lifted to windows).
+/// under `FoldMode::Incremental` is bit-identical to the re-fold, its
+/// one overlapping window (`sliding(6, 1)`) refolds once per emission,
+/// and a full lossless tumbling window reports every truly frequent
+/// item of its merged epochs (the §6 guarantee lifted to windows).
 #[test]
 fn windowed_frequent_items_exact_counters_hit_the_o1_path() {
     use td_suite::frequent::items::ItemBag;
@@ -578,9 +594,10 @@ fn windowed_frequent_items_exact_counters_hit_the_o1_path() {
         refold.iter().map(mode_fingerprint).collect::<Vec<_>>(),
         "set-valued fold modes diverged"
     );
+    let sliding_emits = incremental.iter().filter(|r| r.handle.window == 1).count();
     assert_eq!(
-        inc_stats.value_refolds, 0,
-        "exact integer counts must keep every eviction on the O(1) subtract path"
+        inc_stats.value_refolds, sliding_emits as u64,
+        "only the overlapping window refolds, once per emission"
     );
     // Windowed no-false-negative check on full lossless tumbling
     // windows: merged truth over the window's epoch slots.
@@ -618,10 +635,9 @@ fn windowed_frequent_items_exact_counters_hit_the_o1_path() {
     assert!(checked > 0, "no truly frequent item ever checked — vacuous");
 }
 
-/// Set-valued panes, FM counters: fractional estimates fail the
-/// exactness certificate, so evictions fall back to the O(len) refold —
-/// and the answers STILL pin bit-for-bit against refold mode (the
-/// fallback never loosens the equality, it only costs time).
+/// Set-valued panes, FM counters: fractional estimates under an
+/// overlapping window refold the pane buffer at every emission, and the
+/// answers pin bit-for-bit against refold mode.
 #[test]
 fn windowed_frequent_items_fm_counters_fall_back_without_loosening_the_pin() {
     use td_suite::frequent::items::ItemBag;
@@ -669,8 +685,9 @@ fn windowed_frequent_items_fm_counters_fall_back_without_loosening_the_pin() {
         refold.iter().map(mode_fingerprint).collect::<Vec<_>>(),
         "FM fold modes diverged"
     );
-    assert!(
-        inc_stats.value_refolds > 0,
-        "fractional FM estimates should fail the exactness certificate"
+    assert_eq!(
+        inc_stats.value_refolds,
+        incremental.len() as u64,
+        "the sliding window refolds once per emission"
     );
 }
