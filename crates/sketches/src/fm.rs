@@ -25,18 +25,19 @@
 //! What the probabilities contribute is a pure function of `v`: the
 //! prefix of certainly-set bits, the band of uncertain bits, and one
 //! threshold per uncertain bit. One private function, `row(v)`, computes
-//! it — the only place `powf` runs — and each thread keeps the rows it
-//! computed in a direct-mapped memo of 128 slots keyed by `v`, because
-//! readings and item counts recur from epoch to epoch. The thresholds are
+//! it — the only place `powf` runs. Readings and item counts recur from
+//! epoch to epoch, so the rows of `v ≤ 256` live in one process-wide
+//! table, each entry `row(v)` computed once on first use by whichever
+//! thread gets there first; rows of larger values, which rarely recur,
+//! are computed on the stack per insertion. The thresholds are
 //! integers: bit `j` is set when the draw's `next_f64()` is at least
 //! `p_j = P[bit j unset]`, and since both sides of that comparison are
 //! exact in `f64`, it is the same test as `next_u64() >> 11 ≥
 //! ⌈p_j · 2^53⌉` (the argument is at `Row`), so the draw loop does no
-//! floating point. The memo cannot reach a result: a slot is read only
-//! for the `v` it was computed from and is overwritten whole, never
-//! patched, so a hit returns exactly what `row(v)` would compute. Which
-//! values happen to be cached — on which thread, after which evictions —
-//! changes how long an insertion takes, never the bits it sets.
+//! floating point. The table cannot reach a result: an entry is written
+//! once, whole, by `row(v)` for its own `v`, so whether a row came from
+//! the table or the stack, and which thread filled it, changes how long
+//! an insertion takes, never the bits it sets.
 //!
 //! Two kernels draw the band, and both set exactly the same bits. The
 //! portable kernel steps four scalar streams in lockstep and runs on any
@@ -54,7 +55,6 @@
 //! the AVX-512 kernel is the crate's one `unsafe` block.
 
 use crate::hash::{key_mix, keyed_mixed, mix64, pair_value, SplitMix};
-use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Number of bitmaps in the paper's configuration (§7.1).
@@ -251,7 +251,10 @@ fn insert_value_with(kernel: Kernel, bitmaps: &mut [u32], salt: u64, v: u64) {
     // Independent-bit approximation (Considine et al. [5]): bit j is
     // set with probability 1 - (1 - 2^{-(j+1)})^v, sampled from a
     // deterministic stream per (salt, bitmap) against the shared row.
-    kernel.draw(bitmaps, mixed_salt, &memo_row(v));
+    match tabulated_row(v) {
+        Some(row) => kernel.draw(bitmaps, mixed_salt, row),
+        None => kernel.draw(bitmaps, mixed_salt, &row(v)),
+    }
 }
 
 /// A way to draw a row into bitmaps. Every kernel sets exactly the bits
@@ -499,11 +502,8 @@ mod avx512 {
 /// `m · 2^-53 ≥ p_j` iff `m ≥ p_j · 2^53` iff `m ≥ ⌈p_j · 2^53⌉`, the
 /// last because `m` is an integer; and `⌈p_j · 2^53⌉ ≤ 2^53` converts
 /// to `u64` exactly.
-#[derive(Clone, Copy)]
+#[derive(PartialEq, Eq, Debug)]
 struct Row {
-    /// The value this row was computed for; 0 marks an empty memo slot
-    /// (inserting 0 does nothing and never consults the memo).
-    v: u64,
     /// Bits set for certain.
     certain: u32,
     /// The drawn band, `lo..hi` (`lo == hi` when nothing is drawn).
@@ -511,16 +511,6 @@ struct Row {
     hi: u32,
     /// `⌈p_j · 2^53⌉` for `j` in the band; 0 elsewhere (never read).
     thresholds: [u64; BITMAP_BITS as usize],
-}
-
-impl Row {
-    const EMPTY: Row = Row {
-        v: 0,
-        certain: 0,
-        lo: 0,
-        hi: 0,
-        thresholds: [0; BITMAP_BITS as usize],
-    };
 }
 
 /// The row of `v`: the only place value insertion evaluates `powf`.
@@ -551,7 +541,6 @@ fn row(v: u64) -> Row {
         thresholds[j] = (p_unset[j] * (1u64 << 53) as f64).ceil() as u64;
     }
     Row {
-        v,
         certain: u32::MAX.checked_shr(BITMAP_BITS - set_below).unwrap_or(0),
         lo: lo.min(hi),
         hi,
@@ -559,35 +548,20 @@ fn row(v: u64) -> Row {
     }
 }
 
-/// Rows each thread keeps: 128 × 280 B = 35 KB, allocated on the
-/// thread's first approximate insertion.
-const MEMO_ROWS: usize = 128;
+/// Largest value whose row is tabulated. Synthetic readings (20–130)
+/// and most item counts are below it; larger values are mostly converted
+/// subtree sums, which rarely recur, and each row costs 280 B of static
+/// memory.
+const ROW_TABLE_MAX: u64 = 256;
 
-/// The memo slot of `v`.
-fn memo_slot(v: u64) -> usize {
-    (v % MEMO_ROWS as u64) as usize
-}
-
-thread_local! {
-    /// This thread's rows, direct-mapped: slot `memo_slot(v)` holds the
-    /// row last computed for a value with that residue.
-    static MEMO: RefCell<Box<[Row]>> =
-        RefCell::new(vec![Row::EMPTY; MEMO_ROWS].into_boxed_slice());
-}
-
-/// `row(v)`, read from this thread's memo when its slot holds `v` and
-/// computed into the slot otherwise.
-fn memo_row(v: u64) -> Row {
-    MEMO.try_with(|memo| {
-        let mut memo = memo.borrow_mut();
-        let slot = &mut memo[memo_slot(v)];
-        if slot.v != v {
-            *slot = row(v);
-        }
-        *slot
-    })
-    // A thread already tearing down its locals computes the row afresh.
-    .unwrap_or_else(|_| row(v))
+/// The row of `v` from the process-wide table, for `EXACT_INSERT_LIMIT <
+/// v ≤ ROW_TABLE_MAX`, each entry [`row`] computed on first use; `None`
+/// outside that range, where the caller computes the row itself.
+fn tabulated_row(v: u64) -> Option<&'static Row> {
+    const ROWS_LEN: usize = (ROW_TABLE_MAX - EXACT_INSERT_LIMIT) as usize;
+    static ROWS: [OnceLock<Row>; ROWS_LEN] = [const { OnceLock::new() }; ROWS_LEN];
+    (EXACT_INSERT_LIMIT < v && v <= ROW_TABLE_MAX)
+        .then(|| ROWS[(v - EXACT_INSERT_LIMIT - 1) as usize].get_or_init(|| row(v)))
 }
 
 /// [`FmSketch::estimate`] over raw bitmaps: `2^{Σz / K} / φ`, read from
@@ -884,8 +858,8 @@ mod tests {
     }
 
     /// The insertion kernel against its straightforward form: every bit
-    /// the fast kernel sets, on every layout, memo state and thread, is
-    /// the reference's.
+    /// the fast kernel sets, on every layout and thread, with its row from
+    /// the table or the stack, is the reference's.
     mod kernel_oracle {
         use super::super::*;
         use crate::counter::{DiCounter, FmCounter};
@@ -1110,39 +1084,30 @@ mod tests {
             }
         }
 
-        /// Two values sharing a memo slot, interleaved so each insertion
-        /// evicts the other's row, run twice on this thread and once on a
-        /// fresh one (an empty memo): the same bits as the reference
-        /// every time.
+        /// Every table entry is a fresh `row(v)`, field for field, and
+        /// insertions at the table's last value, the first value past it
+        /// and 10^6 set the reference's bits under each kernel, on this
+        /// thread and on a fresh one, which reads the rows this one
+        /// filled.
         #[test]
-        fn memo_state_cannot_reach_results() {
-            let v = 40;
-            let twin = v + MEMO_ROWS as u64;
-            assert_eq!(memo_slot(v), memo_slot(twin));
-            let run = move || -> Vec<Vec<u32>> {
-                (0..64u64)
-                    .map(|i| {
-                        let value = if i % 2 == 0 { v } else { twin };
-                        let mut s = FmSketch::new(1 + i as usize % 40);
-                        s.insert_value(i, value);
-                        s.bitmaps().to_vec()
-                    })
-                    .collect()
+        fn the_row_table_cannot_reach_results() {
+            for v in EXACT_INSERT_LIMIT + 1..=ROW_TABLE_MAX {
+                assert_eq!(tabulated_row(v), Some(&row(v)), "v {v}");
+            }
+            assert_eq!(tabulated_row(EXACT_INSERT_LIMIT), None);
+            assert_eq!(tabulated_row(ROW_TABLE_MAX + 1), None);
+            let run = || {
+                for kernel in runnable_kernels() {
+                    for k in [1, 16, 40, 70] {
+                        for salt in [0, 1, 0xDEAD_BEEF, u64::MAX] {
+                            let values = [ROW_TABLE_MAX, ROW_TABLE_MAX + 1, 1_000_000];
+                            kernel_matches_reference(kernel, k, salt, values).unwrap();
+                        }
+                    }
+                }
             };
-            let expected: Vec<Vec<u32>> = (0..64u64)
-                .map(|i| {
-                    let value = if i % 2 == 0 { v } else { twin };
-                    let mut bitmaps = vec![0; 1 + i as usize % 40];
-                    reference::insert_value_into(&mut bitmaps, i, value);
-                    bitmaps
-                })
-                .collect();
-            assert_eq!(run(), expected);
-            // The last insertion evicted `v`'s row: the slot holds the twin.
-            MEMO.with(|memo| assert_eq!(memo.borrow()[memo_slot(v)].v, twin));
-            assert_eq!(run(), expected);
-            let fresh = std::thread::spawn(run).join().expect("insertion thread");
-            assert_eq!(fresh, expected);
+            run();
+            std::thread::spawn(run).join().expect("insertion thread");
         }
     }
 }
