@@ -1024,6 +1024,30 @@ mod tests {
         );
     }
 
+    #[test]
+    #[should_panic(expected = "pane kind mismatch")]
+    fn accum_rejects_a_pane_of_another_kind() {
+        let mut acc = WindowAccum::new(
+            WindowSpec::tumbling(2),
+            EpochMerge::Add,
+            PaneKind::Freq,
+            FoldMode::Incremental,
+        );
+        let pane = pane_input(0, PaneValue::Scalar(1.0), 0);
+        let _ = acc.absorb(0, &pane, &mut AccumCounters::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "EpochMerge::Add only")]
+    fn accum_rejects_a_set_valued_window_without_add() {
+        let _ = WindowAccum::new(
+            WindowSpec::sliding(4, 1),
+            EpochMerge::Mean,
+            PaneKind::Quantile,
+            FoldMode::Incremental,
+        );
+    }
+
     // On integer-valued panes the Add/Min/Max components coincide with
     // the corresponding `td_aggregates` tree-merge laws — the window
     // algebra *is* the aggregate merge law lifted across epochs.
