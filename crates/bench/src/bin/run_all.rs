@@ -1,6 +1,9 @@
-//! Runs every regenerator in sequence (the full §7 evaluation), so it
-//! writes exactly what the per-figure binaries write. Respects
-//! `TD_SCALE=smoke|paper`; paper scale takes several minutes.
+//! Runs every regenerator in sequence (the full §7 evaluation) at one
+//! scale. Respects `TD_SCALE=smoke|paper` and defaults to paper, which
+//! takes several minutes. With `TD_SCALE` set it writes exactly what the
+//! per-figure binaries write; unset, it runs `bench_churn`,
+//! `fig09d_freq_windowed`, `fig_quantiles` and `stream_windows` at paper
+//! scale, where those binaries default to smoke.
 
 use td_bench::experiments::{
     ablation, churn, fig02, fig04, fig05, fig06, fig07, fig08, fig09, fig09d, fig_quantiles,

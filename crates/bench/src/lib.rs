@@ -5,8 +5,12 @@
 //! them as CSV under `results/` and runs its checks, at paper scale or
 //! at smoke scale (`TD_SCALE=smoke`). Each `src/bin` binary is a
 //! one-line `main` over one regenerator, at its own default scale;
-//! `run_all` calls every regenerator in turn, so it writes exactly what
-//! the binaries write (24 CSVs; at smoke scale they are committed).
+//! `run_all` calls every regenerator in turn at one scale (24 CSVs; at
+//! smoke scale they are committed). With `TD_SCALE` set, `run_all`
+//! writes exactly what the binaries write. With it unset the defaults
+//! differ: `bench_churn`, `fig09d_freq_windowed`, `fig_quantiles` and
+//! `stream_windows` default to smoke scale, while `run_all` runs them,
+//! like every other regenerator, at paper scale.
 //! Performance is measured by the standalone harness under
 //! `benchmark/`, not here.
 //!

@@ -43,8 +43,6 @@ pub struct AdapterConfig {
     /// Margin above the threshold before shrinking is considered
     /// ("% contributing is well above the threshold").
     pub shrink_margin: f64,
-    /// Strategy selection.
-    pub strategy: Strategy,
     /// Consecutive expand/shrink alternations before damping kicks in.
     pub damping_after: u32,
 }
@@ -68,7 +66,6 @@ impl Default for AdapterConfig {
             threshold: 0.9,
             adapt_every: 10,
             shrink_margin: 0.07,
-            strategy: Strategy::Td,
             damping_after: 2,
         }
     }
@@ -97,6 +94,7 @@ pub enum AdaptAction {
 #[derive(Clone, Debug)]
 pub struct Adapter {
     config: AdapterConfig,
+    strategy: Strategy,
     /// Sliding window of recent signed moves (+1 expand, −1 shrink).
     recent: std::collections::VecDeque<i8>,
     damping: u64,
@@ -104,12 +102,14 @@ pub struct Adapter {
 }
 
 impl Adapter {
-    /// Create an adapter.
-    pub fn new(config: AdapterConfig) -> Self {
+    /// Create an adapter running `strategy` (the session passes its
+    /// scheme's).
+    pub fn new(config: AdapterConfig, strategy: Strategy) -> Self {
         assert!((0.0..=1.0).contains(&config.threshold));
         assert!(config.adapt_every >= 1);
         Adapter {
             config,
+            strategy,
             recent: std::collections::VecDeque::with_capacity(8),
             damping: 1,
             last_adapt_epoch: None,
@@ -155,9 +155,9 @@ impl Adapter {
         self.last_adapt_epoch = Some(epoch);
 
         if pct_contributing < self.config.threshold {
-            let escalate = self.config.strategy == Strategy::Td
+            let escalate = self.strategy == Strategy::Td
                 && pct_contributing < self.config.threshold - ESCALATION_GAP;
-            let switched = match self.config.strategy {
+            let switched = match self.strategy {
                 Strategy::TdCoarse => topo.expand_all(),
                 Strategy::Td if escalate => topo.expand_all(),
                 Strategy::Td => self.expand_td(topo, epoch, max_noncontrib),
@@ -185,7 +185,7 @@ impl Adapter {
         } else if pct_contributing > self.config.threshold + self.config.shrink_margin
             && topo.delta_size() > 0
         {
-            let switched = match self.config.strategy {
+            let switched = match self.strategy {
                 Strategy::TdCoarse => topo.shrink_all(),
                 Strategy::Td => self.shrink_td(topo, min_noncontrib),
             };
@@ -389,10 +389,13 @@ mod tests {
     #[test]
     fn respects_adaptation_interval() {
         let mut td = topo(141);
-        let mut adapter = Adapter::new(AdapterConfig {
-            adapt_every: 10,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 10,
+                ..Default::default()
+            },
+            Strategy::Td,
+        );
         let none = ExtremaSet::largest();
         let none_min = ExtremaSet::smallest();
         for epoch in 0..8 {
@@ -417,11 +420,13 @@ mod tests {
     fn coarse_expands_whole_level_and_shrinks_back() {
         let mut td = topo(142);
         let before = td.delta_size();
-        let mut adapter = Adapter::new(AdapterConfig {
-            strategy: Strategy::TdCoarse,
-            adapt_every: 1,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                ..Default::default()
+            },
+            Strategy::TdCoarse,
+        );
         let a = adapter.step(
             &mut td,
             0,
@@ -453,11 +458,13 @@ mod tests {
             .expect("switchable M with children");
         let kids = td.tree().children(reported).len();
         let before = td.delta_size();
-        let mut adapter = Adapter::new(AdapterConfig {
-            strategy: Strategy::Td,
-            adapt_every: 1,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                ..Default::default()
+            },
+            Strategy::Td,
+        );
         let mut max = ExtremaSet::largest();
         max.insert(Extremum {
             value: 42,
@@ -479,11 +486,13 @@ mod tests {
         let mut td = topo(144);
         let victim = td.switchable_m_nodes()[0];
         let before = td.delta_size();
-        let mut adapter = Adapter::new(AdapterConfig {
-            strategy: Strategy::Td,
-            adapt_every: 1,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                ..Default::default()
+            },
+            Strategy::Td,
+        );
         let mut min = ExtremaSet::smallest();
         min.insert(Extremum {
             value: 0,
@@ -498,12 +507,15 @@ mod tests {
     #[test]
     fn within_band_is_satisfied() {
         let mut td = topo(145);
-        let mut adapter = Adapter::new(AdapterConfig {
-            adapt_every: 1,
-            threshold: 0.9,
-            shrink_margin: 0.07,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                threshold: 0.9,
+                shrink_margin: 0.07,
+                ..Default::default()
+            },
+            Strategy::Td,
+        );
         assert_eq!(
             adapter.step(
                 &mut td,
@@ -519,12 +531,14 @@ mod tests {
     #[test]
     fn oscillation_triggers_damping() {
         let mut td = topo(146);
-        let mut adapter = Adapter::new(AdapterConfig {
-            strategy: Strategy::TdCoarse,
-            adapt_every: 1,
-            damping_after: 2,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                damping_after: 2,
+                ..Default::default()
+            },
+            Strategy::TdCoarse,
+        );
         // Force alternating expand/shrink decisions.
         let mut epoch = 0;
         for i in 0..6 {
@@ -565,11 +579,13 @@ mod tests {
     fn expansion_converges_to_full_delta() {
         let mut td = topo(147);
         let total = td.rings().connected_count();
-        let mut adapter = Adapter::new(AdapterConfig {
-            strategy: Strategy::TdCoarse,
-            adapt_every: 1,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                ..Default::default()
+            },
+            Strategy::TdCoarse,
+        );
         for epoch in 0..50 {
             adapter.step(
                 &mut td,
@@ -597,11 +613,13 @@ mod tests {
             .connected_nodes()
             .find(|&n| td.mode(n) == Mode::T)
             .unwrap();
-        let mut adapter = Adapter::new(AdapterConfig {
-            strategy: Strategy::Td,
-            adapt_every: 1,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                ..Default::default()
+            },
+            Strategy::Td,
+        );
         let mut max = ExtremaSet::largest();
         max.insert(Extremum {
             value: 7,
@@ -617,11 +635,13 @@ mod tests {
         let mut td = topo(149);
         // The base station is M but not switchable while level-1 M nodes
         // exist; a min report naming it must not corrupt the topology.
-        let mut adapter = Adapter::new(AdapterConfig {
-            strategy: Strategy::Td,
-            adapt_every: 1,
-            ..Default::default()
-        });
+        let mut adapter = Adapter::new(
+            AdapterConfig {
+                adapt_every: 1,
+                ..Default::default()
+            },
+            Strategy::Td,
+        );
         let mut min = ExtremaSet::smallest();
         min.insert(Extremum {
             value: 0,

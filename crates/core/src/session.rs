@@ -113,16 +113,9 @@ impl SessionConfig {
     /// The paper's defaults for a scheme: 90% threshold, adapt every 10
     /// epochs, delta starting at the base station's first ring.
     pub fn paper_defaults(scheme: Scheme) -> Self {
-        let strategy = match scheme {
-            Scheme::TdCoarse => Strategy::TdCoarse,
-            _ => Strategy::Td,
-        };
         SessionConfig {
             scheme,
-            adapter: AdapterConfig {
-                strategy,
-                ..AdapterConfig::default()
-            },
+            adapter: AdapterConfig::default(),
             runner: RunnerConfig {
                 // The non-adaptive baselines carry no adaptation fields.
                 charge_adaptation_overhead: matches!(scheme, Scheme::TdCoarse | Scheme::Td),
@@ -344,13 +337,18 @@ impl Session {
                     adapter: None,
                 }
             }
-            Scheme::TdCoarse | Scheme::Td => {
+            scheme @ (Scheme::TdCoarse | Scheme::Td) => {
                 let rings = Rings::build(net);
                 let tree = build_bushy_tree(net, &rings, BushyOptions::default(), rng);
                 let topo = Box::new(TdTopology::new(rings, tree, config.initial_delta_levels));
+                let strategy = if scheme == Scheme::TdCoarse {
+                    Strategy::TdCoarse
+                } else {
+                    Strategy::Td
+                };
                 SessionKind::Td {
                     topo,
-                    adapter: Some(Adapter::new(config.adapter)),
+                    adapter: Some(Adapter::new(config.adapter, strategy)),
                 }
             }
         };

@@ -20,16 +20,18 @@
 //!   every window, and emits [`WindowReport`]s.
 //! * [`PanePartial`] / [`EpochMerge`] — the associative, commutative
 //!   cross-epoch merge: the scalar aggregates' tree-merge laws lifted
-//!   to per-epoch answers. [`PaneAlgebra`] generalizes the fold so
-//!   panes can carry *set-valued* state too — [`FreqPane`] merges
-//!   per-item count estimates for windowed frequent-items queries
-//!   ([`FreqStreamQuery`]), and [`QuantilePane`] carries merged
-//!   GK/q-digest summaries for windowed medians and p99s
-//!   ([`QuantileStreamQuery`]).
-//! * [`WindowAccum`] / [`FoldMode`] — the per-window fold, written once
-//!   over [`PaneAlgebra`]: a running fold where no pane ever leaves the
+//!   to per-epoch answers. Panes can carry *set-valued* state too —
+//!   [`FreqPane`] merges per-item count estimates for windowed
+//!   frequent-items queries ([`FreqStreamQuery`]), and [`QuantilePane`]
+//!   carries merged GK/q-digest summaries for windowed medians and p99s
+//!   ([`QuantileStreamQuery`]); [`PaneValue`] is the closed enum of the
+//!   three kinds.
+//! * [`WindowAccum`] — the per-window left fold, each pane kind folding
+//!   with its own `merge`: a running fold where no pane ever leaves the
 //!   window, a refold of the ≤ `len` buffered panes at each emission of
-//!   an overlapping sliding window — bit-for-bit the from-scratch fold.
+//!   an overlapping sliding window. [`FoldMode`] (one variant) and
+//!   [`AccumCounters::value_refolds`] remain only for the benchmark
+//!   harness, until ROADMAP item 7 deletes them.
 //!
 //! Windows interoperate with loss and adaptation instead of hiding
 //! them: every report carries the newest pane's [`CommStats`] and
@@ -57,6 +59,6 @@ pub use session::{
     DeregisterError, PaneStats, StreamSession, StreamStats, WindowHandle, WindowReport,
 };
 pub use window::{
-    AccumCounters, EpochMerge, FoldMode, FreqPane, PaneAlgebra, PaneInput, PaneKind, PanePartial,
-    PaneValue, QuantilePane, WindowAccum, WindowAnswer, WindowSpec,
+    AccumCounters, EpochMerge, FoldMode, FreqPane, PaneInput, PaneKind, PanePartial, PaneValue,
+    QuantilePane, WindowAccum, WindowAnswer, WindowSpec,
 };

@@ -22,7 +22,7 @@ use crate::window::{PaneKind, PaneValue, QuantilePane};
 
 /// Conversion from a concrete summary family into the stream layer's
 /// pane enum. Sealed in practice: the two implementors are the two
-/// families [`QuantilePane`] knows how to merge and evict.
+/// families [`QuantilePane`] knows how to merge.
 pub trait IntoQuantilePane: QuantileSummary {
     /// Wrap this summary in its family's pane variant.
     fn into_pane(self) -> QuantilePane;

@@ -9,10 +9,8 @@
 //! each answer into a *pane*: the value plus that epoch's
 //! contributor-envelope coverage, its [`CommStats`] delta, and whether
 //! adaptation relabeled the topology afterwards. Each window folds the
-//! pane into its own [`WindowAccum`] through the [`PaneAlgebra`] fold
-//! and emits [`WindowReport`]s when its schedule closes.
-//!
-//! [`PaneAlgebra`]: crate::window::PaneAlgebra
+//! pane into its own [`WindowAccum`] and emits [`WindowReport`]s when
+//! its schedule closes.
 //!
 //! ## Loss, churn, and adaptation visibility
 //!
@@ -49,8 +47,8 @@ use tributary_delta::session::Session;
 
 use crate::query::{PaneProtocol, StreamQuery};
 use crate::window::{
-    AccumCounters, EpochMerge, FoldMode, FreqPane, PaneInput, PaneKind, PaneValue, QuantilePane,
-    WindowAccum, WindowSpec,
+    AccumCounters, EpochMerge, FoldMode, FreqPane, PaneInput, PaneValue, QuantilePane, WindowAccum,
+    WindowSpec,
 };
 
 /// Identifies one window of one registered stream query.
@@ -170,8 +168,8 @@ pub struct StreamStats {
     pub pane_merges: u64,
     /// Window answers computed by refolding the window's pane buffer
     /// ([`AccumCounters::value_refolds`]): one per emission of an
-    /// overlapping sliding window, or of any non-landmark window under
-    /// [`FoldMode::Refold`].
+    /// overlapping sliding window. Kept for the benchmark harness's
+    /// `stream.value_refolds` row until ROADMAP item 7 deletes both.
     pub value_refolds: u64,
     /// Window reports emitted.
     pub reports_emitted: u64,
@@ -204,7 +202,6 @@ struct WindowState {
 /// while mutating window state).
 struct QueryState {
     name: Arc<str>,
-    kind: PaneKind,
     windows: Vec<WindowState>,
     next_seq: u64,
     /// Deregistered queries stay in place as tombstones so earlier
@@ -255,13 +252,10 @@ pub struct StreamSession {
     queries: Vec<QueryState>,
     last_stats: CommStats,
     stats: StreamStats,
-    mode: FoldMode,
 }
 
 impl StreamSession {
-    /// Wrap a driver (its warmup epochs produce no panes). Windows run
-    /// [`FoldMode::Incremental`] unless
-    /// [`set_fold_mode`](Self::set_fold_mode) says otherwise.
+    /// Wrap a driver (its warmup epochs produce no panes).
     pub fn new(driver: Driver) -> Self {
         let last_stats = driver.session().stats().clone();
         StreamSession {
@@ -270,29 +264,6 @@ impl StreamSession {
             queries: Vec::new(),
             last_stats,
             stats: StreamStats::default(),
-            mode: FoldMode::default(),
-        }
-    }
-
-    /// Select how windows maintain their answers —
-    /// [`FoldMode::Refold`] re-folds every emission from the pane
-    /// buffer, tumbling windows included (the bit-for-bit reference).
-    /// Both modes produce identical
-    /// reports on every field; only the work profile differs.
-    ///
-    /// # Panics
-    /// Panics once any registered query has absorbed a pane — the mode
-    /// is a construction-time choice, not a mid-stream switch.
-    pub fn set_fold_mode(&mut self, mode: FoldMode) {
-        assert!(
-            self.queries.iter().all(|q| q.next_seq == 0),
-            "fold mode must be chosen before the first measured epoch"
-        );
-        self.mode = mode;
-        for q in &mut self.queries {
-            for w in &mut q.windows {
-                w.accum = WindowAccum::new(w.spec, w.merge, q.kind, mode);
-            }
         }
     }
 
@@ -320,7 +291,7 @@ impl StreamSession {
             .map(|cfg| WindowState {
                 spec: cfg.spec,
                 merge: cfg.merge,
-                accum: WindowAccum::new(cfg.spec, cfg.merge, kind, self.mode),
+                accum: WindowAccum::new(cfg.spec, cfg.merge, kind, FoldMode::Incremental),
             })
             .collect();
         let handles = (0..windows.len())
@@ -331,7 +302,6 @@ impl StreamSession {
             .collect();
         self.queries.push(QueryState {
             name: PaneProtocol::name(&query.proto).into(),
-            kind,
             windows,
             next_seq: 0,
             active: true,

@@ -9,11 +9,13 @@
 //!     self-reported uncertainty `E` at EVERY tree height, under random
 //!     topologies and random subtree loss — the validity invariant the
 //!     precision gradient rides on;
-//! (c) windowed quantile answers under `FoldMode::Incremental` (running
-//!     folds for tumbling and landmark windows) are bit-equal to the
-//!     from-scratch pane refold across adaptation relabels and churn,
-//!     for both summary families, all four schemes and worker counts 1,
-//!     2, and 8.
+//! (c) every windowed quantile answer is bit-equal to the left fold of
+//!     a `tumbling(1)` window's per-pane summaries over its span (an
+//!     oracle that shares no code with the window accumulator) across
+//!     adaptation relabels and churn, for both summary families and all
+//!     four schemes, and worker counts 1, 2 and 8 agree bit for bit.
+
+mod common;
 
 use proptest::prelude::*;
 use td_suite::aggregates::sum::Sum;
@@ -33,9 +35,7 @@ use td_suite::netsim::rng::rng_from_seed;
 use td_suite::quantiles::gradient::MinTotalLoad;
 use td_suite::quantiles::{GkSummary, QDigest, QuantileSummary};
 use td_suite::sketches::counter::ExactFactory;
-use td_suite::stream::{
-    EpochMerge, FoldMode, QuantileStreamQuery, StreamQuery, StreamSession, WindowSpec,
-};
+use td_suite::stream::{EpochMerge, QuantileStreamQuery, StreamQuery, StreamSession, WindowSpec};
 use td_suite::workloads::synthetic::Synthetic;
 use td_suite::workloads::workload::DriftingStream;
 use tributary_delta::driver::Workload;
@@ -305,7 +305,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// (c) windowed quantiles: incremental ≡ refold under churn + relabels
+// (c) windowed quantiles ≡ the left fold of their per-pane summaries
 // ---------------------------------------------------------------------
 
 /// Everything determinism-relevant in a quantile window report, floats
@@ -342,7 +342,6 @@ fn windowed_run(
     scheme: Scheme,
     workers: usize,
     digest: bool,
-    mode: FoldMode,
 ) -> WindowedTrace {
     let gradient = MinTotalLoad::new(0.02, 2.25);
     if digest {
@@ -352,7 +351,6 @@ fn windowed_run(
             scheme,
             workers,
             QuantileStreamQuery::qdigest(QD_BITS, gradient),
-            mode,
         )
     } else {
         windowed_run_family(
@@ -361,7 +359,6 @@ fn windowed_run(
             scheme,
             workers,
             QuantileStreamQuery::gk(gradient),
-            mode,
         )
     }
 }
@@ -372,7 +369,6 @@ fn windowed_run_family<S: td_suite::stream::IntoQuantilePane>(
     scheme: Scheme,
     workers: usize,
     source: QuantileStreamQuery<S, MinTotalLoad>,
-    mode: FoldMode,
 ) -> WindowedTrace {
     let mut rng = rng_from_seed(SEED ^ 0xF01D);
     let session = SessionBuilder::new(scheme).build(net, &mut rng);
@@ -383,15 +379,16 @@ fn windowed_run_family<S: td_suite::stream::IntoQuantilePane>(
         (WindowSpec::sliding(8, 3), EpochMerge::Add),
         (WindowSpec::tumbling(4), EpochMerge::Add),
         (WindowSpec::landmark(), EpochMerge::Add),
+        (WindowSpec::tumbling(1), EpochMerge::Add),
     ];
     let mut query = StreamQuery::new(source);
     for &(spec, merge) in &windows {
         query = query.window(spec, merge);
     }
     let _ = stream.register(query);
-    stream.set_fold_mode(mode);
     let schedule = ChurnSchedule::new(net.len(), 0.02, 5.0, SEED ^ 0xC4);
     let reports = stream.run_under_churn(workload, &Global::new(0.25), &schedule, 30, &mut rng);
+    assert!(common::assert_matches_pane_fold(&reports, 0, windows.len() - 1) > 0);
     let relabels = reports.iter().map(|r| r.relabels).max().unwrap_or(0);
     // Median extraction goes through the merged summary: the scalar
     // answer the report carries IS that summary's median.
@@ -439,29 +436,21 @@ fn windowed_quantiles_incremental_matches_refold_across_schemes_and_workers() {
     let mut any_relabel = false;
     for scheme in Scheme::all() {
         for digest in [false, true] {
-            // Worker counts exercise the level-parallel runner: the
-            // reference refold run stays at 1 worker, the incremental
-            // runs sweep 1/2/8 — all four must agree bit-for-bit.
-            let (reference, full_ref, relabels) =
-                windowed_run(&net, &workload, scheme, 1, digest, FoldMode::Refold);
+            // Each run checks itself against the pane-fold oracle;
+            // worker counts exercise the level-parallel runner, and the
+            // 2- and 8-worker runs must agree bit-for-bit with 1 worker.
+            let (reference, full_ref, relabels) = windowed_run(&net, &workload, scheme, 1, digest);
             any_relabel |= relabels > 0;
-            for workers in [1usize, 2, 8] {
-                let (inc, full_inc, _) = windowed_run(
-                    &net,
-                    &workload,
-                    scheme,
-                    workers,
-                    digest,
-                    FoldMode::Incremental,
-                );
+            for workers in [2usize, 8] {
+                let (run, full_run, _) = windowed_run(&net, &workload, scheme, workers, digest);
                 assert_eq!(
-                    inc,
+                    run,
                     reference,
-                    "{} digest={digest} workers={workers}: incremental diverged from refold",
+                    "{} digest={digest} workers={workers}: diverged from 1 worker",
                     scheme.name()
                 );
                 assert_eq!(
-                    full_inc,
+                    full_run,
                     full_ref,
                     "{} digest={digest} workers={workers}: full fingerprint diverged",
                     scheme.name()

@@ -17,7 +17,14 @@
 //!     to the batch run, reports and stats included — the contract the
 //!     service layer's epoch multiplexing rests on;
 //! (f) `StreamSession` is `Send` (statically asserted), so whole
-//!     sessions can be handed to service worker threads.
+//!     sessions can be handed to service worker threads;
+//! (g) every window report — scalar under every merge law, and
+//!     set-valued frequent-items — is the plain left fold of a
+//!     `tumbling(1)` window's per-pane reports over its span
+//!     (`common::assert_matches_pane_fold`, an oracle that shares no
+//!     code with the window accumulator).
+
+mod common;
 
 use proptest::prelude::*;
 use td_suite::aggregates::sum::Sum;
@@ -411,48 +418,15 @@ fn stream_session_is_send() {
     assert_send::<td_suite::stream::WindowReport>();
 }
 
-/// EVERY report field that could diverge between fold modes, floats
-/// bit-exact, set-valued panes included.
-#[allow(clippy::type_complexity)]
-fn mode_fingerprint(
-    r: &td_suite::stream::WindowReport,
-) -> (
-    (usize, usize),
-    (u64, u64, usize, usize),
-    (u64, u64, u64),
-    (u32, u64, u64, u64),
-    Vec<(u64, u64)>,
-) {
-    let freq_bits: Vec<(u64, u64)> = match &r.freq {
-        None => Vec::new(),
-        Some(f) => {
-            let mut v: Vec<(u64, u64)> =
-                f.counts().iter().map(|(&u, &c)| (u, c.to_bits())).collect();
-            v.push((u64::MAX, f.total().to_bits()));
-            v
-        }
-    };
-    (
-        (r.handle.query, r.handle.window),
-        (r.start_epoch, r.end_epoch, r.panes, r.expected_panes),
-        (
-            r.answer.to_bits(),
-            r.coverage.to_bits(),
-            r.min_coverage.to_bits(),
-        ),
-        (r.relabels, r.nodes_joined, r.nodes_left, r.comm_bytes()),
-        freq_bits,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Tentpole pin: `FoldMode::Incremental` (running folds where no
-    /// pane leaves the window) emits reports bit-for-bit identical to
-    /// the from-scratch re-fold on EVERY field, for every `EpochMerge`
-    /// op, across random window specs, churn, adaptation relabels, and
-    /// worker counts.
+    /// The window fold against an oracle that shares no code with it:
+    /// every report, on EVERY field, for every `EpochMerge` op, is the
+    /// left fold of a `tumbling(1)` window's per-pane reports over its
+    /// span, across random window specs, churn, adaptation relabels and
+    /// worker counts; and an overlapping window refolds once per
+    /// emission.
     #[test]
     fn incremental_reports_are_bit_identical_to_refold(
         seed in 1u64..50_000,
@@ -468,11 +442,11 @@ proptest! {
         tumble in 1u32..8,
     ) {
         use td_suite::netsim::churn::ChurnSchedule;
-        use td_suite::stream::FoldMode;
         let net = net(seed % 5000 + 42, 140);
         let workload = DriftingStream::new(Synthetic::sum_workload(&net, seed), seed ^ 5);
         // One window per merge law, shapes randomized (hop clamped into
-        // 1..=len), plus a tumbling and a landmark window.
+        // 1..=len), a tumbling and a landmark window, and the per-pane
+        // `tumbling(1)` window the oracle folds.
         let windows = [
             (WindowSpec::sliding(len_a, 1 + hop_a % len_a), EpochMerge::Add),
             (WindowSpec::sliding(len_b, 1 + hop_b % len_b), EpochMerge::Mean),
@@ -480,66 +454,48 @@ proptest! {
             (WindowSpec::sliding(len_d, 1), EpochMerge::Max),
             (WindowSpec::tumbling(tumble), EpochMerge::Add),
             (WindowSpec::landmark(), EpochMerge::Mean),
+            (WindowSpec::tumbling(1), EpochMerge::Add),
         ];
         let schedule = ChurnSchedule::new(net.len(), 0.02, 5.0, seed ^ 0xC4);
-        let run = |mode: FoldMode| {
-            let mut rng = rng_from_seed(seed ^ 0xF01D);
-            // TD-Coarse at 10–30% loss so adaptation relabels land
-            // mid-window; churn exercises the join/leave aggregates.
-            let session = SessionBuilder::new(Scheme::TdCoarse).build(&net, &mut rng);
-            let mut stream = StreamSession::new(Driver::new(session, 1));
-            stream.set_workers(workers);
-            let mut query = StreamQuery::scalar(Sum::default());
-            for &(spec, merge) in &windows {
-                query = query.window(spec, merge);
-            }
-            let _ = stream.register(query);
-            stream.set_fold_mode(mode);
-            let reports =
-                stream.run_under_churn(&workload, &Global::new(loss), &schedule, 40, &mut rng);
-            let stats = *stream.stream_stats();
-            // Emissions of overlapping and of non-landmark windows.
-            let emits = |refolds: fn(WindowSpec) -> bool| {
-                reports.iter().filter(|r| refolds(r.spec)).count() as u64
-            };
-            let refold_emits = (
-                emits(|s| matches!(s, WindowSpec::Sliding { len, hop } if hop < len)),
-                emits(|s| s != WindowSpec::Landmark),
-            );
-            (
-                reports.iter().map(mode_fingerprint).collect::<Vec<_>>(),
-                stats,
-                refold_emits,
-            )
-        };
-        let (incremental, inc_stats, (overlapping, non_landmark)) = run(FoldMode::Incremental);
-        let (refold, ref_stats, _) = run(FoldMode::Refold);
-        prop_assert_eq!(incremental, refold, "fold modes diverged");
-        prop_assert_eq!(inc_stats.panes_built, ref_stats.panes_built);
-        prop_assert_eq!(inc_stats.reports_emitted, ref_stats.reports_emitted);
+        let mut rng = rng_from_seed(seed ^ 0xF01D);
+        // TD-Coarse at 10–30% loss so adaptation relabels land
+        // mid-window; churn exercises the join/leave aggregates.
+        let session = SessionBuilder::new(Scheme::TdCoarse).build(&net, &mut rng);
+        let mut stream = StreamSession::new(Driver::new(session, 1));
+        stream.set_workers(workers);
+        let mut query = StreamQuery::scalar(Sum::default());
+        for &(spec, merge) in &windows {
+            query = query.window(spec, merge);
+        }
+        let _ = stream.register(query);
+        let reports =
+            stream.run_under_churn(&workload, &Global::new(loss), &schedule, 40, &mut rng);
+        let checked = common::assert_matches_pane_fold(&reports, 0, windows.len() - 1);
+        prop_assert!(checked > 0);
+        let overlapping = reports
+            .iter()
+            .filter(|r| matches!(r.spec, WindowSpec::Sliding { len, hop } if hop < len))
+            .count() as u64;
         prop_assert_eq!(
-            inc_stats.value_refolds, overlapping,
-            "incremental mode refolds once per overlapping emission"
-        );
-        prop_assert_eq!(
-            ref_stats.value_refolds, non_landmark,
-            "refold mode refolds once per non-landmark emission"
+            stream.stream_stats().value_refolds, overlapping,
+            "one refold per overlapping emission"
         );
     }
 }
 
-/// Set-valued panes, exact counters: a windowed frequent-items query
-/// under `FoldMode::Incremental` is bit-identical to the re-fold, its
-/// one overlapping window (`sliding(6, 1)`) refolds once per emission,
-/// and a full lossless tumbling window reports every truly frequent
-/// item of its merged epochs (the §6 guarantee lifted to windows).
+/// Set-valued panes, exact counters: every report of a windowed
+/// frequent-items query is the left fold of its span's per-pane
+/// (`tumbling(1)`) reports, its one overlapping window (`sliding(6, 1)`)
+/// refolds once per emission, and a full lossless tumbling window
+/// reports every truly frequent item of its merged epochs (the §6
+/// guarantee lifted to windows).
 #[test]
-fn windowed_frequent_items_exact_counters_hit_the_o1_path() {
+fn windowed_frequent_items_exact_counters_match_the_pane_fold() {
     use td_suite::frequent::items::ItemBag;
     use td_suite::frequent::multipath::MultipathConfig;
     use td_suite::quantiles::gradient::MinTotalLoad;
     use td_suite::sketches::counter::ExactFactory;
-    use td_suite::stream::{FoldMode, FreqStreamQuery};
+    use td_suite::stream::FreqStreamQuery;
     let net = net(901, 100);
     let support = 0.15;
     // Three drifting epoch slots: a stable heavy item plus a rotating
@@ -563,47 +519,38 @@ fn windowed_frequent_items_exact_counters_hit_the_o1_path() {
         })
         .collect();
     let n_epoch: u64 = bags_by_epoch[0].iter().map(|b| b.total()).sum();
-    let run = |mode: FoldMode| {
-        let mut rng = rng_from_seed(902);
-        let session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
-        let mut stream = StreamSession::new(Driver::new(session, 0));
-        let query = StreamQuery::new(FreqStreamQuery::new(
-            MultipathConfig::new(0.01, 1.5, n_epoch * 2, ExactFactory),
-            MinTotalLoad::new(0.01, 2.25),
-            support,
-            bags_by_epoch.clone(),
-        ))
-        .window(WindowSpec::tumbling(3), EpochMerge::Add)
-        .window(WindowSpec::sliding(6, 1), EpochMerge::Add)
-        .window(WindowSpec::landmark(), EpochMerge::Add);
-        let _ = stream.register(query);
-        stream.set_fold_mode(mode);
-        let reports = stream.run(
-            &td_suite::core::driver::FixedReadings(vec![1; net.len()]),
-            &td_suite::netsim::loss::NoLoss,
-            18,
-            &mut rng,
-        );
-        let stats = *stream.stream_stats();
-        (reports, stats)
-    };
-    let (incremental, inc_stats) = run(FoldMode::Incremental);
-    let (refold, _) = run(FoldMode::Refold);
-    assert_eq!(
-        incremental.iter().map(mode_fingerprint).collect::<Vec<_>>(),
-        refold.iter().map(mode_fingerprint).collect::<Vec<_>>(),
-        "set-valued fold modes diverged"
+    let mut rng = rng_from_seed(902);
+    let session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
+    let mut stream = StreamSession::new(Driver::new(session, 0));
+    let query = StreamQuery::new(FreqStreamQuery::new(
+        MultipathConfig::new(0.01, 1.5, n_epoch * 2, ExactFactory),
+        MinTotalLoad::new(0.01, 2.25),
+        support,
+        bags_by_epoch.clone(),
+    ))
+    .window(WindowSpec::tumbling(3), EpochMerge::Add)
+    .window(WindowSpec::sliding(6, 1), EpochMerge::Add)
+    .window(WindowSpec::landmark(), EpochMerge::Add)
+    .window(WindowSpec::tumbling(1), EpochMerge::Add);
+    let _ = stream.register(query);
+    let reports = stream.run(
+        &td_suite::core::driver::FixedReadings(vec![1; net.len()]),
+        &td_suite::netsim::loss::NoLoss,
+        18,
+        &mut rng,
     );
-    let sliding_emits = incremental.iter().filter(|r| r.handle.window == 1).count();
+    assert!(common::assert_matches_pane_fold(&reports, 0, 3) > 0);
+    let sliding_emits = reports.iter().filter(|r| r.handle.window == 1).count();
     assert_eq!(
-        inc_stats.value_refolds, sliding_emits as u64,
+        stream.stream_stats().value_refolds,
+        sliding_emits as u64,
         "only the overlapping window refolds, once per emission"
     );
     // Windowed no-false-negative check on full lossless tumbling
     // windows: merged truth over the window's epoch slots.
     let eps = 0.01 + 0.01; // ε_a + ε_b
     let mut checked = 0;
-    for r in incremental
+    for r in reports
         .iter()
         .filter(|r| r.handle.window == 0 && r.panes == r.expected_panes)
     {
@@ -637,14 +584,14 @@ fn windowed_frequent_items_exact_counters_hit_the_o1_path() {
 
 /// Set-valued panes, FM counters: fractional estimates under an
 /// overlapping window refold the pane buffer at every emission, and the
-/// answers pin bit-for-bit against refold mode.
+/// answers pin bit-for-bit to the left fold of the per-pane reports.
 #[test]
-fn windowed_frequent_items_fm_counters_fall_back_without_loosening_the_pin() {
+fn windowed_frequent_items_fm_counters_match_the_pane_fold() {
     use td_suite::frequent::items::ItemBag;
     use td_suite::frequent::multipath::MultipathConfig;
     use td_suite::quantiles::gradient::MinTotalLoad;
     use td_suite::sketches::counter::FmFactory;
-    use td_suite::stream::{FoldMode, FreqStreamQuery};
+    use td_suite::stream::FreqStreamQuery;
     let net = net(911, 90);
     let bags: Vec<ItemBag> = (0..net.len())
         .map(|i| {
@@ -656,38 +603,28 @@ fn windowed_frequent_items_fm_counters_fall_back_without_loosening_the_pin() {
         })
         .collect();
     let n_epoch: u64 = bags.iter().map(|b| b.total()).sum();
-    let run = |mode: FoldMode| {
-        let mut rng = rng_from_seed(912);
-        let session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
-        let mut stream = StreamSession::new(Driver::new(session, 0));
-        let query = StreamQuery::new(FreqStreamQuery::new(
-            MultipathConfig::new(0.02, 1.5, n_epoch * 2, FmFactory { bitmaps: 16 }),
-            MinTotalLoad::new(0.02, 2.25),
-            0.2,
-            vec![bags.clone()],
-        ))
-        .window(WindowSpec::sliding(5, 1), EpochMerge::Add);
-        let _ = stream.register(query);
-        stream.set_fold_mode(mode);
-        let reports = stream.run(
-            &td_suite::core::driver::FixedReadings(vec![1; net.len()]),
-            &Global::new(0.15),
-            15,
-            &mut rng,
-        );
-        let stats = *stream.stream_stats();
-        (reports, stats)
-    };
-    let (incremental, inc_stats) = run(FoldMode::Incremental);
-    let (refold, _) = run(FoldMode::Refold);
-    assert_eq!(
-        incremental.iter().map(mode_fingerprint).collect::<Vec<_>>(),
-        refold.iter().map(mode_fingerprint).collect::<Vec<_>>(),
-        "FM fold modes diverged"
+    let mut rng = rng_from_seed(912);
+    let session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
+    let mut stream = StreamSession::new(Driver::new(session, 0));
+    let query = StreamQuery::new(FreqStreamQuery::new(
+        MultipathConfig::new(0.02, 1.5, n_epoch * 2, FmFactory { bitmaps: 16 }),
+        MinTotalLoad::new(0.02, 2.25),
+        0.2,
+        vec![bags],
+    ))
+    .window(WindowSpec::sliding(5, 1), EpochMerge::Add)
+    .window(WindowSpec::tumbling(1), EpochMerge::Add);
+    let _ = stream.register(query);
+    let reports = stream.run(
+        &td_suite::core::driver::FixedReadings(vec![1; net.len()]),
+        &Global::new(0.15),
+        15,
+        &mut rng,
     );
+    assert_eq!(common::assert_matches_pane_fold(&reports, 0, 1), 15);
     assert_eq!(
-        inc_stats.value_refolds,
-        incremental.len() as u64,
+        stream.stream_stats().value_refolds,
+        15,
         "the sliding window refolds once per emission"
     );
 }
