@@ -491,18 +491,47 @@ impl Fold {
         }
     }
 
-    /// Absorb the next pane (left-fold order: `self` holds the older
-    /// panes, `next` is the newer one).
+    /// Absorb `panes` in order (left-fold order: `self` holds the older
+    /// panes), returning how many merges that took. The kind is matched
+    /// once per call, so a refold's loop runs on the concrete partial.
     ///
     /// # Panics
     /// Panics on a pane of another kind than the fold's.
-    fn absorb(&mut self, next: &PaneValue) {
-        match (self, next) {
-            (Fold::Scalar(acc), PaneValue::Scalar(v)) => acc.merge(&PanePartial::of(*v)),
-            (Fold::Freq(acc), PaneValue::Freq(f)) => acc.merge(f),
-            (Fold::Quantile(acc), PaneValue::Quantile(q)) => acc.merge(q),
-            (acc, next) => panic!("pane kind mismatch: {acc:?} fed {next:?}"),
+    fn absorb<'a>(&mut self, panes: impl IntoIterator<Item = &'a PaneValue>) -> u64 {
+        fn mismatch(pane: &PaneValue) -> ! {
+            panic!("pane kind mismatch: fold fed {pane:?}")
         }
+        let mut merges = 0;
+        match self {
+            Fold::Scalar(acc) => {
+                for pane in panes {
+                    let PaneValue::Scalar(v) = pane else {
+                        mismatch(pane)
+                    };
+                    acc.merge(&PanePartial::of(*v));
+                    merges += 1;
+                }
+            }
+            Fold::Freq(acc) => {
+                for pane in panes {
+                    let PaneValue::Freq(f) = pane else {
+                        mismatch(pane)
+                    };
+                    acc.merge(f);
+                    merges += 1;
+                }
+            }
+            Fold::Quantile(acc) => {
+                for pane in panes {
+                    let PaneValue::Quantile(q) = pane else {
+                        mismatch(pane)
+                    };
+                    acc.merge(q);
+                    merges += 1;
+                }
+            }
+        }
+        merges
     }
 
     /// The window answer the fold evaluates to under `merge` (set-valued
@@ -639,8 +668,7 @@ impl WindowAccum {
         if self.spec.overlaps() {
             self.buf.push_back(pane.clone());
         } else if let Some(acc) = &mut self.running {
-            acc.absorb(&pane.value);
-            counters.pane_merges += 1;
+            counters.pane_merges += acc.absorb([&pane.value]);
         } else {
             self.running = Some(Fold::of(&pane.value));
         }
@@ -696,10 +724,7 @@ impl WindowAccum {
             let mut panes = self.buf.iter();
             let first = panes.next().expect("window emitted with no panes");
             let mut acc = Fold::of(&first.value);
-            for p in panes {
-                acc.absorb(&p.value);
-                counters.pane_merges += 1;
-            }
+            counters.pane_merges += acc.absorb(panes.map(|p| &p.value));
             acc
         } else if self.resets {
             self.running.take().expect("window emitted with no panes")
