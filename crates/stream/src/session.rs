@@ -191,18 +191,12 @@ impl StreamStats {
     }
 }
 
-struct WindowState {
-    spec: WindowSpec,
-    merge: EpochMerge,
-    accum: WindowAccum,
-}
-
 /// Per-query pane bookkeeping (parallel to the session's boxed
 /// protocols — split so the epoch loop can borrow protocols shared
 /// while mutating window state).
 struct QueryState {
     name: Arc<str>,
-    windows: Vec<WindowState>,
+    windows: Vec<WindowAccum>,
     next_seq: u64,
     /// Deregistered queries stay in place as tombstones so earlier
     /// queries' indices (and every issued [`WindowHandle`]) stay valid;
@@ -285,14 +279,10 @@ impl StreamSession {
         );
         let qi = self.protos.len();
         let kind = query.proto.pane_kind();
-        let windows: Vec<WindowState> = query
+        let windows: Vec<WindowAccum> = query
             .windows
             .iter()
-            .map(|cfg| WindowState {
-                spec: cfg.spec,
-                merge: cfg.merge,
-                accum: WindowAccum::new(cfg.spec, cfg.merge, kind, FoldMode::Incremental),
-            })
+            .map(|cfg| WindowAccum::new(cfg.spec, cfg.merge, kind, FoldMode::Incremental))
             .collect();
         let handles = (0..windows.len())
             .map(|wi| WindowHandle {
@@ -595,7 +585,7 @@ impl StreamSession {
         };
         let mut counters = AccumCounters::default();
         for (wi, w) in q.windows.iter_mut().enumerate() {
-            let Some(ans) = w.accum.absorb(seq, &input, &mut counters) else {
+            let Some(ans) = w.absorb(seq, &input, &mut counters) else {
                 continue;
             };
             reports.push(WindowReport {

@@ -557,8 +557,8 @@ impl Fold {
 /// thereafter.
 #[derive(Debug)]
 pub struct WindowAccum {
-    spec: WindowSpec,
-    merge: EpochMerge,
+    pub(crate) spec: WindowSpec,
+    pub(crate) merge: EpochMerge,
     kind: PaneKind,
     /// Running left fold, for windows no pane ever leaves (`None`
     /// before the first pane and after each tumbling emission).
