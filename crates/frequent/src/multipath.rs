@@ -123,7 +123,7 @@ impl<C: DiCounter> ClassSynopsis<C> {
     /// Step 3: promote while ñ exceeds the class budget, then drop the
     /// items below the rising threshold (in place). The threshold
     /// `ε·ñ / log N` does not depend on the class, so a promotion of
-    /// several steps drops once.
+    /// several steps drops once, and it is computed once per promotion.
     fn promote<F: CounterFactory<Counter = C>>(&mut self, cfg: &MultipathConfig<F>) {
         let n_est = self.total.estimate();
         let log_n = cfg.log_n();
@@ -132,9 +132,9 @@ impl<C: DiCounter> ClassSynopsis<C> {
             self.class += 1;
         }
         if self.class > from {
-            let (eps, eta) = (cfg.eps, cfg.eta);
-            self.items
-                .retain(|(_, c)| eps * n_est / log_n < eta * c.estimate());
+            let threshold = cfg.eps * n_est / log_n;
+            let eta = cfg.eta;
+            C::retain_by_estimate(&mut self.items, |c| threshold < eta * c);
         }
     }
 }
@@ -220,15 +220,20 @@ struct SynRef<'a, C> {
     items: &'a [(Item, C)],
 }
 
-impl<C: DiCounter> SynRef<'_, C> {
+impl<'a, C: DiCounter> SynRef<'a, C> {
+    /// [`ClassSynopsis::wire_words`]'s header and item ids.
+    fn header_words(&self) -> usize {
+        2 + 2 * self.items.len()
+    }
+
+    /// The ñ counter, then each item's counter.
+    fn counters(&self) -> impl Iterator<Item = &'a C> {
+        std::iter::once(self.total).chain(self.items.iter().map(|(_, c)| c))
+    }
+
     /// [`ClassSynopsis::wire_words`].
     fn wire_words(&self) -> usize {
-        2 + self.total.wire_words()
-            + self
-                .items
-                .iter()
-                .map(|(_, c)| 2 + c.wire_words())
-                .sum::<usize>()
+        self.header_words() + C::wire_words_sum(self.counters())
     }
 }
 
@@ -614,9 +619,11 @@ impl<C: DiCounter> SynopsisSet<C> {
         }
     }
 
-    /// Wire size in words across all synopses.
+    /// Wire size in words across all synopses, every counter of the set
+    /// sized in one call.
     pub fn wire_words(&self) -> usize {
-        self.iter().map(|s| s.wire_words()).sum()
+        let headers: usize = self.iter().map(|s| s.header_words()).sum();
+        headers + C::wire_words_sum(self.iter().flat_map(|s| s.counters()))
     }
 
     /// Synopsis evaluation (SE): ⊕-combine each item's counters across

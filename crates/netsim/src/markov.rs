@@ -18,6 +18,19 @@
 //! behind the cache replays from epoch 0 (the trajectory is
 //! deterministic, so the memo is only ever a speedup, never state).
 //!
+//! The memo has two halves. **Dense keys** — below `DENSE_KEYS` (2^16),
+//! which covers node ids, so the keys of churn and of per-sender burst
+//! loss — each own one `AtomicU64` slot holding `(epoch + 1) << 1 | state`
+//! (0: never computed). A query reads its slot and advances it with
+//! `fetch_max`: no lock and no hashing, and two threads racing on one key
+//! both write a point of the same trajectory, so the later epoch wins and
+//! the slot never moves back. Slots come in chunks of `CHUNK_KEYS` (512,
+//! 4 KiB), each allocated on its first query, behind a directory
+//! allocated on the chain's first dense query: a chain over a few hundred
+//! nodes holds one or two chunks, and a chain nobody queries holds none.
+//! **Sparse keys** (per-link burst loss packs `from << 32 | to`) keep a
+//! `Mutex<HashMap>`.
+//!
 //! ```
 //! use td_netsim::markov::{BinaryMarkov, StartState};
 //!
@@ -31,7 +44,8 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use crate::rng::splitmix64;
 
@@ -47,6 +61,23 @@ pub enum StartState {
     Stationary,
 }
 
+/// Keys below this bound are memoized in lock-free slots; the rest in a
+/// locked map.
+const DENSE_KEYS: u64 = 1 << 16;
+
+/// Slots per chunk of the dense memo (4 KiB of `AtomicU64`s).
+const CHUNK_KEYS: usize = 512;
+
+/// Chunks of the dense memo.
+const CHUNKS: usize = DENSE_KEYS as usize / CHUNK_KEYS;
+
+/// Dense slots hold epochs below this bound, so `(epoch + 1) << 1` cannot
+/// overflow; later epochs go to the sparse map.
+const DENSE_EPOCHS: u64 = 1 << 62;
+
+/// One chunk of the dense memo, allocated on its first query.
+type Chunk = OnceLock<Box<[AtomicU64; CHUNK_KEYS]>>;
+
 /// A family of independent, seeded two-state Markov chains (one per
 /// `key`), stepped once per epoch, with memoized O(1)-amortized random
 /// access. State `false`/`true` is caller-defined (Good/Bad channel,
@@ -59,21 +90,21 @@ pub struct BinaryMarkov {
     p10: f64,
     start: StartState,
     seed: u64,
-    /// Per-key memo of the last computed `(epoch, state)`.
-    cache: Mutex<HashMap<u64, (u64, bool)>>,
+    /// Memo of the last computed `(epoch, state)` of each dense key,
+    /// packed `(epoch + 1) << 1 | state`, by chunk. The chunk directory
+    /// too is allocated on the first dense query, so the memo adds one
+    /// pointer to every chain's size, queried or not (a service tenant
+    /// carries an optional churn schedule inline).
+    dense: OnceLock<Box<[Chunk; CHUNKS]>>,
+    /// Memo of the last computed `(epoch, state)` of every other key.
+    sparse: Mutex<HashMap<u64, (u64, bool)>>,
 }
 
 impl Clone for BinaryMarkov {
     /// Clones the chain *definition*; the memo starts empty (it is a
     /// pure cache — trajectories are identical).
     fn clone(&self) -> Self {
-        BinaryMarkov {
-            p01: self.p01,
-            p10: self.p10,
-            start: self.start,
-            seed: self.seed,
-            cache: Mutex::new(HashMap::new()),
-        }
+        BinaryMarkov::new(self.p01, self.p10, self.start, self.seed)
     }
 }
 
@@ -97,7 +128,8 @@ impl BinaryMarkov {
             p10,
             start,
             seed,
-            cache: Mutex::new(HashMap::new()),
+            dense: OnceLock::new(),
+            sparse: Mutex::new(HashMap::new()),
         }
     }
 
@@ -119,26 +151,31 @@ impl BinaryMarkov {
     }
 
     /// The uniform draw deciding key `k`'s transition *into* `epoch`
-    /// (epoch 0 uses a distinct initialization label).
+    /// (epoch 0 uses a distinct initialization label), given the key's
+    /// stream `key_stream(key)`.
     #[inline]
-    fn draw(&self, key: u64, epoch: u64) -> f64 {
-        unit(splitmix64(
-            splitmix64(self.seed ^ splitmix64(key)) ^ epoch.wrapping_add(1),
-        ))
+    fn draw(key_stream: u64, epoch: u64) -> f64 {
+        unit(splitmix64(key_stream ^ epoch.wrapping_add(1)))
+    }
+
+    /// The part of every draw of `key` that does not depend on the epoch.
+    #[inline]
+    fn key_stream(&self, key: u64) -> u64 {
+        splitmix64(self.seed ^ splitmix64(key))
     }
 
     /// Key `k`'s state at epoch 0 per the start rule.
-    fn initial(&self, key: u64) -> bool {
+    fn initial(&self, key_stream: u64) -> bool {
         match self.start {
             StartState::Fixed(s) => s,
-            StartState::Stationary => self.draw(key, 0) < self.stationary_p1(),
+            StartState::Stationary => Self::draw(key_stream, 0) < self.stationary_p1(),
         }
     }
 
     /// Advance `state` by one epoch step using `epoch`'s draw.
     #[inline]
-    fn step(&self, key: u64, epoch: u64, state: bool) -> bool {
-        let u = self.draw(key, epoch);
+    fn step(&self, key_stream: u64, epoch: u64, state: bool) -> bool {
+        let u = Self::draw(key_stream, epoch);
         if state {
             u >= self.p10
         } else {
@@ -146,27 +183,71 @@ impl BinaryMarkov {
         }
     }
 
+    /// The state at `epoch`, stepped from the memo's `(epoch, state)` when
+    /// it is not past `epoch`, and from epoch 0 otherwise.
+    fn advance(&self, key: u64, cached: Option<(u64, bool)>, epoch: u64) -> (u64, bool) {
+        if let Some((e, s)) = cached.filter(|&(e, _)| e == epoch) {
+            return (e, s);
+        }
+        let key_stream = self.key_stream(key);
+        let (mut e, mut s) = match cached {
+            Some((e, s)) if e <= epoch => (e, s),
+            _ => (0, self.initial(key_stream)),
+        };
+        while e < epoch {
+            e += 1;
+            s = self.step(key_stream, e, s);
+        }
+        (e, s)
+    }
+
     /// The chain state of `key` at `epoch` — a pure function of
     /// `(seed, key, epoch)`, memoized per key for epoch-monotone
     /// access.
     pub fn state_at(&self, key: u64, epoch: u64) -> bool {
-        let mut cache = self.cache.lock().expect("markov memo poisoned");
-        let cached = cache.get(&key).copied();
-        let (mut e, mut s) = match cached {
-            Some((e, s)) if e <= epoch => (e, s),
-            _ => (0, self.initial(key)),
-        };
-        while e < epoch {
-            e += 1;
-            s = self.step(key, e, s);
+        match self.dense_slot(key, epoch) {
+            Some(slot) => {
+                let packed = slot.load(Ordering::Relaxed);
+                let cached = (packed != 0).then(|| ((packed >> 1) - 1, packed & 1 == 1));
+                let (e, s) = self.advance(key, cached, epoch);
+                let advanced = ((e + 1) << 1) | u64::from(s);
+                // Only ever advance the memo (see the sparse arm); a
+                // racing thread writes a point of the same trajectory,
+                // and the later one wins.
+                if advanced > packed {
+                    slot.fetch_max(advanced, Ordering::Relaxed);
+                }
+                s
+            }
+            None => {
+                let mut cache = self.sparse.lock().expect("markov memo poisoned");
+                let cached = cache.get(&key).copied();
+                let (e, s) = self.advance(key, cached, epoch);
+                // Only ever advance the memo: a behind-the-cache query (a
+                // replay from 0) must not regress it, or alternating
+                // `epoch, epoch − 1` access would replay from 0 every time.
+                if cached.is_none_or(|(e0, _)| e0 < e) {
+                    cache.insert(key, (e, s));
+                }
+                s
+            }
         }
-        // Only ever advance the memo: a behind-the-cache query (a
-        // replay from 0) must not regress it, or alternating
-        // `epoch, epoch − 1` access would replay from 0 every time.
-        if cached.is_none_or(|(e0, _)| e0 < e) {
-            cache.insert(key, (e, s));
+    }
+
+    /// The dense memo slot of `key`, its chunk allocated on first use;
+    /// `None` for a sparse key, or an epoch too late to pack.
+    #[inline]
+    fn dense_slot(&self, key: u64, epoch: u64) -> Option<&AtomicU64> {
+        if key >= DENSE_KEYS || epoch >= DENSE_EPOCHS {
+            return None;
         }
-        s
+        let key = key as usize;
+        let chunks = self
+            .dense
+            .get_or_init(|| Box::new([const { OnceLock::new() }; CHUNKS]));
+        let chunk = chunks[key / CHUNK_KEYS]
+            .get_or_init(|| Box::new([const { AtomicU64::new(0) }; CHUNK_KEYS]));
+        Some(&chunk[key % CHUNK_KEYS])
     }
 }
 
@@ -241,6 +322,82 @@ mod tests {
         let a: Vec<bool> = (0..64).map(|e| m.state_at(10, e)).collect();
         let b: Vec<bool> = (0..64).map(|e| m.state_at(11, e)).collect();
         assert_ne!(a, b, "adjacent keys share a trajectory");
+    }
+
+    /// The chain stepped from epoch 0 with no memo, its draws written out
+    /// from `(seed, key, epoch)`.
+    fn replay(chain: &BinaryMarkov, key: u64, epoch: u64) -> bool {
+        let stream = splitmix64(chain.seed ^ splitmix64(key));
+        let draw = |e: u64| {
+            let h = splitmix64(stream ^ e.wrapping_add(1));
+            (h >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut state = match chain.start {
+            StartState::Fixed(s) => s,
+            StartState::Stationary => draw(0) < chain.stationary_p1(),
+        };
+        for e in 1..=epoch {
+            state = if state {
+                draw(e) >= chain.p10
+            } else {
+                draw(e) < chain.p01
+            };
+        }
+        state
+    }
+
+    /// A key of the kind `kind` picks from `raw`: a node id, one at the
+    /// edge of the dense memo, or a per-link key `from << 32 | to`.
+    fn key_of(kind: u8, raw: u64) -> u64 {
+        match kind % 3 {
+            0 => raw % 600,
+            1 => DENSE_KEYS - 2 + raw % 4,
+            _ => ((1 + raw % 600) << 32) | ((raw >> 16) % 600),
+        }
+    }
+
+    proptest::proptest! {
+        /// `state_at` is the memo-free replay, for dense keys, keys at the
+        /// dense memo's edge and per-link keys, queried in any order (so
+        /// behind the memo as often as ahead of it), and from two threads
+        /// at once querying the same keys in opposite orders.
+        #[test]
+        fn prop_state_at_is_the_replay(
+            p01_permille in 0u32..1001,
+            p10_permille in 0u32..1001,
+            seed in proptest::prelude::any::<u64>(),
+            raw in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..60),
+        ) {
+            let start = match seed % 3 {
+                0 => StartState::Stationary,
+                s => StartState::Fixed(s == 1),
+            };
+            let (p01, p10) = (p01_permille as f64 / 1000.0, p10_permille as f64 / 1000.0);
+            let chain = BinaryMarkov::new(p01, p10, start, seed);
+            // Epochs below 200, so most queries land behind or ahead of
+            // the memo rather than on it.
+            let queries: Vec<(u64, u64)> = raw
+                .iter()
+                .map(|&r| (key_of(r as u8, r >> 8), (r >> 40) % 200))
+                .collect();
+            let expected: Vec<bool> =
+                queries.iter().map(|&(key, epoch)| replay(&chain, key, epoch)).collect();
+            for (&(key, epoch), &want) in queries.iter().zip(&expected) {
+                proptest::prop_assert_eq!(chain.state_at(key, epoch), want, "key {key:#x} epoch {epoch}");
+            }
+            let shared = chain.clone();
+            let run = |order: Vec<usize>| {
+                order
+                    .into_iter()
+                    .all(|i| shared.state_at(queries[i].0, queries[i].1) == expected[i])
+            };
+            let (forward, backward) = std::thread::scope(|scope| {
+                let forward = scope.spawn(|| run((0..queries.len()).collect()));
+                let backward = scope.spawn(|| run((0..queries.len()).rev().collect()));
+                (forward.join().expect("query thread"), backward.join().expect("query thread"))
+            });
+            proptest::prop_assert!(forward && backward, "a thread read off the replay");
+        }
     }
 
     #[test]

@@ -15,6 +15,17 @@
 //! Every occurrence population is identified by a `salt` (in the frequent
 //! items algorithms: the hash of `(item, node)` or `(item, tree-root)`),
 //! so re-delivery along multiple paths dedups exactly.
+//!
+//! An [`FmCounter`] runs on [`fm`]'s kernels, AVX-512 where the
+//! CPU has it: a count of at most 16 occurrences is inserted as that many
+//! distinct elements, eight hashes per vector; a larger one is drawn, up
+//! to 64 streams per vector; an estimate sums `z` sixteen bitmaps per
+//! vector. Two trait methods with defaults let a caller hand over many
+//! counters at once: [`DiCounter::wire_words_sum`], which the FM counter
+//! sizes sixteen counters at a time ([`crate::rle`]), and
+//! [`DiCounter::retain_by_estimate`], which it runs with the kernel and
+//! the estimate table looked up once. Either way every counter reads the
+//! words and the estimate it reads alone.
 
 use crate::fm;
 
@@ -37,6 +48,23 @@ pub trait DiCounter: Clone + Send + 'static {
 
     /// Wire size in 32-bit words.
     fn wire_words(&self) -> usize;
+
+    /// `Σ wire_words` over `counters`, which is the default. A counter
+    /// whose sizing runs faster over many at once sizes them together.
+    fn wire_words_sum<'a>(counters: impl Iterator<Item = &'a Self>) -> usize
+    where
+        Self: 'a,
+    {
+        counters.map(Self::wire_words).sum()
+    }
+
+    /// Keep, in order, the entries whose counter's estimate `ĉ` passes
+    /// `keep(ĉ)`: `entries.retain(|(_, c)| keep(c.estimate()))`, which is
+    /// the default. A counter whose estimate reads shared state looks it
+    /// up once per call rather than once per entry.
+    fn retain_by_estimate<T>(entries: &mut Vec<(T, Self)>, mut keep: impl FnMut(f64) -> bool) {
+        entries.retain(|(_, c)| keep(c.estimate()));
+    }
 }
 
 /// A factory producing fresh counters of a fixed configuration; the
@@ -196,6 +224,22 @@ impl DiCounter for FmCounter {
     fn wire_words(&self) -> usize {
         crate::rle::bitmaps_size_bytes(self.bitmaps()).div_ceil(4)
     }
+
+    /// Sixteen counters at a time where the AVX-512 kernels run.
+    fn wire_words_sum<'a>(counters: impl Iterator<Item = &'a Self>) -> usize {
+        crate::rle::wire_words_sum(counters.map(FmCounter::bitmaps))
+    }
+
+    /// The kernel choice and the width's estimate table are looked up
+    /// once, from the first entry's width; each entry still reads its own
+    /// estimate, bit for bit [`DiCounter::estimate`]'s.
+    fn retain_by_estimate<T>(entries: &mut Vec<(T, Self)>, mut keep: impl FnMut(f64) -> bool) {
+        let Some((_, first)) = entries.first() else {
+            return;
+        };
+        let estimator = fm::Estimator::new(first.bitmaps().len());
+        entries.retain(|(_, c)| keep(estimator.estimate(c.bitmaps())));
+    }
 }
 
 /// Factory for [`FmCounter`].
@@ -298,6 +342,39 @@ mod tests {
                 c.wire_words(),
                 crate::rle::encoded_size_bytes(&s).div_ceil(4)
             );
+        }
+    }
+
+    /// The FM counter's many-at-once methods read what one counter at a
+    /// time reads: the same words in total, and the same entries kept,
+    /// over counters of mixed widths (so some are sized as a batch and
+    /// some alone) and mixed fills.
+    #[test]
+    fn fm_counters_together_read_as_one_at_a_time() {
+        let counters: Vec<(u64, FmCounter)> = (0..45u64)
+            .map(|i| {
+                let width = if i % 9 == 4 { 40 } else { INLINE_BITMAPS };
+                let mut c = FmCounter::new(width);
+                for pop in 0..i % 13 {
+                    c.add_occurrences(i * 100 + pop, 1 + (i * 7 + pop * 3) % 90);
+                }
+                (i, c)
+            })
+            .collect();
+        for n in 0..=counters.len() {
+            let group = &counters[..n];
+            let one_by_one: usize = group.iter().map(|(_, c)| c.wire_words()).sum();
+            assert_eq!(
+                FmCounter::wire_words_sum(group.iter().map(|(_, c)| c)),
+                one_by_one
+            );
+        }
+        for threshold in [0.0, 3.0, 20.0, 200.0] {
+            let mut kept = counters.clone();
+            FmCounter::retain_by_estimate(&mut kept, |c| threshold < c);
+            let mut expected = counters.clone();
+            expected.retain(|(_, c)| threshold < c.estimate());
+            assert_eq!(kept, expected, "threshold {threshold}");
         }
     }
 

@@ -39,20 +39,27 @@
 //! the table or the stack, and which thread filled it, changes how long
 //! an insertion takes, never the bits it sets.
 //!
-//! Two kernels draw the band, and both set exactly the same bits. The
-//! portable kernel steps four scalar streams in lockstep and runs on any
-//! CPU. The AVX-512 kernel puts one stream in each 64-bit lane of a vector
-//! and steps up to eight vectors, 64 bitmaps, in lockstep; it needs
-//! `avx512dq`'s 64-bit multiply. Each insertion picks the AVX-512 kernel
-//! when the CPU reports `avx512f` and `avx512dq` at run time, and the
-//! portable one otherwise: no option or build flag chooses. The AVX-512
-//! lanes use the scalar code's seeds, stream order and integer thresholds,
-//! so a sketch's bits, and everything estimated from them, do not depend on
-//! the CPU. The tests hold each kernel the CPU can run to a
-//! straightforward reference (`powf` per call, float comparisons) at every
-//! width from 1 to 70 and on the kernel's edge values, and check that the
-//! dispatch picks AVX-512 exactly when both features are detected. Calling
-//! the AVX-512 kernel is the crate's one `unsafe` block.
+//! **Kernels.** Three per-bitmap loops run on one of two kernels, picked
+//! per call by `Kernel::chosen`: value insertion's draws, distinct
+//! insertion (which also runs value insertion's literal path for
+//! `v ≤ 16`, and so every small frequent-items count, Count's synopsis and
+//! the envelope's count sketch), and the lowest-unset-bit sum behind every
+//! estimate. The portable kernel runs them as scalar loops on any CPU —
+//! the draws with four streams in lockstep. The AVX-512 kernel (the
+//! crate's private `avx512` module) runs them in vectors: up to 64 draw
+//! streams in lockstep, one per 64-bit lane; eight distinct-insertion
+//! hashes per vector, each element's bits gathered in registers; the `z`
+//! sum over sixteen bitmaps per vector. It is picked when the CPU reports
+//! `avx512f` and `avx512dq` at run time (every AVX-512 kernel needs only
+//! those two), and the portable one otherwise: no option or build flag
+//! chooses. The lanes use the scalar code's seeds, stream order, hashes
+//! and integer thresholds, so a sketch's bits, and everything estimated
+//! from them, do not depend on the CPU. The tests hold each kernel the CPU
+//! can run to a straightforward reference (`powf` per call, float
+//! comparisons, per-bitmap key mixing, `trailing_zeros` per bitmap) at
+//! every width from 1 to 70 and on the kernel's edge values, and check
+//! that the dispatch picks AVX-512 exactly when both features are
+//! detected.
 
 use crate::hash::{key_mix, keyed_mixed, mix64, pair_value, SplitMix};
 use std::sync::OnceLock;
@@ -181,8 +188,15 @@ impl FmSketch {
 }
 
 /// [`FmSketch::insert_distinct`] over raw bitmaps (shared with the
-/// inline-stored [`FmCounter`](crate::counter::FmCounter)).
+/// inline-stored [`FmCounter`](crate::counter::FmCounter)), by the fastest
+/// kernel this CPU runs.
 pub(crate) fn insert_distinct_into(bitmaps: &mut [u32], element: u64) {
+    Kernel::chosen().insert_distinct(bitmaps, &[element]);
+}
+
+/// The portable distinct insertion: bitmap `k` sets bit `ρ(keyed(k, e))`,
+/// capped at 31.
+fn insert_one_distinct(bitmaps: &mut [u32], element: u64) {
     for (k, bm) in bitmaps.iter_mut().enumerate() {
         // `keyed(k, element)`, its key half read from the table.
         let key = match BITMAP_KEYS.get(k) {
@@ -199,7 +213,7 @@ pub(crate) fn insert_distinct_into(bitmaps: &mut [u32], element: u64) {
 /// `key_mix(k)` for the first 64 bitmaps: the key half of bitmap `k`'s
 /// hash `keyed(k, element)`, computed at compile time. Wider sketches mix
 /// the rest per call.
-const BITMAP_KEYS: [u64; 64] = {
+pub(crate) const BITMAP_KEYS: [u64; 64] = {
     let mut keys = [0; 64];
     let mut k = 0;
     while k < keys.len() {
@@ -214,7 +228,7 @@ const BITMAP_KEYS: [u64; 64] = {
 /// literal path, `keyed_pair(0xC0DE_CAFE, salt, k)` seeds bitmap `k`'s
 /// stream on the approximate one.
 const SUB_ELEMENT_KEY: u64 = key_mix(0x5EED_F00D);
-const STREAM_KEY: u64 = key_mix(0xC0DE_CAFE);
+pub(crate) const STREAM_KEY: u64 = key_mix(0xC0DE_CAFE);
 
 /// [`FmSketch::merge`] over raw bitmaps.
 pub(crate) fn merge_into(bitmaps: &mut [u32], other: &[u32]) {
@@ -234,7 +248,8 @@ pub(crate) fn insert_value_into(bitmaps: &mut [u32], salt: u64, v: u64) {
     insert_value_with(Kernel::chosen(), bitmaps, salt, v);
 }
 
-/// [`insert_value_into`] with the approximate path drawn by `kernel`.
+/// [`insert_value_into`] with `kernel` inserting the literal sub-elements
+/// or drawing the approximate path.
 fn insert_value_with(kernel: Kernel, bitmaps: &mut [u32], salt: u64, v: u64) {
     if v == 0 {
         return;
@@ -242,10 +257,12 @@ fn insert_value_with(kernel: Kernel, bitmaps: &mut [u32], salt: u64, v: u64) {
     // The salt half of every `keyed_pair(_, salt, _)` below.
     let mixed_salt = mix64(salt);
     if v <= EXACT_INSERT_LIMIT {
-        for i in 0..v {
-            let element = keyed_mixed(SUB_ELEMENT_KEY, pair_value(mixed_salt, i));
-            insert_distinct_into(bitmaps, element);
+        let mut elements = [0; EXACT_INSERT_LIMIT as usize];
+        let elements = &mut elements[..v as usize];
+        for (i, element) in (0..).zip(elements.iter_mut()) {
+            *element = keyed_mixed(SUB_ELEMENT_KEY, pair_value(mixed_salt, i));
         }
+        kernel.insert_distinct(bitmaps, elements);
         return;
     }
     // Independent-bit approximation (Considine et al. [5]): bit j is
@@ -257,29 +274,61 @@ fn insert_value_with(kernel: Kernel, bitmaps: &mut [u32], salt: u64, v: u64) {
     }
 }
 
-/// A way to draw a row into bitmaps. Every kernel sets exactly the bits
-/// [`draw_row`] sets; they differ only in speed and in the CPUs that can
-/// run them.
+/// Which code runs the per-bitmap loops of insertion, estimation and
+/// sizing. Every kernel sets, sums and sizes exactly what the portable one
+/// does; they differ only in speed and in the CPUs that can run them.
 #[derive(Clone, Copy, Debug)]
-enum Kernel {
-    /// [`draw_row`], four bitmaps at a time: any CPU.
+pub(crate) enum Kernel {
+    /// Scalar loops: any CPU.
     Portable,
-    /// [`avx512`], eight bitmaps per vector: a CPU with `avx512f` and
+    /// [`crate::avx512`]'s vector loops: a CPU with `avx512f` and
     /// `avx512dq`, which the token proves.
     #[cfg(target_arch = "x86_64")]
-    Avx512(avx512::Detected),
+    Avx512(crate::avx512::Detected),
 }
 
 impl Kernel {
-    /// The kernel value insertion runs: AVX-512 when this CPU reports both
-    /// features it needs, the portable one otherwise.
+    /// The kernel every insertion, estimate and batch of counter sizes
+    /// runs: AVX-512 when this CPU reports both features it needs, the
+    /// portable one otherwise.
     #[inline]
-    fn chosen() -> Kernel {
+    pub(crate) fn chosen() -> Kernel {
         #[cfg(target_arch = "x86_64")]
-        if let Some(detected) = avx512::Detected::new() {
+        if let Some(detected) = crate::avx512::Detected::new() {
             return Kernel::Avx512(detected);
         }
         Kernel::Portable
+    }
+
+    /// Insert each of `elements` as one distinct element.
+    fn insert_distinct(self, bitmaps: &mut [u32], elements: &[u64]) {
+        match self {
+            Kernel::Portable => {
+                for &element in elements {
+                    insert_one_distinct(bitmaps, element);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512(detected) => detected.insert_distinct(bitmaps, elements),
+        }
+    }
+
+    /// `(Σ z, whether any bit is set)` over the bitmaps, `z` each one's
+    /// lowest unset position.
+    fn sum_z(self, bitmaps: &[u32]) -> (u32, bool) {
+        match self {
+            Kernel::Portable => {
+                let mut any = 0u32;
+                let mut sum_z = 0u32;
+                for &b in bitmaps {
+                    any |= b;
+                    sum_z += FmSketch::lowest_unset(b);
+                }
+                (sum_z, any != 0)
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512(detected) => detected.sum_z(bitmaps),
+        }
     }
 
     /// OR `row` into every bitmap, bitmap `k` drawing from stream `k`.
@@ -325,168 +374,6 @@ fn draw_row<const N: usize>(bitmaps: &mut [u32; N], first_k: usize, mixed_salt: 
     }
 }
 
-/// [`draw_row`] with each SplitMix stream in one 64-bit lane of an AVX-512
-/// vector. The x86-64 baseline has no 64-bit vector multiply, so eight
-/// lanes gain nothing there; `avx512dq`'s `vpmullq` is one.
-///
-/// Bitmaps go in groups of up to 64 (eight vectors): a group is seeded,
-/// then drawn band bit by band bit with its vectors in lockstep, as
-/// `draw_row` does with four scalar streams. Each lane computes its
-/// bitmap's seed, draws and comparisons with the scalar code's integer
-/// operations, so it sets the same bits; lanes past the last bitmap are
-/// drawn and dropped. The kernel calls only intrinsics that are safe where
-/// their features are enabled, and reaches the bitmaps through the slice
-/// alone: no pointer loads or stores.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{Row, STREAM_KEY};
-    use crate::hash::{GOLDEN, MIX_MUL, PAIR_MUL};
-    use std::arch::x86_64::{
-        __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_cmpge_epu64_mask,
-        _mm512_cvtepi64_epi32, _mm512_mask_or_epi64, _mm512_mullo_epi64, _mm512_set1_epi64,
-        _mm512_setr_epi64, _mm512_srli_epi64, _mm512_xor_si512,
-    };
-
-    /// Bitmaps per vector: one 64-bit stream per lane.
-    const LANES: usize = 8;
-
-    /// Vectors drawn in lockstep: a group of 64 bitmaps.
-    const MAX_VECTORS: usize = 8;
-
-    /// Proof that this CPU runs `avx512f` and `avx512dq`. Its field is
-    /// private to this module, so [`Detected::new`] is the only way to
-    /// make one.
-    #[derive(Clone, Copy, Debug)]
-    pub(super) struct Detected(());
-
-    impl Detected {
-        /// A token if the CPU reports both features, `None` otherwise.
-        #[inline]
-        pub(super) fn new() -> Option<Detected> {
-            let detected =
-                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq");
-            detected.then_some(Detected(()))
-        }
-
-        /// [`Kernel::draw`](super::Kernel::draw) on this CPU's vectors.
-        pub(super) fn draw(self, bitmaps: &mut [u32], mixed_salt: u64, row: &Row) {
-            #[allow(unsafe_code)]
-            // SAFETY: `draw_groups` is compiled for `avx512f` and
-            // `avx512dq`, so it may run only on a CPU that has both.
-            // `self` exists only if `Detected::new` saw
-            // `is_x86_feature_detected!("avx512f")` and
-            // `is_x86_feature_detected!("avx512dq")` both true at run time.
-            unsafe {
-                draw_groups(bitmaps, mixed_salt, row)
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn draw_groups(bitmaps: &mut [u32], mixed_salt: u64, row: &Row) {
-        let group_len = LANES * MAX_VECTORS;
-        for (g, group) in bitmaps.chunks_mut(group_len).enumerate() {
-            let first_k = group_len * g;
-            // One instance per vector count, so the streams stay in
-            // registers.
-            match group.len().div_ceil(LANES) {
-                1 => draw_group::<1>(group, first_k, mixed_salt, row),
-                2 => draw_group::<2>(group, first_k, mixed_salt, row),
-                3 => draw_group::<3>(group, first_k, mixed_salt, row),
-                4 => draw_group::<4>(group, first_k, mixed_salt, row),
-                5 => draw_group::<5>(group, first_k, mixed_salt, row),
-                6 => draw_group::<6>(group, first_k, mixed_salt, row),
-                7 => draw_group::<7>(group, first_k, mixed_salt, row),
-                _ => draw_group::<MAX_VECTORS>(group, first_k, mixed_salt, row),
-            }
-        }
-    }
-
-    /// `draw_row` over bitmaps `first_k..first_k + group.len()`, which
-    /// fill `V` vectors, the last one possibly in part.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn draw_group<const V: usize>(group: &mut [u32], first_k: usize, mixed_salt: u64, row: &Row) {
-        let lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-        // Each stream's state is kept one `GOLDEN` ahead, as `mix64`
-        // first adds it: `ahead = state + GOLDEN`.
-        let mut ahead: [__m512i; V] = std::array::from_fn(|i| {
-            // `SplitMix::new(keyed_mixed(STREAM_KEY, pair_value(mixed_salt, k)))`.
-            let k = _mm512_add_epi64(splat((first_k + LANES * i) as u64), lane);
-            let pair = _mm512_add_epi64(splat(mixed_salt), mul(k, PAIR_MUL));
-            let seed = mix64(_mm512_add_epi64(splat(STREAM_KEY), mul(pair, GOLDEN)));
-            _mm512_add_epi64(mix64(seed), splat(GOLDEN))
-        });
-        let mut drawn = [splat(row.certain as u64); V];
-        let band = &row.thresholds[row.lo as usize..row.hi as usize];
-        for (j, &threshold) in (row.lo..).zip(band) {
-            // `u >> 11 >= t` is `u >= t << 11`, and `t < 2^53` because
-            // the band's `p_j ≤ 1 − 1e-12`, so the shift cannot overflow.
-            let threshold = splat(threshold << 11);
-            let bit = splat(1 << j);
-            for (ahead, bits) in ahead.iter_mut().zip(&mut drawn) {
-                // `next_u64`: step the state, then mix it.
-                *ahead = _mm512_add_epi64(*ahead, splat(GOLDEN));
-                let set = _mm512_cmpge_epu64_mask(mix64_ahead(*ahead), threshold);
-                *bits = _mm512_mask_or_epi64(*bits, set, *bits, bit);
-            }
-        }
-        for (bitmaps, bits) in group.chunks_mut(LANES).zip(drawn) {
-            for (bm, bits) in bitmaps.iter_mut().zip(low_halves(bits)) {
-                *bm |= bits;
-            }
-        }
-    }
-
-    /// `x` in every lane.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn splat(x: u64) -> __m512i {
-        _mm512_set1_epi64(x as i64)
-    }
-
-    /// Lane-wise `wrapping_mul` by a constant.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn mul(a: __m512i, by: u64) -> __m512i {
-        _mm512_mullo_epi64(a, splat(by))
-    }
-
-    /// `hash::mix64`, lane by lane.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn mix64(z: __m512i) -> __m512i {
-        mix64_ahead(_mm512_add_epi64(z, splat(GOLDEN)))
-    }
-
-    /// `mix64(z)` given `z + GOLDEN`: the rest of the finalizer.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn mix64_ahead(z: __m512i) -> __m512i {
-        let z = mul(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), MIX_MUL[0]);
-        let z = mul(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), MIX_MUL[1]);
-        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
-    }
-
-    /// The low 32 bits of each lane, lane 0 first.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn low_halves(v: __m512i) -> [u32; LANES] {
-        let packed = _mm512_cvtepi64_epi32(v);
-        let pairs = [
-            _mm256_extract_epi64::<0>(packed),
-            _mm256_extract_epi64::<1>(packed),
-            _mm256_extract_epi64::<2>(packed),
-            _mm256_extract_epi64::<3>(packed),
-        ];
-        let mut halves = [0; LANES];
-        for (two, pair) in halves.chunks_exact_mut(2).zip(pairs) {
-            two[0] = pair as u32;
-            two[1] = (pair as u64 >> 32) as u32;
-        }
-        halves
-    }
-}
-
 /// What inserting a value `v > EXACT_INSERT_LIMIT` does to each bitmap
 /// before its draws, shared by every bitmap and every salt.
 ///
@@ -503,14 +390,14 @@ mod avx512 {
 /// last because `m` is an integer; and `⌈p_j · 2^53⌉ ≤ 2^53` converts
 /// to `u64` exactly.
 #[derive(PartialEq, Eq, Debug)]
-struct Row {
+pub(crate) struct Row {
     /// Bits set for certain.
-    certain: u32,
+    pub(crate) certain: u32,
     /// The drawn band, `lo..hi` (`lo == hi` when nothing is drawn).
-    lo: u32,
-    hi: u32,
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
     /// `⌈p_j · 2^53⌉` for `j` in the band; 0 elsewhere (never read).
-    thresholds: [u64; BITMAP_BITS as usize],
+    pub(crate) thresholds: [u64; BITMAP_BITS as usize],
 }
 
 /// The row of `v`: the only place value insertion evaluates `powf`.
@@ -567,18 +454,55 @@ fn tabulated_row(v: u64) -> Option<&'static Row> {
 /// [`FmSketch::estimate`] over raw bitmaps: `2^{Σz / K} / φ`, read from
 /// [`estimate_table`] for the common widths.
 pub(crate) fn estimate_bitmaps(bitmaps: &[u32]) -> f64 {
-    let mut any = 0u32;
-    let mut sum_z = 0u32;
-    for &b in bitmaps {
-        any |= b;
-        sum_z += FmSketch::lowest_unset(b);
-    }
-    if any == 0 {
+    estimate_with(Kernel::chosen(), bitmaps)
+}
+
+/// [`estimate_bitmaps`] with `Σz` summed by `kernel`.
+fn estimate_with(kernel: Kernel, bitmaps: &[u32]) -> f64 {
+    let (sum_z, any) = kernel.sum_z(bitmaps);
+    if !any {
         return 0.0;
     }
     match estimate_table(bitmaps.len()) {
         Some(table) => table[sum_z as usize],
         None => estimate_direct(sum_z, bitmaps.len()),
+    }
+}
+
+/// The estimates of many bitmaps of one width in a row, with the kernel
+/// and the width's table looked up once: [`Estimator::estimate`] is
+/// [`estimate_bitmaps`], bit for bit.
+pub(crate) struct Estimator {
+    kernel: Kernel,
+    width: usize,
+    table: Option<&'static [f64]>,
+}
+
+impl Estimator {
+    /// An estimator for `width`-bitmap sketches.
+    pub(crate) fn new(width: usize) -> Estimator {
+        Estimator {
+            kernel: Kernel::chosen(),
+            width,
+            table: estimate_table(width),
+        }
+    }
+
+    /// The estimate of `bitmaps`; a width other than the estimator's is
+    /// estimated as [`estimate_bitmaps`] would.
+    #[inline]
+    pub(crate) fn estimate(&self, bitmaps: &[u32]) -> f64 {
+        if bitmaps.len() != self.width {
+            return estimate_with(self.kernel, bitmaps);
+        }
+        let (sum_z, any) = self.kernel.sum_z(bitmaps);
+        if !any {
+            return 0.0;
+        }
+        match self.table {
+            Some(table) => table[sum_z as usize],
+            None => estimate_direct(sum_z, self.width),
+        }
     }
 }
 
@@ -608,6 +532,17 @@ fn estimate_table(k: usize) -> Option<&'static [f64]> {
             .collect()
     });
     Some(table)
+}
+
+/// Every kernel this CPU can run: the portable one, and the AVX-512 one
+/// where both its features are detected.
+#[cfg(test)]
+pub(crate) fn runnable_kernels() -> Vec<Kernel> {
+    #[allow(unused_mut)]
+    let mut kernels = vec![Kernel::Portable];
+    #[cfg(target_arch = "x86_64")]
+    kernels.extend(crate::avx512::Detected::new().map(Kernel::Avx512));
+    kernels
 }
 
 #[cfg(test)]
@@ -955,16 +890,6 @@ mod tests {
             Ok(())
         }
 
-        /// Every kernel this CPU can run: the portable one, and the
-        /// AVX-512 one where both its features are detected.
-        fn runnable_kernels() -> Vec<Kernel> {
-            #[allow(unused_mut)]
-            let mut kernels = vec![Kernel::Portable];
-            #[cfg(target_arch = "x86_64")]
-            kernels.extend(avx512::Detected::new().map(Kernel::Avx512));
-            kernels
-        }
-
         /// `values`, inserted one after another under `salt` into `k`
         /// bitmaps by `kernel`, set the reference's bits after every
         /// insertion: into fresh bitmaps first, then into bitmaps the
@@ -985,9 +910,13 @@ mod tests {
             Ok(())
         }
 
-        /// The dispatch runs the AVX-512 kernel exactly when the CPU
+        /// The dispatch runs the AVX-512 kernels exactly when the CPU
         /// reports `avx512f` and `avx512dq`, so a fast path that stops
-        /// being chosen fails here rather than going unnoticed.
+        /// being chosen fails here rather than going unnoticed. Value
+        /// draws, distinct insertion, the `z` sum and `rle`'s counter
+        /// sizing all take their kernel from `Kernel::chosen`, and none
+        /// needs a feature beyond those two; each entry point is checked
+        /// to give the chosen kernel's answer.
         #[test]
         fn the_dispatch_picks_avx512_exactly_when_both_features_are_detected() {
             #[cfg(target_arch = "x86_64")]
@@ -999,15 +928,36 @@ mod tests {
             }
             #[cfg(not(target_arch = "x86_64"))]
             assert!(matches!(Kernel::chosen(), Kernel::Portable));
+            let chosen = Kernel::chosen();
+            let bitmaps: Vec<u32> = (0..40u32)
+                .map(|k| ((1 << (k % 9)) - 1) | (1 << 20))
+                .collect();
+            let (mut by_entry, mut by_chosen) = (bitmaps.clone(), bitmaps.clone());
+            insert_distinct_into(&mut by_entry, 7);
+            chosen.insert_distinct(&mut by_chosen, &[7]);
+            insert_value_into(&mut by_entry, 3, 12);
+            insert_value_with(chosen, &mut by_chosen, 3, 12);
+            insert_value_into(&mut by_entry, 3, 90);
+            insert_value_with(chosen, &mut by_chosen, 3, 90);
+            assert_eq!(by_entry, by_chosen);
+            assert_eq!(
+                estimate_bitmaps(&by_entry).to_bits(),
+                estimate_with(chosen, &by_chosen).to_bits()
+            );
+            let counters = vec![[0x3F_u32; 16]; 20];
+            assert_eq!(
+                crate::rle::wire_words_sum(counters.iter().map(|c| &c[..])),
+                crate::rle::wire_words_sum_with(chosen, counters.iter().map(|c| &c[..]))
+            );
         }
 
         /// Each kernel at every width 1..=70 (one AVX-512 group of 64 and
         /// a ragged second group at the top, a part-filled last vector at
-        /// most widths) against the reference, on the edge values and
-        /// values across the band's shapes.
+        /// most widths) against the reference, on the edge values, literal
+        /// insertions (`v ≤ 16`) and values across the band's shapes.
         #[test]
         fn each_kernel_matches_the_reference_at_every_width() {
-            let values = [17, 40, 130, 300, 1_000, 2_500, 40_000, 1 << 40];
+            let values = [1, 2, 5, 12, 17, 40, 130, 300, 1_000, 2_500, 40_000, 1 << 40];
             for kernel in runnable_kernels() {
                 for k in 1..=70 {
                     for salt in [0, 1, 0xDEAD_BEEF, u64::MAX] {
@@ -1061,6 +1011,144 @@ mod tests {
                     sketch.insert_distinct(e);
                 }
                 prop_assert_eq!(sketch.bitmaps(), &expected[..]);
+            }
+
+            /// Each kernel this CPU runs inserts a batch of elements as the
+            /// reference inserts them one by one.
+            #[test]
+            fn prop_each_kernel_inserts_distinct_as_the_reference(
+                start in any::<u64>(),
+                elements in proptest::collection::vec(any::<u64>(), 0..18),
+                k in 1usize..71,
+            ) {
+                for kernel in runnable_kernels() {
+                    distinct_matches_reference(kernel, k, start, &elements)?;
+                }
+            }
+
+            /// Each kernel this CPU runs sums `z` and estimates as the
+            /// reference, on FM-shaped, saturated, empty and arbitrary
+            /// bitmaps, and on sketches grown by insertion.
+            #[test]
+            fn prop_each_kernel_sums_z_as_the_reference(
+                seed in any::<u64>(),
+                k in 1usize..71,
+                salt in any::<u64>(),
+                values in proptest::collection::vec(0u64..5_000, 0..6),
+            ) {
+                let mut grown = vec![0u32; k];
+                for v in values {
+                    reference::insert_value_into(&mut grown, salt, v);
+                }
+                for kernel in runnable_kernels() {
+                    sum_z_matches_reference(kernel, &shaped_bitmaps(k, seed))?;
+                    sum_z_matches_reference(kernel, &grown)?;
+                }
+            }
+        }
+
+        /// `elements`, inserted by `kernel` as one batch into `k` bitmaps
+        /// already holding `start`'s bits, set the reference's bits.
+        fn distinct_matches_reference(
+            kernel: Kernel,
+            k: usize,
+            start: u64,
+            elements: &[u64],
+        ) -> Result<(), String> {
+            let mut expected = vec![0u32; k];
+            reference::insert_distinct_into(&mut expected, start);
+            let mut got = expected.clone();
+            for &e in elements {
+                reference::insert_distinct_into(&mut expected, e);
+            }
+            kernel.insert_distinct(&mut got, elements);
+            prop_assert_eq!(&got, &expected, "{kernel:?} k {k} elements {elements:x?}");
+            Ok(())
+        }
+
+        /// FM's `z` sum and estimate, written directly.
+        fn reference_sum_z(bitmaps: &[u32]) -> (u32, bool) {
+            let sum = bitmaps.iter().map(|&b| (!b).trailing_zeros()).sum();
+            (sum, bitmaps.iter().any(|&b| b != 0))
+        }
+
+        /// `kernel`'s `z` sum and estimate of `bitmaps` are the reference's
+        /// and the portable kernel's, and an `Estimator` of the same or
+        /// another width reads the same estimate.
+        fn sum_z_matches_reference(kernel: Kernel, bitmaps: &[u32]) -> Result<(), String> {
+            let (sum_z, any) = reference_sum_z(bitmaps);
+            let k = bitmaps.len();
+            prop_assert_eq!(
+                kernel.sum_z(bitmaps),
+                (sum_z, any),
+                "{kernel:?} {bitmaps:x?}"
+            );
+            prop_assert_eq!(kernel.sum_z(bitmaps), Kernel::Portable.sum_z(bitmaps));
+            let expected = if any {
+                2f64.powf(sum_z as f64 / k as f64) / PHI
+            } else {
+                0.0
+            };
+            let got = estimate_with(kernel, bitmaps);
+            prop_assert_eq!(got.to_bits(), expected.to_bits(), "{kernel:?} {bitmaps:x?}");
+            for width in [k, k + 1] {
+                let estimator = Estimator {
+                    kernel,
+                    ..Estimator::new(width)
+                };
+                prop_assert_eq!(estimator.estimate(bitmaps).to_bits(), expected.to_bits());
+            }
+            Ok(())
+        }
+
+        /// Bitmaps of every shape the `z` sum meets, from `seed`: FM-like
+        /// (ones below `z`, a few bits above), saturated, empty and
+        /// arbitrary.
+        fn shaped_bitmaps(k: usize, seed: u64) -> Vec<u32> {
+            let mut stream = crate::hash::SplitMix::new(seed);
+            (0..k)
+                .map(|_| {
+                    let r = stream.next_u64();
+                    let z = (r >> 8) as u32 % 33;
+                    let below = 1u32.checked_shl(z).map_or(u32::MAX, |b| b - 1);
+                    match r % 4 {
+                        0 => below | ((r >> 32) as u32 & 0xFF).checked_shl(z + 1).unwrap_or(0),
+                        1 => u32::MAX,
+                        2 => 0,
+                        _ => (r >> 32) as u32,
+                    }
+                })
+                .collect()
+        }
+
+        /// Each kernel's distinct insertion at every width 1..=70 (the
+        /// 64-entry key table and past it), in batches of 0 to 17
+        /// elements, the literal value path's sizes included.
+        #[test]
+        fn each_kernel_inserts_distinct_elements_as_the_reference() {
+            for kernel in runnable_kernels() {
+                for k in 1..=70 {
+                    for n in [0, 1, 2, 7, 16, 17] {
+                        let elements: Vec<u64> =
+                            (0..n).map(|i| crate::hash::keyed(k as u64, i)).collect();
+                        distinct_matches_reference(kernel, k, u64::MAX, &elements).unwrap();
+                    }
+                }
+            }
+        }
+
+        /// Each kernel's `z` sum and estimate at every width 1..=70, on
+        /// all-zero, saturated and mixed bitmaps.
+        #[test]
+        fn each_kernel_sums_z_as_the_reference_at_every_width() {
+            for kernel in runnable_kernels() {
+                for k in 1..=70 {
+                    sum_z_matches_reference(kernel, &vec![0; k]).unwrap();
+                    sum_z_matches_reference(kernel, &vec![u32::MAX; k]).unwrap();
+                    for seed in 0..8 {
+                        sum_z_matches_reference(kernel, &shaped_bitmaps(k, seed)).unwrap();
+                    }
+                }
             }
         }
 

@@ -40,12 +40,15 @@ pub fn keyed_pair(key: u64, a: u64, b: u64) -> u64 {
     keyed(key, pair_value(mix64(a), b))
 }
 
+/// What [`key_mix`] XORs a key with before mixing it.
+pub(crate) const KEY_SALT: u64 = 0xA076_1D64_78BD_642F;
+
 /// The key half of [`keyed`]: one mix so related keys (0, 1, 2, …)
 /// decorrelate. Callers hashing many values under one key compute it
 /// once.
 #[inline]
 pub(crate) const fn key_mix(key: u64) -> u64 {
-    mix64(key ^ 0xA076_1D64_78BD_642F)
+    mix64(key ^ KEY_SALT)
 }
 
 /// [`keyed`] given its key half `key_mix(key)`: the combination is mixed

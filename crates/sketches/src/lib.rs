@@ -22,17 +22,22 @@
 //!
 //! The ⊕ laws are enforced by property tests in every module.
 //!
-//! The crate denies `unsafe` code with one exception: the call into
-//! [`fm`]'s AVX-512 value-insertion kernel. A function compiled for CPU
-//! features the baseline target lacks may only run where they exist, so
-//! that call is `unsafe`; it is made only after both features were
-//! detected at run time. Without it, Sum's FM insertion (most of the CPU
-//! time of a tributary/delta epoch) would run at scalar speed on every
+//! The crate denies `unsafe` code with one exception: the call, in the
+//! private `avx512` module, into the AVX-512 kernels of [`fm`] (value
+//! draws, distinct insertion, the estimate's `z` sum) and [`rle`] (sizing
+//! sixteen counters at a time). A function compiled for CPU features the
+//! baseline target lacks may only run where they exist, so that call is
+//! `unsafe`; every kernel goes through it, and it is made only after both
+//! features it needs were detected at run time. Without it, Sum's FM
+//! insertion (most of the CPU time of a tributary/delta epoch) and the
+//! frequent-items delta's counters would run at scalar speed on every
 //! CPU, or the whole build would need a target flag.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 pub mod counter;
 pub mod fm;
 pub mod hash;

@@ -33,12 +33,25 @@
 //! (rare: FM bitmaps thin out fast above `z`) has its tail walked gap by
 //! gap instead. [`encode`] stays the definition of the format, and the
 //! tests hold the size to `encode(..).len()` as its oracle.
+//!
+//! A frequent-items message carries one 16-bitmap counter per item, and
+//! the runner prices it by the sum of the counters' sizes in words.
+//! Where the AVX-512 kernels run (the crate's private `avx512` module,
+//! picked as `fm`'s kernels are), such counters are sized sixteen at a
+//! time, one per 32-bit lane after a transpose, so that no step sums
+//! across lanes until the counters' words are added up: each lane's tails
+//! from the same tables, its median `z` by a bitwise search over the
+//! counts of `z ≤ t`, its heads from the gamma code's length formula. One
+//! sketch alone, and a batch of fewer than ten counters, is sized by the
+//! scalar pass above: a single sketch has too few bitmaps to repay the
+//! horizontal steps a vector pass needs for its median. The tests hold
+//! both kernels to the encoder, batch by batch.
 
-use crate::fm::{FmSketch, BITMAP_BITS};
+use crate::fm::{FmSketch, Kernel, BITMAP_BITS};
 
 /// Width of the header that carries the median `z`. It has room for
 /// 32, but the median is clamped to 31 (see [`header_median`]).
-const HEADER_BITS: u32 = 6;
+pub(crate) const HEADER_BITS: u32 = 6;
 
 /// Slots of a `z` histogram: a lowest-unset position runs `0..=32`.
 const Z_SLOTS: usize = BITMAP_BITS as usize + 1;
@@ -228,12 +241,12 @@ static HEAD_BITS: [u8; 65] = head_table();
 
 /// Set-bit patterns above `z` that [`TAIL_BITS`] covers: the 8 bits
 /// just above `z`.
-const TAIL_TABLE_BITS: u32 = 8;
+pub(crate) const TAIL_TABLE_BITS: u32 = 8;
 
 /// Bits of the tail code, indexed by the bits above `z` (position
 /// `z + 1` is bit 0): the gamma-coded count of set bits plus one, then
 /// one gamma-coded gap per set bit.
-static TAIL_BITS: [u8; 1 << TAIL_TABLE_BITS] = tail_table();
+pub(crate) static TAIL_BITS: [u8; 1 << TAIL_TABLE_BITS] = tail_table();
 
 const fn head_table() -> [u8; 65] {
     let mut table = [0; 65];
@@ -261,7 +274,7 @@ const fn tail_table() -> [u8; 1 << TAIL_TABLE_BITS] {
 /// shifts by 32.
 #[cold]
 #[inline(never)]
-const fn tail_bits_walk(mut above: u32) -> u32 {
+pub(crate) const fn tail_bits_walk(mut above: u32) -> u32 {
     let mut bits = gamma_bits(above.count_ones() + 1);
     while above != 0 {
         let gap = above.trailing_zeros() + 1;
@@ -325,6 +338,63 @@ pub(crate) fn bitmaps_size_bytes(bitmaps: &[u32]) -> usize {
         bits += count(z) * usize::from(HEAD_BITS[z + 32 - median]);
     }
     bits.div_ceil(8)
+}
+
+/// Counters this wide are sized [`BATCH`] at a time by the vector kernel.
+pub(crate) const BATCH_WIDTH: usize = 16;
+
+/// Counters per vector batch: one per 32-bit lane.
+pub(crate) const BATCH: usize = 16;
+
+/// Fewest counters sized as a vector batch; fewer left over at the end
+/// are sized one by one.
+const MIN_BATCH: usize = 10;
+
+/// `Σ bitmaps_size_bytes(c).div_ceil(4)` over `counters`: the wire words
+/// of many counters, as a frequent-items message holds. Where the AVX-512
+/// kernels run, counters of [`BATCH_WIDTH`] bitmaps (the frequent-items
+/// default) are sized [`BATCH`] at a time, one counter per lane; others
+/// one by one.
+pub(crate) fn wire_words_sum<'a>(counters: impl Iterator<Item = &'a [u32]>) -> usize {
+    wire_words_sum_with(Kernel::chosen(), counters)
+}
+
+/// [`wire_words_sum`] by `kernel`.
+pub(crate) fn wire_words_sum_with<'a>(
+    kernel: Kernel,
+    counters: impl Iterator<Item = &'a [u32]>,
+) -> usize {
+    let words = |bitmaps: &[u32]| bitmaps_size_bytes(bitmaps).div_ceil(4);
+    match kernel {
+        Kernel::Portable => counters.map(words).sum(),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512(detected) => {
+            let mut batch = [[0u32; BATCH_WIDTH]; BATCH];
+            let mut held = 0;
+            let mut total = 0;
+            for bitmaps in counters {
+                match <&[u32; BATCH_WIDTH]>::try_from(bitmaps) {
+                    Ok(&counter) => {
+                        batch[held] = counter;
+                        held += 1;
+                        if held == BATCH {
+                            total += detected.wire_words(&batch);
+                            held = 0;
+                        }
+                    }
+                    Err(_) => total += words(bitmaps),
+                }
+            }
+            // A part batch costs the vector pass a full one does, which is
+            // about what sizing ten counters one by one costs.
+            if held >= MIN_BATCH {
+                total += detected.wire_words(&batch[..held]);
+            } else {
+                total += batch[..held].iter().map(|c| words(c)).sum::<usize>();
+            }
+            total
+        }
+    }
 }
 
 #[cfg(test)]
@@ -518,7 +588,75 @@ mod tests {
             )
         }
 
+        /// `counters` sized together by `kernel` take the words their
+        /// encodings take, one by one.
+        fn kernel_sizes_as_the_encoder(
+            kernel: Kernel,
+            counters: &[FmSketch],
+        ) -> Result<(), String> {
+            let expected: usize = counters.iter().map(|s| encode(s).len().div_ceil(4)).sum();
+            let got = wire_words_sum_with(kernel, counters.iter().map(|s| s.bitmaps()));
+            prop_assert_eq!(
+                got,
+                expected,
+                "{kernel:?} {:x?}",
+                counters.iter().map(|s| s.bitmaps()).collect::<Vec<_>>()
+            );
+            Ok(())
+        }
+
+        /// Each kernel this CPU runs on every batch size 1..=40 (part
+        /// batches, two full ones and more), counters of the batch width
+        /// mixed with others, on each bitmap shape alone and mixed.
+        #[test]
+        fn each_kernel_sizes_every_batch_as_the_encoder() {
+            for kernel in crate::fm::runnable_kernels() {
+                for n in 1..=40u64 {
+                    for kind in 0..6 {
+                        let counters: Vec<FmSketch> = (0..n)
+                            .map(|c| {
+                                let width = if c % 7 == 3 {
+                                    1 + c as usize % 40
+                                } else {
+                                    BATCH_WIDTH
+                                };
+                                let seeds: Vec<u64> = (0..width as u64)
+                                    .map(|i| crate::hash::keyed(kind * 1000 + n * 40 + c, i))
+                                    .collect();
+                                sketch(kind, &seeds)
+                            })
+                            .collect();
+                        kernel_sizes_as_the_encoder(kernel, &counters).unwrap();
+                    }
+                }
+            }
+        }
+
         proptest! {
+            /// Each kernel this CPU runs, called directly rather than
+            /// through the dispatch, sizes batches of counters as the
+            /// encoder does one by one: the vectorised pass over sixteen
+            /// counters at a time included.
+            #[test]
+            fn prop_each_kernel_sizes_counters_as_the_encoder(
+                kinds in proptest::collection::vec(0u64..6, 1..40),
+                seed in any::<u64>(),
+            ) {
+                let counters: Vec<FmSketch> = kinds
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &kind)| {
+                        let seeds: Vec<u64> = (0..BATCH_WIDTH as u64)
+                            .map(|i| crate::hash::keyed(seed ^ c as u64, i))
+                            .collect();
+                        sketch(kind, &seeds)
+                    })
+                    .collect();
+                for kernel in crate::fm::runnable_kernels() {
+                    kernel_sizes_as_the_encoder(kernel, &counters)?;
+                }
+            }
+
             #[test]
             fn prop_size_is_the_encoded_length(
                 kind in 0u64..6,
