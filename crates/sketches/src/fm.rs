@@ -1121,17 +1121,64 @@ mod tests {
                 .collect()
         }
 
+        /// `mix64`'s inverse, each step undone in reverse order.
+        fn unmix64(mut z: u64) -> u64 {
+            use crate::hash::{GOLDEN, MIX_MUL};
+            // `x ^ (x >> s)` undone by re-applying the shift until it
+            // has covered all 64 bits.
+            let unshift = |y: u64, s: u32| (1..64 / s + 1).fold(y, |x, _| y ^ (x >> s));
+            // The inverse of an odd multiplier mod 2^64, by Newton steps.
+            let inverse = |m: u64| {
+                (0..6).fold(m, |i, _| {
+                    i.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(i)))
+                })
+            };
+            z = unshift(z, 31).wrapping_mul(inverse(MIX_MUL[1]));
+            z = unshift(z, 27).wrapping_mul(inverse(MIX_MUL[0]));
+            unshift(z, 30).wrapping_sub(GOLDEN)
+        }
+
+        /// An element whose hash for bitmap `k` is `hash`: what it takes
+        /// to reach the cap of `ρ` at bit 31, which a random element hits
+        /// once in 2^31.
+        fn element_hashing_to(k: usize, hash: u64) -> u64 {
+            use crate::hash::{key_mix, GOLDEN};
+            let inverse_golden = (0..6).fold(GOLDEN, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(GOLDEN.wrapping_mul(i)))
+            });
+            unmix64(hash)
+                .wrapping_sub(key_mix(k as u64))
+                .wrapping_mul(inverse_golden)
+        }
+
         /// Each kernel's distinct insertion at every width 1..=70 (the
         /// 64-entry key table and past it), in batches of 0 to 17
-        /// elements, the literal value path's sizes included.
+        /// elements, the literal value path's sizes included; and
+        /// elements whose hash for one bitmap has 30, 31, 32 or 64
+        /// trailing zeros, on both sides of the cap.
         #[test]
         fn each_kernel_inserts_distinct_elements_as_the_reference() {
+            let capped: Vec<u64> = [0, 5, 15, 16, 40, 63, 64, 69]
+                .into_iter()
+                .flat_map(|k| {
+                    [1 << 30, 3 << 31, 1 << 32, 1 << 63, 0].map(|h| element_hashing_to(k, h))
+                })
+                .collect();
+            for (k, hash) in [(0, 1 << 31), (63, 0), (64, 1 << 40)] {
+                assert_eq!(
+                    crate::hash::keyed(k as u64, element_hashing_to(k, hash)),
+                    hash
+                );
+            }
             for kernel in runnable_kernels() {
                 for k in 1..=70 {
                     for n in [0, 1, 2, 7, 16, 17] {
                         let elements: Vec<u64> =
                             (0..n).map(|i| crate::hash::keyed(k as u64, i)).collect();
                         distinct_matches_reference(kernel, k, u64::MAX, &elements).unwrap();
+                    }
+                    for batch in capped.chunks(5) {
+                        distinct_matches_reference(kernel, k, 0, batch).unwrap();
                     }
                 }
             }

@@ -340,20 +340,23 @@ pub(crate) fn bitmaps_size_bytes(bitmaps: &[u32]) -> usize {
     bits.div_ceil(8)
 }
 
-/// Counters this wide are sized [`BATCH`] at a time by the vector kernel.
+/// Counters this wide are sized `BATCH` at a time by the vector kernel.
+#[cfg(any(test, target_arch = "x86_64"))]
 pub(crate) const BATCH_WIDTH: usize = 16;
 
 /// Counters per vector batch: one per 32-bit lane.
-pub(crate) const BATCH: usize = 16;
+#[cfg(target_arch = "x86_64")]
+const BATCH: usize = 16;
 
 /// Fewest counters sized as a vector batch; fewer left over at the end
 /// are sized one by one.
+#[cfg(target_arch = "x86_64")]
 const MIN_BATCH: usize = 10;
 
 /// `Σ bitmaps_size_bytes(c).div_ceil(4)` over `counters`: the wire words
 /// of many counters, as a frequent-items message holds. Where the AVX-512
-/// kernels run, counters of [`BATCH_WIDTH`] bitmaps (the frequent-items
-/// default) are sized [`BATCH`] at a time, one counter per lane; others
+/// kernels run, counters of `BATCH_WIDTH` bitmaps (the frequent-items
+/// default) are sized `BATCH` at a time, one counter per lane; others
 /// one by one.
 pub(crate) fn wire_words_sum<'a>(counters: impl Iterator<Item = &'a [u32]>) -> usize {
     wire_words_sum_with(Kernel::chosen(), counters)
