@@ -1,5 +1,15 @@
 //! The deployment: node positions, radio range, and the induced
 //! connectivity graph.
+//!
+//! The radio graph is stored once, flat, in compressed sparse row (CSR)
+//! form: `n + 1` `u32` offsets and one exact-size array of neighbor ids,
+//! node `i`'s neighbors being `adjacency[offsets[i]..offsets[i + 1]]`,
+//! sorted ascending. Positions, offsets and adjacency sit behind
+//! `Arc<[_]>`, and `Network` has no `&mut self` method, so a clone (each
+//! `Session` keeps one) bumps three reference counts and allocates
+//! nothing: every session over one deployment reads the same graph.
+
+use std::sync::Arc;
 
 use crate::node::{NodeId, Position, BASE_STATION};
 use rand::Rng;
@@ -9,12 +19,16 @@ use rand::Rng;
 /// Node 0 is the base station; nodes `1..n` are sensor motes. Two nodes can
 /// hear each other iff their Euclidean distance is at most the radio
 /// `range` (the unit-disk model used by the TAG simulator). The adjacency
-/// list is symmetric and precomputed at construction.
+/// is symmetric, precomputed at construction and shared by every clone.
 #[derive(Clone, Debug)]
 pub struct Network {
-    positions: Vec<Position>,
+    positions: Arc<[Position]>,
     range: f64,
-    neighbors: Vec<Vec<NodeId>>,
+    /// CSR row starts: node `i`'s neighbors are
+    /// `adjacency[offsets[i]..offsets[i + 1]]`; `n + 1` entries.
+    offsets: Arc<[u32]>,
+    /// Every node's neighbor list, concatenated in node order.
+    adjacency: Arc<[NodeId]>,
 }
 
 impl Network {
@@ -22,7 +36,8 @@ impl Network {
     /// station) and a radio range.
     ///
     /// # Panics
-    /// Panics if `positions` is empty or `range` is not positive and finite.
+    /// Panics if `positions` is empty, `range` is not positive and finite,
+    /// or the graph has more than `u32::MAX` directed links.
     pub fn new(positions: Vec<Position>, range: f64) -> Self {
         assert!(
             !positions.is_empty(),
@@ -32,11 +47,12 @@ impl Network {
             range.is_finite() && range > 0.0,
             "radio range must be positive, got {range}"
         );
-        let neighbors = build_neighbors(&positions, range);
+        let (offsets, adjacency) = build_neighbors(&positions, range);
         Network {
-            positions,
+            positions: positions.into(),
             range,
-            neighbors,
+            offsets: offsets.into(),
+            adjacency: adjacency.into(),
         }
     }
 
@@ -143,7 +159,8 @@ impl Network {
     /// Radio neighbors of a node (symmetric; excludes the node itself).
     #[inline]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.neighbors[id.index()]
+        let i = id.index();
+        &self.adjacency[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Iterator over all node ids, base station first.
@@ -198,8 +215,7 @@ impl Network {
         if self.positions.is_empty() {
             return 0.0;
         }
-        let total: usize = self.neighbors.iter().map(Vec::len).sum();
-        total as f64 / self.positions.len() as f64
+        self.adjacency.len() as f64 / self.positions.len() as f64
     }
 }
 
@@ -209,12 +225,19 @@ impl Network {
 /// live in its own or one of the eight adjacent cells, so each node
 /// tests `O(density · range²)` candidates instead of all `n − 1` — large
 /// deployments (10k+ motes) build in near-linear time where the naive
-/// all-pairs scan is quadratic. Lists come out sorted ascending (the
-/// same order the all-pairs construction produced), keeping every
-/// downstream traversal and RNG draw sequence unchanged.
-fn build_neighbors(positions: &[Position], range: f64) -> Vec<Vec<NodeId>> {
+/// all-pairs scan is quadratic. Returns the CSR pair `(offsets,
+/// adjacency)`, filled in one pass over the nodes: each node's list is
+/// appended to the flat array and sorted in place, so it comes out
+/// ascending (the same order the all-pairs construction produced),
+/// keeping every downstream traversal and RNG draw sequence unchanged.
+///
+/// # Panics
+/// Panics if the graph has more than `u32::MAX` directed links.
+fn build_neighbors(positions: &[Position], range: f64) -> (Vec<u32>, Vec<NodeId>) {
     let n = positions.len();
-    let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    let mut adjacency = Vec::new();
     let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
     for p in positions {
         min_x = min_x.min(p.x);
@@ -235,7 +258,7 @@ fn build_neighbors(positions: &[Position], range: f64) -> Vec<Vec<NodeId>> {
     }
     for (i, p) in positions.iter().enumerate() {
         let (cx, cy) = cell_of(p);
-        let list = &mut neighbors[i];
+        let row = adjacency.len();
         for dx in -1..=1 {
             for dy in -1..=1 {
                 let Some(bucket) = grid.get(&(cx + dx, cy + dy)) else {
@@ -243,14 +266,15 @@ fn build_neighbors(positions: &[Position], range: f64) -> Vec<Vec<NodeId>> {
                 };
                 for &j in bucket {
                     if j as usize != i && p.distance(positions[j as usize]) <= range {
-                        list.push(NodeId(j));
+                        adjacency.push(NodeId(j));
                     }
                 }
             }
         }
-        list.sort_unstable();
+        adjacency[row..].sort_unstable();
+        offsets.push(u32::try_from(adjacency.len()).expect("radio graph exceeds u32::MAX links"));
     }
-    neighbors
+    (offsets, adjacency)
 }
 
 #[cfg(test)]
@@ -346,13 +370,16 @@ mod tests {
         let _ = Network::new(vec![Position::new(0.0, 0.0)], 0.0);
     }
 
-    /// Grid bucketing must reproduce the naive all-pairs adjacency
-    /// exactly — same neighbors, same (ascending) order — across ranges
-    /// that put many, few, or no nodes per cell, and with negative
-    /// coordinates in play.
+    /// Grid bucketing into the CSR must reproduce the naive all-pairs
+    /// adjacency exactly — same neighbors, same (ascending) order, no
+    /// self-loops, symmetric — across ranges that put many, few, or no
+    /// nodes per cell, with negative coordinates in play, on a regular
+    /// grid (links at exactly the range), on a disconnected deployment
+    /// with an isolated node, and on a lone base station.
     #[test]
     fn grid_bucketing_matches_all_pairs_reference() {
         let mut rng = rng_from_seed(91);
+        let mut deployments: Vec<Network> = Vec::new();
         for &(sensors, width, range) in
             &[(120usize, 20.0f64, 2.5f64), (80, 20.0, 7.0), (50, 5.0, 0.4)]
         {
@@ -363,19 +390,52 @@ mod tests {
                     rng.gen_range(0.0..width) - width / 3.0,
                 ));
             }
-            let net = Network::new(positions.clone(), range);
-            for i in 0..positions.len() {
+            deployments.push(Network::new(positions, range));
+        }
+        deployments.push(Network::grid(6, 5, 1.0, Position::new(2.5, 2.0), 1.0));
+        deployments.push(Network::new(
+            vec![
+                Position::new(0.0, 0.0),
+                Position::new(1.0, 0.0),
+                Position::new(1.0, 1.0),
+                Position::new(30.0, 30.0), // hears no one
+                Position::new(-30.0, 30.0),
+                Position::new(-30.5, 30.0),
+            ],
+            1.5,
+        ));
+        deployments.push(Network::new(vec![Position::new(3.0, 4.0)], 2.0));
+        for net in &deployments {
+            let positions = net.positions();
+            let range = net.range();
+            let mut links = 0;
+            for u in net.node_ids() {
+                let i = u.index();
                 let reference: Vec<NodeId> = (0..positions.len())
                     .filter(|&j| j != i && positions[i].distance(positions[j]) <= range)
                     .map(|j| NodeId(j as u32))
                     .collect();
                 assert_eq!(
-                    net.neighbors(NodeId(i as u32)),
+                    net.neighbors(u),
                     &reference[..],
                     "node {i} at range {range}"
                 );
+                for &v in net.neighbors(u) {
+                    assert!(net.neighbors(v).contains(&u), "asymmetric edge {u} -> {v}");
+                }
+                links += reference.len();
             }
+            assert_eq!(
+                net.average_degree(),
+                links as f64 / net.len() as f64,
+                "average degree at range {range}"
+            );
         }
+        let disconnected = &deployments[4];
+        assert!(disconnected.neighbors(NodeId(3)).is_empty());
+        assert_eq!(disconnected.neighbors(NodeId(4)), &[NodeId(5)]);
+        assert!(deployments[5].neighbors(BASE_STATION).is_empty());
+        assert_eq!(deployments[5].average_degree(), 0.0);
     }
 
     #[test]

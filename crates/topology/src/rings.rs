@@ -9,6 +9,13 @@
 //! broadcast while level *i* nodes listen, and *every* level-*i* node that
 //! hears a level-*i+1* partial result folds it in — that receiver-side
 //! redundancy is the source of multi-path robustness.
+//!
+//! The ring links are stored flat, in one CSR array beside the level
+//! table: node `u`'s row is `links[start[u]..start[u + 1]]`, its links one
+//! level below (its receivers) first and its links one level above (its
+//! sources) after `split[u]`. Both halves are filtered from the already
+//! sorted [`Network::neighbors`], so each comes out ascending without a
+//! sort; a node without a level has an empty row.
 
 use td_netsim::network::Network;
 use td_netsim::node::NodeId;
@@ -20,12 +27,15 @@ use td_netsim::node::NodeId;
 pub struct Rings {
     level: Vec<Option<u16>>,
     max_level: u16,
-    /// For each node, its radio neighbors exactly one level below
-    /// (the nodes that can hear its level-synchronized broadcast).
-    parents_below: Vec<Vec<NodeId>>,
-    /// For each node, its radio neighbors exactly one level above
-    /// (the nodes whose broadcasts it listens to).
-    children_above: Vec<Vec<NodeId>>,
+    /// CSR row starts into `links`; `n + 1` entries.
+    start: Box<[u32]>,
+    /// Where each row's links below end and its links above begin.
+    split: Box<[u32]>,
+    /// Every node's row: its radio neighbors exactly one level below
+    /// (the nodes that can hear its level-synchronized broadcast), then
+    /// those exactly one level above (the nodes whose broadcasts it
+    /// listens to).
+    links: Box<[NodeId]>,
 }
 
 impl Rings {
@@ -41,27 +51,29 @@ impl Rings {
                 max_level = max_level.max(l);
             }
         }
-        let mut parents_below = vec![Vec::new(); net.len()];
-        let mut children_above = vec![Vec::new(); net.len()];
-        for u in net.node_ids() {
-            let Some(lu) = level[u.index()] else { continue };
-            for &v in net.neighbors(u) {
-                if let Some(lv) = level[v.index()] {
-                    if lv + 1 == lu {
-                        parents_below[u.index()].push(v);
-                    } else if lu + 1 == lv {
-                        children_above[u.index()].push(v);
-                    }
-                }
-            }
-            parents_below[u.index()].sort_unstable();
-            children_above[u.index()].sort_unstable();
+        let mut start = Vec::with_capacity(net.len() + 1);
+        let mut split = Vec::with_capacity(net.len());
+        let mut links = Vec::new();
+        start.push(0u32);
+        let levels = &level;
+        for (u, &lu) in levels.iter().enumerate() {
+            // `u`'s neighbors at level `l`, in the network's ascending order.
+            let nbrs = net.neighbors(NodeId(u as u32));
+            let at = |l: Option<u16>| {
+                nbrs.iter()
+                    .filter(move |v| l.is_some() && levels[v.index()] == l)
+            };
+            links.extend(at(lu.and_then(|l| l.checked_sub(1))));
+            split.push(links.len() as u32);
+            links.extend(at(lu.map(|l| l + 1)));
+            start.push(links.len() as u32);
         }
         Rings {
             level,
             max_level,
-            parents_below,
-            children_above,
+            start: start.into_boxed_slice(),
+            split: split.into_boxed_slice(),
+            links: links.into_boxed_slice(),
         }
     }
 
@@ -92,14 +104,16 @@ impl Rings {
     /// the receivers of its broadcast during aggregation.
     #[inline]
     pub fn receivers(&self, id: NodeId) -> &[NodeId] {
-        &self.parents_below[id.index()]
+        let i = id.index();
+        &self.links[self.start[i] as usize..self.split[i] as usize]
     }
 
     /// The radio neighbors of `id` exactly one ring level *above* it —
     /// the nodes it listens to during aggregation.
     #[inline]
     pub fn sources(&self, id: NodeId) -> &[NodeId] {
-        &self.children_above[id.index()]
+        let i = id.index();
+        &self.links[self.split[i] as usize..self.start[i + 1] as usize]
     }
 
     /// Iterator over the connected node ids.
@@ -135,23 +149,48 @@ mod tests {
         assert_eq!(rings.max_level(), 3);
     }
 
+    /// The CSR rows must be exactly the level filter of the sorted
+    /// neighbor lists (hop counts one below, one above), in their order,
+    /// and empty for a node the base station cannot reach — on a random
+    /// deployment with unreachable nodes and on a grid.
     #[test]
     fn receivers_and_sources_are_adjacent_levels() {
         let mut rng = rng_from_seed(21);
-        let net =
-            Network::random_in_rect(150, 20.0, 20.0, Position::new(10.0, 10.0), 3.0, &mut rng);
-        let rings = Rings::build(&net);
-        for u in rings.connected_nodes() {
-            let lu = rings.level(u).unwrap();
-            for &r in rings.receivers(u) {
-                assert_eq!(rings.level(r), Some(lu - 1));
-                assert!(net.in_range(u, r));
-            }
-            for &s in rings.sources(u) {
-                assert_eq!(rings.level(s), Some(lu + 1));
-                assert!(net.in_range(u, s));
+        let nets = [
+            Network::random_in_rect(150, 20.0, 20.0, Position::new(10.0, 10.0), 3.0, &mut rng),
+            Network::random_in_rect(150, 30.0, 30.0, Position::new(15.0, 15.0), 2.2, &mut rng),
+            Network::grid(7, 6, 1.0, Position::new(3.0, 2.5), 1.5),
+        ];
+        let mut unreachable = 0;
+        for net in &nets {
+            let rings = Rings::build(net);
+            let hops = net.hop_counts();
+            for u in net.node_ids() {
+                let hu = hops[u.index()];
+                let reachable = hu != u32::MAX;
+                let at = |h: Option<u32>| -> Vec<NodeId> {
+                    let nbrs = net.neighbors(u).iter().copied();
+                    nbrs.filter(|v| reachable && Some(hops[v.index()]) == h)
+                        .collect()
+                };
+                assert_eq!(rings.receivers(u), &at(hu.checked_sub(1))[..], "{u}");
+                assert_eq!(rings.sources(u), &at(hu.checked_add(1))[..], "{u}");
+                if !reachable {
+                    unreachable += 1;
+                    continue;
+                }
+                let lu = rings.level(u).unwrap();
+                for &r in rings.receivers(u) {
+                    assert_eq!(rings.level(r), Some(lu - 1));
+                    assert!(net.in_range(u, r));
+                }
+                for &s in rings.sources(u) {
+                    assert_eq!(rings.level(s), Some(lu + 1));
+                    assert!(net.in_range(u, s));
+                }
             }
         }
+        assert!(unreachable > 0, "no deployment left a node unreachable");
     }
 
     #[test]
@@ -184,6 +223,9 @@ mod tests {
         );
         let rings = Rings::build(&net);
         assert_eq!(rings.level(NodeId(2)), None);
+        assert!(rings.receivers(NodeId(2)).is_empty() && rings.sources(NodeId(2)).is_empty());
+        assert_eq!(rings.sources(BASE_STATION), &[NodeId(1)]);
+        assert_eq!(rings.receivers(NodeId(1)), &[BASE_STATION]);
         assert_eq!(rings.connected_count(), 2);
         assert_eq!(rings.level(NodeId(1)), Some(1));
         assert_eq!(
