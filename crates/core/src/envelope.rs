@@ -10,9 +10,16 @@
 //!   duplicate-insensitive Count the base station can use as its
 //!   protocol-faithful adaptation signal.
 //! * **Non-contribution extrema** — each switchable M vertex reports how
-//!   many nodes of its (static) subtree failed to contribute; max/min
-//!   with arg-nodes fuse ODI through the delta and steer the fine-grained
-//!   TD strategy.
+//!   many nodes of its (static) subtree failed to contribute, and the
+//!   base station steers the fine-grained TD strategy by the largest and
+//!   smallest reports. On motes every multi-path send carries a top-k
+//!   set of reports ([`TOP_K_EXTREMA`] slots, 8 B each, which the
+//!   runner charges per send) and each delta vertex fuses the sets it
+//!   hears. The simulator does not fuse them: a top-k ignores order and
+//!   duplicates and survives truncation at every hop, so the fused set at
+//!   the base is exactly the top-k of the reports whose senders reach
+//!   it, and the runner computes that once per epoch from the delivery
+//!   draws ([`ExtremaSet`] is the set both use).
 //!
 //! The exact "% contributing" ground truth is not carried here: the
 //! runner derives it once per epoch from the epoch's delivery draws (a
@@ -30,7 +37,7 @@ pub const COUNT_SKETCH_BITMAPS: usize = 16;
 /// count plus the non-contribution field of §4.2).
 pub const TREE_OVERHEAD_WORDS: usize = 2;
 
-/// An `(argmax/argmin, value)` pair fused through the delta.
+/// An `(argmax/argmin, value)` pair: one switchable M vertex's report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Extremum {
     /// The non-contribution count.
@@ -47,8 +54,9 @@ pub const TOP_K_EXTREMA: usize = 4;
 
 /// A fixed-capacity, ODI top-k set of extremum reports. Each reporting
 /// vertex appears at most once (duplicate deliveries carry identical
-/// values), so merging is idempotent. Held inline: building, fusing and
-/// reporting a set never allocates.
+/// values), so inserting a report again changes nothing, and the set
+/// does not depend on the order reports arrive in. Held inline: building
+/// and reporting a set never allocates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExtremaSet {
     /// `entries[..len]`, sorted by the ordering key (see `descending`).
@@ -117,14 +125,6 @@ impl ExtremaSet {
         }
     }
 
-    /// ODI merge.
-    pub fn merge(&mut self, other: &Self) {
-        debug_assert_eq!(self.descending, other.descending);
-        for &e in other.entries() {
-            self.insert(e);
-        }
-    }
-
     /// The reports, best-first.
     pub fn entries(&self) -> &[Extremum] {
         &self.entries[..self.len as usize]
@@ -141,6 +141,18 @@ impl ExtremaSet {
     }
 }
 
+/// The base station's two extremum sets over `reports`: the top-k
+/// largest (expand signal) and the top-k smallest (shrink signal). Being
+/// top-k sets, neither depends on the order of `reports`.
+pub(crate) fn extrema(reports: impl IntoIterator<Item = Extremum>) -> (ExtremaSet, ExtremaSet) {
+    let (mut max, mut min) = (ExtremaSet::largest(), ExtremaSet::smallest());
+    for e in reports {
+        max.insert(e);
+        min.insert(e);
+    }
+    (max, min)
+}
+
 /// A tree envelope's exact contributor count: `node` itself (the base
 /// station counts nobody) plus what its delivered children counted.
 pub(crate) fn tree_count(node: NodeId, children: impl IntoIterator<Item = u64>) -> u64 {
@@ -148,15 +160,13 @@ pub(crate) fn tree_count(node: NodeId, children: impl IntoIterator<Item = u64>) 
 }
 
 /// A multi-path (delta) vertex's instrumentation: the in-band count
-/// sketch and the non-contribution extrema every query's send carries.
+/// sketch every query's send carries. (The extremum reports a send also
+/// carries on motes are derived at the base station instead; see the
+/// module docs.)
 #[derive(Clone, Debug)]
 pub struct MpEnvelope {
     /// In-band duplicate-insensitive count of contributors.
     pub count_sketch: FmSketch,
-    /// Largest per-subtree non-contributions seen (TD expand signal).
-    pub max_noncontrib: ExtremaSet,
-    /// Smallest per-subtree non-contributions seen (TD shrink signal).
-    pub min_noncontrib: ExtremaSet,
 }
 
 impl MpEnvelope {
@@ -169,11 +179,7 @@ impl MpEnvelope {
         if !node.is_base() {
             count_sketch.insert_distinct(td_sketches::hash::keyed(0xC0C0, node.0 as u64));
         }
-        MpEnvelope {
-            count_sketch,
-            max_noncontrib: ExtremaSet::largest(),
-            min_noncontrib: ExtremaSet::smallest(),
-        }
+        MpEnvelope { count_sketch }
     }
 
     /// Fold a delivered tree child's exact contributor count in. The
@@ -185,20 +191,10 @@ impl MpEnvelope {
             .insert_value(td_sketches::hash::keyed(0xC0C1, root.0 as u64), count);
     }
 
-    /// ODI-fuse another delta envelope's instrumentation (payload fusion
-    /// is the caller's job).
+    /// ODI-fuse another delta envelope's count sketch (payload fusion is
+    /// the caller's job).
     pub fn fuse_counts(&mut self, other: &MpEnvelope) {
         self.count_sketch.merge(&other.count_sketch);
-        self.max_noncontrib.merge(&other.max_noncontrib);
-        self.min_noncontrib.merge(&other.min_noncontrib);
-    }
-
-    /// Record this vertex's own non-contribution report (switchable M
-    /// vertices only, §4.2).
-    pub fn report_noncontrib(&mut self, node: NodeId, value: u64) {
-        let e = Extremum { value, node };
-        self.max_noncontrib.insert(e);
-        self.min_noncontrib.insert(e);
     }
 }
 
@@ -239,48 +235,39 @@ mod tests {
         assert_eq!(a.count_sketch.estimate(), est);
     }
 
+    fn report(node: u32, value: u64) -> Extremum {
+        Extremum {
+            value,
+            node: NodeId(node),
+        }
+    }
+
     #[test]
     fn extrema_fusion_takes_max_and_min() {
-        let mut a = local(NodeId(1));
-        a.report_noncontrib(NodeId(1), 5);
-        let mut b = local(NodeId(2));
-        b.report_noncontrib(NodeId(2), 9);
-        let mut c = local(NodeId(3));
-        c.report_noncontrib(NodeId(3), 2);
-        a.fuse_counts(&b);
-        a.fuse_counts(&c);
-        assert_eq!(
-            a.max_noncontrib.best(),
-            Some(Extremum {
-                value: 9,
-                node: NodeId(2)
-            })
-        );
-        assert_eq!(
-            a.min_noncontrib.best(),
-            Some(Extremum {
-                value: 2,
-                node: NodeId(3)
-            })
-        );
+        let (max, min) = extrema([report(1, 5), report(2, 9), report(3, 2)]);
+        assert_eq!(max.best(), Some(report(2, 9)));
+        assert_eq!(min.best(), Some(report(3, 2)));
         // All three reports survive in the top-k sets.
-        assert_eq!(a.max_noncontrib.entries().len(), 3);
+        assert_eq!(max.entries(), [report(2, 9), report(1, 5), report(3, 2)]);
+        assert_eq!(min.entries(), [report(3, 2), report(1, 5), report(2, 9)]);
+        // Past k reports, the set keeps the k best.
+        let (max, min) = extrema((0..10).map(|n| report(n, u64::from(n) * 3)));
+        assert_eq!(max.entries().len(), TOP_K_EXTREMA);
+        assert_eq!(max.best(), Some(report(9, 27)));
+        assert_eq!(min.best(), Some(report(0, 0)));
+        assert_eq!(min.entries().last(), Some(&report(3, 9)));
     }
 
     #[test]
     fn extrema_fusion_deterministic_on_ties() {
-        // Equal values break ties by node id, independent of fuse order.
-        let mut x = local(NodeId(1));
-        x.report_noncontrib(NodeId(1), 4);
-        let mut y = local(NodeId(2));
-        y.report_noncontrib(NodeId(2), 4);
-        let mut xy = x.clone();
-        xy.fuse_counts(&y);
-        let mut yx = y.clone();
-        yx.fuse_counts(&x);
-        assert_eq!(xy.max_noncontrib.entries(), yx.max_noncontrib.entries());
-        assert_eq!(xy.min_noncontrib.entries(), yx.min_noncontrib.entries());
-        assert_eq!(xy.max_noncontrib, yx.max_noncontrib);
+        // Equal values break ties by node id, whatever the report order;
+        // a re-delivered report changes nothing.
+        let (x, y) = (report(1, 4), report(2, 4));
+        let xy = extrema([x, y]);
+        let yx = extrema([y, x, y, x]);
+        assert_eq!(xy.0.entries(), [x, y]);
+        assert_eq!(xy.1.entries(), [x, y]);
+        assert_eq!(xy, yx);
     }
 
     #[test]
@@ -294,8 +281,6 @@ mod tests {
             pooled.count_sketch.estimate(),
             fresh.count_sketch.estimate()
         );
-        assert_eq!(pooled.max_noncontrib, fresh.max_noncontrib);
-        assert_eq!(pooled.min_noncontrib, fresh.min_noncontrib);
     }
 
     #[test]
@@ -327,17 +312,18 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random `insert`/`merge` sequences, both orderings, match the
-        /// sort-dedup-truncate reference after every operation. Bit `i`
-        /// of `via_merge` routes report `i` through a second set that is
-        /// merged in whole each time (so merges re-deliver earlier
-        /// reports). A node's report has one value (duplicate deliveries
-        /// carry identical values); values collide often so the node-id
+        /// Random insertion sequences, both orderings, match the
+        /// sort-dedup-truncate reference after every insertion. Bit `i`
+        /// of `redeliver` makes insertion `i` re-insert every report a
+        /// second set holds after it too — what fusing that set in
+        /// whole would deliver, so earlier reports arrive again. A
+        /// node's report has one value (duplicate deliveries carry
+        /// identical values); values collide often so the node-id
         /// tie-break is exercised.
         #[test]
         fn prop_extrema_set_is_the_sorted_top_k(
             nodes in proptest::collection::vec(0u32..12, 0..40),
-            via_merge in proptest::prelude::any::<u64>(),
+            redeliver in proptest::prelude::any::<u64>(),
             salt in 0u64..1_000,
         ) {
             let report = |node: u32| Extremum {
@@ -354,9 +340,11 @@ mod tests {
                 };
                 let (mut set, mut other) = (fresh(), fresh());
                 for (i, &node) in nodes.iter().enumerate() {
-                    if via_merge >> i & 1 == 1 {
+                    if redeliver >> i & 1 == 1 {
                         other.insert(report(node));
-                        set.merge(&other);
+                        for &e in other.entries() {
+                            set.insert(e);
+                        }
                     } else {
                         set.insert(report(node));
                     }

@@ -64,20 +64,25 @@
 //!    Merged tree children are taken out of their slots, a lost unicast
 //!    is dropped at once, and a level's broadcasts are dropped as soon
 //!    as the level below — their only receivers — has run. The
-//!    **envelope column** is one more job: the exact tree counts, the
-//!    in-band count sketches and the §4.2 non-contribution extrema,
-//!    built in the same per-slot order. A plan **without a delta** (no
-//!    `M` vertex, the base station included: every TAG plan) skips all
-//!    of the delta's passes — the broadcast lists, the broadcast drops
-//!    and the envelope column. Its base envelope is known without
-//!    them: a `T` base's exact tree count is the contributor count, and
-//!    no switchable `M` vertex reports an extremum.
+//!    **envelope column** is one more job: the exact tree counts and
+//!    the in-band count sketches, built in the same per-slot order. A
+//!    plan **without a delta** (no `M` vertex, the base station
+//!    included: every TAG plan) skips all of the delta's passes — the
+//!    broadcast lists, the broadcast drops and the envelope column. Its
+//!    base envelope is known without them: a `T` base's exact tree
+//!    count is the contributor count, and no switchable `M` vertex
+//!    reports an extremum.
 //! 3. **Account.** One pass in step order records each send as the
 //!    envelope overhead plus the sum of every query's wire size for
 //!    the slot, so the `CommStats` sequence is a single send per node
 //!    however many queries ride along.
 //! 4. **Evaluate.** The exact contributor count is derived from the
-//!    draws, and every column is evaluated at the base station.
+//!    draws, and every column is evaluated at the base station. The
+//!    §4.2 extrema are derived too: motes fuse a top-k set of reports
+//!    through the delta (pass 3 charges its 8 B per slot), and since a
+//!    top-k ignores order and duplicates and survives truncation at
+//!    every hop, the base's set is the top-k of the reports of the
+//!    switchable `M` steps the contributor walk marked as reached.
 //!
 //! Nothing a job writes is visible to another job, and every job reads
 //! only the schedule and the epoch's draws (through one `Frame`), so
@@ -133,7 +138,9 @@
 
 use std::any::Any;
 
-use crate::envelope::{tree_count, ExtremaSet, MpEnvelope, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS};
+use crate::envelope::{
+    extrema, tree_count, ExtremaSet, Extremum, MpEnvelope, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS,
+};
 use crate::parallel;
 use crate::protocol::Protocol;
 use crate::query::QuerySet;
@@ -375,6 +382,11 @@ impl Schedule {
         // Exact on a first fill, so a compile never over-allocates.
         self.steps.reserve(tree.tree_size() - 1);
         self.receivers.clear();
+        if let Some(topo) = topo.filter(|_| self.receivers.capacity() == 0) {
+            let below_base = tree.tree_nodes().filter(|&u| !u.is_base());
+            let links = below_base.map(|u| topo.rings().receivers(u).len());
+            self.receivers.reserve_exact(links.sum());
+        }
         self.step_of.clear();
         self.step_of.resize(tree.len(), NO_STEP);
         self.levels.clear();
@@ -809,22 +821,24 @@ impl EpochPlan {
             .map(|(i, column)| set.query(i).evaluate(&frame, column))
             .collect();
         let contributing = draws.contributing(sched);
-        let base = if delta {
-            std::mem::take(&mut envelopes.base)
+        let (contributing_est, (max_noncontrib, min_noncontrib)) = if delta {
+            let frame = Frame {
+                sched,
+                draws,
+                heard,
+            };
+            (envelopes.est, envelopes.noncontrib(&frame))
         } else {
             // What the envelope column would report: a `T` base's exact
             // tree count is the contributor count, and no extremum.
-            BaseEnvelope {
-                est: contributing as f64,
-                ..BaseEnvelope::default()
-            }
+            (contributing as f64, extrema([]))
         };
         let out = SetEpochOutput {
             outputs,
             contributing,
-            contributing_est: base.est,
-            max_noncontrib: base.max,
-            min_noncontrib: base.min,
+            contributing_est,
+            max_noncontrib,
+            min_noncontrib,
         };
         phase::record(Phase::Merge, sw);
         out
@@ -1236,24 +1250,6 @@ impl<T, M: Clone> Cells<T, M> {
 // The envelope column
 // ---------------------------------------------------------------------
 
-/// What the base station's envelope says: the in-band contributor
-/// estimate and the §4.2 non-contribution extrema.
-struct BaseEnvelope {
-    est: f64,
-    max: ExtremaSet,
-    min: ExtremaSet,
-}
-
-impl Default for BaseEnvelope {
-    fn default() -> Self {
-        BaseEnvelope {
-            est: 0.0,
-            max: ExtremaSet::largest(),
-            min: ExtremaSet::smallest(),
-        }
-    }
-}
-
 /// The envelope column: the instrumentation every query's messages
 /// share, run as one more job over the same deliveries on a plan with a
 /// delta. A plan without one never runs it, so its arenas stay unsized.
@@ -1275,8 +1271,8 @@ struct Envelopes {
     /// Per slot: the RLE size of an `M` step's count sketch as it went on
     /// the air (read by the accounting pass when overhead is charged).
     sketch_bytes: Vec<u32>,
-    /// This epoch's base-station envelope.
-    base: BaseEnvelope,
+    /// This epoch's in-band contributor estimate at the base station.
+    est: f64,
 }
 
 impl Envelopes {
@@ -1289,7 +1285,7 @@ impl Envelopes {
             live,
             base_env,
             sketch_bytes,
-            base,
+            est,
         } = self;
         counts.resize(steps, 0);
         at.resize(steps, 0);
@@ -1316,8 +1312,6 @@ impl Envelopes {
                         let env = build_mp_envelope(
                             &mut building[built],
                             step.node,
-                            step.subtree_size as u64,
-                            step.switchable_m,
                             children,
                             frame.heard.of(slot),
                             sched,
@@ -1336,48 +1330,60 @@ impl Envelopes {
             }
         }
         let children = frame.children(sched.base_slot());
-        *base = match sched.base_mode {
-            Mode::T => BaseEnvelope {
-                est: tree_count(BASE_STATION, children.map(|c| counts[c])) as f64,
-                ..BaseEnvelope::default()
-            },
+        *est = match sched.base_mode {
+            Mode::T => tree_count(BASE_STATION, children.map(|c| counts[c])) as f64,
             Mode::M => {
                 // The base station hears the innermost level.
                 let above = &live[(sched.levels.len() + 1) % 2];
-                let env = build_mp_envelope(
+                build_mp_envelope(
                     base_env,
                     BASE_STATION,
-                    sched.base_subtree,
-                    sched.base_switchable_m,
                     children,
                     frame.heard.of(sched.base_slot()),
                     sched,
                     counts,
                     at,
                     above,
-                );
-                BaseEnvelope {
-                    est: env.count_sketch.estimate(),
-                    max: env.max_noncontrib.clone(),
-                    min: env.min_noncontrib.clone(),
-                }
+                )
+                .count_sketch
+                .estimate()
             }
         };
+    }
+
+    /// The base station's §4.2 extrema after [`run`](Self::run) and
+    /// [`Draws::contributing`] over one epoch: the top-k sets motes fuse
+    /// through the delta are those of the switchable `M` vertices whose
+    /// slot is reached, plus a switchable base station's own. A report is
+    /// the vertex's static subtree, itself excluded, less what its
+    /// delivered tree children counted.
+    fn noncontrib(&self, frame: &Frame<'_>) -> (ExtremaSet, ExtremaSet) {
+        let sched = frame.sched;
+        let report = |node, slot, subtree: u64| {
+            let received = frame.children(slot).map(|c| self.counts[c]).sum();
+            let value = subtree.saturating_sub(1).saturating_sub(received);
+            Extremum { value, node }
+        };
+        let reached = sched.steps.iter().enumerate();
+        let reached = reached.filter(|&(slot, s)| s.switchable_m && frame.draws.reached[slot]);
+        let base = sched.base_switchable_m;
+        extrema(
+            reached
+                .map(|(slot, s)| report(s.node, slot, s.subtree_size as u64))
+                .chain(base.then(|| report(BASE_STATION, sched.base_slot(), sched.base_subtree))),
+        )
     }
 }
 
 /// Reopen `entry` as `node`'s multi-path envelope and fold in what
-/// reached it, in today's per-slot order: its own non-contribution
-/// report when switchable, its delivered tree children's counts, then
-/// the envelopes it heard from the level above (`above`, indexed by
-/// `at`).
+/// reached it, in per-slot order: its delivered tree children's counts,
+/// then the envelopes it heard from the level above (`above`, indexed
+/// by `at`).
 #[allow(clippy::too_many_arguments)]
 fn build_mp_envelope<'e>(
     entry: &'e mut Option<MpEnvelope>,
     node: NodeId,
-    subtree_size: u64,
-    switchable_m: bool,
-    children: impl Iterator<Item = usize> + Clone,
+    children: impl Iterator<Item = usize>,
     heard: &[u32],
     sched: &Schedule,
     counts: &[u64],
@@ -1393,16 +1399,6 @@ fn build_mp_envelope<'e>(
         None => FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS),
     };
     let env = entry.insert(MpEnvelope::local_pooled(sketch, node));
-    // §4.2: a switchable M vertex is the root of a unique (all-tree)
-    // subtree; it reports how many of its subtree's nodes are missing.
-    if switchable_m {
-        // Expected contributors below the vertex: its whole static
-        // subtree minus itself (its own contribution is in the local
-        // envelope already).
-        let expected = subtree_size.saturating_sub(1);
-        let received: u64 = children.clone().map(|c| counts[c]).sum();
-        env.report_noncontrib(node, expected.saturating_sub(received));
-    }
     for child in children {
         env.absorb_tree_counts(sched.steps[child].node, counts[child]);
     }
@@ -2829,6 +2825,9 @@ mod tests {
         let mut rng = rng_from_seed(176);
         let mut stats = CommStats::new(net.len());
         let mut plan = EpochPlan::compile_td(&td);
+        // A compile sizes both tables exactly.
+        assert_eq!(plan.sched.steps.capacity(), plan.sched.steps.len());
+        assert_eq!(plan.sched.receivers.capacity(), plan.sched.receivers.len());
         let mut run = |plan: &mut EpochPlan, epoch: u64, rng: &mut rand::rngs::StdRng| {
             let proto = ScalarProtocol::new(Sum::default(), &values);
             let mut set = QuerySet::new();
@@ -2907,21 +2906,20 @@ mod tests {
 
     /// Run the envelope column over the plan's last epoch — whether or
     /// not that epoch ran it — in arenas of its own, and return the base
-    /// station's envelope.
+    /// station's estimate and extrema, the extrema derived from the
+    /// epoch's reached marks as `run_set` derives them.
     impl EpochPlan {
-        fn explicit_envelope(&mut self, charge: bool) -> BaseEnvelope {
+        fn explicit_envelope(&mut self, charge: bool) -> (f64, (ExtremaSet, ExtremaSet)) {
             let Arenas { draws, heard, .. } = &mut self.arenas;
             collect_heard(heard, &self.sched, draws);
+            let frame = Frame {
+                sched: &self.sched,
+                draws,
+                heard,
+            };
             let mut envelopes = Envelopes::default();
-            envelopes.run(
-                &Frame {
-                    sched: &self.sched,
-                    draws,
-                    heard,
-                },
-                charge,
-            );
-            envelopes.base
+            envelopes.run(&frame, charge);
+            (envelopes.est, envelopes.noncontrib(&frame))
         }
     }
 
@@ -2965,11 +2963,12 @@ mod tests {
                         set.register(&count);
                         let out =
                             plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
-                        let env = plan.explicit_envelope(config.charge_adaptation_overhead);
+                        let (est, (max, min)) =
+                            plan.explicit_envelope(config.charge_adaptation_overhead);
                         let at = format!("{name}, seed {seed}, epoch {epoch}, {workers} workers");
-                        assert_eq!(out.contributing_est.to_bits(), env.est.to_bits(), "{at}");
-                        assert_eq!(out.max_noncontrib, env.max, "{at}");
-                        assert_eq!(out.min_noncontrib, env.min, "{at}");
+                        assert_eq!(out.contributing_est.to_bits(), est.to_bits(), "{at}");
+                        assert_eq!(out.max_noncontrib, max, "{at}");
+                        assert_eq!(out.min_noncontrib, min, "{at}");
                         lossy |= out.contributing < net.num_sensors();
                     }
                 }
