@@ -159,51 +159,34 @@ pub(crate) fn tree_count(node: NodeId, children: impl IntoIterator<Item = u64>) 
     u64::from(!node.is_base()) + children.into_iter().sum::<u64>()
 }
 
-/// A multi-path (delta) vertex's instrumentation: the in-band count
-/// sketch every query's send carries. (The extremum reports a send also
-/// carries on motes are derived at the base station instead; see the
-/// module docs.)
-#[derive(Clone, Debug)]
-pub struct MpEnvelope {
-    /// In-band duplicate-insensitive count of contributors.
-    pub count_sketch: FmSketch,
+/// Reopen `sketch` as delta vertex `node`'s local count sketch: cleared,
+/// then holding `node` itself (the base station counts nobody). The
+/// sketch is [`COUNT_SKETCH_BITMAPS`] wide — recycled, as the runner's
+/// envelope column reopens its sketches, or fresh.
+pub(crate) fn local_pooled(sketch: &mut FmSketch, node: NodeId) {
+    debug_assert_eq!(sketch.num_bitmaps(), COUNT_SKETCH_BITMAPS);
+    sketch.clear();
+    if !node.is_base() {
+        sketch.insert_distinct(td_sketches::hash::keyed(0xC0C0, node.0 as u64));
+    }
 }
 
-impl MpEnvelope {
-    /// A local envelope for delta vertex `node` over a count sketch that
-    /// must be cleared and [`COUNT_SKETCH_BITMAPS`] wide — recycled, as
-    /// the runner's envelope column reopens its sketches, or fresh.
-    pub fn local_pooled(mut count_sketch: FmSketch, node: NodeId) -> Self {
-        debug_assert!(count_sketch.is_empty(), "recycled count sketch not cleared");
-        debug_assert_eq!(count_sketch.num_bitmaps(), COUNT_SKETCH_BITMAPS);
-        if !node.is_base() {
-            count_sketch.insert_distinct(td_sketches::hash::keyed(0xC0C0, node.0 as u64));
-        }
-        MpEnvelope { count_sketch }
-    }
-
-    /// Fold a delivered tree child's exact contributor count in. The
-    /// count enters the count sketch as a value salted by the subtree
-    /// `root` — the same conversion-function trick as the aggregate
-    /// itself.
-    pub fn absorb_tree_counts(&mut self, root: NodeId, count: u64) {
-        self.count_sketch
-            .insert_value(td_sketches::hash::keyed(0xC0C1, root.0 as u64), count);
-    }
-
-    /// ODI-fuse another delta envelope's count sketch (payload fusion is
-    /// the caller's job).
-    pub fn fuse_counts(&mut self, other: &MpEnvelope) {
-        self.count_sketch.merge(&other.count_sketch);
-    }
+/// Fold a delivered tree child's exact contributor count into a delta
+/// vertex's count sketch. The count enters as a value salted by the
+/// subtree `root` — the same conversion-function trick as the aggregate
+/// itself.
+pub(crate) fn absorb_tree_counts(sketch: &mut FmSketch, root: NodeId, count: u64) {
+    sketch.insert_value(td_sketches::hash::keyed(0xC0C1, root.0 as u64), count);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn local(node: NodeId) -> MpEnvelope {
-        MpEnvelope::local_pooled(FmSketch::new(COUNT_SKETCH_BITMAPS), node)
+    fn local(node: NodeId) -> FmSketch {
+        let mut sketch = FmSketch::new(COUNT_SKETCH_BITMAPS);
+        local_pooled(&mut sketch, node);
+        sketch
     }
 
     #[test]
@@ -227,12 +210,12 @@ mod tests {
     #[test]
     fn mp_fuse_is_idempotent_on_counts() {
         let mut a = local(NodeId(1));
-        let est = a.count_sketch.estimate();
+        let est = a.estimate();
         let b = a.clone();
-        a.fuse_counts(&b);
-        assert_eq!(a.count_sketch.estimate(), est);
-        a.fuse_counts(&b);
-        assert_eq!(a.count_sketch.estimate(), est);
+        a.merge(&b);
+        assert_eq!(a.estimate(), est);
+        a.merge(&b);
+        assert_eq!(a.estimate(), est);
     }
 
     fn report(node: u32, value: u64) -> Extremum {
@@ -274,13 +257,8 @@ mod tests {
     fn pooled_constructors_match_fresh_ones() {
         let mut recycled = FmSketch::new(COUNT_SKETCH_BITMAPS);
         recycled.insert_distinct(td_sketches::hash::keyed(0xC0C0, 9));
-        recycled.clear();
-        let pooled = MpEnvelope::local_pooled(recycled, NodeId(4));
-        let fresh = local(NodeId(4));
-        assert_eq!(
-            pooled.count_sketch.estimate(),
-            fresh.count_sketch.estimate()
-        );
+        local_pooled(&mut recycled, NodeId(4));
+        assert_eq!(recycled, local(NodeId(4)));
     }
 
     #[test]
@@ -288,8 +266,8 @@ mod tests {
         let mut m = local(NodeId(1));
         let count = tree_count(NodeId(2), (3..100u32).map(|i| tree_count(NodeId(i), [])));
         assert_eq!(count, 98);
-        m.absorb_tree_counts(NodeId(2), count);
-        let est = m.count_sketch.estimate();
+        absorb_tree_counts(&mut m, NodeId(2), count);
+        let est = m.estimate();
         assert!(est > 30.0 && est < 300.0, "count sketch estimate {est}");
     }
 

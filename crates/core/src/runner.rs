@@ -139,7 +139,8 @@
 use std::any::Any;
 
 use crate::envelope::{
-    extrema, tree_count, ExtremaSet, Extremum, MpEnvelope, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS,
+    absorb_tree_counts, extrema, local_pooled, tree_count, ExtremaSet, Extremum,
+    COUNT_SKETCH_BITMAPS, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS,
 };
 use crate::parallel;
 use crate::protocol::Protocol;
@@ -1261,13 +1262,12 @@ struct Envelopes {
     /// Per slot: where an `M` step's envelope sits in its level's half
     /// of `live`.
     at: Vec<u32>,
-    /// The `M` envelopes of the level being built (`live[i % 2]` for
-    /// level `i`) and of the level above it — the only ones a receiver
-    /// can hear. Entries are reopened in place, so their count sketches
-    /// are reused from level to level and epoch to epoch.
-    live: [Vec<Option<MpEnvelope>>; 2],
-    /// Spare envelope for an `M` base station.
-    base_env: Option<MpEnvelope>,
+    /// The count sketches of the `M` envelopes of the level being built
+    /// (`live[i % 2]` for level `i`) and of the level above it — the only
+    /// ones a receiver can hear. An `M` base station builds its own as
+    /// one more level. Sketches are reopened in place, so they are reused
+    /// from level to level and epoch to epoch.
+    live: [Vec<FmSketch>; 2],
     /// Per slot: the RLE size of an `M` step's count sketch as it went on
     /// the air (read by the accounting pass when overhead is charged).
     sketch_bytes: Vec<u32>,
@@ -1283,7 +1283,6 @@ impl Envelopes {
             counts,
             at,
             live,
-            base_env,
             sketch_bytes,
             est,
         } = self;
@@ -1291,37 +1290,23 @@ impl Envelopes {
         at.resize(steps, 0);
         sketch_bytes.resize(steps, 0);
         for (i, &(start, end)) in sched.levels.iter().enumerate() {
-            let (lo, hi) = live.split_at_mut(1);
-            let (building, above) = if i % 2 == 0 {
-                (&mut lo[0], &hi[0])
-            } else {
-                (&mut hi[0], &lo[0])
-            };
+            let (building, above) = level_halves(live, i);
             let mut built = 0;
             for slot in start as usize..end as usize {
                 let step = &sched.steps[slot];
-                let children = frame.children(slot);
                 match step.mode {
                     Mode::T => {
+                        let children = frame.children(slot);
                         counts[slot] = tree_count(step.node, children.map(|c| counts[c]));
                     }
                     Mode::M => {
                         if building.len() == built {
-                            building.push(None);
+                            building.push(FmSketch::new(COUNT_SKETCH_BITMAPS));
                         }
-                        let env = build_mp_envelope(
-                            &mut building[built],
-                            step.node,
-                            children,
-                            frame.heard.of(slot),
-                            sched,
-                            counts,
-                            at,
-                            above,
-                        );
+                        let sketch = &mut building[built];
+                        build_mp_envelope(sketch, step.node, slot, frame, counts, at, above);
                         if charge {
-                            sketch_bytes[slot] =
-                                sketch_rle::encoded_size_bytes(&env.count_sketch) as u32;
+                            sketch_bytes[slot] = sketch_rle::encoded_size_bytes(sketch) as u32;
                         }
                         at[slot] = built as u32;
                         built += 1;
@@ -1329,24 +1314,18 @@ impl Envelopes {
                 }
             }
         }
-        let children = frame.children(sched.base_slot());
+        let base = sched.base_slot();
         *est = match sched.base_mode {
-            Mode::T => tree_count(BASE_STATION, children.map(|c| counts[c])) as f64,
+            Mode::T => tree_count(BASE_STATION, frame.children(base).map(|c| counts[c])) as f64,
             Mode::M => {
                 // The base station hears the innermost level.
-                let above = &live[(sched.levels.len() + 1) % 2];
-                build_mp_envelope(
-                    base_env,
-                    BASE_STATION,
-                    children,
-                    frame.heard.of(sched.base_slot()),
-                    sched,
-                    counts,
-                    at,
-                    above,
-                )
-                .count_sketch
-                .estimate()
+                let (building, above) = level_halves(live, sched.levels.len());
+                if building.is_empty() {
+                    building.push(FmSketch::new(COUNT_SKETCH_BITMAPS));
+                }
+                let sketch = &mut building[0];
+                build_mp_envelope(sketch, BASE_STATION, base, frame, counts, at, above);
+                sketch.estimate()
             }
         };
     }
@@ -1375,40 +1354,37 @@ impl Envelopes {
     }
 }
 
-/// Reopen `entry` as `node`'s multi-path envelope and fold in what
-/// reached it, in per-slot order: its delivered tree children's counts,
-/// then the envelopes it heard from the level above (`above`, indexed
-/// by `at`).
-#[allow(clippy::too_many_arguments)]
-fn build_mp_envelope<'e>(
-    entry: &'e mut Option<MpEnvelope>,
+/// The half of `live` that level `i` builds in, and the half holding the
+/// level above it.
+fn level_halves(live: &mut [Vec<FmSketch>; 2], i: usize) -> (&mut Vec<FmSketch>, &[FmSketch]) {
+    let [even, odd] = live;
+    if i.is_multiple_of(2) {
+        (even, odd)
+    } else {
+        (odd, even)
+    }
+}
+
+/// Reopen `sketch` as the multi-path count sketch of `node` at `slot`
+/// and fold in what reached it, in per-slot order: its delivered tree
+/// children's counts, then the sketches it heard from the level above
+/// (`above`, indexed by `at`).
+fn build_mp_envelope(
+    sketch: &mut FmSketch,
     node: NodeId,
-    children: impl Iterator<Item = usize>,
-    heard: &[u32],
-    sched: &Schedule,
+    slot: usize,
+    frame: &Frame<'_>,
     counts: &[u64],
     at: &[u32],
-    above: &[Option<MpEnvelope>],
-) -> &'e MpEnvelope {
-    let sketch = match entry.take() {
-        Some(old) => {
-            let mut sketch = old.count_sketch;
-            sketch.clear();
-            sketch
-        }
-        None => FmSketch::new(crate::envelope::COUNT_SKETCH_BITMAPS),
-    };
-    let env = entry.insert(MpEnvelope::local_pooled(sketch, node));
-    for child in children {
-        env.absorb_tree_counts(sched.steps[child].node, counts[child]);
+    above: &[FmSketch],
+) {
+    local_pooled(sketch, node);
+    for child in frame.children(slot) {
+        absorb_tree_counts(sketch, frame.sched.steps[child].node, counts[child]);
     }
-    for &sender in heard {
-        let heard = above[at[sender as usize] as usize]
-            .as_ref()
-            .expect("a heard broadcast's envelope stays live until the level below has run");
-        env.fuse_counts(heard);
+    for &sender in frame.heard.of(slot) {
+        sketch.merge(&above[at[sender as usize] as usize]);
     }
-    env
 }
 
 /// Run one Tributary-Delta epoch for every query in `set`, compiling a
