@@ -29,7 +29,8 @@
 //! Each window owns a [`WindowAccum`] — the state machine from
 //! [`crate::window`] — which folds a pane into a running accumulator,
 //! or buffers it and refolds the window's ≤ `len` panes when an
-//! overlapping window emits; steady-state hops allocate nothing.
+//! overlapping window emits; every report field is that left fold of
+//! the window's panes, and steady-state hops allocate nothing.
 //! Reports carry the window aggregates plus the newest pane's
 //! [`PaneStats`]; a `tumbling(1)` window's reports are the per-pane
 //! history.
@@ -120,9 +121,9 @@ pub struct WindowReport {
     /// membership half of "lossy windows degrade visibly": a window
     /// whose coverage dipped because nodes left says so here.
     pub nodes_left: u64,
-    /// Payload bytes across the window's panes, maintained
-    /// incrementally (exact `u64` arithmetic). For landmark windows a
-    /// running total since the stream began.
+    /// Payload bytes across the window's panes (exact `u64` sums, folded
+    /// like every report field). For landmark windows a running total
+    /// since the stream began.
     pub bytes: u64,
     /// The merged set-valued frequent-items estimate, for queries whose
     /// panes are [`PaneValue::Freq`]; `None` for scalar queries.

@@ -26,9 +26,11 @@
 //!   panes and **refolds** them at each emission (`len − 1` merges).
 //!
 //! Both are the same left fold over the same panes in the same order.
-//! Evicting a pane needs no inverse: the buffer drops it. The windows
-//! the workloads, experiments and examples open are ≤ 16 panes, so a
-//! refold is a handful of merges.
+//! The report's instrumentation (epochs, pane count, coverage, relabels,
+//! churn, bytes) is folded the same way, beside the value. Evicting a
+//! pane needs no inverse: the buffer drops it. The windows the
+//! workloads, experiments and examples open are ≤ 16 panes, so a refold
+//! is a handful of merges.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -545,49 +547,71 @@ impl Fold {
     }
 }
 
-/// Per-window state machine: absorbs one pane per measured epoch,
-/// maintains the window answer and its instrumentation aggregates, and
-/// emits a [`WindowAnswer`] whenever the window's schedule closes. See
-/// the module docs for the running fold and the buffer refold.
+/// The instrumentation half of a window's left fold: every report field
+/// besides the value, folded pane by pane in window order.
+#[derive(Clone, Copy, Debug, Default)]
+struct Instr {
+    start_epoch: u64,
+    end_epoch: u64,
+    panes: u64,
+    coverage_sum: f64,
+    min_coverage: f64,
+    relabels: u32,
+    /// Relabel flag of the newest pane — promoted into `relabels` only
+    /// once a later pane arrives (a relabel after the newest pane is not
+    /// *between* panes yet).
+    last_relabeled: bool,
+    joined: u64,
+    left: u64,
+    bytes: u64,
+}
+
+impl Instr {
+    /// Fold one more pane in, after the ones already held.
+    fn push(&mut self, pane: &PaneInput) {
+        if self.panes == 0 {
+            self.start_epoch = pane.epoch;
+            self.min_coverage = pane.coverage;
+        } else {
+            self.relabels += u32::from(self.last_relabeled);
+            self.min_coverage = self.min_coverage.min(pane.coverage);
+        }
+        self.last_relabeled = pane.relabeled;
+        self.end_epoch = pane.epoch;
+        self.panes += 1;
+        self.coverage_sum += pane.coverage;
+        self.joined += pane.nodes_joined;
+        self.left += pane.nodes_left;
+        self.bytes += pane.bytes;
+    }
+}
+
+/// Per-window state machine: absorbs one pane per measured epoch and
+/// emits a [`WindowAnswer`] whenever the window's schedule closes. Every
+/// field of the answer — value, epochs, pane count, coverage, relabels,
+/// churn and bytes — is the left fold of the window's panes: a running
+/// fold where no pane ever leaves the window, a refold of the buffered
+/// panes at each emission where panes do (see the module docs).
 ///
 /// The buffer of in-window panes (overlapping sliding windows only) is
 /// the *only* per-pane state retained; the other windows keep pure
-/// running accumulators. Steady-state absorption allocates nothing: the
-/// buffer reaches its window-length capacity once and is reused
-/// thereafter.
+/// running folds. Steady-state absorption allocates nothing: the buffer
+/// reaches its window-length capacity once and is reused thereafter.
 #[derive(Debug)]
 pub struct WindowAccum {
     pub(crate) spec: WindowSpec,
     pub(crate) merge: EpochMerge,
     kind: PaneKind,
-    /// Running left fold, for windows no pane ever leaves (`None`
-    /// before the first pane and after each tumbling emission).
+    /// Running left fold of the values, for windows no pane ever leaves
+    /// (`None` before the first pane and after each tumbling emission).
     running: Option<Fold>,
+    /// Running fold of the instrumentation, beside `running`.
+    running_instr: Instr,
     /// In-window panes, oldest first, for overlapping windows (empty
     /// for the others).
     buf: VecDeque<PaneInput>,
-    /// Tumbling-like: clear all state after each emission.
+    /// Tumbling-like: start a fresh fold after each emission.
     resets: bool,
-    /// Panes currently in the window (landmark: since stream start).
-    panes: u64,
-    start_epoch: u64,
-    end_epoch: u64,
-    coverage_sum: f64,
-    /// Evictions since `coverage_sum` was last refolded exactly; a
-    /// refresh every `len` evictions bounds floating-point drift of the
-    /// running mean at amortized O(1).
-    evictions_since_refresh: u32,
-    /// Running minimum pane coverage, read where the window keeps no
-    /// buffer (a buffered window reads its minimum off the buffer).
-    min_cov: f64,
-    relabels: u32,
-    /// Relabel flag of the newest pane — promoted into `relabels` only
-    /// once a later pane arrives (a relabel after the newest pane is
-    /// not *between* panes yet).
-    last_relabeled: bool,
-    joined: u64,
-    left: u64,
-    bytes: u64,
 }
 
 impl WindowAccum {
@@ -616,19 +640,9 @@ impl WindowAccum {
             merge,
             kind,
             running: None,
+            running_instr: Instr::default(),
             buf: VecDeque::with_capacity(cap),
             resets: !overlapping && spec != WindowSpec::Landmark,
-            panes: 0,
-            start_epoch: 0,
-            end_epoch: 0,
-            coverage_sum: 0.0,
-            evictions_since_refresh: 0,
-            min_cov: 0.0,
-            relabels: 0,
-            last_relabeled: false,
-            joined: 0,
-            left: 0,
-            bytes: 0,
         }
     }
 
@@ -650,87 +664,46 @@ impl WindowAccum {
             self.kind,
             pane.value
         );
-        // -- push ------------------------------------------------------
-        if self.panes == 0 {
-            self.start_epoch = pane.epoch;
-            self.min_cov = pane.coverage;
-        } else {
-            self.relabels += u32::from(self.last_relabeled);
-            self.min_cov = self.min_cov.min(pane.coverage);
-        }
-        self.last_relabeled = pane.relabeled;
-        self.end_epoch = pane.epoch;
-        self.panes += 1;
-        self.coverage_sum += pane.coverage;
-        self.joined += pane.nodes_joined;
-        self.left += pane.nodes_left;
-        self.bytes += pane.bytes;
         if self.spec.overlaps() {
             self.buf.push_back(pane.clone());
-        } else if let Some(acc) = &mut self.running {
-            counters.pane_merges += acc.absorb([&pane.value]);
+            if let Some(len) = self.spec.full_span() {
+                if self.buf.len() > len {
+                    self.buf.pop_front();
+                }
+            }
         } else {
-            self.running = Some(Fold::of(&pane.value));
-        }
-        // -- evict -----------------------------------------------------
-        if let Some(len) = self.spec.full_span() {
-            while self.buf.len() > len {
-                self.evict_oldest(len as u32);
+            self.running_instr.push(pane);
+            match &mut self.running {
+                Some(acc) => counters.pane_merges += acc.absorb([&pane.value]),
+                None => self.running = Some(Fold::of(&pane.value)),
             }
         }
-        // -- emit ------------------------------------------------------
         if !self.spec.emits_after(seq) {
             return None;
         }
-        let answer = self.emit(counters);
-        if self.resets {
-            self.reset();
-        }
-        Some(answer)
-    }
-
-    /// Drop the oldest buffered pane from every aggregate. Runs only
-    /// for windows that keep a buffer, with at least two panes present
-    /// (`buf.len() > len ≥ 1`), so the evictee always has a successor.
-    fn evict_oldest(&mut self, len: u32) {
-        let slot = self.buf.pop_front().expect("evict with an empty buffer");
-        // The evictee is interior (it has a successor), so its relabel
-        // flag was promoted at that successor's push — undo it, and the
-        // exact integer aggregates, directly.
-        self.relabels -= u32::from(slot.relabeled);
-        self.joined -= slot.nodes_joined;
-        self.left -= slot.nodes_left;
-        self.bytes -= slot.bytes;
-        self.panes -= 1;
-        self.coverage_sum -= slot.coverage;
-        self.start_epoch = self
-            .buf
-            .front()
-            .map(|p| p.epoch)
-            .expect("eviction leaves at least one pane");
-        // Bound the running coverage mean's floating-point drift: refold
-        // it exactly every `len` evictions (amortized O(1) per pane).
-        self.evictions_since_refresh += 1;
-        if self.evictions_since_refresh >= len {
-            self.coverage_sum = self.buf.iter().map(|p| p.coverage).sum();
-            self.evictions_since_refresh = 0;
-        }
+        Some(self.emit(counters))
     }
 
     fn emit(&mut self, counters: &mut AccumCounters) -> WindowAnswer {
-        let fold = if self.spec.overlaps() {
+        let (fold, instr) = if self.spec.overlaps() {
             // Refold the buffer, oldest pane first.
             counters.value_refolds += 1;
             let mut panes = self.buf.iter();
             let first = panes.next().expect("window emitted with no panes");
             let mut acc = Fold::of(&first.value);
             counters.pane_merges += acc.absorb(panes.map(|p| &p.value));
-            acc
+            let mut instr = Instr::default();
+            self.buf.iter().for_each(|p| instr.push(p));
+            (Some(acc), instr)
         } else if self.resets {
-            self.running.take().expect("window emitted with no panes")
+            // `last_relabeled` goes with the fold: a relabel after a
+            // window's final pane falls *between* windows and is counted
+            // by neither.
+            (self.running.take(), std::mem::take(&mut self.running_instr))
         } else {
-            self.running.clone().expect("window emitted with no panes")
+            (self.running.clone(), self.running_instr)
         };
+        let fold = fold.expect("window emitted with no panes");
         let answer = fold.answer(self.merge);
         let value = answer.scalar();
         let (freq, quantile) = match answer {
@@ -738,40 +711,20 @@ impl WindowAccum {
             PaneValue::Freq(f) => (Some(f), None),
             PaneValue::Quantile(q) => (None, Some(q)),
         };
-        let min_coverage = if self.spec.overlaps() {
-            let covs = self.buf.iter().map(|p| p.coverage);
-            covs.reduce(f64::min).expect("window emitted with no panes")
-        } else {
-            self.min_cov
-        };
         WindowAnswer {
-            start_epoch: self.start_epoch,
-            end_epoch: self.end_epoch,
-            panes: self.panes as usize,
+            start_epoch: instr.start_epoch,
+            end_epoch: instr.end_epoch,
+            panes: instr.panes as usize,
             value,
             freq,
             quantile,
-            coverage: self.coverage_sum / self.panes as f64,
-            min_coverage,
-            relabels: self.relabels,
-            nodes_joined: self.joined,
-            nodes_left: self.left,
-            bytes: self.bytes,
+            coverage: instr.coverage_sum / instr.panes as f64,
+            min_coverage: instr.min_coverage,
+            relabels: instr.relabels,
+            nodes_joined: instr.joined,
+            nodes_left: instr.left,
+            bytes: instr.bytes,
         }
-    }
-
-    fn reset(&mut self) {
-        self.panes = 0;
-        self.coverage_sum = 0.0;
-        self.evictions_since_refresh = 0;
-        self.relabels = 0;
-        self.joined = 0;
-        self.left = 0;
-        self.bytes = 0;
-        self.running = None;
-        // `last_relabeled` survives the reset unpromoted: a relabel
-        // after the previous window's final pane fell *between* windows
-        // and is counted by neither.
     }
 }
 
@@ -837,11 +790,8 @@ mod tests {
     /// Feed `panes` through a window and pin every answer to the left
     /// fold of the `span_at(spec, seq)` newest panes, computed here with
     /// each kind's own `merge` and no accumulator code: value, set-valued
-    /// payloads, epochs, panes, `min_coverage`, relabels, churn and bytes
-    /// bit for bit. `coverage` is bit-exact until the window's first
-    /// eviction; after it the accumulator's running sum subtracts the
-    /// evictee, whose rounding the from-scratch mean does not share, so it
-    /// is pinned to 1e-12 there.
+    /// payloads, epochs, panes, `coverage`, `min_coverage`, relabels,
+    /// churn and bytes bit for bit, before and after evictions alike.
     fn pin_to_left_fold(
         spec: WindowSpec,
         merge: EpochMerge,
@@ -905,12 +855,7 @@ mod tests {
             let min_cov = covs.clone().fold(f64::INFINITY, f64::min);
             prop_assert_eq!(a.min_coverage.to_bits(), min_cov.to_bits());
             let mean = covs.fold(0.0, |s, c| s + c) / window.len() as f64;
-            let evicted = spec.overlaps() && seq >= spec.full_span().unwrap_or(usize::MAX);
-            if evicted {
-                prop_assert!((a.coverage - mean).abs() <= 1e-12, "coverage at {}", seq);
-            } else {
-                prop_assert_eq!(a.coverage.to_bits(), mean.to_bits(), "coverage at {}", seq);
-            }
+            prop_assert_eq!(a.coverage.to_bits(), mean.to_bits(), "coverage at {}", seq);
             let between = &window[..window.len() - 1];
             prop_assert_eq!(
                 (a.relabels, a.nodes_joined, a.nodes_left, a.bytes),
@@ -1031,8 +976,6 @@ mod tests {
     // the corresponding `td_aggregates` tree-merge laws — the window
     // algebra *is* the aggregate merge law lifted across epochs.
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
         #[test]
         fn pane_merge_matches_aggregate_merge_laws(
             values in proptest::collection::vec(0u64..1_000_000, 1..24),

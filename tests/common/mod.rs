@@ -8,12 +8,9 @@ use td_suite::stream::{FreqPane, PanePartial, QuantilePane, WindowReport, Window
 /// Pin every report of query `query` to the left fold of its span's
 /// per-pane reports, which window `per_pane` (a `tumbling(1)` window of
 /// that query, merge `Add`) emitted. Value, set-valued payloads, epochs,
-/// panes, `min_coverage`, relabels, churn and bytes must match bit for
-/// bit. `coverage` is bit-exact until the window's first eviction; after
-/// it the accumulator's running sum subtracts each evictee, whose
-/// rounding a from-scratch mean does not share, so it is pinned to 1e-12
-/// there (the batch ≡ step, worker and digest pins guard its bits).
-/// Returns how many reports were checked.
+/// panes, `coverage`, `min_coverage`, relabels, churn and bytes must match
+/// bit for bit, before and after evictions alike. Returns how many
+/// reports were checked.
 pub fn assert_matches_pane_fold(reports: &[WindowReport], query: usize, per_pane: usize) -> usize {
     let panes: Vec<&WindowReport> = reports
         .iter()
@@ -75,13 +72,7 @@ pub fn assert_matches_pane_fold(reports: &[WindowReport], query: usize, per_pane
             "{at}: min coverage"
         );
         let mean = covs.fold(0.0, |s, c| s + c) / span.len() as f64;
-        let evicted =
-            matches!(r.spec, WindowSpec::Sliding { len, hop } if hop < len && hi >= len as usize);
-        if evicted {
-            assert!((r.coverage - mean).abs() <= 1e-12, "{at}: coverage");
-        } else {
-            assert_eq!(r.coverage.to_bits(), mean.to_bits(), "{at}: coverage");
-        }
+        assert_eq!(r.coverage.to_bits(), mean.to_bits(), "{at}: coverage");
         let between = &span[..span.len() - 1];
         assert_eq!(
             (r.relabels, r.nodes_joined, r.nodes_left, r.bytes),

@@ -223,9 +223,11 @@ fn randomness_phase_populates_on_one_chunk() {
 }
 
 /// Stamped from the digest the test prints when it fails; see
-/// [`fixed_seed_digest_matches_across_builds`]. Last re-stamped with
-/// the incremental window accumulators: window *answers* stayed
-/// bit-identical (pinned separately in `e2e_stream`), but the report's
-/// mean-coverage statistic is now maintained by a running sum instead
-/// of a per-emission re-sum, which reassociates that float addition.
-const PINNED_TD_DIGEST: u64 = 0xf2b6_f116_5dfe_49d4;
+/// [`fixed_seed_digest_matches_across_builds`]. Last re-stamped when
+/// every window-report field became the left fold of the window's panes:
+/// window *answers* stayed bit-identical (pinned separately in
+/// `e2e_stream`), but an overlapping window's mean coverage is now summed
+/// over its buffered panes at each emission instead of kept as a running
+/// sum that subtracts each evicted pane, which reassociates that float
+/// addition once the window has evicted.
+const PINNED_TD_DIGEST: u64 = 0x7460_be2b_c81d_2c08;
