@@ -58,10 +58,13 @@ fn converge(
         |_| net.num_sensors() as f64,
         &mut rng,
     );
+    // A non-empty delta always holds the base station, which is no
+    // sensor: the snapshot lists the delta's sensors only.
     driver
         .session()
         .delta_nodes()
         .into_iter()
+        .filter(|n| !n.is_base())
         .map(|n| {
             let p = net.position(n);
             (p.x, p.y)

@@ -48,7 +48,9 @@ pub fn run(scale: Scale, seed: u64) -> LabSumResult {
             &mut rng,
         );
         let rms = rms_error_series(&result.estimates, &result.actuals);
-        let delta_frac = driver.session().delta_nodes().len() as f64 / net.num_sensors() as f64;
+        let delta = driver.session().delta_nodes();
+        let delta_sensors = delta.iter().filter(|n| !n.is_base()).count();
+        let delta_frac = delta_sensors as f64 / net.num_sensors() as f64;
         (rms, delta_frac)
     });
     let mut rms = BTreeMap::new();
