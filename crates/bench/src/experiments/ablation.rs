@@ -56,11 +56,19 @@ pub fn signal_ablation(scale: Scale, seed: u64) -> Table {
             |_| net.num_sensors() as f64,
             &mut rng,
         );
+        // A non-empty delta always holds the base station, which is no
+        // sensor: the column counts the delta's sensors only.
+        let delta_sensors = driver
+            .session()
+            .delta_nodes()
+            .into_iter()
+            .filter(|n| !n.is_base())
+            .count();
         vec![
             name.to_string(),
             f(rms_error_series(&result.estimates, &result.actuals)),
             f(result.last_pct_contributing),
-            result.last_delta_size.to_string(),
+            delta_sensors.to_string(),
         ]
     });
     for row in rows {
