@@ -132,17 +132,13 @@ fn fnv(h: &mut u64, x: u64) {
     }
 }
 
-/// The set-valued answers pinned to a constant, not to another engine
-/// path: a 600-node adaptive TD deployment under burst loss and churn
+/// A 600-node adaptive TD deployment under burst loss and churn
 /// carrying a frequent-items query (FM counters) and a q-digest quantile
-/// query in one bundle. Every epoch folds the frequent-items estimates
-/// and reported items, the q-digest's nodes, `n` and `E`, and the
-/// epoch's simulated bytes into one FNV digest. The constant was stamped
-/// before the delta's set-valued messages moved to flat sorted storage,
-/// so a change in how they are fused, stored or sized has to leave every
-/// answer and every byte where it was.
-#[test]
-fn set_valued_answers_match_the_pinned_digest() {
+/// query in one bundle, run for 60 epochs. Returns two FNV digests: the
+/// answers (every epoch's frequent-items estimates and reported items,
+/// and the q-digest's nodes, `n` and `E`) and the simulated bytes (every
+/// epoch's byte delta).
+fn set_valued_digests() -> (u64, u64) {
     let net = Synthetic::small(600).build(0x5E7_D16);
     let readings: Vec<u64> = (0..net.len() as u64).map(|i| (i * 37) % 1000).collect();
     let bag_slots: Vec<Vec<ItemBag>> = (0..4u64)
@@ -169,7 +165,8 @@ fn set_valued_answers_match_the_pinned_digest() {
     let churn = ChurnSchedule::new(net.len(), 0.01, 8.0, 0xC4C);
     let mut rng = rng_from_seed(0xD16E57);
     let mut session = SessionBuilder::new(Scheme::Td).build(&net, &mut rng);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut answers = 0xcbf2_9ce4_8422_2325u64;
+    let mut bytes = 0xcbf2_9ce4_8422_2325u64;
     let mut bytes_before = 0;
     for epoch in 0..60u64 {
         session.apply_churn(&churn.events_at(epoch));
@@ -187,37 +184,63 @@ fn set_valued_answers_match_the_pinned_digest() {
             &readings,
         ));
         let rec = session.run_set(&set, &churn.overlay(&burst), epoch, &mut rng);
+        let h = &mut answers;
         let f = rec.answers.get(freq);
-        fnv(&mut h, f.n_est.to_bits());
+        fnv(h, f.n_est.to_bits());
         for (&item, est) in &f.estimates.counts {
-            fnv(&mut h, item);
-            fnv(&mut h, est.to_bits());
+            fnv(h, item);
+            fnv(h, est.to_bits());
         }
         for &item in &f.reported {
-            fnv(&mut h, item);
+            fnv(h, item);
         }
         let q = &rec.answers.get(quantile).summary;
         for ((depth, prefix), count) in q.nodes() {
-            fnv(&mut h, u64::from(depth));
-            fnv(&mut h, prefix);
-            fnv(&mut h, count);
+            fnv(h, u64::from(depth));
+            fnv(h, prefix);
+            fnv(h, count);
         }
-        fnv(&mut h, q.population());
-        fnv(&mut h, q.uncertainty());
-        let bytes = session.stats().total_bytes();
-        fnv(&mut h, bytes - bytes_before);
-        bytes_before = bytes;
+        fnv(h, q.population());
+        fnv(h, q.uncertainty());
+        let total = session.stats().total_bytes();
+        fnv(&mut bytes, total - bytes_before);
+        bytes_before = total;
     }
     assert!(session.stats().nodes_left() > 0, "churn never fired");
     assert!(session.plan_stats().patches > 0, "the delta never adapted");
+    (answers, bytes)
+}
+
+/// The set-valued answers pinned to a constant, not to another engine
+/// path (see [`set_valued_digests`]). A change in how the delta's
+/// set-valued messages are fused or stored, or in what rides beside
+/// them on the air, has to leave every answer where it was.
+#[test]
+fn set_valued_answers_match_the_pinned_digest() {
+    let (answers, _) = set_valued_digests();
     assert_eq!(
-        h, PINNED_SET_VALUED_DIGEST,
-        "set-valued answer digest moved (got {h:#018x})"
+        answers, PINNED_SET_VALUED_DIGEST,
+        "set-valued answer digest moved (got {answers:#018x})"
     );
 }
 
-/// Stamped from the digest the test prints when it fails.
-const PINNED_SET_VALUED_DIGEST: u64 = 0xff90_c8ba_0e8f_4348;
+/// The same deployment's simulated bytes pinned to a constant: a change
+/// in how set-valued messages are sized, or in the adaptation envelope
+/// beside them, moves it.
+#[test]
+fn set_valued_bytes_match_the_pinned_digest() {
+    let (_, bytes) = set_valued_digests();
+    assert_eq!(
+        bytes, PINNED_SET_VALUED_BYTES_DIGEST,
+        "set-valued byte digest moved (got {bytes:#018x})"
+    );
+}
+
+/// The answer half, stamped when one digest of answers and bytes was
+/// split in two.
+const PINNED_SET_VALUED_DIGEST: u64 = 0xf307_fbe9_2a03_189e;
+/// The byte half, stamped with it.
+const PINNED_SET_VALUED_BYTES_DIGEST: u64 = 0x7cdd_fee5_d9c0_94d7;
 
 /// Algorithm 1 over a given `tree` under `gradient`: one epoch of a
 /// frequent-items query at support 0.05 on the engine's all-`T` plan.
