@@ -74,7 +74,7 @@ impl Default for AdapterConfig {
 /// What an adaptation step did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdaptAction {
-    /// Not an adaptation epoch (or damped).
+    /// Not an adaptation epoch (or damped): the signal went unread.
     Idle,
     /// Expanded the delta by `switched` vertices.
     Expanded {
@@ -126,7 +126,23 @@ impl Adapter {
         self.damping
     }
 
+    /// Whether [`step`](Self::step) decides after `epoch`, and so reads
+    /// that epoch's signal: the first time `adapt_every` epochs have run,
+    /// then every `adapt_every × damping` epochs after the last decision.
+    /// Motes can know this schedule before the epoch runs — it depends
+    /// on nothing the epoch carries — so the session puts the §4.2
+    /// envelope on the air only on epochs for which this holds.
+    pub fn due(&self, epoch: u64) -> bool {
+        match self.last_adapt_epoch {
+            None => epoch + 1 >= self.config.adapt_every,
+            Some(last) => epoch >= last + self.config.adapt_every * self.damping,
+        }
+    }
+
     /// Decide and apply an adaptation for the epoch that just finished.
+    /// The signal is read only when the epoch is [`due`](Self::due);
+    /// otherwise the step returns [`AdaptAction::Idle`], which a due
+    /// step never does.
     ///
     /// * `pct_contributing` — the base station's view of the contributing
     ///   fraction (in-band estimate or instrumented ground truth).
@@ -144,12 +160,7 @@ impl Adapter {
         max_noncontrib: &ExtremaSet,
         min_noncontrib: &ExtremaSet,
     ) -> AdaptAction {
-        let interval = self.config.adapt_every * self.damping;
-        let due = match self.last_adapt_epoch {
-            None => epoch + 1 >= self.config.adapt_every,
-            Some(last) => epoch >= last + interval,
-        };
-        if !due {
+        if !self.due(epoch) {
             return AdaptAction::Idle;
         }
         self.last_adapt_epoch = Some(epoch);
@@ -414,6 +425,56 @@ mod tests {
             adapter.step(&mut td, 10, 0.2, &none, &none_min),
             AdaptAction::Idle
         );
+    }
+
+    proptest::proptest! {
+        /// `due` is exactly when `step` reads its signal. Each case holds
+        /// a sequence of readings — below the threshold, above it by more
+        /// than the shrink margin, or inside the band — each until the
+        /// adapter decides on it: five alternating readings that raise the
+        /// damping, a random sequence, then one in-band reading that
+        /// relaxes it. On every epoch, `due(epoch)` asked before the step
+        /// must equal whether the step decided (a decision never returns
+        /// `Idle`), for random intervals, thresholds and both strategies.
+        #[test]
+        fn prop_due_is_when_step_reads_its_signal(
+            adapt_every in 1u64..6,
+            threshold in 0.5f64..0.9,
+            middle in proptest::collection::vec(0u8..3, 0..30),
+            coarse in 0u8..2,
+        ) {
+            static BASE: std::sync::OnceLock<TdTopology> = std::sync::OnceLock::new();
+            let mut td = BASE.get_or_init(|| topo(150)).clone();
+            let config = AdapterConfig {
+                adapt_every,
+                threshold,
+                ..Default::default()
+            };
+            let strategy = if coarse == 1 { Strategy::TdCoarse } else { Strategy::Td };
+            let mut adapter = Adapter::new(config, strategy);
+            let reading = |kind: u8| match kind {
+                0 => threshold - 0.3,
+                1 => threshold + config.shrink_margin + 0.02,
+                _ => threshold + config.shrink_margin / 2.0,
+            };
+            let readings = [0, 1, 0, 1, 0].into_iter().chain(middle).chain([2]);
+            let (none_max, none_min) = (ExtremaSet::largest(), ExtremaSet::smallest());
+            let (mut epoch, mut peak) = (0u64, 1u64);
+            for kind in readings {
+                loop {
+                    let due = adapter.due(epoch);
+                    let action = adapter.step(&mut td, epoch, reading(kind), &none_max, &none_min);
+                    proptest::prop_assert_eq!(due, action != AdaptAction::Idle, "epoch {}", epoch);
+                    epoch += 1;
+                    peak = peak.max(adapter.damping());
+                    if due {
+                        break;
+                    }
+                }
+            }
+            proptest::prop_assert!(peak > 1, "the alternating readings never raised the damping");
+            proptest::prop_assert_eq!(adapter.damping(), 1);
+        }
     }
 
     #[test]

@@ -1,25 +1,31 @@
 //! Instrumented message envelopes.
 //!
-//! Beside every node's protocol messages the runner sends one envelope
+//! Beside a node's protocol messages the runner can send one envelope
 //! carrying the adaptation signals of §4.2. Envelopes carry counts, not
-//! payloads: the messages themselves live in each query's column.
+//! payloads: the messages themselves live in each query's column. Only
+//! the base station's adapter reads an envelope, and only on the epochs
+//! it decides on ([`Adapter::due`](crate::adapt::Adapter::due)), so an
+//! envelope rides only on those epochs, with only the fields the scheme
+//! reads ([`EnvelopeFields`]); every other send carries its payload
+//! alone.
 //!
 //! * **Exact subtree count** (tree envelopes) — trees count exactly, and
 //!   this count is what the paper's augmented messages carry.
 //! * **Approximate count sketch** (multi-path envelopes) — the in-band
 //!   duplicate-insensitive Count the base station can use as its
 //!   protocol-faithful adaptation signal.
-//! * **Non-contribution extrema** — each switchable M vertex reports how
-//!   many nodes of its (static) subtree failed to contribute, and the
-//!   base station steers the fine-grained TD strategy by the largest and
-//!   smallest reports. On motes every multi-path send carries a top-k
-//!   set of reports ([`TOP_K_EXTREMA`] slots, 8 B each, which the
-//!   runner charges per send) and each delta vertex fuses the sets it
-//!   hears. The simulator does not fuse them: a top-k ignores order and
-//!   duplicates and survives truncation at every hop, so the fused set at
-//!   the base is exactly the top-k of the reports whose senders reach
-//!   it, and the runner computes that once per epoch from the delivery
-//!   draws ([`ExtremaSet`] is the set both use).
+//! * **Non-contribution extrema** (TD only) — each switchable M vertex
+//!   reports how many nodes of its (static) subtree failed to
+//!   contribute, and the base station steers the fine-grained TD
+//!   strategy by the largest and smallest reports. On motes a multi-path
+//!   send that carries them carries a top-k set of reports
+//!   ([`TOP_K_EXTREMA`] slots, 8 B each, which the runner charges per
+//!   send), and a tree send one more word, and each delta vertex fuses
+//!   the sets it hears. The simulator does not fuse them: a top-k
+//!   ignores order and duplicates and survives truncation at every hop,
+//!   so the fused set at the base is exactly the top-k of the reports
+//!   whose senders reach it, and the runner computes that once per epoch
+//!   from the delivery draws ([`ExtremaSet`] is the set both use).
 //!
 //! The exact "% contributing" ground truth is not carried here: the
 //! runner derives it once per epoch from the epoch's delivery draws (a
@@ -33,9 +39,69 @@ use td_sketches::fm::FmSketch;
 /// the headline 40-bitmap aggregate: the signal only gates adaptation).
 pub const COUNT_SKETCH_BITMAPS: usize = 16;
 
-/// Extra words a tree message carries for adaptation (the exact subtree
-/// count plus the non-contribution field of §4.2).
-pub const TREE_OVERHEAD_WORDS: usize = 2;
+/// Which §4.2 adaptation fields a send carries beside its payload. A
+/// session sets its scheme's fields ([`SessionConfig::paper_defaults`])
+/// and carries them only on the epochs its adapter decides on; on every
+/// other epoch, and in a session that never adapts, sends carry
+/// [`Nothing`](Self::Nothing).
+///
+/// [`SessionConfig::paper_defaults`]: crate::session::SessionConfig::paper_defaults
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EnvelopeFields {
+    /// No envelope: the runner builds none and charges none (TAG, SD,
+    /// and every epoch an adapter does not decide on). An adapter decides
+    /// only on an envelope that arrived, so an adapting session
+    /// configured with this never moves its delta.
+    Nothing,
+    /// The contributor count alone, what TD-Coarse reads: one word on a
+    /// tree send (its exact subtree count) and the count sketch's RLE
+    /// bytes on a multi-path send.
+    Counts,
+    /// The count plus the non-contribution extrema, what TD reads: a
+    /// second word on a tree send and [`TOP_K_EXTREMA`] 8 B reports on a
+    /// multi-path send.
+    CountsAndExtrema,
+}
+
+impl EnvelopeFields {
+    /// Whether a send carries an envelope at all.
+    pub fn carried(self) -> bool {
+        self != EnvelopeFields::Nothing
+    }
+
+    /// Extra words a tree send carries.
+    pub fn tree_words(self) -> usize {
+        match self {
+            EnvelopeFields::Nothing => 0,
+            EnvelopeFields::Counts => 1,
+            EnvelopeFields::CountsAndExtrema => 2,
+        }
+    }
+
+    /// Extra bytes a multi-path send carries beside its count sketch:
+    /// the extremum reports.
+    pub fn extrema_bytes(self) -> usize {
+        match self {
+            EnvelopeFields::CountsAndExtrema => 8 * TOP_K_EXTREMA,
+            _ => 0,
+        }
+    }
+}
+
+/// The envelope as the base station received it on an epoch that
+/// carried one: the adaptation signal of §4.2.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BaseEnvelope {
+    /// In-band estimate of the contributing count (exact tree counts,
+    /// sketched delta counts).
+    pub contributing_est: f64,
+    /// Largest per-subtree non-contribution reports by switchable M
+    /// vertices (TD expand signal; empty when the extrema were not
+    /// carried).
+    pub max_noncontrib: ExtremaSet,
+    /// Smallest such reports (TD shrink signal).
+    pub min_noncontrib: ExtremaSet,
+}
 
 /// An `(argmax/argmin, value)` pair: one switchable M vertex's report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -229,10 +229,9 @@ mod tests {
     /// The erased column path answers what the typed protocol computes:
     /// on a lossless tree, a Sum query run through a set sums every
     /// sensor's reading, and each send is charged the typed wire size of
-    /// its message plus the tree overhead.
+    /// its message plus the envelope's tree words.
     #[test]
     fn erased_round_trip_matches_typed() {
-        use crate::envelope::TREE_OVERHEAD_WORDS;
         use crate::runner::{EpochPlan, RunnerConfig};
         use td_netsim::loss::NoLoss;
         use td_netsim::network::Network;
@@ -267,7 +266,8 @@ mod tests {
         );
         assert_eq!(*Answers::new(out.outputs).get(h), 21.0);
         let local = Protocol::local_tree(&p, NodeId(3)).unwrap();
-        let words = Protocol::tree_words(&p, &local) + TREE_OVERHEAD_WORDS;
+        let overhead = RunnerConfig::default().envelope.tree_words();
+        let words = Protocol::tree_words(&p, &local) + overhead;
         assert_eq!(stats.total_bytes(), 3 * 4 * words as u64);
     }
 

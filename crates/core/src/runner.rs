@@ -63,26 +63,33 @@
 //!    children, then fuses every broadcast it heard *by reference*.
 //!    Merged tree children are taken out of their slots, a lost unicast
 //!    is dropped at once, and a level's broadcasts are dropped as soon
-//!    as the level below — their only receivers — has run. The
-//!    **envelope column** is one more job: the exact tree counts and
-//!    the in-band count sketches, built in the same per-slot order. A
+//!    as the level below — their only receivers — has run. On an epoch
+//!    that carries the §4.2 envelope ([`RunnerConfig::envelope`] is not
+//!    [`EnvelopeFields::Nothing`]; a session carries it only on the
+//!    epochs its adapter reads) the **envelope column** is one more job:
+//!    the exact tree counts and the in-band count sketches, built in the
+//!    same per-slot order. Any other epoch runs no envelope column. A
 //!    plan **without a delta** (no `M` vertex, the base station
 //!    included: every TAG plan) skips all of the delta's passes — the
 //!    broadcast lists, the broadcast drops and the envelope column. Its
 //!    base envelope is known without them: a `T` base's exact tree
 //!    count is the contributor count, and no switchable `M` vertex
 //!    reports an extremum.
-//! 3. **Account.** One pass in step order records each send as the
-//!    envelope overhead plus the sum of every query's wire size for
-//!    the slot, so the `CommStats` sequence is a single send per node
-//!    however many queries ride along.
+//! 3. **Account.** One pass in step order records each send as the sum
+//!    of every query's wire size for the slot plus the envelope fields
+//!    the epoch carries — none; one tree word, or the count sketch, for
+//!    counts alone; two tree words, or the sketch and the extremum
+//!    reports, for both — so the `CommStats` sequence is a single send
+//!    per node however many queries ride along.
 //! 4. **Evaluate.** The exact contributor count is derived from the
-//!    draws, and every column is evaluated at the base station. The
-//!    §4.2 extrema are derived too: motes fuse a top-k set of reports
-//!    through the delta (pass 3 charges its 8 B per slot), and since a
-//!    top-k ignores order and duplicates and survives truncation at
-//!    every hop, the base's set is the top-k of the reports of the
-//!    switchable `M` steps the contributor walk marked as reached.
+//!    draws, and every column is evaluated at the base station. On an
+//!    epoch that carries the extrema they are derived too: motes fuse a
+//!    top-k set of reports through the delta (pass 3 charges its 8 B
+//!    per slot), and since a top-k ignores order and duplicates and
+//!    survives truncation at every hop, the base's set is the top-k of
+//!    the reports of the switchable `M` steps the contributor walk
+//!    marked as reached. An epoch that carries no envelope reports
+//!    none.
 //!
 //! Nothing a job writes is visible to another job, and every job reads
 //! only the schedule and the epoch's draws (through one `Frame`), so
@@ -109,9 +116,10 @@
 //! The draws, the broadcast lists, the columns and the envelope column
 //! all live in the plan and are reused from epoch to epoch; a plan
 //! without a delta never sizes the broadcast lists or the envelope
-//! column. A column is downcast to its protocol's types once when it
-//! runs and once when it is evaluated, and replaced only if a
-//! differently typed query takes its position. An epoch therefore
+//! column, and a plan whose epochs never carry an envelope never sizes
+//! the envelope column. A column is downcast to its protocol's types
+//! once when it runs and once when it is evaluated, and replaced only if
+//! a differently typed query takes its position. An epoch therefore
 //! allocates only what the protocols allocate inside their own messages
 //! (a sketch's bitmaps, a summary's entries) plus a handful of per-epoch
 //! objects (the answers, and with a fan-out its threads): about 0.001
@@ -131,16 +139,16 @@
 //! The runner is **multi-query**: every link carries one message per
 //! query registered in the epoch's [`QuerySet`], so N concurrent
 //! aggregates cost one topology traversal — one unicast/broadcast per
-//! node, one envelope, one in-band count sketch, one set of adaptation
-//! extrema — instead of N. Message payload accounting sums the
-//! per-query wire sizes; the envelope overhead is charged once per
-//! link, not once per query.
+//! node and, when the epoch carries them, one envelope, one in-band
+//! count sketch, one set of adaptation extrema — instead of N. Message
+//! payload accounting sums the per-query wire sizes; the envelope is
+//! charged once per link, not once per query.
 
 use std::any::Any;
 
 use crate::envelope::{
-    absorb_tree_counts, extrema, local_pooled, tree_count, ExtremaSet, Extremum,
-    COUNT_SKETCH_BITMAPS, TOP_K_EXTREMA, TREE_OVERHEAD_WORDS,
+    absorb_tree_counts, extrema, local_pooled, tree_count, BaseEnvelope, EnvelopeFields,
+    ExtremaSet, Extremum, COUNT_SKETCH_BITMAPS,
 };
 use crate::parallel;
 use crate::protocol::Protocol;
@@ -162,13 +170,15 @@ pub struct RunnerConfig {
     /// broadcasts are never retransmitted (§7.4.3 lets *tree* nodes
     /// retransmit to equalize energy).
     pub tree_retransmit: Retransmit,
-    /// Whether message accounting charges for the §4.2 adaptation fields
-    /// (the in-band count sketch and the extremum reports). The
-    /// non-adaptive baselines (TAG, SD) don't carry them.
-    pub charge_adaptation_overhead: bool,
+    /// Which §4.2 adaptation fields every send of the epoch carries. The
+    /// runner builds, charges and reports exactly these: with
+    /// [`EnvelopeFields::Nothing`] it runs no envelope column and charges
+    /// no send for one. A session sets its scheme's fields here and
+    /// narrows them to `Nothing` on epochs its adapter does not read.
+    pub envelope: EnvelopeFields,
     /// How many threads an epoch may use. The unit of work is a query
-    /// column (plus the envelope column on a plan with a delta; an
-    /// all-`T` epoch fans out over its query columns only): an epoch
+    /// column (plus the envelope column on an epoch that carries an
+    /// envelope over a plan with a delta): an epoch
     /// runs on `k = min(workers, queries)` threads — the calling thread
     /// plus `k - 1` scoped ones — so a one-query set never spawns a
     /// thread. `0` = one per available core, `1` =
@@ -187,7 +197,7 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             tree_retransmit: Retransmit::default(),
-            charge_adaptation_overhead: true,
+            envelope: EnvelopeFields::CountsAndExtrema,
             workers: 0,
             parallel_min_nodes: 512,
         }
@@ -216,14 +226,12 @@ pub struct SetEpochOutput {
     /// Exact number of contributing sensors (shared across queries;
     /// instrumentation ground truth).
     pub contributing: usize,
-    /// In-band estimate of the contributing count (what a real base
-    /// station would see: exact tree counts, sketched delta counts).
-    pub contributing_est: f64,
-    /// Largest per-subtree non-contribution reports by switchable M
-    /// vertices this epoch (TD expand signal).
-    pub max_noncontrib: ExtremaSet,
-    /// Smallest such reports (TD shrink signal).
-    pub min_noncontrib: ExtremaSet,
+    /// The §4.2 envelope as the base station received it, with the
+    /// fields [`RunnerConfig::envelope`] put on the air (the extrema are
+    /// empty when only counts were). `None` on an epoch that carried no
+    /// envelope: nothing can read an in-band estimate that was never
+    /// sent.
+    pub envelope: Option<BaseEnvelope>,
 }
 
 impl std::fmt::Debug for SetEpochOutput {
@@ -231,7 +239,7 @@ impl std::fmt::Debug for SetEpochOutput {
         f.debug_struct("SetEpochOutput")
             .field("queries", &self.outputs.len())
             .field("contributing", &self.contributing)
-            .field("contributing_est", &self.contributing_est)
+            .field("envelope", &self.envelope)
             .finish()
     }
 }
@@ -783,7 +791,11 @@ impl EpochPlan {
             draws,
             heard,
         };
-        let charge = config.charge_adaptation_overhead;
+        let fields = config.envelope;
+        // The envelope column runs only when the epoch carries an
+        // envelope over a delta: without one, the base envelope is known
+        // without it (below).
+        let envelope_job = delta && fields.carried();
         // Any thread count is bit-identical (the jobs write disjoint
         // storage), so this is purely a performance decision.
         let threads = if sched.step_of.len() < config.parallel_min_nodes {
@@ -792,8 +804,8 @@ impl EpochPlan {
             config.effective_workers().min(set.len())
         };
         if threads <= 1 {
-            if delta {
-                envelopes.run(&frame, charge);
+            if envelope_job {
+                envelopes.run(&frame);
             }
             for (i, column) in columns.iter_mut().enumerate() {
                 set.query(i).run_column(&frame, column);
@@ -804,66 +816,78 @@ impl EpochPlan {
                 .enumerate()
                 .map(|(i, column)| Job::Query(i, column))
                 .collect();
-            if delta {
+            if envelope_job {
                 jobs.push(Job::Envelopes(envelopes));
             }
             parallel::run_longest_first(threads, jobs, job_ns, |job| match job {
                 Job::Query(i, column) => set.query(i).run_column(&frame, column),
-                Job::Envelopes(envelopes) => envelopes.run(&frame, charge),
+                Job::Envelopes(envelopes) => envelopes.run(&frame),
             });
         }
         phase::record(Phase::LevelExecute, sw);
 
         let sw = phase::stopwatch();
-        account(sched, draws, columns, envelopes, charge, stats);
+        account(sched, draws, columns, envelopes, fields, stats);
         let outputs = columns
             .iter_mut()
             .enumerate()
             .map(|(i, column)| set.query(i).evaluate(&frame, column))
             .collect();
         let contributing = draws.contributing(sched);
-        let (contributing_est, (max_noncontrib, min_noncontrib)) = if delta {
-            let frame = Frame {
-                sched,
-                draws,
-                heard,
+        let envelope = fields.carried().then(|| {
+            // Without a delta the column did not run: a `T` base's exact
+            // tree count is the contributor count, and no switchable `M`
+            // vertex reports an extremum.
+            let contributing_est = if delta {
+                envelopes.est
+            } else {
+                contributing as f64
             };
-            (envelopes.est, envelopes.noncontrib(&frame))
-        } else {
-            // What the envelope column would report: a `T` base's exact
-            // tree count is the contributor count, and no extremum.
-            (contributing as f64, extrema([]))
-        };
+            let (max_noncontrib, min_noncontrib) =
+                if delta && fields == EnvelopeFields::CountsAndExtrema {
+                    envelopes.noncontrib(&Frame {
+                        sched,
+                        draws,
+                        heard,
+                    })
+                } else {
+                    extrema([])
+                };
+            BaseEnvelope {
+                contributing_est,
+                max_noncontrib,
+                min_noncontrib,
+            }
+        });
         let out = SetEpochOutput {
             outputs,
             contributing,
-            contributing_est,
-            max_noncontrib,
-            min_noncontrib,
+            envelope,
         };
         phase::record(Phase::Merge, sw);
         out
     }
 }
 
-/// One job of a fanned-out epoch: a query's column or, when the plan
-/// has a delta, the envelope column.
+/// One job of a fanned-out epoch: a query's column or, when the epoch
+/// carries an envelope over a plan with a delta, the envelope column.
 enum Job<'c> {
     Query(usize, &'c mut Column),
     Envelopes(&'c mut Envelopes),
 }
 
 /// Record every send of the epoch, in step order: a `T` step with a
-/// parent pays its payload words plus the tree overhead per attempt; an
-/// `M` step pays its payload plus — when charged — its count sketch's
-/// RLE size and the extremum reports. The payload of a slot is the sum
-/// of every query's wire size for it: one send carries the whole set.
+/// parent pays its payload words plus the envelope's tree words per
+/// attempt; an `M` step pays its payload plus — when the epoch carries
+/// an envelope — its count sketch's RLE size and, with the extrema, the
+/// extremum reports. The payload of a slot is the sum of every query's
+/// wire size for it: one send carries the whole set.
 fn account(
     sched: &Schedule,
     draws: &Draws,
     columns: &[Column],
     envelopes: &Envelopes,
-    charge: bool,
+    fields: EnvelopeFields,
     stats: &mut CommStats,
 ) {
     let payload = |slot: usize| {
@@ -876,14 +900,13 @@ fn account(
         match step.mode {
             Mode::T => {
                 let outcome = draws.outcomes[slot].expect("a T step drew its unicast");
-                let overhead = if charge { TREE_OVERHEAD_WORDS } else { 0 };
-                let words = payload(slot).1 + overhead;
+                let words = payload(slot).1 + fields.tree_words();
                 stats.record_send(step.node, words * 4, words, outcome.attempts_used as u64);
             }
             Mode::M => {
                 let (bytes, words) = payload(slot);
-                let overhead = if charge {
-                    envelopes.sketch_bytes[slot] as usize + 8 * TOP_K_EXTREMA
+                let overhead = if fields.carried() {
+                    envelopes.sketch_bytes[slot] as usize + fields.extrema_bytes()
                 } else {
                     0
                 };
@@ -1252,8 +1275,9 @@ impl<T, M: Clone> Cells<T, M> {
 // ---------------------------------------------------------------------
 
 /// The envelope column: the instrumentation every query's messages
-/// share, run as one more job over the same deliveries on a plan with a
-/// delta. A plan without one never runs it, so its arenas stay unsized.
+/// share, run as one more job over the same deliveries on an epoch that
+/// carries an envelope over a plan with a delta. A plan that never does
+/// never runs it, so its arenas stay unsized.
 #[derive(Default)]
 struct Envelopes {
     /// Per slot: the exact contributor count of a `T` step's tree
@@ -1269,14 +1293,14 @@ struct Envelopes {
     /// from level to level and epoch to epoch.
     live: [Vec<FmSketch>; 2],
     /// Per slot: the RLE size of an `M` step's count sketch as it went on
-    /// the air (read by the accounting pass when overhead is charged).
+    /// the air (read by the accounting pass).
     sketch_bytes: Vec<u32>,
     /// This epoch's in-band contributor estimate at the base station.
     est: f64,
 }
 
 impl Envelopes {
-    fn run(&mut self, frame: &Frame<'_>, charge: bool) {
+    fn run(&mut self, frame: &Frame<'_>) {
         let sched = frame.sched;
         let steps = sched.steps.len();
         let Envelopes {
@@ -1305,9 +1329,7 @@ impl Envelopes {
                         }
                         let sketch = &mut building[built];
                         build_mp_envelope(sketch, step.node, slot, frame, counts, at, above);
-                        if charge {
-                            sketch_bytes[slot] = sketch_rle::encoded_size_bytes(sketch) as u32;
-                        }
+                        sketch_bytes[slot] = sketch_rle::encoded_size_bytes(sketch) as u32;
                         at[slot] = built as u32;
                         built += 1;
                     }
@@ -1387,6 +1409,55 @@ fn build_mp_envelope(
     }
 }
 
+#[cfg(test)]
+impl EpochPlan {
+    /// Run the envelope column over the plan's last epoch — whether or
+    /// not that epoch ran it — in arenas of its own. Returns the base
+    /// station's estimate and extrema (derived from the epoch's reached
+    /// marks as `run_set` derives them) and the RLE bytes of every `M`
+    /// step's count sketch, summed.
+    pub(crate) fn explicit_envelope(&mut self) -> (f64, (ExtremaSet, ExtremaSet), u64) {
+        let Arenas { draws, heard, .. } = &mut self.arenas;
+        collect_heard(heard, &self.sched, draws);
+        let frame = Frame {
+            sched: &self.sched,
+            draws,
+            heard,
+        };
+        let mut envelopes = Envelopes::default();
+        envelopes.run(&frame);
+        let steps = self.sched.steps.iter().zip(&envelopes.sketch_bytes);
+        let sketch_bytes = steps
+            .filter(|(step, _)| step.mode == Mode::M)
+            .map(|(_, &bytes)| u64::from(bytes))
+            .sum();
+        (envelopes.est, envelopes.noncontrib(&frame), sketch_bytes)
+    }
+
+    /// The last epoch's sends that an envelope is charged on: the
+    /// unicast attempts of its `T` steps and the broadcasts of its `M`
+    /// steps.
+    pub(crate) fn sends(&self) -> (u64, u64) {
+        let (mut attempts, mut broadcasts) = (0, 0);
+        for (step, outcome) in self.sched.steps.iter().zip(&self.arenas.draws.outcomes) {
+            match step.mode {
+                Mode::T => attempts += outcome.map_or(0, |o| o.attempts_used as u64),
+                Mode::M => broadcasts += 1,
+            }
+        }
+        (attempts, broadcasts)
+    }
+
+    /// Whether any arena of the envelope column was ever sized.
+    pub(crate) fn envelope_sized(&self) -> bool {
+        let envelopes = &self.arenas.envelopes;
+        envelopes.counts.capacity() > 0
+            || envelopes.at.capacity() > 0
+            || envelopes.sketch_bytes.capacity() > 0
+            || envelopes.live.iter().any(|l| l.capacity() > 0)
+    }
+}
+
 /// Run one Tributary-Delta epoch for every query in `set`, compiling a
 /// fresh plan for this call — the rebuild path the plan-reuse tests
 /// compare a cached plan against.
@@ -1439,8 +1510,7 @@ mod tests {
     struct Single<O> {
         output: O,
         contributing: usize,
-        contributing_est: f64,
-        max_noncontrib: crate::envelope::ExtremaSet,
+        envelope: BaseEnvelope,
     }
 
     /// Run `proto` alone through one of the set entry points — a
@@ -1462,9 +1532,24 @@ mod tests {
                 .downcast::<P::Output>()
                 .expect("single-query output type"),
             contributing: out.contributing,
-            contributing_est: out.contributing_est,
-            max_noncontrib: out.max_noncontrib,
+            envelope: out
+                .envelope
+                .expect("the default config carries the envelope"),
         }
+    }
+
+    /// An epoch's base envelope, its estimate as bits, so a comparison
+    /// is bit for bit.
+    type EnvelopeBits = Option<(u64, ExtremaSet, ExtremaSet)>;
+
+    fn envelope_bits(out: &SetEpochOutput) -> EnvelopeBits {
+        out.envelope.as_ref().map(|e| {
+            (
+                e.contributing_est.to_bits(),
+                e.max_noncontrib.clone(),
+                e.min_noncontrib.clone(),
+            )
+        })
     }
 
     #[test]
@@ -1495,7 +1580,7 @@ mod tests {
         });
         assert_eq!(out.output, expect);
         assert_eq!(out.contributing, net.num_sensors());
-        assert_eq!(out.contributing_est, net.num_sensors() as f64);
+        assert_eq!(out.envelope.contributing_est, net.num_sensors() as f64);
     }
 
     #[test]
@@ -1619,7 +1704,7 @@ mod tests {
         });
         // Under 50% loss some subtree must be missing nodes, and the
         // extrema must have bubbled up (the base station fuses them).
-        if let Some(max) = out.max_noncontrib.best() {
+        if let Some(max) = out.envelope.max_noncontrib.best() {
             assert!(max.value > 0);
             assert!(td.is_switchable_m(max.node) || td.mode(max.node) == Mode::M);
         }
@@ -1740,9 +1825,7 @@ mod tests {
                 "answers diverged at epoch {epoch}"
             );
             assert_eq!(reused.contributing, rebuilt.contributing);
-            assert_eq!(reused.contributing_est, rebuilt.contributing_est);
-            assert_eq!(reused.max_noncontrib, rebuilt.max_noncontrib);
-            assert_eq!(reused.min_noncontrib, rebuilt.min_noncontrib);
+            assert_eq!(reused.envelope, rebuilt.envelope);
         }
         assert_eq!(reused_stats, rebuilt_stats);
     }
@@ -1787,8 +1870,7 @@ mod tests {
                 history.push((
                     [answer(0), answer(1), answer(2)],
                     out.contributing,
-                    out.contributing_est.to_bits(),
-                    out.max_noncontrib.clone(),
+                    envelope_bits(&out),
                 ));
             }
             (history, stats, rng.gen::<u64>())
@@ -1939,7 +2021,7 @@ mod tests {
                     debug::<QuantileOutput<GkSummary>>(&*out.outputs[4]),
                     debug::<QuantileOutput<QDigest>>(&*out.outputs[5]),
                     out.contributing,
-                    out.contributing_est.to_bits(),
+                    envelope_bits(&out),
                 ));
             }
             (history, stats, rng.gen::<u64>())
@@ -2378,9 +2460,7 @@ mod tests {
                 b.outputs[0].downcast_ref::<f64>()
             );
             assert_eq!(a.contributing, b.contributing);
-            assert_eq!(a.contributing_est, b.contributing_est);
-            assert_eq!(a.max_noncontrib, b.max_noncontrib);
-            assert_eq!(a.min_noncontrib, b.min_noncontrib);
+            assert_eq!(envelope_bits(&a), envelope_bits(&b));
             assert_eq!(patched_plan_stats, fresh_stats);
         }
     }
@@ -2589,7 +2669,7 @@ mod tests {
     /// One epoch's comparable record of the stale-slot check: the Sum
     /// answer's bits, the frequent-items answer, and the shared
     /// instrumentation.
-    type SlotRecord = (u64, String, usize, u64);
+    type SlotRecord = (u64, String, usize, EnvelopeBits);
 
     fn slot_record(out: &SetEpochOutput) -> SlotRecord {
         let freq = out.outputs[1]
@@ -2599,7 +2679,7 @@ mod tests {
             out.outputs[0].downcast_ref::<f64>().unwrap().to_bits(),
             format!("{freq:?}"),
             out.contributing,
-            out.contributing_est.to_bits(),
+            envelope_bits(out),
         )
     }
 
@@ -2880,81 +2960,77 @@ mod tests {
         );
     }
 
-    /// Run the envelope column over the plan's last epoch — whether or
-    /// not that epoch ran it — in arenas of its own, and return the base
-    /// station's estimate and extrema, the extrema derived from the
-    /// epoch's reached marks as `run_set` derives them.
-    impl EpochPlan {
-        fn explicit_envelope(&mut self, charge: bool) -> (f64, (ExtremaSet, ExtremaSet)) {
-            let Arenas { draws, heard, .. } = &mut self.arenas;
-            collect_heard(heard, &self.sched, draws);
-            let frame = Frame {
-                sched: &self.sched,
-                draws,
-                heard,
-            };
-            let mut envelopes = Envelopes::default();
-            envelopes.run(&frame, charge);
-            (envelopes.est, envelopes.noncontrib(&frame))
-        }
-    }
-
     /// A plan without a delta skips the envelope column and reports what
     /// the column would have: on TAG plans and on the all-`T` TD plan of
     /// [`tag_plan_is_the_all_t_td_plan`], over many loss seeds at 1 and 2
-    /// workers (two queries, so the fan-out engages), `contributing_est`
-    /// and both extrema equal the column's when run explicitly, and the
-    /// envelope arena is never sized. A plan with a delta — the base
+    /// workers (two queries, so the fan-out engages), the envelope's
+    /// estimate and extrema equal the column's when run explicitly, and
+    /// the envelope arena is never sized. A plan with a delta — the base
     /// station alone (its estimate is a sketch's, not the exact count),
-    /// or two ring levels — runs the column and sizes the arena.
+    /// or two ring levels — runs the column and sizes the arena. Each
+    /// plan reports only the fields its sends carry: counts alone come
+    /// with empty extrema, and an epoch that carries nothing reports no
+    /// envelope and, on any plan, never sizes the arena.
     #[test]
     fn a_plan_without_a_delta_reports_the_envelope_it_skips() {
         let (net, td) = topo(151, 200, 2);
         let all_t = TdTopology::all_tree(td.rings().clone(), td.tree().clone());
         let base_only = TdTopology::new(td.rings().clone(), td.tree().clone(), 0);
         let values: Vec<u64> = (0..net.len() as u64).map(|i| 1 + i % 60).collect();
-        for workers in [1, 2] {
-            let config = RunnerConfig {
-                workers,
-                parallel_min_nodes: 0,
-                ..RunnerConfig::default()
-            };
-            for (name, mut plan, delta) in [
-                ("TAG", EpochPlan::compile_tag(td.tree()), false),
-                ("all-T TD", EpochPlan::compile_td(&all_t), false),
-                ("base-only delta", EpochPlan::compile_td(&base_only), true),
-                ("two-level delta", EpochPlan::compile_td(&td), true),
-            ] {
-                assert_eq!(plan.sched.has_delta(), delta, "{name}");
-                let mut lossy = false;
-                for seed in 0..24u64 {
-                    let model = Global::new(0.05 * (seed % 6) as f64);
-                    let mut stats = CommStats::new(net.len());
-                    let mut rng = rng_from_seed(500 + seed);
-                    for epoch in 0..3u64 {
-                        let sum = ScalarProtocol::new(Sum::default(), &values);
-                        let count = ScalarProtocol::new(Count::default(), &values);
-                        let mut set = QuerySet::new();
-                        set.register(&sum);
-                        set.register(&count);
-                        let out =
-                            plan.run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
-                        let (est, (max, min)) =
-                            plan.explicit_envelope(config.charge_adaptation_overhead);
-                        let at = format!("{name}, seed {seed}, epoch {epoch}, {workers} workers");
-                        assert_eq!(out.contributing_est.to_bits(), est.to_bits(), "{at}");
-                        assert_eq!(out.max_noncontrib, max, "{at}");
-                        assert_eq!(out.min_noncontrib, min, "{at}");
-                        lossy |= out.contributing < net.num_sensors();
+        for fields in [
+            EnvelopeFields::CountsAndExtrema,
+            EnvelopeFields::Counts,
+            EnvelopeFields::Nothing,
+        ] {
+            for workers in [1, 2] {
+                let config = RunnerConfig {
+                    envelope: fields,
+                    workers,
+                    parallel_min_nodes: 0,
+                    ..RunnerConfig::default()
+                };
+                for (name, mut plan, delta) in [
+                    ("TAG", EpochPlan::compile_tag(td.tree()), false),
+                    ("all-T TD", EpochPlan::compile_td(&all_t), false),
+                    ("base-only delta", EpochPlan::compile_td(&base_only), true),
+                    ("two-level delta", EpochPlan::compile_td(&td), true),
+                ] {
+                    assert_eq!(plan.sched.has_delta(), delta, "{name}");
+                    let mut lossy = false;
+                    for seed in 0..24u64 {
+                        let model = Global::new(0.05 * (seed % 6) as f64);
+                        let mut stats = CommStats::new(net.len());
+                        let mut rng = rng_from_seed(500 + seed);
+                        for epoch in 0..3u64 {
+                            let sum = ScalarProtocol::new(Sum::default(), &values);
+                            let count = ScalarProtocol::new(Count::default(), &values);
+                            let mut set = QuerySet::new();
+                            set.register(&sum);
+                            set.register(&count);
+                            let out = plan
+                                .run_set(&set, &net, &model, config, epoch, &mut stats, &mut rng);
+                            let (est, (max, min), _) = plan.explicit_envelope();
+                            let carried = match fields {
+                                EnvelopeFields::Nothing => None,
+                                EnvelopeFields::Counts => {
+                                    Some((est.to_bits(), extrema([]).0, extrema([]).1))
+                                }
+                                EnvelopeFields::CountsAndExtrema => Some((est.to_bits(), max, min)),
+                            };
+                            let at = format!(
+                                "{name}, {fields:?}, seed {seed}, epoch {epoch}, {workers} workers"
+                            );
+                            assert_eq!(envelope_bits(&out), carried, "{at}");
+                            lossy |= out.contributing < net.num_sensors();
+                        }
                     }
+                    assert!(lossy, "{name}: no epoch lost a sensor");
+                    assert_eq!(
+                        plan.envelope_sized(),
+                        delta && fields.carried(),
+                        "{name}, {fields:?}: the envelope arena's sizing"
+                    );
                 }
-                assert!(lossy, "{name}: no epoch lost a sensor");
-                let envelopes = &plan.arenas.envelopes;
-                let never_sized = envelopes.counts.capacity() == 0
-                    && envelopes.at.capacity() == 0
-                    && envelopes.sketch_bytes.capacity() == 0
-                    && envelopes.live.iter().all(|l| l.capacity() == 0);
-                assert_eq!(never_sized, !delta, "{name}: the envelope arena's sizing");
             }
         }
     }

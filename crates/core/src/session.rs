@@ -35,6 +35,7 @@
 //!   §4.2 coarse / fine-grained strategies.
 
 use crate::adapt::{AdaptAction, Adapter, AdapterConfig, Strategy};
+use crate::envelope::EnvelopeFields;
 use crate::protocol::Protocol;
 use crate::query::{Answers, QuerySet};
 use crate::runner::{EpochPlan, RunnerConfig};
@@ -117,8 +118,14 @@ impl SessionConfig {
             scheme,
             adapter: AdapterConfig::default(),
             runner: RunnerConfig {
-                // The non-adaptive baselines carry no adaptation fields.
-                charge_adaptation_overhead: matches!(scheme, Scheme::TdCoarse | Scheme::Td),
+                // What each scheme's adapter reads: TD-Coarse moves whole
+                // levels on the count alone, TD steers by the extrema
+                // too, and the non-adaptive baselines read nothing.
+                envelope: match scheme {
+                    Scheme::Tag | Scheme::Sd => EnvelopeFields::Nothing,
+                    Scheme::TdCoarse => EnvelopeFields::Counts,
+                    Scheme::Td => EnvelopeFields::CountsAndExtrema,
+                },
                 ..RunnerConfig::default()
             },
             initial_delta_levels: 1,
@@ -522,7 +529,10 @@ impl Session {
     /// back through the handles returned at registration. The adaptation
     /// signal (contributing fraction, non-contribution extrema) is
     /// computed once from the shared envelope and applied once — exactly
-    /// as a single-query epoch would.
+    /// as a single-query epoch would. The envelope is on the air only if
+    /// the adapter is [`due`](Adapter::due) to read it after this epoch:
+    /// on every other epoch, and in a session without an adapter, the
+    /// runner carries [`EnvelopeFields::Nothing`].
     pub fn run_set<M: LossModel, R: rand::Rng + ?Sized>(
         &mut self,
         set: &QuerySet<'_>,
@@ -556,34 +566,34 @@ impl Session {
             }
             _ => {}
         }
+        let due = match &self.kind {
+            SessionKind::Td {
+                adapter: Some(a), ..
+            } => a.due(epoch),
+            _ => false,
+        };
+        let mut runner = self.config.runner;
+        if !due {
+            runner.envelope = EnvelopeFields::Nothing;
+        }
         let plan = self.plan.as_mut().expect("plan just ensured");
-        let out = plan.run_set(
-            set,
-            &self.net,
-            model,
-            self.config.runner,
-            epoch,
-            &mut self.stats,
-            rng,
-        );
+        let out = plan.run_set(set, &self.net, model, runner, epoch, &mut self.stats, rng);
         let pct = out.contributing as f64 / self.sensors.max(1) as f64;
         let (delta_size, action) = match &mut self.kind {
             SessionKind::Tag { .. } => (0, AdaptAction::Idle),
             SessionKind::Td { topo, adapter } => {
-                let signal = if self.config.use_exact_contrib_signal {
-                    pct
-                } else {
-                    out.contributing_est / self.sensors.max(1) as f64
-                };
-                let action = match adapter {
-                    Some(a) => a.step(
-                        topo,
-                        epoch,
-                        signal,
-                        &out.max_noncontrib,
-                        &out.min_noncontrib,
-                    ),
-                    None => AdaptAction::Idle,
+                // The adapter decides on the envelope that arrived: an
+                // epoch that carried none moves nothing.
+                let action = match (adapter, &out.envelope) {
+                    (Some(a), Some(e)) => {
+                        let signal = if self.config.use_exact_contrib_signal {
+                            pct
+                        } else {
+                            e.contributing_est / self.sensors.max(1) as f64
+                        };
+                        a.step(topo, epoch, signal, &e.max_noncontrib, &e.min_noncontrib)
+                    }
+                    _ => AdaptAction::Idle,
                 };
                 (topo.delta_size(), action)
             }
@@ -815,6 +825,116 @@ mod tests {
         );
         let mean = tail_pct.iter().sum::<f64>() / tail_pct.len() as f64;
         assert!(mean > 0.55, "in-band-signal adaptation stuck at {mean}");
+    }
+
+    /// The §4.2 envelope rides only on the epochs the adapter reads it. A
+    /// TD and a TD-Coarse session decide every 3 epochs with no shrink
+    /// margin, under loss that flips every 3 epochs between heavy and
+    /// none, so the adapter alternates, its damping rises and relaxes,
+    /// and some epochs of the undamped 3-epoch grid are skipped. Each runs in
+    /// lockstep with a twin that carries nothing and is held to the same
+    /// topology: the answers agree every epoch, and the session's bytes
+    /// exceed the twin's by exactly the envelope it carried — nothing on
+    /// an epoch the adapter does not read; on one it reads, every `M`
+    /// send's count sketch (plus 8 B per extremum report on TD) and, per
+    /// `T` attempt, one word on TD-Coarse and two on TD.
+    #[test]
+    fn the_envelope_rides_only_on_due_epochs() {
+        use crate::envelope::TOP_K_EXTREMA;
+        let net = net(181, 300);
+        let values: Vec<u64> = vec![1; net.len()];
+        let extrema = 8 * TOP_K_EXTREMA as u64;
+        for (scheme, tree_words, extrema_bytes) in
+            [(Scheme::Td, 2u64, extrema), (Scheme::TdCoarse, 1, 0)]
+        {
+            let mut config = SessionConfig::paper_defaults(scheme);
+            config.adapter.adapt_every = 3;
+            config.adapter.shrink_margin = 0.0;
+            let mut twin_config = config;
+            twin_config.runner.envelope = EnvelopeFields::Nothing;
+            let (mut rng, mut twin_rng) = (rng_from_seed(182), rng_from_seed(182));
+            let mut session = Session::new(config, &net, &mut rng);
+            let mut twin = Session::new(twin_config, &net, &mut twin_rng);
+            let (mut decisions, mut dampings) = (Vec::new(), std::collections::BTreeSet::new());
+            let mut mixed = false;
+            for epoch in 0..90u64 {
+                let (SessionKind::Td { topo, .. }, SessionKind::Td { topo: held, .. }) =
+                    (&session.kind, &mut twin.kind)
+                else {
+                    unreachable!("both sessions are TD");
+                };
+                held.clone_from(topo);
+                let model = Global::new(if (epoch / 3) % 2 == 0 { 0.4 } else { 0.0 });
+                let before = session.stats().total_bytes();
+                let twin_before = twin.stats().total_bytes();
+                let proto = ScalarProtocol::new(Count::default(), &values);
+                let rec = session.run_epoch(&proto, &model, epoch, &mut rng);
+                let twin_rec = twin.run_epoch(&proto, &model, epoch, &mut twin_rng);
+                assert_eq!(
+                    rec.output.to_bits(),
+                    twin_rec.output.to_bits(),
+                    "epoch {epoch}"
+                );
+                let extra = (session.stats().total_bytes() - before)
+                    - (twin.stats().total_bytes() - twin_before);
+                let at = format!("{}, epoch {epoch}", scheme.name());
+                if rec.action == AdaptAction::Idle {
+                    assert_eq!(extra, 0, "{at}: an unread envelope went on the air");
+                } else {
+                    let plan = session.plan.as_mut().expect("a plan ran");
+                    let (_, _, sketch_bytes) = plan.explicit_envelope();
+                    let (attempts, broadcasts) = plan.sends();
+                    let expect =
+                        sketch_bytes + broadcasts * extrema_bytes + attempts * tree_words * 4;
+                    assert_eq!(extra, expect, "{at}");
+                    mixed |= broadcasts > 0 && attempts > 0;
+                    decisions.push(epoch);
+                }
+                dampings.insert(session.adapter_damping().expect("TD adapts"));
+            }
+            let name = scheme.name();
+            assert!(
+                decisions.len() >= 3,
+                "{name}: decided only at {decisions:?}"
+            );
+            assert!(
+                decisions.windows(2).any(|w| w[1] - w[0] > 3),
+                "{name}: the damping never stretched the interval: {decisions:?}"
+            );
+            assert!(dampings.len() >= 2, "{name}: the damping never changed");
+            assert!(mixed, "{name}: no decision epoch had both T and M sends");
+        }
+    }
+
+    /// Sessions that never decide never build the envelope: an SD session
+    /// and a TD session whose adapter is never due run 30 lossy epochs
+    /// without sizing the envelope column's arenas, while a TD session on
+    /// the paper's cadence sizes them.
+    #[test]
+    fn sessions_that_never_decide_never_size_the_envelope() {
+        let net = net(185, 250);
+        let values: Vec<u64> = vec![1; net.len()];
+        for (name, builder, sized) in [
+            ("SD", SessionBuilder::new(Scheme::Sd), false),
+            (
+                "TD, never due",
+                SessionBuilder::new(Scheme::Td).adapt_every(1 << 40),
+                false,
+            ),
+            ("TD", SessionBuilder::new(Scheme::Td), true),
+        ] {
+            let mut rng = rng_from_seed(186);
+            let mut session = builder.build(&net, &mut rng);
+            let mut lossy = false;
+            for epoch in 0..30 {
+                let proto = ScalarProtocol::new(Count::default(), &values);
+                let rec = session.run_epoch(&proto, &Global::new(0.2), epoch, &mut rng);
+                lossy |= rec.contributing < net.num_sensors();
+            }
+            assert!(lossy, "{name}: no epoch lost a sensor");
+            let plan = session.plan.as_ref().expect("a plan ran");
+            assert_eq!(plan.envelope_sized(), sized, "{name}");
+        }
     }
 
     /// A small churn event (a few departures) reaches the next epoch as

@@ -152,7 +152,7 @@ proptest! {
                 b.outputs[0].downcast_ref::<f64>()
             );
             prop_assert_eq!(a.contributing, b.contributing);
-            prop_assert_eq!(a.contributing_est, b.contributing_est);
+            prop_assert_eq!(a.envelope, b.envelope);
             prop_assert_eq!(stats_a, stats_b);
         }
     }

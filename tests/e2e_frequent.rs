@@ -239,8 +239,10 @@ fn set_valued_bytes_match_the_pinned_digest() {
 /// The answer half, stamped when one digest of answers and bytes was
 /// split in two.
 const PINNED_SET_VALUED_DIGEST: u64 = 0xf307_fbe9_2a03_189e;
-/// The byte half, stamped with it.
-const PINNED_SET_VALUED_BYTES_DIGEST: u64 = 0x7cdd_fee5_d9c0_94d7;
+/// The byte half, stamped with it and re-stamped (from
+/// 0x7cdd_fee5_d9c0_94d7) when the envelope stopped riding on epochs
+/// the adapter does not read.
+const PINNED_SET_VALUED_BYTES_DIGEST: u64 = 0xab14_e47d_fd40_5adc;
 
 /// Algorithm 1 over a given `tree` under `gradient`: one epoch of a
 /// frequent-items query at support 0.05 on the engine's all-`T` plan.

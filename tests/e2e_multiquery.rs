@@ -285,9 +285,9 @@ fn fnv(h: &mut u64, x: u64) {
 }
 
 /// The simulated bytes of the scalar multi-path synopses pinned to a
-/// constant: an adaptive TD deployment under burst loss and churn, with
-/// the adaptation overhead charged (so every envelope carries its count
-/// sketch), runs Sum, Count and Max in one bundle. Every epoch folds the
+/// constant: an adaptive TD deployment under burst loss and churn, whose
+/// sends carry the adaptation envelope (with its count sketch) on every
+/// decision epoch, runs Sum, Count and Max in one bundle. Every epoch folds the
 /// epoch's byte delta, and at the end every node's sent bytes, into one
 /// FNV digest. The Sum and Count FM sketches and the envelope's count
 /// sketch are priced by `rle::encoded_size_bytes`, so a change in how
@@ -327,5 +327,7 @@ fn scalar_wire_bytes_match_the_pinned_digest() {
     );
 }
 
-/// Stamped before the RLE size kernel replaced the encoder replay.
-const PINNED_SCALAR_WIRE_DIGEST: u64 = 0xc86b_0992_157b_7f29;
+/// Stamped before the RLE size kernel replaced the encoder replay, and
+/// re-stamped (from 0xc86b_0992_157b_7f29) when the envelope stopped
+/// riding on epochs the adapter does not read.
+const PINNED_SCALAR_WIRE_DIGEST: u64 = 0x0edd_26ef_2b29_aeaa;

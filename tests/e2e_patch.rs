@@ -119,9 +119,7 @@ proptest! {
                 b.outputs[0].downcast_ref::<f64>()
             );
             prop_assert_eq!(a.contributing, b.contributing);
-            prop_assert_eq!(a.contributing_est, b.contributing_est);
-            prop_assert_eq!(&a.max_noncontrib, &b.max_noncontrib);
-            prop_assert_eq!(&a.min_noncontrib, &b.min_noncontrib);
+            prop_assert_eq!(a.envelope, b.envelope);
             prop_assert_eq!(stats_a, stats_b);
         }
     }

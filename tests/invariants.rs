@@ -436,13 +436,17 @@ fn extrema_oracle_agrees(
             .unwrap()
             .is_finite());
         let at = format!("{shape}, {channel}, {workers} workers, epoch {epoch}");
+        let envelope = out
+            .envelope
+            .as_ref()
+            .expect("the default config carries it");
         assert_eq!(
-            out.max_noncontrib.entries(),
+            envelope.max_noncontrib.entries(),
             reference_top_k(arrived, true),
             "{at}"
         );
         assert_eq!(
-            out.min_noncontrib.entries(),
+            envelope.min_noncontrib.entries(),
             reference_top_k(arrived, false),
             "{at}"
         );
