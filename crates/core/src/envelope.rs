@@ -17,11 +17,11 @@
 //! * **Non-contribution extrema** (TD only) — each switchable M vertex
 //!   reports how many nodes of its (static) subtree failed to
 //!   contribute, and the base station steers the fine-grained TD
-//!   strategy by the largest and smallest reports. On motes a multi-path
-//!   send that carries them carries a top-k set of reports
-//!   ([`TOP_K_EXTREMA`] slots, 8 B each, which the runner charges per
-//!   send), and a tree send one more word, and each delta vertex fuses
-//!   the sets it hears. The simulator does not fuse them: a top-k
+//!   strategy by the largest and smallest reports. On motes, on an
+//!   epoch that carries them, a multi-path send carries a top-k set of
+//!   reports ([`TOP_K_EXTREMA`] slots, 8 B each) and a tree send one
+//!   more word, which the runner charges per send, and each delta vertex
+//!   fuses the sets it hears. The simulator does not fuse them: a top-k
 //!   ignores order and duplicates and survives truncation at every hop,
 //!   so the fused set at the base is exactly the top-k of the reports
 //!   whose senders reach it, and the runner computes that once per epoch

@@ -1409,55 +1409,6 @@ fn build_mp_envelope(
     }
 }
 
-#[cfg(test)]
-impl EpochPlan {
-    /// Run the envelope column over the plan's last epoch — whether or
-    /// not that epoch ran it — in arenas of its own. Returns the base
-    /// station's estimate and extrema (derived from the epoch's reached
-    /// marks as `run_set` derives them) and the RLE bytes of every `M`
-    /// step's count sketch, summed.
-    pub(crate) fn explicit_envelope(&mut self) -> (f64, (ExtremaSet, ExtremaSet), u64) {
-        let Arenas { draws, heard, .. } = &mut self.arenas;
-        collect_heard(heard, &self.sched, draws);
-        let frame = Frame {
-            sched: &self.sched,
-            draws,
-            heard,
-        };
-        let mut envelopes = Envelopes::default();
-        envelopes.run(&frame);
-        let steps = self.sched.steps.iter().zip(&envelopes.sketch_bytes);
-        let sketch_bytes = steps
-            .filter(|(step, _)| step.mode == Mode::M)
-            .map(|(_, &bytes)| u64::from(bytes))
-            .sum();
-        (envelopes.est, envelopes.noncontrib(&frame), sketch_bytes)
-    }
-
-    /// The last epoch's sends that an envelope is charged on: the
-    /// unicast attempts of its `T` steps and the broadcasts of its `M`
-    /// steps.
-    pub(crate) fn sends(&self) -> (u64, u64) {
-        let (mut attempts, mut broadcasts) = (0, 0);
-        for (step, outcome) in self.sched.steps.iter().zip(&self.arenas.draws.outcomes) {
-            match step.mode {
-                Mode::T => attempts += outcome.map_or(0, |o| o.attempts_used as u64),
-                Mode::M => broadcasts += 1,
-            }
-        }
-        (attempts, broadcasts)
-    }
-
-    /// Whether any arena of the envelope column was ever sized.
-    pub(crate) fn envelope_sized(&self) -> bool {
-        let envelopes = &self.arenas.envelopes;
-        envelopes.counts.capacity() > 0
-            || envelopes.at.capacity() > 0
-            || envelopes.sketch_bytes.capacity() > 0
-            || envelopes.live.iter().any(|l| l.capacity() > 0)
-    }
-}
-
 /// Run one Tributary-Delta epoch for every query in `set`, compiling a
 /// fresh plan for this call — the rebuild path the plan-reuse tests
 /// compare a cached plan against.
@@ -2958,6 +2909,56 @@ mod tests {
             digest,
             "a permuted table kept the digest"
         );
+    }
+
+    /// Test-only views of a plan's last epoch, for this module's tests
+    /// and the session's.
+    impl EpochPlan {
+        /// Run the envelope column over the plan's last epoch — whether or
+        /// not that epoch ran it — in arenas of its own. Returns the base
+        /// station's estimate and extrema (derived from the epoch's reached
+        /// marks as `run_set` derives them) and the RLE bytes of every `M`
+        /// step's count sketch, summed.
+        pub(crate) fn explicit_envelope(&mut self) -> (f64, (ExtremaSet, ExtremaSet), u64) {
+            let Arenas { draws, heard, .. } = &mut self.arenas;
+            collect_heard(heard, &self.sched, draws);
+            let frame = Frame {
+                sched: &self.sched,
+                draws,
+                heard,
+            };
+            let mut envelopes = Envelopes::default();
+            envelopes.run(&frame);
+            let steps = self.sched.steps.iter().zip(&envelopes.sketch_bytes);
+            let sketch_bytes = steps
+                .filter(|(step, _)| step.mode == Mode::M)
+                .map(|(_, &bytes)| u64::from(bytes))
+                .sum();
+            (envelopes.est, envelopes.noncontrib(&frame), sketch_bytes)
+        }
+
+        /// The last epoch's sends that an envelope is charged on: the
+        /// unicast attempts of its `T` steps and the broadcasts of its `M`
+        /// steps.
+        pub(crate) fn sends(&self) -> (u64, u64) {
+            let (mut attempts, mut broadcasts) = (0, 0);
+            for (step, outcome) in self.sched.steps.iter().zip(&self.arenas.draws.outcomes) {
+                match step.mode {
+                    Mode::T => attempts += outcome.map_or(0, |o| o.attempts_used as u64),
+                    Mode::M => broadcasts += 1,
+                }
+            }
+            (attempts, broadcasts)
+        }
+
+        /// Whether any arena of the envelope column was ever sized.
+        pub(crate) fn envelope_sized(&self) -> bool {
+            let envelopes = &self.arenas.envelopes;
+            envelopes.counts.capacity() > 0
+                || envelopes.at.capacity() > 0
+                || envelopes.sketch_bytes.capacity() > 0
+                || envelopes.live.iter().any(|l| l.capacity() > 0)
+        }
     }
 
     /// A plan without a delta skips the envelope column and reports what
